@@ -35,44 +35,37 @@ fn bench_decoder_sharing(c: &mut Criterion) {
     group.sample_size(10);
     let lr = lr_input();
 
-    let mut shared = AdarNet::new(AdarNetConfig {
+    let model = AdarNet::new(AdarNetConfig {
         ph: 8,
         pw: 8,
         seed: 3,
         ..AdarNetConfig::default()
     });
+    let shared = model.freeze();
     eprintln!(
         "[ablation] shared decoder params: {} | 4 separate decoders would hold {}",
-        shared.decoder.num_params(),
-        4 * shared.decoder.num_params()
+        model.decoder.num_params(),
+        4 * model.decoder.num_params()
     );
     group.bench_function("shared_decoder_predict", |b| {
-        b.iter(|| black_box(shared.predict(black_box(&lr))))
+        b.iter(|| black_box(shared.try_predict(black_box(&lr)).unwrap()))
     });
 
-    // Per-resolution: one decoder instance per bin.
-    let mut per_bin: Vec<adarnet_core::Decoder> = (0..4)
-        .map(|k| adarnet_core::Decoder::new(7, 1000 + k))
+    // Per-resolution: one (frozen, like the shared one) decoder per bin.
+    let per_bin: Vec<adarnet_core::FrozenDecoder> = (0..4)
+        .map(|k| adarnet_core::Decoder::new(7, 1000 + k).freeze())
         .collect();
-    let mut model = AdarNet::new(AdarNetConfig {
-        ph: 8,
-        pw: 8,
-        seed: 3,
-        ..AdarNetConfig::default()
-    });
     group.bench_function("per_resolution_decoders_predict", |b| {
         b.iter(|| {
-            let plan = model.plan(&lr);
+            let plan = shared.try_plan(&lr).unwrap();
             let mut cells = 0usize;
             for bin in 0..4u8 {
                 let group_idx = plan.binning.groups[bin as usize].clone();
                 if group_idx.is_empty() {
                     continue;
                 }
-                let inputs: Vec<Tensor<f32>> = group_idx
-                    .iter()
-                    .map(|&i| model.decoder_input(&plan, i))
-                    .collect();
+                let inputs: Vec<Tensor<f32>> =
+                    group_idx.iter().map(|&i| plan.decoder_input(i)).collect();
                 let batch = Tensor::stack(&inputs);
                 let out = per_bin[bin as usize].forward(&batch);
                 cells += out.len();
@@ -142,21 +135,22 @@ fn bench_bin_count(c: &mut Criterion) {
     group.sample_size(10);
     let lr = lr_input();
     for bins in [2u8, 3, 4] {
-        let mut model = AdarNet::new(AdarNetConfig {
+        let model = AdarNet::new(AdarNetConfig {
             ph: 8,
             pw: 8,
             bins,
             seed: 9,
             ..AdarNetConfig::default()
-        });
-        let pred = model.predict(&lr);
+        })
+        .freeze();
+        let pred = model.try_predict(&lr).unwrap();
         eprintln!(
             "[ablation] b={bins}: active cells {} (max level {})",
             pred.active_cells(),
             bins - 1
         );
         group.bench_with_input(BenchmarkId::new("bins", bins), &bins, |b, _| {
-            b.iter(|| black_box(model.predict(black_box(&lr))))
+            b.iter(|| black_box(model.try_predict(black_box(&lr)).unwrap()))
         });
     }
     group.finish();

@@ -15,7 +15,7 @@ fn bench_uniform_sr_scaling(c: &mut Criterion) {
     group.sample_size(10);
     // LR 8x8 upscaled by 2/4/8 per side: output 16^2 / 32^2 / 64^2.
     for scale in [2usize, 4, 8] {
-        let mut net = SurfNet::new(scale, 0);
+        let net = SurfNet::new(scale, 0);
         let lr = Tensor::<f32>::full(Shape::d3(4, 8, 8), 0.4);
         group.bench_with_input(BenchmarkId::new("surfnet_scale", scale), &scale, |b, _| {
             b.iter(|| black_box(net.predict(black_box(&lr))))

@@ -19,20 +19,21 @@ fn lr_input() -> Tensor<f32> {
 }
 
 fn bench_adarnet_inference(c: &mut Criterion) {
-    let mut model = AdarNet::new(AdarNetConfig {
+    let model = AdarNet::new(AdarNetConfig {
         ph: 8,
         pw: 8,
         seed: 1,
         ..AdarNetConfig::default()
-    });
+    })
+    .freeze();
     let lr = lr_input();
     c.bench_function("table2_adarnet_nonuniform_sr", |b| {
-        b.iter(|| black_box(model.predict(black_box(&lr))))
+        b.iter(|| black_box(model.try_predict(black_box(&lr)).unwrap()))
     });
 }
 
 fn bench_surfnet_inference(c: &mut Criterion) {
-    let mut net = SurfNet::new(8, 2); // 64x uniform SR
+    let net = SurfNet::new(8, 2); // 64x uniform SR
     let lr = lr_input();
     c.bench_function("table2_surfnet_uniform_sr_64x", |b| {
         b.iter(|| black_box(net.predict(black_box(&lr))))

@@ -18,7 +18,7 @@ use adarnet_dataset::TestCase;
 
 fn main() {
     let scale = Scale::from_env();
-    let mut trainer = trained_model(scale);
+    let trainer = trained_model(scale);
     let mut solver_cfg = scale.solver_cfg();
     // The convergence study runs 56 solves; cap each a bit tighter.
     solver_cfg.max_iters = solver_cfg.max_iters.min(800);
@@ -29,12 +29,13 @@ fn main() {
         "case", "n", "ADARNet", "AMR solver"
     );
 
+    let frozen = trainer.model.freeze();
     for tc in TestCase::ALL {
         let case = bench_case(tc, scale);
         let sample = case_lr_sample(tc, scale);
-        let pred = trainer
-            .model
-            .predict(&trainer.norm.normalize(&sample.field));
+        let pred = frozen
+            .try_predict(&trainer.norm.normalize(&sample.field))
+            .expect("a trained scorer emits finite scores");
         let full_map = pred.refinement_map(3);
 
         for n in 0u8..4 {

@@ -16,7 +16,7 @@ use adarnet_dataset::TestCase;
 
 fn main() {
     let scale = Scale::from_env();
-    let mut trainer = trained_model(scale);
+    let trainer = trained_model(scale);
     let driver = AmrDriver {
         max_level: 3,
         theta: 0.5,
@@ -34,12 +34,13 @@ fn main() {
     ];
 
     println!("Figure 9: refinement maps (digits are levels 0-3)\n");
+    let frozen = trainer.model.freeze();
     for tc in cases {
         let case = bench_case(tc, scale);
         let sample = case_lr_sample(tc, scale);
-        let pred = trainer
-            .model
-            .predict(&trainer.norm.normalize(&sample.field));
+        let pred = frozen
+            .try_predict(&trainer.norm.normalize(&sample.field))
+            .expect("a trained scorer emits finite scores");
         let adarnet_map = pred.refinement_map(3);
 
         let baseline = run_amr_baseline(&case, scale.layout(), scale.solver_cfg(), driver);

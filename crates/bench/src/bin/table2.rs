@@ -30,7 +30,10 @@ fn main() {
     solver_cfg.max_iters = solver_cfg.max_iters.min(1500);
     let (h, w) = scale.lr_extent();
     let sr_scale = 8; // 64x SR, as in the paper's comparison
-    let mut surfnet = SurfNet::new(sr_scale, 7);
+
+    // Frozen at construction, outside the timed region below, as
+    // `run_adarnet_case` freezes ADARNet before it starts its timer.
+    let surfnet = SurfNet::new(sr_scale, 7);
     let uniform_cells = h * sr_scale * w * sr_scale;
 
     println!("Table 2: ADARNet vs SURFNet at 64x SR\n");

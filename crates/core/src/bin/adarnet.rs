@@ -171,13 +171,16 @@ fn lr_extent_for(model: &AdarNet) -> (usize, usize) {
 }
 
 fn cmd_predict(opts: &Flags) -> Result<(), String> {
-    let (mut model, norm) = load_model(opts)?;
+    let (model, norm) = load_model(opts)?;
     let case_name = get_req(opts, "case")?;
     let re = get_num(opts, "re", default_re(case_name))?;
     let case = case_by_name(case_name, re)?;
     let (h, w) = lr_extent_for(&model);
     let lr = adarnet_dataset::synthesize(&case, h, w);
-    let pred = model.predict(&norm.normalize(&lr));
+    let pred = model
+        .freeze()
+        .try_predict(&norm.normalize(&lr))
+        .map_err(|e| e.to_string())?;
     let map = pred.refinement_map(model.cfg.bins - 1);
     println!(
         "{} — one-shot refinement map (levels 0-{}):",

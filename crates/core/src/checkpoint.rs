@@ -108,14 +108,14 @@ mod tests {
 
     #[test]
     fn snapshot_restore_preserves_predictions() {
-        let mut a = tiny_model(5);
+        let a = tiny_model(5);
         let norm = NormStats::identity();
         let x = sample_input();
-        let pred_a = a.predict(&x);
+        let pred_a = a.freeze().try_predict(&x).unwrap();
         let ckpt = snapshot(&a, &norm);
-        let (mut b, norm_b) = restore(&ckpt).unwrap();
+        let (b, norm_b) = restore(&ckpt).unwrap();
         assert_eq!(norm_b, norm);
-        let pred_b = b.predict(&x);
+        let pred_b = b.freeze().try_predict(&x).unwrap();
         assert_eq!(pred_a.binning.bin_of_patch, pred_b.binning.bin_of_patch);
         for (pa, pb) in pred_a.patches.iter().zip(&pred_b.patches) {
             assert_eq!(pa, pb);
@@ -133,12 +133,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
         save_file(&a, &norm, &path).unwrap();
-        let (mut b, norm_b) = load_file(&path).unwrap();
+        let (b, norm_b) = load_file(&path).unwrap();
         assert_eq!(norm_b, norm);
         let x = sample_input();
         // Fresh model with a different seed must differ; restored must not.
-        let mut c = tiny_model(9);
-        assert_eq!(b.predict(&x).patches[0], c.predict(&x).patches[0]);
+        let c = tiny_model(9);
+        let predict = |m: &AdarNet| m.freeze().try_predict(&x).unwrap();
+        assert_eq!(predict(&b).patches[0], predict(&c).patches[0]);
         std::fs::remove_file(&path).ok();
     }
 

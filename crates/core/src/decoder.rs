@@ -81,24 +81,8 @@ impl Decoder {
         self.net.forward(x)
     }
 
-    /// Inference-only forward: runs every layer's cache-free
-    /// `forward_infer` path with workspace-pooled intermediates, so
-    /// steady-state serving performs no data-plane heap allocation. The
-    /// returned batch is pool-backed — recycle it when done. Calling
-    /// [`Decoder::backward`] after this is unsupported.
-    pub fn forward_infer(&mut self, x: &Tensor<f32>) -> Tensor<f32> {
-        assert_eq!(
-            x.dim(1),
-            self.in_channels,
-            "decoder expects {} channels, got {}",
-            self.in_channels,
-            x.dim(1)
-        );
-        self.net.forward_infer(x)
-    }
-
     /// Freeze into an immutable, `Sync` [`FrozenDecoder`] — bitwise the
-    /// same forward as [`Decoder::forward_infer`], with the deconv
+    /// same forward as [`Decoder::forward`], with the deconv
     /// flip-transpose and GEMM panel packing done once, here.
     pub fn freeze(&self) -> FrozenDecoder {
         FrozenDecoder {
@@ -196,23 +180,6 @@ impl FrozenDecoder {
 mod tests {
     use super::*;
     use adarnet_tensor::Shape;
-
-    #[test]
-    fn frozen_decoder_matches_forward_infer_bitwise() {
-        let mut d = Decoder::new(7, 5);
-        let frozen = d.freeze();
-        assert_eq!(frozen.in_channels(), 7);
-        assert!(frozen.weight_bytes() > 0);
-        for (h, w) in [(8, 8), (16, 16), (32, 32)] {
-            let x = Tensor::from_vec(
-                Shape::d4(2, 7, h, w),
-                (0..2 * 7 * h * w)
-                    .map(|i| (i as f32 * 0.013).sin())
-                    .collect(),
-            );
-            assert_eq!(frozen.forward(&x), d.forward_infer(&x), "{h}x{w}");
-        }
-    }
 
     #[test]
     fn preserves_spatial_extent_across_resolutions() {

@@ -13,10 +13,8 @@
 //!
 //! There is no model lock: activations come from the thread-local
 //! workspace pool, so any number of threads share one engine (one
-//! resident weight copy) and decode concurrently. [`InferenceEngine::replicate`]
-//! remains for training-side callers that need an independent mutable
-//! copy; serving shares one engine behind an `Arc` (see the
-//! `adarnet-serve` crate).
+//! resident weight copy) behind an `Arc` and decode concurrently (see
+//! the `adarnet-serve` crate).
 
 use adarnet_tensor::Tensor;
 
@@ -59,8 +57,7 @@ pub struct InferenceEngine {
     norm: NormStats,
     frozen: FrozenAdarNet,
     /// Weight snapshot taken at construction; [`InferenceEngine::checkpoint`]
-    /// and [`InferenceEngine::replicate`] serve from it without touching
-    /// the frozen plane.
+    /// serves from it without touching the frozen plane.
     ckpt: ModelCheckpoint,
 }
 
@@ -140,16 +137,6 @@ impl InferenceEngine {
         self.ckpt.clone()
     }
 
-    /// Build an independent engine from this one's weights. Serving no
-    /// longer needs per-worker replicas (the engine is lock-free and
-    /// shared); this remains for training-side callers that want a
-    /// private copy. A snapshot of a live engine always restores, so
-    /// the error arm is unreachable in practice — but callers propagate
-    /// it rather than panicking a worker thread.
-    pub fn replicate(&self) -> Result<InferenceEngine, EngineError> {
-        InferenceEngine::from_checkpoint_with(&self.ckpt, self.precision())
-    }
-
     /// Static model configuration.
     pub fn config(&self) -> AdarNetConfig {
         self.cfg
@@ -226,8 +213,8 @@ impl InferenceEngine {
     }
 
     /// Infer a batch of raw LR fields of identical extent: every
-    /// `(sample, bin)` pair decodes as an independent parallel work
-    /// item over the shared frozen decoder
+    /// `(sample, bin)` pair decodes as an independent work item over
+    /// the shared frozen decoder
     /// ([`FrozenAdarNet::try_predict_batch`]), which is the
     /// serving-time payoff of non-uniform SR.
     ///
@@ -279,10 +266,9 @@ mod tests {
         let engine = tiny_engine(11);
         let x = sample(16, 32, 0.0);
         let via_engine = engine.infer(&x).unwrap();
-        // Same seed ⇒ same weights: the mutable model's sequential path
-        // must agree bitwise with the engine's frozen parallel path.
-        let mut direct_model = AdarNet::new(tiny_cfg(11));
-        let direct = direct_model.predict(&x);
+        // Same seed ⇒ same weights: under identity normalization the
+        // engine adds nothing to the frozen model it wraps.
+        let direct = AdarNet::new(tiny_cfg(11)).freeze().try_predict(&x).unwrap();
         assert_eq!(via_engine.binning.bin_of_patch, direct.binning.bin_of_patch);
         for (a, b) in via_engine.patches.iter().zip(&direct.patches) {
             assert_eq!(a, b);
@@ -334,19 +320,14 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrip_and_replica_are_bitwise_identical() {
+    fn checkpoint_roundtrip_is_bitwise_identical() {
         let engine = tiny_engine(13);
         let x = sample(16, 16, 0.4);
         let original = engine.infer(&x).unwrap();
         let restored = InferenceEngine::from_checkpoint(&engine.checkpoint()).unwrap();
-        let replica = engine.replicate().unwrap();
-        for other in [&restored, &replica] {
-            let pred = other.infer(&x).unwrap();
-            assert_eq!(pred.binning.bin_of_patch, original.binning.bin_of_patch);
-            for (a, b) in pred.patches.iter().zip(&original.patches) {
-                assert_eq!(a, b);
-            }
-        }
+        let pred = restored.infer(&x).unwrap();
+        assert_eq!(pred.binning.bin_of_patch, original.binning.bin_of_patch);
+        assert_eq!(pred.patches, original.patches);
     }
 
     #[test]
@@ -380,6 +361,9 @@ mod tests {
         // The non-finite guard itself sits in the ranker (see
         // `ranker::tests::try_bin_scores_rejects_non_finite`); here we pin
         // the engine-level contract: garbage in, typed result out, no panic.
+        // Rejecting the garbage is the boundary's job: the wire front end
+        // answers non-finite fields `bad_request` before they reach an
+        // engine (`adarnet_serve::Server::field_matches_model`).
         let engine = tiny_engine(15);
         let mut x = sample(16, 16, 0.0);
         x.as_mut_slice().fill(f32::NAN);

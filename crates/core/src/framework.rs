@@ -257,13 +257,16 @@ mod tests {
         let case = short_channel();
         let lr_field = synthesize(&case, 16, 64);
         let norm = NormStats::from_samples([&lr_field]);
-        let mut model = AdarNet::new(AdarNetConfig {
+        let model = AdarNet::new(AdarNetConfig {
             ph: 8,
             pw: 8,
             seed: 4,
             ..AdarNetConfig::default()
         });
-        let pred = model.predict(&norm.normalize(&lr_field));
+        let pred = model
+            .freeze()
+            .try_predict(&norm.normalize(&lr_field))
+            .unwrap();
         let state = prediction_to_state(&pred, &norm, 3);
         assert!(state.all_finite());
         // Values must be in physical range, not [0, 1] (u_in = 0.25 scale).

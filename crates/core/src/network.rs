@@ -12,7 +12,7 @@ use rayon::prelude::*;
 
 use crate::decoder::{Decoder, FrozenDecoder};
 use crate::ranker::{Binning, Ranker, RankerError};
-use crate::scorer::{FrozenScorer, Scorer};
+use crate::scorer::{FrozenScorer, Scorer, ScorerOutput};
 
 /// Static configuration of the DNN.
 #[derive(Debug, Clone, Copy)]
@@ -149,20 +149,20 @@ impl AdarNet {
     }
 
     /// Route every scorer and decoder kernel to `device`. Freezing
-    /// afterwards yields a [`FrozenAdarNet`] pinned to the same backend;
-    /// switching conservatively invalidates the layers' packed-weight
-    /// caches (packed panels are a per-backend bitwise contract).
+    /// afterwards yields a [`FrozenAdarNet`] pinned to the same backend.
     pub fn set_device(&mut self, device: Device) {
         self.device = device;
         self.scorer.set_device(device);
         self.decoder.set_device(device);
     }
 
-    /// Freeze into the immutable, `Sync` [`FrozenAdarNet`]: scorer and
-    /// decoder weights are packed once (GEMM A-panels, the deconv
-    /// flip-transpose), the `Copy` ranker is copied, and every
-    /// inference entry point becomes `&self`. Predictions are
-    /// bitwise-identical to [`AdarNet::try_predict`].
+    /// Freeze into the immutable, `Sync` [`FrozenAdarNet`], the only
+    /// way to run inference: scorer and decoder weights are packed once
+    /// (GEMM A-panels, the deconv flip-transpose), the `Copy` ranker is
+    /// copied, and every entry point becomes `&self`. What it computes
+    /// is bitwise what the training forward ([`AdarNet::try_plan`] +
+    /// [`Decoder::forward`]) computes on the same weights — pinned by
+    /// `tests/train_serve.rs`.
     pub fn freeze(&self) -> FrozenAdarNet {
         self.freeze_with(adarnet_nn::Precision::F32)
     }
@@ -194,216 +194,59 @@ impl AdarNet {
         }
     }
 
-    /// Fallible variant of [`AdarNet::plan`]: surfaces ranker failures
-    /// (empty patch grid, non-finite scorer output) as a typed error
-    /// instead of panicking, so serving threads can degrade gracefully.
-    /// Shape mismatches remain assertions — those are caller bugs.
+    /// Fallible variant of [`AdarNet::plan`], the trainer's forward: the
+    /// scorer caches its activations for [`Scorer::backward`]. Ranker
+    /// failures (empty patch grid, non-finite scorer output) surface as
+    /// a typed error instead of a panic; shape mismatches remain
+    /// assertions — those are caller bugs.
     pub fn try_plan(&mut self, x: &Tensor<f32>) -> Result<ForwardPlan, RankerError> {
-        self.plan_with(x, false)
-    }
-
-    /// Inference-only [`AdarNet::try_plan`]: the scorer runs its
-    /// cache-free `forward_infer` path, so no backward pass is possible
-    /// afterwards. All plan tensors are workspace-pooled; recycle
-    /// `plan.aug` and `plan.scores` (or hand them to a [`Prediction`])
-    /// to keep steady-state loops allocation-free.
-    pub fn try_plan_infer(&mut self, x: &Tensor<f32>) -> Result<ForwardPlan, RankerError> {
-        self.plan_with(x, true)
-    }
-
-    fn plan_with(&mut self, x: &Tensor<f32>, infer: bool) -> Result<ForwardPlan, RankerError> {
-        assert_eq!(x.shape().rank(), 3, "plan expects a (C, H, W) sample");
-        assert_eq!(x.dim(0), self.cfg.in_channels, "channel count mismatch");
-        let (c, h, w) = (x.dim(0), x.dim(1), x.dim(2));
-        let layout = PatchLayout::for_field(h, w, self.cfg.ph, self.cfg.pw);
-        let x4 = x.pooled_copy().reshape(Shape::d4(1, c, h, w));
-        let out = {
-            let _span = adarnet_obs::span!("stage_scorer");
-            if infer {
-                self.scorer.forward_infer(&x4)
-            } else {
-                self.scorer.forward(&x4)
-            }
-        };
-        x4.recycle();
-        let binning = {
-            let _span = adarnet_obs::span!("stage_ranker");
-            self.ranker.try_bin_tensor(&out.scores)?
-        };
-        crate::observe::note_bin_groups(&binning.groups);
-
-        // Augment: append the latent channel to the input field. Every
-        // element is overwritten, so pooled scratch contents are fine.
-        let mut aug = Tensor::<f32>::pooled_scratch(Shape::d3(c + 1, h, w));
-        aug.as_mut_slice()[..c * h * w].copy_from_slice(x.as_slice());
-        aug.as_mut_slice()[c * h * w..].copy_from_slice(out.latent.as_slice());
-        out.latent.recycle();
-
-        Ok(ForwardPlan {
-            layout,
-            scores: out.scores,
-            aug,
-            binning,
-        })
-    }
-
-    /// Build the decoder input for one patch (see
-    /// [`ForwardPlan::decoder_input`]; kept as a method here for
-    /// API continuity).
-    pub fn decoder_input(&self, plan: &ForwardPlan, patch_idx: usize) -> Tensor<f32> {
-        plan.decoder_input(patch_idx)
-    }
-
-    /// Full inference: scorer → ranker → per-bin decoder batches →
-    /// non-uniform prediction. Bins are processed largest-resolution-last;
-    /// each bin is one decoder batch (the paper's dynamic batch size).
-    pub fn predict(&mut self, x: &Tensor<f32>) -> Prediction {
-        match self.try_predict(x) {
-            Ok(pred) => pred,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`AdarNet::predict`] (see [`AdarNet::try_plan`]).
-    ///
-    /// This is the inference entry point: the scorer and decoder run
-    /// their cache-free `forward_infer` paths with workspace-pooled
-    /// buffers, and every intermediate is recycled. The returned
-    /// [`Prediction`] is pool-backed — call [`Prediction::recycle`] when
-    /// done to keep steady-state serving loops allocation-free.
-    pub fn try_predict(&mut self, x: &Tensor<f32>) -> Result<Prediction, RankerError> {
-        let plan = self.try_plan_infer(x)?;
-        let n_patches = plan.layout.num_patches();
-        let mut patches: Vec<Option<Tensor<f32>>> = (0..n_patches).map(|_| None).collect();
-        for bin in 0..self.cfg.bins {
-            let group = &plan.binning.groups[bin as usize];
-            if group.is_empty() {
-                continue;
-            }
-            let inputs: Vec<Tensor<f32>> = group
-                .iter()
-                .map(|&i| self.decoder_input(&plan, i))
-                .collect();
-            let batch = Tensor::pooled_stack(&inputs);
-            for dec_in in inputs {
-                dec_in.recycle();
-            }
-            let out = {
-                let _span = adarnet_obs::span!("stage_decoder", bin = bin);
-                self.decoder.forward_infer(&batch)
-            };
-            batch.recycle();
-            for (k, &i) in group.iter().enumerate() {
-                patches[i] = Some(out.pooled_image(k));
-            }
-            out.recycle();
-        }
-        let ForwardPlan {
-            layout,
-            scores,
-            aug,
-            binning,
-        } = plan;
-        aug.recycle();
-        Ok(Prediction {
-            layout,
-            binning,
-            patches: patches
-                .into_iter()
-                .map(|p| p.expect("per-bin loops fill every patch"))
-                .collect(),
-            scores,
-        })
+        let scorer = &mut self.scorer;
+        plan_sample(&self.cfg, &self.ranker, x, |x4| scorer.forward(x4))
     }
 }
 
-impl AdarNet {
-    /// Batched inference over multiple samples of identical extent.
-    ///
-    /// This is where non-uniform SR pays off at serving time (Figure 1's
-    /// motivation): patches from *all* samples that share a bin form one
-    /// decoder batch, so the expensive high-resolution bins amortize
-    /// across the batch while LR patches stay cheap — uniform SR would
-    /// run every sample entirely at max resolution.
-    pub fn predict_batch(&mut self, samples: &[Tensor<f32>]) -> Vec<Prediction> {
-        match self.try_predict_batch(samples) {
-            Ok(preds) => preds,
-            Err(e) => panic!("{e}"),
-        }
-    }
+/// Scorer → ranker → latent augmentation for one `(C, H, W)` sample,
+/// written once for the trainer's caching forward
+/// ([`AdarNet::try_plan`]) and the frozen plane
+/// ([`FrozenAdarNet::try_plan`]); the scorer call is all that differs.
+/// All plan tensors are workspace-pooled; recycle `plan.aug` and
+/// `plan.scores` (or hand them to a [`Prediction`]) to keep
+/// steady-state loops allocation-free.
+fn plan_sample(
+    cfg: &AdarNetConfig,
+    ranker: &Ranker,
+    x: &Tensor<f32>,
+    scorer: impl FnOnce(&Tensor<f32>) -> ScorerOutput,
+) -> Result<ForwardPlan, RankerError> {
+    assert_eq!(x.shape().rank(), 3, "plan expects a (C, H, W) sample");
+    assert_eq!(x.dim(0), cfg.in_channels, "channel count mismatch");
+    let (c, h, w) = (x.dim(0), x.dim(1), x.dim(2));
+    let layout = PatchLayout::for_field(h, w, cfg.ph, cfg.pw);
+    let x4 = x.pooled_copy().reshape(Shape::d4(1, c, h, w));
+    let out = {
+        let _span = adarnet_obs::span!("stage_scorer");
+        scorer(&x4)
+    };
+    x4.recycle();
+    let binning = {
+        let _span = adarnet_obs::span!("stage_ranker");
+        ranker.try_bin_tensor(&out.scores)?
+    };
+    crate::observe::note_bin_groups(&binning.groups);
 
-    /// Fallible variant of [`AdarNet::predict_batch`]: the first sample
-    /// whose scores cannot be binned fails the whole batch (callers that
-    /// want per-sample degradation should pre-validate with
-    /// [`AdarNet::try_plan`]).
-    pub fn try_predict_batch(
-        &mut self,
-        samples: &[Tensor<f32>],
-    ) -> Result<Vec<Prediction>, RankerError> {
-        if samples.is_empty() {
-            return Ok(Vec::new());
-        }
-        let plans: Vec<ForwardPlan> = samples
-            .iter()
-            .map(|x| self.try_plan_infer(x))
-            .collect::<Result<_, _>>()?;
-        let n_patches = plans[0].layout.num_patches();
-        let mut outputs: Vec<Vec<Option<Tensor<f32>>>> = plans
-            .iter()
-            .map(|_| (0..n_patches).map(|_| None).collect())
-            .collect();
+    // Augment: append the latent channel to the input field. Every
+    // element is overwritten, so pooled scratch contents are fine.
+    let mut aug = Tensor::<f32>::pooled_scratch(Shape::d3(c + 1, h, w));
+    aug.as_mut_slice()[..c * h * w].copy_from_slice(x.as_slice());
+    aug.as_mut_slice()[c * h * w..].copy_from_slice(out.latent.as_slice());
+    out.latent.recycle();
 
-        for bin in 0..self.cfg.bins {
-            // Gather (sample, patch) pairs in this bin across the batch.
-            let mut owners: Vec<(usize, usize)> = Vec::new();
-            let mut inputs: Vec<Tensor<f32>> = Vec::new();
-            for (si, plan) in plans.iter().enumerate() {
-                for &pi in &plan.binning.groups[bin as usize] {
-                    owners.push((si, pi));
-                    inputs.push(self.decoder_input(plan, pi));
-                }
-            }
-            if inputs.is_empty() {
-                continue;
-            }
-            let batch = Tensor::pooled_stack(&inputs);
-            for dec_in in inputs {
-                dec_in.recycle();
-            }
-            let out = {
-                let _span = adarnet_obs::span!("stage_decoder", bin = bin);
-                self.decoder.forward_infer(&batch)
-            };
-            batch.recycle();
-            for (k, &(si, pi)) in owners.iter().enumerate() {
-                outputs[si][pi] = Some(out.pooled_image(k));
-            }
-            out.recycle();
-        }
-
-        Ok(plans
-            .into_iter()
-            .zip(outputs)
-            .map(|(plan, patches)| {
-                let ForwardPlan {
-                    layout,
-                    scores,
-                    aug,
-                    binning,
-                } = plan;
-                aug.recycle();
-                Prediction {
-                    layout,
-                    binning,
-                    patches: patches
-                        .into_iter()
-                        .map(|p| p.expect("per-bin loops fill every patch"))
-                        .collect(),
-                    scores,
-                }
-            })
-            .collect())
-    }
+    Ok(ForwardPlan {
+        layout,
+        scores: out.scores,
+        aug,
+        binning,
+    })
 }
 
 /// The frozen, `Sync` inference twin of [`AdarNet`], produced by
@@ -411,13 +254,13 @@ impl AdarNet {
 ///
 /// One weight copy — scorer and decoder GEMM A-panels pre-packed, the
 /// deconv flip-transpose applied once — serves any number of threads:
-/// every entry point is `&self`, activations come from the thread-local
-/// workspace pool, and independent `(sample, bin)` decode batches run
-/// rayon-parallel. Outputs are bitwise-identical to the mutable model's
-/// inference path (`try_predict` / `try_predict_batch`): each bin's
-/// decoder output is per-item independent of batch composition (pinned
-/// by `predict_batch_matches_per_sample_predict`), so re-cutting the
-/// batches along `(sample, bin)` changes nothing but wall-clock.
+/// every entry point is `&self` and activations come from the
+/// workspace pool, so concurrency is the caller's (serve workers and
+/// connection threads share one instance behind an `Arc`); a single
+/// call decodes its `(sample, bin)` batches one after another. Each
+/// bin's decoder output is per-item independent of batch composition
+/// (pinned by `predict_batch_matches_per_sample_predict`), so cutting
+/// the batches along `(sample, bin)` changes nothing but wall-clock.
 pub struct FrozenAdarNet {
     cfg: AdarNetConfig,
     scorer: FrozenScorer,
@@ -471,44 +314,16 @@ impl FrozenAdarNet {
     }
 
     /// Run the scorer and ranker on one `(C, H, W)` sample — the
-    /// `&self` twin of [`AdarNet::try_plan_infer`], same spans, same
-    /// pooled tensors, same values.
+    /// `&self` twin of [`AdarNet::try_plan`]: same spans, same pooled
+    /// tensors, same values, no backprop caches.
     pub fn try_plan(&self, x: &Tensor<f32>) -> Result<ForwardPlan, RankerError> {
-        assert_eq!(x.shape().rank(), 3, "plan expects a (C, H, W) sample");
-        assert_eq!(x.dim(0), self.cfg.in_channels, "channel count mismatch");
-        let (c, h, w) = (x.dim(0), x.dim(1), x.dim(2));
-        let layout = PatchLayout::for_field(h, w, self.cfg.ph, self.cfg.pw);
-        let x4 = x.pooled_copy().reshape(Shape::d4(1, c, h, w));
-        let out = {
-            let _span = adarnet_obs::span!("stage_scorer");
-            self.scorer.forward(&x4)
-        };
-        x4.recycle();
-        let binning = {
-            let _span = adarnet_obs::span!("stage_ranker");
-            self.ranker.try_bin_tensor(&out.scores)?
-        };
-        crate::observe::note_bin_groups(&binning.groups);
-
-        // Augment: append the latent channel to the input field. Every
-        // element is overwritten, so pooled scratch contents are fine.
-        let mut aug = Tensor::<f32>::pooled_scratch(Shape::d3(c + 1, h, w));
-        aug.as_mut_slice()[..c * h * w].copy_from_slice(x.as_slice());
-        aug.as_mut_slice()[c * h * w..].copy_from_slice(out.latent.as_slice());
-        out.latent.recycle();
-
-        Ok(ForwardPlan {
-            layout,
-            scores: out.scores,
-            aug,
-            binning,
-        })
+        plan_sample(&self.cfg, &self.ranker, x, |x4| self.scorer.forward(x4))
     }
 
     /// Decode one bin of one plan: assemble the decoder batch from the
     /// plan's augmented field, run the shared frozen decoder, and split
     /// the output back into `(patch_idx, patch)` pairs. One call is one
-    /// parallel work item.
+    /// work item.
     fn decode_bin(&self, plan: &ForwardPlan, group: &[usize], bin: u8) -> DecodedBin {
         let inputs: Vec<Tensor<f32>> = group.iter().map(|&i| plan.decoder_input(i)).collect();
         let batch = Tensor::pooled_stack(&inputs);
@@ -531,60 +346,40 @@ impl FrozenAdarNet {
         split
     }
 
-    /// Full `&self` inference for one sample. Non-empty bins decode as
-    /// parallel work items; each bin's batch has the same composition as
-    /// the sequential loop in [`AdarNet::try_predict`], so the
-    /// prediction is bitwise-identical.
+    /// Full `&self` inference for one sample: scorer → ranker → one
+    /// decoder batch per non-empty bin (the paper's dynamic batch size)
+    /// → non-uniform prediction. The returned [`Prediction`] is
+    /// pool-backed — call [`Prediction::recycle`] when done to keep
+    /// steady-state serving loops allocation-free.
     pub fn try_predict(&self, x: &Tensor<f32>) -> Result<Prediction, RankerError> {
         let plan = self.try_plan(x)?;
-        let n_patches = plan.layout.num_patches();
         let bins: Vec<u8> = (0..self.cfg.bins)
             .filter(|&bin| !plan.binning.groups[bin as usize].is_empty())
             .collect();
-        let decoded: Vec<Vec<(usize, Tensor<f32>)>> = bins
+        let decoded: Vec<DecodedBin> = bins
             .par_iter()
             .map(|&bin| self.decode_bin(&plan, &plan.binning.groups[bin as usize], bin))
             .collect();
-        let mut patches: Vec<Option<Tensor<f32>>> = (0..n_patches).map(|_| None).collect();
-        for (i, p) in decoded.into_iter().flatten() {
-            patches[i] = Some(p);
-        }
-        let ForwardPlan {
-            layout,
-            scores,
-            aug,
-            binning,
-        } = plan;
-        aug.recycle();
-        Ok(Prediction {
-            layout,
-            binning,
-            patches: patches
-                .into_iter()
-                .map(|p| p.expect("per-bin loops fill every patch"))
-                .collect(),
-            scores,
-        })
+        Ok(Prediction::assemble(plan, decoded.into_iter().flatten()))
     }
 
-    /// Batched `&self` inference: samples plan in parallel, then every
-    /// `(sample, bin)` pair with a non-empty group decodes as an
-    /// independent parallel work item. Splitting the mutable path's
-    /// all-samples-per-bin batches along samples leaves each patch
-    /// bitwise unchanged (decoder outputs are per-item independent of
-    /// batch composition).
+    /// Batched `&self` inference over samples of identical extent:
+    /// every `(sample, bin)` pair with a non-empty group decodes as an
+    /// independent work item. This is where non-uniform SR pays off at
+    /// serving time (Figure 1's motivation): the expensive
+    /// high-resolution bins hold few patches while LR patches stay
+    /// cheap — uniform SR would run every sample entirely at max
+    /// resolution. The first sample whose scores cannot be binned fails
+    /// the whole batch (callers that want per-sample degradation
+    /// pre-validate with [`FrozenAdarNet::try_plan`]).
     pub fn try_predict_batch(
         &self,
         samples: &[Tensor<f32>],
     ) -> Result<Vec<Prediction>, RankerError> {
-        if samples.is_empty() {
-            return Ok(Vec::new());
-        }
         let plans: Vec<ForwardPlan> = samples
             .par_iter()
             .map(|x| self.try_plan(x))
             .collect::<Result<_, _>>()?;
-        let n_patches = plans[0].layout.num_patches();
         let mut work: Vec<(usize, u8)> = Vec::new();
         for (si, plan) in plans.iter().enumerate() {
             for bin in 0..self.cfg.bins {
@@ -593,7 +388,7 @@ impl FrozenAdarNet {
                 }
             }
         }
-        let decoded: Vec<(usize, DecodedBin)> = work
+        let done: Vec<(usize, DecodedBin)> = work
             .into_par_iter()
             .map(|(si, bin)| {
                 let plan = &plans[si];
@@ -603,43 +398,41 @@ impl FrozenAdarNet {
                 )
             })
             .collect();
-        let mut outputs: Vec<Vec<Option<Tensor<f32>>>> = plans
-            .iter()
-            .map(|_| (0..n_patches).map(|_| None).collect())
-            .collect();
-        for (si, items) in decoded {
-            for (pi, p) in items {
-                outputs[si][pi] = Some(p);
-            }
+        let mut decoded: Vec<DecodedBin> = plans.iter().map(|_| Vec::new()).collect();
+        for (si, items) in done {
+            decoded[si].extend(items);
         }
         Ok(plans
             .into_iter()
-            .zip(outputs)
-            .map(|(plan, patches)| {
-                let ForwardPlan {
-                    layout,
-                    scores,
-                    aug,
-                    binning,
-                } = plan;
-                aug.recycle();
-                Prediction {
-                    layout,
-                    binning,
-                    patches: patches
-                        .into_iter()
-                        .map(|p| p.expect("per-bin loops fill every patch"))
-                        .collect(),
-                    scores,
-                }
-            })
+            .zip(decoded)
+            .map(|(plan, patches)| Prediction::assemble(plan, patches.into_iter()))
             .collect())
     }
 }
 
 impl Prediction {
+    /// Close a plan into its prediction: `decoded` yields every patch of
+    /// the plan exactly once, in any order.
+    fn assemble(plan: ForwardPlan, decoded: impl Iterator<Item = (usize, Tensor<f32>)>) -> Self {
+        let mut patches: Vec<Option<Tensor<f32>>> =
+            (0..plan.layout.num_patches()).map(|_| None).collect();
+        for (i, p) in decoded {
+            patches[i] = Some(p);
+        }
+        plan.aug.recycle();
+        Prediction {
+            layout: plan.layout,
+            binning: plan.binning,
+            patches: patches
+                .into_iter()
+                .map(|p| p.expect("per-bin loops fill every patch"))
+                .collect(),
+            scores: plan.scores,
+        }
+    }
+
     /// Return every tensor buffer in this prediction to the workspace
-    /// pool. Inference entry points ([`AdarNet::try_predict`],
+    /// pool. Inference entry points ([`FrozenAdarNet::try_predict`],
     /// [`crate::engine::InferenceEngine::infer_batch`], ...) produce
     /// pool-backed predictions; recycling consumed ones is what makes
     /// steady-state serving loops allocation-free. Dropping a prediction
@@ -704,10 +497,13 @@ mod tests {
         })
     }
 
+    fn predict(x: &Tensor<f32>) -> Prediction {
+        tiny_model().freeze().try_predict(x).unwrap()
+    }
+
     #[test]
     fn predict_covers_every_patch_at_its_bin_resolution() {
-        let mut m = tiny_model();
-        let pred = m.predict(&sample(16, 32));
+        let pred = predict(&sample(16, 32));
         assert_eq!(pred.patches.len(), 2 * 4);
         for (idx, p) in pred.patches.iter().enumerate() {
             let level = pred.binning.level_of(idx);
@@ -721,7 +517,7 @@ mod tests {
     fn decoder_input_has_coordinate_channels() {
         let mut m = tiny_model();
         let plan = m.plan(&sample(16, 32));
-        let d0 = m.decoder_input(&plan, 0);
+        let d0 = plan.decoder_input(0);
         assert_eq!(d0.dim(0), 7); // 4 flow + 1 latent + 2 coords
         let level = plan.binning.level_of(0);
         assert_eq!(d0.dim(1), 8 << level);
@@ -736,15 +532,10 @@ mod tests {
 
     #[test]
     fn active_cells_below_uniform_hr_unless_all_max() {
-        let mut m = tiny_model();
-        let pred = m.predict(&sample(16, 32));
+        let pred = predict(&sample(16, 32));
         let uniform_hr = 16 * 32 * 64; // 8x per side everywhere
-        if pred
-            .binning
-            .bin_of_patch
-            .iter()
-            .any(|&b| b < m.cfg.bins - 1)
-        {
+        let max_bin = AdarNetConfig::default().bins - 1;
+        if pred.binning.bin_of_patch.iter().any(|&b| b < max_bin) {
             assert!(pred.active_cells() < uniform_hr);
         }
         assert!(pred.active_cells() >= 16 * 32);
@@ -752,8 +543,7 @@ mod tests {
 
     #[test]
     fn refinement_map_matches_binning() {
-        let mut m = tiny_model();
-        let pred = m.predict(&sample(16, 32));
+        let pred = predict(&sample(16, 32));
         let map = pred.refinement_map(3);
         for idx in 0..8 {
             assert_eq!(map.level_at(idx), pred.binning.level_of(idx));
@@ -762,69 +552,26 @@ mod tests {
 
     #[test]
     fn to_uniform_channel_shapes() {
-        let mut m = tiny_model();
-        let pred = m.predict(&sample(16, 32));
-        let g = pred.to_uniform_channel(0, 1);
+        let g = predict(&sample(16, 32)).to_uniform_channel(0, 1);
         assert_eq!((g.ny(), g.nx()), (32, 64));
     }
 
     #[test]
     fn predict_batch_matches_per_sample_predict() {
-        let mut m = tiny_model();
+        let frozen = tiny_model().freeze();
         let a = sample(16, 32);
         let b = {
             let mut t = sample(16, 32);
             t.map_inplace(|v| v * 0.7 + 0.1);
             t
         };
-        let batch = m.predict_batch(&[a.clone(), b.clone()]);
-        let pa = m.predict(&a);
-        let pb = m.predict(&b);
+        let batch = frozen.try_predict_batch(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].binning.bin_of_patch, pa.binning.bin_of_patch);
-        assert_eq!(batch[1].binning.bin_of_patch, pb.binning.bin_of_patch);
-        for (x, y) in batch[0].patches.iter().zip(&pa.patches) {
-            assert_eq!(x, y);
-        }
-        for (x, y) in batch[1].patches.iter().zip(&pb.patches) {
-            assert_eq!(x, y);
-        }
-    }
-
-    #[test]
-    fn frozen_predict_is_bitwise_identical() {
-        let mut m = tiny_model();
-        let frozen = m.freeze();
-        let x = sample(16, 32);
-        let p_mut = m.predict(&x);
-        let p_frozen = frozen.try_predict(&x).unwrap();
-        assert_eq!(p_frozen.binning.bin_of_patch, p_mut.binning.bin_of_patch);
-        assert_eq!(p_frozen.scores, p_mut.scores);
-        assert_eq!(p_frozen.patches.len(), p_mut.patches.len());
-        for (a, b) in p_frozen.patches.iter().zip(&p_mut.patches) {
-            assert_eq!(a, b);
-        }
-        assert!(frozen.weight_bytes() > 0);
-    }
-
-    #[test]
-    fn frozen_predict_batch_matches_sequential_batch() {
-        let mut m = tiny_model();
-        let frozen = m.freeze();
-        let a = sample(16, 32);
-        let b = {
-            let mut t = sample(16, 32);
-            t.map_inplace(|v| v * 0.5 - 0.2);
-            t
-        };
-        let seq = m.predict_batch(&[a.clone(), b.clone()]);
-        let par = frozen.try_predict_batch(&[a, b]).unwrap();
-        assert_eq!(par.len(), 2);
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.binning.bin_of_patch, p.binning.bin_of_patch);
-            for (x, y) in s.patches.iter().zip(&p.patches) {
-                assert_eq!(x, y);
-            }
+        for (got, x) in batch.iter().zip([&a, &b]) {
+            let want = frozen.try_predict(x).unwrap();
+            assert_eq!(got.binning.bin_of_patch, want.binning.bin_of_patch);
+            assert_eq!(got.scores, want.scores);
+            assert_eq!(got.patches, want.patches);
         }
         assert!(frozen.try_predict_batch(&[]).unwrap().is_empty());
     }
@@ -832,10 +579,9 @@ mod tests {
     #[test]
     fn frozen_model_is_shareable_across_threads() {
         use std::sync::Arc;
-        let mut m = tiny_model();
-        let frozen = Arc::new(m.freeze());
+        let frozen = Arc::new(tiny_model().freeze());
         let x = sample(16, 32);
-        let want = m.predict(&x);
+        let want = frozen.try_predict(&x).unwrap();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let f = Arc::clone(&frozen);
@@ -846,16 +592,8 @@ mod tests {
         for h in handles {
             let got = h.join().unwrap();
             assert_eq!(got.binning.bin_of_patch, want.binning.bin_of_patch);
-            for (a, b) in got.patches.iter().zip(&want.patches) {
-                assert_eq!(a, b);
-            }
+            assert_eq!(got.patches, want.patches);
         }
-    }
-
-    #[test]
-    fn predict_batch_empty_is_empty() {
-        let mut m = tiny_model();
-        assert!(m.predict_batch(&[]).is_empty());
     }
 
     #[test]

@@ -43,12 +43,6 @@ impl ScorerPool {
             ScorerPool::Avg(l) => l.forward(x),
         }
     }
-    fn forward_infer(&mut self, x: &Tensor<f32>) -> Tensor<f32> {
-        match self {
-            ScorerPool::Max(l) => l.forward_infer(x),
-            ScorerPool::Avg(l) => l.forward_infer(x),
-        }
-    }
     fn backward(&mut self, g: &Tensor<f32>) -> Tensor<f32> {
         match self {
             ScorerPool::Max(l) => l.backward(g),
@@ -158,36 +152,10 @@ impl Scorer {
         ScorerOutput { scores, latent }
     }
 
-    /// Inference-only forward: every layer runs its cache-free
-    /// `forward_infer` path and intermediates are recycled into the
-    /// workspace pool, so steady-state calls perform no data-plane heap
-    /// allocation. Both returned tensors are pool-backed — recycle them
-    /// (or let [`crate::network::Prediction::recycle`] do it) when done.
-    /// Calling [`Scorer::backward_latent`] after this is unsupported.
-    pub fn forward_infer(&mut self, x: &Tensor<f32>) -> ScorerOutput {
-        let c1 = self.conv1.forward_infer(x);
-        let h1 = self.act1.forward_infer(&c1);
-        c1.recycle();
-        let c2 = self.conv2.forward_infer(&h1);
-        h1.recycle();
-        let h2 = self.act2.forward_infer(&c2);
-        c2.recycle();
-        let c3 = self.conv3.forward_infer(&h2);
-        h2.recycle();
-        let h3 = self.act3.forward_infer(&c3);
-        c3.recycle();
-        let latent = self.conv4.forward_infer(&h3);
-        h3.recycle();
-        let pooled = self.pool.forward_infer(&latent);
-        let scores = self.softmax.forward_infer(&pooled);
-        pooled.recycle();
-        ScorerOutput { scores, latent }
-    }
-
     /// Freeze the scorer into an immutable, `Sync` [`FrozenScorer`]
-    /// whose forward pass is bitwise-identical to
-    /// [`Scorer::forward_infer`]: conv weights pre-packed for the
-    /// blocked GEMM, no backprop caches, `&self` end to end.
+    /// whose forward pass is bitwise-identical to [`Scorer::forward`]:
+    /// conv weights pre-packed for the GEMM, no backprop caches, `&self`
+    /// end to end.
     pub fn freeze(&self) -> FrozenScorer {
         self.freeze_as(adarnet_nn::Precision::F32)
     }
@@ -326,8 +294,10 @@ pub struct FrozenScorer {
 }
 
 impl FrozenScorer {
-    /// Inference forward: the exact op/recycle chain of
-    /// [`Scorer::forward_infer`], over frozen weights.
+    /// Inference forward: the op/recycle chain of [`Scorer::forward`]
+    /// over frozen weights, with no backprop caches. Both returned
+    /// tensors are pool-backed — recycle them (or let
+    /// [`crate::network::Prediction::recycle`] do it) when done.
     pub fn forward(&self, x: &Tensor<f32>) -> ScorerOutput {
         let c1 = self.conv1.infer(x);
         let h1 = self.act1.infer(&c1);
@@ -433,33 +403,6 @@ mod tests {
         let dl = Tensor::zeros(sa.latent.shape().clone());
         let dx = avg.backward(&dl, Some(&ds));
         assert_eq!(dx.shape(), x.shape());
-    }
-
-    #[test]
-    fn frozen_scorer_is_bitwise_identical_and_shareable() {
-        for pooling in [PoolKind::Max, PoolKind::Avg] {
-            let mut s = Scorer::with_pooling(4, 8, 8, 11, pooling);
-            let frozen = s.freeze();
-            assert!(frozen.weight_bytes() > 0);
-            let x = input(2, 16, 32);
-            let live = s.forward_infer(&x);
-            let cold = frozen.forward(&x);
-            assert_eq!(live.scores, cold.scores);
-            assert_eq!(live.latent, cold.latent);
-            // &self + Sync: concurrent forwards over one frozen instance
-            // must agree with the serial result.
-            let frozen = std::sync::Arc::new(frozen);
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let f = std::sync::Arc::clone(&frozen);
-                    let x = x.clone();
-                    std::thread::spawn(move || f.forward(&x).scores)
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().expect("scorer thread"), live.scores);
-            }
-        }
     }
 
     #[test]

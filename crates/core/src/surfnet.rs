@@ -12,11 +12,15 @@
 use adarnet_nn::bicubic_resize3;
 use adarnet_tensor::{Shape, Tensor};
 
-use crate::decoder::Decoder;
+use crate::decoder::{Decoder, FrozenDecoder};
 
 /// The uniform-SR baseline network.
 pub struct SurfNet {
     decoder: Decoder,
+    /// `decoder` frozen for inference, as ADARNet's is: weight
+    /// preparation happens at construction (and in
+    /// [`SurfNet::restore`]), never inside a timed `predict`.
+    frozen: FrozenDecoder,
     /// Per-side upscale factor (8 for the paper's 64x SR).
     pub scale: usize,
 }
@@ -26,14 +30,18 @@ impl SurfNet {
     pub fn new(scale: usize, seed: u64) -> SurfNet {
         assert!(scale >= 1, "scale must be positive");
         // 4 flow channels + 2 coordinate channels.
+        let decoder = Decoder::new(6, seed);
+        let frozen = decoder.freeze();
         SurfNet {
-            decoder: Decoder::new(6, seed),
+            decoder,
+            frozen,
             scale,
         }
     }
 
-    /// Uniform SR of a `(4, H, W)` LR field to `(4, H*scale, W*scale)`.
-    pub fn predict(&mut self, lr: &Tensor<f32>) -> Tensor<f32> {
+    /// The decoder batch for a `(4, H, W)` LR field: bicubic upsample to
+    /// `(H*scale, W*scale)` plus the two global-coordinate channels.
+    fn decoder_input(&self, lr: &Tensor<f32>) -> Tensor<f32> {
         assert_eq!(lr.shape().rank(), 3, "expected (C, H, W)");
         assert_eq!(lr.dim(0), 4, "expected 4 channels");
         let (h, w) = (lr.dim(1), lr.dim(2));
@@ -49,9 +57,12 @@ impl SurfNet {
                 with_coords.set3(5, i, j, yc);
             }
         }
-        let batch = with_coords.reshape(Shape::d4(1, 6, th, tw));
-        let out = self.decoder.forward(&batch);
-        out.image(0)
+        with_coords.reshape(Shape::d4(1, 6, th, tw))
+    }
+
+    /// Uniform SR of a `(4, H, W)` LR field to `(4, H*scale, W*scale)`.
+    pub fn predict(&self, lr: &Tensor<f32>) -> Tensor<f32> {
+        self.frozen.forward(&self.decoder_input(lr)).image(0)
     }
 
     /// Number of output cells for an `(h, w)` LR input — always the full
@@ -60,9 +71,11 @@ impl SurfNet {
         h * self.scale * w * self.scale
     }
 
-    /// Mutable parameter views (for loading trained weights).
-    pub fn params_mut(&mut self) -> Vec<&mut Tensor<f32>> {
-        self.decoder.params_mut()
+    /// Load trained decoder weights ([`Decoder::snapshot`] order) and
+    /// re-freeze, so `predict` never serves stale panels.
+    pub fn restore(&mut self, tensors: &[Tensor<f32>]) {
+        self.decoder.restore(tensors);
+        self.frozen = self.decoder.freeze();
     }
 
     /// Trainable scalar count.
@@ -75,11 +88,17 @@ impl SurfNet {
 mod tests {
     use super::*;
 
+    fn lr_field(h: usize, w: usize) -> Tensor<f32> {
+        Tensor::from_vec(
+            Shape::d3(4, h, w),
+            (0..4 * h * w).map(|i| (i as f32 * 0.05).sin()).collect(),
+        )
+    }
+
     #[test]
     fn uniform_output_shape() {
-        let mut s = SurfNet::new(4, 0);
-        let lr = Tensor::<f32>::full(Shape::d3(4, 8, 16), 0.3);
-        let hr = s.predict(&lr);
+        let s = SurfNet::new(4, 0);
+        let hr = s.predict(&lr_field(8, 16));
         assert_eq!(hr.shape(), &Shape::d3(4, 32, 64));
         assert_eq!(s.output_cells(8, 16), 32 * 64);
     }
@@ -93,11 +112,22 @@ mod tests {
 
     #[test]
     fn output_finite() {
-        let mut s = SurfNet::new(2, 2);
-        let lr = Tensor::from_vec(
-            Shape::d3(4, 8, 8),
-            (0..256).map(|i| (i as f32 * 0.05).sin()).collect(),
-        );
-        assert!(s.predict(&lr).all_finite());
+        assert!(SurfNet::new(2, 2).predict(&lr_field(8, 8)).all_finite());
+    }
+
+    #[test]
+    fn predict_is_the_decoders_training_forward_bitwise() {
+        // The frozen plane `predict` runs must compute what the trained
+        // decoder computes — also after new weights are loaded.
+        let mut s = SurfNet::new(2, 3);
+        let lr = lr_field(8, 8);
+        let input = s.decoder_input(&lr);
+        let before = s.predict(&lr);
+        assert_eq!(before, s.decoder.forward(&input).image(0));
+
+        s.restore(&Decoder::new(6, 99).snapshot());
+        let after = s.predict(&lr);
+        assert_ne!(after, before, "restore must re-freeze");
+        assert_eq!(after, s.decoder.forward(&input).image(0));
     }
 }

@@ -267,10 +267,7 @@ impl Trainer {
                 continue;
             }
             let level = bin;
-            let inputs: Vec<Tensor<f32>> = group
-                .iter()
-                .map(|&i| self.model.decoder_input(&plan, i))
-                .collect();
+            let inputs: Vec<Tensor<f32>> = group.iter().map(|&i| plan.decoder_input(i)).collect();
             let batch = Tensor::stack(&inputs);
             let out = self.model.decoder.forward(&batch);
 

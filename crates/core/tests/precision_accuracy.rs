@@ -4,10 +4,8 @@
 //! refinement decisions identical — and its resident weight bytes come
 //! in at <= 0.55x the f32 plane (the byte cut is the whole point).
 
-use adarnet_core::{
-    compare_engines, AccuracyBudget, AdarNet, AdarNetConfig, InferenceEngine,
-};
 use adarnet_core::loss::NormStats;
+use adarnet_core::{compare_engines, AccuracyBudget, AdarNet, AdarNetConfig, InferenceEngine};
 use adarnet_nn::{Device, Precision};
 use adarnet_tensor::{Shape, Tensor};
 

@@ -92,8 +92,7 @@ proptest! {
             Ok(p) => p,
             Err(e) => return Err(TestCaseError::fail(format!("plan failed on finite input: {e}"))),
         };
-        let mut net = AdarNet::new(cfg);
-        let pred = match net.try_predict(&x) {
+        let pred = match AdarNet::new(cfg).freeze().try_predict(&x) {
             Ok(p) => p,
             Err(e) => return Err(TestCaseError::fail(format!("predict failed on finite input: {e}"))),
         };

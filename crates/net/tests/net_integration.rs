@@ -98,10 +98,12 @@ fn malformed_body_gets_typed_error_and_connection_survives() {
 #[test]
 fn out_of_contract_field_is_rejected_without_killing_workers() {
     // A field that decodes fine but violates the model's input contract
-    // (wrong channel count, or extents the patch grid cannot tile) must
-    // be answered as a typed bad-request at the net boundary — the
-    // serve stack asserts its geometry, so letting such a field through
-    // would panic a worker and wedge the data plane.
+    // (wrong channel count, extents the patch grid cannot tile, or a
+    // non-finite value) must be answered as a typed bad-request at the
+    // net boundary — the serve stack asserts its geometry, so letting a
+    // misshapen field through would panic a worker and wedge the data
+    // plane, and a NaN or Inf field would be answered with a
+    // well-formed, meaningless prediction.
     let (net, serve) = start_stack(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
@@ -110,7 +112,17 @@ fn out_of_contract_field_is_rejected_without_killing_workers() {
 
     let wrong_channels = Tensor::from_vec(Shape::d3(1, 16, 32), vec![0.0; 16 * 32]);
     let untileable = Tensor::from_vec(Shape::d3(4, 12, 32), vec![0.0; 4 * 12 * 32]);
-    for (label, field) in [("channels", wrong_channels), ("tiling", untileable)] {
+    let poisoned = |v: f32| {
+        let mut field = field_pool(1, 16, 32, 5).remove(0);
+        field.as_mut_slice()[37] = v;
+        field
+    };
+    for (label, field) in [
+        ("channels", wrong_channels),
+        ("tiling", untileable),
+        ("nan", poisoned(f32::NAN)),
+        ("+inf", poisoned(f32::INFINITY)),
+    ] {
         let resp = client.infer(field, Priority::Standard, 1, 0).unwrap();
         assert_eq!(resp.status, Status::Error, "{label}: typed error");
         assert_eq!(resp.reject_code, REJECT_BAD_REQUEST, "{label}");

@@ -112,13 +112,6 @@ impl Layer for Activation {
         y
     }
 
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let kind = self.kind;
-        let mut y = x.pooled_copy();
-        y.map_inplace(move |v| kind.apply(v));
-        y
-    }
-
     fn freeze(&self) -> Box<dyn InferLayer> {
         Box::new(FrozenActivation { kind: self.kind })
     }
@@ -142,8 +135,7 @@ impl Layer for Activation {
     }
 }
 
-/// Frozen activation: just the [`ActivationKind`] — the layer was
-/// already stateless on its inference path.
+/// Frozen activation: just the [`ActivationKind`].
 pub struct FrozenActivation {
     kind: ActivationKind,
 }

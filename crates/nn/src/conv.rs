@@ -1,14 +1,33 @@
 //! Stride-1 2-D convolution layer with "same" padding.
 
-use adarnet_tensor::{AlignedBuf, Shape, Tensor};
+use adarnet_tensor::{Shape, Tensor};
 
 use crate::device::Device;
-use crate::kernels::{
-    conv_out_extent, flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels,
-    GEMM_THRESHOLD, PACKED_MIN_OLEN,
-};
+use crate::kernels::{flip_transpose_weights, runs_gemm, GEMM_THRESHOLD};
 use crate::packed::{FrozenConv2d, PackedConvWeights};
+use crate::quantize::Precision;
 use crate::{InferLayer, Initializer, Layer, F};
+
+/// Training-side forward of a conv-layout weight `(OC, IC, KH, KW)`,
+/// shared by [`Conv2d`] and [`crate::ConvTranspose2d`]: the packed GEMM
+/// (weight packed into pooled scratch for this call) at or above
+/// [`GEMM_THRESHOLD`] output pixels, the direct loop nest below. The
+/// same split on the same kernels as the frozen
+/// [`PackedConvWeights::forward`], so training and serving agree
+/// bitwise per backend.
+pub(crate) fn forward_conv_layout(
+    device: Device,
+    x: &Tensor<F>,
+    w: &Tensor<F>,
+    bias: &Tensor<F>,
+    pad: usize,
+) -> Tensor<F> {
+    if runs_gemm(x, w.dim(2), w.dim(3), pad) {
+        device.conv2d_forward_percall(x, w, bias, pad)
+    } else {
+        device.conv2d_forward(x, w, bias, pad)
+    }
+}
 
 /// 2-D convolution, stride 1, symmetric zero padding.
 ///
@@ -24,14 +43,6 @@ pub struct Conv2d {
     dweight: Tensor<F>,
     dbias: Tensor<F>,
     cached_input: Option<Tensor<F>>,
-    /// Pack-once-per-step GEMM A-panel cache: the weight matrix packed
-    /// into the micro-kernel's k-major layout, rebuilt lazily after any
-    /// weight mutation ([`Conv2d::params_mut`] / [`Conv2d::weight_mut`]).
-    /// The buffer itself is retained across invalidations so repacking
-    /// after an optimizer step allocates nothing. 64-byte aligned so the
-    /// SIMD micro-kernel's panel reads never split a cache line.
-    packed_cache: AlignedBuf,
-    packed_valid: bool,
     /// Compute backend for this layer's kernels. [`Device::active`] by
     /// default; see [`Layer::set_device`].
     device: Device,
@@ -66,8 +77,6 @@ impl Conv2d {
             dweight: Tensor::zeros(wshape),
             dbias: Tensor::zeros(Shape::d1(out_channels)),
             cached_input: None,
-            packed_cache: AlignedBuf::new(),
-            packed_valid: false,
             device: Device::active(),
         }
     }
@@ -87,65 +96,14 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Direct mutable access to the weight tensor. Invalidates the
-    /// packed-panel cache: the next forward repacks.
+    /// Direct mutable access to the weight tensor.
     pub fn weight_mut(&mut self) -> &mut Tensor<F> {
-        self.packed_valid = false;
         &mut self.weight
     }
 
     /// Direct access to the bias vector.
     pub fn bias(&self) -> &Tensor<F> {
         &self.bias
-    }
-
-    /// Shared forward compute, three-way dispatched on output-pixel
-    /// count (value-safe: packed == blocked bitwise per backend, and
-    /// both match the direct loop nest within float tolerance — pinned
-    /// by the kernel tests):
-    ///
-    /// * `o_len >= PACKED_MIN_OLEN` — blocked GEMM over the
-    ///   pack-once-per-step A-panel cache. Weights repack only after a
-    ///   mutation through [`Conv2d::params_mut`] /
-    ///   [`Conv2d::weight_mut`], i.e. once per optimizer step.
-    /// * `GEMM_THRESHOLD <= o_len < PACKED_MIN_OLEN` — blocked GEMM on
-    ///   the unpacked weights: at these extents (1–4 column tiles) the
-    ///   pack cost and layout overhead measured as a net loss in the
-    ///   kernels bench (see [`PACKED_MIN_OLEN`]).
-    /// * below — the direct loop nest.
-    fn run_forward(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let oh = conv_out_extent(x.dim(2), self.kernel, self.pad);
-        let ow = conv_out_extent(x.dim(3), self.kernel, self.pad);
-        let o_len = oh * ow;
-        if o_len >= PACKED_MIN_OLEN {
-            let k_len = self.in_channels * self.kernel * self.kernel;
-            if !self.packed_valid {
-                self.packed_cache
-                    .resize(packed_panels_len(self.out_channels, k_len));
-                pack_weight_panels(
-                    self.weight.as_slice(),
-                    self.out_channels,
-                    k_len,
-                    self.packed_cache.as_mut_slice(),
-                );
-                self.packed_valid = true;
-            }
-            let view = PackedPanels {
-                data: &self.packed_cache,
-                oc: self.out_channels,
-                ic: self.in_channels,
-                kh: self.kernel,
-                kw: self.kernel,
-            };
-            self.device
-                .conv2d_forward_packed(x, view, &self.bias, self.pad)
-        } else if o_len >= GEMM_THRESHOLD {
-            self.device
-                .conv2d_forward_blocked(x, &self.weight, &self.bias, self.pad)
-        } else {
-            self.device
-                .conv2d_forward(x, &self.weight, &self.bias, self.pad)
-        }
     }
 }
 
@@ -171,20 +129,7 @@ impl Layer for Conv2d {
             old.recycle();
         }
         self.cached_input = Some(x.pooled_copy());
-        let y = self.run_forward(x);
-        crate::finite::debug_guard_finite("Conv2d", x, &y);
-        y
-    }
-
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        assert_eq!(
-            x.dim(1),
-            self.in_channels,
-            "{}: input has {} channels",
-            self.name(),
-            x.dim(1)
-        );
-        let y = self.run_forward(x);
+        let y = forward_conv_layout(self.device, x, &self.weight, &self.bias, self.pad);
         crate::finite::debug_guard_finite("Conv2d", x, &y);
         y
     }
@@ -207,7 +152,7 @@ impl Layer for Conv2d {
                 &mut self.dbias,
             );
             let w_flip = flip_transpose_weights(&self.weight);
-            let dx = self.device.conv2d_forward_blocked(
+            let dx = self.device.conv2d_forward_percall(
                 grad_out,
                 &w_flip,
                 &Tensor::zeros(Shape::d1(0)),
@@ -229,16 +174,13 @@ impl Layer for Conv2d {
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        Box::new(FrozenConv2d::new(
-            "Conv2d",
-            PackedConvWeights::from_conv_weight_on(self.device, &self.weight, &self.bias, self.pad),
-        ))
+        self.freeze_as(Precision::F32)
     }
 
-    fn freeze_as(&self, precision: crate::quantize::Precision) -> Box<dyn InferLayer> {
+    fn freeze_as(&self, precision: Precision) -> Box<dyn InferLayer> {
         Box::new(FrozenConv2d::new(
             "Conv2d",
-            PackedConvWeights::from_conv_weight_as(
+            PackedConvWeights::from_conv_weight(
                 self.device,
                 precision,
                 &self.weight,
@@ -249,12 +191,7 @@ impl Layer for Conv2d {
     }
 
     fn set_device(&mut self, device: Device) {
-        if device != self.device {
-            self.device = device;
-            // Conservative: the packed layout is backend-independent,
-            // but repacking once keeps the invalidation rule simple.
-            self.packed_valid = false;
-        }
+        self.device = device;
     }
 
     fn params(&self) -> Vec<&Tensor<F>> {
@@ -262,9 +199,6 @@ impl Layer for Conv2d {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Tensor<F>> {
-        // The optimizer mutates weights through here; the next forward
-        // repacks the GEMM panels exactly once.
-        self.packed_valid = false;
         vec![&mut self.weight, &mut self.bias]
     }
 

@@ -7,14 +7,13 @@
 //! kernels through [`flip_transpose_weights`], which keeps one set of
 //! verified kernels for both layer types.
 
-use adarnet_tensor::{AlignedBuf, Shape, Tensor};
+use adarnet_tensor::{Shape, Tensor};
 
+use crate::conv::forward_conv_layout;
 use crate::device::Device;
-use crate::kernels::{
-    conv_out_extent, flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels,
-    GEMM_THRESHOLD, PACKED_MIN_OLEN,
-};
+use crate::kernels::{flip_transpose_weights, GEMM_THRESHOLD};
 use crate::packed::{FrozenConv2d, PackedConvWeights};
+use crate::quantize::Precision;
 use crate::{InferLayer, Initializer, Layer, F};
 
 /// 2-D transposed convolution, stride 1, "same" padding.
@@ -32,14 +31,6 @@ pub struct ConvTranspose2d {
     dweight: Tensor<F>,
     dbias: Tensor<F>,
     cached_input: Option<Tensor<F>>,
-    /// Pack-once-per-step cache of the *equivalent-conv* GEMM A-panels:
-    /// flip-transpose + pack happen together, lazily, after any weight
-    /// mutation through [`Layer::params_mut`] — so steady-state forward
-    /// calls skip both the per-call flip copy and the strided weight
-    /// traversal. The buffer is retained across invalidations and is
-    /// 64-byte aligned for the SIMD micro-kernel's panel reads.
-    packed_cache: AlignedBuf,
-    packed_valid: bool,
     /// Compute backend for this layer's kernels. [`Device::active`] by
     /// default; see [`Layer::set_device`].
     device: Device,
@@ -68,8 +59,6 @@ impl ConvTranspose2d {
             dweight: Tensor::zeros(wshape),
             dbias: Tensor::zeros(Shape::d1(out_channels)),
             cached_input: None,
-            packed_cache: AlignedBuf::new(),
-            packed_valid: false,
             device: Device::active(),
         }
     }
@@ -82,57 +71,6 @@ impl ConvTranspose2d {
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_channels
-    }
-
-    /// Shared forward compute through the equivalent-conv identity. At
-    /// GEMM extents the flipped kernel lives pre-packed in the
-    /// pack-once-per-step cache (flip + pack paid only after a weight
-    /// mutation); below them a transient flipped copy feeds the direct
-    /// loop nest, pool-backed and recycled before returning.
-    fn run_forward(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let oh = conv_out_extent(x.dim(2), self.kernel, self.pad);
-        let ow = conv_out_extent(x.dim(3), self.kernel, self.pad);
-        let o_len = oh * ow;
-        if o_len >= PACKED_MIN_OLEN {
-            let k_len = self.in_channels * self.kernel * self.kernel;
-            if !self.packed_valid {
-                // Equivalent conv weights: (OC, IC, KH, KW), flipped.
-                let w_conv = flip_transpose_weights(&self.weight);
-                self.packed_cache
-                    .resize(packed_panels_len(self.out_channels, k_len));
-                pack_weight_panels(
-                    w_conv.as_slice(),
-                    self.out_channels,
-                    k_len,
-                    self.packed_cache.as_mut_slice(),
-                );
-                w_conv.recycle();
-                self.packed_valid = true;
-            }
-            let view = PackedPanels {
-                data: &self.packed_cache,
-                oc: self.out_channels,
-                ic: self.in_channels,
-                kh: self.kernel,
-                kw: self.kernel,
-            };
-            self.device
-                .conv2d_forward_packed(x, view, &self.bias, self.pad)
-        } else if o_len >= GEMM_THRESHOLD {
-            // Mid-band: blocked GEMM on a transient flipped copy — the
-            // pack overhead measured as a net loss here (PACKED_MIN_OLEN).
-            let w_conv = flip_transpose_weights(&self.weight);
-            let y = self
-                .device
-                .conv2d_forward_blocked(x, &w_conv, &self.bias, self.pad);
-            w_conv.recycle();
-            y
-        } else {
-            let w_conv = flip_transpose_weights(&self.weight);
-            let y = self.device.conv2d_forward(x, &w_conv, &self.bias, self.pad);
-            w_conv.recycle();
-            y
-        }
     }
 }
 
@@ -156,20 +94,11 @@ impl Layer for ConvTranspose2d {
             old.recycle();
         }
         self.cached_input = Some(x.pooled_copy());
-        let y = self.run_forward(x);
-        crate::finite::debug_guard_finite("ConvTranspose2d", x, &y);
-        y
-    }
-
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        assert_eq!(
-            x.dim(1),
-            self.in_channels,
-            "{}: input has {} channels",
-            self.name(),
-            x.dim(1)
-        );
-        let y = self.run_forward(x);
+        // The equivalent conv kernel, flipped per call into a pooled
+        // copy (the frozen twin flips once, at freeze time).
+        let w_conv = flip_transpose_weights(&self.weight);
+        let y = forward_conv_layout(self.device, x, &w_conv, &self.bias, self.pad);
+        w_conv.recycle();
         crate::finite::debug_guard_finite("ConvTranspose2d", x, &y);
         y
     }
@@ -210,45 +139,35 @@ impl Layer for ConvTranspose2d {
         self.dweight.axpy_inplace(1.0, &dw_deconv);
         dw_deconv.recycle();
         dw_conv.recycle();
-        let w_conv = flip_transpose_weights(&self.weight);
-        let dx = if big {
+        if big {
             // dx of a same-padded stride-1 conv is the conv with the
-            // flip-transposed weights (the deconvolution identity).
-            let w_back = flip_transpose_weights(&w_conv);
-            let dx = self.device.conv2d_forward_blocked(
+            // flip-transposed weights (the deconvolution identity), and
+            // the flip-transpose of the equivalent conv kernel is the
+            // stored deconv-layout weight itself.
+            self.device.conv2d_forward_percall(
                 grad_out,
-                &w_back,
+                &self.weight,
                 &Tensor::zeros(Shape::d1(0)),
                 self.pad,
-            );
-            w_back.recycle();
-            dx
+            )
         } else {
-            self.device
-                .conv2d_backward_input(grad_out, &w_conv, x.dim(2), x.dim(3), self.pad)
-        };
-        w_conv.recycle();
-        dx
+            let w_conv = flip_transpose_weights(&self.weight);
+            let dx =
+                self.device
+                    .conv2d_backward_input(grad_out, &w_conv, x.dim(2), x.dim(3), self.pad);
+            w_conv.recycle();
+            dx
+        }
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        // The flip-transpose to the equivalent conv kernel happens here,
-        // once — run_forward above pays it on every call.
-        Box::new(FrozenConv2d::new(
-            "ConvTranspose2d",
-            PackedConvWeights::from_deconv_weight_on(
-                self.device,
-                &self.weight,
-                &self.bias,
-                self.pad,
-            ),
-        ))
+        self.freeze_as(Precision::F32)
     }
 
-    fn freeze_as(&self, precision: crate::quantize::Precision) -> Box<dyn InferLayer> {
+    fn freeze_as(&self, precision: Precision) -> Box<dyn InferLayer> {
         Box::new(FrozenConv2d::new(
             "ConvTranspose2d",
-            PackedConvWeights::from_deconv_weight_as(
+            PackedConvWeights::from_deconv_weight(
                 self.device,
                 precision,
                 &self.weight,
@@ -259,10 +178,7 @@ impl Layer for ConvTranspose2d {
     }
 
     fn set_device(&mut self, device: Device) {
-        if device != self.device {
-            self.device = device;
-            self.packed_valid = false;
-        }
+        self.device = device;
     }
 
     fn params(&self) -> Vec<&Tensor<F>> {
@@ -270,9 +186,6 @@ impl Layer for ConvTranspose2d {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Tensor<F>> {
-        // The optimizer mutates weights through here; the next forward
-        // re-flips and repacks the GEMM panels exactly once.
-        self.packed_valid = false;
         vec![&mut self.weight, &mut self.bias]
     }
 

@@ -1,12 +1,9 @@
-//! The reference CPU backend: plain scalar loops, moved verbatim from
-//! the pre-device-trait `crate::kernels` / layer implementations.
+//! The reference CPU backend: plain scalar loops.
 //!
-//! [`ScalarMicro`] replays the exact accumulation order of the
-//! historical blocked/packed micro-kernels, so every bitwise contract
-//! established before the backend split (packed == blocked, frozen ==
-//! mutable, checkpoint-replicate identity) continues to hold verbatim
-//! on this backend. It is also the semantic baseline the SIMD backend
-//! is proptest-bounded against (`tests/device_equivalence.rs`).
+//! [`ScalarMicro`] accumulates each output element in `k`-ascending
+//! order with one rounding per multiply and per add. It is the semantic
+//! baseline the SIMD backend is proptest-bounded against
+//! (`tests/device_equivalence.rs`).
 //!
 //! The direct (sub-[`crate::kernels::GEMM_THRESHOLD`]) convolution
 //! kernels and the memory-bound pool/softmax ops live here too and are
@@ -28,27 +25,6 @@ pub struct ScalarMicro;
 
 impl MicroGemm for ScalarMicro {
     #[inline]
-    fn tile_rows(
-        &self,
-        acc: &mut [[f32; NR]; MR],
-        wrow0: &[f32],
-        k_len: usize,
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    ) {
-        for (k, ctile) in colp.chunks_exact(cn).enumerate() {
-            let ctile = &ctile[j0..j0 + NR];
-            for (m, am) in acc.iter_mut().enumerate() {
-                let wv = wrow0[m * k_len + k];
-                for (a, &c) in am.iter_mut().zip(ctile) {
-                    *a += wv * c;
-                }
-            }
-        }
-    }
-
-    #[inline]
     fn tile_packed(
         &self,
         acc: &mut [[f32; NR]; MR],
@@ -65,16 +41,6 @@ impl MicroGemm for ScalarMicro {
                 for (a, &c) in am.iter_mut().zip(ctile) {
                     *a += wv * c;
                 }
-            }
-        }
-    }
-
-    #[inline]
-    fn gemm_row(&self, yrow: &mut [f32], wrow: &[f32], col: &[f32]) {
-        let o_len = yrow.len();
-        for (wk, crow) in wrow.iter().zip(col.chunks_exact(o_len)) {
-            for (yv, cv) in yrow.iter_mut().zip(crow) {
-                *yv += wk * cv;
             }
         }
     }

@@ -10,10 +10,8 @@
 //! (the scalar build must round after every multiply and add, and
 //! cannot be auto-FMA'd without `-ffast-math`-style license; it also
 //! re-loads the accumulator block from the stack under baseline SSE2).
-//! The row-GEMM kernel blocks 64 output pixels into eight ymm
-//! accumulators the same way; the dot-product kernel splits its
-//! reduction across 32 independent lanes (4 ymm accumulators) to break
-//! the serial FMA dependency chain.
+//! The dot-product kernel splits its reduction across 32 independent
+//! lanes (4 ymm accumulators) to break the serial FMA dependency chain.
 //!
 //! ## Safety / the `unsafe_code` waiver
 //!
@@ -80,9 +78,7 @@ mod x86 {
     //! pointer loads/stores need `unsafe`, each over a slice whose
     //! bounds were just checked (see the per-site SAFETY notes).
 
-    use core::arch::x86_64::{
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps,
-    };
+    use core::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
 
     use crate::kernels::{MR, NR};
 
@@ -113,46 +109,10 @@ mod x86 {
         }
     }
 
-    /// Strided-weight `MR × NR` tile accumulation with FMA. Same
-    /// per-lane `k`-ascending FMA chain as [`tile_packed`], so the
-    /// packed and unpacked drivers stay bitwise identical.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn tile_rows(
-        acc: &mut [[f32; NR]; MR],
-        wrow0: &[f32],
-        k_len: usize,
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    ) {
-        let kc = colp.len() / cn;
-        // One bounds check per weight row instead of one per (m, k).
-        let w: [&[f32]; MR] = core::array::from_fn(|m| &wrow0[m * k_len..m * k_len + kc]);
-        let mut a = [
-            load_row(&acc[0]),
-            load_row(&acc[1]),
-            load_row(&acc[2]),
-            load_row(&acc[3]),
-        ];
-        for (k, ctile) in colp.chunks_exact(cn).enumerate() {
-            let ctile = &ctile[j0..j0 + NR];
-            // SAFETY: `ctile` was just sliced to NR == 16 elements.
-            let c0 = unsafe { _mm256_loadu_ps(ctile.as_ptr()) };
-            let c1 = unsafe { _mm256_loadu_ps(ctile.as_ptr().add(8)) };
-            for (am, wm) in a.iter_mut().zip(&w) {
-                let wv = _mm256_set1_ps(wm[k]);
-                am[0] = _mm256_fmadd_ps(wv, c0, am[0]);
-                am[1] = _mm256_fmadd_ps(wv, c1, am[1]);
-            }
-        }
-        for (row, av) in acc.iter_mut().zip(a) {
-            store_row(row, av);
-        }
-    }
-
-    /// Packed-weight `MR × NR` tile accumulation with FMA: identical
-    /// to [`tile_rows`] except the four broadcasts come from one
-    /// contiguous `MR`-float group of the k-major packed panel.
+    /// Packed-weight `MR × NR` tile accumulation with FMA: per `k` step
+    /// two 256-bit column loads, four broadcasts from one contiguous
+    /// `MR`-float group of the k-major packed panel, eight FMAs — each
+    /// lane a `k`-ascending FMA chain.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn tile_packed(
         acc: &mut [[f32; NR]; MR],
@@ -183,47 +143,6 @@ mod x86 {
         }
     }
 
-    /// Row-times-matrix AXPY with FMA: 64-pixel output blocks held in
-    /// eight ymm accumulators across the whole `k` reduction, so each
-    /// output element sees the same `k`-ascending FMA chain as the
-    /// scalar loop (bitwise-stable blocking), with an 8-wide then
-    /// scalar tail.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn gemm_row(yrow: &mut [f32], wrow: &[f32], col: &[f32]) {
-        const JB: usize = 64;
-        let o_len = yrow.len();
-        let mut j = 0;
-        while j + JB <= o_len {
-            let yj = &mut yrow[j..j + JB];
-            let mut a = [_mm256_set1_ps(0.0); JB / 8];
-            for (v, lane) in a.iter_mut().zip(yj.chunks_exact(8)) {
-                // SAFETY: `lane` is an exact 8-element chunk.
-                *v = unsafe { _mm256_loadu_ps(lane.as_ptr()) };
-            }
-            for (&wk, crow) in wrow.iter().zip(col.chunks_exact(o_len)) {
-                let wv = _mm256_set1_ps(wk);
-                let cj = &crow[j..j + JB];
-                for (v, lane) in a.iter_mut().zip(cj.chunks_exact(8)) {
-                    // SAFETY: `lane` is an exact 8-element chunk.
-                    let cv = unsafe { _mm256_loadu_ps(lane.as_ptr()) };
-                    *v = _mm256_fmadd_ps(wv, cv, *v);
-                }
-            }
-            for (v, lane) in a.iter().zip(yj.chunks_exact_mut(8)) {
-                // SAFETY: `lane` is an exact 8-element chunk.
-                unsafe { _mm256_storeu_ps(lane.as_mut_ptr(), *v) };
-            }
-            j += JB;
-        }
-        if j < o_len {
-            for (&wk, crow) in wrow.iter().zip(col.chunks_exact(o_len)) {
-                for (yv, &cv) in yrow[j..].iter_mut().zip(&crow[j..]) {
-                    *yv = wk.mul_add(cv, *yv);
-                }
-            }
-        }
-    }
-
     /// FMA dot product over 32 independent partial-sum lanes (4 ymm
     /// accumulators), so consecutive FMAs don't serialize on one
     /// register; scalar FMA tail for the remainder.
@@ -251,25 +170,6 @@ mod x86 {
 
 impl MicroGemm for SimdMicro {
     #[inline]
-    fn tile_rows(
-        &self,
-        acc: &mut [[f32; NR]; MR],
-        wrow0: &[f32],
-        k_len: usize,
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `self` proves `micro()` observed avx2+fma at runtime.
-            unsafe { x86::tile_rows(acc, wrow0, k_len, colp, cn, j0) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        ScalarMicro.tile_rows(acc, wrow0, k_len, colp, cn, j0)
-    }
-
-    #[inline]
     fn tile_packed(
         &self,
         acc: &mut [[f32; NR]; MR],
@@ -285,17 +185,6 @@ impl MicroGemm for SimdMicro {
         }
         #[cfg(not(target_arch = "x86_64"))]
         ScalarMicro.tile_packed(acc, wp_block, colp, cn, j0)
-    }
-
-    #[inline]
-    fn gemm_row(&self, yrow: &mut [f32], wrow: &[f32], col: &[f32]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `self` proves `micro()` observed avx2+fma at runtime.
-            unsafe { x86::gemm_row(yrow, wrow, col) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        ScalarMicro.gemm_row(yrow, wrow, col)
     }
 
     #[inline]

@@ -1,21 +1,22 @@
-//! Backend-generic GEMM drivers: the panel decomposition, im2col fills,
-//! edge handling, and write-back that every CPU backend shares, with the
-//! innermost register tile abstracted behind [`MicroGemm`].
+//! The backend-generic GEMM driver: the panel decomposition, im2col
+//! fills, edge handling, and write-back that every CPU backend shares,
+//! with the innermost register tile abstracted behind [`MicroGemm`].
 //!
-//! The drivers here are the bodies that used to live in
-//! [`crate::kernels`] (`conv2d_forward_blocked` and friends), made
-//! generic over the micro-kernel. Everything *outside* the full
-//! `MR × NR` tile — panel blocking, ragged row/column edges, bias
-//! write-back, pooled-scratch discipline, obs counters — is shared
-//! scalar code, so two backends differ only in how a full tile
-//! accumulates. The scalar backend's tile replays the exact loop the
-//! monolithic kernels ran, which keeps the historical bitwise contracts
-//! (packed == blocked, frozen == mutable) intact per backend.
+//! There is one forward driver, over **packed** weight panels
+//! ([`crate::kernels::pack_weight_panels`]), generic over the
+//! micro-kernel and the panel element type ([`PanelElem`]: f32 or
+//! bf16). Frozen layers hand it panels packed at freeze time; mutable
+//! layers pack into pooled scratch once per call
+//! ([`crate::device::Device::conv2d_forward_percall`]). Everything
+//! *outside* the full `MR × NR` tile — panel blocking, ragged
+//! row/column edges, bias write-back, pooled-scratch discipline, obs
+//! counters — is shared scalar code, so two backends differ only in
+//! how a full tile accumulates, and a layer computes the same bits
+//! whether its panels were packed a moment or a month ago.
 //!
-//! Monomorphization, not dynamic dispatch: each driver is generic over
+//! Monomorphization, not dynamic dispatch: the driver is generic over
 //! `M: MicroGemm` and the [`crate::device::Device`] enum selects the
-//! instantiation, so the micro-kernel inlines into the panel loop
-//! exactly as it did before the refactor.
+//! instantiation, so the micro-kernel inlines into the panel loop.
 
 use adarnet_tensor::{workspace, AlignedBuf, Shape, Tensor};
 use rayon::prelude::*;
@@ -25,33 +26,20 @@ use crate::kernels::{MR, NC, NR};
 use crate::quantize::{bf16_to_f32, PackedPanelsBf16};
 use crate::F;
 
-/// The innermost register tile of the blocked GEMM, the only code that
-/// differs between CPU backends.
+/// The innermost register tile of the GEMM, the only code that differs
+/// between CPU backends.
 ///
 /// Implementations must be `Copy` zero-sized handles (they are captured
 /// by rayon parallel closures) and must compute, for each method, the
-/// same real-arithmetic sum as the scalar reference — the scalar
-/// backend bitwise-replays the historical kernels, while vectorized
+/// same real-arithmetic sum as the scalar reference; vectorized
 /// backends may reassociate the reduction (FMA, multiple accumulators)
 /// within the ULP envelope pinned by `tests/device_equivalence.rs`.
 pub trait MicroGemm: Copy + Send + Sync {
-    /// Accumulate a full `MR × NR` tile from *strided* weight rows:
-    /// `acc[m][j] += w[oc0+m][k] * colp[k][j0+j]` over all `k`, where
-    /// `wrow0` is the `MR × k_len` row-major weight slab for this row
-    /// block and `colp` the `k_len × cn` im2col panel.
-    fn tile_rows(
-        &self,
-        acc: &mut [[f32; NR]; MR],
-        wrow0: &[f32],
-        k_len: usize,
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    );
-
-    /// [`Self::tile_rows`] over a *pre-packed* k-major weight block
-    /// (`k_len × MR` floats, see [`crate::kernels::pack_weight_panels`]):
-    /// `acc[m][j] += wp_block[k*MR + m] * colp[k][j0+j]`.
+    /// Accumulate a full `MR × NR` tile from a packed k-major weight
+    /// block (`k_len × MR` floats, see
+    /// [`crate::kernels::pack_weight_panels`]):
+    /// `acc[m][j] += wp_block[k*MR + m] * colp[k][j0+j]` over all `k`,
+    /// `colp` being the `k_len × cn` im2col panel.
     fn tile_packed(
         &self,
         acc: &mut [[f32; NR]; MR],
@@ -61,17 +49,12 @@ pub trait MicroGemm: Copy + Send + Sync {
         j0: usize,
     );
 
-    /// Row-times-matrix AXPY for the reference GEMM path:
-    /// `yrow[j] += wrow[k] * col[k*o_len + j]` with `o_len = yrow.len()`.
-    fn gemm_row(&self, yrow: &mut [f32], wrow: &[f32], col: &[f32]);
-
     /// Dot product of two equal-length slices (weight-gradient GEMM).
     fn dot(&self, a: &[f32], b: &[f32]) -> f32;
 }
 
 /// Write a finished `MR × NR` accumulator tile back into the `oc × cn`
-/// panel with bias added — shared by both micro-kernel variants and
-/// identical to the historical scalar write-back.
+/// panel with bias added.
 #[inline]
 fn writeback_tile(
     out: &mut [f32],
@@ -86,45 +69,6 @@ fn writeback_tile(
         let orow = &mut out[(oc0 + m) * cn + j0..(oc0 + m) * cn + j0 + NR];
         for (o, a) in orow.iter_mut().zip(am) {
             *o = a + b;
-        }
-    }
-}
-
-/// The register-tiled micro-kernel: `rows × jn` output tile at row
-/// offset `oc0`, column offset `j0` of an `oc × cn` panel. Full
-/// `MR × NR` tiles dispatch to the backend tile; irregular edges run a
-/// shared scalar loop (all paper shapes are edge-free, see
-/// [`crate::kernels::NR`]).
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel<M: MicroGemm>(
-    micro: M,
-    out: &mut [f32],
-    ws: &[f32],
-    bs: &[f32],
-    colp: &[f32],
-    oc0: usize,
-    rows: usize,
-    k_len: usize,
-    cn: usize,
-    j0: usize,
-    jn: usize,
-) {
-    if rows == MR && jn == NR {
-        let mut acc = [[0.0f32; NR]; MR];
-        let wrow0 = &ws[oc0 * k_len..(oc0 + MR) * k_len];
-        micro.tile_rows(&mut acc, wrow0, k_len, colp, cn, j0);
-        writeback_tile(out, bs, &acc, oc0, cn, j0);
-    } else {
-        for m in 0..rows {
-            let b = if bs.is_empty() { 0.0 } else { bs[oc0 + m] };
-            let wrow = &ws[(oc0 + m) * k_len..(oc0 + m + 1) * k_len];
-            for j in j0..j0 + jn {
-                let mut acc = b;
-                for (k, &wv) in wrow.iter().enumerate() {
-                    acc += wv * colp[k * cn + j];
-                }
-                out[(oc0 + m) * cn + j] = acc;
-            }
         }
     }
 }
@@ -172,11 +116,14 @@ impl PanelElem for u16 {
     }
 }
 
-/// The packed-weights twin of [`micro_kernel`]: same loop structure and
-/// edge handling, weight reads from the pre-packed (and, for bf16,
-/// pre-widened) `k_len × MR` f32 block.
+/// The register-tiled micro-kernel: `rows × jn` output tile at row
+/// offset `oc0`, column offset `j0` of an `oc × cn` panel, weights read
+/// from the packed (and, for bf16, widened) `k_len × MR` f32 block.
+/// Full `MR × NR` tiles dispatch to the backend tile; irregular edges
+/// run a shared scalar loop (all paper shapes are edge-free, see
+/// [`crate::kernels::NR`]).
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel_packed<M: MicroGemm>(
+fn micro_kernel<M: MicroGemm>(
     micro: M,
     out: &mut [f32],
     wp_block: &[f32],
@@ -208,95 +155,9 @@ fn micro_kernel_packed<M: MicroGemm>(
     }
 }
 
-/// Blocked im2col + GEMM convolution (see
-/// [`crate::kernels::conv2d_forward_blocked`] for the public contract
-/// and DESIGN.md §10 for the blocking argument), generic over the
-/// register tile. Scratch panels come 64-byte-aligned from the
-/// workspace pool so vector loads never split a cache line.
-pub fn conv2d_forward_blocked<M: MicroGemm>(
-    micro: M,
-    x: &Tensor<F>,
-    w: &Tensor<F>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    let (n, ic, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (oc, wic, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    assert_eq!(
-        ic, wic,
-        "conv2d: input channels {ic} != weight channels {wic}"
-    );
-    assert!(
-        bias.is_empty() || bias.len() == oc,
-        "conv2d: bias length {} != out channels {oc}",
-        bias.len()
-    );
-    let oh = conv_out_extent(h, kh, pad);
-    let ow = conv_out_extent(wd, kw, pad);
-    assert!(oh > 0 && ow > 0, "conv2d: kernel larger than padded input");
-
-    let k_len = ic * kh * kw;
-    let o_len = oh * ow;
-    let ws = w.as_slice();
-    let bs = bias.as_slice();
-    let xs = x.as_slice();
-    let mut y = Tensor::<F>::pooled_scratch(Shape::d4(n, oc, oh, ow));
-
-    y.as_mut_slice()
-        .par_chunks_mut(oc * o_len)
-        .enumerate()
-        .for_each(|(ni, ybatch)| {
-            let xitem = &xs[ni * ic * h * wd..(ni + 1) * ic * h * wd];
-            // Column panels of this batch item, computed in parallel
-            // into pooled per-panel buffers, then scattered back.
-            let panels: Vec<(usize, AlignedBuf)> = (0..o_len)
-                .step_by(NC)
-                .collect::<Vec<_>>()
-                .par_iter()
-                .map(|&c0| {
-                    let cn = (o_len - c0).min(NC);
-                    let mut colp = workspace::take_aligned(k_len * cn);
-                    for (r, dst) in colp.chunks_exact_mut(cn).enumerate() {
-                        let ici = r / (kh * kw);
-                        let ky = (r / kw) % kh;
-                        let kx = r % kw;
-                        let xplane = &xitem[ici * h * wd..(ici + 1) * h * wd];
-                        im2col_row_segment(dst, xplane, ky, kx, h, wd, ow, pad, c0, cn);
-                    }
-                    let mut out = workspace::take_aligned(oc * cn);
-                    let mut oc0 = 0;
-                    while oc0 < oc {
-                        let rows = (oc - oc0).min(MR);
-                        let mut j0 = 0;
-                        while j0 < cn {
-                            let jn = (cn - j0).min(NR);
-                            micro_kernel(
-                                micro, &mut out, ws, bs, &colp, oc0, rows, k_len, cn, j0, jn,
-                            );
-                            j0 += NR;
-                        }
-                        oc0 += MR;
-                    }
-                    workspace::put_aligned(colp);
-                    adarnet_obs::counter!("nn_gemm_panels_total").inc();
-                    (c0, out)
-                })
-                .collect();
-            for (c0, out) in panels {
-                let cn = (o_len - c0).min(NC);
-                for (oci, orow) in out.chunks_exact(cn).enumerate() {
-                    ybatch[oci * o_len + c0..oci * o_len + c0 + cn].copy_from_slice(orow);
-                }
-                workspace::put_aligned(out);
-            }
-        });
-    y
-}
-
-/// Blocked im2col + GEMM over **pre-packed** weights (see
-/// [`crate::kernels::conv2d_forward_packed`]): same panel decomposition
-/// and accumulation order as [`conv2d_forward_blocked`] for the same
-/// backend, minus the per-call strided weight traversal.
+/// Blocked im2col + GEMM convolution over packed f32 weight panels (see
+/// [`crate::kernels::conv2d_forward_packed`] for the public contract
+/// and DESIGN.md §10 for the blocking argument).
 pub fn conv2d_forward_packed<M: MicroGemm>(
     micro: M,
     x: &Tensor<F>,
@@ -321,8 +182,9 @@ pub fn conv2d_forward_packed_bf16<M: MicroGemm>(
     conv2d_forward_packed_any(micro, x, w.data, w.oc, w.ic, w.kh, w.kw, bias, pad)
 }
 
-/// Shared packed-driver body, generic over micro-kernel and panel
-/// element type.
+/// The driver body, generic over micro-kernel and panel element type.
+/// Scratch panels come 64-byte-aligned from the workspace pool so
+/// vector loads never split a cache line.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
     micro: M,
@@ -399,7 +261,7 @@ fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
                         let mut j0 = 0;
                         while j0 < cn {
                             let jn = (cn - j0).min(NR);
-                            micro_kernel_packed(
+                            micro_kernel(
                                 micro, &mut out, wide, bs, &colp, oc0, rows, k_len, cn, j0, jn,
                             );
                             j0 += NR;
@@ -422,65 +284,6 @@ fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
     if let Some(stage) = stage {
         workspace::put_aligned(stage);
     }
-    y
-}
-
-/// im2col + row-GEMM reference convolution (see
-/// [`crate::kernels::conv2d_forward_gemm`]), generic over the AXPY row.
-pub fn conv2d_forward_gemm<M: MicroGemm>(
-    micro: M,
-    x: &Tensor<F>,
-    w: &Tensor<F>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    let (n, ic, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (oc, wic, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    assert_eq!(
-        ic, wic,
-        "conv2d: input channels {ic} != weight channels {wic}"
-    );
-    assert!(
-        bias.is_empty() || bias.len() == oc,
-        "conv2d: bias length {} != out channels {oc}",
-        bias.len()
-    );
-    let oh = conv_out_extent(h, kh, pad);
-    let ow = conv_out_extent(wd, kw, pad);
-    assert!(oh > 0 && ow > 0, "conv2d: kernel larger than padded input");
-
-    let k_len = ic * kh * kw;
-    let o_len = oh * ow;
-    let ws = w.as_slice();
-    let bs = bias.as_slice();
-    let mut y = Tensor::<F>::pooled_scratch(Shape::d4(n, oc, oh, ow));
-
-    // Per-batch-item: materialize the im2col matrix (k_len x o_len), then
-    // each output channel is one row-times-matrix product.
-    let mut col = workspace::take_scratch(k_len * o_len);
-    for ni in 0..n {
-        let xs = x.as_slice();
-        let xitem = &xs[ni * ic * h * wd..(ni + 1) * ic * h * wd];
-        for (r, dst) in col.chunks_exact_mut(o_len).enumerate() {
-            let ici = r / (kh * kw);
-            let ky = (r / kw) % kh;
-            let kx = r % kw;
-            let xplane = &xitem[ici * h * wd..(ici + 1) * h * wd];
-            im2col_row_segment(dst, xplane, ky, kx, h, wd, ow, pad, 0, o_len);
-        }
-        // GEMM: y[oc_i, :] = w_row(oc_i) . col + bias.
-        let ybatch = &mut y.as_mut_slice()[ni * oc * o_len..(ni + 1) * oc * o_len];
-        ybatch
-            .par_chunks_mut(o_len)
-            .enumerate()
-            .for_each(|(oci, yrow)| {
-                let b = if bs.is_empty() { 0.0 } else { bs[oci] };
-                yrow.fill(b);
-                let wrow = &ws[oci * k_len..(oci + 1) * k_len];
-                micro.gemm_row(yrow, wrow, &col);
-            });
-    }
-    workspace::put(col);
     y
 }
 
@@ -509,7 +312,7 @@ pub fn conv2d_backward_params_gemm<M: MicroGemm>(
     let xs = x.as_slice();
     let mut col = workspace::take_scratch(k_len * o_len);
     for ni in 0..n {
-        // Same im2col fill as the forward GEMM paths, parallel over rows.
+        // Same im2col fill as the forward driver, one row at a time.
         let xitem = &xs[ni * ic * h * wd..(ni + 1) * ic * h * wd];
         col.par_chunks_mut(o_len).enumerate().for_each(|(r, dst)| {
             let ici = r / (kh * kw);

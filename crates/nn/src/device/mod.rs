@@ -1,15 +1,14 @@
 //! Pluggable compute backends for the nn kernel plane.
 //!
-//! Every compute kernel — the blocked/packed/row GEMMs behind
-//! [`crate::Conv2d`] / [`crate::ConvTranspose2d`], the direct
-//! small-shape convolutions, pooling, and softmax — is reachable as a
-//! method on the [`Device`] enum. Two backends exist today:
+//! Every compute kernel — the packed GEMM behind [`crate::Conv2d`] /
+//! [`crate::ConvTranspose2d`], the direct small-shape convolutions,
+//! pooling, and softmax — is reachable as a method on the [`Device`]
+//! enum. Two backends exist today:
 //!
 //! * [`Device::CpuScalar`] — the reference plane
-//!   ([`cpu_scalar::ScalarMicro`]): plain scalar loops, bitwise
-//!   identical to the pre-device-trait kernels. All historical bitwise
-//!   contracts (packed == blocked, frozen == mutable) are stated *per
-//!   backend* and hold exactly on this plane.
+//!   ([`cpu_scalar::ScalarMicro`]): plain scalar loops. The train ==
+//!   serve contract (a mutable layer's `forward` and its frozen twin's
+//!   `infer` agree bitwise) is stated *per backend*.
 //! * [`Device::CpuSimd`] — the vectorized plane
 //!   ([`cpu_simd::SimdMicro`]): AVX2+FMA micro-kernels for the GEMM
 //!   tiles. Falls back to the scalar micro-kernels at runtime when the
@@ -22,8 +21,7 @@
 //! Dispatch is enum + monomorphization: each method matches on the
 //! backend once per *kernel call* and runs a driver instantiated with
 //! that backend's zero-sized micro-kernel handle
-//! ([`driver::MicroGemm`]), so there is no per-tile virtual call and
-//! the scalar instantiation compiles to exactly the old code.
+//! ([`driver::MicroGemm`]), so there is no per-tile virtual call.
 //!
 //! ## Selection
 //!
@@ -42,9 +40,9 @@ pub mod driver;
 
 use std::sync::OnceLock;
 
-use adarnet_tensor::Tensor;
+use adarnet_tensor::{workspace, Tensor};
 
-use crate::kernels::PackedPanels;
+use crate::kernels::{pack_weight_panels, packed_panels_len, PackedPanels};
 use crate::quantize::PackedPanelsBf16;
 use crate::F;
 
@@ -163,20 +161,9 @@ impl Device {
         cpu_scalar::conv2d_backward_params_direct(dy, x, pad, dw, db);
     }
 
-    /// Blocked im2col + GEMM convolution on this backend's register
-    /// tile (see [`crate::kernels::conv2d_forward_blocked`]).
-    pub fn conv2d_forward_blocked(
-        self,
-        x: &Tensor<F>,
-        w: &Tensor<F>,
-        bias: &Tensor<F>,
-        pad: usize,
-    ) -> Tensor<F> {
-        with_micro!(self, m => driver::conv2d_forward_blocked(m, x, w, bias, pad))
-    }
-
-    /// Blocked GEMM over pre-packed weight panels; bitwise identical to
-    /// [`Device::conv2d_forward_blocked`] *on the same backend*.
+    /// Blocked im2col + GEMM over packed weight panels on this
+    /// backend's register tile (see
+    /// [`crate::kernels::conv2d_forward_packed`]).
     pub fn conv2d_forward_packed(
         self,
         x: &Tensor<F>,
@@ -206,15 +193,34 @@ impl Device {
         with_micro!(self, m => driver::conv2d_forward_packed_bf16(m, x, w, bias, pad))
     }
 
-    /// im2col + row-GEMM reference convolution (bench comparison path).
-    pub fn conv2d_forward_gemm(
+    /// [`Device::conv2d_forward_packed`] on an unpacked conv-layout
+    /// weight `(OC, IC, KH, KW)`: packs it into pooled aligned scratch
+    /// (`1/o_len` of the GEMM work), runs the driver, and returns the
+    /// scratch. The mutable layers' entry point — their weights change
+    /// every optimizer step, so there is nothing to keep; frozen layers
+    /// pack once at freeze time instead. Same panels, same driver, so
+    /// bitwise the frozen result.
+    pub fn conv2d_forward_percall(
         self,
         x: &Tensor<F>,
         w: &Tensor<F>,
         bias: &Tensor<F>,
         pad: usize,
     ) -> Tensor<F> {
-        with_micro!(self, m => driver::conv2d_forward_gemm(m, x, w, bias, pad))
+        let (oc, ic, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
+        let k_len = ic * kh * kw;
+        let mut panels = workspace::take_aligned(packed_panels_len(oc, k_len));
+        pack_weight_panels(w.as_slice(), oc, k_len, &mut panels);
+        let view = PackedPanels {
+            data: &panels,
+            oc,
+            ic,
+            kh,
+            kw,
+        };
+        let y = self.conv2d_forward_packed(x, view, bias, pad);
+        workspace::put_aligned(panels);
+        y
     }
 
     /// GEMM-based weight-gradient accumulation on this backend's
@@ -304,7 +310,7 @@ mod tests {
             (0..54).map(|i| (i as F * 0.05).cos()).collect(),
         );
         let b = Tensor::<F>::zeros(Shape::d1(3));
-        let y = Device::CpuSimd.conv2d_forward_blocked(&x, &w, &b, 1);
+        let y = Device::CpuSimd.conv2d_forward_percall(&x, &w, &b, 1);
         assert_eq!(y.shape(), &Shape::d4(1, 3, 6, 6));
         assert!(y.all_finite());
     }

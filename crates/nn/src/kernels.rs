@@ -6,75 +6,45 @@
 //! uses stride 1 and "same" 3x3 convolutions everywhere). Output spatial
 //! size is `H + 2*pad - KH + 1`.
 //!
-//! As of the device-backend refactor (DESIGN.md §15) the kernel *bodies*
-//! live in [`crate::device`]: the backend-generic drivers in
-//! [`crate::device::driver`], the scalar reference implementations in
-//! [`crate::device::cpu_scalar`], and the AVX2+FMA micro-kernels in
-//! [`crate::device::cpu_simd`]. This module keeps what is
-//! backend-independent — tiling constants, dispatch thresholds, the
-//! im2col fill, weight packing, and the pack counter — plus free-function
-//! entry points that run on [`crate::device::Device::CpuScalar`]. The
-//! free functions are the *scalar reference* surface: their historical
-//! bitwise behavior is unchanged (the scalar micro-kernel replays the
-//! exact pre-refactor loops), which is what this module's tests and the
-//! equivalence proptests pin. Backend-aware callers (the layers, frozen
-//! models) go through [`crate::device::Device`] methods instead.
+//! The kernel *bodies* live in [`crate::device`]: the backend-generic
+//! GEMM driver in [`crate::device::driver`], the scalar reference
+//! implementations in [`crate::device::cpu_scalar`], and the AVX2+FMA
+//! micro-kernels in [`crate::device::cpu_simd`]. This module keeps what
+//! is backend-independent — tiling constants, the dispatch threshold,
+//! the im2col fill, weight packing — plus free-function entry points
+//! that run on [`crate::device::Device::CpuScalar`], the *scalar
+//! reference* surface this module's tests and the equivalence
+//! proptests pin. Backend-aware callers (the layers, frozen models) go
+//! through [`crate::device::Device`] methods instead.
 //!
-//! Three forward implementations, equivalent within float tolerance
+//! Two forward implementations, equivalent within float tolerance
 //! (proptest-verified in `tests/kernel_equivalence.rs`):
 //!
-//! * [`conv2d_forward`] — direct 7-loop convolution, parallel over
-//!   `(batch, out-channel)` planes. Fastest for small spatial extents
+//! * [`conv2d_forward`] — direct 7-loop convolution. The numerical
+//!   reference, and the path below [`GEMM_THRESHOLD`] output pixels
 //!   where im2col overhead dominates.
-//! * [`conv2d_forward_gemm`] — im2col + row-times-matrix reference GEMM.
-//!   Kept as the mid-size reference point for the kernels bench.
-//! * [`conv2d_forward_blocked`] — im2col + register-tiled, cache-blocked
-//!   micro-kernel (see [`MR`]/[`NR`]/[`NC`]); the production large-shape
-//!   path. Parallel over the batch dimension *and* column panels within
-//!   each item, with a panel-local im2col fill, so both wide training
-//!   batches and single-field inference saturate all cores.
-//!
-//! A fourth entry point, [`conv2d_forward_packed`], is the blocked path
-//! with the weight A-panels pre-packed once into the k-major, [`MR`]-row
-//! layout the micro-kernel consumes (see [`pack_weight_panels`]). It is
-//! bitwise-identical to [`conv2d_forward_blocked`] on the same backend —
-//! same accumulation order, same values — but skips the strided weight
-//! reads per tile and, for the deconv layers, the per-call
-//! [`flip_transpose_weights`] copy. Frozen inference models
-//! (`crate::packed::PackedConvWeights`) pack at construction and serve
-//! every call from the shared panels.
+//! * [`conv2d_forward_packed`] — im2col + register-tiled, cache-blocked
+//!   micro-kernel (see [`MR`]/[`NR`]/[`NC`]) over weight A-panels
+//!   packed into the k-major, [`MR`]-row layout the micro-kernel
+//!   consumes (see [`pack_weight_panels`]); the production path.
+//!   Frozen models (`crate::packed::PackedConvWeights`) pack at
+//!   construction and serve every call from the shared panels; the
+//!   mutable layers pack into pooled scratch once per call
+//!   ([`Device::conv2d_forward_percall`]). Either way the driver reads
+//!   the same panels, so training `forward` and frozen `infer` agree
+//!   bitwise on a backend.
 //!
 //! Memory discipline: every scratch buffer (im2col panels, panel
-//! outputs) and every output tensor comes from the size-classed pool in
-//! [`adarnet_tensor::workspace`] — after warmup the hot path performs no
-//! heap allocation (enforced by the `no-alloc-in-hot-path` repo lint
-//! rule and asserted end-to-end by `crates/core/tests/zero_alloc.rs`).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! outputs, per-call weight panels) and every output tensor comes from
+//! the size-classed pool in [`adarnet_tensor::workspace`] — after
+//! warmup the hot path performs no heap allocation (enforced by the
+//! `no-alloc-in-hot-path` repo lint rule and asserted end-to-end by
+//! `crates/core/tests/zero_alloc.rs`).
 
 use adarnet_tensor::{Shape, Tensor};
 
 use crate::device::Device;
 use crate::F;
-
-/// Process-wide count of weight A-panel packs ([`pack_weight_panels`]
-/// invocations). The pack-once-per-step caches in [`crate::Conv2d`] /
-/// [`crate::ConvTranspose2d`] and the frozen-model pre-pack are both
-/// pinned against this counter, `data_allocs()`-style: compare two
-/// snapshots to count packs in a window.
-static WEIGHT_PACKS: AtomicU64 = AtomicU64::new(0);
-
-/// Total weight-panel packs since process start. Monotonic; see
-/// [`WEIGHT_PACKS`].
-pub fn weight_packs() -> u64 {
-    WEIGHT_PACKS.load(Ordering::Relaxed)
-}
-
-/// Count one weight-panel pack. Shared with the bf16 packer in
-/// [`crate::quantize`], so [`weight_packs`] covers every precision.
-pub(crate) fn note_weight_pack() {
-    WEIGHT_PACKS.fetch_add(1, Ordering::Relaxed);
-}
 
 /// Output spatial extent for stride-1 convolution.
 #[inline]
@@ -82,45 +52,32 @@ pub fn conv_out_extent(in_extent: usize, k: usize, pad: usize) -> usize {
     in_extent + 2 * pad + 1 - k
 }
 
-/// Output-pixel count at or above which [`crate::Conv2d`] and
-/// [`crate::ConvTranspose2d`] prefer the blocked GEMM path.
+/// Output-pixel count at or above which [`crate::Conv2d`],
+/// [`crate::ConvTranspose2d`] and their frozen twin run the packed GEMM
+/// driver; below it they run the direct loop nest.
 ///
 /// Calibrated from `BENCH_kernels.json` (`cargo run --release -p
 /// adarnet-bench --bin kernels`) over the paper's shapes — 16×16
 /// patches at bin 0..3 refinement (output extents 16/32/64/128) across
 /// decoder channel widths 8/16/64 — plus a sub-paper crossover probe
-/// (`sub0_*` rows) at 2/4/8 px per side:
+/// (`sub0_*` rows) at 2/4/8 px per side: every paper shape, bin 0
+/// included, runs ~10× faster through the GEMM than through the direct
+/// loop nest at 256 px, and the direct path only wins below the
+/// probe's 4×4 = 16 px row, where im2col + panel dispatch overhead
+/// exceeds the compute.
 ///
-/// * every paper shape, bin 0 included, runs faster blocked: 1.2–1.4×
-///   over the row-GEMM reference and ~10× over the direct loop nest at
-///   256 px, widening to 2.3–2.4× over row-GEMM at bin 3;
-/// * the direct path only wins below the probe's 4×4 = 16 px row,
-///   where im2col + panel dispatch overhead exceeds the compute.
-///
-/// So the measured crossover sits in (4, 16]; 16 routes everything the
-/// model actually decodes — bins 0–3 and the full-field scorer — to
-/// the blocked path while keeping the direct loop nest for degenerate
-/// sub-16-pixel fields. `kernels::tests::threshold_splits_paper_shapes`
-/// pins this routing.
+/// So 16 routes everything the model actually decodes — bins 0–3 and
+/// the full-field scorer — to the GEMM while keeping the direct loop
+/// nest for degenerate sub-16-pixel fields.
+/// `kernels::tests::threshold_splits_paper_shapes` pins this routing.
 pub const GEMM_THRESHOLD: usize = 16;
 
-/// Output-pixel count at or above which the blocked path is worth
-/// *pre-packing* weights for ([`conv2d_forward_packed`] /
-/// `crate::packed::PackedConvWeights`).
-///
-/// Below this (but at or above [`GEMM_THRESHOLD`]) the layers run the
-/// blocked path on unpacked weights: the `sub0_*` rows of
-/// `BENCH_kernels.json` showed the packed path 0.65–0.94× blocked at
-/// 4–64 output pixels, because with only 1–4 column tiles per call the
-/// packed layout's contiguous weight reads can't amortize its extra
-/// panel indexing, while pack maintenance (cache invalidation on every
-/// weight update) still costs. At ≥ 64 px the packed path draws level
-/// and beyond (every paper shape: bins 0–3 at 256+ px and the 16k-px
-/// scorer field) it wins outright — the bench gates packed ≥ 0.95×
-/// blocked at every measured shape. Value-safe dispatch: packed and
-/// blocked are bitwise identical per backend, so this threshold only
-/// moves work, never numbers.
-pub const PACKED_MIN_OLEN: usize = 64;
+/// The forward dispatch decision, made in one place for the mutable
+/// layers and their frozen twin: whether a `kh × kw` convolution of `x`
+/// at `pad` yields at least [`GEMM_THRESHOLD`] output pixels.
+pub(crate) fn runs_gemm(x: &Tensor<F>, kh: usize, kw: usize, pad: usize) -> bool {
+    conv_out_extent(x.dim(2), kh, pad) * conv_out_extent(x.dim(3), kw, pad) >= GEMM_THRESHOLD
+}
 
 /// Register-tile rows: output channels accumulated simultaneously. The
 /// micro-kernel keeps `MR × NR` f32 accumulators live (8 AVX2 vectors),
@@ -231,23 +188,6 @@ pub(crate) fn im2col_row_segment(
     }
 }
 
-/// Blocked im2col + GEMM convolution: identical semantics to
-/// [`conv2d_forward`], the production path above [`GEMM_THRESHOLD`]
-/// output pixels. See `crate::device::driver::conv2d_forward_blocked`
-/// for the blocking structure (DESIGN.md §10).
-///
-/// Scalar-reference entry point: runs the scalar micro-kernel, which
-/// replays the pre-refactor accumulation bitwise. Backend-aware callers
-/// use [`Device::conv2d_forward_blocked`].
-pub fn conv2d_forward_blocked(
-    x: &Tensor<F>,
-    w: &Tensor<F>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    Device::CpuScalar.conv2d_forward_blocked(x, w, bias, pad)
-}
-
 /// Length in floats of the packed A-panel buffer for an `oc × k_len`
 /// weight matrix: `oc.div_ceil(MR)` row blocks of `k_len × MR` floats,
 /// edge rows zero-padded.
@@ -269,7 +209,6 @@ pub fn packed_panels_len(oc: usize, k_len: usize) -> usize {
 /// allocation-free. The layout is backend-independent: both the scalar
 /// and the SIMD micro-kernels consume the same panels.
 pub fn pack_weight_panels(ws: &[F], oc: usize, k_len: usize, dst: &mut [F]) {
-    note_weight_pack();
     assert_eq!(ws.len(), oc * k_len, "pack: weight matrix size mismatch");
     assert_eq!(
         dst.len(),
@@ -308,14 +247,13 @@ pub struct PackedPanels<'a> {
     pub kw: usize,
 }
 
-/// Blocked im2col + GEMM convolution over **pre-packed** weights:
-/// bitwise-identical to [`conv2d_forward_blocked`] (same panel
-/// decomposition, same micro-kernel accumulation order — pinned by
-/// `packed_path_is_bitwise_identical_to_blocked` and the proptest
-/// suite), minus the per-call strided weight traversal. The packing
-/// itself happens once, outside this function (see
-/// [`pack_weight_panels`]), so a frozen model amortizes it across every
-/// inference call.
+/// Blocked im2col + GEMM convolution over packed weight panels:
+/// identical semantics to [`conv2d_forward`], the production path at or
+/// above [`GEMM_THRESHOLD`] output pixels. See
+/// `crate::device::driver` for the blocking structure (DESIGN.md §10).
+/// Packing happens outside this function ([`pack_weight_panels`]): once
+/// at freeze time for a frozen model, once per call for a mutable
+/// layer.
 ///
 /// Scalar-reference entry point; backend-aware callers use
 /// [`Device::conv2d_forward_packed`].
@@ -326,21 +264,6 @@ pub fn conv2d_forward_packed(
     pad: usize,
 ) -> Tensor<F> {
     Device::CpuScalar.conv2d_forward_packed(x, w, bias, pad)
-}
-
-/// im2col + GEMM convolution: identical semantics to [`conv2d_forward`];
-/// the pre-blocking reference implementation, kept as the mid-size
-/// comparison point in the kernels bench. The inner loop is a plain
-/// row-times-matrix AXPY with no data-dependent branches (an earlier
-/// `*wk == 0.0` skip made throughput depend on weight sparsity and
-/// blocked autovectorization; the blocked micro-kernel supersedes it).
-pub fn conv2d_forward_gemm(
-    x: &Tensor<F>,
-    w: &Tensor<F>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    Device::CpuScalar.conv2d_forward_gemm(x, w, bias, pad)
 }
 
 /// GEMM-based weight-gradient accumulation for **same-padded stride-1**
@@ -389,6 +312,11 @@ mod tests {
         Tensor::from_vec(shape, (0..n).map(|i| (i as F * 0.1).sin()).collect())
     }
 
+    /// The packed GEMM on the scalar backend, packing `w` per call.
+    fn packed(x: &Tensor<F>, w: &Tensor<F>, bias: &Tensor<F>, pad: usize) -> Tensor<F> {
+        Device::CpuScalar.conv2d_forward_percall(x, w, bias, pad)
+    }
+
     #[test]
     fn identity_kernel_passes_through() {
         // 1x1 kernel with weight 1 and zero pad is the identity.
@@ -399,8 +327,8 @@ mod tests {
         }
         let y = conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
         assert_eq!(y, x);
-        let yb = conv2d_forward_blocked(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
-        assert_eq!(yb, x);
+        let yp = packed(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
+        assert_eq!(yp, x);
     }
 
     #[test]
@@ -483,43 +411,33 @@ mod tests {
     }
 
     #[test]
-    fn gemm_and_blocked_paths_match_direct_path() {
-        for (n, ic, oc, h, wd, k, pad) in [
-            (1usize, 3usize, 4usize, 7usize, 9usize, 3usize, 1usize),
-            (2, 1, 2, 5, 5, 3, 1),
-            (1, 2, 3, 8, 6, 1, 0),
-            (1, 4, 8, 16, 16, 3, 1),
-            (3, 2, 5, 13, 4, 3, 1),
+    fn packed_path_matches_direct_path() {
+        // Shapes chosen to exercise full MR x NR tiles, ragged row blocks
+        // (oc % MR != 0), ragged column tiles (o_len % NR != 0), and
+        // multi-panel widths (o_len > NC, the decoder-scale last row,
+        // whose k_len = 72 reduction earns the wider tolerance).
+        for (n, ic, oc, h, wd, k, pad, tol) in [
+            (
+                1usize, 3usize, 4usize, 7usize, 9usize, 3usize, 1usize, 1e-4f32,
+            ),
+            (2, 1, 2, 5, 5, 3, 1, 1e-4),
+            (1, 2, 3, 8, 6, 1, 0, 1e-4),
+            (1, 4, 8, 16, 16, 3, 1, 1e-4),
+            (3, 2, 5, 13, 4, 3, 1, 1e-4),
+            (2, 8, 16, 40, 40, 3, 1, 1e-3),
         ] {
             let x = seq_tensor(Shape::d4(n, ic, h, wd));
             let w = seq_tensor(Shape::d4(oc, ic, k, k));
             let b = seq_tensor(Shape::d1(oc));
             let direct = conv2d_forward(&x, &w, &b, pad);
-            for (name, other) in [
-                ("gemm", conv2d_forward_gemm(&x, &w, &b, pad)),
-                ("blocked", conv2d_forward_blocked(&x, &w, &b, pad)),
-            ] {
-                assert_eq!(direct.shape(), other.shape());
-                for (a, g) in direct.as_slice().iter().zip(other.as_slice()) {
-                    assert!(
-                        (a - g).abs() < 1e-4 * (1.0 + a.abs()),
-                        "{name} mismatch: {a} vs {g} (cfg {n},{ic},{oc},{h},{wd},{k},{pad})"
-                    );
-                }
+            let gemm = packed(&x, &w, &b, pad);
+            assert_eq!(direct.shape(), gemm.shape());
+            for (a, g) in direct.as_slice().iter().zip(gemm.as_slice()) {
+                assert!(
+                    (a - g).abs() < tol * (1.0 + a.abs()),
+                    "packed mismatch: {a} vs {g} (cfg {n},{ic},{oc},{h},{wd},{k},{pad})"
+                );
             }
-        }
-    }
-
-    #[test]
-    fn blocked_matches_direct_on_decoder_scale_shape() {
-        // Wide enough to exercise multiple column panels and row blocks.
-        let x = seq_tensor(Shape::d4(2, 8, 40, 40));
-        let w = seq_tensor(Shape::d4(16, 8, 3, 3));
-        let b = seq_tensor(Shape::d1(16));
-        let direct = conv2d_forward(&x, &w, &b, 1);
-        let blocked = conv2d_forward_blocked(&x, &w, &b, 1);
-        for (a, g) in direct.as_slice().iter().zip(blocked.as_slice()) {
-            assert!((a - g).abs() < 1e-3 * (1.0 + a.abs()), "{a} vs {g}");
         }
     }
 
@@ -528,38 +446,20 @@ mod tests {
         // Decoder patch extents per bin: 16 << level, level 0..=3. The
         // bench-derived routing: every paper shape — bin 0's 16x16
         // patches through bin 3 and the full-field scorer (64x256) —
-        // goes blocked, while the threshold still leaves the direct
+        // goes to the GEMM, while the threshold still leaves the direct
         // loop nest reachable for degenerate sub-16-pixel fields, so
         // both dispatch arms stay exercised.
         let extents: Vec<usize> = (0..4).map(|lvl| 16usize << lvl).collect();
         for &e in &extents {
-            assert!(e * e >= GEMM_THRESHOLD, "bin {e}px -> blocked");
+            assert!(e * e >= GEMM_THRESHOLD, "bin {e}px -> gemm");
         }
         let (scorer_h, scorer_w) = (64usize, 256usize);
-        assert!(scorer_h * scorer_w >= GEMM_THRESHOLD, "scorer -> blocked");
+        assert!(scorer_h * scorer_w >= GEMM_THRESHOLD, "scorer -> gemm");
         let degenerate = extents[0] / 8; // 2x2 field, below any paper shape
         assert!(
             degenerate * degenerate < GEMM_THRESHOLD,
             "degenerate fields -> direct"
         );
-    }
-
-    #[test]
-    fn packed_threshold_splits_paper_shapes() {
-        // Every paper shape (bins 0-3 at 256+ px, the 16k-px scorer
-        // field) pre-packs; the bench's sub-paper probe rows (4-64 px)
-        // stay on unpacked blocked or direct, where BENCH_kernels.json
-        // measured packing as a net loss. The mid-band [GEMM_THRESHOLD,
-        // PACKED_MIN_OLEN) must be non-empty so all three dispatch arms
-        // stay reachable.
-        const { assert!(PACKED_MIN_OLEN > GEMM_THRESHOLD) };
-        for lvl in 0..4 {
-            let e = 16usize << lvl;
-            assert!(e * e >= PACKED_MIN_OLEN, "bin {e}px -> packed");
-        }
-        // scorer (64*256 px) -> packed; sub0 4x4 probe -> not packed
-        const { assert!(64 * 256 >= PACKED_MIN_OLEN) };
-        const { assert!(4 * 4 < PACKED_MIN_OLEN) };
     }
 
     #[test]
@@ -593,43 +493,6 @@ mod tests {
         );
         for (a, b) in direct.as_slice().iter().zip(via_conv.as_slice()) {
             assert!((a - b).abs() < 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn packed_path_is_bitwise_identical_to_blocked() {
-        // Shapes chosen to exercise full MR x NR tiles, ragged row blocks
-        // (oc % MR != 0), ragged column tiles (o_len % NR != 0), and
-        // multi-panel widths (o_len > NC).
-        for (n, ic, oc, h, wd, k, pad) in [
-            (1usize, 3usize, 4usize, 7usize, 9usize, 3usize, 1usize),
-            (2, 1, 2, 5, 5, 3, 1),
-            (1, 2, 3, 8, 6, 1, 0),
-            (1, 4, 8, 16, 16, 3, 1),
-            (3, 2, 5, 13, 4, 3, 1),
-            (1, 8, 16, 40, 40, 3, 1),
-        ] {
-            let x = seq_tensor(Shape::d4(n, ic, h, wd));
-            let w = seq_tensor(Shape::d4(oc, ic, k, k));
-            let b = seq_tensor(Shape::d1(oc));
-            let k_len = ic * k * k;
-            let mut packed = vec![0.0f32; packed_panels_len(oc, k_len)];
-            pack_weight_panels(w.as_slice(), oc, k_len, &mut packed);
-            let view = PackedPanels {
-                data: &packed,
-                oc,
-                ic,
-                kh: k,
-                kw: k,
-            };
-            let blocked = conv2d_forward_blocked(&x, &w, &b, pad);
-            let packed_y = conv2d_forward_packed(&x, view, &b, pad);
-            // Bitwise equality, not tolerance: the packed kernel must
-            // replay the exact accumulation order of the blocked one.
-            assert_eq!(
-                blocked, packed_y,
-                "packed != blocked (cfg {n},{ic},{oc},{h},{wd},{k},{pad})"
-            );
         }
     }
 

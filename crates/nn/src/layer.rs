@@ -1,6 +1,8 @@
 //! The [`Layer`] trait: explicit forward/backward with cached activations.
+//! Training runs `forward`/`backward` on mutable layers; inference is
+//! `freeze()` then `infer` — there is no third path.
 //!
-//! [`InferLayer`] is its frozen, inference-only counterpart: `&self`
+//! [`InferLayer`] is the frozen, inference-only counterpart: `&self`
 //! end to end, `Sync`, no backprop caches — the shape shared weights
 //! must take so one model instance can serve many threads (DESIGN.md
 //! §12). Every [`Layer`] can produce one via [`Layer::freeze`].
@@ -15,8 +17,10 @@ use crate::F;
 ///
 /// Contract:
 /// * [`InferLayer::infer`] computes exactly the same values as the
-///   source layer's [`Layer::forward_infer`] — bitwise, not just within
-///   tolerance — with the output drawn from the workspace pool.
+///   source layer's [`Layer::forward`] — bitwise, not just within
+///   tolerance ("what you train is what you serve", pinned by
+///   `crates/core/tests/train_serve.rs`) — with the output drawn from
+///   the workspace pool.
 /// * The layer holds no per-call state: `infer` takes `&self` and the
 ///   type is `Sync`, so one frozen model behind an `Arc` serves any
 ///   number of threads concurrently with zero locking.
@@ -55,25 +59,13 @@ pub trait Layer: Send {
     /// Run the layer on `x`, caching state for backprop.
     fn forward(&mut self, x: &Tensor<F>) -> Tensor<F>;
 
-    /// Inference-only forward pass: identical output to
-    /// [`Layer::forward`], but the layer skips caching backprop state
-    /// and draws its output from the workspace pool
-    /// ([`adarnet_tensor::workspace`]), so steady-state serving
-    /// performs no heap allocation. Calling [`Layer::backward`] after
-    /// `forward_infer` is unsupported: it may panic (no cache) or use
-    /// stale state from an earlier `forward`. Defaults to plain
-    /// [`Layer::forward`] for layers without an optimized path.
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        self.forward(x)
-    }
-
     /// Propagate `grad_out` (dL/dy) back to dL/dx, accumulating parameter
     /// gradients.
     fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F>;
 
     /// Snapshot the layer's weights into an immutable [`InferLayer`]
     /// whose [`InferLayer::infer`] is bitwise-identical to
-    /// [`Layer::forward_infer`]. Weight-derived inference state (packed
+    /// [`Layer::forward`]. Weight-derived inference state (packed
     /// GEMM panels, flipped deconv kernels) is built here, once.
     fn freeze(&self) -> Box<dyn InferLayer>;
 
@@ -93,9 +85,7 @@ pub trait Layer: Send {
     /// default to [`Device::active`] at construction; this override
     /// exists for tests and tools that must pin a backend regardless of
     /// environment (e.g. the backend-equivalence suite, the kernels
-    /// bench). Weightless layers ignore it. Switching devices
-    /// invalidates any backend-independent caches conservatively (a
-    /// repack costs one [`crate::kernels::pack_weight_panels`] call).
+    /// bench). Weightless layers ignore it.
     fn set_device(&mut self, device: Device) {
         let _ = device;
     }

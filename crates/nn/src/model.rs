@@ -46,21 +46,6 @@ impl Sequential {
         cur
     }
 
-    /// Inference-only forward: every layer runs its
-    /// [`Layer::forward_infer`] path (no backprop caches), and
-    /// intermediates are recycled — steady-state calls perform no heap
-    /// allocation. The returned tensor is pool-backed; recycle it when
-    /// done to keep the loop allocation-free.
-    pub fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let mut cur = x.pooled_copy();
-        for layer in &mut self.layers {
-            let next = layer.forward_infer(&cur);
-            cur.recycle();
-            cur = next;
-        }
-        cur
-    }
-
     /// Backward through every layer in reverse; returns dL/dinput.
     /// Intermediate gradients are recycled like forward activations.
     pub fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
@@ -125,8 +110,8 @@ impl Sequential {
     }
 
     /// Freeze every layer into an immutable [`FrozenSequential`] whose
-    /// inference is bitwise-identical to [`Sequential::forward_infer`]
-    /// but `&self` and `Sync` — the weight plane one copy of which all
+    /// inference is bitwise-identical to [`Sequential::forward`] but
+    /// `&self`, cache-free and `Sync` — the weight plane one copy of which all
     /// serving threads share.
     pub fn freeze(&self) -> FrozenSequential {
         FrozenSequential {
@@ -190,8 +175,9 @@ impl FrozenSequential {
     }
 
     /// Inference forward through every frozen layer, recycling
-    /// intermediates — same values and pool discipline as
-    /// [`Sequential::forward_infer`], without `&mut`.
+    /// intermediates — same values as [`Sequential::forward`], without
+    /// `&mut` or backprop caches. The returned tensor is pool-backed;
+    /// recycle it when done to keep serving loops allocation-free.
     pub fn infer(&self, x: &Tensor<F>) -> Tensor<F> {
         let mut cur = x.pooled_copy();
         for layer in &self.layers {
@@ -262,37 +248,6 @@ mod tests {
         let ckpt = a.snapshot();
         b.restore(&ckpt);
         assert_eq!(b.forward(&x), ya);
-    }
-
-    #[test]
-    fn frozen_infer_is_bitwise_identical_to_forward_infer() {
-        use crate::ConvTranspose2d;
-        // Conv + activation + deconv covers every freeze-time transform
-        // (panel packing, kind copy, one-time flip-transpose).
-        let mut net = Sequential::new()
-            .push(Conv2d::new(1, 4, 3, Initializer::HeNormal, 21))
-            .push(Activation::relu())
-            .push(ConvTranspose2d::new(
-                4,
-                2,
-                3,
-                Initializer::XavierUniform,
-                22,
-            ));
-        let frozen = net.freeze();
-        assert_eq!(frozen.len(), 3);
-        // 16x16 -> 256 px routes through the blocked/packed GEMM path.
-        let x = Tensor::from_vec(
-            Shape::d4(1, 1, 16, 16),
-            (0..256).map(|i| (i as F * 0.07).sin()).collect(),
-        );
-        assert_eq!(frozen.infer(&x), net.forward_infer(&x));
-        // And a sub-threshold input exercises the direct dispatch arm.
-        let small = Tensor::from_vec(
-            Shape::d4(1, 1, 3, 3),
-            (0..9).map(|i| (i as F * 0.3).cos()).collect(),
-        );
-        assert_eq!(frozen.infer(&small), net.forward_infer(&small));
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! [`PackedConvWeights`] owns a frozen conv weight plane at one of two
 //! precisions ([`Precision`]):
 //!
-//! * **f32** — the conv-layout tensor (kept for the small- and
-//!   mid-shape paths) plus its GEMM A-panels packed once (see
+//! * **f32** — the conv-layout tensor (kept for the direct
+//!   small-shape path) plus its GEMM A-panels packed once (see
 //!   [`crate::kernels::pack_weight_panels`]) into the k-major,
-//!   `MR`-blocked layout the blocked micro-kernel consumes. This is the
-//!   historical plane: bitwise-identical to the training-side
-//!   `forward_infer`.
+//!   `MR`-blocked layout the micro-kernel consumes. Bitwise-identical
+//!   to the source layer's training `forward`, which packs the same
+//!   panels per call.
 //! * **bf16** — *only* the A-panels, narrowed to bf16
 //!   ([`crate::quantize::pack_weight_panels_bf16`]) plus the f32 bias.
 //!   The unpacked weight copy is dropped entirely — every forward runs
 //!   the packed bf16 GEMM driver regardless of output size (the
-//!   dispatch thresholds are a perf heuristic, not a correctness
+//!   dispatch threshold is a perf heuristic, not a correctness
 //!   boundary, and keeping an f32 fallback copy would forfeit the
 //!   resident-byte cut that is this plane's whole point). Resident
 //!   bytes land near 0.25× the f32 plane's (2-byte panels, no 4-byte
@@ -29,8 +29,7 @@ use adarnet_tensor::{AlignedBuf, Tensor};
 
 use crate::device::Device;
 use crate::kernels::{
-    conv_out_extent, flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels,
-    GEMM_THRESHOLD, PACKED_MIN_OLEN,
+    flip_transpose_weights, pack_weight_panels, packed_panels_len, runs_gemm, PackedPanels,
 };
 use crate::quantize::{pack_weight_panels_bf16, PackedPanelsBf16, Precision};
 use crate::{InferLayer, F};
@@ -38,8 +37,7 @@ use crate::{InferLayer, F};
 /// The precision-variant weight storage behind [`PackedConvWeights`].
 enum WeightPlane {
     /// Full-precision plane: unpacked conv-layout weight (for the
-    /// direct and mid-band blocked paths) plus 64-byte-aligned f32
-    /// A-panels.
+    /// direct path) plus 64-byte-aligned f32 A-panels.
     F32 {
         /// Conv layout `(OC, IC, KH, KW)`.
         weight: Tensor<F>,
@@ -69,28 +67,11 @@ pub struct PackedConvWeights {
 }
 
 impl PackedConvWeights {
-    /// Pack a conv-layout weight `(OC, IC, KH, KW)` for the process-wide
-    /// [`Device::active`] backend at f32. The one-time pack cost is
-    /// timed under the caller's `prepack_ns` span.
-    pub fn from_conv_weight(weight: &Tensor<F>, bias: &Tensor<F>, pad: usize) -> Self {
-        Self::from_conv_weight_on(Device::active(), weight, bias, pad)
-    }
-
-    /// Pack a conv-layout weight for a specific backend at f32 (the
-    /// historical freeze path: the frozen layer inherits the source
-    /// layer's device).
-    pub fn from_conv_weight_on(
-        device: Device,
-        weight: &Tensor<F>,
-        bias: &Tensor<F>,
-        pad: usize,
-    ) -> Self {
-        Self::from_conv_weight_as(device, Precision::F32, weight, bias, pad)
-    }
-
-    /// Pack a conv-layout weight for a specific backend and
-    /// [`Precision`] — the precision-aware freeze entry point.
-    pub fn from_conv_weight_as(
+    /// Pack a conv-layout weight `(OC, IC, KH, KW)` for `device` at
+    /// `precision` (the frozen layer inherits the source layer's
+    /// device). The one-time pack cost is timed under the caller's
+    /// `prepack_ns` span.
+    pub fn from_conv_weight(
         device: Device,
         precision: Precision,
         weight: &Tensor<F>,
@@ -130,25 +111,9 @@ impl PackedConvWeights {
     }
 
     /// Pack a deconv-layout weight `(IC, OC, KH, KW)`: flip-transpose to
-    /// the equivalent conv kernel once, then pack at f32. Every
-    /// subsequent forward skips both the flip and the pack.
-    pub fn from_deconv_weight(weight: &Tensor<F>, bias: &Tensor<F>, pad: usize) -> Self {
-        Self::from_deconv_weight_on(Device::active(), weight, bias, pad)
-    }
-
-    /// Deconv-layout f32 pack for a specific backend; see
-    /// [`PackedConvWeights::from_conv_weight_on`].
-    pub fn from_deconv_weight_on(
-        device: Device,
-        weight: &Tensor<F>,
-        bias: &Tensor<F>,
-        pad: usize,
-    ) -> Self {
-        Self::from_deconv_weight_as(device, Precision::F32, weight, bias, pad)
-    }
-
-    /// Deconv-layout pack for a specific backend and [`Precision`].
-    pub fn from_deconv_weight_as(
+    /// the equivalent conv kernel once, then pack. Every subsequent
+    /// forward skips both the flip and the pack.
+    pub fn from_deconv_weight(
         device: Device,
         precision: Precision,
         weight: &Tensor<F>,
@@ -156,7 +121,7 @@ impl PackedConvWeights {
         pad: usize,
     ) -> Self {
         let w_conv = flip_transpose_weights(weight);
-        let out = Self::from_conv_weight_as(device, precision, &w_conv, bias, pad);
+        let out = Self::from_conv_weight(device, precision, &w_conv, bias, pad);
         w_conv.recycle();
         out
     }
@@ -207,22 +172,17 @@ impl PackedConvWeights {
     }
 
     /// Forward pass. The f32 plane keeps the exact dispatch of
-    /// [`crate::Conv2d`]'s inference path: blocked GEMM over the
-    /// pre-packed panels at or above [`PACKED_MIN_OLEN`] output pixels,
-    /// blocked GEMM on the unpacked weight in the mid-band down to
-    /// [`GEMM_THRESHOLD`], the direct loop nest below it —
-    /// bitwise-identical to the mutable layer's `forward_infer` on the
-    /// same backend. The bf16 plane has only packed panels, so every
-    /// output size runs the packed bf16 driver (its ragged-edge paths
-    /// cover the small shapes the thresholds existed to route around).
+    /// [`crate::Conv2d`]'s training forward: the packed GEMM driver at
+    /// or above [`crate::kernels::GEMM_THRESHOLD`] output pixels, the direct loop nest
+    /// below it — bitwise-identical to the mutable layer on the same
+    /// backend. The bf16 plane has only packed panels, so every output
+    /// size runs the packed bf16 driver (its ragged-edge paths cover
+    /// the small shapes the threshold exists to route around).
     pub fn forward(&self, x: &Tensor<F>) -> Tensor<F> {
         match &self.plane {
             WeightPlane::F32 { weight, packed } => {
                 let (kh, kw) = (weight.dim(2), weight.dim(3));
-                let oh = conv_out_extent(x.dim(2), kh, self.pad);
-                let ow = conv_out_extent(x.dim(3), kw, self.pad);
-                let o_len = oh * ow;
-                if o_len >= PACKED_MIN_OLEN {
+                if runs_gemm(x, kh, kw, self.pad) {
                     let view = PackedPanels {
                         data: packed,
                         oc: weight.dim(0),
@@ -232,12 +192,8 @@ impl PackedConvWeights {
                     };
                     self.device
                         .conv2d_forward_packed(x, view, &self.bias, self.pad)
-                } else if o_len >= GEMM_THRESHOLD {
-                    self.device
-                        .conv2d_forward_blocked(x, weight, &self.bias, self.pad)
                 } else {
-                    self.device
-                        .conv2d_forward(x, weight, &self.bias, self.pad)
+                    self.device.conv2d_forward(x, weight, &self.bias, self.pad)
                 }
             }
             WeightPlane::Bf16 {
@@ -329,7 +285,7 @@ mod tests {
     fn weight_bytes_counts_both_copies() {
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
         let b = seq_tensor(Shape::d1(8));
-        let p = PackedConvWeights::from_conv_weight(&w, &b, 1);
+        let p = PackedConvWeights::from_conv_weight(Device::active(), Precision::F32, &w, &b, 1);
         let expect = (8 * 4 * 9 + 8 + packed_panels_len(8, 36)) * 4;
         assert_eq!(p.weight_bytes(), expect);
         assert_eq!(p.precision(), Precision::F32);
@@ -339,17 +295,11 @@ mod tests {
     fn bf16_weight_bytes_drop_the_unpacked_copy() {
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
         let b = seq_tensor(Shape::d1(8));
-        let q = PackedConvWeights::from_conv_weight_as(
-            Device::active(),
-            Precision::Bf16,
-            &w,
-            &b,
-            1,
-        );
+        let q = PackedConvWeights::from_conv_weight(Device::active(), Precision::Bf16, &w, &b, 1);
         // 2-byte panels plus the f32 bias, no unpacked weight copy.
         assert_eq!(q.weight_bytes(), packed_panels_len(8, 36) * 2 + 8 * 4);
         assert_eq!(q.precision(), Precision::Bf16);
-        let f = PackedConvWeights::from_conv_weight(&w, &b, 1);
+        let f = PackedConvWeights::from_conv_weight(Device::active(), Precision::F32, &w, &b, 1);
         assert!(
             (q.weight_bytes() as f64) < 0.3 * f.weight_bytes() as f64,
             "bf16 plane {} B vs f32 plane {} B",
@@ -361,14 +311,13 @@ mod tests {
     }
 
     #[test]
-    fn packed_forward_dispatches_all_three_paths() {
-        // Compare against the same backend the frozen weights captured
-        // (Device::active()): the dispatch contract is bitwise equality
-        // per backend, not against the scalar reference.
+    fn packed_forward_dispatches_on_the_gemm_threshold() {
+        // Compare against the same backend the frozen weights captured:
+        // the dispatch contract is bitwise equality per backend.
         let dev = Device::active();
         let w = seq_tensor(Shape::d4(3, 2, 3, 3));
         let b = seq_tensor(Shape::d1(3));
-        let p = PackedConvWeights::from_conv_weight(&w, &b, 1);
+        let p = PackedConvWeights::from_conv_weight(dev, Precision::F32, &w, &b, 1);
         // 3x3 input -> 9 px: below GEMM_THRESHOLD, direct path.
         let small = seq_tensor(Shape::d4(1, 2, 3, 3));
         assert_eq!(
@@ -376,37 +325,24 @@ mod tests {
             dev.conv2d_forward(&small, &w, &b, 1),
             "direct dispatch"
         );
-        // 6x6 input -> 36 px: mid-band, blocked on unpacked weights.
-        let mid = seq_tensor(Shape::d4(1, 2, 6, 6));
+        // 4x4 input -> 16 px: the first GEMM extent.
+        let edge = seq_tensor(Shape::d4(1, 2, 4, 4));
         assert_eq!(
-            p.forward(&mid),
-            dev.conv2d_forward_blocked(&mid, &w, &b, 1),
-            "mid-band blocked dispatch"
-        );
-        // 16x16 input -> 256 px: blocked packed path.
-        let big = seq_tensor(Shape::d4(1, 2, 16, 16));
-        assert_eq!(
-            p.forward(&big),
-            dev.conv2d_forward_blocked(&big, &w, &b, 1),
-            "blocked dispatch"
+            p.forward(&edge),
+            dev.conv2d_forward_percall(&edge, &w, &b, 1),
+            "packed dispatch"
         );
     }
 
     #[test]
     fn bf16_forward_tracks_f32_within_quantization_error() {
-        // All three output-size bands run the one packed bf16 path and
-        // must stay within the weight-quantization error envelope of
+        // Direct-band, ragged and paper-size outputs all run the one
+        // packed bf16 path and must stay within the weight-quantization error envelope of
         // the f32 plane: ~2^-8 relative per weight, k_len = 18 terms.
         let w = seq_tensor(Shape::d4(3, 2, 3, 3));
         let b = seq_tensor(Shape::d1(3));
-        let p = PackedConvWeights::from_conv_weight(&w, &b, 1);
-        let q = PackedConvWeights::from_conv_weight_as(
-            Device::active(),
-            Precision::Bf16,
-            &w,
-            &b,
-            1,
-        );
+        let p = PackedConvWeights::from_conv_weight(Device::active(), Precision::F32, &w, &b, 1);
+        let q = PackedConvWeights::from_conv_weight(Device::active(), Precision::Bf16, &w, &b, 1);
         for hw in [3usize, 6, 16] {
             let x = seq_tensor(Shape::d4(1, 2, hw, hw));
             let yf = p.forward(&x);

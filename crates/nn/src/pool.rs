@@ -65,10 +65,6 @@ impl Layer for MaxPool2d {
         y
     }
 
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        self.run_forward(x, |_, _| {})
-    }
-
     fn freeze(&self) -> Box<dyn InferLayer> {
         let mut inner = MaxPool2d::new(self.pool_h, self.pool_w);
         inner.device = self.device;
@@ -162,10 +158,6 @@ impl Layer for AvgPool2d {
         let y = self.run_forward(x);
         self.cached_in_shape = Some(x.shape().clone());
         y
-    }
-
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        self.run_forward(x)
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {

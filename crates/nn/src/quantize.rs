@@ -26,7 +26,7 @@
 
 use std::sync::OnceLock;
 
-use crate::kernels::{note_weight_pack, packed_panels_len, MR};
+use crate::kernels::{packed_panels_len, MR};
 use crate::F;
 
 /// Weight-plane storage precision for frozen inference models.
@@ -134,10 +134,8 @@ pub fn f32_to_bf16(v: f32) -> u16 {
 /// [`crate::kernels::pack_weight_panels`], narrowing each element to
 /// bf16 (RNE). `dst` must be exactly
 /// [`packed_panels_len`]`(oc, k_len)` elements; rows past `oc` are
-/// zero-filled. Counted by [`crate::kernels::weight_packs`] like every
-/// other pack.
+/// zero-filled.
 pub fn pack_weight_panels_bf16(ws: &[F], oc: usize, k_len: usize, dst: &mut [u16]) {
-    note_weight_pack();
     assert_eq!(ws.len(), oc * k_len, "pack: weight matrix size mismatch");
     assert_eq!(
         dst.len(),
@@ -196,7 +194,16 @@ mod tests {
     fn widening_is_exact_on_bf16_representable_values() {
         // Values whose low 16 f32 bits are zero survive the round trip
         // bitwise: powers of two, small integers, zero, infinities.
-        for v in [0.0f32, -0.0, 1.0, -2.0, 0.5, 96.0, f32::INFINITY, f32::MIN_POSITIVE] {
+        for v in [
+            0.0f32,
+            -0.0,
+            1.0,
+            -2.0,
+            0.5,
+            96.0,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+        ] {
             assert_eq!(bf16_to_f32(f32_to_bf16(v)).to_bits(), v.to_bits(), "{v}");
         }
     }

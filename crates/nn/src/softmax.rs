@@ -55,10 +55,6 @@ impl Layer for SpatialSoftmax {
         y
     }
 
-    fn forward_infer(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        self.run_forward(x)
-    }
-
     fn freeze(&self) -> Box<dyn InferLayer> {
         let mut inner = SpatialSoftmax::new();
         inner.device = self.device;

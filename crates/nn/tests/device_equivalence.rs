@@ -3,9 +3,9 @@
 //!
 //! The contract is two-tiered (DESIGN.md §15):
 //!
-//! * **Bitwise within a backend** — packed == blocked on the *same*
-//!   device, whichever it is. The accumulation order is part of each
-//!   backend's contract.
+//! * **Bitwise within a backend** — panels packed per call == panels
+//!   packed ahead of it on the *same* device, whichever it is. The
+//!   accumulation order is part of each backend's contract.
 //! * **ULP-bounded across backends** — the SIMD GEMMs fuse
 //!   multiply-add (one rounding instead of two), so their outputs drift
 //!   from scalar by at most the FMA reassociation error: a relative
@@ -51,22 +51,24 @@ fn assert_close(a: &Tensor<F>, b: &Tensor<F>, what: &str) -> Result<(), TestCase
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Blocked forward: SIMD within FMA-reassociation distance of
-    /// scalar. Shape exercises full MR x NR tiles, ragged row blocks
-    /// (oc = 6), and ragged column tiles (o_len = 9*7 = 63).
+    /// Per-call-packed forward (the mutable layers' entry point): SIMD
+    /// within FMA-reassociation distance of scalar. Shape exercises
+    /// full MR x NR tiles, ragged row blocks (oc = 6), and ragged
+    /// column tiles (o_len = 9*7 = 63).
     #[test]
-    fn blocked_forward_scalar_vs_simd(
+    fn percall_forward_scalar_vs_simd(
         x in arb_tensor(Shape::d4(2, 4, 9, 7)),
         w in arb_tensor(Shape::d4(6, 4, 3, 3)),
         b in arb_tensor(Shape::d1(6)),
     ) {
-        let s = Device::CpuScalar.conv2d_forward_blocked(&x, &w, &b, 1);
-        let v = Device::CpuSimd.conv2d_forward_blocked(&x, &w, &b, 1);
-        assert_close(&s, &v, "blocked forward")?;
+        let s = Device::CpuScalar.conv2d_forward_percall(&x, &w, &b, 1);
+        let v = Device::CpuSimd.conv2d_forward_percall(&x, &w, &b, 1);
+        assert_close(&s, &v, "per-call forward")?;
     }
 
-    /// Packed forward across backends — and packed == blocked bitwise
-    /// *within* each backend, the per-device accumulation contract.
+    /// Pre-packed forward across backends — and pre-packed == per-call
+    /// bitwise *within* each backend, the per-device accumulation
+    /// contract that makes frozen inference equal the training forward.
     #[test]
     fn packed_forward_scalar_vs_simd(
         x in arb_tensor(Shape::d4(1, 3, 16, 16)),
@@ -80,12 +82,11 @@ proptest! {
         let s = Device::CpuScalar.conv2d_forward_packed(&x, view, &b, 1);
         let v = Device::CpuSimd.conv2d_forward_packed(&x, view, &b, 1);
         assert_close(&s, &v, "packed forward")?;
-        for dev in [Device::CpuScalar, Device::CpuSimd] {
-            let blocked = dev.conv2d_forward_blocked(&x, &w, &b, 1);
-            let packed = dev.conv2d_forward_packed(&x, view, &b, 1);
+        for (dev, packed) in [(Device::CpuScalar, &s), (Device::CpuSimd, &v)] {
+            let percall = dev.conv2d_forward_percall(&x, &w, &b, 1);
             prop_assert_eq!(
-                blocked.as_slice(), packed.as_slice(),
-                "packed != blocked on {}", dev.name()
+                percall.as_slice(), packed.as_slice(),
+                "per-call != pre-packed on {}", dev.name()
             );
         }
     }
@@ -140,18 +141,6 @@ proptest! {
                 "bf16 != f32-on-quantized-weights on {}", dev.name()
             );
         }
-    }
-
-    /// Row-GEMM reference path across backends.
-    #[test]
-    fn gemm_forward_scalar_vs_simd(
-        x in arb_tensor(Shape::d4(1, 2, 6, 8)),
-        w in arb_tensor(Shape::d4(3, 2, 3, 3)),
-        b in arb_tensor(Shape::d1(3)),
-    ) {
-        let s = Device::CpuScalar.conv2d_forward_gemm(&x, &w, &b, 1);
-        let v = Device::CpuSimd.conv2d_forward_gemm(&x, &w, &b, 1);
-        assert_close(&s, &v, "gemm forward")?;
     }
 
     /// Weight-gradient GEMM across backends. The dot-product kernel
@@ -232,11 +221,11 @@ fn simd_plane_actually_engages_on_capable_hardware() {
         (0..576).map(|i| (i as F * 0.0811).cos()).collect(),
     );
     let b = Tensor::<F>::zeros(Shape::d1(8));
-    let s = Device::CpuScalar.conv2d_forward_blocked(&x, &w, &b, 1);
-    let v = Device::CpuSimd.conv2d_forward_blocked(&x, &w, &b, 1);
+    let s = Device::CpuScalar.conv2d_forward_percall(&x, &w, &b, 1);
+    let v = Device::CpuSimd.conv2d_forward_percall(&x, &w, &b, 1);
     assert_ne!(
         s.as_slice(),
         v.as_slice(),
-        "SIMD blocked GEMM is bitwise identical to scalar — the FMA plane is not engaging"
+        "SIMD GEMM is bitwise identical to scalar — the FMA plane is not engaging"
     );
 }

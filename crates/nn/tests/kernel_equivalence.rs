@@ -1,14 +1,24 @@
-//! Property-based equivalence suite for the three convolution forward
-//! paths: direct (`conv2d_forward`), im2col + row GEMM
-//! (`conv2d_forward_gemm`), and the register-tiled, cache-blocked
-//! micro-kernel (`conv2d_forward_blocked`).
+//! Property-based equivalence suite for the convolution forward paths
+//! against the naive reference, the direct loop nest
+//! (`conv2d_forward`):
 //!
-//! All three must agree within 1e-4 across randomized shapes, including
-//! the degenerate corners the blocked kernel's edge handling exists for:
-//! a single output channel (`oc = 1`, below the MR=4 register tile), a
-//! 1x1 kernel, a single-sample batch, and non-square fields (H != W).
+//! * the packed GEMM driver over panels packed ahead of the call (the
+//!   frozen layers' path),
+//! * the same driver packing per call (`conv2d_forward_percall`, the
+//!   mutable layers' path) — which must also equal the first bitwise,
+//! * the driver over bf16 panels, against the reference run on the
+//!   RNE-quantized twin of the weights.
+//!
+//! All must agree within 1e-4 across randomized shapes, including the
+//! degenerate corners the driver's edge handling exists for: a single
+//! output channel (`oc = 1`, below the MR=4 register tile), a 1x1
+//! kernel, a single-sample batch, and non-square fields (H != W).
 
-use adarnet_nn::kernels::{conv2d_forward, conv2d_forward_blocked, conv2d_forward_gemm};
+use adarnet_nn::kernels::{
+    conv2d_forward, conv2d_forward_packed, pack_weight_panels, packed_panels_len, PackedPanels, MR,
+};
+use adarnet_nn::quantize::{bf16_to_f32, f32_to_bf16, pack_weight_panels_bf16, PackedPanelsBf16};
+use adarnet_nn::Device;
 use adarnet_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
@@ -25,36 +35,88 @@ fn filled(shape: Shape, seed: u64, scale: f32) -> Tensor<f32> {
     )
 }
 
+/// `got` against the reference `want`, within 1e-4 relative.
+fn close(what: &str, want: &Tensor<f32>, got: &Tensor<f32>) -> Result<(), String> {
+    if want.shape() != got.shape() {
+        return Err(format!("{what}: shape {:?}", got.shape()));
+    }
+    for (i, (&d, &g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+        if (d - g).abs() > 1e-4 * (1.0 + d.abs()) {
+            return Err(format!(
+                "{what} diverges at {i}: direct={d} {what}={g} (shape {:?})",
+                want.shape()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The packed driver over `panels` against the direct loop nest.
+fn packed_agrees(
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    b: &Tensor<f32>,
+    pad: usize,
+    panels: &[f32],
+) -> Result<Tensor<f32>, String> {
+    let view = PackedPanels {
+        data: panels,
+        oc: w.dim(0),
+        ic: w.dim(1),
+        kh: w.dim(2),
+        kw: w.dim(3),
+    };
+    let packed = conv2d_forward_packed(x, view, b, pad);
+    close("packed", &conv2d_forward(x, w, b, pad), &packed)?;
+    Ok(packed)
+}
+
+fn paths_agree(
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    b: &Tensor<f32>,
+    pad: usize,
+) -> Result<(), String> {
+    let (oc, k_len) = (w.dim(0), w.dim(1) * w.dim(2) * w.dim(3));
+    let mut panels = vec![0.0f32; packed_panels_len(oc, k_len)];
+    pack_weight_panels(w.as_slice(), oc, k_len, &mut panels);
+    let packed = packed_agrees(x, w, b, pad, &panels)?;
+    let percall = Device::CpuScalar.conv2d_forward_percall(x, w, b, pad);
+    if percall != packed {
+        return Err("per-call pack != pre-packed panels (bitwise)".into());
+    }
+
+    let mut qpanels = vec![0u16; packed_panels_len(oc, k_len)];
+    pack_weight_panels_bf16(w.as_slice(), oc, k_len, &mut qpanels);
+    let qview = PackedPanelsBf16 {
+        data: &qpanels,
+        oc,
+        ic: w.dim(1),
+        kh: w.dim(2),
+        kw: w.dim(3),
+    };
+    let wq = Tensor::from_vec(
+        w.shape().clone(),
+        w.as_slice()
+            .iter()
+            .map(|&v| bf16_to_f32(f32_to_bf16(v)))
+            .collect(),
+    );
+    close(
+        "bf16",
+        &conv2d_forward(x, &wq, b, pad),
+        &Device::CpuScalar.conv2d_forward_packed_bf16(x, qview, b, pad),
+    )
+}
+
 fn assert_paths_agree(
     x: &Tensor<f32>,
     w: &Tensor<f32>,
     b: &Tensor<f32>,
     pad: usize,
 ) -> Result<(), TestCaseError> {
-    let direct = conv2d_forward(x, w, b, pad);
-    let gemm = conv2d_forward_gemm(x, w, b, pad);
-    let blocked = conv2d_forward_blocked(x, w, b, pad);
-    prop_assert_eq!(direct.shape(), gemm.shape());
-    prop_assert_eq!(direct.shape(), blocked.shape());
-    for (i, ((&d, &g), &bl)) in direct
-        .as_slice()
-        .iter()
-        .zip(gemm.as_slice())
-        .zip(blocked.as_slice())
-        .enumerate()
-    {
-        let tol = 1e-4 * (1.0 + d.abs());
-        prop_assert!(
-            (d - g).abs() <= tol,
-            "gemm diverges at {i}: direct={d} gemm={g} (shape {:?})",
-            direct.shape()
-        );
-        prop_assert!(
-            (d - bl).abs() <= tol,
-            "blocked diverges at {i}: direct={d} blocked={bl} (shape {:?})",
-            direct.shape()
-        );
-    }
+    let verdict = paths_agree(x, w, b, pad);
+    prop_assert!(verdict.is_ok(), "{:?}", verdict);
     Ok(())
 }
 
@@ -120,4 +182,23 @@ proptest! {
         let b = filled(Shape::d1(4), seed ^ 0x33, 0.1);
         assert_paths_agree(&x, &wt, &b, 1)?;
     }
+}
+
+/// Seeded bug: the comparison above must be able to fail. Panels packed
+/// with two output-channel rows swapped compute a different convolution,
+/// and the same check that passes on the honest panels must reject them.
+#[test]
+fn swapped_panel_rows_fail_the_comparison() {
+    let x = filled(Shape::d4(1, 3, 6, 7), 7, 1.0);
+    let w = filled(Shape::d4(5, 3, 3, 3), 11, 0.5);
+    let b = filled(Shape::d1(5), 13, 0.1);
+    let k_len = 3 * 3 * 3;
+    let mut panels = vec![0.0f32; packed_panels_len(5, k_len)];
+    pack_weight_panels(w.as_slice(), 5, k_len, &mut panels);
+    assert!(packed_agrees(&x, &w, &b, 1, &panels).is_ok());
+    for k in 0..k_len {
+        panels.swap(k * MR, k * MR + 1);
+    }
+    let verdict = packed_agrees(&x, &w, &b, 1, &panels);
+    assert!(verdict.is_err(), "swapped rows 0 and 1 went unnoticed");
 }

@@ -2,10 +2,12 @@
 //! operators, adjoint identities, and shape invariants.
 
 use adarnet_nn::kernels::{
-    conv2d_forward, conv2d_forward_blocked, conv2d_forward_gemm, conv2d_forward_packed,
-    flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels,
+    conv2d_forward, conv2d_forward_packed, flip_transpose_weights, pack_weight_panels,
+    packed_panels_len, PackedPanels,
 };
-use adarnet_nn::{bicubic_resize3, bicubic_resize3_adjoint, Layer, MaxPool2d, SpatialSoftmax};
+use adarnet_nn::{
+    bicubic_resize3, bicubic_resize3_adjoint, Device, Layer, MaxPool2d, SpatialSoftmax,
+};
 use adarnet_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
@@ -36,7 +38,8 @@ proptest! {
         }
     }
 
-    /// The GEMM path agrees with the direct path on arbitrary inputs.
+    /// The packed GEMM (packing per call, as the mutable layers do)
+    /// agrees with the direct path on arbitrary inputs.
     #[test]
     fn gemm_agrees_with_direct(x in arb_tensor(Shape::d4(2, 3, 6, 4))) {
         let w = Tensor::from_vec(
@@ -45,23 +48,23 @@ proptest! {
         );
         let b = Tensor::from_vec(Shape::d1(2), vec![0.1, -0.2]);
         let d = conv2d_forward(&x, &w, &b, 1);
-        let g = conv2d_forward_gemm(&x, &w, &b, 1);
+        let g = Device::CpuScalar.conv2d_forward_percall(&x, &w, &b, 1);
         for (a, bv) in d.as_slice().iter().zip(g.as_slice()) {
             prop_assert!((a - bv).abs() < 1e-4 * (1.0 + a.abs()));
         }
     }
 
-    /// The pre-packed-weights path is **bitwise** identical to the
-    /// per-call-packing blocked path on arbitrary inputs, weights, and
-    /// shapes — the frozen model's packed panels must replay the exact
+    /// Panels packed ahead of the call are **bitwise** identical to
+    /// packing per call on arbitrary inputs, weights, and shapes — the
+    /// frozen model's panels must replay the training forward's exact
     /// accumulation order, not merely approximate it.
     #[test]
-    fn packed_bitwise_identical_to_blocked(
+    fn prepacked_bitwise_identical_to_percall(
         x in arb_tensor(Shape::d4(2, 3, 9, 7)),
         w in arb_tensor(Shape::d4(5, 3, 3, 3)),
         b in arb_tensor(Shape::d1(5)),
     ) {
-        let blocked = conv2d_forward_blocked(&x, &w, &b, 1);
+        let percall = Device::CpuScalar.conv2d_forward_percall(&x, &w, &b, 1);
         let k_len = 3 * 3 * 3;
         let mut panels = vec![0.0f32; packed_panels_len(5, k_len)];
         pack_weight_panels(w.as_slice(), 5, k_len, &mut panels);
@@ -71,7 +74,7 @@ proptest! {
             &b,
             1,
         );
-        prop_assert_eq!(blocked.as_slice(), packed.as_slice());
+        prop_assert_eq!(percall.as_slice(), packed.as_slice());
     }
 
     /// Bicubic adjoint identity <A x, y> == <x, A^T y> on arbitrary fields.

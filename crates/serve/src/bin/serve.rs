@@ -13,18 +13,10 @@
 //! to demonstrate load shedding: the overflow is answered with degraded
 //! bin-0 responses, counted, and reported.
 //!
-//! An `engine_comparison` phase pits the lock-free shared engine (one
-//! `Arc<InferenceEngine>` behind N worker slots) against the old
-//! replica-per-worker architecture (N mutex-guarded engine copies
-//! behind the same N slots). Worker concurrency is identical on both
-//! sides, so the measured difference is engine sharing itself — lock
-//! acquisition plus weight-cache residency — reported as throughput
-//! and resident weight bytes for both.
-//!
 //! A `precision_comparison` phase hydrates an f32 and a bf16 engine
 //! from the same checkpoint (narrowing happens at freeze, as the
-//! registry does it for routed requests) and measures both under the
-//! identical worker-slot discipline, interleaved best-of-3: throughput,
+//! registry does it for routed requests) and measures both under one
+//! worker-slot discipline, interleaved best-of-3: throughput,
 //! resident weight bytes, and the bf16/f32 ratios of each.
 //!
 //! Subcommand:
@@ -62,20 +54,6 @@ struct SaturationReport {
 }
 
 #[derive(Serialize)]
-struct EngineComparison {
-    clients: usize,
-    requests_per_client: usize,
-    shared_throughput_rps: f64,
-    /// Resident frozen-weight bytes with one shared engine.
-    shared_weight_bytes_resident: u64,
-    replica_workers: usize,
-    replica_throughput_rps: f64,
-    /// Resident weight bytes with one engine copy per worker.
-    replica_weight_bytes_resident: u64,
-    shared_vs_replica_speedup: f64,
-}
-
-#[derive(Serialize)]
 struct PrecisionComparison {
     clients: usize,
     requests_per_client: usize,
@@ -100,7 +78,6 @@ struct BenchOutput {
     runs: Vec<LoadReport>,
     batched_vs_unbatched_speedup_at_max_concurrency: f64,
     saturation: SaturationReport,
-    engine_comparison: EngineComparison,
     precision_comparison: PrecisionComparison,
 }
 
@@ -134,8 +111,8 @@ fn closed_loop_rps(
 }
 
 /// A counting semaphore bounding in-flight inferences to the worker
-/// count, so both engine architectures run under the same concurrency
-/// discipline and only the engine-sharing strategy differs.
+/// count, so both weight planes run under the same concurrency
+/// discipline and only the plane differs.
 struct WorkerSlots {
     free: std::sync::Mutex<usize>,
     cv: std::sync::Condvar,
@@ -163,93 +140,15 @@ impl WorkerSlots {
     }
 }
 
-/// Shared lock-free engine vs. the old replica-per-worker shape: same
-/// offered load (closed-loop clients) and the same worker concurrency
-/// (`replica_workers` slots) on both sides; resident weight bytes and
-/// throughput for both.
-fn engine_comparison(
-    ckpt: &adarnet_core::ModelCheckpoint,
-    pool: &[adarnet_tensor::Tensor<f32>],
-    clients: usize,
-    requests: usize,
-) -> EngineComparison {
-    use adarnet_core::InferenceEngine;
-    let replica_workers = 4usize;
-
-    // Shared: one engine; up to `replica_workers` in-flight inferences
-    // drive it concurrently with no lock.
-    let shared = Arc::new(InferenceEngine::from_checkpoint(ckpt).expect("bench ckpt restores"));
-    let shared_weight_bytes = shared.weight_bytes() as u64;
-    let slots = WorkerSlots::new(replica_workers);
-    let shared_infer = |f: &adarnet_tensor::Tensor<f32>| {
-        slots.run(|| shared.infer(f).expect("bench inference").recycle());
-    };
-
-    // Replica-per-worker: N mutex-guarded copies (the pre-refactor
-    // worker owned its engine exclusively; the mutex reproduces that
-    // exclusivity). With at most N in flight and N replicas, a free
-    // engine always exists; the scan finds it without queueing behind
-    // a busy one.
-    let replicas: Vec<std::sync::Mutex<InferenceEngine>> = (0..replica_workers)
-        .map(|_| {
-            std::sync::Mutex::new(
-                InferenceEngine::from_checkpoint(ckpt).expect("bench ckpt restores"),
-            )
-        })
-        .collect();
-    let replica_weight_bytes = replicas
-        .iter()
-        .map(|m| m.lock().expect("bench mutex").weight_bytes() as u64)
-        .sum::<u64>();
-    let slots = WorkerSlots::new(replica_workers);
-    let replica_infer = |f: &adarnet_tensor::Tensor<f32>| {
-        slots.run(|| loop {
-            for m in &replicas {
-                if let Ok(engine) = m.try_lock() {
-                    engine.infer(f).expect("bench inference").recycle();
-                    return;
-                }
-            }
-            std::thread::yield_now();
-        });
-    };
-    // Interleaved best-of-reps (the obs_overhead gate's discipline):
-    // alternating shared/replica measurements cancels machine drift on
-    // the shared 1-core VM, and the per-side max is the cleanest
-    // estimate of each architecture's capability. One untimed round
-    // first warms the workspace pool and page cache for both.
-    let warmup = requests.div_ceil(4);
-    closed_loop_rps(pool, clients, warmup, shared_infer);
-    closed_loop_rps(pool, clients, warmup, replica_infer);
-    let (mut shared_rps, mut replica_rps) = (0.0f64, 0.0f64);
-    for _ in 0..3 {
-        shared_rps = shared_rps.max(closed_loop_rps(pool, clients, requests, shared_infer));
-        replica_rps = replica_rps.max(closed_loop_rps(pool, clients, requests, replica_infer));
-    }
-
-    EngineComparison {
-        clients,
-        requests_per_client: requests,
-        shared_throughput_rps: shared_rps,
-        shared_weight_bytes_resident: shared_weight_bytes,
-        replica_workers,
-        replica_throughput_rps: replica_rps,
-        replica_weight_bytes_resident: replica_weight_bytes,
-        shared_vs_replica_speedup: if replica_rps > 0.0 {
-            shared_rps / replica_rps
-        } else {
-            0.0
-        },
-    }
-}
-
 /// The f32 plane vs. the bf16 plane, hydrated from the same checkpoint
 /// (narrowing happens at freeze, exactly as the serving registry does
-/// for per-request routing). Same worker-slot discipline and
-/// interleaved best-of-3 measurement as [`engine_comparison`], so the
-/// only difference under test is the weight plane itself: half-size
-/// packed panels plus the per-call widening stage against full f32
-/// panels.
+/// for per-request routing). Both sides run behind the same number of
+/// worker slots, measured interleaved best-of-3 (alternating cancels
+/// machine drift on the shared host, and the per-side max is the
+/// cleanest estimate of each plane's capability) after one untimed
+/// warm-up round, so the only difference under test is the weight
+/// plane itself: half-size packed panels plus the per-call widening
+/// stage against full f32 panels.
 fn precision_comparison(
     ckpt: &adarnet_core::ModelCheckpoint,
     pool: &[adarnet_tensor::Tensor<f32>],
@@ -294,7 +193,11 @@ fn precision_comparison(
         f32_weight_bytes_resident: f32_weight_bytes,
         bf16_throughput_rps: bf16_rps,
         bf16_weight_bytes_resident: bf16_weight_bytes,
-        bf16_vs_f32_speedup: if f32_rps > 0.0 { bf16_rps / f32_rps } else { 0.0 },
+        bf16_vs_f32_speedup: if f32_rps > 0.0 {
+            bf16_rps / f32_rps
+        } else {
+            0.0
+        },
         bf16_vs_f32_weight_bytes: if f32_weight_bytes > 0 {
             bf16_weight_bytes as f64 / f32_weight_bytes as f64
         } else {
@@ -485,18 +388,6 @@ fn main() {
         }
     };
 
-    // Shared-engine vs. replica-per-worker at the highest concurrency.
-    let comparison = engine_comparison(&ckpt, &pool, 32, requests_per_client);
-    println!(
-        "engine: shared {:.2} req/s ({} B resident) vs {}x replicas {:.2} req/s ({} B resident) -> {:.2}x",
-        comparison.shared_throughput_rps,
-        comparison.shared_weight_bytes_resident,
-        comparison.replica_workers,
-        comparison.replica_throughput_rps,
-        comparison.replica_weight_bytes_resident,
-        comparison.shared_vs_replica_speedup,
-    );
-
     // f32 vs. bf16 weight plane from the same checkpoint, same load.
     let precision = precision_comparison(&ckpt, &pool, 32, requests_per_client);
     println!(
@@ -518,7 +409,6 @@ fn main() {
         runs,
         batched_vs_unbatched_speedup_at_max_concurrency: speedup_at_max,
         saturation,
-        engine_comparison: comparison,
         precision_comparison: precision,
     };
     let json = serde_json::to_string_pretty(&output).expect("report serializes");

@@ -58,17 +58,20 @@ pub struct ActiveModel {
     pub checkpoint: Arc<ModelCheckpoint>,
 }
 
+/// One precision's shared engine, keyed by the generation it was built
+/// from.
+type EngineSlot = RwLock<Option<(u64, Arc<InferenceEngine>)>>;
+
 /// Named-checkpoint store with one hot-swappable active model.
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Arc<ModelCheckpoint>>>,
     active: RwLock<Option<ActiveModel>>,
     generation: AtomicU64,
     /// Lazily built shared engines for the active model, one slot per
-    /// weight-plane [`Precision`] (indexed by [`Precision::index`]),
-    /// each keyed by the generation it was built from. One engine per
-    /// requested precision serves every worker; precisions nobody
-    /// routes to are never built.
-    engines: [RwLock<Option<(u64, Arc<InferenceEngine>)>>; PRECISION_COUNT],
+    /// weight-plane [`Precision`] (indexed by [`Precision::index`]).
+    /// One engine per requested precision serves every worker;
+    /// precisions nobody routes to are never built.
+    engines: [EngineSlot; PRECISION_COUNT],
 }
 
 impl Default for ModelRegistry {

@@ -540,12 +540,14 @@ impl Server {
     }
 
     /// Whether `field` matches the active model's input contract: a
-    /// rank-3 `(C, H, W)` tensor with the configured channel count and
-    /// extents the patch grid tiles. Callers handing the server
-    /// externally-sourced fields (the wire front end) must check this
-    /// before submitting — a mismatched field cannot even be answered
-    /// degraded, because the bin-0 fallback extracts patches at the
-    /// model's own geometry.
+    /// rank-3 `(C, H, W)` tensor with the configured channel count,
+    /// extents the patch grid tiles, and only finite values. Callers
+    /// handing the server externally-sourced fields (the wire front
+    /// end) must check this before submitting — a mismatched field
+    /// cannot even be answered degraded, because the bin-0 fallback
+    /// extracts patches at the model's own geometry, and a non-finite
+    /// one would come back as a well-formed prediction (ReLU and
+    /// max-pool drop NaN; the layers' finite guards are debug-only).
     pub fn field_matches_model(&self, field: &Tensor<f32>) -> bool {
         let (_, cfg) = self.shared.shed_params();
         field.shape().rank() == 3
@@ -554,6 +556,7 @@ impl Server {
             && field.dim(2) > 0
             && field.dim(1).is_multiple_of(cfg.ph)
             && field.dim(2).is_multiple_of(cfg.pw)
+            && field.all_finite()
     }
 
     /// Requests currently queued across all lanes.

@@ -195,8 +195,8 @@ fn registry_checkpoint_roundtrip_hot_swap_bitwise_identical() {
     assert_eq!(server.stats().engine_swaps, 1);
 
     // The served result must be bitwise what model A computes directly.
-    let mut direct = checkpoint::load_file(&path).map(|(m, _)| m).unwrap();
-    let expected = direct.predict(&field);
+    let direct = checkpoint::load_file(&path).map(|(m, _)| m).unwrap();
+    let expected = direct.freeze().try_predict(&field).unwrap();
     assert_predictions_bitwise_eq(&after_swap.prediction, &expected);
 
     // And differ from model B's output (the swap really happened).

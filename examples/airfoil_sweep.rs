@@ -40,12 +40,19 @@ fn main() {
         trainer.train_epoch(&train);
     }
 
+    let frozen = trainer.model.freeze();
+    let predict = |lr: &adarnet_tensor::Tensor<f32>| {
+        frozen
+            .try_predict(&trainer.norm.normalize(lr))
+            .expect("a trained scorer emits finite scores")
+    };
+
     // Sweep the aspect-ratio family at a fixed flow condition.
     println!("\naspect  active-cells  fraction  mem-reduction");
     for &aspect in &ELLIPSE_ASPECTS {
         let case = CaseConfig::ellipse(aspect, 2.0, 7e4);
         let lr = adarnet_dataset::synthesize(&case, h, w);
-        let pred = trainer.model.predict(&trainer.norm.normalize(&lr));
+        let pred = predict(&lr);
         let map = pred.refinement_map(3);
         let uniform = map.layout().num_patches() * map.layout().patch_cells(3);
         println!(
@@ -64,7 +71,7 @@ fn main() {
         CaseConfig::naca1412(2.5e4),
     ] {
         let lr = adarnet_dataset::synthesize(&case, h, w);
-        let pred = trainer.model.predict(&trainer.norm.normalize(&lr));
+        let pred = predict(&lr);
         let map = pred.refinement_map(3);
         println!("\n{} (levels 0-3):", case.name);
         print!("{}", map.ascii());

@@ -53,7 +53,11 @@ fn main() {
 
     // ADARNet one-shot mesh for the unseen cylinder.
     let lr = adarnet_dataset::synthesize(&case, 32, 128);
-    let pred = trainer.model.predict(&trainer.norm.normalize(&lr));
+    let pred = trainer
+        .model
+        .freeze()
+        .try_predict(&trainer.norm.normalize(&lr))
+        .expect("a trained scorer emits finite scores");
     let adarnet_map = pred.refinement_map(3);
 
     // Iterative AMR baseline (feature-based on grad nu_tilde).

@@ -51,7 +51,11 @@ fn main() {
     // 4. One-shot non-uniform SR on an unseen case.
     let unseen = adarnet_cfd::CaseConfig::channel(2.5e3); // test Re (§5)
     let lr = adarnet_dataset::synthesize(&unseen, 32, 128);
-    let pred = trainer.model.predict(&trainer.norm.normalize(&lr));
+    let pred = trainer
+        .model
+        .freeze()
+        .try_predict(&trainer.norm.normalize(&lr))
+        .expect("a trained scorer emits finite scores");
     let map = pred.refinement_map(3);
     println!(
         "\npredicted refinement map for {} (levels 0-3):",

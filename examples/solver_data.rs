@@ -70,7 +70,11 @@ fn main() {
     let mut test_case = CaseConfig::channel(2.5e3);
     test_case.lx = 1.0;
     let (lr, _) = solve_lr_sample(&test_case, layout, solver_cfg);
-    let pred = trainer.model.predict(&trainer.norm.normalize(&lr));
+    let pred = trainer
+        .model
+        .freeze()
+        .try_predict(&trainer.norm.normalize(&lr))
+        .expect("a trained scorer emits finite scores");
     println!(
         "\n{} refinement map from solver-data-trained model:",
         test_case.name

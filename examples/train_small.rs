@@ -58,13 +58,16 @@ fn main() {
     println!("\nbest validation loss: {best:.4e} (paper reaches 9e-6 at full scale)");
 
     // Show where the trained scorer refines each family.
+    let frozen = trainer.model.freeze();
     for case in [
         adarnet_cfd::CaseConfig::channel(2.5e3),
         adarnet_cfd::CaseConfig::flat_plate(2.5e5),
         adarnet_cfd::CaseConfig::cylinder(1e5),
     ] {
         let lr = adarnet_dataset::synthesize(&case, 32, 128);
-        let pred = trainer.model.predict(&trainer.norm.normalize(&lr));
+        let pred = frozen
+            .try_predict(&trainer.norm.normalize(&lr))
+            .expect("a trained scorer emits finite scores");
         println!("\n{}:", case.name);
         print!("{}", pred.refinement_map(3).ascii());
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build, test, repo lint, model check, clippy, format — all
-# must pass.
+# CI gate: build, test, ledger build + test, repo lint, model check,
+# clippy, format — all must pass.
 #
 #   ./scripts/ci.sh          # full gate
 #   SKIP_SLOW=1 ./scripts/ci.sh   # skip the (slow) workspace test suite
@@ -19,6 +19,13 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
   cargo test -q --workspace
 fi
 
+echo "==> ledger (the BENCHMARK.json package builds and passes its own tests)"
+# The ledger is a workspace of its own that imports the crates' public
+# API; an API deletion that breaks the benchmark must fail here, before
+# the pipeline that runs it does.
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test --release --offline --manifest-path ledger/Cargo.toml
+
 echo "==> repo lint (crates/check)"
 cargo run --release -q -p check --bin lint
 
@@ -35,13 +42,12 @@ fi
 echo "==> bench-smoke (kernel regression + backend gates)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
   # Tiny measurement budget, both backends; fails if any (shape,
-  # backend) row's blocked path runs >1.5x slower than the committed
-  # BENCH_kernels.json baseline, if the dispatched packed path drops
-  # below the smoke floor of blocked throughput, if the bf16 packed
-  # plane falls below the smoke floor of the dispatched f32 path on
-  # any packed-eligible row (--gate-bf16), or (--gate-simd, on
-  # AVX2/FMA hosts) if the SIMD plane's bin-3 blocked GEMM fails to
-  # reach 1.5x scalar in the same run.
+  # backend) row's packed path runs >1.5x slower than the committed
+  # BENCH_kernels.json baseline, if the bf16 packed plane falls below
+  # the smoke floor of the f32 packed path on any packed-eligible row
+  # (--gate-bf16), or (--gate-simd, on AVX2/FMA hosts) if the SIMD
+  # plane's bin-3 packed GEMM fails to reach 1.5x scalar in the same
+  # run.
   cargo run --release -q -p adarnet-bench --bin kernels -- --smoke --gate-simd --gate-bf16 --check-against BENCH_kernels.json
 else
   echo "    skipped (SKIP_SLOW=1): timing gate is meaningless on a loaded machine"

@@ -76,9 +76,13 @@ fn scorer_learns_to_refine_near_wall_patches() {
     // concentrated near the walls; with a 16-row field and 8-row patches,
     // both patch rows touch a wall, so instead check the score supervision
     // directly: wall-adjacent columns of a taller field.
-    let mut trainer = trained_channel_trainer(2);
+    let trainer = trained_channel_trainer(2);
     let test = channel_sample(2.5e3, 1.0, 16, 32);
-    let pred = trainer.model.predict(&trainer.norm.normalize(&test.field));
+    let pred = trainer
+        .model
+        .freeze()
+        .try_predict(&trainer.norm.normalize(&test.field))
+        .unwrap();
     let map = pred.refinement_map(3);
     // The prediction must refine *something* and keep *something* coarse
     // (non-degenerate adaptivity).
@@ -132,11 +136,15 @@ fn adarnet_prediction_accelerates_physics_convergence() {
 
 #[test]
 fn physics_solver_reduces_residual_from_prediction() {
-    let mut trainer = trained_channel_trainer(2);
+    let trainer = trained_channel_trainer(2);
     let mut case = CaseConfig::channel(2.5e3);
     case.lx = 1.0;
     let lr_field = synthesize(&case, 16, 32);
-    let pred = trainer.model.predict(&trainer.norm.normalize(&lr_field));
+    let pred = trainer
+        .model
+        .freeze()
+        .try_predict(&trainer.norm.normalize(&lr_field))
+        .unwrap();
     let state = adarnet_core::framework::prediction_to_state(&pred, &trainer.norm, 3);
     let mesh = CaseMesh::new(case, pred.refinement_map(3));
     let mut state = state;
@@ -164,9 +172,13 @@ fn physics_solver_reduces_residual_from_prediction() {
 
 #[test]
 fn nonuniform_prediction_is_cheaper_than_uniform() {
-    let mut trainer = trained_channel_trainer(2);
+    let trainer = trained_channel_trainer(2);
     let test = channel_sample(2.5e3, 1.0, 16, 32);
-    let pred = trainer.model.predict(&trainer.norm.normalize(&test.field));
+    let pred = trainer
+        .model
+        .freeze()
+        .try_predict(&trainer.norm.normalize(&test.field))
+        .unwrap();
     let uniform_hr = 16 * 32 * 64;
     assert!(
         pred.active_cells() < uniform_hr,

@@ -18,10 +18,10 @@ proptest! {
     /// domain: one patch per layout slot, each at its bin's resolution.
     #[test]
     fn prediction_always_tiles_domain(field in arb_field(16, 16)) {
-        let mut model = AdarNet::new(AdarNetConfig {
+        let model = AdarNet::new(AdarNetConfig {
             ph: 8, pw: 8, seed: 1, ..AdarNetConfig::default()
         });
-        let pred = model.predict(&field);
+        let pred = model.freeze().try_predict(&field).unwrap();
         prop_assert_eq!(pred.patches.len(), 4);
         for (idx, p) in pred.patches.iter().enumerate() {
             let level = pred.binning.level_of(idx);
@@ -82,10 +82,10 @@ proptest! {
     /// and reproduce active-cell accounting.
     #[test]
     fn refinement_map_accounting(field in arb_field(16, 16)) {
-        let mut model = AdarNet::new(AdarNetConfig {
+        let model = AdarNet::new(AdarNetConfig {
             ph: 8, pw: 8, seed: 2, ..AdarNetConfig::default()
         });
-        let pred = model.predict(&field);
+        let pred = model.freeze().try_predict(&field).unwrap();
         let map = pred.refinement_map(3);
         prop_assert_eq!(map.active_cells(), pred.active_cells());
         prop_assert!(map.active_fraction() <= 1.0);

@@ -53,7 +53,7 @@ fn amr_iterative_overhead_exists() {
 /// that leaves patches coarse wins memory.
 #[test]
 fn memory_reduction_tracks_active_cells() {
-    let mut model = AdarNet::new(AdarNetConfig {
+    let model = AdarNet::new(AdarNetConfig {
         ph: 8,
         pw: 8,
         seed: 21,
@@ -63,7 +63,7 @@ fn memory_reduction_tracks_active_cells() {
         Shape::d3(4, 16, 32),
         (0..4 * 512).map(|i| ((i as f32) * 0.019).sin()).collect(),
     );
-    let pred = model.predict(&x);
+    let pred = model.freeze().try_predict(&x).unwrap();
     let map = pred.refinement_map(3);
     let rf = memory::reduction_factor(&map);
     let uniform_cells = map.layout().num_patches() * map.layout().patch_cells(3);
