@@ -96,17 +96,22 @@ impl ForwardPlan {
         let mut with_coords = Tensor::<f32>::pooled_scratch(Shape::d3(c_aug + 2, th, tw));
         with_coords.as_mut_slice()[..c_aug * th * tw].copy_from_slice(refined.as_slice());
         refined.recycle();
-        // Global normalized coordinates of each pixel center.
+        // Global normalized coordinates of each pixel center: x varies
+        // along a row only, so one row is computed and copied down; y is
+        // constant along a row.
         let fh = (layout.coarse_h()) as f32;
         let fw = (layout.coarse_w()) as f32;
         let scale = (1usize << level) as f32;
-        for i in 0..th {
-            let ycoord = (py as f32 * layout.ph as f32 + (i as f32 + 0.5) / scale) / fh;
-            for j in 0..tw {
-                let xcoord = (px as f32 * layout.pw as f32 + (j as f32 + 0.5) / scale) / fw;
-                with_coords.set3(c_aug, i, j, xcoord);
-                with_coords.set3(c_aug + 1, i, j, ycoord);
-            }
+        let (xs, ys) = with_coords.as_mut_slice()[c_aug * th * tw..].split_at_mut(th * tw);
+        let (x_row, x_rest) = xs.split_at_mut(tw);
+        for (j, x) in x_row.iter_mut().enumerate() {
+            *x = (px as f32 * layout.pw as f32 + (j as f32 + 0.5) / scale) / fw;
+        }
+        for row in x_rest.chunks_exact_mut(tw) {
+            row.copy_from_slice(x_row);
+        }
+        for (i, row) in ys.chunks_exact_mut(tw).enumerate() {
+            row.fill((py as f32 * layout.ph as f32 + (i as f32 + 0.5) / scale) / fh);
         }
         with_coords
     }
@@ -528,6 +533,30 @@ mod tests {
         assert!(first >= 0.0 && last <= 1.0 && first < last);
         // Patch 0 occupies the left quarter of a 32-wide field.
         assert!(last < 0.3, "x coord of patch 0 should stay below 0.25ish");
+    }
+
+    #[test]
+    fn coordinate_channels_are_the_per_pixel_formula_bitwise() {
+        // The channels are filled a row at a time; every pixel must
+        // still carry exactly what the per-pixel expression gives,
+        // since the patch cache keys on these bytes.
+        let mut m = tiny_model();
+        let plan = m.plan(&sample(16, 32));
+        let layout = plan.layout;
+        let (fh, fw) = (layout.coarse_h() as f32, layout.coarse_w() as f32);
+        for idx in 0..layout.num_patches() {
+            let d = plan.decoder_input(idx);
+            let (py, px) = layout.coords(idx);
+            let scale = (1usize << plan.binning.level_of(idx)) as f32;
+            for i in 0..d.dim(1) {
+                let y = (py as f32 * layout.ph as f32 + (i as f32 + 0.5) / scale) / fh;
+                for j in 0..d.dim(2) {
+                    let x = (px as f32 * layout.pw as f32 + (j as f32 + 0.5) / scale) / fw;
+                    assert_eq!(d.get3(5, i, j).to_bits(), x.to_bits());
+                    assert_eq!(d.get3(6, i, j).to_bits(), y.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,14 @@ fn taps(dst: usize, scale: f64, src_len: usize) -> ([usize; 4], [f64; 4]) {
 }
 
 /// Bicubic-resize a rank-3 `(C, H, W)` tensor to `(C, out_h, out_w)`.
+///
+/// Two separable passes per channel. The horizontal pass resamples each
+/// source row some output row reads to `out_w` f64 values; the vertical
+/// pass folds four of those rows into one output row over contiguous
+/// slices. Each sum runs in the fused 16-tap gather's order (`kx`, then
+/// `ky`, both from `0.0`), so the result is the gather's bit for bit —
+/// the `separable_matches_16_tap_gather_bitwise` table below holds it
+/// there, and with it patch-cache keys and the trainer's loss.
 pub fn bicubic_resize3(x: &Tensor<F>, out_h: usize, out_w: usize) -> Tensor<F> {
     assert_eq!(
         x.shape().rank(),
@@ -63,30 +71,47 @@ pub fn bicubic_resize3(x: &Tensor<F>, out_h: usize, out_w: usize) -> Tensor<F> {
     let scale_y = h as f64 / out_h as f64;
     let scale_x = w as f64 / out_w as f64;
 
-    // Precompute per-row and per-column taps (separable kernel).
     let ytaps: Vec<_> = (0..out_h).map(|oy| taps(oy, scale_y, h)).collect();
     let xtaps: Vec<_> = (0..out_w).map(|ox| taps(ox, scale_x, w)).collect();
+    // Downsampling skips source rows; resample only the ones read.
+    let mut row_read = vec![false; h];
+    for (yi, _) in &ytaps {
+        for &r in yi {
+            row_read[r] = true;
+        }
+    }
 
     // Every output element is written below, so unspecified pooled
     // contents are fine — this runs once per refined patch per inference.
     let mut out = Tensor::<F>::pooled_scratch(Shape::d3(c, out_h, out_w));
-    let xs = x.as_slice();
-    let os = out.as_mut_slice();
-    for ci in 0..c {
-        let xbase = ci * h * w;
-        let obase = ci * out_h * out_w;
-        for (oy, (yi, yw)) in ytaps.iter().enumerate() {
-            for (ox, (xi, xw)) in xtaps.iter().enumerate() {
+    let mut rows = vec![0.0f64; h * out_w];
+    for (src, dst) in x
+        .as_slice()
+        .chunks_exact(h * w)
+        .zip(out.as_mut_slice().chunks_exact_mut(out_h * out_w))
+    {
+        for (r, row) in rows.chunks_exact_mut(out_w).enumerate() {
+            if !row_read[r] {
+                continue;
+            }
+            let src_row = &src[r * w..(r + 1) * w];
+            for (racc, (xi, xw)) in row.iter_mut().zip(&xtaps) {
                 let mut acc = 0.0f64;
-                for ky in 0..4 {
-                    let row = xbase + yi[ky] * w;
-                    let mut racc = 0.0f64;
-                    for kx in 0..4 {
-                        racc += xw[kx] * xs[row + xi[kx]] as f64;
-                    }
-                    acc += yw[ky] * racc;
+                for kx in 0..4 {
+                    acc += xw[kx] * src_row[xi[kx]] as f64;
                 }
-                os[obase + oy * out_w + ox] = acc as F;
+                *racc = acc;
+            }
+        }
+        for (dst_row, (yi, yw)) in dst.chunks_exact_mut(out_w).zip(&ytaps) {
+            let [r0, r1, r2, r3] = yi.map(|r| &rows[r * out_w..(r + 1) * out_w]);
+            for ((((o, p0), p1), p2), p3) in dst_row.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                let mut acc = 0.0f64;
+                acc += yw[0] * p0;
+                acc += yw[1] * p1;
+                acc += yw[2] * p2;
+                acc += yw[3] * p3;
+                *o = acc as F;
             }
         }
     }
@@ -148,6 +173,105 @@ pub fn bicubic_resize4_adjoint(dy: &Tensor<F>, in_h: usize, in_w: usize) -> Tens
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fused 16-tap gather `bicubic_resize3` was before it went
+    /// separable, kept as the bitwise reference. `yw_order` permutes the
+    /// vertical weights; anything but `[0, 1, 2, 3]` is a seeded bug.
+    fn gather16(x: &Tensor<F>, out_h: usize, out_w: usize, yw_order: [usize; 4]) -> Tensor<F> {
+        let (c, h, w) = (x.dim(0), x.dim(1), x.dim(2));
+        let ytaps: Vec<_> = (0..out_h)
+            .map(|oy| taps(oy, h as f64 / out_h as f64, h))
+            .collect();
+        let xtaps: Vec<_> = (0..out_w)
+            .map(|ox| taps(ox, w as f64 / out_w as f64, w))
+            .collect();
+        let mut out = Tensor::<F>::zeros(Shape::d3(c, out_h, out_w));
+        let xs = x.as_slice();
+        let os = out.as_mut_slice();
+        for ci in 0..c {
+            let xbase = ci * h * w;
+            let obase = ci * out_h * out_w;
+            for (oy, (yi, yw)) in ytaps.iter().enumerate() {
+                for (ox, (xi, xw)) in xtaps.iter().enumerate() {
+                    let mut acc = 0.0f64;
+                    for ky in 0..4 {
+                        let row = xbase + yi[ky] * w;
+                        let mut racc = 0.0f64;
+                        for kx in 0..4 {
+                            racc += xw[kx] * xs[row + xi[kx]] as f64;
+                        }
+                        acc += yw[yw_order[ky]] * racc;
+                    }
+                    os[obase + oy * out_w + ox] = acc as F;
+                }
+            }
+        }
+        out
+    }
+
+    /// Seeded, sign-mixed, non-smooth values with a few exact zeros of
+    /// both signs, so a dropped `0.0 +` or a reordered sum shows.
+    fn seeded(c: usize, h: usize, w: usize) -> Tensor<F> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ ((c * 31 + h) * 31 + w) as u64;
+        let data = (0..c * h * w)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match i % 17 {
+                    5 => 0.0,
+                    11 => -0.0,
+                    _ => ((state >> 40) as F / (1u64 << 23) as F - 1.0) * 3.0,
+                }
+            })
+            .collect();
+        Tensor::from_vec(Shape::d3(c, h, w), data)
+    }
+
+    fn bits(t: &Tensor<F>) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn separable_matches_16_tap_gather_bitwise() {
+        // (source h, w) -> (target h, w): the decoder's refinements, the
+        // identity, a non-square non-integer ratio, the loss's
+        // downsampling direction, and sources with every tap clamped.
+        let table = [
+            ((16, 16), (32, 32)),
+            ((16, 16), (64, 64)),
+            ((16, 16), (128, 128)),
+            ((8, 8), (16, 16)),
+            ((8, 8), (64, 64)),
+            ((16, 16), (16, 16)),
+            ((7, 9), (21, 30)),
+            ((128, 128), (16, 16)),
+            ((64, 64), (8, 8)),
+            ((1, 1), (4, 5)),
+            ((2, 3), (8, 6)),
+        ];
+        for ((h, w), (oh, ow)) in table {
+            for c in 1..=5 {
+                let x = seeded(c, h, w);
+                let got = bicubic_resize3(&x, oh, ow);
+                let want = gather16(&x, oh, ow, [0, 1, 2, 3]);
+                assert_eq!(got.shape(), want.shape());
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{c}x{h}x{w} -> {oh}x{ow}: separable differs from the gather"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bitwise_table_catches_swapped_vertical_weights() {
+        let x = seeded(3, 16, 16);
+        let got = bicubic_resize3(&x, 64, 64);
+        let bugged = gather16(&x, 64, 64, [1, 0, 2, 3]);
+        assert_ne!(bits(&got), bits(&bugged), "a swapped yw pair must show");
+    }
 
     #[test]
     fn kernel_partition_of_unity_at_integers() {

@@ -65,13 +65,20 @@ pub fn infer_cached(
     for bin in 0..bins {
         // Gather this bin's (sample, patch) pairs across the whole
         // micro-batch, resolving cache hits up front.
-        let mut owners: Vec<(usize, usize, PatchKey)> = Vec::new();
+        // A disabled cache gets no key (a full copy and hash of the
+        // decoder input), only its miss counted.
+        let mut owners: Vec<(usize, usize, Option<PatchKey>)> = Vec::new();
         let mut inputs: Vec<Tensor<f32>> = Vec::new();
         for (si, plan) in plans.iter().enumerate() {
             for &pi in &plan.binning.groups[bin as usize] {
                 let dec_in = plan.decoder_input(pi);
-                let key = PatchKey::new(generation, bin, &dec_in);
-                if let Some(hit) = cache.get(&key) {
+                let key = cache
+                    .enabled()
+                    .then(|| PatchKey::new(generation, bin, &dec_in));
+                if key.is_none() {
+                    cache.record_miss();
+                }
+                if let Some(hit) = key.as_ref().and_then(|k| cache.get(k)) {
                     outputs[si][pi] = Some(hit);
                 } else {
                     owners.push((si, pi, key));
@@ -115,7 +122,9 @@ pub fn infer_cached(
             let image = out.pooled_image(k);
             // The cache owns an independent copy; the pooled image
             // travels with the prediction and is recycled by callers.
-            cache.insert(&key, image.clone());
+            if let Some(key) = &key {
+                cache.insert(key, image.clone());
+            }
             outputs[si][pi] = Some(image);
         }
         out.recycle();
@@ -227,6 +236,17 @@ mod tests {
                 assert_eq!(x, y);
             }
         }
+    }
+
+    #[test]
+    fn disabled_cache_counts_one_miss_per_patch() {
+        let engine = tiny_engine(5);
+        let fields = vec![sample(16, 32, 0.3)];
+        let disabled = PatchCache::new(0);
+        let preds = infer_cached(&engine, 1, &fields, &[], &disabled).unwrap();
+        assert_eq!(disabled.misses(), preds[0].patches.len() as u64);
+        assert_eq!(disabled.hits(), 0);
+        assert!(disabled.is_empty());
     }
 
     #[test]

@@ -22,14 +22,42 @@ use std::sync::Mutex;
 use adarnet_core::sync;
 use adarnet_tensor::Tensor;
 
-/// FNV-1a 64-bit over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// 64-bit hash of the key bytes, eight bytes per step over four
+/// independent multiply-rotate lanes, so a step waits on no other
+/// lane's multiply (a byte-wise hash chains one multiply per byte). A
+/// short tail is zero-padded into whole words; the byte length and the
+/// lanes, in order, are folded in at the end, so padding, word order
+/// and lane order all reach the hash. Only the map slot depends on this
+/// value — a hit is decided by comparing the full key bytes.
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn mix(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(MUL).rotate_left(29)
     }
-    h
+    fn word(bytes: &[u8]) -> u64 {
+        let mut w = [0u8; 8];
+        w[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(w)
+    }
+    let mut lanes: [u64; 4] = std::array::from_fn(|i| MUL.wrapping_mul(2 * i as u64 + 1));
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(w));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = mix(*lane, word(w));
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    // splitmix64's finalizer: the last lane's high bits reach the low
+    // ones the map indexes by.
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 /// Content key of one decoded patch.
@@ -43,14 +71,21 @@ impl PatchKey {
     /// Build the key for a decoder input at `level` under model
     /// `generation`.
     pub fn new(generation: u64, level: u8, decoder_input: &Tensor<f32>) -> PatchKey {
+        // Floats go through a stack buffer a block at a time: both the
+        // fill and the append compile to `memcpy`.
+        const BLOCK: usize = 256;
         let data = decoder_input.as_slice();
         let mut bytes = Vec::with_capacity(9 + 4 * data.len());
         bytes.extend_from_slice(&generation.to_le_bytes());
         bytes.push(level);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        let mut block = [0u8; 4 * BLOCK];
+        for floats in data.chunks(BLOCK) {
+            for (dst, v) in block.chunks_exact_mut(4).zip(floats) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            bytes.extend_from_slice(&block[..4 * floats.len()]);
         }
-        let hash = fnv1a(&bytes);
+        let hash = hash_bytes(&bytes);
         PatchKey { bytes, hash }
     }
 }
@@ -99,11 +134,18 @@ impl PatchCache {
         self.capacity > 0
     }
 
+    /// Count one lookup that found nothing. `infer_cached` calls this
+    /// in place of [`get`](Self::get) when the cache is disabled, where
+    /// building a key would be a copy and a hash for a certain miss.
+    pub(crate) fn record_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        adarnet_obs::counter!("serve_cache_misses_total").inc();
+    }
+
     /// Look up a decoded patch, refreshing its recency on hit.
     pub fn get(&self, key: &PatchKey) -> Option<Tensor<f32>> {
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            adarnet_obs::counter!("serve_cache_misses_total").inc();
+            self.record_miss();
             return None;
         }
         let mut inner = sync::lock(&self.inner);
@@ -121,8 +163,7 @@ impl PatchCache {
                 return Some(value);
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        adarnet_obs::counter!("serve_cache_misses_total").inc();
+        self.record_miss();
         None
     }
 
@@ -220,6 +261,91 @@ mod tests {
         assert_eq!(cache.get(&key).unwrap(), decoded);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn equal_hash_with_different_bytes_misses_then_overwrites() {
+        // The module's collision claim, with the collision forced.
+        let cache = PatchCache::new(8);
+        let a = PatchKey::new(0, 0, &patch(1.0));
+        let b = PatchKey {
+            bytes: PatchKey::new(0, 0, &patch(2.0)).bytes,
+            hash: a.hash,
+        };
+        assert_ne!(a.bytes, b.bytes);
+        cache.insert(&a, patch(10.0));
+        assert!(cache.get(&b).is_none(), "same slot, other bytes: a miss");
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        cache.insert(&b, patch(20.0));
+        assert_eq!(cache.len(), 1, "the colliding insert takes the slot over");
+        assert_eq!(cache.get(&b).unwrap(), patch(20.0));
+        assert!(cache.get(&a).is_none());
+    }
+
+    #[test]
+    fn near_keys_hash_apart() {
+        // 41 floats: five whole 32-byte blocks and a 13-byte tail.
+        let floats: Vec<f32> = (0..41).map(|i| (i as f32 * 0.61).cos()).collect();
+        let key = |generation, level, data: &[f32]| {
+            PatchKey::new(
+                generation,
+                level,
+                &Tensor::from_vec(Shape::d3(1, 1, data.len()), data.to_vec()),
+            )
+        };
+        let base = key(7, 2, &floats);
+        let edited = |i: usize, v: f32| {
+            let mut data = floats.clone();
+            data[i] = v;
+            key(7, 2, &data)
+        };
+        let low_bit = f32::from_bits(floats[17].to_bits() ^ 1);
+        let mut longer = floats.clone();
+        longer.push(0.0);
+        let mut zeroed = floats.clone();
+        zeroed[23] = 0.0;
+        let near = [
+            ("generation", key(8, 2, &floats).hash),
+            ("level", key(7, 3, &floats).hash),
+            ("length", key(7, 2, &longer).hash),
+            ("lowest bit of a block float", edited(17, low_bit).hash),
+            ("lowest bit of the last float", edited(40, low_bit).hash),
+        ];
+        for (what, hash) in near {
+            assert_ne!(hash, base.hash, "{what} must reach the hash");
+        }
+        assert_ne!(
+            key(7, 2, &zeroed).hash,
+            edited(23, -0.0).hash,
+            "+0.0 and -0.0 are different bytes"
+        );
+        // Whole words exchanged between two lanes, and between two
+        // steps of one lane.
+        for (i, j) in [(2, 5), (2, 6)] {
+            let mut bytes = base.bytes.clone();
+            for k in 0..8 {
+                bytes.swap(8 * i + k, 8 * j + k);
+            }
+            assert_ne!(bytes, base.bytes);
+            assert_ne!(hash_bytes(&bytes), base.hash, "words {i} and {j} swapped");
+        }
+    }
+
+    #[test]
+    fn decoder_inputs_of_thirteen_fields_hash_distinct() {
+        // The ledger's serving pool: 13 fields of 64x256 in 16x16
+        // patches, 832 decoder inputs from 7 KB (bin 0) to 458 KB.
+        use adarnet_core::network::{AdarNet, AdarNetConfig};
+        let frozen = AdarNet::new(AdarNetConfig::default()).freeze();
+        let mut hashes = std::collections::HashSet::new();
+        for field in crate::field_pool(13, 64, 256, 1) {
+            let plan = frozen.try_plan(&field).expect("finite scores");
+            for pi in 0..plan.layout.num_patches() {
+                let input = plan.decoder_input(pi);
+                hashes.insert(PatchKey::new(1, plan.binning.level_of(pi), &input).hash);
+            }
+        }
+        assert_eq!(hashes.len(), 832);
     }
 
     #[test]

@@ -25,6 +25,12 @@ echo "==> ledger (the BENCHMARK.json package builds and passes its own tests)"
 # the pipeline that runs it does.
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test --release --offline --manifest-path ledger/Cargo.toml
+# One short traced run of the decoder-bypassed workload: the ledger
+# replays `infer_cached` stage by stage through public calls and checks
+# its own outputs (hit share 1, decoder share of a hit <= 2 %, stages
+# covering the operation), so a crate change that breaks the replay
+# exits non-zero here. Output checks, not timings, decide the exit code.
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --workload net_hit --seed 1 --seconds 2 --trace 1
 
 echo "==> repo lint (crates/check)"
 cargo run --release -q -p check --bin lint
