@@ -11,9 +11,10 @@
 //! widened once per call (`bf16`) — across the patch extents the
 //! decoder actually sees (16/32/64/128 per side: 16x16 patches refined
 //! to bins 0–3) and the decoder/scorer channel widths (8/16/64), plus
-//! the scorer's full 64x256 LR field. Every configuration runs on
-//! **both** backends: the scalar reference plane and the AVX2+FMA
-//! vectorized plane.
+//! the scorer's four convs (4→8, 8→16, 16→16, 16→1) on its full 64x256
+//! LR field. Every configuration runs on **both** backends: the scalar
+//! reference plane and the vectorized plane, each row recording the
+//! register tile that ran (`scalar_4x16` | `avx2_4x16` | `avx512_4x64`).
 //!
 //! The sweep is what `GEMM_THRESHOLD` in `adarnet_nn::kernels` is
 //! calibrated from: the `sub0_*` probe rows bracket the direct/GEMM
@@ -61,15 +62,19 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Serialize, Deserialize)]
 struct ConfigResult {
     /// Square spatial extent per side (bin n of a 16x16 patch -> 16 << n),
-    /// except the scorer row which is 64x256.
+    /// except the scorer rows which are 64x256.
     label: String,
     /// Backend the row ran on (`cpu_scalar` / `cpu_simd`).
     backend: String,
+    /// Widest register tile the backend's GEMM ran on the producing
+    /// machine (`scalar_4x16` | `avx2_4x16` | `avx512_4x64`).
+    tile: String,
     /// Input spatial extent.
     h: usize,
     w: usize,
-    /// Channel width (input == output channels, 3x3 same-padded).
-    channels: usize,
+    /// Input and output channels (3x3 same-padded).
+    ic: usize,
+    oc: usize,
     /// Output pixels per image (`h * w` with same padding) — the quantity
     /// the layers dispatch on.
     o_len: usize,
@@ -108,7 +113,7 @@ struct BenchReport {
     /// The threshold compiled into `adarnet_nn::kernels` when this
     /// report was produced.
     gemm_threshold: usize,
-    /// Whether the `cpu_simd` rows actually ran the AVX2+FMA
+    /// Whether the `cpu_simd` rows actually ran vectorized
     /// micro-kernels on the producing machine (false = they degraded
     /// to scalar, so the two backends' rows measure the same code).
     simd_active: bool,
@@ -134,19 +139,20 @@ fn bench_config(
     dev: Device,
     h: usize,
     w: usize,
-    ch: usize,
+    ic: usize,
+    oc: usize,
     budget: f64,
 ) -> ConfigResult {
     let x = Tensor::<f32>::from_vec(
-        Shape::d4(1, ch, h, w),
-        (0..ch * h * w)
+        Shape::d4(1, ic, h, w),
+        (0..ic * h * w)
             .map(|i| ((i as f32) * 0.013).sin())
             .collect(),
     );
-    let wt = he_normal(Shape::d4(ch, ch, 3, 3), ch * 9, 7);
-    let b = Tensor::<f32>::zeros(Shape::d1(ch));
+    let wt = he_normal(Shape::d4(oc, ic, 3, 3), ic * 9, 7);
+    let b = Tensor::<f32>::zeros(Shape::d1(oc));
     let o_len = h * w;
-    let k_len = ch * 9;
+    let k_len = ic * 9;
 
     let naive_secs = time_secs(budget, || {
         black_box(dev.conv2d_forward(black_box(&x), &wt, &b, 1)).recycle();
@@ -154,21 +160,21 @@ fn bench_config(
 
     // Panels for the two pre-packed paths, built outside the timed
     // region — exactly what a frozen model does at construction.
-    let mut panels = vec![0.0f32; packed_panels_len(ch, k_len)];
-    pack_weight_panels(wt.as_slice(), ch, k_len, &mut panels);
+    let mut panels = vec![0.0f32; packed_panels_len(oc, k_len)];
+    pack_weight_panels(wt.as_slice(), oc, k_len, &mut panels);
     let packed = PackedPanels {
         data: &panels,
-        oc: ch,
-        ic: ch,
+        oc,
+        ic,
         kh: 3,
         kw: 3,
     };
-    let mut bf16_panels = vec![0u16; packed_panels_len(ch, k_len)];
-    pack_weight_panels_bf16(wt.as_slice(), ch, k_len, &mut bf16_panels);
+    let mut bf16_panels = vec![0u16; packed_panels_len(oc, k_len)];
+    pack_weight_panels_bf16(wt.as_slice(), oc, k_len, &mut bf16_panels);
     let bf16_packed = PackedPanelsBf16 {
         data: &bf16_panels,
-        oc: ch,
-        ic: ch,
+        oc,
+        ic,
         kh: 3,
         kw: 3,
     };
@@ -223,13 +229,15 @@ fn bench_config(
         bf16_vs_f32 = bf16_vs_f32.max(packed_r / bf16_r);
     }
 
-    let flops = 2.0 * ch as f64 * k_len as f64 * o_len as f64;
+    let flops = 2.0 * oc as f64 * k_len as f64 * o_len as f64;
     ConfigResult {
         label: label.to_string(),
         backend: dev.name().to_string(),
+        tile: dev.gemm_tile().0.to_string(),
         h,
         w,
-        channels: ch,
+        ic,
+        oc,
         o_len,
         naive_secs,
         packed_secs,
@@ -246,34 +254,38 @@ fn run_sweep(smoke: bool) -> BenchReport {
     // Per-path, per-config measurement budget. Smoke keeps the whole
     // sweep under a few seconds for CI; full targets stable numbers.
     let budget = if smoke { 0.02 } else { 0.25 };
-    let mut shapes: Vec<(String, usize, usize, usize)> = Vec::new();
+    let mut shapes: Vec<(String, usize, usize, usize, usize)> = Vec::new();
     // Crossover probes below the smallest paper shape: where the direct
     // path still beats the GEMM (`GEMM_THRESHOLD` is read off 2x2/4x4).
     for &e in &[2usize, 4, 8] {
-        shapes.push((format!("sub0_{e}x{e}_8ch"), e, e, 8));
+        shapes.push((format!("sub0_{e}x{e}_8ch"), e, e, 8, 8));
     }
     // 16x16 patches at bins 0..=3 -> 16/32/64/128 per side.
     for bin in 0..4usize {
         let e = 16 << bin;
         for &ch in &[8usize, 16, 64] {
-            shapes.push((format!("bin{bin}_{e}x{e}_{ch}ch"), e, e, ch));
+            shapes.push((format!("bin{bin}_{e}x{e}_{ch}ch"), e, e, ch, ch));
         }
     }
-    // The scorer runs on the full LR field, not a patch.
-    shapes.push(("scorer_64x256_16ch".to_string(), 64, 256, 16));
+    // The scorer runs on the full LR field, not a patch; its last conv
+    // (16→1) is the one model shape with fewer output channels than a
+    // register tile has rows.
+    for &(ic, oc) in &[(4usize, 8usize), (8, 16), (16, 16), (16, 1)] {
+        shapes.push((format!("scorer_64x256_{ic}to{oc}"), 64, 256, ic, oc));
+    }
 
     // Interleave backends per shape (scalar then simd on the same
     // warmed caches) so cross-backend ratios cancel machine drift.
     let mut configs = Vec::new();
-    for (label, h, w, ch) in &shapes {
+    for (label, h, w, ic, oc) in &shapes {
         for dev in BACKENDS {
             eprintln!("  running {label} on {} ...", dev.name());
-            configs.push(bench_config(label, dev, *h, *w, *ch, budget));
+            configs.push(bench_config(label, dev, *h, *w, *ic, *oc, budget));
         }
     }
 
     BenchReport {
-        schema: "adarnet-bench-kernels-v4".to_string(),
+        schema: "adarnet-bench-kernels-v5".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         gemm_threshold: GEMM_THRESHOLD,
         simd_active: Device::CpuSimd.is_simd_active(),
@@ -379,9 +391,10 @@ fn main() {
     let report = run_sweep(smoke);
 
     println!(
-        "{:<22} {:<11} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}",
+        "{:<24} {:<11} {:<12} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}",
         "config",
         "backend",
+        "tile",
         "o_len",
         "naive s",
         "packed s",
@@ -392,9 +405,10 @@ fn main() {
     );
     for c in &report.configs {
         println!(
-            "{:<22} {:<11} {:>8} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e} {:>10.2} {:>8.2}x",
+            "{:<24} {:<11} {:<12} {:>8} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e} {:>10.2} {:>8.2}x",
             c.label,
             c.backend,
+            c.tile,
             c.o_len,
             c.naive_secs,
             c.packed_secs,

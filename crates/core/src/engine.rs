@@ -68,8 +68,10 @@ impl InferenceEngine {
     /// span, and never again on the request path. The resident
     /// frozen-weight footprint is published on the
     /// `engine_weight_bytes` gauge, and whether the vectorized kernel
-    /// plane is live on the `engine_backend_simd` gauge (1 = the
-    /// AVX2+FMA micro-kernels run, 0 = scalar reference plane).
+    /// plane is live on the `engine_backend_simd` gauge (1 = vector
+    /// micro-kernels run, 0 = scalar reference plane), with the width
+    /// of the GEMM register tile it runs on `engine_tile_cols` (64 = the
+    /// AVX-512 4×64 tile, 16 = the AVX2 or scalar 4×16 tile).
     pub fn new(model: AdarNet, norm: NormStats) -> InferenceEngine {
         Self::new_with(model, norm, adarnet_nn::Precision::active())
     }
@@ -105,6 +107,7 @@ impl InferenceEngine {
         } else {
             0.0
         });
+        adarnet_obs::gauge!("engine_tile_cols").set(frozen.device().gemm_tile().1 as f64);
         InferenceEngine {
             cfg: model.cfg,
             norm,

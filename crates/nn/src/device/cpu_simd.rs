@@ -1,17 +1,28 @@
-//! The vectorized CPU backend: AVX2 + FMA micro-kernels.
+//! The vectorized CPU backend: AVX2+FMA and AVX-512 micro-kernels.
 //!
-//! Strategy (DESIGN.md §15): the tile micro-kernels are written
-//! against the AVX2/FMA intrinsics directly, under
-//! `#[target_feature(enable = "avx2", enable = "fma")]`. Each `MR × NR`
-//! = 4×16 accumulator tile is hoisted into eight ymm registers for the
-//! whole `k` reduction — per `k` step: two 256-bit column loads, four
-//! weight broadcasts, eight `vfmadd231ps` — which keeps both FMA pipes
-//! fed and is where the ≥2× GFLOP/s over the scalar plane comes from
-//! (the scalar build must round after every multiply and add, and
-//! cannot be auto-FMA'd without `-ffast-math`-style license; it also
-//! re-loads the accumulator block from the stack under baseline SSE2).
-//! The dot-product kernel splits its reduction across 32 independent
-//! lanes (4 ymm accumulators) to break the serial FMA dependency chain.
+//! Strategy (DESIGN.md §15): the register tiles are written against the
+//! intrinsics directly, under `#[target_feature]`, so the accumulators
+//! provably live in vector registers for the whole `k` reduction. Two
+//! tiles sit behind [`crate::device::Device::CpuSimd`], the widest one
+//! the CPU has being picked at run time:
+//!
+//! * [`Avx512Micro`], `MR × 64`: sixteen zmm accumulators; per `k` step
+//!   four 512-bit column loads, four weight broadcasts, sixteen
+//!   `vfmadd231ps`. Columns left after a panel's last 64-wide tile run
+//!   the 4×16 tile below.
+//! * [`SimdMicro`], `MR × 16`: eight ymm accumulators; per `k` step two
+//!   256-bit column loads, four broadcasts, eight FMAs. With two loads
+//!   per eight FMAs it is bound by its register tile, not the FMA pipes
+//!   (EXPERIMENTS.md); it is what a CPU without `avx512f` runs.
+//!
+//! Either way each output lane is one `k`-ascending FMA chain from 0.0
+//! with the bias added last, so the two tiles agree bitwise and differ
+//! from the scalar plane only by the fused rounding (the scalar build
+//! must round after every multiply and add, and cannot be auto-FMA'd
+//! without `-ffast-math`-style license). Ragged edges run the shared
+//! [`ragged_rows_body`] compiled under each tile's features, and the
+//! dot-product kernel splits its reduction across 32 independent lanes
+//! to break the serial FMA dependency chain.
 //!
 //! ## Safety / the `unsafe_code` waiver
 //!
@@ -19,14 +30,15 @@
 //! *call* from a non-feature context: the caller must guarantee the
 //! CPU actually has the features, otherwise the call is UB (illegal
 //! instruction at best). That guarantee is structural here:
-//! [`SimdMicro`] has a private constructor reachable only through
-//! [`micro`], which gates on `is_x86_feature_detected!("avx2")` &&
-//! `("fma")` at runtime. Every `unsafe` block in this file is one of
-//! those calls, holding a `SimdMicro` as proof of detection. The
-//! kernels themselves contain no pointer arithmetic — all slice
-//! accesses stay bounds-checked — so the only obligation discharged is
-//! feature presence. The module-level `allow` below overrides the
-//! workspace-wide `unsafe_code = "deny"`; the repo lint's
+//! [`SimdMicro`] and [`Avx512Micro`] have private constructors
+//! reachable only through [`micro`] and [`micro_avx512`], which gate on
+//! `is_x86_feature_detected!` for `avx2` + `fma` (and `avx512f` for the
+//! wide tile) at runtime. Every `unsafe` block in a `MicroGemm` impl is
+//! one of those calls, holding a token as proof of detection. The only
+//! other `unsafe` is the tiles' vector loads and stores, each over a
+//! slice that was just bounds-checked to the vector's length — there is
+//! no other pointer arithmetic. The module-level `allow` below
+//! overrides the workspace-wide `unsafe_code = "deny"`; the repo lint's
 //! `unsafe-code` rule requires the matching waiver in
 //! `check/allow.toml` to carry this rationale.
 //!
@@ -35,16 +47,13 @@
 //! the scalar micro-kernels, so the enum is always safe to select.
 #![allow(unsafe_code)]
 
-#[cfg(not(target_arch = "x86_64"))]
-use crate::device::cpu_scalar::ScalarMicro;
-use crate::device::driver::MicroGemm;
-use crate::kernels::{MR, NR};
+#[cfg(target_arch = "x86_64")]
+pub use x86::{Avx512Micro, SimdMicro};
 
-/// Zero-sized proof token: constructible only via [`micro`], which
-/// verifies AVX2 + FMA support, so holding one licenses the
-/// `target_feature` calls below.
-#[derive(Clone, Copy, Debug)]
-pub struct SimdMicro(());
+/// Off x86_64 there are no vector tiles: the token names alias the
+/// scalar handle and [`micro`] / [`micro_avx512`] never hand one out.
+#[cfg(not(target_arch = "x86_64"))]
+pub use crate::device::cpu_scalar::{ScalarMicro as Avx512Micro, ScalarMicro as SimdMicro};
 
 /// Whether the vectorized micro-kernels can run on this machine.
 pub fn available() -> bool {
@@ -58,77 +67,70 @@ pub fn available() -> bool {
     }
 }
 
-/// The vectorized micro-kernel handle, or `None` if the CPU lacks
-/// AVX2/FMA (the device layer then falls back to [`ScalarMicro`]).
+/// The AVX2+FMA micro-kernel handle, or `None` if the CPU lacks
+/// AVX2/FMA (the device layer then falls back to
+/// [`crate::device::cpu_scalar::ScalarMicro`]).
 pub fn micro() -> Option<SimdMicro> {
+    #[cfg(target_arch = "x86_64")]
     if available() {
-        Some(SimdMicro(()))
-    } else {
-        None
+        return Some(SimdMicro(()));
     }
+    None
+}
+
+/// The AVX-512 micro-kernel handle, or `None` if the CPU lacks
+/// `avx512f` (the device layer then tries [`micro`]).
+pub fn micro_avx512() -> Option<Avx512Micro> {
+    #[cfg(target_arch = "x86_64")]
+    if available() && std::arch::is_x86_feature_detected!("avx512f") {
+        return Some(Avx512Micro(()));
+    }
+    None
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The feature-gated kernel bodies, written against the AVX2/FMA
-    //! intrinsics directly so the `MR × NR` accumulator tile provably
-    //! lives in eight ymm registers for the whole reduction. Under
-    //! Rust ≥ 1.87 the arithmetic intrinsics (`set1`, `fmadd`) are
-    //! *safe* inside a matching `#[target_feature]` fn; only the
+    //! The feature-gated kernel bodies. Under Rust ≥ 1.89 the
+    //! arithmetic intrinsics (`set1`, `fmadd`, `add`), 512-bit ones
+    //! included, are *safe* inside a matching `#[target_feature]` fn,
+    //! and one such fn may call another whose features it has; only the
     //! pointer loads/stores need `unsafe`, each over a slice whose
     //! bounds were just checked (see the per-site SAFETY notes).
 
-    use core::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
+    use core::arch::x86_64::{
+        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps,
+        _mm512_setzero_ps, _mm512_storeu_ps,
+    };
 
+    use crate::device::driver::{ragged_rows_body, MicroGemm, RowBlock};
     use crate::kernels::{MR, NR};
 
-    /// Load one `NR = 16`-lane accumulator row as two ymm vectors.
-    ///
-    /// # Safety
-    /// `row` has `NR == 16` elements by its type, so both 8-lane loads
-    /// are in bounds; caller must hold AVX2 (enforced by the enclosing
-    /// `target_feature` fns only being reachable through [`super::SimdMicro`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn load_row(row: &[f32; NR]) -> [core::arch::x86_64::__m256; 2] {
-        // SAFETY: [f32; 16] covers lanes 0..8 and 8..16.
-        unsafe {
-            [
-                _mm256_loadu_ps(row.as_ptr()),
-                _mm256_loadu_ps(row.as_ptr().add(8)),
-            ]
-        }
-    }
+    /// Zero-sized proof token for the AVX2+FMA 4×16 tile: constructible
+    /// only via [`super::micro`], which verifies AVX2 + FMA support, so
+    /// holding one licenses the `target_feature` calls below.
+    #[derive(Clone, Copy, Debug)]
+    pub struct SimdMicro(pub(super) ());
 
-    /// Store two ymm vectors back into an `NR = 16`-lane row.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn store_row(row: &mut [f32; NR], v: [core::arch::x86_64::__m256; 2]) {
-        // SAFETY: [f32; 16] covers lanes 0..8 and 8..16.
-        unsafe {
-            _mm256_storeu_ps(row.as_mut_ptr(), v[0]);
-            _mm256_storeu_ps(row.as_mut_ptr().add(8), v[1]);
-        }
-    }
+    /// Zero-sized proof token for the AVX-512 4×64 tile: constructible
+    /// only via [`super::micro_avx512`], which verifies `avx512f` on top
+    /// of AVX2 + FMA.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Avx512Micro(pub(super) ());
 
-    /// Packed-weight `MR × NR` tile accumulation with FMA: per `k` step
-    /// two 256-bit column loads, four broadcasts from one contiguous
-    /// `MR`-float group of the k-major packed panel, eight FMAs — each
-    /// lane a `k`-ascending FMA chain.
+    /// Columns of the AVX-512 tile: four zmm groups of 16.
+    const WIDE: usize = 64;
+
+    /// One `MR × 16` tile at panel column `j0`: per `k` step two 256-bit
+    /// column loads, four broadcasts from one contiguous `MR`-float
+    /// group of the k-major packed panel, eight FMAs — each lane a
+    /// `k`-ascending FMA chain from 0.0 — then bias added and stored.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn tile_packed(
-        acc: &mut [[f32; NR]; MR],
-        wp_block: &[f32],
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    ) {
-        let mut a = [
-            load_row(&acc[0]),
-            load_row(&acc[1]),
-            load_row(&acc[2]),
-            load_row(&acc[3]),
-        ];
-        for (ctile, wk) in colp.chunks_exact(cn).zip(wp_block.chunks_exact(MR)) {
-            let ctile = &ctile[j0..j0 + NR];
+    fn tile_4x16(blk: &mut RowBlock<'_>, j0: usize) {
+        let mut a = [[_mm256_setzero_ps(); 2]; MR];
+        for (crow, wk) in blk.colp.chunks_exact(blk.cn).zip(blk.wp.chunks_exact(MR)) {
+            let ctile = &crow[j0..j0 + NR];
             // SAFETY: `ctile` was just sliced to NR == 16 elements.
             let c0 = unsafe { _mm256_loadu_ps(ctile.as_ptr()) };
             let c1 = unsafe { _mm256_loadu_ps(ctile.as_ptr().add(8)) };
@@ -138,9 +140,75 @@ mod x86 {
                 am[1] = _mm256_fmadd_ps(wv, c1, am[1]);
             }
         }
-        for (row, av) in acc.iter_mut().zip(a) {
-            store_row(row, av);
+        for (m, am) in a.iter().enumerate() {
+            let b = _mm256_set1_ps(blk.bias[m]);
+            let orow = &mut blk.out[m * blk.ld + blk.c0 + j0..][..NR];
+            // SAFETY: `orow` was just sliced to NR == 16 elements.
+            unsafe {
+                _mm256_storeu_ps(orow.as_mut_ptr(), _mm256_add_ps(am[0], b));
+                _mm256_storeu_ps(orow.as_mut_ptr().add(8), _mm256_add_ps(am[1], b));
+            }
         }
+    }
+
+    /// One `MR × 64` tile at panel column `j0`: the same per-lane chain
+    /// as [`tile_4x16`] over four zmm column groups per row.
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    fn tile_4x64(blk: &mut RowBlock<'_>, j0: usize) {
+        let mut a = [[_mm512_setzero_ps(); WIDE / 16]; MR];
+        for (crow, wk) in blk.colp.chunks_exact(blk.cn).zip(blk.wp.chunks_exact(MR)) {
+            let ctile = &crow[j0..j0 + WIDE];
+            // SAFETY: `ctile` was just sliced to WIDE == 64 elements,
+            // four groups of 16.
+            let c: [_; WIDE / 16] =
+                std::array::from_fn(|g| unsafe { _mm512_loadu_ps(ctile.as_ptr().add(16 * g)) });
+            for (am, &wv) in a.iter_mut().zip(wk) {
+                let wv = _mm512_set1_ps(wv);
+                for (acc, &cg) in am.iter_mut().zip(&c) {
+                    *acc = _mm512_fmadd_ps(wv, cg, *acc);
+                }
+            }
+        }
+        for (m, am) in a.iter().enumerate() {
+            let b = _mm512_set1_ps(blk.bias[m]);
+            let orow = &mut blk.out[m * blk.ld + blk.c0 + j0..][..WIDE];
+            for (g, &acc) in am.iter().enumerate() {
+                // SAFETY: `orow` was just sliced to WIDE == 64 elements
+                // and `g < 4`.
+                unsafe { _mm512_storeu_ps(orow.as_mut_ptr().add(16 * g), _mm512_add_ps(acc, b)) };
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) fn full_rows_avx2(blk: &mut RowBlock<'_>, cols: usize) {
+        for j0 in (0..cols).step_by(NR) {
+            tile_4x16(blk, j0);
+        }
+    }
+
+    /// The remainder rule: 64-wide tiles while they fit, then 16-wide
+    /// ones — `cols` is a multiple of 16, so nothing is left over.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub(super) fn full_rows_avx512(blk: &mut RowBlock<'_>, cols: usize) {
+        let wide = cols - cols % WIDE;
+        for j0 in (0..wide).step_by(WIDE) {
+            tile_4x64(blk, j0);
+        }
+        for j0 in (wide..cols).step_by(NR) {
+            tile_4x16(blk, j0);
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) fn ragged_rows_avx2(blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize) {
+        ragged_rows_body(blk, rows, j0, jn);
+    }
+
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub(super) fn ragged_rows_avx512(blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize) {
+        ragged_rows_body(blk, rows, j0, jn);
     }
 
     /// FMA dot product over 32 independent partial-sum lanes (4 ymm
@@ -166,37 +234,55 @@ mod x86 {
         }
         sum
     }
-}
 
-impl MicroGemm for SimdMicro {
-    #[inline]
-    fn tile_packed(
-        &self,
-        acc: &mut [[f32; NR]; MR],
-        wp_block: &[f32],
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
+    impl MicroGemm for SimdMicro {
+        const TILE: &'static str = "avx2_4x16";
+        const TILE_COLS: usize = NR;
+
+        #[inline]
+        fn full_rows(&self, blk: &mut RowBlock<'_>, cols: usize) {
             // SAFETY: `self` proves `micro()` observed avx2+fma at runtime.
-            unsafe { x86::tile_packed(acc, wp_block, colp, cn, j0) }
+            unsafe { full_rows_avx2(blk, cols) }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        ScalarMicro.tile_packed(acc, wp_block, colp, cn, j0)
+
+        #[inline]
+        fn ragged_rows(&self, blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize) {
+            // SAFETY: `self` proves `micro()` observed avx2+fma at runtime.
+            unsafe { ragged_rows_avx2(blk, rows, j0, jn) }
+        }
+
+        #[inline]
+        fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
+            // SAFETY: `self` proves `micro()` observed avx2+fma at runtime.
+            unsafe { dot(a, b) }
+        }
     }
 
-    #[inline]
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `self` proves `micro()` observed avx2+fma at runtime.
-            unsafe { x86::dot(a, b) }
+    impl MicroGemm for Avx512Micro {
+        const TILE: &'static str = "avx512_4x64";
+        const TILE_COLS: usize = WIDE;
+
+        #[inline]
+        fn full_rows(&self, blk: &mut RowBlock<'_>, cols: usize) {
+            // SAFETY: `self` proves `micro_avx512()` observed
+            // avx512f+avx2+fma at runtime.
+            unsafe { full_rows_avx512(blk, cols) }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            ScalarMicro.dot(a, b)
+
+        #[inline]
+        fn ragged_rows(&self, blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize) {
+            // SAFETY: `self` proves `micro_avx512()` observed
+            // avx512f+avx2+fma at runtime.
+            unsafe { ragged_rows_avx512(blk, rows, j0, jn) }
+        }
+
+        /// The 4×16 backend's reduction, so weight gradients keep their
+        /// bits whichever tile the forward pass runs.
+        #[inline]
+        fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
+            // SAFETY: `self` proves `micro_avx512()` observed avx2+fma
+            // (with avx512f) at runtime.
+            unsafe { dot(a, b) }
         }
     }
 }

@@ -1,24 +1,27 @@
 //! The backend-generic GEMM driver: the panel decomposition, im2col
-//! fills, edge handling, and write-back that every CPU backend shares,
-//! with the innermost register tile abstracted behind [`MicroGemm`].
+//! fills and row-block sweep that every CPU backend shares, with the
+//! register tiles abstracted behind [`MicroGemm`].
 //!
 //! There is one forward driver, over **packed** weight panels
 //! ([`crate::kernels::pack_weight_panels`]), generic over the
 //! micro-kernel and the panel element type ([`PanelElem`]: f32 or
 //! bf16). Frozen layers hand it panels packed at freeze time; mutable
 //! layers pack into pooled scratch once per call
-//! ([`crate::device::Device::conv2d_forward_percall`]). Everything
-//! *outside* the full `MR × NR` tile — panel blocking, ragged
-//! row/column edges, bias write-back, pooled-scratch discipline, obs
-//! counters — is shared scalar code, so two backends differ only in
-//! how a full tile accumulates, and a layer computes the same bits
-//! whether its panels were packed a moment or a month ago.
+//! ([`crate::device::Device::conv2d_forward_percall`]). The driver owns
+//! panel blocking, the split of a row block into full tiles and ragged
+//! edges, pooled-scratch discipline and obs counters; a backend owns
+//! how a row block accumulates and writes its outputs, bias included,
+//! straight into the output tensor. The two per-element arithmetic
+//! chains ([`MicroGemm::full_rows`], [`MicroGemm::ragged_rows`]) are
+//! fixed here, so a layer computes the same bits whether its panels
+//! were packed a moment or a month ago, and whichever tile width the
+//! backend's registers allow.
 //!
 //! Monomorphization, not dynamic dispatch: the driver is generic over
 //! `M: MicroGemm` and the [`crate::device::Device`] enum selects the
 //! instantiation, so the micro-kernel inlines into the panel loop.
 
-use adarnet_tensor::{workspace, AlignedBuf, Shape, Tensor};
+use adarnet_tensor::{workspace, Shape, Tensor};
 use rayon::prelude::*;
 
 use crate::kernels::{conv_out_extent, im2col_row_segment, packed_panels_len, PackedPanels};
@@ -26,49 +29,77 @@ use crate::kernels::{MR, NC, NR};
 use crate::quantize::{bf16_to_f32, PackedPanelsBf16};
 use crate::F;
 
-/// The innermost register tile of the GEMM, the only code that differs
-/// between CPU backends.
+/// One row block's view of one column panel: up to [`MR`] output
+/// channels by `cn` output pixels, with everything a backend needs to
+/// compute them and the place to put them.
+pub struct RowBlock<'a> {
+    /// The output item's rows from this block's first channel on: row
+    /// `m` of the block, panel column `j`, is `out[m * ld + c0 + j]`.
+    pub out: &'a mut [f32],
+    /// Output row stride (`o_len`, the output pixels per channel).
+    pub ld: usize,
+    /// The panel's first column within an output row.
+    pub c0: usize,
+    /// Packed (and, for bf16, widened) k-major weight block, `k_len × MR`
+    /// floats (see [`crate::kernels::pack_weight_panels`]).
+    pub wp: &'a [f32],
+    /// The `k_len × cn` im2col panel.
+    pub colp: &'a [f32],
+    /// Panel width in output pixels (at most [`NC`]).
+    pub cn: usize,
+    /// Bias per block row; 0.0 without a bias and on rows past `oc`.
+    pub bias: [f32; MR],
+}
+
+/// The register tiles of the GEMM, the only code that differs between
+/// CPU backends.
 ///
-/// Implementations must be `Copy` zero-sized handles (they are captured
-/// by rayon parallel closures) and must compute, for each method, the
-/// same real-arithmetic sum as the scalar reference; vectorized
-/// backends may reassociate the reduction (FMA, multiple accumulators)
-/// within the ULP envelope pinned by `tests/device_equivalence.rs`.
+/// Implementations must be `Copy` zero-sized handles. The tile width is
+/// theirs to choose ([`MicroGemm::TILE_COLS`]); the arithmetic chain of
+/// each output element is not: vectorized backends may fuse
+/// `full_rows`' multiply-add (one rounding instead of two, the ULP
+/// envelope pinned by `tests/device_equivalence.rs`) and nothing else.
 pub trait MicroGemm: Copy + Send + Sync {
-    /// Accumulate a full `MR × NR` tile from a packed k-major weight
-    /// block (`k_len × MR` floats, see
-    /// [`crate::kernels::pack_weight_panels`]):
-    /// `acc[m][j] += wp_block[k*MR + m] * colp[k][j0+j]` over all `k`,
-    /// `colp` being the `k_len × cn` im2col panel.
-    fn tile_packed(
-        &self,
-        acc: &mut [[f32; NR]; MR],
-        wp_block: &[f32],
-        colp: &[f32],
-        cn: usize,
-        j0: usize,
-    );
+    /// Name of the widest register tile, as `adarnet-bench --bin
+    /// kernels` records it per row.
+    const TILE: &'static str;
+    /// Columns of the widest register tile.
+    const TILE_COLS: usize;
+
+    /// All [`MR`] rows of the block over panel columns `[0, cols)`,
+    /// `cols` a multiple of [`NR`]. Per output element:
+    /// `acc = 0.0; acc += wp[k*MR + m] * colp[k*cn + j]` for `k`
+    /// ascending (fused on FMA backends), then `out = acc + bias[m]`.
+    fn full_rows(&self, blk: &mut RowBlock<'_>, cols: usize);
+
+    /// The first `rows` rows of the block over panel columns
+    /// `[j0, j0 + jn)`: what is left of a panel after its full tiles,
+    /// and every column of a row block with `rows < MR`. Per output
+    /// element: `acc = bias[m]; acc += wp[k*MR + m] * colp[k*cn + j]`
+    /// for `k` ascending, multiply and add rounded separately on every
+    /// backend ([`ragged_rows_body`]).
+    fn ragged_rows(&self, blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize);
 
     /// Dot product of two equal-length slices (weight-gradient GEMM).
     fn dot(&self, a: &[f32], b: &[f32]) -> f32;
 }
 
-/// Write a finished `MR × NR` accumulator tile back into the `oc × cn`
-/// panel with bias added.
-#[inline]
-fn writeback_tile(
-    out: &mut [f32],
-    bs: &[f32],
-    acc: &[[f32; NR]; MR],
-    oc0: usize,
-    cn: usize,
-    j0: usize,
-) {
-    for (m, am) in acc.iter().enumerate() {
-        let b = if bs.is_empty() { 0.0 } else { bs[oc0 + m] };
-        let orow = &mut out[(oc0 + m) * cn + j0..(oc0 + m) * cn + j0 + NR];
-        for (o, a) in orow.iter_mut().zip(am) {
-            *o = a + b;
+/// The body of every backend's [`MicroGemm::ragged_rows`]: bias first,
+/// multiply then add, with the pixel loop innermost so it vectorizes
+/// across pixels (lanes are independent output elements, so the vector
+/// width cannot reach the bits). `#[inline(always)]` so each backend
+/// compiles it under its own `target_feature`; Rust never contracts
+/// `a + w * c` into an FMA, with or without the feature.
+#[inline(always)]
+pub(crate) fn ragged_rows_body(blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize) {
+    for m in 0..rows {
+        let orow = &mut blk.out[m * blk.ld + blk.c0 + j0..][..jn];
+        orow.fill(blk.bias[m]);
+        for (crow, wk) in blk.colp.chunks_exact(blk.cn).zip(blk.wp.chunks_exact(MR)) {
+            let wv = wk[m];
+            for (a, &cv) in orow.iter_mut().zip(&crow[j0..j0 + jn]) {
+                *a += wv * cv;
+            }
         }
     }
 }
@@ -116,45 +147,6 @@ impl PanelElem for u16 {
     }
 }
 
-/// The register-tiled micro-kernel: `rows × jn` output tile at row
-/// offset `oc0`, column offset `j0` of an `oc × cn` panel, weights read
-/// from the packed (and, for bf16, widened) `k_len × MR` f32 block.
-/// Full `MR × NR` tiles dispatch to the backend tile; irregular edges
-/// run a shared scalar loop (all paper shapes are edge-free, see
-/// [`crate::kernels::NR`]).
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel<M: MicroGemm>(
-    micro: M,
-    out: &mut [f32],
-    wp_block: &[f32],
-    bs: &[f32],
-    colp: &[f32],
-    oc0: usize,
-    rows: usize,
-    k_len: usize,
-    cn: usize,
-    j0: usize,
-    jn: usize,
-) {
-    debug_assert_eq!(wp_block.len(), k_len * MR);
-    if rows == MR && jn == NR {
-        let mut acc = [[0.0f32; NR]; MR];
-        micro.tile_packed(&mut acc, wp_block, colp, cn, j0);
-        writeback_tile(out, bs, &acc, oc0, cn, j0);
-    } else {
-        for m in 0..rows {
-            let b = if bs.is_empty() { 0.0 } else { bs[oc0 + m] };
-            for j in j0..j0 + jn {
-                let mut acc = b;
-                for k in 0..k_len {
-                    acc += wp_block[k * MR + m] * colp[k * cn + j];
-                }
-                out[(oc0 + m) * cn + j] = acc;
-            }
-        }
-    }
-}
-
 /// Blocked im2col + GEMM convolution over packed f32 weight panels (see
 /// [`crate::kernels::conv2d_forward_packed`] for the public contract
 /// and DESIGN.md §10 for the blocking argument).
@@ -183,8 +175,11 @@ pub fn conv2d_forward_packed_bf16<M: MicroGemm>(
 }
 
 /// The driver body, generic over micro-kernel and panel element type.
-/// Scratch panels come 64-byte-aligned from the workspace pool so
-/// vector loads never split a cache line.
+/// The im2col panel comes 64-byte-aligned from the workspace pool so
+/// vector loads never split a cache line; every finished tile goes
+/// straight into `y`, bias added, with no staging copy. Batch items and
+/// column panels run in order on the calling thread (callers
+/// parallelize across requests, not inside a conv).
 #[allow(clippy::too_many_arguments)]
 fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
     micro: M,
@@ -234,53 +229,52 @@ fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
     };
     let wide_all: &[f32] = E::widened(wp, stage.as_deref_mut().unwrap_or(&mut []));
 
-    y.as_mut_slice()
-        .par_chunks_mut(oc * o_len)
-        .enumerate()
-        .for_each(|(ni, ybatch)| {
-            let xitem = &xs[ni * ic * h * wd..(ni + 1) * ic * h * wd];
-            let panels: Vec<(usize, AlignedBuf)> = (0..o_len)
-                .step_by(NC)
-                .collect::<Vec<_>>()
-                .par_iter()
-                .map(|&c0| {
-                    let cn = (o_len - c0).min(NC);
-                    let mut colp = workspace::take_aligned(k_len * cn);
-                    for (r, dst) in colp.chunks_exact_mut(cn).enumerate() {
-                        let ici = r / (kh * kw);
-                        let ky = (r / kw) % kh;
-                        let kx = r % kw;
-                        let xplane = &xitem[ici * h * wd..(ici + 1) * h * wd];
-                        im2col_row_segment(dst, xplane, ky, kx, h, wd, ow, pad, c0, cn);
-                    }
-                    let mut out = workspace::take_aligned(oc * cn);
-                    let mut oc0 = 0;
-                    while oc0 < oc {
-                        let rows = (oc - oc0).min(MR);
-                        let wide = &wide_all[(oc0 / MR) * k_len * MR..(oc0 / MR + 1) * k_len * MR];
-                        let mut j0 = 0;
-                        while j0 < cn {
-                            let jn = (cn - j0).min(NR);
-                            micro_kernel(
-                                micro, &mut out, wide, bs, &colp, oc0, rows, k_len, cn, j0, jn,
-                            );
-                            j0 += NR;
-                        }
-                        oc0 += MR;
-                    }
-                    workspace::put_aligned(colp);
-                    adarnet_obs::counter!("nn_gemm_panels_total").inc();
-                    (c0, out)
-                })
-                .collect();
-            for (c0, out) in panels {
-                let cn = (o_len - c0).min(NC);
-                for (oci, orow) in out.chunks_exact(cn).enumerate() {
-                    ybatch[oci * o_len + c0..oci * o_len + c0 + cn].copy_from_slice(orow);
-                }
-                workspace::put_aligned(out);
+    // One im2col panel buffer per call, refilled per column panel.
+    let mut colbuf = workspace::take_aligned(k_len * o_len.min(NC));
+    for (ni, ybatch) in y.as_mut_slice().chunks_exact_mut(oc * o_len).enumerate() {
+        let xitem = &xs[ni * ic * h * wd..(ni + 1) * ic * h * wd];
+        for c0 in (0..o_len).step_by(NC) {
+            let cn = (o_len - c0).min(NC);
+            for (r, dst) in colbuf[..k_len * cn].chunks_exact_mut(cn).enumerate() {
+                let ici = r / (kh * kw);
+                let ky = (r / kw) % kh;
+                let kx = r % kw;
+                let xplane = &xitem[ici * h * wd..(ici + 1) * h * wd];
+                im2col_row_segment(dst, xplane, ky, kx, h, wd, ow, pad, c0, cn);
             }
-        });
+            let colp = &colbuf[..k_len * cn];
+            let full = cn - cn % NR;
+            for (b, wblock) in wide_all.chunks_exact(k_len * MR).enumerate() {
+                let oc0 = b * MR;
+                let rows = (oc - oc0).min(MR);
+                let mut blk = RowBlock {
+                    out: &mut ybatch[oc0 * o_len..],
+                    ld: o_len,
+                    c0,
+                    wp: wblock,
+                    colp,
+                    cn,
+                    bias: std::array::from_fn(|m| {
+                        if m < rows && !bs.is_empty() {
+                            bs[oc0 + m]
+                        } else {
+                            0.0
+                        }
+                    }),
+                };
+                if rows < MR {
+                    micro.ragged_rows(&mut blk, rows, 0, cn);
+                } else {
+                    micro.full_rows(&mut blk, full);
+                    if full < cn {
+                        micro.ragged_rows(&mut blk, MR, full, cn - full);
+                    }
+                }
+            }
+            adarnet_obs::counter!("nn_gemm_panels_total").inc();
+        }
+    }
+    workspace::put_aligned(colbuf);
     if let Some(stage) = stage {
         workspace::put_aligned(stage);
     }

@@ -9,10 +9,11 @@
 //!   ([`cpu_scalar::ScalarMicro`]): plain scalar loops. The train ==
 //!   serve contract (a mutable layer's `forward` and its frozen twin's
 //!   `infer` agree bitwise) is stated *per backend*.
-//! * [`Device::CpuSimd`] — the vectorized plane
-//!   ([`cpu_simd::SimdMicro`]): AVX2+FMA micro-kernels for the GEMM
-//!   tiles. Falls back to the scalar micro-kernels at runtime when the
-//!   CPU lacks AVX2/FMA (or off x86_64), so selecting it is always
+//! * [`Device::CpuSimd`] — the vectorized plane: the AVX-512 4×64
+//!   tile ([`cpu_simd::Avx512Micro`]) where the CPU has `avx512f`, else
+//!   the AVX2+FMA 4×16 tile ([`cpu_simd::SimdMicro`]); the two agree
+//!   bitwise. Falls back to the scalar micro-kernels at runtime when
+//!   the CPU lacks AVX2/FMA (or off x86_64), so selecting it is always
 //!   safe. GEMM outputs differ from scalar only by FMA reassociation
 //!   (ULP-bounded, pinned by `tests/device_equivalence.rs`); the
 //!   direct, pool, and softmax ops share one implementation across
@@ -37,6 +38,8 @@
 pub mod cpu_scalar;
 pub mod cpu_simd;
 pub mod driver;
+#[cfg(test)]
+mod tile_tests;
 
 use std::sync::OnceLock;
 
@@ -57,8 +60,9 @@ pub enum Device {
 }
 
 /// Instantiate `$body` with `$m` bound to the selected backend's
-/// micro-kernel handle. `CpuSimd` without runtime AVX2/FMA support
-/// degrades to the scalar handle.
+/// micro-kernel handle. `CpuSimd` takes the widest register tile the
+/// CPU has — the AVX-512 4×64 tile, else the AVX2 4×16 tile — and
+/// without runtime AVX2/FMA support degrades to the scalar handle.
 macro_rules! with_micro {
     ($dev:expr, $m:ident => $body:expr) => {
         match $dev {
@@ -66,15 +70,22 @@ macro_rules! with_micro {
                 let $m = cpu_scalar::ScalarMicro;
                 $body
             }
-            Device::CpuSimd => match cpu_simd::micro() {
-                Some($m) => $body,
-                None => {
+            Device::CpuSimd => {
+                if let Some($m) = cpu_simd::micro_avx512() {
+                    $body
+                } else if let Some($m) = cpu_simd::micro() {
+                    $body
+                } else {
                     let $m = cpu_scalar::ScalarMicro;
                     $body
                 }
-            },
+            }
         }
     };
+}
+
+fn tile_of<M: driver::MicroGemm>(_: M) -> (&'static str, usize) {
+    (M::TILE, M::TILE_COLS)
 }
 
 impl Device {
@@ -121,6 +132,13 @@ impl Device {
     /// without AVX2/FMA, where it degrades to scalar).
     pub fn is_simd_active(self) -> bool {
         self == Device::CpuSimd && cpu_simd::available()
+    }
+
+    /// The widest register tile this selection's GEMM runs on this
+    /// machine, by name (`scalar_4x16` | `avx2_4x16` | `avx512_4x64`)
+    /// and by columns (16 | 64).
+    pub fn gemm_tile(self) -> (&'static str, usize) {
+        with_micro!(self, m => tile_of(m))
     }
 
     /// Direct 7-loop convolution (the sub-`GEMM_THRESHOLD` path).

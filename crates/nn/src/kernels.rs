@@ -9,7 +9,7 @@
 //! The kernel *bodies* live in [`crate::device`]: the backend-generic
 //! GEMM driver in [`crate::device::driver`], the scalar reference
 //! implementations in [`crate::device::cpu_scalar`], and the AVX2+FMA
-//! micro-kernels in [`crate::device::cpu_simd`]. This module keeps what
+//! and AVX-512 micro-kernels in [`crate::device::cpu_simd`]. This module keeps what
 //! is backend-independent — tiling constants, the dispatch threshold,
 //! the im2col fill, weight packing — plus free-function entry points
 //! that run on [`crate::device::Device::CpuScalar`], the *scalar
@@ -34,8 +34,8 @@
 //!   the same panels, so training `forward` and frozen `infer` agree
 //!   bitwise on a backend.
 //!
-//! Memory discipline: every scratch buffer (im2col panels, panel
-//! outputs, per-call weight panels) and every output tensor comes from
+//! Memory discipline: every scratch buffer (im2col panels, per-call
+//! weight panels) and every output tensor comes from
 //! the size-classed pool in [`adarnet_tensor::workspace`] — after
 //! warmup the hot path performs no heap allocation (enforced by the
 //! `no-alloc-in-hot-path` repo lint rule and asserted end-to-end by
@@ -79,22 +79,27 @@ pub(crate) fn runs_gemm(x: &Tensor<F>, kh: usize, kw: usize, pad: usize) -> bool
     conv_out_extent(x.dim(2), kh, pad) * conv_out_extent(x.dim(3), kw, pad) >= GEMM_THRESHOLD
 }
 
-/// Register-tile rows: output channels accumulated simultaneously. The
-/// micro-kernel keeps `MR × NR` f32 accumulators live (8 AVX2 vectors),
-/// and an `MR × k_len` weight slab (≤ 9 KiB at the decoder's widest
-/// 64-ch 3×3 layer) L1-resident per tile sweep.
+/// Register-tile rows: output channels accumulated simultaneously, and
+/// the row-block height of the packed weight panels. Every backend's
+/// tile is `MR` rows by its own width (16 columns scalar and AVX2, 64
+/// AVX-512: sixteen zmm accumulators), and an `MR × k_len` weight slab
+/// (≤ 9 KiB at the decoder's widest 64-ch 3×3 layer) stays L1-resident
+/// per tile sweep.
 pub const MR: usize = 4;
-/// Register-tile columns: output pixels per accumulator row (two 256-bit
-/// vectors of f32). All paper shapes have `o_len` divisible by 16, so
-/// the scalar edge path only runs on irregular test shapes. The SIMD
-/// backend's FMA tile fills both 256-bit FMA pipes from this width
-/// (2 ymm per accumulator row × [`MR`] rows = 8 live ymm registers).
+/// Narrowest register-tile width in output pixels (two 256-bit vectors
+/// of f32) and the granule of the remainder rule: a column panel's
+/// first `cn - cn % NR` columns run register tiles (64-wide ones first
+/// where the backend has them), the rest the ragged body
+/// (`device::driver::ragged_rows_body`). Every model extent has `o_len`
+/// divisible by 16, so ragged *columns* only occur on irregular test
+/// shapes; ragged *rows* do occur in the model — the scorer's last conv
+/// has `oc = 1 < MR` — and `device::tile_tests` lists the path of each
+/// of the ten model convs.
 pub const NR: usize = 16;
 /// Column-panel width (output pixels) processed per im2col fill. Bounds
-/// the per-task scratch to `k_len × NC` floats (≈ 576 KiB at the widest
-/// decoder layer — L2-resident while `oc/MR` row sweeps reuse it) and
-/// sets the intra-item parallel grain: a single bin-3 patch (16384 px)
-/// yields 64 independent panel tasks.
+/// the im2col scratch to `k_len × NC` floats (≈ 576 KiB at the widest
+/// decoder layer — L2-resident while `oc/MR` row sweeps reuse it); a
+/// single bin-3 patch (16384 px) is 64 panels of four 64-wide tiles.
 pub const NC: usize = 256;
 
 /// Stride-1 2-D convolution (cross-correlation, as in every DL framework).

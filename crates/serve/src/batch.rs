@@ -122,7 +122,7 @@ pub fn infer_cached(
             let image = out.pooled_image(k);
             // The cache owns an independent copy; the pooled image
             // travels with the prediction and is recycled by callers.
-            if let Some(key) = &key {
+            if let Some(key) = key {
                 cache.insert(key, image.clone());
             }
             outputs[si][pi] = Some(image);

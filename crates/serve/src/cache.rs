@@ -90,6 +90,15 @@ impl PatchKey {
     }
 }
 
+/// For callers of [`PatchCache::insert`] that keep their key: a
+/// borrowed key copies its bytes in, where a caller that is done with
+/// the key passes it by value and moves them.
+impl From<&PatchKey> for PatchKey {
+    fn from(key: &PatchKey) -> PatchKey {
+        key.clone()
+    }
+}
+
 struct Entry {
     key_bytes: Vec<u8>,
     value: Tensor<f32>,
@@ -168,34 +177,38 @@ impl PatchCache {
     }
 
     /// Insert a decoded patch, evicting the least-recently-used entry
-    /// if the cache is full.
-    pub fn insert(&self, key: &PatchKey, value: Tensor<f32>) {
+    /// if the cache is full. The key's bytes (up to 458 KB at bin 3)
+    /// move into the entry, and the entry this insert displaces — the
+    /// slot's previous holder, else the evicted one; never both, since
+    /// only a new slot grows the map — is freed after the lock is
+    /// released, so no lookup waits for a copy or a free that size.
+    pub fn insert(&self, key: impl Into<PatchKey>, value: Tensor<f32>) {
         if self.capacity == 0 {
             return;
         }
+        let PatchKey { bytes, hash } = key.into();
         let mut inner = sync::lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(old) = inner.map.insert(
-            key.hash,
-            Entry {
-                key_bytes: key.bytes.clone(),
-                value,
-                tick,
-            },
-        ) {
+        let entry = Entry {
+            key_bytes: bytes,
+            value,
+            tick,
+        };
+        let mut displaced = inner.map.insert(hash, entry);
+        if let Some(old) = &displaced {
             // Same hash slot reused (refresh or collision overwrite).
             inner.recency.remove(&old.tick);
         }
-        inner.recency.insert(tick, key.hash);
-        while inner.map.len() > self.capacity {
-            let Some((&oldest_tick, &oldest_hash)) = inner.recency.iter().next() else {
-                debug_assert!(false, "recency must track every entry");
-                break;
-            };
-            inner.recency.remove(&oldest_tick);
-            inner.map.remove(&oldest_hash);
+        inner.recency.insert(tick, hash);
+        if inner.map.len() > self.capacity {
+            match inner.recency.pop_first() {
+                Some((_, oldest_hash)) => displaced = inner.map.remove(&oldest_hash),
+                None => debug_assert!(false, "recency must track every entry"),
+            }
         }
+        drop(inner);
+        drop(displaced);
     }
 
     /// Drop every entry (e.g. on model hot-swap; entries are also
@@ -352,7 +365,7 @@ mod tests {
     fn level_and_generation_distinguish_identical_patches() {
         let cache = PatchCache::new(8);
         let input = patch(1.0);
-        cache.insert(&PatchKey::new(0, 1, &input), patch(10.0));
+        cache.insert(PatchKey::new(0, 1, &input), patch(10.0));
         assert!(cache.get(&PatchKey::new(0, 2, &input)).is_none());
         assert!(cache.get(&PatchKey::new(1, 1, &input)).is_none());
         assert_eq!(
@@ -381,6 +394,31 @@ mod tests {
     }
 
     #[test]
+    fn insert_past_capacity_frees_exactly_one_entry() {
+        let cache = PatchCache::new(3);
+        let key = |i: usize| PatchKey::new(0, 0, &patch(i as f32));
+        for i in 0..3 {
+            cache.insert(key(i), patch(10.0 + i as f32));
+        }
+        assert_eq!(cache.len(), 3);
+        for i in 3..8 {
+            cache.insert(key(i), patch(10.0 + i as f32));
+            assert_eq!(cache.len(), 3, "one in, one out");
+            assert!(cache.get(&key(i - 3)).is_none(), "the oldest entry went");
+            for kept in i - 2..=i {
+                assert_eq!(cache.get(&key(kept)).unwrap(), patch(10.0 + kept as f32));
+            }
+        }
+        // Refreshing a held key displaces its old value and evicts nothing.
+        cache.insert(key(7), patch(99.0));
+        assert_eq!(cache.len(), 3);
+        for kept in 5..7 {
+            assert!(cache.get(&key(kept)).is_some());
+        }
+        assert_eq!(cache.get(&key(7)).unwrap(), patch(99.0));
+    }
+
+    #[test]
     fn zero_capacity_disables() {
         let cache = PatchCache::new(0);
         let key = PatchKey::new(0, 0, &patch(1.0));
@@ -393,7 +431,7 @@ mod tests {
     #[test]
     fn clear_empties() {
         let cache = PatchCache::new(4);
-        cache.insert(&PatchKey::new(0, 0, &patch(1.0)), patch(5.0));
+        cache.insert(PatchKey::new(0, 0, &patch(1.0)), patch(5.0));
         cache.clear();
         assert!(cache.is_empty());
     }

@@ -31,6 +31,10 @@ cargo test --release --offline --manifest-path ledger/Cargo.toml
 # covering the operation), so a crate change that breaks the replay
 # exits non-zero here. Output checks, not timings, decide the exit code.
 cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --workload net_hit --seed 1 --seconds 2 --trace 1
+# And of the decoder-bound one, whose checks are the other side of the
+# same replay: hit share 0, `FrozenDecoder::forward` at least 0.8 of a
+# miss, at most 0.1 of the operation unattributed.
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --workload net_miss --seed 1 --seconds 2 --trace 1
 
 echo "==> repo lint (crates/check)"
 cargo run --release -q -p check --bin lint
