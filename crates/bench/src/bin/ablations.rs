@@ -1,22 +1,50 @@
-//! Ablation benches for the design choices the paper motivates in §3.1
-//! and §5.1 (indexed in DESIGN.md §7):
+//! Ablations for the design choices the paper motivates in §3.1 and
+//! §5.1 (indexed in DESIGN.md §7):
 //!
-//! * **Shared vs per-resolution decoder** — one decoder shared across all
-//!   bins (the paper's choice) vs four separate decoders: 4x the
-//!   parameters and a cold cache per bin.
-//! * **Max vs average scorer pooling** — the paper argues max pooling is
-//!   the conservative choice (a patch takes the resolution its *most*
+//! * `ablation_decoder_sharing` — one decoder shared across all bins
+//!   (the paper's choice) vs four separate decoders: 4x the parameters
+//!   and a cold cache per bin.
+//! * `ablation_scorer_pooling` — the paper argues max pooling is the
+//!   conservative choice (a patch takes the resolution its *most*
 //!   demanding cell needs); the ablation reports how many patches would
 //!   drop a level under average pooling.
-//! * **Bin count b** — inference cost at b = 2, 3, 4 bins.
-//! * **Lambda balance** — the data/PDE loss split at lambda around the
+//! * `ablation_bin_count` — inference cost at b = 2, 3, 4 bins.
+//! * `ablation_lambda` — the data/PDE loss split at lambda around the
 //!   paper's 0.03.
+//! * `ablation_convection_scheme` — pure upwind vs hybrid blend.
+//!
+//! Every timing row is the median of [`SAMPLES`] wall-clock samples of
+//! one call each, after one untimed warm-up call; the whole run takes
+//! about two seconds, so there is no smaller setting to select.
+//!
+//! Run with: `cargo run --release -p adarnet-bench --bin ablations`
 
 use adarnet_core::{hybrid_loss_and_grad, AdarNet, AdarNetConfig, LossConfig, NormStats, Ranker};
 use adarnet_nn::{Layer, MaxPool2d};
 use adarnet_tensor::{Shape, Tensor};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Timed calls per row.
+const SAMPLES: usize = 21;
+
+/// Print `row` (`group/name`) with the median of [`SAMPLES`] timed
+/// calls of `f`.
+fn report<R>(row: &str, mut f: impl FnMut() -> R) {
+    black_box(f());
+    let mut times: Vec<Duration> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    println!(
+        "{row:<58} median {:>12?}  ({SAMPLES} samples)",
+        times[SAMPLES / 2]
+    );
+}
 
 fn lr_input() -> Tensor<f32> {
     Tensor::from_vec(
@@ -30,9 +58,7 @@ fn lr_input() -> Tensor<f32> {
 /// Shared decoder (paper) vs simulated per-resolution decoders: the
 /// per-resolution variant re-instantiates (cold) weights per bin, which is
 /// what a 4-decoder design pays in parameters and cache traffic.
-fn bench_decoder_sharing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_decoder_sharing");
-    group.sample_size(10);
+fn decoder_sharing() {
     let lr = lr_input();
 
     let model = AdarNet::new(AdarNetConfig {
@@ -42,44 +68,40 @@ fn bench_decoder_sharing(c: &mut Criterion) {
         ..AdarNetConfig::default()
     });
     let shared = model.freeze();
-    eprintln!(
+    println!(
         "[ablation] shared decoder params: {} | 4 separate decoders would hold {}",
         model.decoder.num_params(),
         4 * model.decoder.num_params()
     );
-    group.bench_function("shared_decoder_predict", |b| {
-        b.iter(|| black_box(shared.try_predict(black_box(&lr)).unwrap()))
+    report("ablation_decoder_sharing/shared_decoder_predict", || {
+        shared.try_predict(black_box(&lr)).unwrap()
     });
 
     // Per-resolution: one (frozen, like the shared one) decoder per bin.
     let per_bin: Vec<adarnet_core::FrozenDecoder> = (0..4)
         .map(|k| adarnet_core::Decoder::new(7, 1000 + k).freeze())
         .collect();
-    group.bench_function("per_resolution_decoders_predict", |b| {
-        b.iter(|| {
+    report(
+        "ablation_decoder_sharing/per_resolution_decoders_predict",
+        || {
             let plan = shared.try_plan(&lr).unwrap();
             let mut cells = 0usize;
-            for bin in 0..4u8 {
-                let group_idx = plan.binning.groups[bin as usize].clone();
+            for (bin, group_idx) in plan.binning.groups.iter().enumerate() {
                 if group_idx.is_empty() {
                     continue;
                 }
                 let inputs: Vec<Tensor<f32>> =
                     group_idx.iter().map(|&i| plan.decoder_input(i)).collect();
                 let batch = Tensor::stack(&inputs);
-                let out = per_bin[bin as usize].forward(&batch);
-                cells += out.len();
+                cells += per_bin[bin].forward(&batch).len();
             }
-            black_box(cells)
-        })
-    });
-    group.finish();
+            cells
+        },
+    );
 }
 
 /// Max vs average pooling on the scorer's latent image.
-fn bench_pooling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_scorer_pooling");
-    group.sample_size(20);
+fn scorer_pooling() {
     let latent = Tensor::from_vec(
         Shape::d4(1, 1, 64, 256),
         (0..64 * 256).map(|i| ((i as f32) * 0.37).sin()).collect(),
@@ -115,24 +137,21 @@ fn bench_pooling(c: &mut Criterion) {
         .zip(&avg_bins.bin_of_patch)
         .filter(|(m, a)| a < m)
         .count();
-    eprintln!(
+    println!(
         "[ablation] avg pooling under-refines {dropped}/{} patches vs max pooling",
         max_bins.bin_of_patch.len()
     );
 
-    group.bench_function("max_pooling", |b| {
-        b.iter(|| black_box(maxpool.forward(black_box(&latent))))
+    report("ablation_scorer_pooling/max_pooling", || {
+        maxpool.forward(black_box(&latent))
     });
-    group.bench_function("avg_pooling", |b| {
-        b.iter(|| black_box(avg_pool(black_box(&latent))))
+    report("ablation_scorer_pooling/avg_pooling", || {
+        avg_pool(black_box(&latent))
     });
-    group.finish();
 }
 
 /// Inference cost vs bin count.
-fn bench_bin_count(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_bin_count");
-    group.sample_size(10);
+fn bin_count() {
     let lr = lr_input();
     for bins in [2u8, 3, 4] {
         let model = AdarNet::new(AdarNetConfig {
@@ -144,22 +163,19 @@ fn bench_bin_count(c: &mut Criterion) {
         })
         .freeze();
         let pred = model.try_predict(&lr).unwrap();
-        eprintln!(
+        println!(
             "[ablation] b={bins}: active cells {} (max level {})",
             pred.active_cells(),
             bins - 1
         );
-        group.bench_with_input(BenchmarkId::new("bins", bins), &bins, |b, _| {
-            b.iter(|| black_box(model.try_predict(black_box(&lr)).unwrap()))
+        report(&format!("ablation_bin_count/bins/{bins}"), || {
+            model.try_predict(black_box(&lr)).unwrap()
         });
     }
-    group.finish();
 }
 
 /// Loss-balance report and cost at lambda near the paper's 0.03.
-fn bench_lambda(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_lambda");
-    group.sample_size(20);
+fn lambda() {
     let pred = Tensor::from_vec(
         Shape::d3(4, 8, 8),
         (0..256)
@@ -179,63 +195,51 @@ fn bench_lambda(c: &mut Criterion) {
             ..LossConfig::paper(0.05, 0.05)
         };
         let (pl, _) = hybrid_loss_and_grad(&pred, &label, 0, &norm, &cfg);
-        eprintln!(
+        println!(
             "[ablation] lambda={lambda}: data {:.3e} vs lambda*pde {:.3e} (ratio {:.2})",
             pl.data,
             lambda * pl.pde,
             pl.data / (lambda * pl.pde).max(1e-300)
         );
-        group.bench_with_input(
-            BenchmarkId::new("lambda", format!("{lambda}")),
-            &lambda,
-            |b, _| b.iter(|| black_box(hybrid_loss_and_grad(&pred, &label, 0, &norm, &cfg))),
-        );
+        report(&format!("ablation_lambda/lambda/{lambda}"), || {
+            hybrid_loss_and_grad(&pred, &label, 0, &norm, &cfg)
+        });
     }
-    group.finish();
 }
 
 /// Convection-scheme ablation: pure upwind vs hybrid blend. The scheme
 /// changes the discrete steady state (less numerical diffusion at higher
-/// blend) at roughly equal per-iteration cost.
-fn bench_convection_scheme(c: &mut Criterion) {
+/// blend) at roughly equal per-iteration cost. Mesh and solver setup is
+/// inside the timed call: 50 iterations dominate it.
+fn convection_scheme() {
     use adarnet_amr::{PatchLayout, RefinementMap};
     use adarnet_cfd::{CaseConfig, CaseMesh, RansSolver, SolverConfig};
-    let mut group = c.benchmark_group("ablation_convection_scheme");
-    group.sample_size(10);
     for blend in [0.0f64, 0.5] {
-        group.bench_with_input(
-            BenchmarkId::new("blend", format!("{blend}")),
-            &blend,
-            |b, &blend| {
-                b.iter_with_setup(
-                    || {
-                        let mut case = CaseConfig::channel(2.5e3);
-                        case.lx = 0.5;
-                        let mesh = CaseMesh::new(
-                            case,
-                            RefinementMap::uniform(PatchLayout::new(2, 4, 4, 4), 0, 3),
-                        );
-                        RansSolver::new(
-                            mesh,
-                            SolverConfig {
-                                conv_blend: blend,
-                                max_iters: 50,
-                                tol: 1e-12,
-                                ..SolverConfig::default()
-                            },
-                        )
-                    },
-                    |mut solver| black_box(solver.solve_to_convergence()),
-                )
-            },
-        );
+        report(&format!("ablation_convection_scheme/blend/{blend}"), || {
+            let mut case = CaseConfig::channel(2.5e3);
+            case.lx = 0.5;
+            let mesh = CaseMesh::new(
+                case,
+                RefinementMap::uniform(PatchLayout::new(2, 4, 4, 4), 0, 3),
+            );
+            RansSolver::new(
+                mesh,
+                SolverConfig {
+                    conv_blend: blend,
+                    max_iters: 50,
+                    tol: 1e-12,
+                    ..SolverConfig::default()
+                },
+            )
+            .solve_to_convergence()
+        });
     }
-    group.finish();
 }
 
-criterion_group!(
-    name = ablations;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_decoder_sharing, bench_pooling, bench_bin_count, bench_lambda, bench_convection_scheme
-);
-criterion_main!(ablations);
+fn main() {
+    decoder_sharing();
+    scorer_pooling();
+    bin_count();
+    lambda();
+    convection_scheme();
+}

@@ -2,7 +2,6 @@
 //! with precomputed solid masks and SA wall distances.
 
 use adarnet_amr::{PatchLayout, RefinementMap};
-use rayon::prelude::*;
 
 use crate::geometry::CaseConfig;
 
@@ -23,13 +22,11 @@ pub struct CaseMesh {
 
 impl CaseMesh {
     /// Discretize `case` on `map`, computing masks and wall distances.
-    /// Patch work is embarrassingly parallel and rayon-distributed, since
-    /// polygon distance over fine immersed-body patches is the single most
-    /// expensive setup step.
+    /// Patches are independent of each other; polygon distance over fine
+    /// immersed-body patches is the single most expensive setup step.
     pub fn new(case: CaseConfig, map: RefinementMap) -> CaseMesh {
         let layout = *map.layout();
         let per_patch: Vec<(Vec<bool>, Vec<f64>)> = (0..layout.num_patches())
-            .into_par_iter()
             .map(|idx| {
                 let (py, px) = layout.coords(idx);
                 let level = map.level_at(idx);

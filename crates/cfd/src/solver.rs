@@ -17,11 +17,11 @@
 //!   split ([`crate::sa`]);
 //! * explicit local pseudo-time stepping with a CFL bound combining
 //!   convective, acoustic, and viscous limits;
-//! * patch sweeps are rayon-parallel; ghost lines across refinement-level
-//!   jumps come from [`CompositeField::ghost_line`].
+//! * patch sweeps are Jacobi in space (every patch updates from the old
+//!   state); ghost lines across refinement-level jumps come from
+//!   [`CompositeField::ghost_line`].
 
 use adarnet_amr::{gradient_indicator, AmrSim, RefinementMap, Side, SolveStats};
-use rayon::prelude::*;
 use std::time::Instant;
 
 use crate::geometry::SideBc;
@@ -297,7 +297,7 @@ impl RansSolver {
         let l_ref = self.mesh.case.ly;
 
         // Compute every patch's update from the *old* state (Jacobi in
-        // space so the rayon sweep is race-free).
+        // space, so the step does not depend on patch visit order).
         struct PatchOut {
             u: Vec<f64>,
             v: Vec<f64>,
@@ -308,7 +308,6 @@ impl RansSolver {
         }
 
         let outs: Vec<PatchOut> = (0..layout.num_patches())
-            .into_par_iter()
             .map(|idx| {
                 let (py, px) = layout.coords(idx);
                 let level = self.mesh.map.level_at(idx);

@@ -18,7 +18,7 @@ use check::Mode;
 /// floor under `--compare`. The recorder suite is excluded: its ops
 /// are fully dependent by design, so it is run as plain DPOR (≡ DFS)
 /// rather than enumerated twice.
-const REDUCTION_SUITES: [&str; 5] = ["queue", "lanes", "quota", "cache", "registry"];
+const REDUCTION_SUITES: [&str; 4] = ["lanes", "quota", "cache", "registry"];
 
 /// Minimum `covered / explored` ratio `--compare` must demonstrate
 /// across [`REDUCTION_SUITES`].

@@ -21,97 +21,6 @@ pub enum ModelPush {
     Rejected,
 }
 
-/// Naive bounded FIFO with shutdown — the [`adarnet_serve::BoundedQueue`]
-/// contract.
-pub struct QueueModel {
-    capacity: usize,
-    items: VecDeque<u64>,
-    shutdown: bool,
-    /// Every value that was accepted, in acceptance order.
-    pub accepted: Vec<u64>,
-    /// Every value that came back out, in pop order.
-    pub popped: Vec<u64>,
-}
-
-impl QueueModel {
-    /// Model of a queue with `capacity` slots (clamped to 1, like the
-    /// real queue).
-    pub fn new(capacity: usize) -> QueueModel {
-        QueueModel {
-            capacity: capacity.max(1),
-            items: VecDeque::new(),
-            shutdown: false,
-            accepted: Vec::new(),
-            popped: Vec::new(),
-        }
-    }
-
-    /// Spec: reject after shutdown, saturate at capacity, else append.
-    pub fn push(&mut self, value: u64) -> ModelPush {
-        if self.shutdown {
-            ModelPush::Rejected
-        } else if self.items.len() >= self.capacity {
-            ModelPush::Saturated
-        } else {
-            self.items.push_back(value);
-            self.accepted.push(value);
-            ModelPush::Enqueued
-        }
-    }
-
-    /// Spec: strict FIFO, shutdown does not block draining.
-    pub fn try_pop(&mut self) -> Option<u64> {
-        let v = self.items.pop_front();
-        if let Some(v) = v {
-            self.popped.push(v);
-        }
-        v
-    }
-
-    /// Spec: pop min(len, max.max(1)) items in FIFO order.
-    pub fn try_pop_batch(&mut self, max: usize) -> Vec<u64> {
-        let take = self.items.len().min(max.max(1));
-        let batch: Vec<u64> = self.items.drain(..take).collect();
-        self.popped.extend_from_slice(&batch);
-        batch
-    }
-
-    /// Spec: stop accepting, keep draining.
-    pub fn shutdown(&mut self) {
-        self.shutdown = true;
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Conservation: every accepted item popped exactly once, in order,
-    /// with nothing left behind. Call after a full drain.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        if !self.items.is_empty() {
-            return Err(format!("{} items never drained", self.items.len()));
-        }
-        if self.accepted != self.popped {
-            return Err(format!(
-                "accepted {:?} but popped {:?} (lost, duplicated, or reordered entries)",
-                self.accepted, self.popped
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Number of priority lanes, mirrored from `adarnet_serve::NUM_LANES`
 /// (restated here so the oracle stays a dependency-free spec).
 pub const LANES: usize = 3;
@@ -792,28 +701,6 @@ impl SamplerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_model_saturates_and_rejects() {
-        let mut q = QueueModel::new(2);
-        assert_eq!(q.push(1), ModelPush::Enqueued);
-        assert_eq!(q.push(2), ModelPush::Enqueued);
-        assert_eq!(q.push(3), ModelPush::Saturated);
-        q.shutdown();
-        assert_eq!(q.push(4), ModelPush::Rejected);
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop_batch(5), vec![2]);
-        assert!(q.check_conservation().is_ok());
-    }
-
-    #[test]
-    fn queue_conservation_catches_leftovers() {
-        let mut q = QueueModel::new(4);
-        q.push(1);
-        assert!(q.check_conservation().is_err());
-        q.try_pop();
-        assert!(q.check_conservation().is_ok());
-    }
 
     #[test]
     fn lru_model_evicts_least_recent() {

@@ -8,7 +8,7 @@
 //! dependence.
 //!
 //! Why this is sound for the serve primitives: every public operation
-//! on [`adarnet_serve::BoundedQueue`], [`adarnet_serve::PatchCache`]
+//! on [`adarnet_serve::LaneQueue`], [`adarnet_serve::PatchCache`]
 //! and [`adarnet_serve::ModelRegistry`] is atomic under that
 //! structure's internal lock, so any concurrent execution is equivalent
 //! to *some* linearization of the operations — and the explorer visits

@@ -6,10 +6,6 @@
 //! sampling) and reports the merged result. The invariants, per
 //! structure:
 //!
-//! * **queue** — push outcomes (enqueued / saturated / rejected) match
-//!   the bounded-FIFO spec, pops are FIFO, and after a full drain every
-//!   accepted entry came out exactly once (no lost or duplicated batch
-//!   entries: patch-count conservation starts here);
 //! * **cache** — lookups, LRU eviction order, and the hit/miss
 //!   counters match an exact sequential LRU at every step;
 //! * **registry** — activation generations are exactly the linearized
@@ -23,9 +19,10 @@
 //! * **lanes** — the three-lane weighted-deficit queue's push outcomes
 //!   (per-lane saturation, shutdown rejection), the lane every pop
 //!   selects, per-lane FIFO order, batch lane-purity, and drain-time
-//!   conservation (a starved lane is a conservation violation) all
-//!   match the naive `PriorityQueueModel` restatement of the pickup
-//!   rule at every step;
+//!   conservation (every accepted entry comes out exactly once —
+//!   patch-count conservation starts here — so a starved lane is a
+//!   conservation violation) all match the naive `PriorityQueueModel`
+//!   restatement of the pickup rule at every step;
 //! * **quota** — per-tenant token buckets match the `QuotaModel`
 //!   admit/deny decisions under a logical clock (including
 //!   non-monotonic interleavings), and every tenant's grants respect
@@ -52,8 +49,7 @@ use adarnet_core::engine::InferenceEngine;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
 use adarnet_serve::{
-    BoundedQueue, LaneQueue, ModelRegistry, PatchCache, PatchKey, Priority, PushOutcome,
-    QuotaConfig, QuotaTable,
+    LaneQueue, ModelRegistry, PatchCache, PatchKey, Priority, PushOutcome, QuotaConfig, QuotaTable,
 };
 use adarnet_tensor::{Shape, Tensor};
 
@@ -62,8 +58,8 @@ use adarnet_obs::{EventKind, FlightRecorder};
 
 use crate::dpor::Footprint;
 use crate::oracle::{
-    LruModel, ModelPush, ModelSpan, PriorityQueueModel, QueueModel, QuotaModel, RecorderModel,
-    RegistryModel, SamplerModel, TraceModel,
+    LruModel, ModelPush, ModelSpan, PriorityQueueModel, QuotaModel, RecorderModel, RegistryModel,
+    SamplerModel, TraceModel,
 };
 use crate::sched::{Explorer, Mode, Scenario, SuiteStats};
 
@@ -75,225 +71,6 @@ pub enum Budget {
     Full,
     /// Reduced smoke budget for fast iteration.
     Small,
-}
-
-// ---------------------------------------------------------------------
-// Queue suite
-// ---------------------------------------------------------------------
-
-/// One scripted queue operation.
-#[derive(Debug, Clone, Copy)]
-pub enum QueueOp {
-    /// `push(value)`.
-    Push(u64),
-    /// `try_pop()`.
-    TryPop,
-    /// `try_pop_batch(max)`.
-    TryPopBatch(usize),
-    /// `pop_batch(max, 0)` — skipped when it would block (empty, not
-    /// shut down) since the checker owns the only thread.
-    PopBatch(usize),
-    /// `shutdown()`.
-    Shutdown,
-}
-
-/// Threads of queue ops over one shared [`BoundedQueue`].
-pub struct QueueScenario {
-    /// Queue capacity under test.
-    pub capacity: usize,
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<QueueOp>>,
-}
-
-/// Real queue + shadow model for one interleaving.
-pub struct QueueState {
-    real: BoundedQueue<u64>,
-    model: QueueModel,
-}
-
-impl Scenario for QueueScenario {
-    type State = QueueState;
-
-    fn name(&self) -> &'static str {
-        "serve::queue"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> QueueState {
-        QueueState {
-            real: BoundedQueue::new(self.capacity),
-            model: QueueModel::new(self.capacity),
-        }
-    }
-
-    fn step(&self, state: &mut QueueState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
-        match op {
-            QueueOp::Push(value) => {
-                let real = state.real.push(value);
-                let model = state.model.push(value);
-                let real_kind = match real {
-                    PushOutcome::Enqueued => ModelPush::Enqueued,
-                    PushOutcome::Saturated(v) if v == value => ModelPush::Saturated,
-                    PushOutcome::Rejected(v) if v == value => ModelPush::Rejected,
-                    PushOutcome::Saturated(v) | PushOutcome::Rejected(v) => {
-                        return Err(format!("push({value}) handed back wrong item {v}"))
-                    }
-                };
-                if real_kind != model {
-                    return Err(format!(
-                        "push({value}): real {real_kind:?} but spec says {model:?}"
-                    ));
-                }
-            }
-            QueueOp::TryPop => {
-                let real = state.real.try_pop();
-                let model = state.model.try_pop();
-                if real != model {
-                    return Err(format!("try_pop: real {real:?} but spec says {model:?}"));
-                }
-            }
-            QueueOp::TryPopBatch(max) => {
-                let real = state.real.try_pop_batch(max);
-                let model = state.model.try_pop_batch(max);
-                if real != model {
-                    return Err(format!(
-                        "try_pop_batch({max}): real {real:?} but spec says {model:?}"
-                    ));
-                }
-            }
-            QueueOp::PopBatch(max) => {
-                if state.model.is_empty() && !state.model.is_shutdown() {
-                    // Would block with no co-runner to wake it; the
-                    // blocking path is exercised by the queue's own
-                    // cross-thread unit test.
-                    return Ok(());
-                }
-                let real = state.real.pop_batch(max, Duration::ZERO);
-                let model = state.model.try_pop_batch(max);
-                match real {
-                    None => {
-                        if !(model.is_empty() && state.model.is_shutdown()) {
-                            return Err(format!(
-                                "pop_batch({max}): real returned shutdown-None but spec has {model:?}"
-                            ));
-                        }
-                    }
-                    Some(batch) => {
-                        if batch != model {
-                            return Err(format!(
-                                "pop_batch({max}): real {batch:?} but spec says {model:?}"
-                            ));
-                        }
-                        if batch.is_empty() {
-                            return Err("pop_batch returned an empty batch".into());
-                        }
-                    }
-                }
-            }
-            QueueOp::Shutdown => {
-                state.real.shutdown();
-                state.model.shutdown();
-            }
-        }
-        if state.real.len() != state.model.len() {
-            return Err(format!(
-                "len diverged after {op:?}: real {} vs spec {}",
-                state.real.len(),
-                state.model.len()
-            ));
-        }
-        Ok(())
-    }
-
-    fn finish(&self, state: &mut QueueState) -> Result<(), String> {
-        // Drain both sides completely, still in lock-step.
-        loop {
-            let real = state.real.try_pop();
-            let model = state.model.try_pop();
-            if real != model {
-                return Err(format!("drain diverged: real {real:?} vs spec {model:?}"));
-            }
-            if real.is_none() {
-                break;
-            }
-        }
-        state.model.check_conservation()
-    }
-}
-
-/// Run the queue suite at the given budget.
-///
-/// Every queue op serializes on the queue's one lock and observes the
-/// shared FIFO order, so the default (fully-dependent) footprint is the
-/// honest one: DPOR explores this suite like plain DFS.
-pub fn queue_suite(budget: Budget, ex: &mut Explorer) {
-    use QueueOp::*;
-
-    // Two producers racing one consumer through a capacity-4 queue:
-    // every interleaving of 9 ops, exhaustively (1680 interleavings).
-    let contended = QueueScenario {
-        capacity: 4,
-        scripts: vec![
-            vec![Push(100), Push(101), Push(102)],
-            vec![Push(200), Push(201), Push(202)],
-            vec![TryPop, TryPop, TryPop],
-        ],
-    };
-    // Saturation + shutdown against batched popping, capacity 2
-    // (560 interleavings).
-    let saturating = QueueScenario {
-        capacity: 2,
-        scripts: vec![
-            vec![Push(1), Push(2), Push(3)],
-            vec![Push(10), Push(11), Shutdown],
-            vec![TryPopBatch(2), TryPopBatch(2)],
-        ],
-    };
-    // Blocking pop_batch vs producer + shutdown (20 interleavings).
-    let blocking = QueueScenario {
-        capacity: 4,
-        scripts: vec![
-            vec![Push(7), Push(8), Shutdown],
-            vec![PopBatch(3), PopBatch(3), PopBatch(3)],
-        ],
-    };
-    match budget {
-        Budget::Full => {
-            ex.exhaustive(&contended);
-            ex.exhaustive(&saturating);
-            ex.exhaustive(&blocking);
-        }
-        Budget::Small => {
-            ex.random(&contended, 60, 11);
-            ex.random(&saturating, 60, 12);
-            ex.exhaustive(&blocking);
-        }
-    }
-
-    // A larger mixed workload, randomly scheduled: three producers, two
-    // mixed poppers, a late shutdown — too many interleavings to
-    // enumerate, so sample a seeded stream.
-    let mixed = QueueScenario {
-        capacity: 3,
-        scripts: vec![
-            vec![Push(1), Push(2), Push(3), Push(4), Push(5)],
-            vec![Push(21), Push(22), Push(23), Push(24), Push(25)],
-            vec![TryPop, TryPopBatch(2), TryPop, TryPopBatch(3), TryPop],
-            vec![PopBatch(2), TryPop, PopBatch(2), TryPop],
-            vec![Push(31), Push(32), Shutdown],
-        ],
-    };
-    let trials = match budget {
-        Budget::Full => 4000,
-        Budget::Small => 200,
-    };
-    ex.random(&mixed, trials, 0xADA7);
 }
 
 // ---------------------------------------------------------------------
@@ -1885,16 +1662,15 @@ pub fn run_all(budget: Budget, mode: Mode) -> Vec<(&'static str, SuiteStats)> {
     // The recorder's ops are all fully dependent (every one hits the
     // shared ring), so DPOR provably degenerates to DFS there; under
     // Compare that would re-enumerate its ~38k exhaustive schedules a
-    // second time for zero information. The queue and cache suites stay
-    // in Compare as the degenerate-footprint cross-check — they are an
-    // order of magnitude smaller.
+    // second time for zero information. The cache suite stays in
+    // Compare as the degenerate-footprint cross-check — it is an order
+    // of magnitude smaller.
     let recorder_mode = if mode == Mode::Compare {
         Mode::Dpor
     } else {
         mode
     };
     vec![
-        run("queue", budget, mode, queue_suite),
         run("lanes", budget, mode, lane_suite),
         run("quota", budget, mode, quota_suite),
         run("cache", budget, mode, cache_suite),
@@ -2284,35 +2060,36 @@ mod tests {
     #[test]
     fn oracle_catches_a_seeded_queue_bug() {
         // Sanity that the harness *can* fail: a wrong-capacity shadow
-        // model must diverge from the real queue.
-        struct Buggy(QueueScenario);
+        // model must diverge from the real lane queue.
+        struct Buggy(LaneScenario);
         impl Scenario for Buggy {
-            type State = QueueState;
+            type State = LaneState;
             fn name(&self) -> &'static str {
                 "buggy"
             }
             fn thread_ops(&self) -> Vec<usize> {
                 self.0.thread_ops()
             }
-            fn init(&self) -> QueueState {
-                // Real queue one slot smaller than the model believes.
-                QueueState {
-                    real: BoundedQueue::new(1),
-                    model: QueueModel::new(2),
+            fn init(&self) -> LaneState {
+                // Real lanes one slot smaller than the model believes.
+                LaneState {
+                    real: LaneQueue::new(1, self.0.weights),
+                    model: PriorityQueueModel::new(2, self.0.weights),
                 }
             }
-            fn step(&self, s: &mut QueueState, t: usize, o: usize) -> Result<(), String> {
+            fn step(&self, s: &mut LaneState, t: usize, o: usize) -> Result<(), String> {
                 self.0.step(s, t, o)
             }
-            fn finish(&self, s: &mut QueueState) -> Result<(), String> {
+            fn finish(&self, s: &mut LaneState) -> Result<(), String> {
                 self.0.finish(s)
             }
         }
-        let buggy = Buggy(QueueScenario {
+        let buggy = Buggy(LaneScenario {
             capacity: 1,
+            weights: [8, 4, 1],
             scripts: vec![
-                vec![QueueOp::Push(1), QueueOp::Push(2)],
-                vec![QueueOp::TryPop],
+                vec![LaneOp::Push(0, 1), LaneOp::Push(0, 2)],
+                vec![LaneOp::TryPop],
             ],
         });
         let r = explore_exhaustive(&buggy);

@@ -8,7 +8,6 @@
 use adarnet_amr::{PatchLayout, RefinementMap};
 use adarnet_nn::{bicubic_resize3, Device};
 use adarnet_tensor::{Shape, Tensor};
-use rayon::prelude::*;
 
 use crate::decoder::{Decoder, FrozenDecoder};
 use crate::ranker::{Binning, Ranker, RankerError};
@@ -275,8 +274,8 @@ pub struct FrozenAdarNet {
     precision: adarnet_nn::Precision,
 }
 
-/// Output of one `(sample, bin)` decode work item: `(patch_idx, patch)`
-/// pairs for every patch the ranker placed in that bin.
+/// Output of one `(sample, bin)` decode: `(patch_idx, patch)` pairs for
+/// every patch the ranker placed in that bin.
 type DecodedBin = Vec<(usize, Tensor<f32>)>;
 
 impl FrozenAdarNet {
@@ -327,9 +326,9 @@ impl FrozenAdarNet {
 
     /// Decode one bin of one plan: assemble the decoder batch from the
     /// plan's augmented field, run the shared frozen decoder, and split
-    /// the output back into `(patch_idx, patch)` pairs. One call is one
-    /// work item.
-    fn decode_bin(&self, plan: &ForwardPlan, group: &[usize], bin: u8) -> DecodedBin {
+    /// the output back into `(patch_idx, patch)` pairs.
+    fn decode_bin(&self, plan: &ForwardPlan, bin: u8) -> DecodedBin {
+        let group = &plan.binning.groups[bin as usize];
         let inputs: Vec<Tensor<f32>> = group.iter().map(|&i| plan.decoder_input(i)).collect();
         let batch = Tensor::pooled_stack(&inputs);
         for dec_in in inputs {
@@ -351,76 +350,15 @@ impl FrozenAdarNet {
         split
     }
 
-    /// Full `&self` inference for one sample: scorer → ranker → one
-    /// decoder batch per non-empty bin (the paper's dynamic batch size)
-    /// → non-uniform prediction. The returned [`Prediction`] is
-    /// pool-backed — call [`Prediction::recycle`] when done to keep
-    /// steady-state serving loops allocation-free.
-    pub fn try_predict(&self, x: &Tensor<f32>) -> Result<Prediction, RankerError> {
-        let plan = self.try_plan(x)?;
-        let bins: Vec<u8> = (0..self.cfg.bins)
-            .filter(|&bin| !plan.binning.groups[bin as usize].is_empty())
-            .collect();
-        let decoded: Vec<DecodedBin> = bins
-            .par_iter()
-            .map(|&bin| self.decode_bin(&plan, &plan.binning.groups[bin as usize], bin))
-            .collect();
-        Ok(Prediction::assemble(plan, decoded.into_iter().flatten()))
-    }
-
-    /// Batched `&self` inference over samples of identical extent:
-    /// every `(sample, bin)` pair with a non-empty group decodes as an
-    /// independent work item. This is where non-uniform SR pays off at
-    /// serving time (Figure 1's motivation): the expensive
-    /// high-resolution bins hold few patches while LR patches stay
-    /// cheap — uniform SR would run every sample entirely at max
-    /// resolution. The first sample whose scores cannot be binned fails
-    /// the whole batch (callers that want per-sample degradation
-    /// pre-validate with [`FrozenAdarNet::try_plan`]).
-    pub fn try_predict_batch(
-        &self,
-        samples: &[Tensor<f32>],
-    ) -> Result<Vec<Prediction>, RankerError> {
-        let plans: Vec<ForwardPlan> = samples
-            .par_iter()
-            .map(|x| self.try_plan(x))
-            .collect::<Result<_, _>>()?;
-        let mut work: Vec<(usize, u8)> = Vec::new();
-        for (si, plan) in plans.iter().enumerate() {
-            for bin in 0..self.cfg.bins {
-                if !plan.binning.groups[bin as usize].is_empty() {
-                    work.push((si, bin));
-                }
-            }
-        }
-        let done: Vec<(usize, DecodedBin)> = work
-            .into_par_iter()
-            .map(|(si, bin)| {
-                let plan = &plans[si];
-                (
-                    si,
-                    self.decode_bin(plan, &plan.binning.groups[bin as usize], bin),
-                )
-            })
-            .collect();
-        let mut decoded: Vec<DecodedBin> = plans.iter().map(|_| Vec::new()).collect();
-        for (si, items) in done {
-            decoded[si].extend(items);
-        }
-        Ok(plans
-            .into_iter()
-            .zip(decoded)
-            .map(|(plan, patches)| Prediction::assemble(plan, patches.into_iter()))
-            .collect())
-    }
-}
-
-impl Prediction {
-    /// Close a plan into its prediction: `decoded` yields every patch of
-    /// the plan exactly once, in any order.
-    fn assemble(plan: ForwardPlan, decoded: impl Iterator<Item = (usize, Tensor<f32>)>) -> Self {
+    /// Decode every non-empty bin of `plan`, in bin order, one decoder
+    /// batch per bin (the paper's dynamic batch size), and close the
+    /// plan into its prediction.
+    fn decode_plan(&self, plan: ForwardPlan) -> Prediction {
         let mut patches: Vec<Option<Tensor<f32>>> =
             (0..plan.layout.num_patches()).map(|_| None).collect();
+        let decoded = (0..self.cfg.bins)
+            .filter(|&bin| !plan.binning.groups[bin as usize].is_empty())
+            .flat_map(|bin| self.decode_bin(&plan, bin));
         for (i, p) in decoded {
             patches[i] = Some(p);
         }
@@ -436,6 +374,40 @@ impl Prediction {
         }
     }
 
+    /// Full `&self` inference for one sample: scorer → ranker → one
+    /// decoder batch per non-empty bin → non-uniform prediction. The
+    /// returned [`Prediction`] is pool-backed — call
+    /// [`Prediction::recycle`] when done to keep steady-state serving
+    /// loops allocation-free.
+    pub fn try_predict(&self, x: &Tensor<f32>) -> Result<Prediction, RankerError> {
+        Ok(self.decode_plan(self.try_plan(x)?))
+    }
+
+    /// Batched `&self` inference over samples of identical extent:
+    /// every sample is planned first, then every `(sample, bin)` pair
+    /// with a non-empty group decodes as its own decoder batch. This is
+    /// where non-uniform SR pays off at serving time (Figure 1's
+    /// motivation): the expensive high-resolution bins hold few patches
+    /// while LR patches stay cheap — uniform SR would run every sample
+    /// entirely at max resolution. The first sample whose scores cannot
+    /// be binned fails the whole batch (callers that want per-sample
+    /// degradation pre-validate with [`FrozenAdarNet::try_plan`]).
+    pub fn try_predict_batch(
+        &self,
+        samples: &[Tensor<f32>],
+    ) -> Result<Vec<Prediction>, RankerError> {
+        let plans: Vec<ForwardPlan> = samples
+            .iter()
+            .map(|x| self.try_plan(x))
+            .collect::<Result<_, _>>()?;
+        Ok(plans
+            .into_iter()
+            .map(|plan| self.decode_plan(plan))
+            .collect())
+    }
+}
+
+impl Prediction {
     /// Return every tensor buffer in this prediction to the workspace
     /// pool. Inference entry points ([`FrozenAdarNet::try_predict`],
     /// [`crate::engine::InferenceEngine::infer_batch`], ...) produce

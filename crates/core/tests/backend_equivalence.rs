@@ -88,8 +88,8 @@ fn scalar_and_simd_engines_agree_on_refinement_decisions() {
     }
 }
 
-/// Batched inference agrees across backends too (the rayon
-/// `(sample, bin)` work items reuse the same per-backend kernels).
+/// Batched inference agrees across backends too (the `(sample, bin)`
+/// decodes reuse the same per-backend kernels).
 #[test]
 fn batch_decisions_match_across_backends() {
     let scalar = engine_on(Device::CpuScalar, 7);

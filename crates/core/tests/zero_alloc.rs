@@ -13,7 +13,7 @@
 //! counter bumped on every pool miss and on every instrumented
 //! `Tensor<f32>` data-buffer construction (`zeros`, `full`, `clone`,
 //! `stack`, `image`, ...). Control-plane allocations — `Shape` vectors,
-//! rayon task bookkeeping, the `Vec<Prediction>` spine — are deliberately
+//! per-bin index lists, the `Vec<Prediction>` spine — are deliberately
 //! out of scope: they are O(patches) pointer-sized, not O(pixels), and a
 //! global-allocator hook is off the table under `unsafe_code = "deny"`.
 
@@ -66,7 +66,7 @@ fn steady_state_infer_batch_performs_zero_data_allocations() {
 
         // Warmup: several rounds so the pool reaches its steady-state working
         // set, including the peak number of concurrently-held im2col/output
-        // panels across the rayon workers.
+        // panels.
         for _ in 0..6 {
             for pred in engine.infer_batch(&fields).expect("warmup inference") {
                 pred.recycle();

@@ -6,7 +6,6 @@ use adarnet_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::cases::{
@@ -66,7 +65,6 @@ impl Default for DatasetConfig {
 }
 
 /// Generate the full three-family dataset from the synthetic models.
-/// Sample generation is rayon-parallel across configurations.
 pub fn generate(cfg: &DatasetConfig) -> Vec<Sample> {
     assert!(cfg.per_family >= 2, "need at least 2 samples per family");
     let mut configs: Vec<(Family, CaseConfig)> = Vec::with_capacity(3 * cfg.per_family);
@@ -80,7 +78,7 @@ pub fn generate(cfg: &DatasetConfig) -> Vec<Sample> {
         configs.push((Family::Ellipse, CaseConfig::ellipse(aspect, alpha, re)));
     }
     configs
-        .into_par_iter()
+        .into_iter()
         .map(|(family, case)| Sample {
             field: synthesize(&case, cfg.h, cfg.w),
             meta: SampleMeta {

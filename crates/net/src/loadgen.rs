@@ -12,7 +12,7 @@
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use adarnet_serve::{Priority, RejectBreakdown, RejectReason, NUM_LANES};
+use adarnet_serve::{percentile_ms, Priority, RejectBreakdown, RejectReason, NUM_LANES};
 use adarnet_tensor::Tensor;
 use serde::Serialize;
 
@@ -73,16 +73,6 @@ pub struct TcpLoadReport {
     pub slowest_trace: String,
     /// Per-lane breakdown (lanes with zero requests are omitted).
     pub lanes: Vec<LaneReport>,
-}
-
-/// Nearest-rank percentile of a sorted window, in milliseconds.
-fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted_ns.len() as f64).ceil() as usize;
-    let idx = rank.clamp(1, sorted_ns.len()) - 1;
-    sorted_ns[idx] as f64 / 1e6
 }
 
 struct LaneAccum {

@@ -1,10 +1,11 @@
-//! The versioned request/response body codec (DESIGN.md §13).
+//! The request/response body codec (DESIGN.md §13).
 //!
 //! Every body starts with a fixed 16-byte header:
 //!
 //! ```text
 //! [u8;4]  magic  "ADRN"
-//! u8      protocol version (3; version-1/2 bodies still decode)
+//! u8      protocol version (3; any other value is a typed
+//!                           `BadVersion`)
 //! u8      body kind        (1 = request, 2 = response)
 //! u16 LE  reserved         (0)
 //! u64 LE  request id       (echoed verbatim in the response)
@@ -16,14 +17,13 @@
 //! ```text
 //! u64 LE  tenant id
 //! u8      priority class   (0 interactive, 1 standard, 2 bulk)
-//! u8      precision        (version >= 3 only; 0 = server default,
-//!                           1 = f32, 2 = bf16 — the weight plane this
-//!                           request asks to ride; older versions carry
-//!                           0 here, which decodes as "default")
+//! u8      precision        (0 = server default, 1 = f32, 2 = bf16 —
+//!                           the weight plane this request asks to
+//!                           ride)
 //! [u8;2]  reserved
 //! u32 LE  deadline budget, ms  (0 = no deadline)
-//! u64 LE  trace id         (version >= 2 only; 0 = none — the server
-//!                           mints one so the request is traceable)
+//! u64 LE  trace id         (0 = none — the server mints one so the
+//!                           request is traceable)
 //! u16 LE  c, h, w          (field extents; c·h·w f32 values follow)
 //! u16 LE  reserved
 //! f32 LE × c·h·w           (row-major (C, H, W) field data)
@@ -39,13 +39,13 @@
 //!                           3 deadline_exceeded, 4 shutdown,
 //!                           5 inference_error, 6 bad_request)
 //! u8      priority class the request was served on
-//! u8      precision        (version >= 3 only; 0 = unknown/error,
-//!                           1 = f32, 2 = bf16 — the weight plane the
-//!                           request was actually routed to)
+//! u8      precision        (0 = unknown/error, 1 = f32, 2 = bf16 —
+//!                           the weight plane the request was actually
+//!                           routed to)
 //! u64 LE  model generation (0 for degraded/error responses)
 //! u64 LE  server-side latency, ns
-//! u64 LE  trace id         (version >= 2 only; the id the request was
-//!                           traced under — client-sent or server-minted)
+//! u64 LE  trace id         (the id the request was traced under —
+//!                           client-sent or server-minted)
 //! u16 LE  npy, npx         (patch grid; zero for error responses)
 //! u8  × npy·npx            (per-patch refinement bin)
 //! f32 LE × npy·npx         (per-patch scorer output)
@@ -60,12 +60,10 @@ use adarnet_tensor::{Shape, Tensor};
 
 /// Protocol magic, first bytes of every body.
 pub const MAGIC: [u8; 4] = *b"ADRN";
-/// Current protocol version (v2 added the trace-id field; v3 gives
-/// meaning to a previously-reserved byte as the weight-plane precision
-/// — offsets are unchanged, so v2 bodies decode as "default plane").
+/// The one protocol version both encoders write and both decoders
+/// accept (3: the layout with the trace-id field and the precision
+/// byte; the number is kept so no body ever written changes meaning).
 pub const PROTOCOL_VERSION: u8 = 3;
-/// Oldest version the decoder still accepts (pre-trace-id bodies).
-pub const PROTOCOL_VERSION_MIN: u8 = 1;
 /// Body kind: request.
 pub const KIND_REQUEST: u8 = 1;
 /// Body kind: response.
@@ -167,8 +165,7 @@ pub struct Request {
     /// every request lands in the tail sampler regardless).
     pub trace_id: u64,
     /// Requested weight plane; `None` defers to the server's routing
-    /// (tenant override, else server default). v1/v2 peers always
-    /// decode as `None`.
+    /// (tenant override, else server default).
     pub precision: Option<Precision>,
     /// The raw `(C, H, W)` LR field.
     pub field: Tensor<f32>,
@@ -192,11 +189,11 @@ pub struct Response {
     pub generation: u64,
     /// Server-side latency, nanoseconds.
     pub latency_ns: u64,
-    /// Trace id the request was served under (0 only for version-1
-    /// clients' error paths that never reached admission).
+    /// Trace id the request was served under (0 only on error paths
+    /// that never reached admission).
     pub trace_id: u64,
     /// Weight plane the request was routed to (`None` for error
-    /// responses that never reached admission, and for v1/v2 bodies).
+    /// responses that never reached admission).
     pub precision: Option<Precision>,
     /// Patch grid extents (0 × 0 for error responses).
     pub npy: u16,
@@ -316,13 +313,13 @@ fn put_header(out: &mut Vec<u8>, kind: u8, request_id: u64) {
     out.extend_from_slice(&request_id.to_le_bytes());
 }
 
-fn read_header(c: &mut Cursor<'_>, expected_kind: u8) -> Result<(u8, u64), DecodeError> {
+fn read_header(c: &mut Cursor<'_>, expected_kind: u8) -> Result<u64, DecodeError> {
     let magic = c.take(4)?;
     if magic != MAGIC {
         return Err(DecodeError::BadMagic);
     }
     let version = c.u8()?;
-    if !(PROTOCOL_VERSION_MIN..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
     let kind = c.u8()?;
@@ -330,7 +327,7 @@ fn read_header(c: &mut Cursor<'_>, expected_kind: u8) -> Result<(u8, u64), Decod
         return Err(DecodeError::BadKind(kind));
     }
     let _reserved = c.u16()?;
-    Ok((version, c.u64()?))
+    c.u64()
 }
 
 /// Encode a request into a frame body.
@@ -358,23 +355,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Decode a request body.
 pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
     let mut c = Cursor::new(body);
-    let (version, request_id) = read_header(&mut c, KIND_REQUEST)?;
+    let request_id = read_header(&mut c, KIND_REQUEST)?;
     let tenant = c.u64()?;
     let pr = c.u8()?;
     let priority = Priority::from_index(pr as usize).ok_or(DecodeError::BadPriority(pr))?;
-    // v3 repurposed the first reserved byte as the precision request;
-    // older peers wrote 0 there, which maps to "server default" anyway,
-    // but only v3 bodies get it *validated* (a v2 peer's junk byte must
-    // not fail an otherwise-valid request).
-    let precision = if version >= 3 {
-        precision_from_u8(c.u8()?)?
-    } else {
-        let _ = c.u8()?;
-        None
-    };
+    let precision = precision_from_u8(c.u8()?)?;
     let _reserved = c.take(2)?;
     let deadline_ms = c.u32()?;
-    let trace_id = if version >= 2 { c.u64()? } else { 0 };
+    let trace_id = c.u64()?;
     let ch = c.u16()? as usize;
     let h = c.u16()? as usize;
     let w = c.u16()? as usize;
@@ -429,22 +417,17 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Decode a response body.
 pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
     let mut c = Cursor::new(body);
-    let (version, request_id) = read_header(&mut c, KIND_RESPONSE)?;
+    let request_id = read_header(&mut c, KIND_RESPONSE)?;
     let st = c.u8()?;
     let status = Status::from_u8(st).ok_or(DecodeError::BadStatus(st))?;
     let reject_code = c.u8()?;
     let reject = reject_from_u8(reject_code)?;
     let pr = c.u8()?;
     let priority = Priority::from_index(pr as usize).ok_or(DecodeError::BadPriority(pr))?;
-    let precision = if version >= 3 {
-        precision_from_u8(c.u8()?)?
-    } else {
-        let _ = c.u8()?;
-        None
-    };
+    let precision = precision_from_u8(c.u8()?)?;
     let generation = c.u64()?;
     let latency_ns = c.u64()?;
-    let trace_id = if version >= 2 { c.u64()? } else { 0 };
+    let trace_id = c.u64()?;
     let npy = c.u16()?;
     let npx = c.u16()?;
     let cells = (npy as usize)
@@ -515,9 +498,8 @@ mod tests {
         assert_eq!(back.field.as_slice(), req.field.as_slice());
     }
 
-    #[test]
-    fn response_roundtrip() {
-        let resp = Response {
+    fn sample_response() -> Response {
+        Response {
             request_id: 7,
             status: Status::Degraded,
             reject: Some(RejectReason::DeadlineExceeded),
@@ -531,7 +513,12 @@ mod tests {
             npx: 3,
             bins: vec![0, 1, 2, 3, 0, 1],
             scores: vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6],
-        };
+        }
+    }
+
+    #[test]
+    fn response_roundtrip() {
+        let resp = sample_response();
         let body = encode_response(&resp);
         let back = decode_response(&body).unwrap();
         assert_eq!(back.request_id, 7);
@@ -548,18 +535,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_version_kind_are_typed() {
+    fn bad_magic_and_kind_are_typed() {
         let req = sample_request();
         let mut body = encode_request(&req);
         body[0] = b'X';
         assert_eq!(decode_request(&body).unwrap_err(), DecodeError::BadMagic);
-
-        let mut body = encode_request(&req);
-        body[4] = 9;
-        assert_eq!(
-            decode_request(&body).unwrap_err(),
-            DecodeError::BadVersion(9)
-        );
 
         let body = encode_request(&req);
         // A request body is not a response body.
@@ -567,6 +547,30 @@ mod tests {
             decode_response(&body).unwrap_err(),
             DecodeError::BadKind(KIND_REQUEST)
         );
+    }
+
+    /// Exactly one version byte decodes; every other one, including the
+    /// two retired layouts, is a typed `BadVersion` on both body kinds.
+    #[test]
+    fn only_the_current_version_byte_decodes() {
+        let mut req = encode_request(&sample_request());
+        let mut resp = encode_response(&sample_response());
+        for version in [0u8, 1, 2, 4, 255] {
+            req[4] = version;
+            resp[4] = version;
+            assert_eq!(
+                decode_request(&req).unwrap_err(),
+                DecodeError::BadVersion(version)
+            );
+            assert_eq!(
+                decode_response(&resp).unwrap_err(),
+                DecodeError::BadVersion(version)
+            );
+        }
+        req[4] = 3;
+        resp[4] = 3;
+        assert_eq!(encode_request(&decode_request(&req).unwrap()), req);
+        assert_eq!(encode_response(&decode_response(&resp).unwrap()), resp);
     }
 
     #[test]
@@ -582,84 +586,9 @@ mod tests {
         assert_eq!(decode_request(&padded).unwrap_err(), DecodeError::Truncated);
     }
 
-    /// Byte offset of the request's precision byte (first
-    /// formerly-reserved byte after the priority class).
+    /// Byte offset of the request's precision byte (right after the
+    /// priority class).
     const REQ_PRECISION_AT: usize = 16 + 8 + 1;
-    /// Byte offset of the response's precision byte (formerly-reserved
-    /// byte after the priority class).
-    const RESP_PRECISION_AT: usize = 16 + 3;
-
-    /// Re-encode a version-3 body as its version-1 layout: flip the
-    /// version byte, zero the precision byte (reserved pre-v3), and
-    /// splice out the 8-byte trace-id field at `trace_at`. This is
-    /// byte-for-byte what a v1 peer sends.
-    fn downgrade(body: &[u8], precision_at: usize, trace_at: usize) -> Vec<u8> {
-        let mut v1 = body.to_vec();
-        v1[4] = 1;
-        v1[precision_at] = 0;
-        v1.drain(trace_at..trace_at + 8);
-        v1
-    }
-
-    #[test]
-    fn version1_request_still_decodes() {
-        let req = sample_request();
-        let v1 = downgrade(&encode_request(&req), REQ_PRECISION_AT, 16 + 8 + 1 + 3 + 4);
-        let back = decode_request(&v1).expect("v1 request must decode");
-        assert_eq!(back.request_id, req.request_id);
-        assert_eq!(back.tenant, req.tenant);
-        assert_eq!(back.priority, req.priority);
-        assert_eq!(back.deadline_ms, req.deadline_ms);
-        assert_eq!(back.trace_id, 0, "v1 has no trace id; decodes as none");
-        assert_eq!(back.precision, None, "v1 has no precision request");
-        assert_eq!(back.field.as_slice(), req.field.as_slice());
-    }
-
-    #[test]
-    fn version1_response_still_decodes() {
-        let resp = Response {
-            request_id: 9,
-            status: Status::Full,
-            reject: None,
-            reject_code: 0,
-            priority: Priority::Standard,
-            generation: 5,
-            latency_ns: 42,
-            trace_id: 0xAB,
-            precision: Some(Precision::Bf16),
-            npy: 1,
-            npx: 2,
-            bins: vec![1, 0],
-            scores: vec![0.5, -0.5],
-        };
-        let v1 = downgrade(&encode_response(&resp), RESP_PRECISION_AT, 16 + 4 + 8 + 8);
-        let back = decode_response(&v1).expect("v1 response must decode");
-        assert_eq!(back.request_id, 9);
-        assert_eq!(back.latency_ns, 42);
-        assert_eq!(back.trace_id, 0);
-        assert_eq!(back.precision, None);
-        assert_eq!(back.bins, resp.bins);
-    }
-
-    /// A version-2 body is byte-for-byte a version-3 body with the
-    /// version flipped — the precision byte was reserved then. It must
-    /// decode as "default plane", and whatever junk a v2 peer left
-    /// there must be ignored, never validated.
-    #[test]
-    fn version2_request_decodes_precision_as_default() {
-        let req = sample_request();
-        let mut v2 = encode_request(&req);
-        v2[4] = 2;
-        // sample_request encodes precision = bf16 = 2 at this offset; a
-        // v2 decode must not interpret it. Also try a byte no v3 peer
-        // could send, proving the field is skipped, not validated.
-        for junk in [v2[REQ_PRECISION_AT], 0, 0xFF] {
-            v2[REQ_PRECISION_AT] = junk;
-            let back = decode_request(&v2).expect("v2 request must decode");
-            assert_eq!(back.precision, None);
-            assert_eq!(back.trace_id, req.trace_id, "v2 keeps the trace id");
-        }
-    }
 
     #[test]
     fn bad_precision_byte_is_typed() {

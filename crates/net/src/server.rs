@@ -210,9 +210,9 @@ fn connection_loop(stream: TcpStream, shared: Arc<NetShared>) {
                 } else {
                     Some(started + Duration::from_millis(u64::from(req.deadline_ms)))
                 };
-                // Client-sent trace id, or a locally minted one for v1
-                // (and trace-less v2) peers — every request is
-                // traceable either way.
+                // Client-sent trace id, or a locally minted one when the
+                // client sent none — every request is traceable either
+                // way.
                 let ctx = TraceCtx::from_wire(req.trace_id).unwrap_or_else(TraceCtx::mint);
                 let opts = SubmitOptions {
                     priority: req.priority,

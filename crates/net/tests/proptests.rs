@@ -82,19 +82,6 @@ proptest! {
         prop_assert_eq!(back.precision, req.precision);
         prop_assert_eq!(back.field.shape(), req.field.shape());
         prop_assert_eq!(back.field.as_slice(), req.field.as_slice());
-
-        // The same request re-laid-out as a version-1 body (no
-        // trace-id field, precision byte reserved-zero) still decodes,
-        // with the trace id defaulting to 0 and no precision request.
-        let mut v1 = encode_request(&req);
-        v1[4] = 1;
-        v1[25] = 0; // 16B header + 8B tenant + 1B priority
-        v1.drain(32..40); // 16B header + 8B tenant + 4B pri/pad + 4B deadline
-        let old = decode_request(&v1).unwrap();
-        prop_assert_eq!(old.trace_id, 0);
-        prop_assert_eq!(old.precision, None);
-        prop_assert_eq!(old.request_id, req.request_id);
-        prop_assert_eq!(old.field.as_slice(), req.field.as_slice());
     }
 
     /// encode → decode is the identity on every well-formed response.

@@ -13,7 +13,6 @@
 //! every op except the FMA-reassociated GEMMs.
 
 use adarnet_tensor::{Shape, Tensor};
-use rayon::prelude::*;
 
 use crate::device::driver::{ragged_rows_body, MicroGemm, RowBlock};
 use crate::kernels::{conv_out_extent, MR, NR};
@@ -68,7 +67,7 @@ impl MicroGemm for ScalarMicro {
     }
 }
 
-/// Direct 7-loop stride-1 convolution, parallel over `(batch,
+/// Direct 7-loop stride-1 convolution, one pass over `(batch,
 /// out-channel)` planes — the sub-threshold path for every backend.
 pub fn conv2d_forward_direct(
     x: &Tensor<F>,
@@ -103,7 +102,7 @@ pub fn conv2d_forward_direct(
     let plane = oh * ow;
 
     y.as_mut_slice()
-        .par_chunks_mut(plane)
+        .chunks_mut(plane)
         .enumerate()
         .for_each(|(p, yplane)| {
             let ni = p / oc;
@@ -170,7 +169,7 @@ pub fn conv2d_backward_input_direct(
     let plane = in_h * in_w;
 
     dx.as_mut_slice()
-        .par_chunks_mut(plane)
+        .chunks_mut(plane)
         .enumerate()
         .for_each(|(p, dxplane)| {
             let ni = p / ic;
@@ -234,7 +233,7 @@ pub fn conv2d_backward_params_direct(
     let slab = ic * kh * kw;
 
     dw.as_mut_slice()
-        .par_chunks_mut(slab)
+        .chunks_mut(slab)
         .enumerate()
         .for_each(|(oci, dwslab)| {
             for ni in 0..n {

@@ -22,7 +22,6 @@
 //! instantiation, so the micro-kernel inlines into the panel loop.
 
 use adarnet_tensor::{workspace, Shape, Tensor};
-use rayon::prelude::*;
 
 use crate::kernels::{conv_out_extent, im2col_row_segment, packed_panels_len, PackedPanels};
 use crate::kernels::{MR, NC, NR};
@@ -308,7 +307,7 @@ pub fn conv2d_backward_params_gemm<M: MicroGemm>(
     for ni in 0..n {
         // Same im2col fill as the forward driver, one row at a time.
         let xitem = &xs[ni * ic * h * wd..(ni + 1) * ic * h * wd];
-        col.par_chunks_mut(o_len).enumerate().for_each(|(r, dst)| {
+        col.chunks_mut(o_len).enumerate().for_each(|(r, dst)| {
             let ici = r / (kh * kw);
             let ky = (r / kw) % kh;
             let kx = r % kw;
@@ -317,15 +316,13 @@ pub fn conv2d_backward_params_gemm<M: MicroGemm>(
         });
         // dw[oc_i, :] += dy_row(oc_i) . col^T.
         let dws = dw.as_mut_slice();
-        dws.par_chunks_mut(k_len)
-            .enumerate()
-            .for_each(|(oci, dwrow)| {
-                let dyrow = &dys[(ni * oc + oci) * o_len..(ni * oc + oci + 1) * o_len];
-                for (k, dwv) in dwrow.iter_mut().enumerate() {
-                    let crow = &col[k * o_len..(k + 1) * o_len];
-                    *dwv += micro.dot(dyrow, crow);
-                }
-            });
+        dws.chunks_mut(k_len).enumerate().for_each(|(oci, dwrow)| {
+            let dyrow = &dys[(ni * oc + oci) * o_len..(ni * oc + oci + 1) * o_len];
+            for (k, dwv) in dwrow.iter_mut().enumerate() {
+                let crow = &col[k * o_len..(k + 1) * o_len];
+                *dwv += micro.dot(dyrow, crow);
+            }
+        });
     }
     workspace::put(col);
 

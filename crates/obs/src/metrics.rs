@@ -27,7 +27,7 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Number of per-metric write stripes. Eight covers the worker-thread
-/// counts this workspace runs (rayon pool + serve workers) without
+/// counts this workspace runs (serve workers + connection threads) without
 /// bloating every counter.
 pub const STRIPES: usize = 8;
 

@@ -1,7 +1,7 @@
 //! Multi-lane priority queue with weighted-deficit pickup — the front
-//! of the serving pipeline, replacing the single FIFO [`crate::queue::
-//! BoundedQueue`] so a latency-sensitive small field never waits behind
-//! a bulk refinement job, while bulk still makes guaranteed progress.
+//! of the serving pipeline: a latency-sensitive small field never waits
+//! behind a bulk refinement job, while bulk still makes guaranteed
+//! progress.
 //!
 //! Semantics (the `PriorityQueueModel` oracle in `crates/check`
 //! re-states these as a sequential shadow model):
@@ -34,7 +34,23 @@ use std::time::{Duration, Instant};
 
 use adarnet_core::sync;
 
-use crate::queue::PushOutcome;
+/// What happened to a pushed item.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushOutcome<T> {
+    /// The item was queued and will be served.
+    Enqueued,
+    /// The lane was at capacity; the item comes back to the caller.
+    Saturated(T),
+    /// The queue is shut down; the item comes back to the caller.
+    Rejected(T),
+}
+
+impl<T> PushOutcome<T> {
+    /// Whether the item was accepted.
+    pub fn is_enqueued(&self) -> bool {
+        matches!(self, PushOutcome::Enqueued)
+    }
+}
 
 /// Number of priority lanes.
 pub const NUM_LANES: usize = 3;

@@ -49,7 +49,6 @@ pub mod cache;
 pub mod config;
 pub mod lanes;
 pub mod loadgen;
-pub mod queue;
 pub mod quota;
 pub mod registry;
 pub mod server;
@@ -57,12 +56,11 @@ pub mod server;
 pub use batch::{degraded_prediction, infer_cached};
 pub use cache::{PatchCache, PatchKey};
 pub use config::ServeConfig;
-pub use lanes::{select_lane_spec, LaneQueue, Priority, NUM_LANES};
+pub use lanes::{select_lane_spec, LaneQueue, Priority, PushOutcome, NUM_LANES};
 pub use loadgen::{
-    field_pool, run_closed_loop, slowest_trace_hex, LatencyWindow, LoadReport, Observation,
-    RejectBreakdown,
+    field_pool, percentile_ms, run_closed_loop, slowest_trace_hex, LatencyWindow, LoadReport,
+    Observation, RejectBreakdown,
 };
-pub use queue::{BoundedQueue, PushOutcome};
 pub use quota::{QuotaConfig, QuotaTable, TokenBucket};
 pub use registry::{ActiveModel, ModelRegistry, RegistryError};
 pub use server::{RejectReason, ResponseKind, ServeResponse, ServeStats, Server, SubmitOptions};

@@ -129,13 +129,17 @@ pub fn run_closed_loop(
     (all, started.elapsed())
 }
 
-/// Nearest-rank percentile over a sorted slice of latencies.
-fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile of a sorted window of nanosecond latencies,
+/// in milliseconds: the smallest sample with at least `p` percent of
+/// the window at or below it (0 for an empty window). Both load
+/// generators report through this one definition.
+pub fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
+    if sorted_ns.is_empty() {
         return 0.0;
     }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e3
+    let rank = ((p / 100.0) * sorted_ns.len() as f64).ceil() as usize;
+    let idx = rank.clamp(1, sorted_ns.len()) - 1;
+    sorted_ns[idx] as f64 / 1e6
 }
 
 /// Per-reason counts of the degraded responses a run's clients saw,
@@ -257,18 +261,21 @@ impl LoadReport {
                 window.mean() / 1e6,
             )
         } else {
-            let mut sorted: Vec<Duration> = observations.iter().map(|o| o.latency).collect();
-            sorted.sort();
+            let mut sorted: Vec<u64> = observations
+                .iter()
+                .map(|o| o.latency.as_nanos() as u64)
+                .collect();
+            sorted.sort_unstable();
             let mean_ms = if sorted.is_empty() {
                 0.0
             } else {
-                sorted.iter().map(|d| d.as_secs_f64()).sum::<f64>() / sorted.len() as f64 * 1e3
+                sorted.iter().map(|&ns| ns as f64).sum::<f64>() / sorted.len() as f64 / 1e6
             };
             (
                 percentile_ms(&sorted, 50.0),
                 percentile_ms(&sorted, 95.0),
                 percentile_ms(&sorted, 99.0),
-                sorted.last().map(|d| d.as_secs_f64() * 1e3).unwrap_or(0.0),
+                sorted.last().map_or(0.0, |&ns| ns as f64 / 1e6),
                 mean_ms,
             )
         };
@@ -309,9 +316,19 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let sorted: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert!((percentile_ms(&sorted, 50.0) - 50.0).abs() <= 1.0);
-        assert!((percentile_ms(&sorted, 99.0) - 99.0).abs() <= 1.0);
+        // Windows of 1, 2 and 100 samples holding 1..=n ms; expected
+        // values in ms at p = 50, 95, 99, 100.
+        let table: [(u64, [f64; 4]); 3] = [
+            (1, [1.0, 1.0, 1.0, 1.0]),
+            (2, [1.0, 2.0, 2.0, 2.0]),
+            (100, [50.0, 95.0, 99.0, 100.0]),
+        ];
+        for (n, expected) in table {
+            let sorted: Vec<u64> = (1..=n).map(|ms| ms * 1_000_000).collect();
+            for (p, want) in [50.0, 95.0, 99.0, 100.0].into_iter().zip(expected) {
+                assert_eq!(percentile_ms(&sorted, p), want, "n = {n}, p = {p}");
+            }
+        }
         assert_eq!(percentile_ms(&[], 50.0), 0.0);
     }
 }

@@ -54,8 +54,7 @@ use adarnet_tensor::Tensor;
 use crate::batch::{degraded_prediction, infer_cached};
 use crate::cache::PatchCache;
 use crate::config::ServeConfig;
-use crate::lanes::{LaneQueue, Priority};
-use crate::queue::PushOutcome;
+use crate::lanes::{LaneQueue, Priority, PushOutcome};
 use crate::registry::{ModelRegistry, RegistryError};
 
 /// Why a request was not served in full. Carried in the response (and

@@ -10,9 +10,9 @@
 //! * [`Grid2`] — a 2-D scalar field with `(i, j)` = `(row, col)` indexing,
 //!   used by the CFD and AMR substrates.
 //!
-//! Kernels that touch every element (`map`, `zip`, reductions) switch to
-//! [rayon]-parallel execution above a size threshold, so small patches stay
-//! on the fast sequential path while full-field operations use all cores.
+//! Kernels that touch every element (`map`, `zip`, reductions) run as one
+//! sequential pass on the calling thread; concurrency lives above this
+//! crate, in the serving worker pool.
 //!
 //! [NCHW]: https://docs.nvidia.com/deeplearning/performance/dl-performance-convolutional/index.html#tensor-layout
 
@@ -29,8 +29,3 @@ pub use grid::Grid2;
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use workspace::AlignedBuf;
-
-/// Element count above which elementwise kernels switch to rayon-parallel
-/// execution. Chosen so a 16x16 patch (256 elements) stays sequential while
-/// a full 64x256 field (16k+ elements) parallelizes.
-pub const PAR_THRESHOLD: usize = 8192;

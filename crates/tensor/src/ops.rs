@@ -1,12 +1,9 @@
 //! Elementwise operations and reductions over [`Tensor`].
 //!
-//! Kernels go rayon-parallel when the element count exceeds
-//! [`crate::PAR_THRESHOLD`]; below that, sequential loops avoid the
-//! fork-join overhead (per the Rust Performance Book guidance on not
-//! parallelizing tiny workloads).
+//! Every kernel is one sequential pass on the calling thread;
+//! reductions accumulate in `f64` in element order.
 
-use crate::{Element, Tensor, PAR_THRESHOLD};
-use rayon::prelude::*;
+use crate::{Element, Tensor};
 
 impl<T: Element> Tensor<T> {
     /// Apply `f` to every element, producing a new tensor.
@@ -18,11 +15,7 @@ impl<T: Element> Tensor<T> {
 
     /// Apply `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(T) -> T + Sync + Send) {
-        if self.len() >= PAR_THRESHOLD {
-            self.as_mut_slice().par_iter_mut().for_each(|v| *v = f(*v));
-        } else {
-            self.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
-        }
+        self.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
     }
 
     /// Combine two same-shape tensors elementwise.
@@ -34,17 +27,10 @@ impl<T: Element> Tensor<T> {
             other.shape()
         );
         let mut out = self.clone();
-        if self.len() >= PAR_THRESHOLD {
-            out.as_mut_slice()
-                .par_iter_mut()
-                .zip(other.as_slice().par_iter())
-                .for_each(|(a, &b)| *a = f(*a, b));
-        } else {
-            out.as_mut_slice()
-                .iter_mut()
-                .zip(other.as_slice().iter())
-                .for_each(|(a, &b)| *a = f(*a, b));
-        }
+        out.as_mut_slice()
+            .iter_mut()
+            .zip(other.as_slice().iter())
+            .for_each(|(a, &b)| *a = f(*a, b));
         out
     }
 
@@ -76,26 +62,15 @@ impl<T: Element> Tensor<T> {
             self.shape(),
             other.shape()
         );
-        if self.len() >= PAR_THRESHOLD {
-            self.as_mut_slice()
-                .par_iter_mut()
-                .zip(other.as_slice().par_iter())
-                .for_each(|(a, &b)| *a += alpha * b);
-        } else {
-            self.as_mut_slice()
-                .iter_mut()
-                .zip(other.as_slice().iter())
-                .for_each(|(a, &b)| *a += alpha * b);
-        }
+        self.as_mut_slice()
+            .iter_mut()
+            .zip(other.as_slice().iter())
+            .for_each(|(a, &b)| *a += alpha * b);
     }
 
     /// Sum of all elements, accumulated in `f64` for stability.
     pub fn sum(&self) -> f64 {
-        if self.len() >= PAR_THRESHOLD {
-            self.as_slice().par_iter().map(|v| v.to_f64()).sum()
-        } else {
-            self.as_slice().iter().map(|v| v.to_f64()).sum()
-        }
+        self.as_slice().iter().map(|v| v.to_f64()).sum()
     }
 
     /// Arithmetic mean of all elements (0 for empty tensors).
@@ -135,23 +110,14 @@ impl<T: Element> Tensor<T> {
 
     /// Euclidean (L2) norm, accumulated in `f64`.
     pub fn l2_norm(&self) -> f64 {
-        let ss: f64 = if self.len() >= PAR_THRESHOLD {
-            self.as_slice()
-                .par_iter()
-                .map(|v| {
-                    let x = v.to_f64();
-                    x * x
-                })
-                .sum()
-        } else {
-            self.as_slice()
-                .iter()
-                .map(|v| {
-                    let x = v.to_f64();
-                    x * x
-                })
-                .sum()
-        };
+        let ss: f64 = self
+            .as_slice()
+            .iter()
+            .map(|v| {
+                let x = v.to_f64();
+                x * x
+            })
+            .sum();
         ss.sqrt()
     }
 
@@ -258,16 +224,6 @@ mod tests {
         let b = t(vec![3.0, 4.0]);
         assert_eq!(a.mse(&b), 4.0);
         assert_eq!(a.dot(&b), 11.0);
-    }
-
-    #[test]
-    fn parallel_path_matches_sequential() {
-        let n = PAR_THRESHOLD * 2;
-        let big = Tensor::from_vec(Shape::d1(n), (0..n).map(|i| i as f64).collect());
-        let seq_sum: f64 = (0..n).map(|i| i as f64).sum();
-        assert_eq!(big.sum(), seq_sum);
-        let doubled = big.scale(2.0);
-        assert_eq!(doubled.as_slice()[n - 1], 2.0 * (n - 1) as f64);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! The hot path of both training epochs and steady-state inference is
 //! dominated by conv/deconv kernels that need short-lived buffers:
 //! im2col panels, layer outputs, flipped weight copies. Allocating those
-//! fresh on every call costs page faults and allocator contention under
-//! rayon. This module keeps returned buffers on power-of-two "shelves"
-//! so a steady-state workload recycles the same arenas forever.
+//! fresh on every call costs page faults and allocator contention
+//! across the serving workers. This module keeps returned buffers on
+//! power-of-two "shelves" so a steady-state workload recycles the same
+//! arenas forever.
 //!
 //! Design (DESIGN.md §10):
 //!
@@ -32,7 +33,7 @@
 //!   [`data_allocs`]. The workspace crate cannot install a counting
 //!   `#[global_allocator]` (the workspace denies `unsafe_code`), so the
 //!   counter instruments the data plane at the source instead: control
-//!   structures (small index `Vec`s, rayon internals) are documented
+//!   structures (small index `Vec`s, result spines) are documented
 //!   out of scope. Tests snapshot the counter, run a steady-state
 //!   window, and assert it did not move.
 

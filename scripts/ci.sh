@@ -62,6 +62,10 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
 else
   echo "    skipped (SKIP_SLOW=1): timing gate is meaningless on a loaded machine"
 fi
+# The ablations bin has one setting (21 samples a row, about two
+# seconds in all); running it keeps its code compiled and executed by
+# the gate. Its timings gate nothing.
+cargo run --release -q -p adarnet-bench --bin ablations
 
 echo "==> net smoke (loopback TCP end-to-end)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
