@@ -4,12 +4,11 @@
 //! Benchmarks the forward paths that exist — the direct loop nest
 //! (`Device::conv2d_forward`, the numerical reference) and the packed
 //! GEMM driver as the layers dispatch it (packed at or above
-//! `GEMM_THRESHOLD` output pixels, direct below) in its three feeds:
-//! f32 panels packed once outside the timed region, as a frozen model
-//! does (`packed`); the weight packed into pooled scratch inside every
-//! call, the mutable layers' entry point (`percall`); and bf16 panels
-//! widened once per call (`bf16`) — across the patch extents the
-//! decoder actually sees (16/32/64/128 per side: 16x16 patches refined
+//! `GEMM_THRESHOLD` output pixels, direct below) in its two feeds:
+//! panels packed once outside the timed region, as a frozen model
+//! does (`packed`), and the weight packed into pooled scratch inside
+//! every call, the mutable layers' entry point (`percall`) — across
+//! the patch extents the decoder actually sees (16/32/64/128 per side: 16x16 patches refined
 //! to bins 0–3) and the decoder/scorer channel widths (8/16/64), plus
 //! the scorer's four convs (4→8, 8→16, 16→16, 16→1) on its full 64x256
 //! LR field. Every configuration runs on **both** backends: the scalar
@@ -28,11 +27,10 @@
 //! cargo run --release -p adarnet-bench --bin kernels -- --smoke \
 //!     --check-against BENCH_kernels.json                            # regression gate (>1.5x fails)
 //! cargo run --release -p adarnet-bench --bin kernels -- --gate-simd # SIMD >= 1.5x scalar at bin 3
-//! cargo run --release -p adarnet-bench --bin kernels -- --gate-bf16 # bf16 >= 0.95x f32 packed
 //! cargo run --release -p adarnet-bench --bin kernels -- --out path  # explicit output path
 //! ```
 //!
-//! Three gates, all ratio-based so they hold on noisy shared machines:
+//! Two gates, both ratio-based so they hold on noisy shared machines:
 //!
 //! * **`--check-against`**: per `(label, backend)` row, the packed
 //!   path must run within 1.5x of the committed baseline.
@@ -40,20 +38,12 @@
 //!   packed GFLOP/s must be >= 1.5x scalar on the bin-3 rows (skipped
 //!   with a note on hardware without AVX2/FMA, where both planes run
 //!   the same scalar micro-kernels).
-//! * **`--gate-bf16`**: same-run comparison — the bf16 packed path
-//!   (half-size panels, widened once per forward call into pooled
-//!   scratch ahead of the shared f32 FMA tiles) must reach at least
-//!   0.95x the f32 packed path (0.75x under `--smoke`) on every
-//!   packed-eligible row, on both backends. The reduced plane halves
-//!   weight-panel bytes; this gate proves the widening work doesn't
-//!   give the win back.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use adarnet_nn::he_normal;
 use adarnet_nn::kernels::{pack_weight_panels, packed_panels_len, PackedPanels, GEMM_THRESHOLD};
-use adarnet_nn::quantize::{pack_weight_panels_bf16, PackedPanelsBf16};
 use adarnet_nn::Device;
 use adarnet_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -88,19 +78,8 @@ struct ConfigResult {
     /// this shape — as `packed_secs`, with the weight packed into
     /// pooled scratch inside every timed call.
     percall_secs: f64,
-    /// The bf16 weight plane's packed path: panels narrowed to bf16
-    /// once outside the timed region (what `freeze_as(Bf16)` does),
-    /// then the widen-once-per-call packed driver timed alone. The
-    /// bf16 plane dispatches every shape through this path.
-    bf16_packed_secs: f64,
     /// Packed-path throughput in GFLOP/s (2 * oc * k_len * o_len flops).
     packed_gflops: f64,
-    /// Speedup of the bf16 packed path over the f32 packed path for
-    /// the same shape: best paired round (see the rotation comment in
-    /// `bench_config`). The `--gate-bf16` floor holds this >= 0.95
-    /// (full mode) on every packed-eligible row: halving panel bytes must
-    /// not cost throughput to the per-call widening stage.
-    bf16_vs_f32: f64,
 }
 
 /// The committed benchmark artifact.
@@ -158,8 +137,8 @@ fn bench_config(
         black_box(dev.conv2d_forward(black_box(&x), &wt, &b, 1)).recycle();
     });
 
-    // Panels for the two pre-packed paths, built outside the timed
-    // region — exactly what a frozen model does at construction.
+    // Panels for the pre-packed path, built outside the timed region
+    // — exactly what a frozen model does at construction.
     let mut panels = vec![0.0f32; packed_panels_len(oc, k_len)];
     pack_weight_panels(wt.as_slice(), oc, k_len, &mut panels);
     let packed = PackedPanels {
@@ -169,42 +148,19 @@ fn bench_config(
         kh: 3,
         kw: 3,
     };
-    let mut bf16_panels = vec![0u16; packed_panels_len(oc, k_len)];
-    pack_weight_panels_bf16(wt.as_slice(), oc, k_len, &mut bf16_panels);
-    let bf16_packed = PackedPanelsBf16 {
-        data: &bf16_panels,
-        oc,
-        ic,
-        kh: 3,
-        kw: 3,
-    };
 
-    // The three GEMM feeds are timed in rotation — pre-packed f32,
-    // per-call pack, then the bf16 plane — for several rounds.
-    // Absolute columns take the per-path minimum (the classical
-    // least-interference estimator); the floor-gated bf16 ratio is
-    // computed *per round* from the adjacent measurements and the best
-    // round is kept. Pairing matters on a steal-prone shared host: a
-    // hypervisor burst that lands inside one path's batch skews an
-    // unpaired min-over-min ratio by ±10% (the difference between a
-    // floor pass and a flaky failure), while a paired ratio only needs
-    // one round where both adjacent batches ran clean. A *systematic*
-    // kernel regression slows its path in every round, so
-    // best-of-rounds still catches everything the floor exists to
-    // catch. Full mode buys five rounds; smoke stays at three to hold
-    // the CI budget. The informational naive column keeps one cheap
-    // batch.
+    // The two GEMM feeds are timed in rotation for several rounds and
+    // each column takes its per-path minimum (the classical
+    // least-interference estimator on a steal-prone shared host). Full
+    // mode buys five rounds; smoke stays at three to hold the CI
+    // budget. The informational naive column keeps one cheap batch.
     //
-    // Below `GEMM_THRESHOLD` the f32 layers, frozen and mutable alike,
-    // run the direct loop nest; the bf16 plane routes every shape
-    // through its packed panels (it keeps no unpacked f32 copy to fall
-    // back to).
+    // Below `GEMM_THRESHOLD` the layers, frozen and mutable alike, run
+    // the direct loop nest.
     let gemm = o_len >= GEMM_THRESHOLD;
     let rounds = if budget > 0.1 { 5 } else { 3 };
     let mut packed_secs = f64::INFINITY;
     let mut percall_secs = f64::INFINITY;
-    let mut bf16_packed_secs = f64::INFINITY;
-    let mut bf16_vs_f32 = 0.0f64;
     for _ in 0..rounds {
         let packed_r = time_secs(budget, || {
             if gemm {
@@ -220,13 +176,8 @@ fn bench_config(
                 black_box(dev.conv2d_forward(black_box(&x), &wt, &b, 1)).recycle();
             }
         });
-        let bf16_r = time_secs(budget, || {
-            black_box(dev.conv2d_forward_packed_bf16(black_box(&x), bf16_packed, &b, 1)).recycle();
-        });
         packed_secs = packed_secs.min(packed_r);
         percall_secs = percall_secs.min(percall_r);
-        bf16_packed_secs = bf16_packed_secs.min(bf16_r);
-        bf16_vs_f32 = bf16_vs_f32.max(packed_r / bf16_r);
     }
 
     let flops = 2.0 * oc as f64 * k_len as f64 * o_len as f64;
@@ -242,9 +193,7 @@ fn bench_config(
         naive_secs,
         packed_secs,
         percall_secs,
-        bf16_packed_secs,
         packed_gflops: flops / packed_secs / 1e9,
-        bf16_vs_f32,
     }
 }
 
@@ -285,7 +234,7 @@ fn run_sweep(smoke: bool) -> BenchReport {
     }
 
     BenchReport {
-        schema: "adarnet-bench-kernels-v5".to_string(),
+        schema: "adarnet-bench-kernels-v6".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         gemm_threshold: GEMM_THRESHOLD,
         simd_active: Device::CpuSimd.is_simd_active(),
@@ -315,27 +264,6 @@ fn regressions(current: &BenchReport, baseline: &BenchReport, max_ratio: f64) ->
         }
     }
     bad
-}
-
-/// The bf16 gate: on every packed-eligible row (the shapes the f32
-/// plane also dispatches through packed panels), the bf16 path's
-/// per-call widening stage must not cost more than the floor relative
-/// to the f32 packed path, on either backend. Same-run ratio, so
-/// machine drift cancels. Sub-threshold rows are exempt: there f32
-/// dispatches direct while bf16 has only the packed plane, and that
-/// mismatch is a routing question, not a micro-kernel regression.
-fn bf16_gate_violations(report: &BenchReport, floor: f64) -> Vec<String> {
-    report
-        .configs
-        .iter()
-        .filter(|c| c.o_len >= GEMM_THRESHOLD && c.bf16_vs_f32 < floor)
-        .map(|c| {
-            format!(
-                "{} [{}]: bf16 packed path at {:.3}x f32 packed (floor {floor})",
-                c.label, c.backend, c.bf16_vs_f32
-            )
-        })
-        .collect()
 }
 
 /// The SIMD gate: same-run packed GFLOP/s, SIMD vs scalar, on the
@@ -370,7 +298,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let gate_simd = args.iter().any(|a| a == "--gate-simd");
-    let gate_bf16 = args.iter().any(|a| a == "--gate-bf16");
     let check_against = args
         .iter()
         .position(|a| a == "--check-against")
@@ -381,7 +308,7 @@ fn main() {
         .map(|i| args[i + 1].clone());
 
     eprintln!(
-        "kernel sweep ({}): naive vs packed vs per-call vs bf16, \
+        "kernel sweep ({}): naive vs packed vs per-call, \
          backends {:?}, GEMM_THRESHOLD={}, simd_active={}",
         if smoke { "smoke" } else { "full" },
         BACKENDS.map(Device::name),
@@ -391,21 +318,12 @@ fn main() {
     let report = run_sweep(smoke);
 
     println!(
-        "{:<24} {:<11} {:<12} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}",
-        "config",
-        "backend",
-        "tile",
-        "o_len",
-        "naive s",
-        "packed s",
-        "percall s",
-        "bf16 s",
-        "GFLOP/s",
-        "bf16/f32"
+        "{:<24} {:<11} {:<12} {:>8} {:>12} {:>12} {:>12} {:>10}",
+        "config", "backend", "tile", "o_len", "naive s", "packed s", "percall s", "GFLOP/s",
     );
     for c in &report.configs {
         println!(
-            "{:<24} {:<11} {:<12} {:>8} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e} {:>10.2} {:>8.2}x",
+            "{:<24} {:<11} {:<12} {:>8} {:>12.3e} {:>12.3e} {:>12.3e} {:>10.2}",
             c.label,
             c.backend,
             c.tile,
@@ -413,35 +331,11 @@ fn main() {
             c.naive_secs,
             c.packed_secs,
             c.percall_secs,
-            c.bf16_packed_secs,
             c.packed_gflops,
-            c.bf16_vs_f32
         );
     }
 
     let mut failed = false;
-
-    if gate_bf16 {
-        // Smoke budgets are noisy on shared hosts, so the floor loosens
-        // there; a full run must show the widening stage costing
-        // essentially nothing.
-        let floor = if smoke { 0.75 } else { 0.95 };
-        let bad = bf16_gate_violations(&report, floor);
-        let eligible = report
-            .configs
-            .iter()
-            .filter(|c| c.o_len >= GEMM_THRESHOLD)
-            .count();
-        if bad.is_empty() {
-            println!("bf16 gate: OK (all {eligible} packed-eligible rows >= {floor}x f32 packed)");
-        } else {
-            eprintln!("bf16 gate FAILED:");
-            for b in &bad {
-                eprintln!("  {b}");
-            }
-            failed = true;
-        }
-    }
 
     if gate_simd {
         if Device::CpuSimd.is_simd_active() {

@@ -202,11 +202,6 @@ pub fn case_lr_sample(tc: TestCase, scale: Scale) -> Sample {
     }
 }
 
-/// Format a ratio as the paper does (`3.0x`).
-pub fn fmt_x(v: f64) -> String {
-    format!("{v:.1}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

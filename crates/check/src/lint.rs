@@ -44,10 +44,6 @@ use crate::rules::{lint_source, span_macro_sites, Finding, RuleSet, RULE_SPAN_RE
 
 /// Crates whose float→int casts index grids and tensors.
 const LOSSY_CAST_CRATES: &[&str] = &["nn", "tensor", "cfd"];
-/// The one file allowed to narrow f32→bf16: the quantize module, where
-/// round-to-nearest-even packing lives behind the accuracy budget.
-/// Everywhere else `f32_to_bf16` is a lossy-cast finding.
-const BF16_NARROWING_EXEMPT_FILE: &str = "crates/nn/src/quantize.rs";
 /// Crates with cross-thread locking.
 const LOCK_ORDER_CRATES: &[&str] = &["serve", "net"];
 /// Hot-path kernel files (repo-relative) where allocating constructors
@@ -196,7 +192,6 @@ fn rule_set_for(crate_name: &str) -> RuleSet {
     RuleSet {
         core_rules: true,
         lossy_cast: LOSSY_CAST_CRATES.contains(&crate_name),
-        bf16_narrowing: true,
         lock_order: LOCK_ORDER_CRATES.contains(&crate_name),
         no_alloc: false,
         no_println: true,
@@ -253,7 +248,6 @@ fn rules_for_file(base: RuleSet, rel: &Path) -> RuleSet {
     RuleSet {
         no_alloc: NO_ALLOC_FILES.iter().any(|f| rel == Path::new(f)),
         unchecked_arith: UNCHECKED_ARITH_FILES.iter().any(|f| rel == Path::new(f)),
-        bf16_narrowing: base.bf16_narrowing && rel != Path::new(BF16_NARROWING_EXEMPT_FILE),
         ..base
     }
 }
@@ -351,12 +345,6 @@ mod tests {
         assert!(!rules_for_file(nn, Path::new("crates/nn/src/device/mod.rs")).no_alloc);
         assert!(!rules_for_file(nn, Path::new("crates/nn/src/model.rs")).no_alloc);
         assert!(rules_for_file(nn, Path::new("crates/nn/src/kernels.rs")).lossy_cast);
-        // bf16-narrowing applies everywhere except the quantize module
-        // itself — the one sanctioned place to drop mantissa bits.
-        assert!(rule_set_for("serve").bf16_narrowing);
-        assert!(rule_set_for("core").bf16_narrowing);
-        assert!(rules_for_file(nn, Path::new("crates/nn/src/packed.rs")).bf16_narrowing);
-        assert!(!rules_for_file(nn, Path::new("crates/nn/src/quantize.rs")).bf16_narrowing);
         // unchecked-arith is per-file: only the wire-parse files get it.
         let net = rule_set_for("net");
         assert!(rules_for_file(net, Path::new("crates/net/src/frame.rs")).unchecked_arith);

@@ -13,11 +13,7 @@
 //! * [`lossy-cast`](RULE_LOSSY_CAST) — no bare float→int `as` casts in
 //!   the `nn`/`tensor`/`cfd` kernels; truncation must be spelled
 //!   (`.floor()`, `.ceil()`, `.round()`, `.trunc()`) so grid-index
-//!   arithmetic cannot silently drop cells. A second arm (every crate)
-//!   flags `f32_to_bf16` narrowing outside `crates/nn/src/quantize.rs`:
-//!   dropping 16 mantissa bits is quantize's job alone, behind the
-//!   accuracy budget — a stray call site elsewhere silently degrades
-//!   precision with no gate.
+//!   arithmetic cannot silently drop cells.
 //! * [`lock-order`](RULE_LOCK_ORDER) — in `serve`, no second lock
 //!   acquisition while a `Mutex`/`RwLock` guard is held in the same
 //!   function (intra-function lexical scan; cross-function interleaving
@@ -111,10 +107,6 @@ pub struct RuleSet {
     pub core_rules: bool,
     /// Apply [`RULE_LOSSY_CAST`] (numeric kernel crates).
     pub lossy_cast: bool,
-    /// Apply the f32→bf16-narrowing arm of [`RULE_LOSSY_CAST`] (every
-    /// crate except the quantize module itself, which is the one place
-    /// allowed to narrow).
-    pub bf16_narrowing: bool,
     /// Apply [`RULE_LOCK_ORDER`] (concurrent serving crates).
     pub lock_order: bool,
     /// Apply [`RULE_NO_ALLOC`] (designated hot-path kernel files).
@@ -161,9 +153,6 @@ pub fn lint_source(path: &std::path::Path, src: &str, rules: RuleSet) -> Vec<Fin
     }
     if rules.lossy_cast {
         scan_lossy_cast(&toks, &mask, &mut push);
-    }
-    if rules.bf16_narrowing {
-        scan_bf16_narrowing(&toks, &mask, &mut push);
     }
     if rules.lock_order {
         scan_lock_order(&toks, &mask, &mut push);
@@ -338,31 +327,6 @@ fn scan_lossy_cast(
                 ),
             );
         }
-    }
-}
-
-/// The f32→bf16-narrowing arm of [`RULE_LOSSY_CAST`]: any mention of
-/// `f32_to_bf16` (call or import) outside the quantize module. The
-/// walker exempts `crates/nn/src/quantize.rs`; everything else either
-/// goes through the packed-panel freeze path (which narrows inside
-/// quantize) or carries a waiver arguing why an extra narrowing site is
-/// budget-safe.
-fn scan_bf16_narrowing(
-    toks: &[Tok],
-    mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !t.is_ident("f32_to_bf16") {
-            continue;
-        }
-        push(
-            RULE_LOSSY_CAST,
-            t.line,
-            "f32→bf16 narrowing outside crates/nn/src/quantize.rs — reduced-precision \
-             packing happens only at freeze, behind the accuracy budget"
-                .to_string(),
-        );
     }
 }
 
@@ -927,7 +891,6 @@ mod tests {
     const ALL: RuleSet = RuleSet {
         core_rules: true,
         lossy_cast: true,
-        bf16_narrowing: true,
         lock_order: true,
         no_alloc: true,
         no_println: true,
@@ -994,22 +957,6 @@ mod tests {
     fn lossy_cast_flags_bare_float_to_int() {
         let src = "fn f() { let a = 1.5 as usize; let b = x.sqrt() as i32; }";
         assert_eq!(rules_of(src), vec![RULE_LOSSY_CAST, RULE_LOSSY_CAST]);
-    }
-
-    #[test]
-    fn bf16_narrowing_flagged_outside_quantize() {
-        let src = "fn f(w: f32) -> u16 { f32_to_bf16(w) }";
-        assert_eq!(rules_of(src), vec![RULE_LOSSY_CAST]);
-        // Imports count too: pulling the narrower into scope is the
-        // same policy breach as calling it.
-        let import = "use adarnet_nn::quantize::f32_to_bf16;";
-        assert_eq!(rules_of(import), vec![RULE_LOSSY_CAST]);
-        // Test regions are exempt, like every other rule.
-        let test = "#[cfg(test)]\nmod tests { fn t() { f32_to_bf16(1.0); } }";
-        assert!(rules_of(test).is_empty());
-        // The widening direction is exact and allowed anywhere.
-        let widen = "fn g(b: u16) -> f32 { bf16_to_f32(b) }";
-        assert!(rules_of(widen).is_empty());
     }
 
     #[test]
@@ -1217,7 +1164,7 @@ mod tests {
     #[test]
     fn arena_call_names_are_registry_checked() {
         let src = "fn f() { trace::arena().record(ctx, \"bogus\", ns, \"bin\", 0); \
-                   trace::arena().begin(ctx, \"engine_infer\"); }";
+                   trace::arena().begin(ctx, \"serve_infer\"); }";
         let got: Vec<_> = findings(src)
             .into_iter()
             .filter(|f| f.rule == RULE_SPAN_REGISTRY)

@@ -49,7 +49,8 @@ use adarnet_core::engine::InferenceEngine;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
 use adarnet_serve::{
-    LaneQueue, ModelRegistry, PatchCache, PatchKey, Priority, PushOutcome, QuotaConfig, QuotaTable,
+    LaneQueue, ModelRegistry, PatchCache, PatchKey, Precision, Priority, PushOutcome, QuotaConfig,
+    QuotaTable,
 };
 use adarnet_tensor::{Shape, Tensor};
 
@@ -727,9 +728,7 @@ pub enum RegistryOp {
     Activate(usize),
     /// `active()` + generation/name/torn-checkpoint assertions.
     ReadActive,
-    /// `replica()` — skipped before any activation.
-    Replica,
-    /// `shared()` — the fetched engine's generation must be the spec's
+    /// `shared_with(..)` — the fetched engine's generation must be the spec's
     /// current one, its weights untorn, and repeated fetches at one
     /// generation must return the *same* `Arc` (one resident engine per
     /// generation). The thread retains the `Arc` as its in-flight
@@ -821,7 +820,7 @@ pub struct RegistryState {
     /// Per-thread in-flight shared engine: `(generation, active name at
     /// fetch time, engine)`.
     held: Vec<Option<(u64, String, Arc<InferenceEngine>)>>,
-    /// The most recent `shared()` result, for one-Arc-per-generation
+    /// The most recent `shared_with()` result, for one-Arc-per-generation
     /// identity checks.
     last_shared: Option<(u64, Arc<InferenceEngine>)>,
 }
@@ -909,41 +908,16 @@ impl Scenario for RegistryScenario {
                     }
                 }
             }
-            RegistryOp::Replica => {
-                if state.model.active.is_none() {
-                    // Pre-activation replica is a typed error by contract;
-                    // nothing to cross-check.
-                    if state.real.replica().is_ok() {
-                        return Err("replica succeeded with no active model".into());
-                    }
-                    return Ok(());
-                }
-                let (generation, engine) = state
-                    .real
-                    .replica()
-                    .map_err(|e| format!("replica failed with an active model: {e}"))?;
-                let Some((model_generation, _)) = &state.model.active else {
-                    return Err("spec lost its active model".into());
-                };
-                if generation != *model_generation {
-                    return Err(format!(
-                        "replica generation {generation} but spec says {model_generation}"
-                    ));
-                }
-                if engine.config().ph != self.cfg.ph {
-                    return Err("replica restored with wrong patch geometry".into());
-                }
-            }
             RegistryOp::Shared => {
                 if state.model.active.is_none() {
-                    if state.real.shared().is_ok() {
+                    if state.real.shared_with(Precision::F32).is_ok() {
                         return Err("shared succeeded with no active model".into());
                     }
                     return Ok(());
                 }
                 let (generation, engine) = state
                     .real
-                    .shared()
+                    .shared_with(Precision::F32)
                     .map_err(|e| format!("shared failed with an active model: {e}"))?;
                 let Some((model_generation, model_name)) = state.model.active.clone() else {
                     return Err("spec lost its active model".into());
@@ -965,7 +939,7 @@ impl Scenario for RegistryScenario {
                 if let Some((last_generation, last_engine)) = &state.last_shared {
                     if *last_generation == generation && !Arc::ptr_eq(last_engine, &engine) {
                         return Err(format!(
-                            "two shared() calls at generation {generation} returned distinct \
+                            "two shared_with() calls at generation {generation} returned distinct \
                              engines (weights must be resident once per generation)"
                         ));
                     }
@@ -1015,8 +989,8 @@ impl Scenario for RegistryScenario {
 
     /// Object `0` is the published active slot (generation + name +
     /// checkpoint); object `1` the one-resident-engine cell behind
-    /// `shared()`. Reads of the active slot commute with each other but
-    /// not with activations; two `shared()` calls conflict (both may
+    /// `shared_with()`. Reads of the active slot commute with each other but
+    /// not with activations; two `shared_with()` calls conflict (both may
     /// instantiate the resident engine). `UseHeld` only reads the
     /// thread's retained `Arc`, but is declared a reader of `0` anyway
     /// so DPOR still explores it on *both* sides of every activation —
@@ -1025,9 +999,7 @@ impl Scenario for RegistryScenario {
     fn footprint(&self, thread: usize, op: usize) -> Footprint {
         match self.scripts[thread][op] {
             RegistryOp::Activate(_) => Footprint::new(vec![], vec![0, 1]),
-            RegistryOp::ReadActive | RegistryOp::Replica | RegistryOp::UseHeld => {
-                Footprint::reads(&[0])
-            }
+            RegistryOp::ReadActive | RegistryOp::UseHeld => Footprint::reads(&[0]),
             RegistryOp::Shared => Footprint::new(vec![0], vec![1]),
         }
     }
@@ -1037,7 +1009,7 @@ impl Scenario for RegistryScenario {
 pub fn registry_suite(budget: Budget, ex: &mut Explorer) {
     use RegistryOp::*;
 
-    // Two activators racing a reader (90 interleavings exhaustively) —
+    // Two activators racing a reader (210 interleavings exhaustively) —
     // this is the scenario that catches the generation-outside-lock
     // race the fix in `ModelRegistry::activate` addresses.
     let racing = RegistryScenario::new(
@@ -1045,18 +1017,18 @@ pub fn registry_suite(budget: Budget, ex: &mut Explorer) {
         vec![
             vec![Activate(0), Activate(2)],
             vec![Activate(1), ReadActive],
-            vec![ReadActive, Replica],
+            vec![ReadActive, Shared, UseHeld],
         ],
     );
     ex.exhaustive(&racing);
 
-    // Longer random-schedule churn with replicas in the mix.
+    // Longer random-schedule churn with a shared-engine fetch in the mix.
     let churn = RegistryScenario::new(
         &["a", "b"],
         vec![
             vec![Activate(0), Activate(1), Activate(0), ReadActive],
             vec![ReadActive, Activate(1), ReadActive, Activate(0)],
-            vec![ReadActive, Replica, ReadActive],
+            vec![ReadActive, Shared, UseHeld, ReadActive],
         ],
     );
     let trials = match budget {

@@ -91,18 +91,6 @@ impl Decoder {
         }
     }
 
-    /// Freeze at a chosen weight-plane precision (see
-    /// [`adarnet_nn::Sequential::freeze_as`]): the six conv/deconv
-    /// layers narrow their GEMM panels to bf16 when asked; at
-    /// [`adarnet_nn::Precision::F32`] this is exactly
-    /// [`Decoder::freeze`].
-    pub fn freeze_as(&self, precision: adarnet_nn::Precision) -> FrozenDecoder {
-        FrozenDecoder {
-            net: self.net.freeze_as(precision),
-            in_channels: self.in_channels,
-        }
-    }
-
     /// Backward a per-bin batch gradient; accumulates parameter gradients
     /// and returns dL/dinput.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {

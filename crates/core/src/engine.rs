@@ -21,6 +21,7 @@ use adarnet_tensor::Tensor;
 use crate::checkpoint::{self, ModelCheckpoint};
 use crate::loss::NormStats;
 use crate::network::{AdarNet, AdarNetConfig, FrozenAdarNet, Prediction};
+use crate::precision::Precision;
 use crate::ranker::RankerError;
 
 /// Why an inference request failed.
@@ -73,35 +74,12 @@ impl InferenceEngine {
     /// of the GEMM register tile it runs on `engine_tile_cols` (64 = the
     /// AVX-512 4×64 tile, 16 = the AVX2 or scalar 4×16 tile).
     pub fn new(model: AdarNet, norm: NormStats) -> InferenceEngine {
-        Self::new_with(model, norm, adarnet_nn::Precision::active())
-    }
-
-    /// [`InferenceEngine::new`] at an explicit weight-plane
-    /// [`adarnet_nn::Precision`] (the default entry point resolves the
-    /// `ADARNET_PRECISION` environment knob via
-    /// [`adarnet_nn::Precision::active`]). Besides `engine_weight_bytes`
-    /// (actual stored bytes: bf16 planes report ~4x fewer), the
-    /// `engine_precision` gauge publishes the plane's precision index
-    /// (0 = f32, 1 = bf16) and a per-precision
-    /// `engine_weight_bytes_<precision>` gauge keeps both planes'
-    /// footprints visible when a registry holds one engine of each.
-    pub fn new_with(
-        model: AdarNet,
-        norm: NormStats,
-        precision: adarnet_nn::Precision,
-    ) -> InferenceEngine {
         let ckpt = checkpoint::snapshot(&model, &norm);
         let frozen = {
             let _span = adarnet_obs::span!("prepack_ns");
-            model.freeze_with(precision)
+            model.freeze()
         };
         adarnet_obs::gauge!("engine_weight_bytes").set(frozen.weight_bytes() as f64);
-        adarnet_obs::gauge!("engine_precision").set(precision.index() as f64);
-        match precision {
-            adarnet_nn::Precision::F32 => adarnet_obs::gauge!("engine_weight_bytes_f32"),
-            adarnet_nn::Precision::Bf16 => adarnet_obs::gauge!("engine_weight_bytes_bf16"),
-        }
-        .set(frozen.weight_bytes() as f64);
         adarnet_obs::gauge!("engine_backend_simd").set(if frozen.device().is_simd_active() {
             1.0
         } else {
@@ -116,23 +94,10 @@ impl InferenceEngine {
         }
     }
 
-    /// Restore an engine from a checkpoint at the process-default
-    /// precision ([`adarnet_nn::Precision::active`]).
+    /// Restore an engine from a checkpoint.
     pub fn from_checkpoint(ckpt: &ModelCheckpoint) -> Result<InferenceEngine, EngineError> {
-        Self::from_checkpoint_with(ckpt, adarnet_nn::Precision::active())
-    }
-
-    /// Restore an engine from a checkpoint at an explicit weight-plane
-    /// precision. Checkpoints are always full-precision f32 — the
-    /// narrowing happens at freeze time, so one checkpoint can hydrate
-    /// an f32 and a bf16 engine side by side (the serving registry
-    /// does exactly that for per-request precision routing).
-    pub fn from_checkpoint_with(
-        ckpt: &ModelCheckpoint,
-        precision: adarnet_nn::Precision,
-    ) -> Result<InferenceEngine, EngineError> {
         let (model, norm) = checkpoint::restore(ckpt).map_err(EngineError::Checkpoint)?;
-        Ok(InferenceEngine::new_with(model, norm, precision))
+        Ok(InferenceEngine::new(model, norm))
     }
 
     /// The weight snapshot this engine was built from.
@@ -168,8 +133,9 @@ impl InferenceEngine {
     }
 
     /// The weight-plane precision the frozen plane was built at.
-    pub fn precision(&self) -> adarnet_nn::Precision {
-        self.frozen.precision()
+    /// Read by `ledger/src/workloads/net.rs` (`precision().name()`).
+    pub fn precision(&self) -> Precision {
+        Precision::F32
     }
 
     /// Canonical name of the active backend (`cpu_scalar` /
@@ -188,31 +154,6 @@ impl InferenceEngine {
         let pred = self.frozen.try_predict(&normalized);
         normalized.recycle();
         Ok(pred?)
-    }
-
-    /// [`InferenceEngine::infer`] under a request trace: the whole
-    /// forward pass runs inside an `engine_infer` span with `ctx`
-    /// scoped to this thread, so every stage `span!` site it crosses
-    /// (`stage_scorer`, `stage_ranker`, per-bin `stage_decoder`)
-    /// attaches to the trace as well as to its histogram. The caller
-    /// still owns the trace's lifecycle (arena start / finish).
-    pub fn infer_traced(
-        &self,
-        ctx: adarnet_obs::TraceCtx,
-        lr_field: &Tensor<f32>,
-    ) -> Result<Prediction, EngineError> {
-        let pending = adarnet_obs::trace::arena().begin(ctx, "engine_infer");
-        let scoped = match &pending {
-            Some(p) => ctx.child(p.span_id),
-            None => ctx,
-        };
-        let _scope = adarnet_obs::trace::scope(scoped);
-        let started = std::time::Instant::now();
-        let result = self.infer(lr_field);
-        if let Some(p) = pending {
-            adarnet_obs::trace::arena().commit(p, started.elapsed().as_nanos() as u64, "", 0);
-        }
-        result
     }
 
     /// Infer a batch of raw LR fields of identical extent: every
@@ -275,33 +216,6 @@ mod tests {
         assert_eq!(via_engine.binning.bin_of_patch, direct.binning.bin_of_patch);
         for (a, b) in via_engine.patches.iter().zip(&direct.patches) {
             assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn infer_traced_attaches_stage_spans() {
-        let engine = tiny_engine(13);
-        let ctx = adarnet_obs::TraceCtx::mint();
-        assert!(adarnet_obs::trace::arena().start(ctx));
-        let pred = engine.infer_traced(ctx, &sample(16, 32, 0.2)).unwrap();
-        pred.recycle();
-        let t = adarnet_obs::trace::arena()
-            .finish(ctx, 1_000, false)
-            .expect("trace was in flight");
-        assert!(t.is_complete(), "no spans dropped for one inference");
-        let root = t
-            .spans
-            .iter()
-            .find(|s| s.name == "engine_infer")
-            .expect("engine_infer root span");
-        assert_eq!(root.parent, 0);
-        for stage in ["stage_scorer", "stage_ranker", "stage_decoder"] {
-            let s = t
-                .spans
-                .iter()
-                .find(|s| s.name == stage)
-                .unwrap_or_else(|| panic!("{stage} span missing"));
-            assert_eq!(s.parent, root.span_id, "{stage} parents under the root");
         }
     }
 

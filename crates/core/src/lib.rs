@@ -18,7 +18,6 @@
 //! [`surfnet`] provides the uniform-SR baseline and [`memory`] the
 //! activation-memory model used for the paper's Figure 1 and Table 2.
 
-pub mod accuracy;
 pub mod checkpoint;
 pub mod decoder;
 pub mod engine;
@@ -29,6 +28,7 @@ pub mod metrics;
 pub mod network;
 pub mod observe;
 pub mod pde;
+pub mod precision;
 pub mod ranker;
 pub mod schedule;
 pub mod scorer;
@@ -36,7 +36,6 @@ pub mod surfnet;
 pub mod sync;
 pub mod trainer;
 
-pub use accuracy::{compare_engines, AccuracyBudget, AccuracyReport, BinError};
 pub use checkpoint::{load_file, save_file, ModelCheckpoint};
 pub use decoder::{Decoder, FrozenDecoder};
 pub use engine::{EngineError, InferenceEngine};
@@ -46,6 +45,7 @@ pub use framework::{
 pub use loss::{hybrid_loss_and_grad, LossConfig, NormStats, PatchLoss};
 pub use metrics::{psnr_db, relative_l2, MapAgreement, StateComparison};
 pub use network::{AdarNet, AdarNetConfig, ForwardPlan, FrozenAdarNet, Prediction};
+pub use precision::{Precision, PRECISION_COUNT};
 pub use ranker::{Binning, Ranker, RankerError};
 pub use schedule::{EarlyStopping, LrSchedule};
 pub use scorer::{FrozenScorer, PoolKind, Scorer, ScorerOutput};

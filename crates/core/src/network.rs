@@ -142,11 +142,6 @@ impl AdarNet {
         }
     }
 
-    /// Decoder input channel count (`C + latent + 2 coords`).
-    pub fn decoder_channels(&self) -> usize {
-        self.cfg.in_channels + 3
-    }
-
     /// The compute backend this model's kernels run on.
     pub fn device(&self) -> Device {
         self.device
@@ -168,25 +163,12 @@ impl AdarNet {
     /// [`Decoder::forward`]) computes on the same weights — pinned by
     /// `tests/train_serve.rs`.
     pub fn freeze(&self) -> FrozenAdarNet {
-        self.freeze_with(adarnet_nn::Precision::F32)
-    }
-
-    /// Freeze at a chosen weight-plane [`adarnet_nn::Precision`]. At
-    /// [`adarnet_nn::Precision::F32`] this is exactly
-    /// [`AdarNet::freeze`] — bitwise contract intact. At
-    /// [`adarnet_nn::Precision::Bf16`] every scorer and decoder
-    /// conv/deconv stores only bf16 GEMM panels (activations and
-    /// accumulation stay f32), cutting resident weight bytes ~4x; the
-    /// accuracy budget against the f32 plane is pinned by
-    /// `tests/precision_accuracy.rs`.
-    pub fn freeze_with(&self, precision: adarnet_nn::Precision) -> FrozenAdarNet {
         FrozenAdarNet {
             cfg: self.cfg,
-            scorer: self.scorer.freeze_as(precision),
+            scorer: self.scorer.freeze(),
             ranker: self.ranker,
-            decoder: self.decoder.freeze_as(precision),
+            decoder: self.decoder.freeze(),
             device: self.device,
-            precision,
         }
     }
 
@@ -271,7 +253,6 @@ pub struct FrozenAdarNet {
     ranker: Ranker,
     decoder: FrozenDecoder,
     device: Device,
-    precision: adarnet_nn::Precision,
 }
 
 /// Output of one `(sample, bin)` decode: `(patch_idx, patch)` pairs for
@@ -284,11 +265,6 @@ impl FrozenAdarNet {
         &self.cfg
     }
 
-    /// Decoder input channel count (`C + latent + 2 coords`).
-    pub fn decoder_channels(&self) -> usize {
-        self.cfg.in_channels + 3
-    }
-
     /// The compute backend this frozen plane was pinned to at
     /// [`AdarNet::freeze`] time. The serving gauge
     /// `engine_backend_simd` reports whether it actually runs the
@@ -297,14 +273,7 @@ impl FrozenAdarNet {
         self.device
     }
 
-    /// The weight-plane precision this frozen plane was built at
-    /// ([`AdarNet::freeze_with`]).
-    pub fn precision(&self) -> adarnet_nn::Precision {
-        self.precision
-    }
-
-    /// Resident frozen-weight bytes at the plane's *stored* precision
-    /// (scorer + decoder; bf16 planes count 2-byte panels). The serving
+    /// Resident frozen-weight bytes (scorer + decoder). The serving
     /// gauge `engine_weight_bytes` reports this.
     pub fn weight_bytes(&self) -> usize {
         self.scorer.weight_bytes() + self.decoder.weight_bytes()

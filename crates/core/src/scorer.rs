@@ -62,8 +62,6 @@ pub struct Scorer {
     conv4: Conv2d,
     pool: ScorerPool,
     softmax: SpatialSoftmax,
-    ph: usize,
-    pw: usize,
 }
 
 /// Scorer forward output: per-patch scores and the 2-D latent image.
@@ -103,14 +101,7 @@ impl Scorer {
                 PoolKind::Avg => ScorerPool::Avg(AvgPool2d::new(ph, pw)),
             },
             softmax: SpatialSoftmax::new(),
-            ph,
-            pw,
         }
-    }
-
-    /// Patch extent `(ph, pw)` this scorer pools over.
-    pub fn patch_size(&self) -> (usize, usize) {
-        (self.ph, self.pw)
     }
 
     /// Route every compute-bearing layer to `device` (see
@@ -157,22 +148,14 @@ impl Scorer {
     /// conv weights pre-packed for the GEMM, no backprop caches, `&self`
     /// end to end.
     pub fn freeze(&self) -> FrozenScorer {
-        self.freeze_as(adarnet_nn::Precision::F32)
-    }
-
-    /// Freeze at a chosen weight-plane precision: the four convs narrow
-    /// their GEMM panels (see [`adarnet_nn::Layer::freeze_as`]); the
-    /// weightless pool/softmax/activation layers are unaffected. At
-    /// [`adarnet_nn::Precision::F32`] this is exactly [`Scorer::freeze`].
-    pub fn freeze_as(&self, precision: adarnet_nn::Precision) -> FrozenScorer {
         FrozenScorer {
-            conv1: self.conv1.freeze_as(precision),
+            conv1: self.conv1.freeze(),
             act1: self.act1.freeze(),
-            conv2: self.conv2.freeze_as(precision),
+            conv2: self.conv2.freeze(),
             act2: self.act2.freeze(),
-            conv3: self.conv3.freeze_as(precision),
+            conv3: self.conv3.freeze(),
             act3: self.act3.freeze(),
-            conv4: self.conv4.freeze_as(precision),
+            conv4: self.conv4.freeze(),
             pool: match &self.pool {
                 ScorerPool::Max(l) => l.freeze(),
                 ScorerPool::Avg(l) => l.freeze(),

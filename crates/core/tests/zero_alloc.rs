@@ -38,19 +38,11 @@ fn sample(h: usize, w: usize, phase: f32) -> Tensor<f32> {
 /// process, which is exactly the isolation this assertion needs.
 #[test]
 fn steady_state_infer_batch_performs_zero_data_allocations() {
-    // Both compute backends and both weight planes must honor the
-    // contract: the SIMD plane draws its im2col/output panels from the
-    // same (64-byte-aligned) workspace shelves as the scalar plane, and
-    // the bf16 plane's per-call f32 widening stage comes from those
-    // same pooled shelves — after warmup no widening may hit the
-    // allocator. Engines run sequentially within the one test so the
-    // global counter stays interpretable.
-    for (device, precision) in [
-        (Device::CpuScalar, adarnet_nn::Precision::F32),
-        (Device::CpuSimd, adarnet_nn::Precision::F32),
-        (Device::CpuScalar, adarnet_nn::Precision::Bf16),
-        (Device::CpuSimd, adarnet_nn::Precision::Bf16),
-    ] {
+    // Both compute backends must honor the contract: the SIMD plane
+    // draws its im2col/output panels from the same (64-byte-aligned)
+    // workspace shelves as the scalar plane. Engines run sequentially
+    // within the one test so the global counter stays interpretable.
+    for device in [Device::CpuScalar, Device::CpuSimd] {
         let mut model = AdarNet::new(AdarNetConfig {
             ph: 8,
             pw: 8,
@@ -58,7 +50,7 @@ fn steady_state_infer_batch_performs_zero_data_allocations() {
             ..AdarNetConfig::default()
         });
         model.set_device(device);
-        let engine = InferenceEngine::new_with(model, NormStats::identity(), precision);
+        let engine = InferenceEngine::new(model, NormStats::identity());
         // Two 16x32 fields -> 2x4 patch grids; with 8x8 patches the four bins
         // span extents 8/16/32/64, all above GEMM_THRESHOLD, so the loop runs
         // the blocked kernel path the pool exists for.
@@ -86,10 +78,9 @@ fn steady_state_infer_batch_performs_zero_data_allocations() {
         assert_eq!(
             after - before,
             0,
-            "steady-state infer_batch on {} ({}) allocated {} data buffers in 8 \
+            "steady-state infer_batch on {} allocated {} data buffers in 8 \
              iterations; the hot path must run entirely from the workspace pool",
             device.name(),
-            precision.name(),
             after - before
         );
     }

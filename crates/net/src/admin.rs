@@ -83,6 +83,13 @@ impl AdminServer {
         self.addr
     }
 
+    /// Connection-thread handles held for [`Self::shutdown`] to join:
+    /// the live connections plus those that closed since the last
+    /// accept.
+    pub fn tracked_connections(&self) -> usize {
+        adarnet_core::sync::lock(&self.shared.conns).len()
+    }
+
     /// Stop accepting and join every connection thread.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
@@ -118,7 +125,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<AdminShared>) {
             let shared = shared.clone();
             std::thread::spawn(move || connection_loop(stream, shared))
         };
-        adarnet_core::sync::lock(&shared.conns).push(handler);
+        // Handlers of closed connections have nothing left to join;
+        // dropping them here bounds the list by the live connections.
+        let mut conns = adarnet_core::sync::lock(&shared.conns);
+        conns.retain(|h| !h.is_finished());
+        conns.push(handler);
     }
 }
 

@@ -77,28 +77,13 @@ impl NetClient {
     /// Send one field for inference and block for the answer. Mints a
     /// fresh trace id so the request is traceable end to end; use
     /// [`NetClient::request`] to pick the id (or send 0 and let the
-    /// server mint). Rides the server's default weight plane; use
-    /// [`NetClient::infer_at`] to request a precision explicitly.
+    /// server mint).
     pub fn infer(
         &mut self,
         field: Tensor<f32>,
         priority: Priority,
         tenant: u64,
         deadline_ms: u32,
-    ) -> Result<Response, ClientError> {
-        self.infer_at(field, priority, tenant, deadline_ms, None)
-    }
-
-    /// [`NetClient::infer`] with an explicit weight-plane request:
-    /// `Some(p)` pins the request to that plane, `None` defers to the
-    /// server's routing (tenant override, else server default).
-    pub fn infer_at(
-        &mut self,
-        field: Tensor<f32>,
-        priority: Priority,
-        tenant: u64,
-        deadline_ms: u32,
-        precision: Option<adarnet_serve::Precision>,
     ) -> Result<Response, ClientError> {
         let request_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
@@ -108,7 +93,7 @@ impl NetClient {
             priority,
             deadline_ms,
             trace_id: adarnet_obs::TraceCtx::mint().trace_id,
-            precision,
+            precision: None,
             field,
         })
     }

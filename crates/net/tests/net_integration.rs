@@ -129,6 +129,24 @@ fn out_of_contract_field_is_rejected_without_killing_workers() {
         assert_eq!((resp.npy, resp.npx), (0, 0), "{label}: no decision grid");
     }
 
+    // An in-contract field asking for a weight plane that does not
+    // exist: the precision byte sits after the 16-byte header, the
+    // tenant id and the priority class.
+    let mut body = adarnet_net::proto::encode_request(&adarnet_net::proto::Request {
+        request_id: 77,
+        tenant: 1,
+        priority: Priority::Standard,
+        deadline_ms: 0,
+        trace_id: 0,
+        precision: None,
+        field: field_pool(1, 16, 32, 5).remove(0),
+    });
+    body[16 + 8 + 1] = 2;
+    let resp = client.send_raw(&body).unwrap();
+    assert_eq!(resp.request_id, 77, "precision: id recovered");
+    assert_eq!(resp.status, Status::Error, "precision: typed error");
+    assert_eq!(resp.reject_code, REJECT_BAD_REQUEST, "precision");
+
     // The single worker never saw the bad fields: the same connection
     // still gets full inference afterwards.
     let field = field_pool(1, 16, 32, 5).remove(0);
@@ -217,42 +235,42 @@ fn wire_deadline_brownout_is_typed() {
     assert_eq!(stats.brownout_deadline, brownouts as u64);
 }
 
+/// A long-lived listener serving short connections must not keep one
+/// join handle per connection ever accepted: finished handlers are
+/// dropped at the next accept, so the tracked count follows the live
+/// connections, not the total.
 #[test]
-fn wire_precision_request_routes_and_echoes() {
-    use adarnet_serve::Precision;
-    let (net, serve) = start_stack(ServeConfig {
-        workers: 1,
-        default_precision: Precision::F32,
-        ..ServeConfig::default()
-    });
-    let addr = net.local_addr();
-    let field = field_pool(1, 16, 32, 5).pop().unwrap();
-    let mut client = NetClient::connect(addr).unwrap();
-
-    // Default routing: the server's f32 plane, echoed on the wire.
-    let r = client
-        .infer(field.clone(), Priority::Standard, 1, 0)
-        .unwrap();
-    assert_eq!(r.status, Status::Full);
-    assert_eq!(r.precision, Some(Precision::F32));
-
-    // A v3 peer pinning bf16 rides the reduced plane; the refinement
-    // decisions must match the f32 plane (the accuracy gate's
-    // end-to-end contract, observed through TCP).
-    let q = client
-        .infer_at(
-            field.clone(),
-            Priority::Standard,
-            1,
-            0,
-            Some(Precision::Bf16),
-        )
-        .unwrap();
-    assert_eq!(q.status, Status::Full);
-    assert_eq!(q.precision, Some(Precision::Bf16));
-    assert_eq!(q.bins, r.bins, "bf16 plane changed wire-visible bins");
-
-    let stats = finish(net, serve);
-    assert_eq!(stats.completed_per_precision[Precision::F32.index()], 1);
-    assert_eq!(stats.completed_per_precision[Precision::Bf16.index()], 1);
+fn closed_connections_do_not_accumulate_handles() {
+    const CONNECTIONS: usize = 300;
+    const SMALL: usize = 8;
+    let (net, serve) = start_stack(ServeConfig::default());
+    let admin = adarnet_net::AdminServer::start("127.0.0.1:0").unwrap();
+    let (net_addr, admin_addr) = (net.local_addr(), admin.local_addr());
+    for _ in 0..CONNECTIONS {
+        drop(TcpStream::connect(net_addr).unwrap());
+        drop(TcpStream::connect(admin_addr).unwrap());
+    }
+    // A handler exits when it reads its peer's EOF, a moment after the
+    // close, and is pruned by the accept after that: probe until the
+    // stragglers are gone.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while (net.tracked_connections() > SMALL || admin.tracked_connections() > SMALL)
+        && std::time::Instant::now() < deadline
+    {
+        drop(TcpStream::connect(net_addr).unwrap());
+        drop(TcpStream::connect(admin_addr).unwrap());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        net.tracked_connections() <= SMALL,
+        "net server tracks {} handles after {CONNECTIONS} closed connections",
+        net.tracked_connections()
+    );
+    assert!(
+        admin.tracked_connections() <= SMALL,
+        "admin server tracks {} handles after {CONNECTIONS} closed connections",
+        admin.tracked_connections()
+    );
+    admin.shutdown();
+    finish(net, serve);
 }

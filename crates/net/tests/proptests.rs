@@ -28,10 +28,9 @@ fn status_from(idx: usize) -> Status {
 }
 
 fn precision_from(idx: usize) -> Option<Precision> {
-    match idx % 3 {
+    match idx % 2 {
         0 => None,
-        1 => Some(Precision::F32),
-        _ => Some(Precision::Bf16),
+        _ => Some(Precision::F32),
     }
 }
 
@@ -57,7 +56,7 @@ proptest! {
         pr in 0usize..3,
         deadline_ms in 0u32..600_000,
         trace_id in 0u64..u64::MAX,
-        precision_idx in 0usize..3,
+        precision_idx in 0usize..2,
         c in 1usize..=3,
         h in 1usize..=7,
         w in 1usize..=7,
@@ -94,7 +93,7 @@ proptest! {
         generation in 0u64..1_000,
         latency_ns in 0u64..u64::MAX,
         trace_id in 0u64..u64::MAX,
-        precision_idx in 0usize..3,
+        precision_idx in 0usize..2,
         npy in 1u16..=5,
         npx in 1u16..=5,
         raw_bins in prop::collection::vec(0u8..=3, 25),

@@ -5,7 +5,6 @@ use adarnet_tensor::{Shape, Tensor};
 use crate::device::Device;
 use crate::kernels::{flip_transpose_weights, runs_gemm, GEMM_THRESHOLD};
 use crate::packed::{FrozenConv2d, PackedConvWeights};
-use crate::quantize::Precision;
 use crate::{InferLayer, Initializer, Layer, F};
 
 /// Training-side forward of a conv-layout weight `(OC, IC, KH, KW)`,
@@ -174,19 +173,9 @@ impl Layer for Conv2d {
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        self.freeze_as(Precision::F32)
-    }
-
-    fn freeze_as(&self, precision: Precision) -> Box<dyn InferLayer> {
         Box::new(FrozenConv2d::new(
             "Conv2d",
-            PackedConvWeights::from_conv_weight(
-                self.device,
-                precision,
-                &self.weight,
-                &self.bias,
-                self.pad,
-            ),
+            PackedConvWeights::from_conv_weight(self.device, &self.weight, &self.bias, self.pad),
         ))
     }
 

@@ -13,7 +13,6 @@ use crate::conv::forward_conv_layout;
 use crate::device::Device;
 use crate::kernels::{flip_transpose_weights, GEMM_THRESHOLD};
 use crate::packed::{FrozenConv2d, PackedConvWeights};
-use crate::quantize::Precision;
 use crate::{InferLayer, Initializer, Layer, F};
 
 /// 2-D transposed convolution, stride 1, "same" padding.
@@ -161,19 +160,9 @@ impl Layer for ConvTranspose2d {
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        self.freeze_as(Precision::F32)
-    }
-
-    fn freeze_as(&self, precision: Precision) -> Box<dyn InferLayer> {
         Box::new(FrozenConv2d::new(
             "ConvTranspose2d",
-            PackedConvWeights::from_deconv_weight(
-                self.device,
-                precision,
-                &self.weight,
-                &self.bias,
-                self.pad,
-            ),
+            PackedConvWeights::from_deconv_weight(self.device, &self.weight, &self.bias, self.pad),
         ))
     }
 

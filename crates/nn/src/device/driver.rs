@@ -4,9 +4,8 @@
 //!
 //! There is one forward driver, over **packed** weight panels
 //! ([`crate::kernels::pack_weight_panels`]), generic over the
-//! micro-kernel and the panel element type ([`PanelElem`]: f32 or
-//! bf16). Frozen layers hand it panels packed at freeze time; mutable
-//! layers pack into pooled scratch once per call
+//! micro-kernel. Frozen layers hand it panels packed at freeze time;
+//! mutable layers pack into pooled scratch once per call
 //! ([`crate::device::Device::conv2d_forward_percall`]). The driver owns
 //! panel blocking, the split of a row block into full tiles and ragged
 //! edges, pooled-scratch discipline and obs counters; a backend owns
@@ -25,7 +24,6 @@ use adarnet_tensor::{workspace, Shape, Tensor};
 
 use crate::kernels::{conv_out_extent, im2col_row_segment, packed_panels_len, PackedPanels};
 use crate::kernels::{MR, NC, NR};
-use crate::quantize::{bf16_to_f32, PackedPanelsBf16};
 use crate::F;
 
 /// One row block's view of one column panel: up to [`MR`] output
@@ -39,8 +37,8 @@ pub struct RowBlock<'a> {
     pub ld: usize,
     /// The panel's first column within an output row.
     pub c0: usize,
-    /// Packed (and, for bf16, widened) k-major weight block, `k_len × MR`
-    /// floats (see [`crate::kernels::pack_weight_panels`]).
+    /// Packed k-major weight block, `k_len × MR` floats (see
+    /// [`crate::kernels::pack_weight_panels`]).
     pub wp: &'a [f32],
     /// The `k_len × cn` im2col panel.
     pub colp: &'a [f32],
@@ -103,52 +101,14 @@ pub(crate) fn ragged_rows_body(blk: &mut RowBlock<'_>, rows: usize, j0: usize, j
     }
 }
 
-/// Element type of a packed A-panel: f32 panels run the historical
-/// kernels unchanged; bf16 panels are widened **once per forward
-/// call** — an exact 16-bit shift per weight, `1/o_len` of the GEMM
-/// flops — into a pooled f32 stage shared read-only by every column
-/// panel, after which both precisions execute the *identical* f32 FMA
-/// tile. That keeps the widening entirely out of the FMA-bound inner
-/// loop (an earlier per-tile inline-widening micro-kernel cost the
-/// vector plane 15–25%) and makes the quantized-twin contract hold by
-/// construction: the bf16 path *is* the f32 path run on RNE-quantized
-/// weights.
-pub trait PanelElem: Copy + Send + Sync {
-    /// Whether panels of this element type need the widening stage
-    /// (bf16) or can be borrowed by the tiles directly (f32).
-    const WIDENS: bool;
-
-    /// Resolve a packed panel slice to f32 for the register tiles:
-    /// f32 borrows `block` and never touches `stage`; bf16 widens into
-    /// `stage` (sized by the caller to at least `block.len()`).
-    fn widened<'a>(block: &'a [Self], stage: &'a mut [f32]) -> &'a [f32];
-}
-
-impl PanelElem for f32 {
-    const WIDENS: bool = false;
-
-    #[inline(always)]
-    fn widened<'a>(block: &'a [f32], _stage: &'a mut [f32]) -> &'a [f32] {
-        block
-    }
-}
-
-impl PanelElem for u16 {
-    const WIDENS: bool = true;
-
-    #[inline]
-    fn widened<'a>(block: &'a [u16], stage: &'a mut [f32]) -> &'a [f32] {
-        let stage = &mut stage[..block.len()];
-        for (d, &s) in stage.iter_mut().zip(block) {
-            *d = bf16_to_f32(s);
-        }
-        stage
-    }
-}
-
 /// Blocked im2col + GEMM convolution over packed f32 weight panels (see
 /// [`crate::kernels::conv2d_forward_packed`] for the public contract
-/// and DESIGN.md §10 for the blocking argument).
+/// and DESIGN.md §10 for the blocking argument). The im2col panel comes
+/// 64-byte-aligned from the workspace pool so vector loads never split
+/// a cache line; every finished tile goes straight into `y`, bias
+/// added, with no staging copy. Batch items and column panels run in
+/// order on the calling thread (callers parallelize across requests,
+/// not inside a conv).
 pub fn conv2d_forward_packed<M: MicroGemm>(
     micro: M,
     x: &Tensor<F>,
@@ -156,41 +116,13 @@ pub fn conv2d_forward_packed<M: MicroGemm>(
     bias: &Tensor<F>,
     pad: usize,
 ) -> Tensor<F> {
-    conv2d_forward_packed_any(micro, x, w.data, w.oc, w.ic, w.kh, w.kw, bias, pad)
-}
-
-/// [`conv2d_forward_packed`] over **bf16** panels: same driver body via
-/// [`PanelElem`] — identical panel decomposition, im2col fills, and
-/// write-back; the panels widen once per forward call into a pooled
-/// stage ([`PanelElem::widened`]) and then run the same f32 tiles.
-pub fn conv2d_forward_packed_bf16<M: MicroGemm>(
-    micro: M,
-    x: &Tensor<F>,
-    w: PackedPanelsBf16<'_>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    conv2d_forward_packed_any(micro, x, w.data, w.oc, w.ic, w.kh, w.kw, bias, pad)
-}
-
-/// The driver body, generic over micro-kernel and panel element type.
-/// The im2col panel comes 64-byte-aligned from the workspace pool so
-/// vector loads never split a cache line; every finished tile goes
-/// straight into `y`, bias added, with no staging copy. Batch items and
-/// column panels run in order on the calling thread (callers
-/// parallelize across requests, not inside a conv).
-#[allow(clippy::too_many_arguments)]
-fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
-    micro: M,
-    x: &Tensor<F>,
-    wp: &[E],
-    oc: usize,
-    wic: usize,
-    kh: usize,
-    kw: usize,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
+    let PackedPanels {
+        data: wp,
+        oc,
+        ic: wic,
+        kh,
+        kw,
+    } = w;
     let (n, ic, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
     assert_eq!(
         ic, wic,
@@ -216,18 +148,6 @@ fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
     let xs = x.as_slice();
     let mut y = Tensor::<F>::pooled_scratch(Shape::d4(n, oc, oh, ow));
 
-    // bf16 panels widen once per forward call into a pooled f32 stage
-    // shared read-only by every batch item and column panel; resident
-    // weight bytes stay bf16, only this transient scratch is f32. The
-    // f32 instantiation takes no stage and the tiles borrow the packed
-    // panels directly.
-    let mut stage = if E::WIDENS {
-        Some(workspace::take_aligned(wp.len()))
-    } else {
-        None
-    };
-    let wide_all: &[f32] = E::widened(wp, stage.as_deref_mut().unwrap_or(&mut []));
-
     // One im2col panel buffer per call, refilled per column panel.
     let mut colbuf = workspace::take_aligned(k_len * o_len.min(NC));
     for (ni, ybatch) in y.as_mut_slice().chunks_exact_mut(oc * o_len).enumerate() {
@@ -243,7 +163,7 @@ fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
             }
             let colp = &colbuf[..k_len * cn];
             let full = cn - cn % NR;
-            for (b, wblock) in wide_all.chunks_exact(k_len * MR).enumerate() {
+            for (b, wblock) in wp.chunks_exact(k_len * MR).enumerate() {
                 let oc0 = b * MR;
                 let rows = (oc - oc0).min(MR);
                 let mut blk = RowBlock {
@@ -274,9 +194,6 @@ fn conv2d_forward_packed_any<M: MicroGemm, E: PanelElem>(
         }
     }
     workspace::put_aligned(colbuf);
-    if let Some(stage) = stage {
-        workspace::put_aligned(stage);
-    }
     y
 }
 

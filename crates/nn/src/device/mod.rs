@@ -46,7 +46,6 @@ use std::sync::OnceLock;
 use adarnet_tensor::{workspace, Tensor};
 
 use crate::kernels::{pack_weight_panels, packed_panels_len, PackedPanels};
-use crate::quantize::PackedPanelsBf16;
 use crate::F;
 
 /// A compute backend for the nn kernel plane. See the module docs.
@@ -190,25 +189,6 @@ impl Device {
         pad: usize,
     ) -> Tensor<F> {
         with_micro!(self, m => driver::conv2d_forward_packed(m, x, w, bias, pad))
-    }
-
-    /// Blocked GEMM over pre-packed **bf16** weight panels: the same
-    /// driver body as [`Device::conv2d_forward_packed`], with the
-    /// panels widened back to f32 once per forward call (an exact
-    /// shift into pooled scratch, `1/o_len` of the GEMM work) before
-    /// the identical f32 FMA tiles — activations and accumulation
-    /// stay f32.
-    /// The contract, pinned by `tests/device_equivalence.rs`, is that
-    /// this path is **bitwise** the f32 packed path run on
-    /// RNE-quantized weights, per backend.
-    pub fn conv2d_forward_packed_bf16(
-        self,
-        x: &Tensor<F>,
-        w: PackedPanelsBf16<'_>,
-        bias: &Tensor<F>,
-        pad: usize,
-    ) -> Tensor<F> {
-        with_micro!(self, m => driver::conv2d_forward_packed_bf16(m, x, w, bias, pad))
     }
 
     /// [`Device::conv2d_forward_packed`] on an unpacked conv-layout

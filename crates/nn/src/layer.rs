@@ -10,7 +10,6 @@
 use adarnet_tensor::Tensor;
 
 use crate::device::Device;
-use crate::quantize::Precision;
 use crate::F;
 
 /// An immutable, share-everything inference layer.
@@ -68,18 +67,6 @@ pub trait Layer: Send {
     /// [`Layer::forward`]. Weight-derived inference state (packed
     /// GEMM panels, flipped deconv kernels) is built here, once.
     fn freeze(&self) -> Box<dyn InferLayer>;
-
-    /// Snapshot at a chosen weight-plane [`Precision`]. At
-    /// [`Precision::F32`] this must be the same frozen layer as
-    /// [`Layer::freeze`] (bitwise contract intact); at
-    /// [`Precision::Bf16`] layers with GEMM weight panels narrow them
-    /// to bf16 (round-to-nearest-even) while bias, activations, and
-    /// accumulation stay f32. Weightless layers have nothing to narrow
-    /// and default to [`Layer::freeze`] for every precision.
-    fn freeze_as(&self, precision: Precision) -> Box<dyn InferLayer> {
-        let _ = precision;
-        self.freeze()
-    }
 
     /// Select the compute backend this layer's kernels run on. Layers
     /// default to [`Device::active`] at construction; this override

@@ -30,7 +30,6 @@ pub mod model;
 pub mod optimizer;
 pub mod packed;
 pub mod pool;
-pub mod quantize;
 pub mod softmax;
 
 pub use activation::{Activation, ActivationKind, FrozenActivation};
@@ -48,7 +47,6 @@ pub use model::{FrozenSequential, Sequential};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use packed::{FrozenConv2d, PackedConvWeights};
 pub use pool::{AvgPool2d, FrozenAvgPool2d, FrozenMaxPool2d, MaxPool2d};
-pub use quantize::Precision;
 pub use softmax::{FrozenSpatialSoftmax, SpatialSoftmax};
 
 /// The floating-point type used for all network activations and weights.

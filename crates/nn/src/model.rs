@@ -97,11 +97,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.num_params()).sum()
     }
 
-    /// Layer names, for diagnostics.
-    pub fn layer_names(&self) -> Vec<String> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// Snapshot all weights into a serializable checkpoint.
     pub fn snapshot(&self) -> Checkpoint {
         Checkpoint {
@@ -116,16 +111,6 @@ impl Sequential {
     pub fn freeze(&self) -> FrozenSequential {
         FrozenSequential {
             layers: self.layers.iter().map(|l| l.freeze()).collect(),
-        }
-    }
-
-    /// Freeze every layer at a chosen weight-plane
-    /// [`crate::Precision`]: [`crate::Precision::F32`] is exactly
-    /// [`Sequential::freeze`]; [`crate::Precision::Bf16`] narrows each
-    /// conv/deconv layer's GEMM panels (see [`Layer::freeze_as`]).
-    pub fn freeze_as(&self, precision: crate::Precision) -> FrozenSequential {
-        FrozenSequential {
-            layers: self.layers.iter().map(|l| l.freeze_as(precision)).collect(),
         }
     }
 
@@ -186,11 +171,6 @@ impl FrozenSequential {
             cur = next;
         }
         cur
-    }
-
-    /// Layer names, for diagnostics.
-    pub fn layer_names(&self) -> Vec<String> {
-        self.layers.iter().map(|l| l.name()).collect()
     }
 
     /// Total resident frozen-weight bytes across layers.

@@ -19,7 +19,6 @@
 //! AVX2 hardware it pins the vector plane against the reference.
 
 use adarnet_nn::kernels::{pack_weight_panels, packed_panels_len, PackedPanels};
-use adarnet_nn::quantize::{pack_weight_panels_bf16, PackedPanelsBf16};
 use adarnet_nn::{Device, F};
 use adarnet_tensor::{Shape, Tensor};
 use proptest::prelude::*;
@@ -87,58 +86,6 @@ proptest! {
             prop_assert_eq!(
                 percall.as_slice(), packed.as_slice(),
                 "per-call != pre-packed on {}", dev.name()
-            );
-        }
-    }
-
-    /// bf16 weight plane (DESIGN.md §17): widening u16 panels to f32 is
-    /// exact, so cross-backend drift on the bf16 path is still only the
-    /// FMA reassociation bound — the *same* TOL as the f32 plane — and
-    /// each backend is bitwise deterministic (two runs agree exactly).
-    /// Stronger still: because widening is exact and the bf16 micro-
-    /// kernels run the identical accumulation order as the f32 packed
-    /// path, the bf16 output must be *bitwise* the f32 packed path run
-    /// on the round-to-nearest-even-quantized twin of the weights — the
-    /// only error bf16 introduces is the per-weight quantization, never
-    /// anything in the GEMM itself.
-    #[test]
-    fn packed_bf16_scalar_vs_simd_and_vs_quantized_f32(
-        x in arb_tensor(Shape::d4(1, 3, 16, 16)),
-        w in arb_tensor(Shape::d4(8, 3, 3, 3)),
-        b in arb_tensor(Shape::d1(8)),
-    ) {
-        use adarnet_nn::quantize::{bf16_to_f32, f32_to_bf16};
-        let k_len = 3 * 3 * 3;
-        let mut panels = vec![0u16; packed_panels_len(8, k_len)];
-        pack_weight_panels_bf16(w.as_slice(), 8, k_len, &mut panels);
-        let view = PackedPanelsBf16 { data: &panels, oc: 8, ic: 3, kh: 3, kw: 3 };
-
-        // Cross-backend: FMA-bounded, same contract as f32.
-        let s = Device::CpuScalar.conv2d_forward_packed_bf16(&x, view, &b, 1);
-        let v = Device::CpuSimd.conv2d_forward_packed_bf16(&x, view, &b, 1);
-        assert_close(&s, &v, "packed bf16 forward")?;
-
-        // The quantized twin: weights narrowed and re-widened in f32.
-        let wq = Tensor::<F>::from_vec(
-            Shape::d4(8, 3, 3, 3),
-            w.as_slice().iter().map(|&v| bf16_to_f32(f32_to_bf16(v))).collect(),
-        );
-        let mut qpanels = vec![0.0f32; packed_panels_len(8, k_len)];
-        pack_weight_panels(wq.as_slice(), 8, k_len, &mut qpanels);
-        let qview = PackedPanels { data: &qpanels, oc: 8, ic: 3, kh: 3, kw: 3 };
-
-        for (dev, out) in [(Device::CpuScalar, &s), (Device::CpuSimd, &v)] {
-            // Determinism: the bf16 path is a pure function of its
-            // inputs on each backend — bitwise, not merely close.
-            let again = dev.conv2d_forward_packed_bf16(&x, view, &b, 1);
-            prop_assert_eq!(
-                again.as_slice(), out.as_slice(),
-                "bf16 forward non-deterministic on {}", dev.name()
-            );
-            let twin = dev.conv2d_forward_packed(&x, qview, &b, 1);
-            prop_assert_eq!(
-                twin.as_slice(), out.as_slice(),
-                "bf16 != f32-on-quantized-weights on {}", dev.name()
             );
         }
     }

@@ -5,11 +5,9 @@
 //! * the packed GEMM driver over panels packed ahead of the call (the
 //!   frozen layers' path),
 //! * the same driver packing per call (`conv2d_forward_percall`, the
-//!   mutable layers' path) — which must also equal the first bitwise,
-//! * the driver over bf16 panels, against the reference run on the
-//!   RNE-quantized twin of the weights.
+//!   mutable layers' path) — which must also equal the first bitwise.
 //!
-//! All must agree within 1e-4 across randomized shapes, including the
+//! Both must agree within 1e-4 across randomized shapes, including the
 //! degenerate corners the driver's edge handling exists for: a single
 //! output channel (`oc = 1`, below the MR=4 register tile), a 1x1
 //! kernel, a single-sample batch, and non-square fields (H != W).
@@ -17,7 +15,6 @@
 use adarnet_nn::kernels::{
     conv2d_forward, conv2d_forward_packed, pack_weight_panels, packed_panels_len, PackedPanels, MR,
 };
-use adarnet_nn::quantize::{bf16_to_f32, f32_to_bf16, pack_weight_panels_bf16, PackedPanelsBf16};
 use adarnet_nn::Device;
 use adarnet_tensor::{Shape, Tensor};
 use proptest::prelude::*;
@@ -85,28 +82,7 @@ fn paths_agree(
     if percall != packed {
         return Err("per-call pack != pre-packed panels (bitwise)".into());
     }
-
-    let mut qpanels = vec![0u16; packed_panels_len(oc, k_len)];
-    pack_weight_panels_bf16(w.as_slice(), oc, k_len, &mut qpanels);
-    let qview = PackedPanelsBf16 {
-        data: &qpanels,
-        oc,
-        ic: w.dim(1),
-        kh: w.dim(2),
-        kw: w.dim(3),
-    };
-    let wq = Tensor::from_vec(
-        w.shape().clone(),
-        w.as_slice()
-            .iter()
-            .map(|&v| bf16_to_f32(f32_to_bf16(v)))
-            .collect(),
-    );
-    close(
-        "bf16",
-        &conv2d_forward(x, &wq, b, pad),
-        &Device::CpuScalar.conv2d_forward_packed_bf16(x, qview, b, pad),
-    )
+    Ok(())
 }
 
 fn assert_paths_agree(

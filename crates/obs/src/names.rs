@@ -15,7 +15,6 @@
 /// histogram (`{name}_ns`), so renames are operationally visible —
 /// register them here deliberately.
 pub const SPAN_SITES: &[&str] = &[
-    "engine_infer",
     "prepack_ns",
     "serve_batch_assembly",
     "serve_infer",

@@ -13,12 +13,6 @@
 //! to demonstrate load shedding: the overflow is answered with degraded
 //! bin-0 responses, counted, and reported.
 //!
-//! A `precision_comparison` phase hydrates an f32 and a bf16 engine
-//! from the same checkpoint (narrowing happens at freeze, as the
-//! registry does it for routed requests) and measures both under one
-//! worker-slot discipline, interleaved best-of-3: throughput,
-//! resident weight bytes, and the bf16/f32 ratios of each.
-//!
 //! Subcommand:
 //! * `serve stats` — run a short demo load against a fresh server and
 //!   print the obs registry's Prometheus-style exposition text (the
@@ -54,21 +48,6 @@ struct SaturationReport {
 }
 
 #[derive(Serialize)]
-struct PrecisionComparison {
-    clients: usize,
-    requests_per_client: usize,
-    f32_throughput_rps: f64,
-    /// Resident frozen-weight bytes of the f32 engine.
-    f32_weight_bytes_resident: u64,
-    bf16_throughput_rps: f64,
-    /// Resident frozen-weight bytes of the bf16 engine (packed bf16
-    /// panels + f32 bias; the acceptance bar is <= 0.55x f32).
-    bf16_weight_bytes_resident: u64,
-    bf16_vs_f32_speedup: f64,
-    bf16_vs_f32_weight_bytes: f64,
-}
-
-#[derive(Serialize)]
 struct BenchOutput {
     scale: String,
     field_h: usize,
@@ -78,7 +57,6 @@ struct BenchOutput {
     runs: Vec<LoadReport>,
     batched_vs_unbatched_speedup_at_max_concurrency: f64,
     saturation: SaturationReport,
-    precision_comparison: PrecisionComparison,
 }
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -86,124 +64,6 @@ fn env_usize(key: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Closed-loop throughput of `clients` threads, each issuing
-/// `requests` inferences through `infer`, round-robin over `pool`.
-fn closed_loop_rps(
-    pool: &[adarnet_tensor::Tensor<f32>],
-    clients: usize,
-    requests: usize,
-    infer: impl Fn(&adarnet_tensor::Tensor<f32>) + Sync,
-) -> f64 {
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let infer = &infer;
-            scope.spawn(move || {
-                for r in 0..requests {
-                    infer(&pool[(c * requests + r) % pool.len()]);
-                }
-            });
-        }
-    });
-    (clients * requests) as f64 / started.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// A counting semaphore bounding in-flight inferences to the worker
-/// count, so both weight planes run under the same concurrency
-/// discipline and only the plane differs.
-struct WorkerSlots {
-    free: std::sync::Mutex<usize>,
-    cv: std::sync::Condvar,
-}
-
-impl WorkerSlots {
-    fn new(n: usize) -> WorkerSlots {
-        WorkerSlots {
-            free: std::sync::Mutex::new(n),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        let mut free = self.free.lock().expect("bench slots");
-        while *free == 0 {
-            free = self.cv.wait(free).expect("bench slots");
-        }
-        *free -= 1;
-        drop(free);
-        let r = f();
-        *self.free.lock().expect("bench slots") += 1;
-        self.cv.notify_one();
-        r
-    }
-}
-
-/// The f32 plane vs. the bf16 plane, hydrated from the same checkpoint
-/// (narrowing happens at freeze, exactly as the serving registry does
-/// for per-request routing). Both sides run behind the same number of
-/// worker slots, measured interleaved best-of-3 (alternating cancels
-/// machine drift on the shared host, and the per-side max is the
-/// cleanest estimate of each plane's capability) after one untimed
-/// warm-up round, so the only difference under test is the weight
-/// plane itself: half-size packed panels plus the per-call widening
-/// stage against full f32 panels.
-fn precision_comparison(
-    ckpt: &adarnet_core::ModelCheckpoint,
-    pool: &[adarnet_tensor::Tensor<f32>],
-    clients: usize,
-    requests: usize,
-) -> PrecisionComparison {
-    use adarnet_core::InferenceEngine;
-    use adarnet_serve::Precision;
-    let workers = 4usize;
-
-    let f32_engine = Arc::new(
-        InferenceEngine::from_checkpoint_with(ckpt, Precision::F32).expect("bench ckpt restores"),
-    );
-    let bf16_engine = Arc::new(
-        InferenceEngine::from_checkpoint_with(ckpt, Precision::Bf16).expect("bench ckpt restores"),
-    );
-    let f32_weight_bytes = f32_engine.weight_bytes() as u64;
-    let bf16_weight_bytes = bf16_engine.weight_bytes() as u64;
-
-    let slots = WorkerSlots::new(workers);
-    let f32_infer = |f: &adarnet_tensor::Tensor<f32>| {
-        slots.run(|| f32_engine.infer(f).expect("bench inference").recycle());
-    };
-    let slots2 = WorkerSlots::new(workers);
-    let bf16_infer = |f: &adarnet_tensor::Tensor<f32>| {
-        slots2.run(|| bf16_engine.infer(f).expect("bench inference").recycle());
-    };
-
-    let warmup = requests.div_ceil(4);
-    closed_loop_rps(pool, clients, warmup, f32_infer);
-    closed_loop_rps(pool, clients, warmup, bf16_infer);
-    let (mut f32_rps, mut bf16_rps) = (0.0f64, 0.0f64);
-    for _ in 0..3 {
-        f32_rps = f32_rps.max(closed_loop_rps(pool, clients, requests, f32_infer));
-        bf16_rps = bf16_rps.max(closed_loop_rps(pool, clients, requests, bf16_infer));
-    }
-
-    PrecisionComparison {
-        clients,
-        requests_per_client: requests,
-        f32_throughput_rps: f32_rps,
-        f32_weight_bytes_resident: f32_weight_bytes,
-        bf16_throughput_rps: bf16_rps,
-        bf16_weight_bytes_resident: bf16_weight_bytes,
-        bf16_vs_f32_speedup: if f32_rps > 0.0 {
-            bf16_rps / f32_rps
-        } else {
-            0.0
-        },
-        bf16_vs_f32_weight_bytes: if f32_weight_bytes > 0 {
-            bf16_weight_bytes as f64 / f32_weight_bytes as f64
-        } else {
-            0.0
-        },
-    }
 }
 
 /// `serve stats`: run a short demo load and print the metrics registry
@@ -235,27 +95,8 @@ fn stats_main() {
     .unwrap();
     let pool = field_pool(4, 16, 32, 7);
     let (_, _) = run_closed_loop(&server, &pool, 4, 4);
-    // A couple of explicitly-routed bf16 requests so the demo output
-    // shows both weight planes: the second engine hydrates lazily on
-    // first routed request, its gauges join the registry, and the
-    // per-precision completion split below is non-trivial.
-    for f in pool.iter().take(2) {
-        let r = server.submit_wait_with(
-            f.clone(),
-            adarnet_serve::SubmitOptions {
-                precision: Some(adarnet_serve::Precision::Bf16),
-                ..adarnet_serve::SubmitOptions::default()
-            },
-        );
-        r.prediction.recycle();
-    }
-    let stats = server.stats();
     server.shutdown();
     print!("{}", adarnet_obs::registry().render_text());
-    for (i, n) in stats.completed_per_precision.iter().enumerate() {
-        let p = adarnet_serve::Precision::from_index(i).expect("stats index is a precision");
-        println!("# serve completions at precision {}: {n}", p.name());
-    }
 }
 
 fn main() {
@@ -388,18 +229,6 @@ fn main() {
         }
     };
 
-    // f32 vs. bf16 weight plane from the same checkpoint, same load.
-    let precision = precision_comparison(&ckpt, &pool, 32, requests_per_client);
-    println!(
-        "precision: f32 {:.2} req/s ({} B resident) vs bf16 {:.2} req/s ({} B resident) -> {:.2}x speed, {:.2}x bytes",
-        precision.f32_throughput_rps,
-        precision.f32_weight_bytes_resident,
-        precision.bf16_throughput_rps,
-        precision.bf16_weight_bytes_resident,
-        precision.bf16_vs_f32_speedup,
-        precision.bf16_vs_f32_weight_bytes,
-    );
-
     let output = BenchOutput {
         scale,
         field_h: h,
@@ -409,7 +238,6 @@ fn main() {
         runs,
         batched_vs_unbatched_speedup_at_max_concurrency: speedup_at_max,
         saturation,
-        precision_comparison: precision,
     };
     let json = serde_json::to_string_pretty(&output).expect("report serializes");
     if let Err(e) = std::fs::write(&out_path, json) {

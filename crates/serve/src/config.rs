@@ -2,15 +2,10 @@
 
 use std::time::Duration;
 
-use adarnet_nn::Precision;
+use adarnet_core::Precision;
 
 use crate::lanes::NUM_LANES;
 use crate::quota::QuotaConfig;
-
-/// Maximum per-tenant precision overrides a config can carry (the
-/// config stays `Copy`; beyond this, tenants ride the default plane or
-/// set [`crate::SubmitOptions::precision`] per request).
-pub const MAX_TENANT_PRECISION_OVERRIDES: usize = 8;
 
 /// Tunables for the inference service.
 #[derive(Debug, Clone, Copy)]
@@ -39,14 +34,9 @@ pub struct ServeConfig {
     /// Per-tenant token-bucket admission quota; `None` admits every
     /// tenant unconditionally.
     pub quota: Option<QuotaConfig>,
-    /// Weight-plane precision requests ride when neither the request
-    /// nor its tenant asks for one. Defaults to
-    /// [`Precision::active`]'s resolution of `ADARNET_PRECISION`.
+    /// The weight-plane precision requests ride: always
+    /// [`Precision::F32`]. Read by `ledger/src/workloads/mod.rs`.
     pub default_precision: Precision,
-    /// Per-tenant precision overrides, consulted at admission after the
-    /// per-request option and before `default_precision`. Fixed-size so
-    /// the config stays `Copy`; empty slots are `None`.
-    pub tenant_precision: [Option<(u64, Precision)>; MAX_TENANT_PRECISION_OVERRIDES],
 }
 
 impl Default for ServeConfig {
@@ -60,38 +50,12 @@ impl Default for ServeConfig {
             lane_weights: [8, 4, 1],
             fifo_only: false,
             quota: None,
-            default_precision: Precision::active(),
-            tenant_precision: [None; MAX_TENANT_PRECISION_OVERRIDES],
+            default_precision: Precision::F32,
         }
     }
 }
 
 impl ServeConfig {
-    /// Route every request of `tenant` to `precision` unless the
-    /// request itself overrides. Panics if the override table is full
-    /// ([`MAX_TENANT_PRECISION_OVERRIDES`]) — a static capacity bug,
-    /// not a runtime condition.
-    pub fn with_tenant_precision(mut self, tenant: u64, precision: Precision) -> ServeConfig {
-        let slot = self
-            .tenant_precision
-            .iter_mut()
-            .find(|s| s.is_none() || s.is_some_and(|(t, _)| t == tenant))
-            .expect("tenant precision override table full");
-        *slot = Some((tenant, precision));
-        self
-    }
-
-    /// The plane a request from `tenant` rides absent a per-request
-    /// override: the tenant's configured precision, else the default.
-    pub fn precision_for_tenant(&self, tenant: u64) -> Precision {
-        self.tenant_precision
-            .iter()
-            .flatten()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.default_precision)
-    }
-
     /// The unbatched baseline: one request per decoder pass, no linger,
     /// no cache. This is the per-request-inference configuration the
     /// `serve_throughput` bench compares against.

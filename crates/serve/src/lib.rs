@@ -13,12 +13,6 @@
 //! * **shared frozen engine** ([`registry`], [`server`]): every worker
 //!   clones one `Arc<InferenceEngine>` — one resident weight copy with
 //!   pre-packed GEMM panels, no model lock;
-//! * **reduced-precision planes** ([`registry`], [`config`],
-//!   [`server`]): one shared engine per [`Precision`] weight plane
-//!   (f32, bf16-packed panels with f32 accumulation), with per-request
-//!   and per-tenant routing at admission — bf16 tenants ride ~0.25× the
-//!   resident weight bytes, gated by the accuracy budget in
-//!   `adarnet-core`;
 //! * **model registry** ([`registry`]): named checkpoints with
 //!   generation-counted hot swap — workers re-fetch the shared engine
 //!   at batch boundaries, never mid-flight, and an in-flight batch
@@ -38,11 +32,9 @@
 //!   over the `adarnet-dataset` families, reporting throughput and
 //!   p50/p95/p99 latency (the `serve` bin writes `BENCH_serve.json`).
 
-// The weight-plane precision axis is part of the serving API surface
-// (per-request routing, per-tenant config) — re-export it so wire-layer
-// crates don't need a direct `adarnet-nn` dependency.
-pub use adarnet_nn::quantize::PRECISION_COUNT;
-pub use adarnet_nn::Precision;
+// `ledger/src/workloads/mod.rs` imports `PRECISION_COUNT` from here;
+// the wire crate takes `Precision` from here too.
+pub use adarnet_core::{Precision, PRECISION_COUNT};
 
 pub mod batch;
 pub mod cache;

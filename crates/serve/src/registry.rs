@@ -8,7 +8,7 @@
 //! lazily, so a swap never blocks in-flight inference and requires no
 //! thread restarts.
 //!
-//! [`ModelRegistry::shared`] is the serving entry point: one frozen
+//! [`ModelRegistry::shared_with`] is the serving entry point: one frozen
 //! [`InferenceEngine`] per generation, built lazily outside any lock
 //! and cached behind an `Arc`. Every worker thread clones the same
 //! `Arc` — one resident weight copy regardless of worker count — and a
@@ -24,8 +24,7 @@ use std::sync::{Arc, RwLock};
 use adarnet_core::checkpoint::{self, ModelCheckpoint};
 use adarnet_core::engine::{EngineError, InferenceEngine};
 use adarnet_core::sync;
-use adarnet_nn::quantize::PRECISION_COUNT;
-use adarnet_nn::Precision;
+use adarnet_core::Precision;
 
 /// Registry errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,20 +57,14 @@ pub struct ActiveModel {
     pub checkpoint: Arc<ModelCheckpoint>,
 }
 
-/// One precision's shared engine, keyed by the generation it was built
-/// from.
-type EngineSlot = RwLock<Option<(u64, Arc<InferenceEngine>)>>;
-
 /// Named-checkpoint store with one hot-swappable active model.
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Arc<ModelCheckpoint>>>,
     active: RwLock<Option<ActiveModel>>,
     generation: AtomicU64,
-    /// Lazily built shared engines for the active model, one slot per
-    /// weight-plane [`Precision`] (indexed by [`Precision::index`]).
-    /// One engine per requested precision serves every worker;
-    /// precisions nobody routes to are never built.
-    engines: [EngineSlot; PRECISION_COUNT],
+    /// Lazily built shared engine for the active model, keyed by the
+    /// generation it was built from. One engine serves every worker.
+    engine: RwLock<Option<(u64, Arc<InferenceEngine>)>>,
 }
 
 impl Default for ModelRegistry {
@@ -87,7 +80,7 @@ impl ModelRegistry {
             models: RwLock::new(HashMap::new()),
             active: RwLock::new(None),
             generation: AtomicU64::new(0),
-            engines: std::array::from_fn(|_| RwLock::new(None)),
+            engine: RwLock::new(None),
         }
     }
 
@@ -148,17 +141,6 @@ impl ModelRegistry {
         self.generation.load(Ordering::SeqCst)
     }
 
-    /// Build a fresh [`InferenceEngine`] replica of the active model.
-    /// Serving does not need replicas (see [`ModelRegistry::shared`]);
-    /// this remains for callers that want a private engine.
-    pub fn replica(&self) -> Result<(u64, InferenceEngine), RegistryError> {
-        let active = self
-            .active()
-            .ok_or_else(|| RegistryError::UnknownModel("<no active model>".into()))?;
-        let engine = build_engine(&active.checkpoint, Precision::active())?;
-        Ok((active.generation, engine))
-    }
-
     /// The shared engine for the active model: one frozen weight copy
     /// behind an `Arc`, cloned by every caller.
     ///
@@ -170,32 +152,24 @@ impl ModelRegistry {
     /// hold an older `Arc` (in-flight batches during a hot swap) keep
     /// it alive until they drop it; the old weights free once the last
     /// such caller finishes.
-    pub fn shared(&self) -> Result<(u64, Arc<InferenceEngine>), RegistryError> {
-        self.shared_with(Precision::active())
-    }
-
-    /// [`ModelRegistry::shared`] at an explicit weight-plane
-    /// [`Precision`]: each precision has its own cache slot, so a
-    /// registry can hold an f32 and a bf16 engine of the same
-    /// generation side by side (one frozen weight copy per precision)
-    /// and admission routes each request to the plane its tenant asked
-    /// for. Both slots hydrate lazily from the same checkpoint —
-    /// narrowing happens at freeze.
+    ///
+    /// The argument selects nothing (there is one [`Precision`]); it
+    /// stays because `ledger/src/workloads/mod.rs` passes
+    /// `ServeConfig::default_precision` here.
     pub fn shared_with(
         &self,
-        precision: Precision,
+        _precision: Precision,
     ) -> Result<(u64, Arc<InferenceEngine>), RegistryError> {
         let active = self
             .active()
             .ok_or_else(|| RegistryError::UnknownModel("<no active model>".into()))?;
-        let slot = &self.engines[precision.index()];
-        if let Some((generation, engine)) = sync::read(slot).as_ref() {
+        if let Some((generation, engine)) = sync::read(&self.engine).as_ref() {
             if *generation >= active.generation {
                 return Ok((*generation, engine.clone()));
             }
         }
-        let fresh = Arc::new(build_engine(&active.checkpoint, precision)?);
-        let mut cache = sync::write(slot);
+        let fresh = Arc::new(build_engine(&active.checkpoint)?);
+        let mut cache = sync::write(&self.engine);
         if let Some((generation, engine)) = cache.as_ref() {
             if *generation >= active.generation {
                 // Lost the race to a same-or-newer build; serve that one.
@@ -207,11 +181,8 @@ impl ModelRegistry {
     }
 }
 
-fn build_engine(
-    ckpt: &ModelCheckpoint,
-    precision: Precision,
-) -> Result<InferenceEngine, RegistryError> {
-    InferenceEngine::from_checkpoint_with(ckpt, precision).map_err(|e| match e {
+fn build_engine(ckpt: &ModelCheckpoint) -> Result<InferenceEngine, RegistryError> {
+    InferenceEngine::from_checkpoint(ckpt).map_err(|e| match e {
         EngineError::Checkpoint(msg) => RegistryError::Restore(msg),
         other => RegistryError::Restore(other.to_string()),
     })
@@ -257,53 +228,26 @@ mod tests {
     }
 
     #[test]
-    fn replica_restores_active_model() {
-        let reg = ModelRegistry::new();
-        reg.register("m", ckpt(7));
-        assert!(reg.replica().is_err(), "no active model yet");
-        reg.activate("m").unwrap();
-        let (generation, engine) = reg.replica().unwrap();
-        assert_eq!(generation, 1);
-        assert_eq!(engine.config().ph, 8);
-    }
-
-    #[test]
-    fn shared_returns_one_engine_per_generation() {
+    fn shared_with_caches_one_engine_per_generation() {
         let reg = ModelRegistry::new();
         reg.register("a", ckpt(1));
-        assert!(reg.shared().is_err(), "no active model yet");
+        reg.register("b", ckpt(2));
+        assert!(
+            reg.shared_with(Precision::F32).is_err(),
+            "no active model yet"
+        );
         reg.activate("a").unwrap();
-        let (g1, e1) = reg.shared().unwrap();
-        let (g2, e2) = reg.shared().unwrap();
+        let (g1, e1) = reg.shared_with(Precision::F32).unwrap();
+        let (g2, e2) = reg.shared_with(Precision::F32).unwrap();
         assert_eq!((g1, g2), (1, 1));
-        assert!(
-            Arc::ptr_eq(&e1, &e2),
-            "same generation must share one engine"
-        );
-    }
-
-    #[test]
-    fn shared_with_caches_one_engine_per_precision() {
-        let reg = ModelRegistry::new();
-        reg.register("a", ckpt(3));
-        reg.activate("a").unwrap();
-        let (gf, ef) = reg.shared_with(Precision::F32).unwrap();
-        let (gq, eq) = reg.shared_with(Precision::Bf16).unwrap();
-        assert_eq!((gf, gq), (1, 1), "same generation, two planes");
-        assert!(!Arc::ptr_eq(&ef, &eq), "precisions are distinct engines");
-        assert_eq!(ef.precision(), Precision::F32);
-        assert_eq!(eq.precision(), Precision::Bf16);
-        assert!(
-            eq.weight_bytes() * 100 <= ef.weight_bytes() * 55,
-            "bf16 plane must cut resident bytes to <= 0.55x: {} vs {}",
-            eq.weight_bytes(),
-            ef.weight_bytes()
-        );
-        // Re-fetching each precision hits its cache slot.
-        let (_, ef2) = reg.shared_with(Precision::F32).unwrap();
-        let (_, eq2) = reg.shared_with(Precision::Bf16).unwrap();
-        assert!(Arc::ptr_eq(&ef, &ef2));
-        assert!(Arc::ptr_eq(&eq, &eq2));
+        assert!(Arc::ptr_eq(&e1, &e2), "one Arc per generation");
+        assert_eq!(e1.config().ph, 8);
+        reg.activate("b").unwrap();
+        let (g3, e3) = reg.shared_with(Precision::F32).unwrap();
+        let (g4, e4) = reg.shared_with(Precision::F32).unwrap();
+        assert_eq!((g3, g4), (2, 2));
+        assert!(!Arc::ptr_eq(&e1, &e3), "a swap builds a new engine");
+        assert!(Arc::ptr_eq(&e3, &e4), "and caches it for its generation");
     }
 
     #[test]
@@ -312,9 +256,9 @@ mod tests {
         reg.register("a", ckpt(1));
         reg.register("b", ckpt(2));
         reg.activate("a").unwrap();
-        let (g_old, e_old) = reg.shared().unwrap();
+        let (g_old, e_old) = reg.shared_with(Precision::F32).unwrap();
         reg.activate("b").unwrap();
-        let (g_new, e_new) = reg.shared().unwrap();
+        let (g_new, e_new) = reg.shared_with(Precision::F32).unwrap();
         assert!(g_new > g_old);
         assert!(!Arc::ptr_eq(&e_old, &e_new), "swap must build a new engine");
         // An in-flight holder of the old Arc still infers on the old

@@ -20,10 +20,9 @@
 //!    reject path is *typed* and increments its own obs counter — no
 //!    reason is ever lumped with another.
 //!
-//! Every worker thread shares **one** frozen engine per routed
-//! precision (`Arc<InferenceEngine>` from [`ModelRegistry::shared_with`])
-//! — one resident weight copy per weight plane regardless of worker
-//! count, and planes nobody routes to are never built; a worker pops one
+//! Every worker thread shares **one** frozen engine
+//! (`Arc<InferenceEngine>` from [`ModelRegistry::shared_with`]) — one
+//! resident weight copy regardless of worker count; a worker pops one
 //! lane-pure batch, lingers up to `max_linger` for more arrivals from
 //! the same lane, drops any request whose deadline expired while
 //! queued (answered with the brownout, not silently shed), and runs the
@@ -46,8 +45,6 @@ use std::time::{Duration, Instant};
 
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNetConfig, Prediction};
-use adarnet_nn::quantize::PRECISION_COUNT;
-use adarnet_nn::Precision;
 use adarnet_obs::trace::{self, TraceCtx};
 use adarnet_tensor::Tensor;
 
@@ -140,11 +137,6 @@ pub struct SubmitOptions {
     /// `None` = untraced: the request pays one branch per span site
     /// and nothing else.
     pub trace: Option<TraceCtx>,
-    /// Weight-plane precision for this request. `None` resolves at
-    /// admission: the tenant's configured plane
-    /// ([`ServeConfig::precision_for_tenant`]), else the server
-    /// default.
-    pub precision: Option<Precision>,
 }
 
 impl Default for SubmitOptions {
@@ -154,7 +146,6 @@ impl Default for SubmitOptions {
             tenant: 0,
             deadline: None,
             trace: None,
-            precision: None,
         }
     }
 }
@@ -176,10 +167,6 @@ pub struct ServeResponse {
     /// the tail sampler retained it, is served on the admin endpoint's
     /// `/traces` under this id.
     pub trace_id: u64,
-    /// Weight-plane precision the request was routed to at admission
-    /// (degraded responses report the plane the request *would* have
-    /// ridden).
-    pub precision: Precision,
 }
 
 struct Job {
@@ -188,7 +175,6 @@ struct Job {
     deadline: Option<Instant>,
     tenant: u64,
     priority: Priority,
-    precision: Precision,
     trace: Option<TraceCtx>,
     reply: Sender<ServeResponse>,
 }
@@ -222,9 +208,6 @@ pub struct ServeStats {
     pub engine_swaps: u64,
     /// Fully served requests per lane (interactive/standard/bulk).
     pub completed_per_lane: [u64; 3],
-    /// Fully served requests per weight-plane precision, indexed by
-    /// [`Precision::index`] (f32, bf16).
-    pub completed_per_precision: [u64; PRECISION_COUNT],
 }
 
 impl ServeStats {
@@ -256,7 +239,6 @@ struct StatsCells {
     batched_requests: AtomicU64,
     engine_swaps: AtomicU64,
     completed_per_lane: [AtomicU64; 3],
-    completed_per_precision: [AtomicU64; PRECISION_COUNT],
 }
 
 impl StatsCells {
@@ -277,9 +259,6 @@ impl StatsCells {
                 self.completed_per_lane[1].load(Ordering::Relaxed),
                 self.completed_per_lane[2].load(Ordering::Relaxed),
             ],
-            completed_per_precision: std::array::from_fn(|i| {
-                self.completed_per_precision[i].load(Ordering::Relaxed)
-            }),
         }
     }
 }
@@ -355,7 +334,6 @@ impl Shared {
             generation: 0,
             priority: job.priority,
             trace_id: job.trace.map_or(0, |t| t.trace_id),
-            precision: job.precision,
         };
         record_e2e(&response);
         // A rejected trace is always interesting: finish it errored so
@@ -389,8 +367,7 @@ impl Server {
         adarnet_obs::init();
         // Build the shared engine up front: a missing or corrupt active
         // model fails start() instead of panicking workers. Every worker
-        // clones this one Arc — one resident weight copy per precision
-        // actually routed to (other planes hydrate lazily on first use).
+        // clones this one Arc — one resident weight copy.
         let (generation, engine) = registry.shared_with(cfg.default_precision)?;
         let (startup_norm, startup_cfg) = (*engine.norm(), engine.config());
         let shared = Arc::new(Shared {
@@ -406,13 +383,8 @@ impl Server {
         let workers = (0..shared.cfg.workers.max(1))
             .map(|_| {
                 let shared = shared.clone();
-                // Seed the worker's per-precision engine cache with the
-                // default plane; other planes hydrate from the registry
-                // on the first batch that routes to them.
-                let mut engines: [Option<Arc<adarnet_core::engine::InferenceEngine>>;
-                    PRECISION_COUNT] = std::array::from_fn(|_| None);
-                engines[shared.cfg.default_precision.index()] = Some(engine.clone());
-                std::thread::spawn(move || worker_loop(shared, generation, engines))
+                let engine = engine.clone();
+                std::thread::spawn(move || worker_loop(shared, generation, engine))
             })
             .collect();
         Ok(Server { shared, workers })
@@ -435,11 +407,6 @@ impl Server {
         } else {
             opts.priority
         };
-        // Precision routing happens at admission: per-request override,
-        // else the tenant's configured plane, else the server default.
-        let precision = opts
-            .precision
-            .unwrap_or_else(|| self.shared.cfg.precision_for_tenant(opts.tenant));
         // Claim an arena slot before admission so rejected traces are
         // captured too. A saturated arena downgrades the request to
         // untraced rather than failing it.
@@ -450,7 +417,6 @@ impl Server {
             deadline: opts.deadline,
             tenant: opts.tenant,
             priority,
-            precision,
             trace: traced,
             reply,
         };
@@ -513,9 +479,6 @@ impl Server {
                     generation: 0,
                     priority: opts.priority,
                     trace_id: opts.trace.map_or(0, |t| t.trace_id),
-                    precision: opts
-                        .precision
-                        .unwrap_or_else(|| self.shared.cfg.precision_for_tenant(opts.tenant)),
                 };
                 record_e2e(&response);
                 if let Some(ctx) = opts.trace {
@@ -556,16 +519,6 @@ impl Server {
             && field.dim(1).is_multiple_of(cfg.ph)
             && field.dim(2).is_multiple_of(cfg.pw)
             && field.all_finite()
-    }
-
-    /// Requests currently queued across all lanes.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// Requests currently queued in one lane.
-    pub fn lane_depth(&self, priority: Priority) -> usize {
-        self.shared.queue.lane_len(priority)
     }
 
     /// Stop accepting work, drain the queue, and join the workers.
@@ -627,7 +580,7 @@ fn record_queue_wait(priority: Priority, ns: u64) {
 fn worker_loop(
     shared: Arc<Shared>,
     mut generation: u64,
-    mut engines: [Option<Arc<adarnet_core::engine::InferenceEngine>>; PRECISION_COUNT],
+    mut engine: Arc<adarnet_core::engine::InferenceEngine>,
 ) {
     loop {
         // Batch assembly = blocking pop + linger window on the lane the
@@ -694,10 +647,8 @@ fn worker_loop(
         let batch = live;
 
         // Hot swap: re-fetch the shared engine when the registry moved
-        // on. The old Arcs drop here (or when the last in-flight batch
-        // on them finishes elsewhere); no weights are copied per worker.
-        // Every cached precision plane is invalidated together — a new
-        // generation must never mix planes from different checkpoints.
+        // on. The old Arc drops here (or when the last in-flight batch
+        // on it finishes elsewhere); no weights are copied per worker.
         let current = shared.registry.generation();
         if current != generation {
             if let Ok((gen, fresh)) = shared.registry.shared_with(shared.cfg.default_precision) {
@@ -711,125 +662,80 @@ fn worker_loop(
                     );
                     let _ = adarnet_obs::dump("hot_swap", false);
                     generation = gen;
-                    engines = std::array::from_fn(|_| None);
-                    engines[shared.cfg.default_precision.index()] = Some(fresh);
+                    engine = fresh;
                     shared.stats.engine_swaps.fetch_add(1, Ordering::Release);
                     adarnet_obs::counter!("serve_engine_swaps_total").inc();
                 }
             }
         }
 
-        // Partition the live batch by routed precision: each plane runs
-        // as its own decoder micro-batch on its own engine. Same-plane
-        // patches still fuse; cross-plane fusion would mix weight
-        // planes inside one GEMM pass.
-        let mut groups: [Vec<Job>; PRECISION_COUNT] = std::array::from_fn(|_| Vec::new());
-        for job in batch {
-            groups[job.precision.index()].push(job);
+        let fields: Vec<Tensor<f32>> = batch.iter().map(|j| j.field.clone()).collect();
+        shared.stats.batches.fetch_add(1, Ordering::Release);
+        shared
+            .stats
+            .batched_requests
+            .fetch_add(batch.len() as u64, Ordering::Release);
+        adarnet_obs::counter!("serve_batches_total").inc();
+        adarnet_obs::counter!("serve_batched_requests_total").add(batch.len() as u64);
+
+        // Two-phase infer spans: allocate the span id up front so the
+        // per-bin decode spans inside `infer_cached` can parent under
+        // it, commit the duration once the batch returns.
+        let infer_start = Instant::now();
+        let pending_infer: Vec<Option<trace::PendingSpan>> = batch
+            .iter()
+            .map(|j| {
+                j.trace
+                    .and_then(|ctx| trace::arena().begin(ctx, "serve_infer"))
+            })
+            .collect();
+        let traces: Vec<Option<TraceCtx>> = batch
+            .iter()
+            .zip(&pending_infer)
+            .map(|(j, p)| match (j.trace, p) {
+                (Some(ctx), Some(p)) => Some(ctx.child(p.span_id)),
+                (ctx, _) => ctx,
+            })
+            .collect();
+        let inferred = {
+            let _span = adarnet_obs::span!("serve_infer", batch = batch.len());
+            infer_cached(&engine, generation, &fields, &traces, &shared.cache)
+        };
+        let infer_ns = infer_start.elapsed().as_nanos() as u64;
+        for p in pending_infer.into_iter().flatten() {
+            trace::arena().commit(p, infer_ns, "batch", fields.len() as u64);
         }
-        for (pidx, batch) in groups.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let Some(precision) = Precision::from_index(pidx) else {
-                // Unreachable: groups has exactly PRECISION_COUNT slots.
-                continue;
-            };
-            // Resolve this plane's engine: the worker-cached Arc, else
-            // hydrate (and cache) from the registry. A registry failure
-            // degrades just this group — the other plane still serves.
-            let engine = match &engines[pidx] {
-                Some(e) => e.clone(),
-                None => match shared.registry.shared_with(precision) {
-                    Ok((_, fresh)) => {
-                        engines[pidx] = Some(fresh.clone());
-                        fresh
+        match inferred {
+            Ok(predictions) => {
+                shared
+                    .stats
+                    .completed
+                    .fetch_add(batch.len() as u64, Ordering::Release);
+                shared.stats.completed_per_lane[lane.index()]
+                    .fetch_add(batch.len() as u64, Ordering::Release);
+                adarnet_obs::counter!("serve_completed_total").add(batch.len() as u64);
+                for (job, prediction) in batch.into_iter().zip(predictions) {
+                    let response = ServeResponse {
+                        prediction,
+                        kind: ResponseKind::Full,
+                        latency: job.submitted.elapsed(),
+                        generation,
+                        priority: job.priority,
+                        trace_id: job.trace.map_or(0, |t| t.trace_id),
+                    };
+                    record_e2e(&response);
+                    if let Some(ctx) = job.trace {
+                        trace::finish(ctx, response.latency.as_nanos() as u64, false);
                     }
-                    Err(_) => {
-                        let (norm, cfg) = shared.shed_params();
-                        for job in batch {
-                            shared.reject(job, ResponseKind::ShedInferenceError, &norm, cfg);
-                        }
-                        continue;
-                    }
-                },
-            };
-
-            let fields: Vec<Tensor<f32>> = batch.iter().map(|j| j.field.clone()).collect();
-            shared.stats.batches.fetch_add(1, Ordering::Release);
-            shared
-                .stats
-                .batched_requests
-                .fetch_add(batch.len() as u64, Ordering::Release);
-            adarnet_obs::counter!("serve_batches_total").inc();
-            adarnet_obs::counter!("serve_batched_requests_total").add(batch.len() as u64);
-
-            // Two-phase infer spans: allocate the span id up front so the
-            // per-bin decode spans inside `infer_cached` can parent under
-            // it, commit the duration once the batch returns.
-            let infer_start = Instant::now();
-            let pending_infer: Vec<Option<trace::PendingSpan>> = batch
-                .iter()
-                .map(|j| {
-                    j.trace
-                        .and_then(|ctx| trace::arena().begin(ctx, "serve_infer"))
-                })
-                .collect();
-            let traces: Vec<Option<TraceCtx>> = batch
-                .iter()
-                .zip(&pending_infer)
-                .map(|(j, p)| match (j.trace, p) {
-                    (Some(ctx), Some(p)) => Some(ctx.child(p.span_id)),
-                    (ctx, _) => ctx,
-                })
-                .collect();
-            // Salt the cache generation with the precision index: an
-            // f32 and a bf16 engine of the same model generation decode
-            // different bytes, so their patch entries must never alias.
-            let cache_generation = generation * PRECISION_COUNT as u64 + pidx as u64;
-            let inferred = {
-                let _span = adarnet_obs::span!("serve_infer", batch = batch.len());
-                infer_cached(&engine, cache_generation, &fields, &traces, &shared.cache)
-            };
-            let infer_ns = infer_start.elapsed().as_nanos() as u64;
-            for p in pending_infer.into_iter().flatten() {
-                trace::arena().commit(p, infer_ns, "batch", fields.len() as u64);
-            }
-            match inferred {
-                Ok(predictions) => {
-                    shared
-                        .stats
-                        .completed
-                        .fetch_add(batch.len() as u64, Ordering::Release);
-                    shared.stats.completed_per_lane[lane.index()]
-                        .fetch_add(batch.len() as u64, Ordering::Release);
-                    shared.stats.completed_per_precision[pidx]
-                        .fetch_add(batch.len() as u64, Ordering::Release);
-                    adarnet_obs::counter!("serve_completed_total").add(batch.len() as u64);
-                    for (job, prediction) in batch.into_iter().zip(predictions) {
-                        let response = ServeResponse {
-                            prediction,
-                            kind: ResponseKind::Full,
-                            latency: job.submitted.elapsed(),
-                            generation,
-                            priority: job.priority,
-                            trace_id: job.trace.map_or(0, |t| t.trace_id),
-                            precision: job.precision,
-                        };
-                        record_e2e(&response);
-                        if let Some(ctx) = job.trace {
-                            trace::finish(ctx, response.latency.as_nanos() as u64, false);
-                        }
-                        let _ = job.reply.send(response);
-                    }
+                    let _ = job.reply.send(response);
                 }
-                Err(_) => {
-                    // Degrade the whole group rather than killing the worker.
-                    let norm = *engine.norm();
-                    let cfg = engine.config();
-                    for job in batch {
-                        shared.reject(job, ResponseKind::ShedInferenceError, &norm, cfg);
-                    }
+            }
+            Err(_) => {
+                // Degrade the whole batch rather than killing the worker.
+                let norm = *engine.norm();
+                let cfg = engine.config();
+                for job in batch {
+                    shared.reject(job, ResponseKind::ShedInferenceError, &norm, cfg);
                 }
             }
         }

@@ -341,72 +341,3 @@ fn expired_deadline_gets_typed_brownout_response() {
         "served on the interactive lane"
     );
 }
-
-/// Tentpole: precision routing end-to-end. A tenant configured onto
-/// the bf16 plane (and a request overriding to bf16 explicitly) is
-/// served by the reduced-precision engine — the response reports the
-/// routed plane, the refinement decisions match the f32 plane for the
-/// same field, and the per-precision completion counters split.
-#[test]
-fn precision_routing_per_tenant_and_per_request() {
-    use adarnet_nn::Precision;
-    use adarnet_serve::SubmitOptions;
-    let cfg = ServeConfig {
-        queue_capacity: 64,
-        max_batch: 4,
-        max_linger: Duration::from_millis(1),
-        workers: 1,
-        cache_capacity: 256,
-        default_precision: Precision::F32,
-        ..ServeConfig::default()
-    }
-    .with_tenant_precision(5, Precision::Bf16);
-    assert_eq!(cfg.precision_for_tenant(5), Precision::Bf16);
-    assert_eq!(cfg.precision_for_tenant(0), Precision::F32);
-    let server = Server::start(cfg, registry_with("m", 7)).unwrap();
-    let field = sample(16, 32, 0.4);
-
-    // Default tenant rides the f32 plane.
-    let f32_resp = server.submit_wait(field.clone());
-    assert_eq!(f32_resp.kind, ResponseKind::Full);
-    assert_eq!(f32_resp.precision, Precision::F32);
-
-    // Tenant 5 is routed to bf16 by configuration alone.
-    let tenant_resp = server.submit_wait_with(
-        field.clone(),
-        SubmitOptions {
-            tenant: 5,
-            ..SubmitOptions::default()
-        },
-    );
-    assert_eq!(tenant_resp.kind, ResponseKind::Full);
-    assert_eq!(tenant_resp.precision, Precision::Bf16);
-
-    // A per-request override beats the tenant default.
-    let request_resp = server.submit_wait_with(
-        field.clone(),
-        SubmitOptions {
-            precision: Some(Precision::Bf16),
-            ..SubmitOptions::default()
-        },
-    );
-    assert_eq!(request_resp.kind, ResponseKind::Full);
-    assert_eq!(request_resp.precision, Precision::Bf16);
-
-    // The mesh must not change across planes: identical refinement
-    // decisions for the same field (the accuracy gate's end-to-end
-    // contract, observed through the serving path).
-    assert_eq!(
-        f32_resp.prediction.binning.bin_of_patch, tenant_resp.prediction.binning.bin_of_patch,
-        "bf16 plane changed refinement decisions"
-    );
-    // And the two bf16-routed responses must agree bitwise — same
-    // engine, same field, deterministic per plane (the salted patch
-    // cache must not leak f32 entries into the bf16 group).
-    assert_predictions_bitwise_eq(&tenant_resp.prediction, &request_resp.prediction);
-
-    let stats = server.shutdown();
-    assert_eq!(stats.completed, 3);
-    assert_eq!(stats.completed_per_precision[Precision::F32.index()], 1);
-    assert_eq!(stats.completed_per_precision[Precision::Bf16.index()], 2);
-}

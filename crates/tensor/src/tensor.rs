@@ -121,11 +121,6 @@ impl<T: Element> Tensor<T> {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Element at a multi-index.
     #[inline]
     pub fn at(&self, idx: &[usize]) -> T {
@@ -144,14 +139,6 @@ impl<T: Element> Tensor<T> {
     pub fn get2(&self, y: usize, x: usize) -> T {
         debug_assert_eq!(self.shape.rank(), 2);
         self.data[y * self.shape.dim(1) + x]
-    }
-
-    /// Rank-2 setter `(row, col)`.
-    #[inline]
-    pub fn set2(&mut self, y: usize, x: usize, v: T) {
-        debug_assert_eq!(self.shape.rank(), 2);
-        let w = self.shape.dim(1);
-        self.data[y * w + x] = v;
     }
 
     /// Rank-3 accessor `(channel, row, col)`.

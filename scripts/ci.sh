@@ -53,12 +53,10 @@ echo "==> bench-smoke (kernel regression + backend gates)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
   # Tiny measurement budget, both backends; fails if any (shape,
   # backend) row's packed path runs >1.5x slower than the committed
-  # BENCH_kernels.json baseline, if the bf16 packed plane falls below
-  # the smoke floor of the f32 packed path on any packed-eligible row
-  # (--gate-bf16), or (--gate-simd, on AVX2/FMA hosts) if the SIMD
-  # plane's bin-3 packed GEMM fails to reach 1.5x scalar in the same
-  # run.
-  cargo run --release -q -p adarnet-bench --bin kernels -- --smoke --gate-simd --gate-bf16 --check-against BENCH_kernels.json
+  # BENCH_kernels.json baseline, or (--gate-simd, on AVX2/FMA hosts)
+  # if the SIMD plane's bin-3 packed GEMM fails to reach 1.5x scalar in
+  # the same run.
+  cargo run --release -q -p adarnet-bench --bin kernels -- --smoke --gate-simd --check-against BENCH_kernels.json
 else
   echo "    skipped (SKIP_SLOW=1): timing gate is meaningless on a loaded machine"
 fi
