@@ -15,9 +15,8 @@ use check::suites::{run_all, Budget};
 use check::Mode;
 
 /// Suites with declared footprints, counted toward the DPOR reduction
-/// floor under `--compare`. The recorder suite is excluded: its ops
-/// are fully dependent by design, so it is run as plain DPOR (≡ DFS)
-/// rather than enumerated twice.
+/// floor under `--compare`. The trace suite is excluded: its ops are
+/// fully dependent by design, so DPOR explores it like plain DFS.
 const REDUCTION_SUITES: [&str; 4] = ["lanes", "quota", "cache", "registry"];
 
 /// Minimum `covered / explored` ratio `--compare` must demonstrate

@@ -10,8 +10,10 @@
 //!    Intentional exceptions live, with reasons, in `check/allow.toml`.
 //! 2. **Model checker** (`cargo run -p check --bin model-check`): a
 //!    deterministic mini-loom that drives the serve primitives
-//!    ([`adarnet_serve::LaneQueue`], [`adarnet_serve::PatchCache`],
-//!    [`adarnet_serve::ModelRegistry`]) through bounded-exhaustive and
+//!    ([`adarnet_serve::LaneQueue`], [`adarnet_serve::QuotaTable`],
+//!    [`adarnet_serve::PatchCache`], [`adarnet_serve::ModelRegistry`])
+//!    and the obs trace plane ([`adarnet_obs::TraceArena`],
+//!    [`adarnet_obs::TailSampler`]) through bounded-exhaustive and
 //!    seeded-random interleavings against sequential shadow oracles.
 //!    Exhaustive exploration defaults to sleep-set DPOR ([`dpor`]) —
 //!    one executed schedule per Mazurkiewicz trace — and every

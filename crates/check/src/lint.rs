@@ -60,9 +60,9 @@ const NO_ALLOC_FILES: &[&str] = &[
 /// the process, so overflow handling must be spelled out (or waived
 /// with a bound argument, e.g. `MAX_FRAME` gating upstream).
 const UNCHECKED_ARITH_FILES: &[&str] = &["crates/net/src/frame.rs", "crates/net/src/proto.rs"];
-/// The one crate allowed bare `Ordering::Relaxed`: its metrics and
-/// flight-recorder cells are monotonic counters by design. Everywhere
-/// else each use needs a written waiver.
+/// The one crate allowed bare `Ordering::Relaxed`: its metrics cells
+/// and trace-slot probe keys are statistics or hints a lock arbitrates.
+/// Everywhere else each use needs a written waiver.
 const RELAXED_ORDERING_EXEMPT_CRATE: &str = "obs";
 
 /// Aggregate outcome of a lint run.

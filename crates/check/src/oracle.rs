@@ -352,80 +352,6 @@ impl Default for RegistryModel {
     }
 }
 
-/// Naive flight-recorder ring — the
-/// [`adarnet_obs::FlightRecorder`] reserve/commit contract.
-///
-/// The real ring's newest-wins overwrite makes its final contents a
-/// pure function of *which* `(seq, value)` pairs were committed,
-/// independent of commit order: each slot `seq % capacity` ends up
-/// holding the highest-seq event committed into it. The model records
-/// the committed set and derives that fixed point, so any
-/// order-dependence in the real ring shows up as a divergence.
-pub struct RecorderModel {
-    capacity: u64,
-    /// Sequence numbers handed out so far.
-    pub reserved: u64,
-    /// Every `(seq, value)` pair committed, in commit order.
-    pub committed: Vec<(u64, u64)>,
-}
-
-impl RecorderModel {
-    /// Model of a ring with `capacity` slots (clamped to 1, like the
-    /// real recorder).
-    pub fn new(capacity: usize) -> RecorderModel {
-        RecorderModel {
-            capacity: capacity.max(1) as u64,
-            reserved: 0,
-            committed: Vec::new(),
-        }
-    }
-
-    /// Spec: sequence numbers are handed out densely from 0.
-    pub fn reserve(&mut self) -> u64 {
-        let seq = self.reserved;
-        self.reserved += 1;
-        seq
-    }
-
-    /// Spec: remember the committed pair (order is irrelevant to the
-    /// outcome; see [`RecorderModel::expected_survivors`]).
-    pub fn commit(&mut self, seq: u64, value: u64) {
-        self.committed.push((seq, value));
-    }
-
-    /// The `(seq, value)` pairs that must survive, oldest first: per
-    /// slot, the highest-seq committed event.
-    pub fn expected_survivors(&self) -> Vec<(u64, u64)> {
-        let mut best: Vec<Option<(u64, u64)>> = vec![None; self.capacity as usize];
-        for &(seq, value) in &self.committed {
-            let slot = (seq % self.capacity) as usize;
-            if best[slot].is_none_or(|(s, _)| s < seq) {
-                best[slot] = Some((seq, value));
-            }
-        }
-        let mut out: Vec<(u64, u64)> = best.into_iter().flatten().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The headline claim: every committed event among the last
-    /// `capacity` reserved sequence numbers survives — a laggard commit
-    /// can never erase the recent tail.
-    pub fn check_tail(&self, survivors: &[(u64, u64)]) -> Result<(), String> {
-        let floor = self.reserved.saturating_sub(self.capacity);
-        for &(seq, value) in &self.committed {
-            if seq >= floor && !survivors.contains(&(seq, value)) {
-                return Err(format!(
-                    "committed tail event (seq {seq}, value {value}) lost \
-                     (floor {floor}, capacity {})",
-                    self.capacity
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One span inside a [`TraceModel`] trace (start offsets are
 /// wall-clock and deliberately not modeled).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -721,34 +647,6 @@ mod tests {
         assert_eq!(c.get(1), None);
         assert!(c.is_empty());
         assert_eq!((c.hits, c.misses), (0, 1));
-    }
-
-    #[test]
-    fn recorder_model_survivors_are_per_slot_max() {
-        let mut r = RecorderModel::new(2);
-        let s0 = r.reserve();
-        let s1 = r.reserve();
-        let s2 = r.reserve(); // same slot as s0
-                              // Commit out of order: the laggard s0 must not survive over s2.
-        r.commit(s2, 102);
-        r.commit(s0, 100);
-        r.commit(s1, 101);
-        assert_eq!(r.expected_survivors(), vec![(1, 101), (2, 102)]);
-        assert!(r.check_tail(&r.expected_survivors()).is_ok());
-        // A tail loss is caught: drop s2 from the claimed survivors.
-        assert!(r.check_tail(&[(1, 101)]).is_err());
-    }
-
-    #[test]
-    fn recorder_model_uncommitted_reserves_leave_gaps() {
-        let mut r = RecorderModel::new(4);
-        for _ in 0..4 {
-            r.reserve();
-        }
-        r.commit(1, 11);
-        r.commit(3, 13);
-        assert_eq!(r.expected_survivors(), vec![(1, 11), (3, 13)]);
-        assert!(r.check_tail(&r.expected_survivors()).is_ok());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   allocation-free.
 //! * [`no-println`](RULE_NO_PRINTLN) — no `println!` / `eprintln!` /
 //!   `print!` / `eprint!` in library code; libraries report through the
-//!   obs layer (metrics, flight-recorder marks) or typed returns, never
+//!   obs layer (metrics, trace spans) or typed returns, never
 //!   by writing to the process's stdio behind its back. Binaries
 //!   (`src/bin/`) and test code are exempt.
 //! * [`unchecked-arith`](RULE_UNCHECKED_ARITH) — in the wire-protocol
@@ -635,8 +635,8 @@ pub fn span_name_sites(toks: &[Tok], mask: &[bool], lines: &[&str]) -> Vec<SpanN
             continue;
         }
         // `arena().begin(ctx, "name")` / `arena().record(ctx, "name", ..)`
-        // — the first string literal among the call's direct arguments is
-        // the span name.
+        // — the span name is the second argument; a later literal (the
+        // structured field) is not a name.
         if t.text == "arena"
             && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
             && toks.get(i + 2).is_some_and(|t| t.is_punct(")"))
@@ -653,13 +653,15 @@ pub fn span_name_sites(toks: &[Tok], mask: &[bool], lines: &[&str]) -> Vec<SpanN
                     depth += 1;
                 } else if toks[j].is_punct(")") {
                     depth -= 1;
-                } else if depth == 1 && toks[j].kind == TokKind::Str {
-                    if let Some((line, name)) = extract(j) {
-                        out.push(SpanNameSite {
-                            line,
-                            name,
-                            kind: SpanSiteKind::ArenaCall,
-                        });
+                } else if depth == 1 && toks[j].is_punct(",") {
+                    if toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Str) {
+                        if let Some((line, name)) = extract(j + 1) {
+                            out.push(SpanNameSite {
+                                line,
+                                name,
+                                kind: SpanSiteKind::ArenaCall,
+                            });
+                        }
                     }
                     break;
                 }
@@ -1191,7 +1193,7 @@ mod tests {
     fn non_literal_names_and_test_regions_skipped() {
         // The span! expansion records via a field, not a literal — no
         // name to check lexically; test regions never fire the rule.
-        let src = "fn f() { trace::arena().record(ctx, self.site.name, ns, f, v); }\n\
+        let src = "fn f() { trace::arena().record(ctx, self.site.name, ns, \"bin\", v); }\n\
                    #[cfg(test)]\nmod tests { fn t() { let _s = span!(\"totally_bogus\"); } }";
         assert!(!rules_of(src).contains(&RULE_SPAN_REGISTRY));
     }

@@ -27,11 +27,6 @@
 //!   admit/deny decisions under a logical clock (including
 //!   non-monotonic interleavings), and every tenant's grants respect
 //!   the conservation bound `granted ≤ burst + elapsed × rate`;
-//! * **recorder** — the obs flight recorder's two-phase
-//!   `reserve()`/`commit()` ring matches its order-independent fixed
-//!   point (per slot, the highest-seq committed event) under every
-//!   interleaving of reserves and laggard commits, and never loses a
-//!   committed event from the most recent `capacity` sequence numbers;
 //! * **trace** — the trace arena's start/begin/commit/finish lifecycle
 //!   matches the flat `TraceModel` restatement (admission iff below
 //!   capacity with a fresh id, dense span ids, budget drops, laggard
@@ -55,12 +50,11 @@ use adarnet_serve::{
 use adarnet_tensor::{Shape, Tensor};
 
 use adarnet_obs::trace::{PendingSpan, TailSampler, TraceArena, TraceCtx};
-use adarnet_obs::{EventKind, FlightRecorder};
 
 use crate::dpor::Footprint;
 use crate::oracle::{
-    LruModel, ModelPush, ModelSpan, PriorityQueueModel, QuotaModel, RecorderModel, RegistryModel,
-    SamplerModel, TraceModel,
+    LruModel, ModelPush, ModelSpan, PriorityQueueModel, QuotaModel, RegistryModel, SamplerModel,
+    TraceModel,
 };
 use crate::sched::{Explorer, Mode, Scenario, SuiteStats};
 
@@ -1071,199 +1065,6 @@ pub fn registry_suite(budget: Budget, ex: &mut Explorer) {
 }
 
 // ---------------------------------------------------------------------
-// Flight-recorder suite
-// ---------------------------------------------------------------------
-
-/// One scripted recorder operation. `Commit(k)` publishes the `k`-th
-/// sequence number *this thread* reserved earlier in its own script
-/// (scripts are written so every commit follows its reserve), which is
-/// exactly how span guards behave: reserve at drop, commit immediately,
-/// but with arbitrary cross-thread interleaving in between.
-#[derive(Debug, Clone, Copy)]
-pub enum RecorderOp {
-    /// `reserve()` one sequence number.
-    Reserve,
-    /// `commit(thread's k-th reserved seq, unique payload)`.
-    Commit(usize),
-}
-
-/// Threads of reserve/commit ops over one shared [`FlightRecorder`].
-pub struct RecorderScenario {
-    /// Ring capacity under test.
-    pub capacity: usize,
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<RecorderOp>>,
-}
-
-/// Real ring + shadow model for one interleaving.
-pub struct RecorderState {
-    real: FlightRecorder,
-    model: RecorderModel,
-    /// Sequence numbers each thread has reserved so far.
-    reserved: Vec<Vec<u64>>,
-}
-
-/// Unique committed payload for thread `t`'s `k`-th reservation.
-fn recorder_payload(thread: usize, k: usize) -> u64 {
-    (thread as u64) * 100 + k as u64
-}
-
-impl Scenario for RecorderScenario {
-    type State = RecorderState;
-
-    fn name(&self) -> &'static str {
-        "obs::recorder"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> RecorderState {
-        RecorderState {
-            real: FlightRecorder::with_capacity(self.capacity),
-            model: RecorderModel::new(self.capacity),
-            reserved: vec![Vec::new(); self.scripts.len()],
-        }
-    }
-
-    fn step(&self, state: &mut RecorderState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
-        match op {
-            RecorderOp::Reserve => {
-                let real = state.real.reserve();
-                let model = state.model.reserve();
-                if real != model {
-                    return Err(format!(
-                        "reserve: real seq {real} but spec says {model} \
-                         (sequence numbers must be dense)"
-                    ));
-                }
-                state.reserved[thread].push(real);
-            }
-            RecorderOp::Commit(k) => {
-                let Some(&seq) = state.reserved[thread].get(k) else {
-                    return Err(format!(
-                        "thread {thread} commits its reservation {k} before making it (bad script)"
-                    ));
-                };
-                let value = recorder_payload(thread, k);
-                state.real.commit(seq, EventKind::Mark, "mc", "", value, 0);
-                state.model.commit(seq, value);
-            }
-        }
-        // The ring's contents must sit at the model's fixed point after
-        // *every* step — newest-wins means no transient state where a
-        // laggard shadows a newer event.
-        let real: Vec<(u64, u64)> = state
-            .real
-            .recent()
-            .iter()
-            .map(|e| (e.seq, e.value))
-            .collect();
-        let expected = state.model.expected_survivors();
-        if real != expected {
-            return Err(format!(
-                "ring diverged after {op:?}: real {real:?} but spec says {expected:?}"
-            ));
-        }
-        Ok(())
-    }
-
-    fn finish(&self, state: &mut RecorderState) -> Result<(), String> {
-        let survivors: Vec<(u64, u64)> = state
-            .real
-            .recent()
-            .iter()
-            .map(|e| (e.seq, e.value))
-            .collect();
-        if state.real.recorded() != state.model.reserved {
-            return Err(format!(
-                "recorded() {} but spec reserved {}",
-                state.real.recorded(),
-                state.model.reserved
-            ));
-        }
-        state.model.check_tail(&survivors)
-    }
-}
-
-/// Run the flight-recorder suite at the given budget.
-///
-/// Every reserve bumps the shared sequence counter and every commit
-/// lands in the one shared ring (and the per-step `recent()` check
-/// reads all of it), so the default (fully-dependent) footprint is the
-/// honest one: DPOR explores this suite like plain DFS.
-pub fn recorder_suite(budget: Budget, ex: &mut Explorer) {
-    use RecorderOp::*;
-
-    // Three span-like threads (reserve, reserve, then commit newest
-    // first — the laggard shape) over a 2-slot ring: every slot sees
-    // cross-thread laggard/newer collisions (34650 interleavings for
-    // (4,4,4) exhaustively).
-    let laggards = RecorderScenario {
-        capacity: 2,
-        scripts: vec![
-            vec![Reserve, Reserve, Commit(1), Commit(0)],
-            vec![Reserve, Reserve, Commit(1), Commit(0)],
-            vec![Reserve, Reserve, Commit(0), Commit(1)],
-        ],
-    };
-    // A writer that never commits one reservation (a crashed thread)
-    // racing orderly writers over a 1-slot ring — the gap must not
-    // resurrect older events (3150 interleavings for (3,4) + a reader
-    // thread is implicit in the per-step recent() comparison).
-    let crashed = RecorderScenario {
-        capacity: 1,
-        scripts: vec![
-            vec![Reserve, Reserve, Commit(1)],
-            vec![Reserve, Commit(0), Reserve, Commit(1)],
-        ],
-    };
-    match budget {
-        Budget::Full => {
-            ex.exhaustive(&laggards);
-            ex.exhaustive(&crashed);
-        }
-        Budget::Small => {
-            ex.random(&laggards, 120, 31);
-            ex.exhaustive(&crashed);
-        }
-    }
-
-    // Bigger churn, randomly scheduled: four threads wrapping a 4-slot
-    // ring several times with mixed laggard commits.
-    let churn = RecorderScenario {
-        capacity: 4,
-        scripts: (0..4)
-            .map(|t| {
-                let mut script = Vec::new();
-                for k in 0..4 {
-                    script.push(Reserve);
-                    // Odd threads lag one commit behind their reserves.
-                    if t % 2 == 0 {
-                        script.push(Commit(k));
-                    } else if k > 0 {
-                        script.push(Commit(k - 1));
-                    }
-                }
-                if t % 2 != 0 {
-                    script.push(Commit(3));
-                }
-                script
-            })
-            .collect(),
-    };
-    let trials = match budget {
-        Budget::Full => 4000,
-        Budget::Small => 200,
-    };
-    ex.random(&churn, trials, 0x0B5);
-}
-
-// ---------------------------------------------------------------------
 // Trace arena + tail sampler suite
 // ---------------------------------------------------------------------
 
@@ -1547,9 +1348,9 @@ impl Scenario for TraceScenario {
 
 /// Run the trace arena + tail sampler suite at the given budget.
 ///
-/// Like the recorder suite, every op hits the one shared arena (and
-/// the per-step checks read all of it), so the default fully-dependent
-/// footprint is honest and DPOR degenerates to DFS here.
+/// Every op hits the one shared arena (and the per-step checks read
+/// all of it), so the default fully-dependent footprint is honest and
+/// DPOR degenerates to DFS here.
 pub fn trace_suite(budget: Budget, ex: &mut Explorer) {
     use TraceOp::*;
 
@@ -1631,24 +1432,12 @@ pub fn run_all(budget: Budget, mode: Mode) -> Vec<(&'static str, SuiteStats)> {
         suite(budget, &mut ex);
         (name, ex.stats)
     }
-    // The recorder's ops are all fully dependent (every one hits the
-    // shared ring), so DPOR provably degenerates to DFS there; under
-    // Compare that would re-enumerate its ~38k exhaustive schedules a
-    // second time for zero information. The cache suite stays in
-    // Compare as the degenerate-footprint cross-check — it is an order
-    // of magnitude smaller.
-    let recorder_mode = if mode == Mode::Compare {
-        Mode::Dpor
-    } else {
-        mode
-    };
     vec![
         run("lanes", budget, mode, lane_suite),
         run("quota", budget, mode, quota_suite),
         run("cache", budget, mode, cache_suite),
         run("registry", budget, mode, registry_suite),
-        run("recorder", budget, recorder_mode, recorder_suite),
-        run("trace", budget, recorder_mode, trace_suite),
+        run("trace", budget, mode, trace_suite),
     ]
 }
 
@@ -1852,48 +1641,6 @@ mod tests {
                 .any(|v| v.message.contains("lock-order inversion")),
             "DPOR must catch the same inversion: {:?}",
             d.result.violations
-        );
-    }
-
-    #[test]
-    fn oracle_catches_a_seeded_recorder_bug() {
-        // A real ring one slot smaller than the model believes loses
-        // part of the tail the spec protects — the harness must see it.
-        struct Buggy(RecorderScenario);
-        impl Scenario for Buggy {
-            type State = RecorderState;
-            fn name(&self) -> &'static str {
-                "buggy-recorder"
-            }
-            fn thread_ops(&self) -> Vec<usize> {
-                self.0.thread_ops()
-            }
-            fn init(&self) -> RecorderState {
-                RecorderState {
-                    real: FlightRecorder::with_capacity(1),
-                    model: RecorderModel::new(2),
-                    reserved: vec![Vec::new(); self.0.scripts.len()],
-                }
-            }
-            fn step(&self, s: &mut RecorderState, t: usize, o: usize) -> Result<(), String> {
-                self.0.step(s, t, o)
-            }
-            fn finish(&self, s: &mut RecorderState) -> Result<(), String> {
-                self.0.finish(s)
-            }
-        }
-        use RecorderOp::*;
-        let buggy = Buggy(RecorderScenario {
-            capacity: 2,
-            scripts: vec![
-                vec![Reserve, Commit(0), Reserve, Commit(1)],
-                vec![Reserve, Commit(0)],
-            ],
-        });
-        let r = explore_exhaustive(&buggy);
-        assert!(
-            !r.violations.is_empty(),
-            "seeded undersized ring must be caught"
         );
     }
 

@@ -25,13 +25,11 @@
 //! locks the request path holds across inference.
 
 use std::io::BufWriter;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 
 use crate::frame::{read_frame, write_frame, FrameError};
+use crate::listener::{next_frame, split, Listener};
 use crate::server::NetServerError;
 
 /// Response status byte: the path was served.
@@ -41,118 +39,44 @@ pub const ADMIN_NOT_FOUND: u8 = 1;
 /// Response status byte: the request body was not a UTF-8 path.
 pub const ADMIN_BAD_REQUEST: u8 = 2;
 
-/// How often an idle admin connection polls the shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-struct AdminShared {
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
-}
-
 /// A running admin listener. Independent of [`crate::NetServer`] — it
 /// reads process-global obs state, so it can run next to any server
 /// (or alone, for post-hoc inspection of a loaded process).
 pub struct AdminServer {
-    shared: Arc<AdminShared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl AdminServer {
     /// Bind `addr` (e.g. `127.0.0.1:0`) and serve admin queries.
     pub fn start(addr: &str) -> Result<AdminServer, NetServerError> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(AdminShared {
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(listener, shared))
-        };
         Ok(AdminServer {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
+            listener: Listener::start(addr, connection_loop)?,
         })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Connection-thread handles held for [`Self::shutdown`] to join:
     /// the live connections plus those that closed since the last
     /// accept.
     pub fn tracked_connections(&self) -> usize {
-        adarnet_core::sync::lock(&self.shared.conns).len()
+        self.listener.tracked_connections()
     }
 
     /// Stop accepting and join every connection thread.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let conns: Vec<JoinHandle<()>> = {
-            let mut guard = adarnet_core::sync::lock(&self.shared.conns);
-            guard.drain(..).collect()
-        };
-        for conn in conns {
-            let _ = conn.join();
-        }
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<AdminShared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let handler = {
-            let shared = shared.clone();
-            std::thread::spawn(move || connection_loop(stream, shared))
-        };
-        // Handlers of closed connections have nothing left to join;
-        // dropping them here bounds the list by the live connections.
-        let mut conns = adarnet_core::sync::lock(&shared.conns);
-        conns.retain(|h| !h.is_finished());
-        conns.push(handler);
-    }
-}
-
-fn connection_loop(stream: TcpStream, shared: Arc<AdminShared>) {
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
+fn connection_loop(stream: TcpStream, shutdown: &AtomicBool) {
+    let Ok((mut reader, mut writer)) = split(stream) else {
         return;
-    }
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
     };
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let body = match read_frame(&mut reader) {
-            Ok(body) => body,
-            Err(e) if e.is_timeout() => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
+    while let Some(Ok(body)) = next_frame(&mut reader, shutdown) {
         adarnet_obs::counter!("admin_requests_total").inc();
         let (status, payload) = match std::str::from_utf8(&body) {
             Ok(path) => serve_path(path.trim()),
@@ -168,8 +92,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<AdminShared>) {
 }
 
 /// Dispatch one admin path to its payload. Pure read of process-global
-/// obs state, so it is callable in-process too (the `trace-dump`
-/// subcommand uses it without a socket).
+/// obs state, so it is callable in-process too.
 pub fn serve_path(path: &str) -> (u8, String) {
     match path {
         "/metrics" => (ADMIN_OK, adarnet_obs::registry().snapshot().render_text()),

@@ -5,8 +5,8 @@
 //! Subcommands:
 //!
 //! * `net-serve smoke` — loopback end-to-end smoke: start a server on
-//!   an ephemeral port, drive a small mixed load through the TCP
-//!   loadgen, verify every lane completed and a corrupt frame is
+//!   an ephemeral port, drive a small mixed load through the loadgen
+//!   over TCP, verify every lane completed and a corrupt frame is
 //!   rejected. Exit code 0 on success (the CI net stage).
 //! * `net-serve serve [ADDR]` — run a server (default
 //!   `127.0.0.1:7878`) until killed, printing the bound address.
@@ -37,11 +37,11 @@ use std::time::Duration;
 use adarnet_core::checkpoint;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
-use adarnet_net::{
-    run_tcp_closed_loop, AdminClient, AdminServer, ClientSpec, NetClient, NetServer, TcpLoadReport,
-    ADMIN_OK,
+use adarnet_net::{AdminClient, AdminServer, NetClient, NetServer, ADMIN_OK};
+use adarnet_serve::{
+    field_pool, run_closed_loop, ClientSpec, LoadReport, ModelRegistry, Priority, QuotaConfig,
+    ServeConfig, Server,
 };
-use adarnet_serve::{field_pool, ModelRegistry, Priority, QuotaConfig, ServeConfig, Server};
 use serde::{Serialize, Value};
 
 fn registry(patch: usize) -> Arc<ModelRegistry> {
@@ -102,7 +102,14 @@ fn mixed_specs(scale: usize, interactive_requests: usize) -> Vec<ClientSpec> {
     ]
 }
 
-fn print_report(label: &str, report: &TcpLoadReport) {
+/// The one closed-loop generator, each client on its own connection
+/// to `net`.
+fn run_over_tcp(net: &NetServer, specs: &[ClientSpec]) -> LoadReport {
+    let addr = net.local_addr();
+    run_closed_loop(|| NetClient::connect(addr).ok(), specs)
+}
+
+fn print_report(label: &str, report: &LoadReport) {
     println!(
         "{label}: {:.1} req/s over {:.2}s",
         report.throughput_rps, report.elapsed_s
@@ -130,22 +137,19 @@ fn smoke() {
     println!("smoke: serving on {addr}");
 
     let specs = mixed_specs(1, env_usize("ADARNET_NET_REQUESTS", 4));
-    let report = run_tcp_closed_loop(addr, &specs);
+    let report = run_over_tcp(&net, &specs);
     print_report("smoke mixed load", &report);
 
-    let interactive = report.lane(Priority::Interactive).expect("interactive ran");
-    let bulk = report.lane(Priority::Bulk).expect("bulk ran");
-    let expect_interactive: usize = specs[0].connections * specs[0].requests;
-    let expect_bulk: usize = specs[1].connections * specs[1].requests;
-    assert_eq!(
-        interactive.requests, expect_interactive,
-        "every interactive request must be answered"
-    );
-    assert_eq!(
-        bulk.requests, expect_bulk,
-        "every bulk request must be answered (no starvation, no hang)"
-    );
-    assert_eq!(interactive.errors + bulk.errors, 0, "no protocol errors");
+    assert_eq!(report.lanes.len(), specs.len(), "both lanes ran");
+    for (lane, spec) in report.lanes.iter().zip(&specs) {
+        assert_eq!(
+            lane.requests,
+            spec.connections * spec.requests,
+            "every {} request must be answered (no starvation, no hang)",
+            lane.lane
+        );
+        assert_eq!(lane.errors, 0, "{}: no protocol errors", lane.lane);
+    }
 
     // Well-framed garbage must come back as a typed error response.
     let mut client = NetClient::connect(addr).unwrap();
@@ -225,7 +229,7 @@ fn admin_smoke() {
     );
 
     let specs = mixed_specs(1, env_usize("ADARNET_NET_REQUESTS", 4));
-    let report = run_tcp_closed_loop(net.local_addr(), &specs);
+    let report = run_over_tcp(&net, &specs);
     print_report("admin-smoke load", &report);
     assert_ne!(
         report.slowest_trace, "0",
@@ -309,7 +313,7 @@ fn trace_dump(addr: Option<String>) {
     }
     let (net, serve) = start_stack(ServeConfig::default(), 8, "127.0.0.1:0");
     let specs = mixed_specs(1, env_usize("ADARNET_NET_REQUESTS", 2));
-    let _ = run_tcp_closed_loop(net.local_addr(), &specs);
+    run_over_tcp(&net, &specs);
     net.shutdown();
     drop(serve);
     let retained = adarnet_obs::trace::sampler().snapshot();
@@ -412,7 +416,7 @@ fn render_traces_doc(text: &str) -> Result<String, String> {
 #[derive(Serialize)]
 struct LanesVsFifo {
     mode: String,
-    report: TcpLoadReport,
+    report: LoadReport,
 }
 
 #[derive(Serialize)]
@@ -449,22 +453,13 @@ fn bench() {
         ..ServeConfig::default()
     };
     let mut runs = Vec::new();
-    let mut fifo_p99 = 0.0f64;
-    let mut lanes_p99 = 0.0f64;
     let mut bulk_completed = 0u64;
 
     for (mode, fifo_only) in [("fifo", true), ("lanes", false)] {
         let cfg = ServeConfig { fifo_only, ..base };
         let (net, serve) = start_stack(cfg, 8, "127.0.0.1:0");
-        let report = run_tcp_closed_loop(net.local_addr(), &specs);
+        let report = run_over_tcp(&net, &specs);
         print_report(mode, &report);
-        let interactive = report
-            .lane(Priority::Interactive)
-            .expect("interactive lane saw traffic");
-        match mode {
-            "fifo" => fifo_p99 = interactive.p99_ms,
-            _ => lanes_p99 = interactive.p99_ms,
-        }
         net.shutdown();
         let stats = Arc::try_unwrap(serve)
             .map(|s| s.shutdown())
@@ -482,6 +477,11 @@ fn bench() {
         });
     }
 
+    let p99 = |run: &LanesVsFifo| {
+        let lane = run.report.lane(Priority::Interactive);
+        lane.expect("interactive lane saw traffic").p99_ms
+    };
+    let (fifo_p99, lanes_p99) = (p99(&runs[0]), p99(&runs[1]));
     let speedup = if lanes_p99 > 0.0 {
         fifo_p99 / lanes_p99
     } else {
@@ -513,26 +513,20 @@ fn bench() {
 /// BENCH_serve.json, preserving everything the serve bin wrote.
 fn merge_into_bench_json(path: &str, bench: &TcpLanesBench) {
     use serde::Serialize as _;
-    let mut doc = std::fs::read_to_string(path)
+    let parsed = std::fs::read_to_string(path)
         .ok()
-        .and_then(|text| serde_json::parse_value(&text).ok())
-        .unwrap_or(Value::Object(Vec::new()));
-    let fields = match &mut doc {
-        Value::Object(fields) => fields,
-        _ => {
-            doc = Value::Object(Vec::new());
-            match &mut doc {
-                Value::Object(fields) => fields,
-                _ => unreachable!(),
-            }
-        }
+        .and_then(|text| serde_json::parse_value(&text).ok());
+    let mut fields = match parsed {
+        Some(Value::Object(fields)) => fields,
+        _ => Vec::new(),
     };
     let entry = bench.to_value();
     match fields.iter_mut().find(|(k, _)| k == "tcp_lanes") {
         Some((_, v)) => *v = entry,
         None => fields.push(("tcp_lanes".to_string(), entry)),
     }
-    let json = serde_json::to_string_pretty(&doc).expect("bench report serializes");
+    let json =
+        serde_json::to_string_pretty(&Value::Object(fields)).expect("bench report serializes");
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);

@@ -3,11 +3,11 @@
 use std::io::BufWriter;
 use std::net::TcpStream;
 
-use adarnet_serve::Priority;
+use adarnet_serve::{ClientSpec, Outcome, Priority, Reply, Transport};
 use adarnet_tensor::Tensor;
 
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::proto::{decode_response, encode_request, Request, Response};
+use crate::proto::{decode_response, encode_request, Request, Response, Status};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -120,5 +120,24 @@ impl NetClient {
         write_frame(&mut self.writer, body)?;
         let reply = read_frame(&mut self.reader)?;
         Ok(decode_response(&reply)?)
+    }
+}
+
+/// The TCP side of the closed-loop load generator: client-observed
+/// latency then covers codec + socket + queue + inference, the number
+/// a remote caller actually sees.
+impl Transport for NetClient {
+    fn infer(&mut self, field: Tensor<f32>, spec: &ClientSpec) -> Option<Reply> {
+        let resp =
+            NetClient::infer(self, field, spec.priority, spec.tenant, spec.deadline_ms).ok()?;
+        Some(Reply {
+            outcome: match (resp.status, resp.reject) {
+                (Status::Full, _) => Outcome::Full,
+                (Status::Degraded, Some(reason)) => Outcome::Degraded(reason),
+                // A degraded answer without its reason breaks the protocol.
+                (Status::Degraded, None) | (Status::Error, _) => Outcome::Error,
+            },
+            trace_id: resp.trace_id,
+        })
     }
 }

@@ -19,10 +19,10 @@
 //!   quota, deadline — the full admission state machine), and answers
 //!   with the typed [`adarnet_serve::RejectReason`] when a request is
 //!   shed or browned out;
-//! * **client** ([`client`]): a blocking request/response client;
-//! * **load generation** ([`loadgen`]): a closed-loop TCP driver with
-//!   per-lane latency percentiles (the `net-serve` bin's bench mode
-//!   writes them into `BENCH_serve.json`);
+//! * **client** ([`client`]): a blocking request/response client,
+//!   which is also the TCP transport of `adarnet_serve`'s closed-loop
+//!   load generator (the `net-serve` bin's bench mode writes its
+//!   per-lane latency percentiles into `BENCH_serve.json`);
 //! * **admin endpoint** ([`admin`]): a second, read-only listener
 //!   serving `/metrics` (exposition text), `/traces` (tail-sampled
 //!   span trees as JSON), and `/health` over the same framing.
@@ -30,14 +30,14 @@
 pub mod admin;
 pub mod client;
 pub mod frame;
-pub mod loadgen;
+mod listener;
 pub mod proto;
 pub mod server;
 
 pub use admin::{AdminClient, AdminServer, ADMIN_NOT_FOUND, ADMIN_OK};
 pub use client::NetClient;
 pub use frame::{crc32, read_frame, write_frame, FrameError, MAX_FRAME};
-pub use loadgen::{run_tcp_closed_loop, ClientSpec, LaneReport, TcpLoadReport};
+pub use listener::MAX_CONNECTIONS;
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, DecodeError, Request,
     Response, Status, PROTOCOL_VERSION, REJECT_BAD_REQUEST,

@@ -25,24 +25,20 @@
 //! Shutdown: handler threads poll a flag via a read timeout, the
 //! acceptor is woken by a loopback connection, and every thread is
 //! joined before `shutdown()` returns — no detached threads touch the
-//! serve stack after it stops.
+//! serve stack after it stops (the scaffolding is `listener.rs`,
+//! shared with the admin endpoint).
 
-use std::io::BufWriter;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adarnet_obs::TraceCtx;
 use adarnet_serve::{ServeResponse, Server, SubmitOptions};
 
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::write_frame;
+use crate::listener::{next_frame, split, Listener};
 use crate::proto::{decode_request, encode_response, Response, Status, REJECT_BAD_REQUEST};
-
-/// How often an idle connection handler wakes to check the shutdown
-/// flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Why the net server could not start.
 #[derive(Debug)]
@@ -67,142 +63,54 @@ impl From<std::io::Error> for NetServerError {
     }
 }
 
-struct NetShared {
-    serve: Arc<Server>,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
-}
-
 /// A running TCP listener feeding the serve stack.
 pub struct NetServer {
-    shared: Arc<NetShared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl NetServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
     /// accepting connections against `serve`.
     pub fn start(addr: &str, serve: Arc<Server>) -> Result<NetServer, NetServerError> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(NetShared {
-            serve,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(listener, shared))
-        };
-        Ok(NetServer {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-        })
+        let listener = Listener::start(addr, move |stream, shutdown| {
+            connection_loop(stream, &serve, shutdown)
+        })?;
+        Ok(NetServer { listener })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Connection-thread handles held for [`Self::shutdown`] to join:
     /// the live connections plus those that closed since the last
     /// accept.
     pub fn tracked_connections(&self) -> usize {
-        adarnet_core::sync::lock(&self.shared.conns).len()
-    }
-
-    /// The serve stack behind this listener.
-    pub fn serve(&self) -> &Arc<Server> {
-        &self.shared.serve
+        self.listener.tracked_connections()
     }
 
     /// Stop accepting, drain in-flight requests, and join every
     /// connection thread. Does NOT shut down the inner serve stack —
     /// the caller owns that (it may be shared with in-process clients).
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let conns: Vec<JoinHandle<()>> = {
-            let mut guard = adarnet_core::sync::lock(&self.shared.conns);
-            guard.drain(..).collect()
-        };
-        for conn in conns {
-            let _ = conn.join();
-        }
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        adarnet_obs::counter!("net_connections_total").inc();
-        let handler = {
-            let shared = shared.clone();
-            std::thread::spawn(move || connection_loop(stream, shared))
-        };
-        // Handlers of closed connections have nothing left to join;
-        // dropping them here bounds the list by the live connections.
-        let mut conns = adarnet_core::sync::lock(&shared.conns);
-        conns.retain(|h| !h.is_finished());
-        conns.push(handler);
-    }
-}
-
-fn connection_loop(stream: TcpStream, shared: Arc<NetShared>) {
-    // A finite read timeout turns an idle blocking read into a
-    // shutdown-flag poll; everything else is plain blocking i/o.
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
+fn connection_loop(stream: TcpStream, serve: &Server, shutdown: &AtomicBool) {
+    adarnet_obs::counter!("net_connections_total").inc();
+    let Ok((mut reader, mut writer)) = split(stream) else {
         return;
-    }
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
     };
-    let mut writer = BufWriter::new(stream);
     loop {
-        let body = match read_frame(&mut reader) {
-            Ok(body) => body,
-            Err(e) if e.is_timeout() => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
+        let body = match next_frame(&mut reader, shutdown) {
+            Some(Ok(body)) => body,
+            Some(Err(e)) if !e.is_clean_eof() => {
+                adarnet_obs::counter!("net_frame_errors_total").inc();
+                return; // framing broken: close
             }
-            Err(e) => {
-                if !e.is_clean_eof() {
-                    adarnet_obs::counter!("net_frame_errors_total").inc();
-                    adarnet_obs::recorder().record(
-                        adarnet_obs::EventKind::Shed,
-                        "net_frame_error",
-                        match e {
-                            FrameError::Io(_) => "io",
-                            FrameError::TooLarge { .. } => "too_large",
-                            FrameError::CrcMismatch { .. } => "crc_mismatch",
-                        },
-                        0,
-                        0,
-                    );
-                }
-                return; // framing broken or peer gone: close
-            }
+            _ => return, // peer gone, or shutting down
         };
         adarnet_obs::counter!("net_frames_rx_total").inc();
         let started = Instant::now();
@@ -211,7 +119,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<NetShared>) {
             // channel count, or extents the patch grid cannot tile):
             // typed bad-request, never submitted — the serve stack
             // asserts its geometry and must not see hostile shapes.
-            Ok(req) if !shared.serve.field_matches_model(&req.field) => {
+            Ok(req) if !serve.field_matches_model(&req.field) => {
                 adarnet_obs::counter!("net_bad_requests_total").inc();
                 bad_request_response(req.request_id)
             }
@@ -231,7 +139,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<NetShared>) {
                     deadline,
                     trace: Some(ctx),
                 };
-                let served = shared.serve.submit_wait_with(req.field, opts);
+                let served = serve.submit_wait_with(req.field, opts);
                 response_from_serve(req.request_id, &served)
             }
             Err(_) => {

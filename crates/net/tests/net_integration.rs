@@ -2,15 +2,21 @@
 //! net) over real TCP on an ephemeral port.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use adarnet_core::checkpoint;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
-use adarnet_net::{NetClient, NetServer, Status, REJECT_BAD_REQUEST};
-use adarnet_serve::{field_pool, ModelRegistry, Priority, RejectReason, ServeConfig, Server};
+use adarnet_net::{
+    AdminClient, AdminServer, NetClient, NetServer, Status, ADMIN_OK, MAX_CONNECTIONS,
+    REJECT_BAD_REQUEST,
+};
+use adarnet_serve::{
+    field_pool, run_closed_loop, ClientSpec, ModelRegistry, Priority, RejectReason, ServeConfig,
+    Server,
+};
 use adarnet_tensor::{Shape, Tensor};
 
 const PATCH: usize = 8;
@@ -235,42 +241,132 @@ fn wire_deadline_brownout_is_typed() {
     assert_eq!(stats.brownout_deadline, brownouts as u64);
 }
 
-/// A long-lived listener serving short connections must not keep one
-/// join handle per connection ever accepted: finished handlers are
-/// dropped at the next accept, so the tracked count follows the live
-/// connections, not the total.
+/// The accept scaffold both listeners run on, driven through each of
+/// them: the scaffold is shared, but a handler only becomes prunable
+/// when the listener's own connection loop returns on its peer's EOF.
+/// Each connection costs a handler thread, so a listener refuses past
+/// `MAX_CONNECTIONS` live ones: the extra connection is closed and
+/// counted. Once the others drop, a new one is served again and the
+/// finished handlers' join handles are pruned, so the tracked count
+/// follows the live connections, not every one ever accepted.
 #[test]
-fn closed_connections_do_not_accumulate_handles() {
-    const CONNECTIONS: usize = 300;
-    const SMALL: usize = 8;
+fn connections_are_capped_and_closed_ones_leave_no_handles() {
     let (net, serve) = start_stack(ServeConfig::default());
-    let admin = adarnet_net::AdminServer::start("127.0.0.1:0").unwrap();
+    let admin = AdminServer::start("127.0.0.1:0").unwrap();
     let (net_addr, admin_addr) = (net.local_addr(), admin.local_addr());
-    for _ in 0..CONNECTIONS {
-        drop(TcpStream::connect(net_addr).unwrap());
-        drop(TcpStream::connect(admin_addr).unwrap());
-    }
-    // A handler exits when it reads its peer's EOF, a moment after the
-    // close, and is pruned by the accept after that: probe until the
-    // stragglers are gone.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while (net.tracked_connections() > SMALL || admin.tracked_connections() > SMALL)
-        && std::time::Instant::now() < deadline
-    {
-        drop(TcpStream::connect(net_addr).unwrap());
-        drop(TcpStream::connect(admin_addr).unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(
-        net.tracked_connections() <= SMALL,
-        "net server tracks {} handles after {CONNECTIONS} closed connections",
-        net.tracked_connections()
-    );
-    assert!(
-        admin.tracked_connections() <= SMALL,
-        "admin server tracks {} handles after {CONNECTIONS} closed connections",
-        admin.tracked_connections()
-    );
+    let field = field_pool(1, 16, 16, 9).remove(0);
+    let net_served = || {
+        NetClient::connect(net_addr)
+            .and_then(|mut c| c.infer(field.clone(), Priority::Standard, 1, 0))
+            .is_ok_and(|resp| resp.status == Status::Full)
+    };
+    let admin_served = || {
+        AdminClient::connect(admin_addr)
+            .and_then(|mut c| c.get("/health"))
+            .is_ok_and(|(status, _)| status == ADMIN_OK)
+    };
+    cap_then_prune(net_addr, || net.tracked_connections(), net_served);
+    cap_then_prune(admin_addr, || admin.tracked_connections(), admin_served);
     admin.shutdown();
     finish(net, serve);
+}
+
+fn cap_then_prune(addr: SocketAddr, tracked: impl Fn() -> usize, served: impl Fn() -> bool) {
+    const SMALL: usize = 8;
+    let refused = || adarnet_obs::counter!("net_connections_refused_total").value();
+    let before = refused();
+    let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    // The acceptor takes connections in order, so by the time it sees
+    // this one the cap's worth above are all live.
+    let mut extra = TcpStream::connect(addr).unwrap();
+    extra
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    assert!(
+        matches!(extra.read(&mut [0u8; 1]), Ok(0) | Err(_)),
+        "{addr}: connection past the cap must be closed, not served"
+    );
+    assert!(refused() > before, "{addr}: and counted");
+
+    drop(held);
+    // A handler exits when it reads its peer's EOF, a moment after the
+    // drop, and is pruned by the accept after that: probe until a
+    // connection is served and the stragglers are gone.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let served = served();
+        if served && tracked() <= SMALL {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{addr}: served: {served}, {} handles tracked after {MAX_CONNECTIONS} closed connections",
+            tracked()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The one closed-loop generator over its two transports: the same
+/// specs against the same `Server`, in process and over TCP, give
+/// reports of the same shape that account for every request.
+#[test]
+fn loadgen_reports_have_one_shape_over_both_transports() {
+    let (net, serve) = start_stack(ServeConfig {
+        queue_capacity: 2,
+        max_batch: 1,
+        max_linger: Duration::ZERO,
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    });
+    let addr = net.local_addr();
+    let spec = |priority, connections, deadline_ms| ClientSpec {
+        tenant: 1,
+        priority,
+        connections,
+        requests: 3,
+        deadline_ms,
+        fields: field_pool(2, 16, 32, 7),
+    };
+    // Six bulk clients over a capacity-2 lane shed; a 1 ms deadline
+    // behind them browns out; so degraded answers are in the mix.
+    let specs = [
+        spec(Priority::Interactive, 2, 1),
+        spec(Priority::Bulk, 6, 0),
+    ];
+    let in_process = run_closed_loop(|| Some(&*serve), &specs);
+    let over_tcp = run_closed_loop(|| NetClient::connect(addr).ok(), &specs);
+    for report in [&in_process, &over_tcp] {
+        assert_ne!(report.slowest_trace, "0", "every request is traced");
+        assert!(report.throughput_rps > 0.0);
+        let lanes: Vec<&str> = report.lanes.iter().map(|l| l.lane.as_str()).collect();
+        assert_eq!(lanes, ["interactive", "bulk"], "lanes that ran, in order");
+        for (lane, spec) in report.lanes.iter().zip(&specs) {
+            assert_eq!(lane.requests, spec.connections * spec.requests);
+            assert_eq!(
+                lane.full + lane.degraded + lane.errors,
+                lane.requests as u64,
+                "{}: every answer is full, degraded or an error",
+                lane.lane
+            );
+            assert_eq!(lane.errors, 0, "{}: no protocol errors", lane.lane);
+            let r = lane.rejects;
+            assert_eq!(
+                r.queue_full
+                    + r.quota_exceeded
+                    + r.deadline_exceeded
+                    + r.shutdown
+                    + r.inference_error,
+                lane.degraded,
+                "{}: every degraded answer has its reason tallied",
+                lane.lane
+            );
+            assert!(lane.p50_ms > 0.0 && lane.p50_ms <= lane.p99_ms && lane.p99_ms <= lane.max_ms);
+        }
+    }
+    let stats = finish(net, serve);
+    let answered: usize = specs.iter().map(|s| 2 * s.connections * s.requests).sum();
+    assert_eq!(stats.completed + stats.shed_total(), answered as u64);
 }

@@ -11,15 +11,14 @@
 //!    Prometheus-style exposition text.
 //! 2. **Spans** ([`span`]) — `obs::span!("stage_decoder", bin = b)`
 //!    RAII guards that time a scope into the `{name}_ns` histogram.
-//! 3. **Flight recorder** ([`flight`]) — a bounded newest-wins ring of
-//!    recent events (span completions, marks, sheds, hot-swaps),
-//!    dumped to stderr + `target/obs-dump.json` on panic (via the hook
-//!    installed by [`init`]), load-shed, and hot-swap.
-//! 4. **Tracing** ([`trace`]) — per-request span trees: a [`TraceCtx`]
+//! 3. **Tracing** ([`trace`]) — per-request span trees: a [`TraceCtx`]
 //!    carried by value through the request path, a bounded arena of
 //!    in-flight traces, and a tail sampler retaining the slowest and
 //!    errored traces per window. A `span!` site entered under
 //!    [`trace::scope`] attaches its record to the active trace.
+//!    [`dump`] writes the sampler's retained traces plus a metrics
+//!    snapshot to `target/obs-dump.json` on panic (via the hook
+//!    installed by [`init`]), load-shed, and hot-swap.
 //!
 //! The whole layer sits behind one global switch ([`set_enabled`]):
 //! disabled, every record path is a single relaxed load and an early
@@ -29,19 +28,17 @@
 //! instrumented `infer_batch` must stay within 3% of the
 //! uninstrumented run.
 
-pub mod flight;
 pub mod metrics;
 pub mod names;
 pub mod span;
 pub mod text;
 pub mod trace;
 
-pub use flight::{dump, dump_path, mark, recorder, Event, EventKind, FlightRecorder};
 pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot,
 };
 pub use span::{SpanGuard, SpanSite};
-pub use trace::{FinishedTrace, SpanRec, TailSampler, TraceArena, TraceCtx};
+pub use trace::{dump, FinishedTrace, SpanRec, TailSampler, TraceArena, TraceCtx};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
@@ -61,8 +58,8 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
 
-/// Install the obs panic hook (idempotent): on panic, the flight
-/// recorder and a metrics snapshot are force-dumped to stderr +
+/// Install the obs panic hook (idempotent): on panic, the retained
+/// traces and a metrics snapshot are force-dumped to
 /// `target/obs-dump.json` *before* the previous hook (normally the default
 /// backtrace printer) runs. Call once at process start; servers call
 /// it from `Server::start`.
@@ -71,8 +68,7 @@ pub fn init() {
     INSTALL.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            flight::recorder().record(flight::EventKind::Panic, "panic", "", 0, 0);
-            let _ = flight::dump("panic", true);
+            let _ = trace::dump("panic", true);
             prev(info);
         }));
     });

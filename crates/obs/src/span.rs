@@ -1,18 +1,17 @@
 //! RAII tracing spans: `obs::span!("decode", bin = n)` times a scope,
 //! records the duration (nanoseconds) into the histogram
-//! `{name}_ns` and appends a [`flight`](crate::flight) event so the
-//! flight recorder can replay the last moments before a dump.
+//! `{name}_ns` and, when a trace is active on the thread, appends a
+//! span record to it.
 //!
 //! Each `span!` call site owns a `static` [`SpanSite`] whose histogram
 //! handle is resolved once (one registry lookup + one allocation on
-//! first use); after that, entering and dropping a span touches only
-//! atomics and a `Mutex`-guarded ring slot — no allocation, in keeping
-//! with the zero-alloc hot-path contract.
+//! first use); after that, entering and dropping an untraced span
+//! touches only atomics — no allocation, in keeping with the
+//! zero-alloc hot-path contract.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::flight::{self, EventKind};
 use crate::metrics::{registry, Histogram};
 
 /// Per-call-site state for a `span!` invocation: the span name and the
@@ -31,7 +30,7 @@ impl SpanSite {
         }
     }
 
-    /// Span name (also the flight-event name).
+    /// Span name (also the trace-record name).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -47,7 +46,7 @@ impl SpanSite {
     }
 
     /// Enter the span carrying one structured `field = value` pair
-    /// (recorded on the flight event, not the histogram).
+    /// (recorded on the trace span, not the histogram).
     pub fn enter_with(&'static self, field: &'static str, value: u64) -> SpanGuard {
         SpanGuard {
             site: self,
@@ -82,7 +81,6 @@ impl Drop for SpanGuard {
         };
         let ns = start.elapsed().as_nanos() as u64;
         self.site.histogram().record(ns);
-        flight::recorder().record(EventKind::Span, self.site.name, self.field, self.value, ns);
         // Attach to the active trace, if one is scoped to this thread
         // — for untraced work this is the single `None` branch the
         // overhead budget allows.
@@ -92,7 +90,7 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Time a scope into the histogram `{name}_ns` and the flight recorder.
+/// Time a scope into the histogram `{name}_ns` and the active trace.
 ///
 /// ```
 /// {
@@ -117,9 +115,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_records_duration_and_flight_event() {
+    fn span_records_duration_and_active_trace_span() {
         let _g = crate::testutil::shared();
+        let ctx = crate::TraceCtx::mint();
+        assert!(crate::trace::arena().start(ctx));
         {
+            let _scope = crate::trace::scope(ctx);
             let _g = crate::span!("obs_test_span", bin = 2u64);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -127,15 +128,14 @@ mod tests {
         let h = snap.histogram("obs_test_span_ns").expect("histogram");
         assert!(h.count >= 1);
         assert!(h.max >= 1_000_000, "slept 1ms, recorded {}ns", h.max);
-        let ev = crate::flight::recorder()
-            .recent()
-            .into_iter()
-            .rev()
-            .find(|e| e.name == "obs_test_span")
-            .expect("flight event");
-        assert_eq!(ev.field, "bin");
-        assert_eq!(ev.value, 2);
-        assert!(ev.dur_ns >= 1_000_000);
+        let fin = crate::trace::arena().finish(ctx, 0, false).expect("trace");
+        let rec = fin
+            .spans
+            .iter()
+            .find(|s| s.name == "obs_test_span")
+            .expect("trace span");
+        assert_eq!((rec.field, rec.value), ("bin", 2));
+        assert!(rec.dur_ns >= 1_000_000);
     }
 
     #[test]

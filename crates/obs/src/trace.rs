@@ -1,18 +1,16 @@
 //! Per-request distributed tracing: trace contexts, a bounded span
 //! arena, and a tail sampler (DESIGN.md §16).
 //!
-//! The aggregate layers ([`metrics`](crate::metrics), [`span`](crate::span),
-//! [`flight`](crate::flight)) answer "how slow is the fleet"; this
-//! module answers "*which* request was slow and *where* its time
-//! went". Three pieces:
+//! The aggregate layers ([`metrics`](crate::metrics), [`span`](crate::span))
+//! answer "how slow is the fleet"; this module answers "*which*
+//! request was slow and *where* its time went". Four pieces:
 //!
 //! 1. [`TraceCtx`] — a 64-bit trace id plus the current parent span
 //!    id, carried *by value* through the request path (submit options,
 //!    queue jobs, the wire protocol's optional trace-id field).
 //! 2. [`TraceArena`] — a bounded arena of in-flight traces. A slot is
 //!    claimed per trace (atomic id probe, per-slot lock for the span
-//!    list — the same slot discipline as the flight recorder's ring),
-//!    spans are appended two-phase ([`TraceArena::begin`] allocates a
+//!    list), spans are appended two-phase ([`TraceArena::begin`] allocates a
 //!    span id so children can parent under it before the duration is
 //!    known, [`TraceArena::commit`] fills it in), and
 //!    [`TraceArena::finish`] extracts the tree. Laggard commits from a
@@ -21,19 +19,22 @@
 //!    a torn (uncommitted or cross-trace) span.
 //! 3. [`TailSampler`] — keeps only the interesting finished traces:
 //!    the N slowest per window of offers plus every errored/rejected
-//!    trace in a newest-wins ring, exactly the flight recorder's
-//!    eviction idiom lifted from events to whole traces.
+//!    trace in a newest-wins ring.
+//! 4. [`dump`] — the forensics file: the sampler's retained traces and
+//!    a metrics snapshot (the admin endpoint's `/traces` and `/metrics`
+//!    documents) written to disk on panic, load shed and hot swap.
 //!
 //! Cost contract: a request with no trace context pays **one branch**
 //! per span site (a thread-local load that reads `None`); this is what
 //! keeps the `obs_overhead` gate under its 3% budget with tracing
 //! compiled in and the sampler live. Traced requests pay one
-//! uncontended per-slot lock per span — the same class of cost the
-//! flight recorder already charges every span drop.
+//! uncontended per-slot lock per span.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::io::Write as _;
 use std::marker::PhantomData;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -632,6 +633,42 @@ pub fn finish(ctx: TraceCtx, e2e_ns: u64, error: bool) -> bool {
         Some(t) => sampler().offer(t),
         None => false,
     }
+}
+
+/// Write `{"reason", "traces", "metrics"}` — the sampler's retained
+/// traces and a metrics snapshot, the documents the admin endpoint
+/// serves as `/traces` and `/metrics` — to `$ADARNET_OBS_DUMP` (default
+/// `target/obs-dump.json`: under the build directory, so a dump fired
+/// from a checkout never dirties the work tree), with one summary line
+/// on stderr. Unforced dumps are rate-limited to one per
+/// second so a shed storm cannot grind the server into disk I/O;
+/// `force` (panic path) always writes. Returns the path written.
+pub fn dump(reason: &str, force: bool) -> Option<PathBuf> {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    // One past the second (since `EPOCH`) of the last dump; 0 = none yet.
+    static LAST_DUMP: AtomicU64 = AtomicU64::new(0);
+    let now_s = EPOCH.get_or_init(Instant::now).elapsed().as_secs();
+    if LAST_DUMP.fetch_max(now_s + 1, Ordering::AcqRel) > now_s && !force {
+        return None; // someone already dumped this second
+    }
+    let json = format!(
+        "{{\"reason\":\"{}\",\"traces\":{},\"metrics\":{}}}",
+        crate::text::sanitize(reason),
+        sampler().to_json(),
+        crate::metrics::registry().snapshot().to_json()
+    );
+    let path = std::env::var_os("ADARNET_OBS_DUMP")
+        .map_or_else(|| PathBuf::from("target/obs-dump.json"), PathBuf::from);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    let _ = std::fs::write(&path, &json);
+    let _ = writeln!(
+        std::io::stderr().lock(),
+        "[obs] dump (reason: {reason}) -> {}",
+        path.display()
+    );
+    Some(path)
 }
 
 thread_local! {

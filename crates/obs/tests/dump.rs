@@ -1,12 +1,14 @@
 //! Integration test for the panic-hook dump path: `obs::init()` must
-//! produce a parseable `obs-dump.json` when a panic unwinds, with the
-//! panic event on the flight recorder.
+//! produce a parseable `obs-dump.json` when a panic unwinds, holding
+//! the retained traces and a metrics snapshot.
 //!
 //! Runs in its own test binary (hence its own process) so the panic
 //! hook and the `ADARNET_OBS_DUMP` override cannot leak into other
 //! tests.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use adarnet_obs::trace;
 
 #[test]
 fn panic_dump_produces_parseable_json() {
@@ -19,9 +21,14 @@ fn panic_dump_produces_parseable_json() {
 
     adarnet_obs::init();
     adarnet_obs::counter!("dump_test_total").add(5);
-    adarnet_obs::mark("before_panic", "stage", 1);
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
+    let ctx = trace::TraceCtx::mint();
+    assert!(trace::arena().start(ctx));
+    {
+        let _scope = trace::scope(ctx);
         let _g = adarnet_obs::span!("doomed_stage");
+    }
+    assert!(trace::finish(ctx, 1_000, true), "errored trace retained");
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
         panic!("induced panic for dump test");
     }));
     assert!(unwound.is_err());
@@ -31,17 +38,13 @@ fn panic_dump_produces_parseable_json() {
     let obj = doc.as_object().expect("top-level object");
     let get = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
     assert_eq!(get("reason").and_then(|v| v.as_str()), Some("panic"));
-    let events = get("events").and_then(|v| v.as_array()).expect("events");
-    let has = |kind: &str, name: &str| {
-        events.iter().any(|e| {
-            let Some(f) = e.as_object() else { return false };
-            let field = |k: &str| f.iter().find(|(n, _)| n == k).and_then(|(_, v)| v.as_str());
-            field("kind") == Some(kind) && field("name") == Some(name)
-        })
-    };
-    assert!(has("panic", "panic"), "panic event recorded");
-    assert!(has("mark", "before_panic"), "pre-panic mark survives");
+    assert!(get("traces").is_some(), "retained traces embedded");
     assert!(get("metrics").is_some(), "metrics snapshot embedded");
+    // The trace that errored before the panic is in the dump, span and all.
+    let id = format!("\"trace_id\":\"{:016x}\"", ctx.trace_id);
+    let at = raw.find(&id).expect("pre-panic errored trace survives");
+    assert!(raw[at..].contains("\"error\":true"));
+    assert!(raw[at..].contains("\"name\":\"doomed_stage\""));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

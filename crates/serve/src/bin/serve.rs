@@ -22,9 +22,7 @@
 //! * `ADARNET_SERVE_SCALE` — `quick` (default; 16x32 fields, 8x8
 //!   patches) or `full` (64x256 fields, 16x16 patches);
 //! * `ADARNET_SERVE_REQUESTS` — requests per client;
-//! * `ADARNET_SERVE_OUT` — output path (default `BENCH_serve.json`);
-//! * `ADARNET_SERVE_METRICS_OUT` — also write the final exposition
-//!   text (metrics snapshot) to this path.
+//! * `ADARNET_SERVE_OUT` — output path (default `BENCH_serve.json`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,10 +31,20 @@ use adarnet_core::checkpoint;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
 use adarnet_serve::{
-    field_pool, run_closed_loop, LatencyWindow, LoadReport, ModelRegistry, ResponseKind,
+    field_pool, run_closed_loop, ClientSpec, LoadReport, ModelRegistry, Priority, ResponseKind,
     ServeConfig, Server,
 };
+use adarnet_tensor::Tensor;
 use serde::Serialize;
+
+/// One closed-loop run: its configuration beside the generator's report.
+#[derive(Serialize)]
+struct Run {
+    mode: String,
+    concurrency: usize,
+    cache_hit_rate: f64,
+    report: LoadReport,
+}
 
 #[derive(Serialize)]
 struct SaturationReport {
@@ -54,9 +62,28 @@ struct BenchOutput {
     field_w: usize,
     patch: usize,
     pool_size: usize,
-    runs: Vec<LoadReport>,
+    runs: Vec<Run>,
     batched_vs_unbatched_speedup_at_max_concurrency: f64,
     saturation: SaturationReport,
+}
+
+/// `clients` in-process closed-loop clients on the standard lane, each
+/// sending `requests` fields from `pool`.
+fn closed_loop(
+    server: &Server,
+    pool: &[Tensor<f32>],
+    clients: usize,
+    requests: usize,
+) -> LoadReport {
+    let spec = ClientSpec {
+        tenant: 0,
+        priority: Priority::Standard,
+        connections: clients,
+        requests,
+        deadline_ms: 0,
+        fields: pool.to_vec(),
+    };
+    run_closed_loop(|| Some(server), &[spec])
 }
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -94,7 +121,7 @@ fn stats_main() {
     )
     .unwrap();
     let pool = field_pool(4, 16, 32, 7);
-    let (_, _) = run_closed_loop(&server, &pool, 4, 4);
+    closed_loop(&server, &pool, 4, 4);
     server.shutdown();
     print!("{}", adarnet_obs::registry().render_text());
 }
@@ -132,7 +159,7 @@ fn main() {
         pool.len()
     );
 
-    let mut runs: Vec<LoadReport> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
     let mut speedup_at_max = 0.0;
 
     for &concurrency in &concurrencies {
@@ -155,31 +182,26 @@ fn main() {
                 base.unbatched()
             };
             let server = Server::start(cfg, registry).unwrap();
-            let window = LatencyWindow::start();
-            let (observations, elapsed) =
-                run_closed_loop(&server, &pool, concurrency, requests_per_client);
-            let report = LoadReport::from_run(
-                mode,
-                concurrency,
-                &server,
-                &observations,
-                elapsed,
-                &window.finish(),
-            );
+            let report = closed_loop(&server, &pool, concurrency, requests_per_client);
+            let cache_hit_rate = server.cache().hit_rate();
+            let lane = report.lane(Priority::Standard).expect("standard lane ran");
             println!(
-                "{:>9} c={:<3} {:>8.2} req/s  p50 {:>8.2} ms  p95 {:>8.2} ms  p99 {:>8.2} ms  max {:>8.2} ms  cache {:>3.0}%  shed {}",
-                report.mode,
-                report.concurrency,
+                "{mode:>9} c={concurrency:<3} {:>8.2} req/s  p50 {:>8.2} ms  p95 {:>8.2} ms  p99 {:>8.2} ms  max {:>8.2} ms  cache {:>3.0}%  shed {}",
                 report.throughput_rps,
-                report.p50_ms,
-                report.p95_ms,
-                report.p99_ms,
-                report.max_ms,
-                report.cache_hit_rate * 100.0,
-                report.shed_queue_full + report.shed_inference_error,
+                lane.p50_ms,
+                lane.p95_ms,
+                lane.p99_ms,
+                lane.max_ms,
+                cache_hit_rate * 100.0,
+                lane.degraded,
             );
             throughput[mode_idx] = report.throughput_rps;
-            runs.push(report);
+            runs.push(Run {
+                mode: mode.to_string(),
+                concurrency,
+                cache_hit_rate,
+                report,
+            });
             server.shutdown();
         }
         if concurrency == *concurrencies.last().unwrap() && throughput[1] > 0.0 {
@@ -245,13 +267,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out_path}");
-
-    if let Ok(metrics_path) = std::env::var("ADARNET_SERVE_METRICS_OUT") {
-        let text = adarnet_obs::registry().render_text();
-        if let Err(e) = std::fs::write(&metrics_path, text) {
-            eprintln!("error: cannot write {metrics_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {metrics_path}");
-    }
 }

@@ -28,9 +28,11 @@
 //! * **backpressure** ([`server`]): bounded lanes that shed load by
 //!   answering with a degraded bin-0 (no-SR) prediction instead of
 //!   blocking, with observable shed counters;
-//! * **load generation** ([`loadgen`]): a closed-loop synthetic driver
-//!   over the `adarnet-dataset` families, reporting throughput and
-//!   p50/p95/p99 latency (the `serve` bin writes `BENCH_serve.json`).
+//! * **load generation** ([`loadgen`]): the closed-loop synthetic
+//!   driver over the `adarnet-dataset` families, run in process or
+//!   (through `adarnet-net`'s transport) over TCP, reporting
+//!   throughput and per-lane p50/p95/p99 latency (the `serve` and
+//!   `net-serve bench` bins write `BENCH_serve.json`).
 
 // `ledger/src/workloads/mod.rs` imports `PRECISION_COUNT` from here;
 // the wire crate takes `Precision` from here too.
@@ -50,9 +52,9 @@ pub use cache::{PatchCache, PatchKey};
 pub use config::ServeConfig;
 pub use lanes::{select_lane_spec, LaneQueue, Priority, PushOutcome, NUM_LANES};
 pub use loadgen::{
-    field_pool, percentile_ms, run_closed_loop, slowest_trace_hex, LatencyWindow, LoadReport,
-    Observation, RejectBreakdown,
+    field_pool, percentile_ms, run_closed_loop, ClientSpec, LaneReport, LoadReport, Outcome,
+    RejectBreakdown, Reply, Transport,
 };
-pub use quota::{QuotaConfig, QuotaTable, TokenBucket};
+pub use quota::{QuotaConfig, QuotaTable, TokenBucket, MAX_TRACKED_TENANTS};
 pub use registry::{ActiveModel, ModelRegistry, RegistryError};
 pub use server::{RejectReason, ResponseKind, ServeResponse, ServeStats, Server, SubmitOptions};

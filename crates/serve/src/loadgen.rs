@@ -1,56 +1,28 @@
 //! Synthetic closed-loop load generator and latency reporting.
 //!
-//! Clients are closed-loop: each thread submits one request, waits for
-//! its response, records the end-to-end latency, and immediately
-//! submits the next — so offered load scales with concurrency and the
-//! server is never measured against an open-loop arrival process it
-//! cannot shape. Fields are drawn round-robin from a pool produced by
-//! the `adarnet-dataset` generators (the three canonical flow
-//! families), giving the repetitive-patch traffic a CFD serving
-//! endpoint actually sees.
+//! Clients are closed-loop: each thread sends one request, waits for
+//! its answer, records the latency it observed, and immediately sends
+//! the next — so offered load scales with concurrency and the server is
+//! never measured against an open-loop arrival process it cannot shape.
+//! A [`ClientSpec`] describes one class of clients (tenant, lane,
+//! deadline, connection count, field pool); the generator drives any
+//! mix of specs over a [`Transport`]: `&Server` in process, or
+//! `adarnet_net::NetClient` over TCP. Results aggregate per lane, which
+//! is what the priority scheduler's acceptance criterion (interactive
+//! p99 under a bulk-heavy mix) is stated over. Fields come from the
+//! `adarnet-dataset` generators (the three canonical flow families),
+//! giving the repetitive-patch traffic a CFD serving endpoint actually
+//! sees.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use adarnet_dataset::{generate, DatasetConfig};
-use adarnet_obs::HistogramSnapshot;
+use adarnet_obs::TraceCtx;
 use adarnet_tensor::Tensor;
 use serde::Serialize;
 
-use crate::server::{ResponseKind, Server};
-
-/// Delimits a measurement window over the server-side `serve_e2e_ns`
-/// histogram: snapshot the cumulative histogram at [`start`], and
-/// [`finish`] returns only the samples recorded in between. Latency
-/// percentiles in [`LoadReport`] come from this window, so they measure
-/// the *server's* submission-to-reply distribution (including shed
-/// fast-paths), not the client's scheduling jitter.
-///
-/// The histogram is process-global: overlapping windows from two
-/// concurrent servers in one process will blend. The bench driver and
-/// tests run one load at a time.
-///
-/// [`start`]: LatencyWindow::start
-/// [`finish`]: LatencyWindow::finish
-pub struct LatencyWindow {
-    before: HistogramSnapshot,
-}
-
-impl LatencyWindow {
-    /// Open a window at the histogram's current state.
-    pub fn start() -> LatencyWindow {
-        LatencyWindow {
-            before: adarnet_obs::histogram!("serve_e2e_ns").snapshot(),
-        }
-    }
-
-    /// Close the window: the e2e samples recorded since [`LatencyWindow::start`].
-    pub fn finish(self) -> HistogramSnapshot {
-        adarnet_obs::histogram!("serve_e2e_ns")
-            .snapshot()
-            .since(&self.before)
-    }
-}
+use crate::lanes::Priority;
+use crate::server::{RejectReason, Server, SubmitOptions};
 
 /// Build a pool of `count` distinct LR fields of extent `h x w` from
 /// the dataset generators.
@@ -70,69 +42,129 @@ pub fn field_pool(count: usize, h: usize, w: usize, seed: u64) -> Vec<Tensor<f32
         .collect()
 }
 
-/// One client-side observation.
+/// One class of synthetic clients.
+#[derive(Clone)]
+pub struct ClientSpec {
+    /// Tenant id stamped on every request.
+    pub tenant: u64,
+    /// Lane requested.
+    pub priority: Priority,
+    /// Concurrent connections (client threads) running this spec.
+    pub connections: usize,
+    /// Requests per connection.
+    pub requests: usize,
+    /// Deadline budget per request, ms (0 = none).
+    pub deadline_ms: u32,
+    /// Fields cycled round-robin by each connection.
+    pub fields: Vec<Tensor<f32>>,
+}
+
+/// How one request came back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Fully inferred.
+    Full,
+    /// Degraded bin-0 answer, with the typed reason.
+    Degraded(RejectReason),
+    /// The peer answered with a protocol error instead of a prediction.
+    Error,
+}
+
+/// One answered request as the transport reports it.
 #[derive(Debug, Clone, Copy)]
-pub struct Observation {
-    /// End-to-end latency (submit → response received).
-    pub latency: Duration,
-    /// What kind of response came back.
-    pub kind: ResponseKind,
+pub struct Reply {
+    /// Full, degraded (and why), or error.
+    pub outcome: Outcome,
     /// Trace id the request ran under (0 when untraced).
     pub trace_id: u64,
 }
 
-/// Drive `clients` closed-loop threads, each issuing
-/// `requests_per_client` requests round-robin over `fields`. Every
-/// request is traced (a fresh [`TraceCtx`] per submission), so the
-/// report can name the slowest request's trace. Returns every
-/// observation plus the wall-clock span of the whole run.
-///
-/// [`TraceCtx`]: adarnet_obs::TraceCtx
-pub fn run_closed_loop(
-    server: &Server,
-    fields: &[Tensor<f32>],
-    clients: usize,
-    requests_per_client: usize,
-) -> (Vec<Observation>, Duration) {
-    assert!(!fields.is_empty(), "need at least one field");
-    let next = AtomicU64::new(0);
+/// One connection a closed-loop client sends its requests through.
+/// Every request is traced (a fresh trace id per send), so the report
+/// can name the slowest request's trace.
+pub trait Transport {
+    /// Send `field` under `spec`'s tenant, lane and deadline, and block
+    /// for the answer. `None` means the connection failed; the client
+    /// stops and the shortfall shows in the lane's request count.
+    fn infer(&mut self, field: Tensor<f32>, spec: &ClientSpec) -> Option<Reply>;
+}
+
+impl Transport for &Server {
+    fn infer(&mut self, field: Tensor<f32>, spec: &ClientSpec) -> Option<Reply> {
+        let opts = SubmitOptions {
+            priority: spec.priority,
+            tenant: spec.tenant,
+            deadline: (spec.deadline_ms != 0)
+                .then(|| Instant::now() + Duration::from_millis(u64::from(spec.deadline_ms))),
+            trace: Some(TraceCtx::mint()),
+        };
+        let response = self.submit_wait_with(field, opts);
+        Some(Reply {
+            outcome: response
+                .kind
+                .reject_reason()
+                .map_or(Outcome::Full, Outcome::Degraded),
+            trace_id: response.trace_id,
+        })
+    }
+}
+
+/// One request's client-side record.
+#[derive(Clone, Copy)]
+struct Sample {
+    lane: Priority,
+    ns: u64,
+    reply: Reply,
+}
+
+/// Run every spec's connections concurrently, each on a transport from
+/// `connect`, blocking until all requests are answered. A connection
+/// `connect` cannot open (`None`) contributes no samples.
+pub fn run_closed_loop<T: Transport>(
+    connect: impl Fn() -> Option<T> + Sync,
+    specs: &[ClientSpec],
+) -> LoadReport {
     let started = Instant::now();
-    let mut all = Vec::with_capacity(clients * requests_per_client);
+    let mut samples: Vec<Sample> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut observations = Vec::with_capacity(requests_per_client);
-                    for _ in 0..requests_per_client {
-                        let idx = next.fetch_add(1, Ordering::Relaxed) as usize % fields.len();
-                        let opts = crate::server::SubmitOptions {
-                            trace: Some(adarnet_obs::TraceCtx::mint()),
-                            ..crate::server::SubmitOptions::default()
+        let mut handles = Vec::new();
+        for spec in specs {
+            for conn in 0..spec.connections.max(1) {
+                let connect = &connect;
+                handles.push(scope.spawn(move || {
+                    let mut samples = Vec::with_capacity(spec.requests);
+                    let Some(mut transport) = connect() else {
+                        adarnet_obs::counter!("loadgen_transport_errors_total").inc();
+                        return samples;
+                    };
+                    for r in 0..spec.requests {
+                        let field = spec.fields[(conn + r) % spec.fields.len()].clone();
+                        let sent = Instant::now();
+                        let Some(reply) = transport.infer(field, spec) else {
+                            adarnet_obs::counter!("loadgen_transport_errors_total").inc();
+                            break;
                         };
-                        let t0 = Instant::now();
-                        let response = server.submit_wait_with(fields[idx].clone(), opts);
-                        observations.push(Observation {
-                            latency: t0.elapsed(),
-                            kind: response.kind,
-                            trace_id: response.trace_id,
+                        samples.push(Sample {
+                            lane: spec.priority,
+                            ns: sent.elapsed().as_nanos() as u64,
+                            reply,
                         });
                     }
-                    observations
-                })
-            })
-            .collect();
+                    samples
+                }));
+            }
+        }
         for h in handles {
-            all.extend(h.join().expect("client thread panicked"));
+            samples.extend(h.join().expect("client thread panicked"));
         }
     });
-    (all, started.elapsed())
+    LoadReport::from_samples(&samples, started.elapsed())
 }
 
 /// Nearest-rank percentile of a sorted window of nanosecond latencies,
 /// in milliseconds: the smallest sample with at least `p` percent of
-/// the window at or below it (0 for an empty window). Both load
-/// generators report through this one definition.
+/// the window at or below it (0 for an empty window). Every latency
+/// percentile a load report carries goes through this one definition.
 pub fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
@@ -145,8 +177,6 @@ pub fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
 /// Per-reason counts of the degraded responses a run's clients saw,
 /// keyed by the typed [`RejectReason`]. Explicit fields (not a map) so
 /// the `BENCH_serve.json` schema is stable and diffable.
-///
-/// [`RejectReason`]: crate::server::RejectReason
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RejectBreakdown {
     /// Shed at admission: the lane queue was full.
@@ -163,140 +193,110 @@ pub struct RejectBreakdown {
 }
 
 impl RejectBreakdown {
-    /// Tally the typed reject reasons across a run's observations.
-    pub fn from_observations(observations: &[Observation]) -> RejectBreakdown {
-        use crate::server::RejectReason;
-        let mut b = RejectBreakdown::default();
-        for o in observations {
-            match o.kind.reject_reason() {
-                Some(RejectReason::QueueFull) => b.queue_full += 1,
-                Some(RejectReason::QuotaExceeded) => b.quota_exceeded += 1,
-                Some(RejectReason::DeadlineExceeded) => b.deadline_exceeded += 1,
-                Some(RejectReason::Shutdown) => b.shutdown += 1,
-                Some(RejectReason::InferenceError) => b.inference_error += 1,
-                None => {}
-            }
+    fn add(&mut self, reason: RejectReason) {
+        match reason {
+            RejectReason::QueueFull => self.queue_full += 1,
+            RejectReason::QuotaExceeded => self.quota_exceeded += 1,
+            RejectReason::DeadlineExceeded => self.deadline_exceeded += 1,
+            RejectReason::Shutdown => self.shutdown += 1,
+            RejectReason::InferenceError => self.inference_error += 1,
         }
-        b
-    }
-
-    /// Sum over all reasons.
-    pub fn total(&self) -> u64 {
-        self.queue_full
-            + self.quota_exceeded
-            + self.deadline_exceeded
-            + self.shutdown
-            + self.inference_error
     }
 }
 
-/// The trace id of the slowest client-observed request, as the
-/// zero-padded hex string `/traces` uses (`"0"` when nothing was
-/// traced).
-pub fn slowest_trace_hex(observations: &[Observation]) -> String {
-    observations
-        .iter()
-        .filter(|o| o.trace_id != 0)
-        .max_by_key(|o| o.latency)
-        .map_or_else(|| String::from("0"), |o| format!("{:016x}", o.trace_id))
+/// Latency/outcome aggregate for one lane.
+#[derive(Debug, Clone, Serialize)]
+pub struct LaneReport {
+    /// Lane name (`interactive` / `standard` / `bulk`).
+    pub lane: String,
+    /// Requests answered on this lane.
+    pub requests: usize,
+    /// Fully-inferred responses.
+    pub full: u64,
+    /// Degraded responses (shed or browned out).
+    pub degraded: u64,
+    /// Protocol-error responses.
+    pub errors: u64,
+    /// Per-reason breakdown of the degraded responses on this lane.
+    pub rejects: RejectBreakdown,
+    /// Client-observed latency percentiles, milliseconds.
+    pub p50_ms: f64,
+    /// See `p50_ms`.
+    pub p95_ms: f64,
+    /// See `p50_ms`.
+    pub p99_ms: f64,
+    /// See `p50_ms`.
+    pub max_ms: f64,
 }
 
-/// Aggregated report for one load-generator run (serialized into
-/// `BENCH_serve.json`).
+/// Whole-run aggregate (serialized into `BENCH_serve.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
-    /// Run label (e.g. "batched" / "unbatched").
-    pub mode: String,
-    /// Closed-loop client count.
-    pub concurrency: usize,
-    /// Total requests issued.
-    pub requests: usize,
-    /// Requests per second over the whole run.
+    /// Wall-clock duration of the whole run, seconds.
+    pub elapsed_s: f64,
+    /// Aggregate throughput, requests per second.
     pub throughput_rps: f64,
-    /// Median latency, milliseconds (server-side histogram window).
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Worst latency in the window, milliseconds.
-    pub max_ms: f64,
-    /// Mean latency, milliseconds.
-    pub mean_ms: f64,
-    /// Decoded-patch cache hit rate over the server's lifetime so far.
-    pub cache_hit_rate: f64,
-    /// Responses shed at submission (queue full).
-    pub shed_queue_full: u64,
-    /// Responses degraded by inference errors.
-    pub shed_inference_error: u64,
-    /// Degraded responses observed by the clients of *this* run.
-    pub degraded_seen: u64,
-    /// Per-reason breakdown of those degraded responses.
-    pub rejects: RejectBreakdown,
-    /// Trace id (hex) of the slowest request this run's clients saw —
-    /// look it up under `/traces` on the admin endpoint.
+    /// Trace id (hex) of the slowest request any client observed, for
+    /// lookup under `/traces` on the admin endpoint (`"0"` if none).
     pub slowest_trace: String,
+    /// Per-lane breakdown (lanes with zero requests are omitted).
+    pub lanes: Vec<LaneReport>,
 }
 
 impl LoadReport {
-    /// Summarize a closed-loop run against the server's counters and an
-    /// e2e-latency histogram `window` (see [`LatencyWindow`]).
-    /// Percentiles come from the window when it saw traffic; with the
-    /// obs layer disabled (empty window) they fall back to the client
-    /// observations so the report never silently zeroes out.
-    pub fn from_run(
-        mode: impl Into<String>,
-        concurrency: usize,
-        server: &Server,
-        observations: &[Observation],
-        elapsed: Duration,
-        window: &HistogramSnapshot,
-    ) -> LoadReport {
-        let (p50_ms, p95_ms, p99_ms, max_ms, mean_ms) = if window.count > 0 {
-            (
-                window.percentile(50.0) / 1e6,
-                window.percentile(95.0) / 1e6,
-                window.percentile(99.0) / 1e6,
-                window.max as f64 / 1e6,
-                window.mean() / 1e6,
-            )
-        } else {
-            let mut sorted: Vec<u64> = observations
-                .iter()
-                .map(|o| o.latency.as_nanos() as u64)
-                .collect();
-            sorted.sort_unstable();
-            let mean_ms = if sorted.is_empty() {
-                0.0
-            } else {
-                sorted.iter().map(|&ns| ns as f64).sum::<f64>() / sorted.len() as f64 / 1e6
-            };
-            (
-                percentile_ms(&sorted, 50.0),
-                percentile_ms(&sorted, 95.0),
-                percentile_ms(&sorted, 99.0),
-                sorted.last().map_or(0.0, |&ns| ns as f64 / 1e6),
-                mean_ms,
-            )
-        };
-        let stats = server.stats();
+    fn from_samples(samples: &[Sample], elapsed: Duration) -> LoadReport {
+        let lanes = Priority::ALL
+            .iter()
+            .filter_map(|p| {
+                let of_lane = || samples.iter().filter(|s| s.lane == *p);
+                let mut latencies_ns: Vec<u64> = of_lane().map(|s| s.ns).collect();
+                if latencies_ns.is_empty() {
+                    return None;
+                }
+                latencies_ns.sort_unstable();
+                let mut lane = LaneReport {
+                    lane: p.as_str().to_string(),
+                    requests: latencies_ns.len(),
+                    full: 0,
+                    degraded: 0,
+                    errors: 0,
+                    rejects: RejectBreakdown::default(),
+                    p50_ms: percentile_ms(&latencies_ns, 50.0),
+                    p95_ms: percentile_ms(&latencies_ns, 95.0),
+                    p99_ms: percentile_ms(&latencies_ns, 99.0),
+                    max_ms: percentile_ms(&latencies_ns, 100.0),
+                };
+                for s in of_lane() {
+                    match s.reply.outcome {
+                        Outcome::Full => lane.full += 1,
+                        Outcome::Degraded(reason) => {
+                            lane.degraded += 1;
+                            lane.rejects.add(reason);
+                        }
+                        Outcome::Error => lane.errors += 1,
+                    }
+                }
+                Some(lane)
+            })
+            .collect();
+        let slowest = samples
+            .iter()
+            .filter(|s| s.reply.trace_id != 0)
+            .max_by_key(|s| s.ns);
         LoadReport {
-            mode: mode.into(),
-            concurrency,
-            requests: observations.len(),
-            throughput_rps: observations.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            max_ms,
-            mean_ms,
-            cache_hit_rate: server.cache().hit_rate(),
-            shed_queue_full: stats.shed_queue_full,
-            shed_inference_error: stats.shed_inference_error,
-            degraded_seen: observations.iter().filter(|o| o.kind.is_degraded()).count() as u64,
-            rejects: RejectBreakdown::from_observations(observations),
-            slowest_trace: slowest_trace_hex(observations),
+            elapsed_s: elapsed.as_secs_f64(),
+            throughput_rps: samples.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+            slowest_trace: slowest.map_or_else(
+                || String::from("0"),
+                |s| format!("{:016x}", s.reply.trace_id),
+            ),
+            lanes,
         }
+    }
+
+    /// The report for one lane, if it saw traffic.
+    pub fn lane(&self, priority: Priority) -> Option<&LaneReport> {
+        self.lanes.iter().find(|l| l.lane == priority.as_str())
     }
 }
 

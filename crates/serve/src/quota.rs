@@ -14,7 +14,7 @@
 //! checkable by the `QuotaModel` oracle in `crates/check`: over any
 //! window, `granted ≤ burst + elapsed_ns * rate / 1e9` (conservation).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -22,6 +22,48 @@ use adarnet_core::sync;
 
 /// Nano-tokens per token.
 const NANO: u64 = 1_000_000_000;
+
+/// Distinct tenant ids given a bucket (and, in the server, a counter
+/// set) of their own. Tenant ids come off the wire, so per-tenant state
+/// must not grow with the ids a peer invents: ids first seen after this
+/// many share one overflow bucket and one overflow counter set.
+///
+/// Known limitation (ROADMAP item 4): a slot is never given back, so a
+/// peer cycling this many junk ids leaves every later tenant on the
+/// overflow bucket's one `rate_per_sec`/`burst` for the life of the
+/// process. The quota table (per server) and the tenant counters
+/// (process-wide) fill independently: near the cap a tenant can hold
+/// its own bucket yet count into `serve_tenant_overflow_*`, or the reverse.
+pub const MAX_TRACKED_TENANTS: usize = 1024;
+
+/// Per-tenant values under that cap: one `V` each for the first
+/// [`MAX_TRACKED_TENANTS`] tenants seen, one shared `V` for the rest.
+pub(crate) struct TenantMap<V> {
+    tracked: HashMap<u64, V>,
+    overflow: Option<V>,
+}
+
+impl<V> Default for TenantMap<V> {
+    fn default() -> Self {
+        TenantMap {
+            tracked: HashMap::new(),
+            overflow: None,
+        }
+    }
+}
+
+impl<V> TenantMap<V> {
+    /// `tenant`'s value, made on first sight by `fresh(Some(tenant))`
+    /// while there is room, else the shared one from `fresh(None)`.
+    pub(crate) fn slot(&mut self, tenant: u64, fresh: impl FnOnce(Option<u64>) -> V) -> &mut V {
+        let room = self.tracked.len() < MAX_TRACKED_TENANTS;
+        match self.tracked.entry(tenant) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) if room => e.insert(fresh(Some(tenant))),
+            Entry::Vacant(_) => self.overflow.get_or_insert_with(|| fresh(None)),
+        }
+    }
+}
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +143,13 @@ impl TokenBucket {
 /// Lazily-populated map of tenant id → bucket, sharing one
 /// [`QuotaConfig`] (per-tenant overrides can layer on later without a
 /// wire change — the frame already carries the tenant id). A tenant's
-/// bucket is created full on first sight.
+/// bucket is created full on first sight, for the first
+/// [`MAX_TRACKED_TENANTS`] tenants; later ones draw from one shared
+/// overflow bucket.
 pub struct QuotaTable {
     cfg: QuotaConfig,
     epoch: Instant,
-    buckets: Mutex<HashMap<u64, TokenBucket>>,
+    buckets: Mutex<TenantMap<TokenBucket>>,
 }
 
 impl QuotaTable {
@@ -114,7 +158,7 @@ impl QuotaTable {
         QuotaTable {
             cfg,
             epoch: Instant::now(),
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(TenantMap::default()),
         }
     }
 
@@ -127,16 +171,15 @@ impl QuotaTable {
 
     /// Clock-explicit variant (tests and the model checker).
     pub fn try_take_at(&self, tenant: u64, now_ns: u64) -> bool {
-        let mut buckets = sync::lock(&self.buckets);
-        buckets
-            .entry(tenant)
-            .or_insert_with(|| TokenBucket::new(self.cfg, now_ns))
+        sync::lock(&self.buckets)
+            .slot(tenant, |_| TokenBucket::new(self.cfg, now_ns))
             .try_take(now_ns)
     }
 
-    /// Tenants seen so far.
+    /// Tenants holding a bucket of their own (at most
+    /// [`MAX_TRACKED_TENANTS`]).
     pub fn tenants(&self) -> usize {
-        sync::lock(&self.buckets).len()
+        sync::lock(&self.buckets).tracked.len()
     }
 }
 
@@ -226,5 +269,19 @@ mod tests {
         // Tenant 2's bucket is untouched.
         assert!(table.try_take_at(2, 0));
         assert_eq!(table.tenants(), 2);
+    }
+
+    #[test]
+    fn tenants_past_the_cap_share_one_bucket() {
+        let table = QuotaTable::new(QuotaConfig {
+            rate_per_sec: 1,
+            burst: 1,
+        });
+        let admitted = (0..10_000).filter(|&t| table.try_take_at(t, 0)).count();
+        assert_eq!(table.tenants(), MAX_TRACKED_TENANTS);
+        // One token per tracked tenant, one for everyone after them.
+        assert_eq!(admitted, MAX_TRACKED_TENANTS + 1);
+        // A tracked tenant keeps its own bucket among the overflow.
+        assert!(table.try_take_at(0, NANO));
     }
 }

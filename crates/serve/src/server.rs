@@ -39,12 +39,13 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNetConfig, Prediction};
+use adarnet_core::sync;
 use adarnet_obs::trace::{self, TraceCtx};
 use adarnet_tensor::Tensor;
 
@@ -52,6 +53,7 @@ use crate::batch::{degraded_prediction, infer_cached};
 use crate::cache::PatchCache;
 use crate::config::ServeConfig;
 use crate::lanes::{LaneQueue, Priority, PushOutcome};
+use crate::quota::TenantMap;
 use crate::registry::{ModelRegistry, RegistryError};
 
 /// Why a request was not served in full. Carried in the response (and
@@ -308,25 +310,7 @@ impl Shared {
         };
         cell.fetch_add(1, Ordering::Release);
         adarnet_obs::registry().counter(counter_name).inc();
-        tenant_counter(job.tenant, "reject").inc();
-        if let Some(reason) = kind.reject_reason() {
-            adarnet_obs::recorder().record(
-                adarnet_obs::EventKind::Shed,
-                reason.as_str(),
-                job.priority.as_str(),
-                self.queue.len() as u64,
-                0,
-            );
-        }
-        // Overload and model failure warrant crash-forensics dumps
-        // (rate-limited inside obs); policy rejections (quota,
-        // deadline, shutdown) are normal operation.
-        if matches!(
-            kind,
-            ResponseKind::ShedQueueFull | ResponseKind::ShedInferenceError
-        ) {
-            let _ = adarnet_obs::dump("load_shed", false);
-        }
+        count_tenant(job.tenant, TenantEvent::Reject);
         let response = ServeResponse {
             prediction: degraded_prediction(norm, cfg, &job.field),
             kind,
@@ -336,19 +320,56 @@ impl Shared {
             trace_id: job.trace.map_or(0, |t| t.trace_id),
         };
         record_e2e(&response);
-        // A rejected trace is always interesting: finish it errored so
-        // the tail sampler retains it unconditionally.
+        // A rejected trace is always interesting: say why in one span
+        // (reason tag, queue depth) and finish it errored so the tail
+        // sampler retains it unconditionally.
         if let Some(ctx) = job.trace {
+            if let Some(reason) = kind.reject_reason() {
+                let depth = self.queue.len() as u64;
+                trace::arena().record(ctx, reason.as_str(), 0, "queue_depth", depth);
+            }
             trace::finish(ctx, response.latency.as_nanos() as u64, true);
+        }
+        // Overload and model failure warrant crash-forensics dumps
+        // (rate-limited inside obs, and after the finish above so the
+        // dump holds the trace that triggered it); policy rejections
+        // (quota, deadline, shutdown) are normal operation.
+        if matches!(
+            kind,
+            ResponseKind::ShedQueueFull | ResponseKind::ShedInferenceError
+        ) {
+            let _ = adarnet_obs::dump("load_shed", false);
         }
         let _ = job.reply.send(response);
     }
 }
 
-/// Per-tenant admit/reject/brownout counters live in the process
-/// registry under dynamic names (the macro path interns literals only).
-fn tenant_counter(tenant: u64, event: &str) -> Arc<adarnet_obs::Counter> {
-    adarnet_obs::registry().counter(&format!("serve_tenant_{tenant}_{event}_total"))
+#[derive(Clone, Copy)]
+enum TenantEvent {
+    Admit,
+    Reject,
+    Brownout,
+}
+
+/// One tenant's `serve_tenant_{id}_{admit,reject,brownout}_total`
+/// counters, indexed by [`TenantEvent`].
+type TenantCounters = [Arc<adarnet_obs::Counter>; 3];
+
+/// Count `event` for `tenant`. Tenant ids come off the wire, so only
+/// the first [`crate::quota::MAX_TRACKED_TENANTS`] distinct ids get
+/// counters of their own (named once, on first sight); every later id
+/// counts into the one `serve_tenant_overflow_*` set, which bounds the
+/// metrics registry whatever ids a peer cycles through.
+fn count_tenant(tenant: u64, event: TenantEvent) {
+    static TENANTS: OnceLock<Mutex<TenantMap<TenantCounters>>> = OnceLock::new();
+    let mut tenants = sync::lock(TENANTS.get_or_init(Default::default));
+    let counters = tenants.slot(tenant, |tracked| {
+        let id = tracked.map_or_else(|| String::from("overflow"), |t| t.to_string());
+        ["admit", "reject", "brownout"].map(|event| {
+            adarnet_obs::registry().counter(&format!("serve_tenant_{id}_{event}_total"))
+        })
+    });
+    counters[event as usize].inc();
 }
 
 /// Handle to a running inference service.
@@ -361,9 +382,9 @@ impl Server {
     /// Start the service on the registry's active model. Fails if no
     /// model has been activated or its checkpoint cannot restore.
     pub fn start(cfg: ServeConfig, registry: Arc<ModelRegistry>) -> Result<Server, RegistryError> {
-        // Panic-hook dump + flight recorder live for the process's
-        // lifetime; installing here means any embedding binary gets
-        // crash forensics without its own obs::init() call.
+        // The panic-hook dump lives for the process's lifetime;
+        // installing here means any embedding binary gets crash
+        // forensics without its own obs::init() call.
         adarnet_obs::init();
         // Build the shared engine up front: a missing or corrupt active
         // model fails start() instead of panicking workers. Every worker
@@ -440,7 +461,7 @@ impl Server {
         }
 
         // Admission stage 3: the lane itself.
-        tenant_counter(job.tenant, "admit").inc();
+        count_tenant(job.tenant, TenantEvent::Admit);
         let (job, kind) = match self.shared.queue.push(priority, job) {
             PushOutcome::Enqueued => return rx,
             PushOutcome::Saturated(job) => (job, ResponseKind::ShedQueueFull),
@@ -470,7 +491,6 @@ impl Server {
                     .shed_inference_error
                     .fetch_add(1, Ordering::Release);
                 adarnet_obs::counter!("serve_shed_inference_error_total").inc();
-                adarnet_obs::mark("degraded_reply", "", 0);
                 let (norm, cfg) = self.shared.shed_params();
                 let response = ServeResponse {
                     prediction: degraded_prediction(&norm, cfg, &fallback),
@@ -637,7 +657,7 @@ fn worker_loop(
         if !expired.is_empty() {
             let (norm, cfg) = shared.shed_params();
             for job in expired {
-                tenant_counter(job.tenant, "brownout").inc();
+                count_tenant(job.tenant, TenantEvent::Brownout);
                 shared.reject(job, ResponseKind::BrownoutDeadline, &norm, cfg);
             }
         }
@@ -653,13 +673,6 @@ fn worker_loop(
         if current != generation {
             if let Ok((gen, fresh)) = shared.registry.shared_with(shared.cfg.default_precision) {
                 if gen != generation {
-                    adarnet_obs::recorder().record(
-                        adarnet_obs::EventKind::HotSwap,
-                        "engine_swap",
-                        "generation",
-                        gen,
-                        0,
-                    );
                     let _ = adarnet_obs::dump("hot_swap", false);
                     generation = gen;
                     engine = fresh;

@@ -1,4 +1,4 @@
-//! Flight-recorder dump on load shed. Lives in its own integration
+//! Forensics dump on load shed. Lives in its own integration
 //! test binary (= its own process) so the `ADARNET_OBS_DUMP`
 //! environment variable and the one-dump-per-second rate limit are not
 //! shared with any other test.
@@ -9,7 +9,8 @@ use std::time::Duration;
 use adarnet_core::checkpoint;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
-use adarnet_serve::{ModelRegistry, ServeConfig, Server};
+use adarnet_obs::TraceCtx;
+use adarnet_serve::{ModelRegistry, ServeConfig, Server, SubmitOptions};
 use adarnet_tensor::{Shape, Tensor};
 use serde::Value;
 
@@ -26,11 +27,12 @@ fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(n, _)| n == key).map(|(_, v)| v)
 }
 
-/// Acceptance: overloading the queue makes the server dump the flight
-/// recorder, and the dump file is parseable JSON carrying shed events
-/// plus an embedded metrics snapshot.
+/// Acceptance: overloading the queue makes the server dump, and the
+/// dump file is parseable JSON carrying the shed request's errored
+/// trace (with the span that says why) plus an embedded metrics
+/// snapshot.
 #[test]
-fn load_shed_dumps_parseable_flight_record() {
+fn load_shed_dumps_errored_trace_and_metrics() {
     let dir = std::env::temp_dir().join(format!("adarnet-obs-shed-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let dump_path = dir.join("obs-dump.json");
@@ -56,7 +58,13 @@ fn load_shed_dumps_parseable_flight_record() {
     let server = Server::start(cfg, registry).unwrap();
 
     let receivers: Vec<_> = (0..24)
-        .map(|i| server.submit(field(i as f32 * 0.1)))
+        .map(|i| {
+            let opts = SubmitOptions {
+                trace: Some(TraceCtx::mint()),
+                ..SubmitOptions::default()
+            };
+            server.submit_with(field(i as f32 * 0.1), opts)
+        })
         .collect();
     for rx in receivers {
         rx.recv_timeout(Duration::from_secs(60))
@@ -77,19 +85,30 @@ fn load_shed_dumps_parseable_flight_record() {
         get(obj, "reason").and_then(|v| v.as_str()),
         Some("load_shed")
     );
-    let events = get(obj, "events")
+    let traces = get(obj, "traces")
+        .and_then(|v| v.as_object())
+        .and_then(|o| get(o, "traces"))
         .and_then(|v| v.as_array())
-        .expect("events array");
-    let shed_events = events
+        .expect("retained traces array");
+    let shed_traces = traces
         .iter()
-        .filter(|e| {
-            e.as_object()
-                .and_then(|o| get(o, "kind"))
-                .and_then(|v| v.as_str())
-                == Some("shed")
+        .filter_map(|t| get(t.as_object()?, "trace")?.as_object())
+        .filter(|t| matches!(get(t, "error"), Some(Value::Bool(true))))
+        .filter(|t| {
+            get(t, "spans")
+                .and_then(|v| v.as_array())
+                .is_some_and(|spans| {
+                    spans.iter().filter_map(|s| s.as_object()).any(|s| {
+                        get(s, "name").and_then(|v| v.as_str()) == Some("queue_full")
+                            && get(s, "field").and_then(|v| v.as_str()) == Some("queue_depth")
+                    })
+                })
         })
         .count();
-    assert!(shed_events > 0, "dump must carry shed events");
+    assert!(
+        shed_traces > 0,
+        "dump must carry an errored trace with a queue_full span"
+    );
     let metrics = get(obj, "metrics")
         .and_then(|v| v.as_object())
         .expect("embedded metrics snapshot");

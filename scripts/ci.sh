@@ -65,10 +65,17 @@ fi
 # the gate. Its timings gate nothing.
 cargo run --release -q -p adarnet-bench --bin ablations
 
+echo "==> serve smoke (the closed-loop generator, in process)"
+# One request per client through every phase of the serve bin (batched
+# and unbatched at 1/8/32 clients, then the saturation burst): the
+# in-process half of the one load generator, whose TCP half the net
+# smoke below runs. Timings gate nothing.
+ADARNET_SERVE_REQUESTS=1 ADARNET_SERVE_OUT=target/ci-serve.json cargo run --release -q -p adarnet-serve --bin serve
+
 echo "==> net smoke (loopback TCP end-to-end)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
-  # Full mixed load through the TCP loadgen: every lane answered, typed
-  # errors on garbage, connection closed on CRC corruption.
+  # Full mixed load through the loadgen over TCP: every lane answered,
+  # typed errors on garbage, connection closed on CRC corruption.
   cargo run --release -q -p adarnet-net --bin net-serve -- smoke
 else
   # One request per interactive connection keeps the smoke sub-second.
