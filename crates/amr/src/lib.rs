@@ -21,6 +21,19 @@
 //! * [`driver`] — the iterative solve→assess→refine loop the paper
 //!   compares against (OpenFOAM `dynamicMeshRefine` stand-in).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod driver;
 pub mod field;
 pub mod indicator;

@@ -11,6 +11,19 @@
 //! Both scales preserve the quantities the reproduction targets: who wins,
 //! by roughly what factor, and where the trends cross (EXPERIMENTS.md).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 use adarnet_amr::PatchLayout;
 use adarnet_cfd::{CaseConfig, SolverConfig};
 use adarnet_core::{AdarNet, AdarNetConfig, NormStats, Trainer, TrainerConfig};
@@ -127,6 +140,10 @@ pub fn training_set(scale: Scale) -> Vec<Sample> {
 /// are cached on disk per scale, so the six harness binaries train once
 /// between them; delete the cache file (path printed on save) or set
 /// `ADARNET_BENCH_RETRAIN=1` to force retraining.
+#[expect(
+    clippy::print_stderr,
+    reason = "bench harness progress logging: model (re)training takes minutes and a silent harness looks hung; the bench lib is only ever embedded in bench bins, never in serving code"
+)]
 pub fn trained_model(scale: Scale) -> Trainer {
     let cache = std::env::temp_dir().join(format!(
         "adarnet_bench_model_{}.json",

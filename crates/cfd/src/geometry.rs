@@ -69,6 +69,10 @@ impl Body {
     pub fn naca4(code: &str, c: f64, x_le: f64, y_le: f64, alpha_deg: f64, n: usize) -> Body {
         assert_eq!(code.len(), 4, "NACA 4-digit code expected");
         assert!(n >= 8, "need at least 8 boundary points per surface");
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor precondition on a compile-time-style code string (asserted 4 chars just above); a typed error would be noise for e.g. naca4(\"0012\", ...)"
+        )]
         let digits: Vec<u32> = code
             .chars()
             .map(|ch| ch.to_digit(10).expect("NACA code must be digits"))

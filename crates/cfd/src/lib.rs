@@ -14,6 +14,19 @@
 //! Numerical method and OpenFOAM-substitution rationale are documented in
 //! DESIGN.md §2 and §4.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod geometry;
 pub mod mesh;
 pub mod monitor;

@@ -42,6 +42,10 @@ pub fn skin_friction_coefficient(state: &FlowState, mesh: &CaseMesh, x_frac: f64
 /// Zero within discretization error for symmetric bodies at zero
 /// incidence (cylinder, NACA0012); nonzero for the cambered NACA1412.
 /// Panics if the case has no body.
+#[expect(
+    clippy::expect_used,
+    reason = "documented precondition: lift/drag coefficients are undefined without a body; callers gate on case.body.is_some()"
+)]
 pub fn lift_coefficient(state: &FlowState, mesh: &CaseMesh) -> f64 {
     let body = mesh
         .case
@@ -86,6 +90,10 @@ pub fn lift_coefficient(state: &FlowState, mesh: &CaseMesh) -> f64 {
 /// Forces are integrated over the stair-step solid surface at the mesh's
 /// finest level: pressure acts on x-normal faces, wall shear on y-normal
 /// faces. Panics if the case has no body.
+#[expect(
+    clippy::expect_used,
+    reason = "documented precondition: lift/drag coefficients are undefined without a body; callers gate on case.body.is_some()"
+)]
 pub fn drag_coefficient(state: &FlowState, mesh: &CaseMesh) -> f64 {
     let body = mesh
         .case

@@ -19,11 +19,11 @@
 //! every pair conflict, degenerating DPOR to plain DFS — sound by
 //! construction; reduction is opt-in per scenario. A wrong declaration
 //! (claiming independence for non-commuting ops) would prune real
-//! coverage, which is why CI's compare mode runs DFS and DPOR
+//! coverage, which is why every exhaustive space runs DFS and DPOR
 //! side-by-side and fails on any verdict divergence, and why the
 //! seeded-bug scenarios are asserted to be caught under DPOR too.
 
-use crate::sched::{interleaving_count, run_one, ExploreResult, Scenario, Violation};
+use crate::sched::{interleaving_count, run_one, ExploreResult, Scenario};
 
 /// The logical objects one scenario step reads and writes.
 ///
@@ -154,25 +154,18 @@ fn run_schedule<S: Scenario>(
     result: &mut ExploreResult,
 ) {
     let mut next = 0usize;
-    let (trace, failed) = run_one(scenario, ops, |runnable| {
+    let outcome = run_one(scenario, ops, |runnable| {
         let want = schedule.get(next).copied().unwrap_or(usize::MAX);
         next += 1;
         runnable.iter().position(|&r| r == want).unwrap_or(0)
     });
-    result.interleavings += 1;
-    if let Some(message) = failed {
-        result.record(Violation {
-            scenario: scenario.name(),
-            trace,
-            message,
-        });
-    }
+    result.record(scenario, outcome);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::explore_exhaustive;
+    use crate::sched::{explore_exhaustive, Plan, SuiteStats};
     use std::cell::RefCell;
     use std::collections::BTreeSet;
 
@@ -280,39 +273,56 @@ mod tests {
         );
     }
 
+    /// Fails only when thread 1 runs before thread 0, so the two steps
+    /// conflict. `OrderBug(true)` declares them disjoint anyway.
+    struct OrderBug(bool);
+    impl Scenario for OrderBug {
+        type State = bool; // thread 0 has run
+        fn name(&self) -> &'static str {
+            "order-bug"
+        }
+        fn thread_ops(&self) -> Vec<usize> {
+            vec![1, 1]
+        }
+        fn init(&self) -> bool {
+            false
+        }
+        fn step(&self, state: &mut bool, thread: usize, _: usize) -> Result<(), String> {
+            if thread == 1 && !*state {
+                return Err("thread 1 won the race".into());
+            }
+            *state |= thread == 0;
+            Ok(())
+        }
+        fn finish(&self, _: &mut bool) -> Result<(), String> {
+            Ok(())
+        }
+        fn footprint(&self, thread: usize, _: usize) -> Footprint {
+            Footprint::exclusive(if self.0 { 1 + thread as u64 } else { 0 })
+        }
+    }
+
     #[test]
     fn order_dependent_bug_is_still_caught() {
-        // Fails only when thread 1 runs before thread 0 — a conflict,
-        // so DPOR must keep both orders.
-        struct OrderBug;
-        impl Scenario for OrderBug {
-            type State = bool; // "thread 1 ran first"
-            fn name(&self) -> &'static str {
-                "order-bug"
-            }
-            fn thread_ops(&self) -> Vec<usize> {
-                vec![1, 1]
-            }
-            fn init(&self) -> bool {
-                false
-            }
-            fn step(&self, state: &mut bool, thread: usize, _: usize) -> Result<(), String> {
-                if thread == 1 && !*state {
-                    return Err("thread 1 won the race".into());
-                }
-                if thread == 0 {
-                    *state = true;
-                }
-                Ok(())
-            }
-            fn finish(&self, _: &mut bool) -> Result<(), String> {
-                Ok(())
-            }
-        }
-        let d = explore_dpor(&OrderBug);
+        // A conflict, so DPOR must keep both orders.
+        let d = explore_dpor(&OrderBug(false));
         assert_eq!(d.result.interleavings, 2);
         assert_eq!(d.result.violations.len(), 1);
         assert_eq!(d.result.violations[0].trace, vec![1, 0]);
+    }
+
+    #[test]
+    fn cross_check_flags_a_misdeclared_footprint() {
+        // DFS finds the failing order, DPOR prunes it as equivalent, and
+        // the cross-check reports the wrong declaration.
+        let bug = OrderBug(true);
+        assert_eq!(explore_exhaustive(&bug).violations.len(), 1);
+        assert!(explore_dpor(&bug).result.violations.is_empty());
+        let mut stats = SuiteStats::default();
+        stats.explore(&bug, Plan::Exhaustive);
+        let wrong = |m: &String| m.contains("footprint declaration is wrong");
+        assert!(stats.mismatches.iter().any(wrong), "{:?}", stats.mismatches);
+        assert_eq!(stats.violations.len(), 1, "the DFS finding still surfaces");
     }
 
     #[test]

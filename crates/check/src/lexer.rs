@@ -1,8 +1,8 @@
 //! A minimal Rust lexer for the lint pass.
 //!
-//! The lint rules need token streams, not syntax trees: "`.unwrap()`
-//! outside test code" or "`==` next to a float literal" are decidable
-//! from tokens plus brace tracking. A full parser (syn) is neither
+//! The lint rules need token streams, not syntax trees: "`==` next to
+//! a float literal outside test code" or "a second lock while a guard
+//! is held" are decidable from tokens plus brace tracking. A full parser (syn) is neither
 //! available offline nor necessary. The lexer therefore handles exactly
 //! the lexical features that would otherwise cause false positives:
 //! line/block/doc comments, string/char/byte/raw-string literals,

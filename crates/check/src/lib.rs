@@ -3,26 +3,44 @@
 //! In-repo correctness tooling for the ADARNet reproduction, in two
 //! parts (DESIGN.md §9):
 //!
-//! 1. **Lint pass** (`cargo run -p check --bin lint`): repo-specific
-//!    policies clippy cannot express — panic-free library code,
-//!    explicit float comparisons, spelled-out float→int rounding in the
-//!    numeric kernels, and single-lock discipline in the serving crate.
-//!    Intentional exceptions live, with reasons, in `check/allow.toml`.
+//! 1. **Lint pass** (`cargo run -p check --bin lint`): the repo
+//!    policies no compiler lint expresses — explicit float comparisons,
+//!    spelled-out float→int rounding in the numeric kernels, single-lock
+//!    discipline in the serving crates, allocation-free kernels, checked
+//!    wire-length arithmetic, justified `Ordering::Relaxed`, registered
+//!    observable names. Intentional exceptions live, with reasons, in
+//!    `check/allow.toml`. Panic-free and print-free library code and
+//!    justified `unsafe` are compiler lints: the pass only checks that
+//!    every library root denies them.
 //! 2. **Model checker** (`cargo run -p check --bin model-check`): a
 //!    deterministic mini-loom that drives the serve primitives
 //!    ([`adarnet_serve::LaneQueue`], [`adarnet_serve::QuotaTable`],
 //!    [`adarnet_serve::PatchCache`], [`adarnet_serve::ModelRegistry`])
 //!    and the obs trace plane ([`adarnet_obs::TraceArena`],
 //!    [`adarnet_obs::TailSampler`]) through bounded-exhaustive and
-//!    seeded-random interleavings against sequential shadow oracles.
-//!    Exhaustive exploration defaults to sleep-set DPOR ([`dpor`]) —
-//!    one executed schedule per Mazurkiewicz trace — and every
-//!    schedule's captured sync-event stream is replayed through a
+//!    seeded-random interleavings against sequential shadow oracles,
+//!    one [`suites::Subject`] per primitive. Every exhaustive space runs
+//!    plain DFS and sleep-set DPOR ([`dpor`]) — one executed schedule
+//!    per Mazurkiewicz trace — cross-checked against each other, and
+//!    every schedule's captured sync-event stream is replayed through a
 //!    vector-clock race detector and lock-order cycle check
 //!    ([`race`], [`clock`]; DESIGN.md §14).
 //!
 //! Both are CI stages (`scripts/ci.sh`); both are libraries first, so
 //! every rule and suite also runs as a plain `cargo test -p check`.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod allow;
 pub mod clock;
@@ -39,7 +57,6 @@ pub use dpor::{explore_dpor, DporResult, Footprint};
 pub use lint::{run_lint, workspace_root, LintReport};
 pub use race::{analyze, Problem, ProblemKind};
 pub use sched::{
-    explore_exhaustive, explore_random, ExploreResult, Explorer, Mode, Scenario, SuiteStats,
-    Violation,
+    explore_exhaustive, explore_random, ExploreResult, Plan, Scenario, SuiteStats, Violation,
 };
 pub use suites::{run_all, Budget};

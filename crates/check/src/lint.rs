@@ -1,69 +1,40 @@
-//! Workspace lint driver: walks first-party sources, applies the rule
-//! families from [`crate::rules`], screens findings through
-//! `check/allow.toml`, and reports.
+//! Workspace lint driver: walks first-party sources, applies the
+//! [`crate::rules::RULES`] rows in scope for each file, screens findings
+//! through `check/allow.toml`, and reports.
 //!
-//! Scope policy (documented in DESIGN.md §9):
+//! Scope policy (documented in DESIGN.md §9.1):
 //!
 //! * every first-party crate under `crates/*/src` plus the root
-//!   workspace library `src/` is linted;
+//!   workspace library `src/` is linted; each rule's
+//!   [`Scope`](crate::rules::Scope) narrows that to crates or files;
 //! * `src/bin/` CLI entry points are exempt — a `main` that `expect`s
 //!   its argv is fine, libraries are not;
 //! * `vendor/` stand-ins and `target/` are never scanned;
-//! * [`rules::RULE_LOSSY_CAST`] applies to the numeric kernel crates
-//!   (`nn`, `tensor`, `cfd`); [`rules::RULE_LOCK_ORDER`] to the
-//!   concurrent serving crate (`serve`);
-//! * [`rules::RULE_NO_ALLOC`] is per-file, not per-crate: it applies to
-//!   the designated hot-path kernel files ([`NO_ALLOC_FILES`]), where
-//!   every buffer must come from the `adarnet_tensor::workspace` pool;
-//! * [`rules::RULE_NO_PRINTLN`] applies to every linted library file:
-//!   libraries report through the obs layer or typed returns, never by
-//!   printing (`src/bin/` and test regions are already out of scope);
-//! * [`rules::RULE_UNCHECKED_ARITH`] is per-file: it applies to the
-//!   wire-parse files ([`UNCHECKED_ARITH_FILES`]), where lengths are
-//!   attacker-controlled;
-//! * [`rules::RULE_RELAXED_ORDERING`] applies to every crate except
-//!   `obs` ([`RELAXED_ORDERING_EXEMPT_CRATE`]); surviving uses carry
-//!   per-site justifications in `check/allow.toml`;
-//! * [`rules::RULE_UNSAFE_CODE`] applies to every crate: the workspace
-//!   denies `unsafe_code`, and the files that opt out of that deny (the
-//!   AVX2 micro-kernels, the aligned workspace buffer) must justify
-//!   every `unsafe` site with a waiver in `check/allow.toml`;
-//! * [`rules::RULE_SPAN_REGISTRY`] applies to every crate, in two
-//!   parts: per file, every observable-name literal (`span!` sites,
-//!   `trace::arena().begin/record` names, `RejectReason` wire tags)
-//!   must be registered in `adarnet_obs::names`; across the tree, each
-//!   `span!` site name must be unique — a deliberate second site
-//!   feeding the same histogram carries a waiver arguing the stages are
-//!   genuinely the same.
+//! * every linted `lib.rs` must carry [`LIB_ROOT_DENY`], so panic-free
+//!   and print-free library code is the compiler's check and a new
+//!   crate cannot opt out by omission;
+//! * across the tree, each `span!` site name must be unique — a
+//!   deliberate second site feeding the same histogram carries a waiver
+//!   arguing the stages are genuinely the same.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::allow::{parse_allowlist, screen, Waiver};
-use crate::rules::{lint_source, span_macro_sites, Finding, RuleSet, RULE_SPAN_REGISTRY};
+use crate::lexer::tokenize;
+use crate::rules::{lint_source, span_macro_sites, Finding, SPAN_REGISTRY};
 
-/// Crates whose float→int casts index grids and tensors.
-const LOSSY_CAST_CRATES: &[&str] = &["nn", "tensor", "cfd"];
-/// Crates with cross-thread locking.
-const LOCK_ORDER_CRATES: &[&str] = &["serve", "net"];
-/// Hot-path kernel files (repo-relative) where allocating constructors
-/// are banned outright — buffers come from the workspace pool so the
-/// zero-allocation inference contract cannot silently regress.
-const NO_ALLOC_FILES: &[&str] = &[
-    "crates/nn/src/kernels.rs",
-    "crates/nn/src/device/driver.rs",
-    "crates/nn/src/device/cpu_scalar.rs",
-    "crates/nn/src/device/cpu_simd.rs",
-];
-/// Wire-parse files (repo-relative) where bare `+`/`*` on lengths is
-/// banned — these are the only places attacker-controlled sizes enter
-/// the process, so overflow handling must be spelled out (or waived
-/// with a bound argument, e.g. `MAX_FRAME` gating upstream).
-const UNCHECKED_ARITH_FILES: &[&str] = &["crates/net/src/frame.rs", "crates/net/src/proto.rs"];
-/// The one crate allowed bare `Ordering::Relaxed`: its metrics cells
-/// and trace-slot probe keys are statistics or hints a lock arbitrates.
-/// Everywhere else each use needs a written waiver.
-const RELAXED_ORDERING_EXEMPT_CRATE: &str = "obs";
+/// The attribute every linted library root carries: clippy's restriction
+/// lints for panics and stdio, denied outside test builds. Bins are
+/// separate crate roots and test builds drop the deny, so the scope is
+/// library code only. Sites that keep a panic say why with
+/// `#[expect(<lint>, reason = "...")]`.
+pub const LIB_ROOT_DENY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, \
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::unimplemented, \
+    clippy::print_stdout, clippy::print_stderr))]";
+
+/// Rule id of the library-root check.
+const COMPILER_LINTS: &str = "compiler-lints";
 
 /// Aggregate outcome of a lint run.
 pub struct LintReport {
@@ -117,13 +88,24 @@ pub fn run_lint(root: &Path) -> Result<LintReport, LintError> {
     let mut files_scanned = 0usize;
     let mut macro_sites: Vec<SpanMacroSite> = Vec::new();
     for (dir, crate_name) in lint_targets(root)? {
-        let rules = rule_set_for(&crate_name);
+        let lib = dir.join("lib.rs");
+        if !fs::read_to_string(&lib).is_ok_and(|src| denies_compiler_lints(&src)) {
+            findings.push(Finding {
+                rule: COMPILER_LINTS,
+                path: lib.strip_prefix(root).unwrap_or(&lib).to_path_buf(),
+                line: 1,
+                message: "library root does not deny the clippy panic and print lints".into(),
+                line_text: LIB_ROOT_DENY.into(),
+            });
+        }
         let mut files = Vec::new();
         collect_rs_files(&dir, &mut files)?;
         for file in files {
             let src = fs::read_to_string(&file).map_err(|e| LintError::Io(file.clone(), e))?;
             let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-            findings.extend(lint_source(&rel, &src, rules_for_file(rules, &rel)));
+            findings.extend(lint_source(&rel, &src, |scope| {
+                scope.covers(&crate_name, &rel)
+            }));
             for (line, name) in span_macro_sites(&src) {
                 let line_text = src
                     .lines()
@@ -188,18 +170,14 @@ fn lint_targets(root: &Path) -> Result<Vec<(PathBuf, String)>, LintError> {
     Ok(targets)
 }
 
-fn rule_set_for(crate_name: &str) -> RuleSet {
-    RuleSet {
-        core_rules: true,
-        lossy_cast: LOSSY_CAST_CRATES.contains(&crate_name),
-        lock_order: LOCK_ORDER_CRATES.contains(&crate_name),
-        no_alloc: false,
-        no_println: true,
-        unchecked_arith: false,
-        relaxed_ordering: crate_name != RELAXED_ORDERING_EXEMPT_CRATE,
-        unsafe_code: true,
-        span_registry: true,
-    }
+/// Whether a library root's source carries [`LIB_ROOT_DENY`] outside a
+/// comment, however rustfmt laid it out.
+fn denies_compiler_lints(src: &str) -> bool {
+    let squash = |s: &str| {
+        let toks = tokenize(s).into_iter().map(|t| t.text);
+        toks.collect::<String>().replace(",)", ")")
+    };
+    squash(src).contains(&squash(LIB_ROOT_DENY))
 }
 
 /// One non-test `span!` site, accumulated across the walk for the
@@ -222,7 +200,7 @@ fn duplicate_span_sites(sites: &mut [SpanMacroSite]) -> Vec<Finding> {
     for site in sites.iter() {
         match first.get(site.name.as_str()) {
             Some((fp, fl)) => out.push(Finding {
-                rule: RULE_SPAN_REGISTRY,
+                rule: SPAN_REGISTRY,
                 path: site.path.clone(),
                 line: site.line,
                 message: format!(
@@ -240,16 +218,6 @@ fn duplicate_span_sites(sites: &mut [SpanMacroSite]) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// Specialize a crate's rule set for one file: the no-alloc and
-/// unchecked-arith rules are scoped to designated files only.
-fn rules_for_file(base: RuleSet, rel: &Path) -> RuleSet {
-    RuleSet {
-        no_alloc: NO_ALLOC_FILES.iter().any(|f| rel == Path::new(f)),
-        unchecked_arith: UNCHECKED_ARITH_FILES.iter().any(|f| rel == Path::new(f)),
-        ..base
-    }
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
@@ -315,7 +283,6 @@ impl LintReport {
     }
 }
 
-#[allow(unused_imports)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,42 +295,18 @@ mod tests {
     }
 
     #[test]
-    fn rule_scoping_matches_policy() {
-        assert!(rule_set_for("nn").lossy_cast);
-        assert!(rule_set_for("serve").lock_order);
-        assert!(rule_set_for("net").lock_order);
-        assert!(!rule_set_for("serve").lossy_cast);
-        assert!(!rule_set_for("core").lock_order);
-        assert!(rule_set_for("core").core_rules);
-        // no-alloc is per-file: only the designated kernel files get it
-        // (the dispatch façade plus both device kernel planes).
-        let nn = rule_set_for("nn");
-        assert!(rules_for_file(nn, Path::new("crates/nn/src/kernels.rs")).no_alloc);
-        assert!(rules_for_file(nn, Path::new("crates/nn/src/device/driver.rs")).no_alloc);
-        assert!(rules_for_file(nn, Path::new("crates/nn/src/device/cpu_scalar.rs")).no_alloc);
-        assert!(rules_for_file(nn, Path::new("crates/nn/src/device/cpu_simd.rs")).no_alloc);
-        assert!(!rules_for_file(nn, Path::new("crates/nn/src/device/mod.rs")).no_alloc);
-        assert!(!rules_for_file(nn, Path::new("crates/nn/src/model.rs")).no_alloc);
-        assert!(rules_for_file(nn, Path::new("crates/nn/src/kernels.rs")).lossy_cast);
-        // unchecked-arith is per-file: only the wire-parse files get it.
-        let net = rule_set_for("net");
-        assert!(rules_for_file(net, Path::new("crates/net/src/frame.rs")).unchecked_arith);
-        assert!(rules_for_file(net, Path::new("crates/net/src/proto.rs")).unchecked_arith);
-        assert!(!rules_for_file(net, Path::new("crates/net/src/server.rs")).unchecked_arith);
-        // relaxed-ordering applies everywhere except the obs crate.
-        assert!(rule_set_for("serve").relaxed_ordering);
-        assert!(rule_set_for("net").relaxed_ordering);
-        assert!(!rule_set_for("obs").relaxed_ordering);
-        // unsafe-code applies everywhere: opting out of the workspace
-        // deny never opts out of the waiver requirement.
-        assert!(rule_set_for("nn").unsafe_code);
-        assert!(rule_set_for("tensor").unsafe_code);
-        assert!(rule_set_for("obs").unsafe_code);
-        // span-registry applies everywhere: any crate can record a span
-        // or map a reject tag, and every name must be registered.
-        assert!(rule_set_for("obs").span_registry);
-        assert!(rule_set_for("serve").span_registry);
-        assert!(rule_set_for("cfd").span_registry);
+    fn library_roots_must_deny_the_compiler_lints() {
+        let formatted = "//! docs\n\n#![cfg_attr(\n    not(test),\n    deny(\n        \
+                         clippy::unwrap_used,\n        clippy::expect_used,\n        \
+                         clippy::panic,\n        clippy::unreachable,\n        \
+                         clippy::unimplemented,\n        clippy::print_stdout,\n        \
+                         clippy::print_stderr\n    )\n)]\n\npub mod x;\n";
+        assert!(denies_compiler_lints(formatted));
+        assert!(!denies_compiler_lints(
+            &formatted.replace("        clippy::print_stderr\n", "")
+        ));
+        assert!(!denies_compiler_lints("pub mod x;\n"));
+        assert!(!denies_compiler_lints(&formatted.replace("#![", "// #![")));
     }
 
     #[test]

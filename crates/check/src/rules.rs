@@ -1,88 +1,21 @@
-//! Repo-specific lint rules over token streams.
-//!
-//! These are rules clippy cannot express because they encode *this*
-//! repo's policies (see DESIGN.md §9):
-//!
-//! * [`no-panic`](RULE_NO_PANIC) — no `unwrap()` / `expect()` /
-//!   `panic!`-family macros in non-test library code; failures must be
-//!   typed errors (the `RankerError` / `EngineError` direction).
-//! * [`float-eq`](RULE_FLOAT_EQ) — no `==`/`!=` against float literals;
-//!   a single NaN ranker score silently corrupts the final mesh, so
-//!   float comparisons must be explicit (`<=`, epsilon, or integer
-//!   restructure).
-//! * [`lossy-cast`](RULE_LOSSY_CAST) — no bare float→int `as` casts in
-//!   the `nn`/`tensor`/`cfd` kernels; truncation must be spelled
-//!   (`.floor()`, `.ceil()`, `.round()`, `.trunc()`) so grid-index
-//!   arithmetic cannot silently drop cells.
-//! * [`lock-order`](RULE_LOCK_ORDER) — in `serve`, no second lock
-//!   acquisition while a `Mutex`/`RwLock` guard is held in the same
-//!   function (intra-function lexical scan; cross-function interleaving
-//!   hazards are the model checker's domain).
-//! * [`no-alloc-in-hot-path`](RULE_NO_ALLOC) — in the convolution
-//!   kernel file, no allocating constructors (`vec![`, `Vec::new`,
-//!   `Vec::with_capacity`, `Tensor::zeros`, `Tensor::full`, `.to_vec()`)
-//!   in non-test code; hot-loop buffers come from the
-//!   `adarnet_tensor::workspace` pool so steady-state inference stays
-//!   allocation-free.
-//! * [`no-println`](RULE_NO_PRINTLN) — no `println!` / `eprintln!` /
-//!   `print!` / `eprint!` in library code; libraries report through the
-//!   obs layer (metrics, trace spans) or typed returns, never
-//!   by writing to the process's stdio behind its back. Binaries
-//!   (`src/bin/`) and test code are exempt.
-//! * [`unchecked-arith`](RULE_UNCHECKED_ARITH) — in the wire-protocol
-//!   parse files, no bare `+`/`*` where an operand is a length
-//!   (`.len()`, `count`, `cells`, ...): attacker-influenced sizes must
-//!   go through `checked_*`/`saturating_*`, or carry a waiver arguing
-//!   the bound (e.g. `MAX_FRAME` gating upstream).
-//! * [`relaxed-ordering`](RULE_RELAXED_ORDERING) — `Ordering::Relaxed`
-//!   outside `crates/obs` needs a written justification in
-//!   `check/allow.toml`: relaxed atomics are fine for monotonic
-//!   counters the obs layer owns, but anywhere else each use must
-//!   argue why no synchronization edge is being lost.
-//! * [`unsafe-code`](RULE_UNSAFE_CODE) — every `unsafe` keyword in
-//!   non-test library code needs a written justification in
-//!   `check/allow.toml`. The workspace already carries
-//!   `unsafe_code = "deny"`, so any file opting out via
-//!   `#![allow(unsafe_code)]` (the SIMD micro-kernels, the aligned
-//!   workspace buffer) must pair each site with a waiver arguing its
-//!   safety contract — the opt-out attribute alone is not enough.
-//! * [`span-registry`](RULE_SPAN_REGISTRY) — every observable name
-//!   literal (`span!("...")` sites, `trace::arena().begin/record`
-//!   names, `RejectReason::X => "tag"` wire tags) must appear in the
-//!   central registry `adarnet_obs::names`; a typo'd or unregistered
-//!   name silently orphans its dashboard graph. The driver additionally
-//!   requires `span!` site names to be unique across the tree — a
-//!   second site feeding the same histogram must be waived with an
-//!   argument for why the stages are genuinely the same.
+//! Repo-specific lint rules over token streams: the policies no
+//! compiler lint expresses, one [`RULES`] row each (DESIGN.md §9.1
+//! says what each guards and why clippy's nearest lint does not fit).
+//! Panic-free and print-free library code and justified `unsafe` are
+//! compiler lints; the driver only checks that every library root
+//! denies them.
 //!
 //! The rules are token-level heuristics, deliberately conservative in
 //! what they flag; anything intentionally kept is waived — with a
 //! reason — in `check/allow.toml`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::lexer::{test_region_mask, tokenize, Tok, TokKind};
 
-/// Rule id for the panic-free-library rule.
-pub const RULE_NO_PANIC: &str = "no-panic";
-/// Rule id for the float-equality rule.
-pub const RULE_FLOAT_EQ: &str = "float-eq";
-/// Rule id for the lossy float→int cast rule.
-pub const RULE_LOSSY_CAST: &str = "lossy-cast";
-/// Rule id for the lock-ordering hazard rule.
-pub const RULE_LOCK_ORDER: &str = "lock-order";
-/// Rule id for the hot-path allocation rule.
-pub const RULE_NO_ALLOC: &str = "no-alloc-in-hot-path";
-/// Rule id for the no-stdio-in-libraries rule.
-pub const RULE_NO_PRINTLN: &str = "no-println";
-/// Rule id for the unchecked-length-arithmetic rule.
-pub const RULE_UNCHECKED_ARITH: &str = "unchecked-arith";
-/// Rule id for the relaxed-atomic-ordering rule.
-pub const RULE_RELAXED_ORDERING: &str = "relaxed-ordering";
-/// Rule id for the justified-unsafe rule.
-pub const RULE_UNSAFE_CODE: &str = "unsafe-code";
-/// Rule id for the registered-and-unique observable-names rule.
-pub const RULE_SPAN_REGISTRY: &str = "span-registry";
+/// Rule id of the registered-and-unique observable-names rule (the
+/// driver's cross-file uniqueness pass reports under it too).
+pub const SPAN_REGISTRY: &str = "span-registry";
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -99,139 +32,106 @@ pub struct Finding {
     pub line_text: String,
 }
 
-/// Which rule families apply to a file (decided by the walker from the
-/// file's crate).
+/// Which linted library files a rule applies to.
 #[derive(Debug, Clone, Copy)]
-pub struct RuleSet {
-    /// Apply [`RULE_NO_PANIC`] and [`RULE_FLOAT_EQ`] (all library code).
-    pub core_rules: bool,
-    /// Apply [`RULE_LOSSY_CAST`] (numeric kernel crates).
-    pub lossy_cast: bool,
-    /// Apply [`RULE_LOCK_ORDER`] (concurrent serving crates).
-    pub lock_order: bool,
-    /// Apply [`RULE_NO_ALLOC`] (designated hot-path kernel files).
-    pub no_alloc: bool,
-    /// Apply [`RULE_NO_PRINTLN`] (all library code; bins/tests exempt).
-    pub no_println: bool,
-    /// Apply [`RULE_UNCHECKED_ARITH`] (designated wire-parse files).
-    pub unchecked_arith: bool,
-    /// Apply [`RULE_RELAXED_ORDERING`] (every crate except `obs`).
-    pub relaxed_ordering: bool,
-    /// Apply [`RULE_UNSAFE_CODE`] (every crate; the workspace denies
-    /// `unsafe_code`, so each opted-out site needs a waiver).
-    pub unsafe_code: bool,
-    /// Apply [`RULE_SPAN_REGISTRY`] (every crate: observable-name
-    /// literals must be registered in `adarnet_obs::names`).
-    pub span_registry: bool,
+pub enum Scope {
+    /// Every linted file.
+    All,
+    /// Every crate except the named one.
+    AllBut(&'static str),
+    /// The named crates (`crates/<name>`).
+    Crates(&'static [&'static str]),
+    /// The named repo-relative files.
+    Files(&'static [&'static str]),
 }
 
-/// Lint one file's source, returning all findings.
-pub fn lint_source(path: &std::path::Path, src: &str, rules: RuleSet) -> Vec<Finding> {
+impl Scope {
+    /// Whether file `rel` of crate `crate_name` is in scope.
+    pub fn covers(self, crate_name: &str, rel: &Path) -> bool {
+        match self {
+            Scope::All => true,
+            Scope::AllBut(name) => crate_name != name,
+            Scope::Crates(names) => names.contains(&crate_name),
+            Scope::Files(files) => files.iter().any(|f| rel == Path::new(f)),
+        }
+    }
+}
+
+/// A rule's scan over one file: tokens, the test-region mask, the raw
+/// lines, and a sink taking `(line, message)` per finding.
+pub type Scan = fn(&[Tok], &[bool], &[&str], &mut dyn FnMut(usize, String));
+
+/// Every hand-rolled rule as `(id, scope, scan)`, in report order. The
+/// id is what findings and `check/allow.toml` spell.
+pub const RULES: [(&str, Scope, Scan); 7] = [
+    // No `==`/`!=` against a float literal: a NaN compares false everywhere.
+    ("float-eq", Scope::All, scan_float_eq),
+    // Float→int casts spell their rounding in the crates that index grids.
+    (
+        "lossy-cast",
+        Scope::Crates(&["nn", "tensor", "cfd"]),
+        scan_lossy_cast,
+    ),
+    // No second lock while a guard is held, in the crates that share locks.
+    (
+        "lock-order",
+        Scope::Crates(&["serve", "net"]),
+        scan_lock_order,
+    ),
+    // No allocating constructors in the kernels: buffers come from the
+    // workspace pool, so steady-state inference stays allocation-free.
+    (
+        "no-alloc-in-hot-path",
+        Scope::Files(&[
+            "crates/nn/src/kernels.rs",
+            "crates/nn/src/device/driver.rs",
+            "crates/nn/src/device/cpu_scalar.rs",
+            "crates/nn/src/device/cpu_simd.rs",
+        ]),
+        scan_no_alloc,
+    ),
+    // Checked length arithmetic where attacker-controlled sizes enter.
+    (
+        "unchecked-arith",
+        Scope::Files(&["crates/net/src/frame.rs", "crates/net/src/proto.rs"]),
+        scan_unchecked_arith,
+    ),
+    // `Ordering::Relaxed` argues its case, outside `obs`, whose metrics
+    // cells and trace-slot probe keys are statistics or hints a lock
+    // arbitrates.
+    (
+        "relaxed-ordering",
+        Scope::AllBut("obs"),
+        scan_relaxed_ordering,
+    ),
+    // Observable names are registered in `adarnet_obs::names`.
+    (SPAN_REGISTRY, Scope::All, scan_span_registry),
+];
+
+/// Lint one file's source with every rule whose scope `applies`.
+pub fn lint_source(path: &Path, src: &str, applies: impl Fn(Scope) -> bool) -> Vec<Finding> {
     let toks = tokenize(src);
     let mask = test_region_mask(&toks);
     let lines: Vec<&str> = src.lines().collect();
-    let line_text = |line: usize| -> String {
-        lines
-            .get(line.saturating_sub(1))
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    };
     let mut out = Vec::new();
-    let mut push = |rule: &'static str, line: usize, message: String| {
-        out.push(Finding {
-            rule,
-            path: path.to_path_buf(),
-            line,
-            message,
-            line_text: line_text(line),
+    for (rule, _, scan) in RULES.into_iter().filter(|&(_, scope, _)| applies(scope)) {
+        scan(&toks, &mask, &lines, &mut |line, message| {
+            out.push(Finding {
+                rule,
+                path: path.to_path_buf(),
+                line,
+                message,
+                line_text: lines
+                    .get(line.saturating_sub(1))
+                    .map(|l| l.trim().to_string())
+                    .unwrap_or_default(),
+            })
         });
-    };
-
-    if rules.core_rules {
-        scan_no_panic(&toks, &mask, &mut push);
-        scan_float_eq(&toks, &mask, &mut push);
-    }
-    if rules.lossy_cast {
-        scan_lossy_cast(&toks, &mask, &mut push);
-    }
-    if rules.lock_order {
-        scan_lock_order(&toks, &mask, &mut push);
-    }
-    if rules.no_alloc {
-        scan_no_alloc(&toks, &mask, &mut push);
-    }
-    if rules.no_println {
-        scan_no_println(&toks, &mask, &mut push);
-    }
-    if rules.unchecked_arith {
-        scan_unchecked_arith(&toks, &mask, &mut push);
-    }
-    if rules.relaxed_ordering {
-        scan_relaxed_ordering(&toks, &mask, &mut push);
-    }
-    if rules.unsafe_code {
-        scan_unsafe_code(&toks, &mask, &mut push);
-    }
-    if rules.span_registry {
-        scan_span_registry(&toks, &mask, &lines, &mut push);
     }
     out
 }
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Stdio-writing macros banned from library code by
-/// [`RULE_NO_PRINTLN`].
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
-
-fn scan_no_println(
-    toks: &[Tok],
-    mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let next_bang = i + 1 < toks.len() && toks[i + 1].is_punct("!");
-        if next_bang && PRINT_MACROS.contains(&t.text.as_str()) {
-            push(
-                RULE_NO_PRINTLN,
-                t.line,
-                format!(
-                    "{}! in library code (report via the obs layer or typed returns)",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-fn scan_no_panic(toks: &[Tok], mask: &[bool], push: &mut impl FnMut(&'static str, usize, String)) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        let next_open = i + 1 < toks.len() && toks[i + 1].is_punct("(");
-        let next_bang = i + 1 < toks.len() && toks[i + 1].is_punct("!");
-        if prev_dot && next_open && (t.text == "unwrap" || t.text == "expect") {
-            push(
-                RULE_NO_PANIC,
-                t.line,
-                format!(".{}() in non-test library code (use typed errors)", t.text),
-            );
-        } else if next_bang && PANIC_MACROS.contains(&t.text.as_str()) {
-            push(
-                RULE_NO_PANIC,
-                t.line,
-                format!("{}! in non-test library code (use typed errors)", t.text),
-            );
-        }
-    }
-}
-
-fn scan_float_eq(toks: &[Tok], mask: &[bool], push: &mut impl FnMut(&'static str, usize, String)) {
+fn scan_float_eq(toks: &[Tok], mask: &[bool], _: &[&str], push: &mut dyn FnMut(usize, String)) {
     for (i, t) in toks.iter().enumerate() {
         if mask[i] || !(t.is_punct("==") || t.is_punct("!=")) {
             continue;
@@ -245,7 +145,6 @@ fn scan_float_eq(toks: &[Tok], mask: &[bool], push: &mut impl FnMut(&'static str
             && toks[i + 2].is_punct("::");
         if prev_float || next_float || next_float_path {
             push(
-                RULE_FLOAT_EQ,
                 t.line,
                 format!(
                     "`{}` against a float literal (use <=/>= restructure or an epsilon)",
@@ -284,11 +183,7 @@ const FLOAT_METHODS: &[&str] = &[
     "to_radians",
 ];
 
-fn scan_lossy_cast(
-    toks: &[Tok],
-    mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
-) {
+fn scan_lossy_cast(toks: &[Tok], mask: &[bool], _: &[&str], push: &mut dyn FnMut(usize, String)) {
     for (i, t) in toks.iter().enumerate() {
         if mask[i] || !t.is_ident("as") {
             continue;
@@ -319,7 +214,6 @@ fn scan_lossy_cast(
         };
         if flagged {
             push(
-                RULE_LOSSY_CAST,
                 t.line,
                 format!(
                     "float value cast to `{}` without .floor()/.ceil()/.round()/.trunc()",
@@ -385,11 +279,7 @@ struct HeldGuard {
     line: usize,
 }
 
-fn scan_lock_order(
-    toks: &[Tok],
-    mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
-) {
+fn scan_lock_order(toks: &[Tok], mask: &[bool], _: &[&str], push: &mut dyn FnMut(usize, String)) {
     let mut depth = 0usize;
     let mut guards: Vec<HeldGuard> = Vec::new();
     let mut i = 0;
@@ -413,7 +303,6 @@ fn scan_lock_order(
         } else if !mask[i] && acquisition_at(toks, i) {
             if let Some(held) = guards.last() {
                 push(
-                    RULE_LOCK_ORDER,
                     t.line,
                     format!(
                         "lock acquired while guard {} (line {}) is still held — lock-ordering hazard",
@@ -443,7 +332,7 @@ fn scan_lock_order(
 }
 
 /// Identifiers that name a length or count in the wire-parse files;
-/// bare arithmetic on these is what [`RULE_UNCHECKED_ARITH`] flags.
+/// bare arithmetic on these is what `unchecked-arith` flags.
 const LEN_IDENTS: &[&str] = &[
     "len",
     "count",
@@ -477,7 +366,8 @@ fn len_call_ahead(toks: &[Tok], i: usize) -> bool {
 fn scan_unchecked_arith(
     toks: &[Tok],
     mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
+    _: &[&str],
+    push: &mut dyn FnMut(usize, String),
 ) {
     for (i, t) in toks.iter().enumerate() {
         if mask[i] || !(t.is_punct("+") || t.is_punct("*")) {
@@ -504,7 +394,6 @@ fn scan_unchecked_arith(
             || len_call_ahead(toks, i + 1);
         if prev_len || next_len {
             push(
-                RULE_UNCHECKED_ARITH,
                 t.line,
                 format!(
                     "bare `{}` on a length in a wire-parse file \
@@ -519,7 +408,8 @@ fn scan_unchecked_arith(
 fn scan_relaxed_ordering(
     toks: &[Tok],
     mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
+    _: &[&str],
+    push: &mut dyn FnMut(usize, String),
 ) {
     for (i, t) in toks.iter().enumerate() {
         if mask[i] || !t.is_ident("Relaxed") {
@@ -528,7 +418,6 @@ fn scan_relaxed_ordering(
         let path = i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident("Ordering");
         if path {
             push(
-                RULE_RELAXED_ORDERING,
                 t.line,
                 "Ordering::Relaxed outside the obs crate \
                  (justify with a waiver or strengthen the ordering)"
@@ -705,7 +594,7 @@ fn scan_span_registry(
     toks: &[Tok],
     mask: &[bool],
     lines: &[&str],
-    push: &mut impl FnMut(&'static str, usize, String),
+    push: &mut dyn FnMut(usize, String),
 ) {
     for site in span_name_sites(toks, mask, lines) {
         let (registered, table) = match site.kind {
@@ -720,7 +609,6 @@ fn scan_span_registry(
         };
         if !registered {
             push(
-                RULE_SPAN_REGISTRY,
                 site.line,
                 format!(
                     "\"{}\" is not registered in obs::names::{table} \
@@ -732,27 +620,6 @@ fn scan_span_registry(
     }
 }
 
-fn scan_unsafe_code(
-    toks: &[Tok],
-    mask: &[bool],
-    push: &mut impl FnMut(&'static str, usize, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !t.is_ident("unsafe") {
-            continue;
-        }
-        // Note: the lint-level opt-out `#[allow(unsafe_code)]` spells a
-        // different identifier (`unsafe_code`) and is deliberately NOT
-        // matched — the attribute satisfies rustc, the waiver satisfies
-        // this rule, and both are required.
-        push(
-            RULE_UNSAFE_CODE,
-            t.line,
-            "`unsafe` in library code (argue the safety contract in check/allow.toml)".into(),
-        );
-    }
-}
-
 /// Allocating `Vec` constructors banned from hot-path kernel files.
 const ALLOC_VEC_METHODS: &[&str] = &["new", "with_capacity"];
 /// Allocating `Tensor` constructors banned from hot-path kernel files
@@ -760,14 +627,13 @@ const ALLOC_VEC_METHODS: &[&str] = &["new", "with_capacity"];
 /// sanctioned replacements).
 const ALLOC_TENSOR_METHODS: &[&str] = &["zeros", "full"];
 
-fn scan_no_alloc(toks: &[Tok], mask: &[bool], push: &mut impl FnMut(&'static str, usize, String)) {
+fn scan_no_alloc(toks: &[Tok], mask: &[bool], _: &[&str], push: &mut dyn FnMut(usize, String)) {
     for (i, t) in toks.iter().enumerate() {
         if mask[i] || t.kind != TokKind::Ident {
             continue;
         }
         if t.text == "vec" && i + 1 < toks.len() && toks[i + 1].is_punct("!") {
             push(
-                RULE_NO_ALLOC,
                 t.line,
                 "vec! allocates in a hot-path kernel file (use the workspace pool)".into(),
             );
@@ -780,7 +646,6 @@ fn scan_no_alloc(toks: &[Tok], mask: &[bool], push: &mut impl FnMut(&'static str
             && toks[i + 1].is_punct("(")
         {
             push(
-                RULE_NO_ALLOC,
                 t.line,
                 ".to_vec() allocates in a hot-path kernel file (use the workspace pool)".into(),
             );
@@ -794,7 +659,6 @@ fn scan_no_alloc(toks: &[Tok], mask: &[bool], push: &mut impl FnMut(&'static str
         if let Some(m) = path_method(toks, i) {
             if banned.contains(&m.text.as_str()) {
                 push(
-                    RULE_NO_ALLOC,
                     m.line,
                     format!(
                         "{}::{} allocates in a hot-path kernel file (use the workspace pool)",
@@ -888,22 +752,53 @@ fn acquisition_is_temporary(toks: &[Tok], i: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
-
-    const ALL: RuleSet = RuleSet {
-        core_rules: true,
-        lossy_cast: true,
-        lock_order: true,
-        no_alloc: true,
-        no_println: true,
-        unchecked_arith: true,
-        relaxed_ordering: true,
-        unsafe_code: true,
-        span_registry: true,
-    };
 
     fn findings(src: &str) -> Vec<Finding> {
-        lint_source(Path::new("x.rs"), src, ALL)
+        lint_source(Path::new("x.rs"), src, |_| true)
+    }
+
+    /// Whether rule `id` applies to file `rel` of crate `krate`.
+    fn applies(id: &str, krate: &str, rel: &str) -> bool {
+        RULES
+            .iter()
+            .any(|&(rule, scope, _)| rule == id && scope.covers(krate, Path::new(rel)))
+    }
+
+    #[test]
+    fn rule_scoping_matches_policy() {
+        let (lossy, lock) = ("lossy-cast", "lock-order");
+        assert!(applies(lossy, "nn", "crates/nn/src/kernels.rs"));
+        assert!(applies(lock, "serve", "crates/serve/src/lanes.rs"));
+        assert!(applies(lock, "net", "crates/net/src/server.rs"));
+        assert!(!applies(lossy, "serve", "crates/serve/src/lanes.rs"));
+        assert!(!applies(lock, "core", "crates/core/src/sync.rs"));
+        assert!(applies("float-eq", "core", "crates/core/src/ranker.rs"));
+        assert!(applies("float-eq", "adarnet-repro", "src/lib.rs"));
+        // no-alloc is per file: only the designated kernel files get it
+        // (the dispatch façade plus both device kernel planes).
+        let alloc = "no-alloc-in-hot-path";
+        assert!(applies(alloc, "nn", "crates/nn/src/kernels.rs"));
+        assert!(applies(alloc, "nn", "crates/nn/src/device/driver.rs"));
+        assert!(applies(alloc, "nn", "crates/nn/src/device/cpu_scalar.rs"));
+        assert!(applies(alloc, "nn", "crates/nn/src/device/cpu_simd.rs"));
+        assert!(!applies(alloc, "nn", "crates/nn/src/device/mod.rs"));
+        assert!(!applies(alloc, "nn", "crates/nn/src/model.rs"));
+        // unchecked-arith is per file: only the wire-parse files get it.
+        let arith = "unchecked-arith";
+        assert!(applies(arith, "net", "crates/net/src/frame.rs"));
+        assert!(applies(arith, "net", "crates/net/src/proto.rs"));
+        assert!(!applies(arith, "net", "crates/net/src/server.rs"));
+        // relaxed-ordering applies everywhere except the obs crate.
+        let relaxed = "relaxed-ordering";
+        assert!(applies(relaxed, "serve", "crates/serve/src/server.rs"));
+        assert!(applies(relaxed, "net", "crates/net/src/server.rs"));
+        assert!(!applies(relaxed, "obs", "crates/obs/src/metrics.rs"));
+        // span-registry applies everywhere: any crate can record a span
+        // or map a reject tag, and every name must be registered.
+        let span = SPAN_REGISTRY;
+        assert!(applies(span, "obs", "crates/obs/src/lib.rs"));
+        assert!(applies(span, "serve", "crates/serve/src/server.rs"));
+        assert!(applies(span, "cfd", "crates/cfd/src/solver.rs"));
     }
 
     fn rules_of(src: &str) -> Vec<&'static str> {
@@ -911,42 +806,9 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_and_expect_flagged_outside_tests() {
-        let src = "fn f() { x.unwrap(); y.expect(\"m\"); }";
-        assert_eq!(rules_of(src), vec![RULE_NO_PANIC, RULE_NO_PANIC]);
-    }
-
-    #[test]
-    fn unwrap_in_cfg_test_is_ignored() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); panic!(\"x\"); } }";
-        assert!(rules_of(src).is_empty());
-    }
-
-    #[test]
-    fn panic_family_macros_flagged() {
-        let src = "fn f() { panic!(\"a\"); unreachable!(); todo!(); unimplemented!(); }";
-        assert_eq!(rules_of(src).len(), 4);
-    }
-
-    #[test]
-    fn unwrap_in_comment_or_string_ignored() {
-        let src = "fn f() { let s = \"x.unwrap()\"; } // y.unwrap()";
-        assert!(rules_of(src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f() { x.unwrap_or_else(|| 3); x.unwrap_or(0); }";
-        assert!(rules_of(src).is_empty());
-    }
-
-    #[test]
     fn float_eq_flagged_both_sides() {
         let src = "fn f() { if a == 0.0 {} if 1.5 != b {} if c == f32::NAN {} }";
-        assert_eq!(
-            rules_of(src),
-            vec![RULE_FLOAT_EQ, RULE_FLOAT_EQ, RULE_FLOAT_EQ]
-        );
+        assert_eq!(rules_of(src), vec!["float-eq", "float-eq", "float-eq"]);
     }
 
     #[test]
@@ -958,7 +820,7 @@ mod tests {
     #[test]
     fn lossy_cast_flags_bare_float_to_int() {
         let src = "fn f() { let a = 1.5 as usize; let b = x.sqrt() as i32; }";
-        assert_eq!(rules_of(src), vec![RULE_LOSSY_CAST, RULE_LOSSY_CAST]);
+        assert_eq!(rules_of(src), vec!["lossy-cast", "lossy-cast"]);
     }
 
     #[test]
@@ -976,7 +838,7 @@ mod tests {
     #[test]
     fn second_lock_under_held_guard_flagged() {
         let src = "fn f() { let g = a.lock(); let h = b.lock(); }";
-        assert_eq!(rules_of(src), vec![RULE_LOCK_ORDER]);
+        assert_eq!(rules_of(src), vec!["lock-order"]);
     }
 
     #[test]
@@ -994,21 +856,20 @@ mod tests {
     #[test]
     fn statement_temporary_releases_at_semicolon() {
         let src = "fn f() { let x = m.lock().unwrap().len(); let g = b.lock(); }";
-        // The temporary dies at the `;`, so the second lock is safe —
-        // but the chained unwrap still trips no-panic.
-        assert_eq!(rules_of(src), vec![RULE_NO_PANIC]);
+        // The temporary dies at the `;`, so the second lock is safe.
+        assert!(rules_of(src).is_empty());
     }
 
     #[test]
     fn nested_acquisition_in_one_statement_flagged() {
         let src = "fn f() { let x = a.lock().merge(b.read()); }";
-        assert_eq!(rules_of(src), vec![RULE_LOCK_ORDER]);
+        assert_eq!(rules_of(src), vec!["lock-order"]);
     }
 
     #[test]
     fn sync_helper_acquisitions_are_recognized() {
         let src = "fn f() { let g = sync::lock(&m); let h = sync::write(&l); }";
-        assert_eq!(rules_of(src), vec![RULE_LOCK_ORDER]);
+        assert_eq!(rules_of(src), vec!["lock-order"]);
     }
 
     #[test]
@@ -1017,7 +878,12 @@ mod tests {
                    let c = Vec::with_capacity(8); let d = x.to_vec(); }";
         assert_eq!(
             rules_of(src),
-            vec![RULE_NO_ALLOC, RULE_NO_ALLOC, RULE_NO_ALLOC, RULE_NO_ALLOC]
+            vec![
+                "no-alloc-in-hot-path",
+                "no-alloc-in-hot-path",
+                "no-alloc-in-hot-path",
+                "no-alloc-in-hot-path"
+            ]
         );
     }
 
@@ -1027,7 +893,11 @@ mod tests {
                    let c = Tensor::full(s, 1.0); }";
         assert_eq!(
             rules_of(src),
-            vec![RULE_NO_ALLOC, RULE_NO_ALLOC, RULE_NO_ALLOC]
+            vec![
+                "no-alloc-in-hot-path",
+                "no-alloc-in-hot-path",
+                "no-alloc-in-hot-path"
+            ]
         );
     }
 
@@ -1050,42 +920,13 @@ mod tests {
     }
 
     #[test]
-    fn print_macros_flagged_in_library_code() {
-        let src = "fn f() { println!(\"a\"); eprintln!(\"b\"); print!(\"c\"); eprint!(\"d\"); }";
-        assert_eq!(
-            rules_of(src),
-            vec![
-                RULE_NO_PRINTLN,
-                RULE_NO_PRINTLN,
-                RULE_NO_PRINTLN,
-                RULE_NO_PRINTLN
-            ]
-        );
-    }
-
-    #[test]
-    fn print_in_cfg_test_or_string_is_ignored() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { println!(\"x\"); } }\n\
-                   fn f() { let s = \"println!\"; } // eprintln!(\"y\")";
-        assert!(rules_of(src).is_empty());
-    }
-
-    #[test]
-    fn writeln_to_explicit_sink_is_not_flagged() {
-        // `writeln!` targets a caller-supplied sink — that is the
-        // sanctioned way for a library to emit text.
-        let src = "fn f(w: &mut W) { writeln!(w, \"x\"); }";
-        assert!(rules_of(src).is_empty());
-    }
-
-    #[test]
     fn unchecked_arith_flags_length_sums_and_products() {
         let src = "fn f() { let a = 16 + 24 + data.len() * 4; let b = cells * 5; \
                    let c = pos + n_bytes; }";
         // `24 + data.len()`, `data.len() * 4`, `cells * 5`, `pos + ...`.
         let got: Vec<_> = rules_of(src)
             .into_iter()
-            .filter(|r| *r == RULE_UNCHECKED_ARITH)
+            .filter(|r| *r == "unchecked-arith")
             .collect();
         assert_eq!(got.len(), 4);
     }
@@ -1095,21 +936,21 @@ mod tests {
         let src = "fn f() { let a = count.checked_mul(4)?; \
                    let b = 40usize.saturating_add(cells.saturating_mul(5)); \
                    let c = self.pos.checked_add(n)?; }";
-        assert!(!rules_of(src).contains(&RULE_UNCHECKED_ARITH));
+        assert!(!rules_of(src).contains(&"unchecked-arith"));
     }
 
     #[test]
     fn non_length_arith_and_unary_not_flagged() {
         let src = "fn f(p: *const u8) { let a = x + y; let b = 2 * k; \
                    let c = *ptr; let d = w * h; }";
-        assert!(!rules_of(src).contains(&RULE_UNCHECKED_ARITH));
+        assert!(!rules_of(src).contains(&"unchecked-arith"));
     }
 
     #[test]
     fn float_arith_on_len_words_not_flagged() {
         // Geometry math on floats is not wire-length arithmetic.
         let src = "fn f() { let a = extent * 0.5; let b = 1.0 + size; }";
-        assert!(!rules_of(src).contains(&RULE_UNCHECKED_ARITH));
+        assert!(!rules_of(src).contains(&"unchecked-arith"));
     }
 
     #[test]
@@ -1117,7 +958,7 @@ mod tests {
         let src = "fn f() { c.fetch_add(1, Ordering::Relaxed); c.load(Ordering::Relaxed); }";
         let got: Vec<_> = rules_of(src)
             .into_iter()
-            .filter(|r| *r == RULE_RELAXED_ORDERING)
+            .filter(|r| *r == "relaxed-ordering")
             .collect();
         assert_eq!(got.len(), 2);
     }
@@ -1126,28 +967,7 @@ mod tests {
     fn stronger_orderings_and_test_relaxed_not_flagged() {
         let src = "fn f() { c.load(Ordering::Acquire); c.store(1, Ordering::SeqCst); }\n\
                    #[cfg(test)]\nmod tests { fn t() { c.load(Ordering::Relaxed); } }";
-        assert!(!rules_of(src).contains(&RULE_RELAXED_ORDERING));
-    }
-
-    #[test]
-    fn unsafe_blocks_and_fns_flagged_outside_tests() {
-        let src = "fn f() { unsafe { ptr.read() } }\nunsafe fn g() {}";
-        let got: Vec<_> = rules_of(src)
-            .into_iter()
-            .filter(|r| *r == RULE_UNSAFE_CODE)
-            .collect();
-        assert_eq!(got.len(), 2);
-    }
-
-    #[test]
-    fn unsafe_in_tests_comments_and_allow_attr_not_flagged() {
-        // `unsafe_code` (the lint name in the opt-out attribute) is a
-        // different identifier from `unsafe` and must not fire; nor do
-        // comments, strings, or #[cfg(test)] regions.
-        let src = "#![allow(unsafe_code)]\n\
-                   fn f() { let s = \"unsafe\"; } // unsafe\n\
-                   #[cfg(test)]\nmod tests { fn t() { unsafe { x() } } }";
-        assert!(!rules_of(src).contains(&RULE_UNSAFE_CODE));
+        assert!(!rules_of(src).contains(&"relaxed-ordering"));
     }
 
     #[test]
@@ -1156,7 +976,7 @@ mod tests {
                    let _b = adarnet_obs::span!(\"stage_decoder\", bin = b); }";
         let got: Vec<_> = findings(src)
             .into_iter()
-            .filter(|f| f.rule == RULE_SPAN_REGISTRY)
+            .filter(|f| f.rule == SPAN_REGISTRY)
             .collect();
         assert_eq!(got.len(), 1);
         assert!(got[0].message.contains("bogus_span"));
@@ -1169,7 +989,7 @@ mod tests {
                    trace::arena().begin(ctx, \"serve_infer\"); }";
         let got: Vec<_> = findings(src)
             .into_iter()
-            .filter(|f| f.rule == RULE_SPAN_REGISTRY)
+            .filter(|f| f.rule == SPAN_REGISTRY)
             .collect();
         assert_eq!(got.len(), 1);
         assert!(got[0].message.contains("bogus"));
@@ -1182,7 +1002,7 @@ mod tests {
                    RejectReason::RateLimited => \"rate_limited\" } }";
         let got: Vec<_> = findings(src)
             .into_iter()
-            .filter(|f| f.rule == RULE_SPAN_REGISTRY)
+            .filter(|f| f.rule == SPAN_REGISTRY)
             .collect();
         assert_eq!(got.len(), 1);
         assert!(got[0].message.contains("rate_limited"));
@@ -1195,7 +1015,7 @@ mod tests {
         // name to check lexically; test regions never fire the rule.
         let src = "fn f() { trace::arena().record(ctx, self.site.name, ns, \"bin\", v); }\n\
                    #[cfg(test)]\nmod tests { fn t() { let _s = span!(\"totally_bogus\"); } }";
-        assert!(!rules_of(src).contains(&RULE_SPAN_REGISTRY));
+        assert!(!rules_of(src).contains(&SPAN_REGISTRY));
     }
 
     #[test]

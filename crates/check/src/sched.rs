@@ -18,14 +18,15 @@
 //! and the uniform-checkpoint torn-read oracle cover that flank. See
 //! DESIGN.md §9 for the full argument and its limits.
 //!
-//! Two exploration modes:
+//! Two exploration plans ([`Plan`]):
 //!
-//! * [`explore_exhaustive`] — depth-first over *all* interleavings
-//!   (the count for thread op-lengths `(a, b, c)` is the multinomial
-//!   `(a+b+c)! / (a! b! c!)`);
-//! * [`explore_random`] — uniformly random scheduler choices from a
-//!   seeded [`rand_chacha::ChaCha8Rng`], for spaces too large to
-//!   enumerate.
+//! * exhaustive — [`explore_exhaustive`] goes depth-first over *all*
+//!   interleavings (the count for thread op-lengths `(a, b, c)` is the
+//!   multinomial `(a+b+c)! / (a! b! c!)`), and sleep-set DPOR
+//!   ([`explore_dpor`]) is cross-checked against it;
+//! * random — [`explore_random`] makes uniformly random scheduler
+//!   choices from a seeded [`rand_chacha::ChaCha8Rng`], for spaces too
+//!   large to enumerate.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -100,16 +101,21 @@ pub struct ExploreResult {
 }
 
 impl ExploreResult {
-    /// Fold another result into this one.
-    pub fn merge(&mut self, other: ExploreResult) {
-        self.interleavings += other.interleavings;
-        self.violations.extend(other.violations);
-    }
-
-    /// Record a violation, capped at [`MAX_VIOLATIONS`].
-    pub(crate) fn record(&mut self, v: Violation) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(v);
+    /// Count one executed interleaving's `(trace, failure)` outcome
+    /// (from [`run_one`]), keeping at most [`MAX_VIOLATIONS`] violations.
+    pub(crate) fn record<S: Scenario>(
+        &mut self,
+        scenario: &S,
+        outcome: (Vec<usize>, Option<String>),
+    ) {
+        self.interleavings += 1;
+        let (trace, failed) = outcome;
+        if let (Some(message), true) = (failed, self.violations.len() < MAX_VIOLATIONS) {
+            self.violations.push(Violation {
+                scenario: scenario.name(),
+                trace,
+                message,
+            });
         }
     }
 }
@@ -183,7 +189,7 @@ pub fn explore_exhaustive<S: Scenario>(scenario: &S) -> ExploreResult {
     let mut stack: Vec<(usize, usize)> = Vec::new();
     loop {
         let mut depth = 0usize;
-        let (trace, failed) = run_one(scenario, &ops, |runnable| {
+        let outcome = run_one(scenario, &ops, |runnable| {
             let pick = if depth < stack.len() {
                 stack[depth].0
             } else {
@@ -193,16 +199,7 @@ pub fn explore_exhaustive<S: Scenario>(scenario: &S) -> ExploreResult {
             depth += 1;
             pick
         });
-        result.interleavings += 1;
-        if let Some(message) = failed {
-            if result.violations.len() < MAX_VIOLATIONS {
-                result.violations.push(Violation {
-                    scenario: scenario.name(),
-                    trace,
-                    message,
-                });
-            }
-        }
+        result.record(scenario, outcome);
         // Advance to the next interleaving: drop exhausted tail
         // entries, bump the deepest non-exhausted choice.
         let advanced = loop {
@@ -228,59 +225,48 @@ pub fn explore_random<S: Scenario>(scenario: &S, trials: u64, seed: u64) -> Expl
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut result = ExploreResult::default();
     for _ in 0..trials {
-        let (trace, failed) = run_one(scenario, &ops, |runnable| {
+        let outcome = run_one(scenario, &ops, |runnable| {
             if runnable.len() == 1 {
                 0
             } else {
                 rng.gen_range(0..runnable.len())
             }
         });
-        result.interleavings += 1;
-        if let Some(message) = failed {
-            if result.violations.len() < MAX_VIOLATIONS {
-                result.violations.push(Violation {
-                    scenario: scenario.name(),
-                    trace,
-                    message,
-                });
-            }
-        }
+        result.record(scenario, outcome);
     }
     result
 }
 
-/// How exhaustive spaces are enumerated.
+/// How one scenario is explored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Plain depth-first enumeration of every interleaving.
-    Dfs,
-    /// Sleep-set DPOR: one representative per Mazurkiewicz trace.
-    Dpor,
-    /// Both, cross-checked: any scenario where DFS and DPOR disagree
-    /// on whether violations exist (or on the covered interleaving
-    /// count) is reported as a mismatch. The expensive, high-assurance
-    /// mode CI runs at full budget.
-    Compare,
+pub enum Plan {
+    /// Every interleaving: plain DFS as the reference, with sleep-set
+    /// DPOR cross-checked against it.
+    Exhaustive,
+    /// `trials` seeded-random schedules.
+    Random {
+        /// Schedules to run.
+        trials: u64,
+        /// ChaCha8 seed.
+        seed: u64,
+    },
 }
 
 /// Accumulated counts and findings for one suite.
 #[derive(Debug, Default)]
 pub struct SuiteStats {
-    /// Schedules executed by the exhaustive explorer (DPOR
-    /// representatives, or every interleaving under [`Mode::Dfs`]).
+    /// Schedules DPOR executed on the exhaustive spaces.
     pub exh_explored: u64,
-    /// Interleavings covered by the exhaustive explorer (the full
-    /// multinomial count, regardless of mode).
+    /// Interleavings DFS enumerated on the exhaustive spaces.
     pub exh_covered: u64,
-    /// `exh_covered - exh_explored`: schedules skipped as
-    /// trace-equivalent.
+    /// Schedules DPOR skipped as trace-equivalent.
     pub exh_skipped: u64,
     /// Schedules executed by seeded random sampling.
     pub random_explored: u64,
     /// Violations found (empty = pass).
     pub violations: Vec<Violation>,
-    /// [`Mode::Compare`] verdict divergences (empty = DFS and DPOR
-    /// agree everywhere).
+    /// Places where DFS and DPOR disagree (empty = every footprint
+    /// declaration held).
     pub mismatches: Vec<String>,
 }
 
@@ -294,89 +280,47 @@ impl SuiteStats {
     pub fn covered(&self) -> u64 {
         self.exh_covered + self.random_explored
     }
-}
 
-/// Runs a suite's scenarios under one [`Mode`], accumulating
-/// [`SuiteStats`]. Suites call [`Explorer::exhaustive`] /
-/// [`Explorer::random`] instead of the `explore_*` functions directly
-/// so the mode is decided once, by the caller (the `model-check` bin).
-pub struct Explorer {
-    mode: Mode,
-    /// Counts and findings so far.
-    pub stats: SuiteStats,
-}
-
-impl Explorer {
-    /// A fresh explorer in `mode`.
-    pub fn new(mode: Mode) -> Explorer {
-        Explorer {
-            mode,
-            stats: SuiteStats::default(),
+    /// Explore `scenario` under `plan`, folding the outcome in. An
+    /// exhaustive plan runs DFS and DPOR and reports a mismatch where
+    /// they disagree on whether violations exist or on the covered
+    /// count: either means a footprint declaration is wrong.
+    pub fn explore<S: Scenario>(&mut self, scenario: &S, plan: Plan) {
+        if let Plan::Random { trials, seed } = plan {
+            let r = explore_random(scenario, trials, seed);
+            self.random_explored += r.interleavings;
+            self.violations.extend(r.violations);
+            return;
         }
-    }
-
-    /// The mode this explorer was built with.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Exhaustively cover every interleaving of `scenario` (via DFS,
-    /// DPOR, or both cross-checked, per the mode).
-    pub fn exhaustive<S: Scenario>(&mut self, scenario: &S) {
-        match self.mode {
-            Mode::Dfs => {
-                let r = explore_exhaustive(scenario);
-                self.stats.exh_explored += r.interleavings;
-                self.stats.exh_covered += r.interleavings;
-                self.stats.violations.extend(r.violations);
-            }
-            Mode::Dpor => {
-                let d = explore_dpor(scenario);
-                self.stats.exh_explored += d.result.interleavings;
-                self.stats.exh_covered += d.covered;
-                self.stats.exh_skipped += d.skipped;
-                self.stats.violations.extend(d.result.violations);
-            }
-            Mode::Compare => {
-                let r = explore_exhaustive(scenario);
-                let d = explore_dpor(scenario);
-                if r.violations.is_empty() != d.result.violations.is_empty() {
-                    self.stats.mismatches.push(format!(
-                        "{}: dfs found {} violation(s), dpor found {} — a footprint \
-                         declaration is wrong",
-                        scenario.name(),
-                        r.violations.len(),
-                        d.result.violations.len()
-                    ));
-                }
-                if d.covered != r.interleavings {
-                    self.stats.mismatches.push(format!(
-                        "{}: dpor claims to cover {} interleavings, dfs enumerated {}",
-                        scenario.name(),
-                        d.covered,
-                        r.interleavings
-                    ));
-                }
-                self.stats.exh_explored += d.result.interleavings;
-                self.stats.exh_covered += r.interleavings;
-                self.stats.exh_skipped += d.skipped;
-                // DFS findings subsume DPOR's (same traces, more
-                // schedules); fall back so a DPOR-only find still
-                // surfaces alongside its mismatch.
-                if r.violations.is_empty() {
-                    self.stats.violations.extend(d.result.violations);
-                } else {
-                    self.stats.violations.extend(r.violations);
-                }
-            }
+        let r = explore_exhaustive(scenario);
+        let d = explore_dpor(scenario);
+        if r.violations.is_empty() != d.result.violations.is_empty() {
+            self.mismatches.push(format!(
+                "{}: dfs found {} violation(s), dpor found {} — a footprint \
+                 declaration is wrong",
+                scenario.name(),
+                r.violations.len(),
+                d.result.violations.len()
+            ));
         }
-    }
-
-    /// `trials` random schedules from `seed` (mode-independent).
-    pub fn random<S: Scenario>(&mut self, scenario: &S, trials: u64, seed: u64) {
-        let r = explore_random(scenario, trials, seed);
-        self.stats.random_explored += r.interleavings;
-        self.stats.violations.extend(r.violations);
+        if d.covered != r.interleavings {
+            self.mismatches.push(format!(
+                "{}: dpor claims to cover {} interleavings, dfs enumerated {}",
+                scenario.name(),
+                d.covered,
+                r.interleavings
+            ));
+        }
+        self.exh_explored += d.result.interleavings;
+        self.exh_covered += r.interleavings;
+        self.exh_skipped += d.skipped;
+        // DFS findings subsume DPOR's (same traces, more schedules); fall
+        // back so a DPOR-only find still surfaces beside its mismatch.
+        if r.violations.is_empty() {
+            self.violations.extend(d.result.violations);
+        } else {
+            self.violations.extend(r.violations);
+        }
     }
 }
 

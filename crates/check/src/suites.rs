@@ -1,45 +1,18 @@
 //! Model-checking suites: the serve primitives driven against their
 //! [`crate::oracle`] shadow models under explored interleavings.
 //!
-//! Each suite builds a handful of scenarios (small enough for
-//! bounded-exhaustive enumeration, larger ones for seeded-random
-//! sampling) and reports the merged result. The invariants, per
-//! structure:
-//!
-//! * **cache** — lookups, LRU eviction order, and the hit/miss
-//!   counters match an exact sequential LRU at every step;
-//! * **registry** — activation generations are exactly the linearized
-//!   activation count, the published active model is always a
-//!   `(generation, name)` pair the model predicts, and the active
-//!   checkpoint's weights are always *uniform* — a mixed-constant
-//!   tensor would mean a torn (half-swapped) checkpoint; the shared
-//!   frozen engine additionally satisfies one-`Arc`-per-generation
-//!   identity, and an engine held across a hot swap (an in-flight
-//!   batch) keeps the *old* generation's weights bit-for-bit;
-//! * **lanes** — the three-lane weighted-deficit queue's push outcomes
-//!   (per-lane saturation, shutdown rejection), the lane every pop
-//!   selects, per-lane FIFO order, batch lane-purity, and drain-time
-//!   conservation (every accepted entry comes out exactly once —
-//!   patch-count conservation starts here — so a starved lane is a
-//!   conservation violation) all match the naive `PriorityQueueModel`
-//!   restatement of the pickup rule at every step;
-//! * **quota** — per-tenant token buckets match the `QuotaModel`
-//!   admit/deny decisions under a logical clock (including
-//!   non-monotonic interleavings), and every tenant's grants respect
-//!   the conservation bound `granted ≤ burst + elapsed × rate`;
-//! * **trace** — the trace arena's start/begin/commit/finish lifecycle
-//!   matches the flat `TraceModel` restatement (admission iff below
-//!   capacity with a fresh id, dense span ids, budget drops, laggard
-//!   commits after finish never landing in a successor trace, finished
-//!   trees containing only committed spans), and the tail sampler's
-//!   retained set sits at the `SamplerModel` fixed point (slowest-N
-//!   per window with earliest-wins ties, newest-wins error ring) after
-//!   every offer.
+//! Each primitive is one [`Subject`]; a [`Script`] runs threads of its
+//! ops as a [`Scenario`], and each suite is a table of [`Row`]s pairing
+//! a script with its [`Plan`] at the full and the small [`Budget`]. The
+//! invariants each subject checks at every step and at quiescence are
+//! listed in DESIGN.md §9.2.
 
+use std::collections::HashMap;
+use std::fmt::{Debug, Display};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adarnet_core::checkpoint::{ModelCheckpoint, CHECKPOINT_VERSION};
+use adarnet_core::checkpoint::ModelCheckpoint;
 use adarnet_core::engine::InferenceEngine;
 use adarnet_core::loss::NormStats;
 use adarnet_core::network::{AdarNet, AdarNetConfig};
@@ -56,10 +29,10 @@ use crate::oracle::{
     LruModel, ModelPush, ModelSpan, PriorityQueueModel, QuotaModel, RegistryModel, SamplerModel,
     TraceModel,
 };
-use crate::sched::{Explorer, Mode, Scenario, SuiteStats};
+use crate::sched::{Plan, Scenario, SuiteStats};
 
-/// Exploration effort: `Full` is the CI gate (≥ 10k interleavings),
-/// `Small` the SKIP_SLOW smoke budget.
+/// Exploration effort: `Full` is the CI gate (≥ 10k interleavings,
+/// ≥ 5× DPOR reduction), `Small` the SKIP_SLOW smoke budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Budget {
     /// Full bounded-exhaustive + random budget.
@@ -69,8 +42,157 @@ pub enum Budget {
 }
 
 // ---------------------------------------------------------------------
-// Lane suite
+// The scripted-scenario driver
 // ---------------------------------------------------------------------
+
+/// A primitive under test, as a configuration value: the real structure
+/// is built from one value and its shadow oracle from another, so a
+/// script can seed a bug by configuring the two differently.
+pub trait Subject {
+    /// One scripted operation.
+    type Op: Copy + Debug;
+    /// Per-interleaving state: the real structure plus its oracle.
+    type State;
+    /// Scenario name for reports.
+    const NAME: &'static str;
+
+    /// Fresh state for one interleaving of `threads` logical threads:
+    /// the real primitive configured by `real`, the oracle by `spec`.
+    fn init(real: &Self, spec: &Self, threads: usize) -> Self::State;
+
+    /// Run `op` on `thread` against both sides (`self` is the spec).
+    /// `Err` is an invariant violation saying what diverged.
+    fn step(&self, state: &mut Self::State, thread: usize, op: Self::Op) -> Result<(), String>;
+
+    /// End-of-interleaving invariants.
+    fn finish(&self, state: &mut Self::State) -> Result<(), String>;
+
+    /// Declared footprint of `op` for DPOR; the default conflicts with
+    /// every other step.
+    fn footprint(_op: Self::Op) -> Footprint {
+        Footprint::exclusive(0)
+    }
+}
+
+/// Threads of scripted ops over one [`Subject`]: the one [`Scenario`]
+/// implementation every suite shares.
+pub struct Script<S: Subject> {
+    /// Configuration of the real primitive.
+    pub real: S,
+    /// Configuration of the oracle and of every check.
+    pub spec: S,
+    /// Per-thread op scripts.
+    pub threads: Vec<Vec<S::Op>>,
+}
+
+impl<S: Subject> Scenario for Script<S> {
+    type State = S::State;
+
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn thread_ops(&self) -> Vec<usize> {
+        self.threads.iter().map(Vec::len).collect()
+    }
+
+    fn init(&self) -> S::State {
+        S::init(&self.real, &self.spec, self.threads.len())
+    }
+
+    fn step(&self, state: &mut S::State, thread: usize, op: usize) -> Result<(), String> {
+        let Some(&o) = self.threads.get(thread).and_then(|t| t.get(op)) else {
+            return Err(format!("no op {op} for thread {thread} (bad script)"));
+        };
+        self.spec.step(state, thread, o)
+    }
+
+    fn finish(&self, state: &mut S::State) -> Result<(), String> {
+        self.spec.finish(state)
+    }
+
+    fn footprint(&self, thread: usize, op: usize) -> Footprint {
+        S::footprint(self.threads[thread][op])
+    }
+}
+
+/// One suite row: a script, then its plan at the full and the small
+/// budget.
+pub type Row<S> = (Script<S>, Plan, Plan);
+
+/// A row whose real primitive is configured like its spec.
+fn row<S: Subject + Clone>(spec: S, full: Plan, small: Plan, threads: Vec<Vec<S::Op>>) -> Row<S> {
+    let real = spec.clone();
+    (
+        Script {
+            real,
+            spec,
+            threads,
+        },
+        full,
+        small,
+    )
+}
+
+/// Every interleaving, cross-checked.
+const EXH: Plan = Plan::Exhaustive;
+
+/// `trials` seeded-random schedules.
+const fn random(trials: u64, seed: u64) -> Plan {
+    Plan::Random { trials, seed }
+}
+
+/// Explore every row at `budget`.
+fn run<S: Subject>(rows: &[Row<S>], budget: Budget) -> SuiteStats {
+    let mut stats = SuiteStats::default();
+    for (script, full, small) in rows {
+        let plan = match budget {
+            Budget::Full => *full,
+            Budget::Small => *small,
+        };
+        stats.explore(script, plan);
+    }
+    stats
+}
+
+/// Run every suite, returning `(suite name, stats)` per suite.
+pub fn run_all(budget: Budget) -> Vec<(&'static str, SuiteStats)> {
+    vec![
+        ("lanes", run(&lane_rows(), budget)),
+        ("quota", run(&quota_rows(), budget)),
+        ("cache", run(&cache_rows(), budget)),
+        ("registry", run(&registry_rows(), budget)),
+        ("trace", run(&trace_rows(), budget)),
+    ]
+}
+
+/// `Ok` if the real structure and the spec agree on `what`, else the
+/// divergence as a violation message.
+fn agree<T: PartialEq + Debug>(what: impl Display, real: T, spec: T) -> Result<(), String> {
+    if real == spec {
+        Ok(())
+    } else {
+        Err(format!("{what}: real {real:?} but spec says {spec:?}"))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lanes
+// ---------------------------------------------------------------------
+
+/// A [`LaneQueue`] configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct Lanes {
+    /// Per-lane capacity.
+    pub capacity: usize,
+    /// Per-cycle lane credits.
+    pub weights: [u64; 3],
+}
+
+/// A [`Lanes`] configuration.
+fn lanes(capacity: usize, weights: [u64; 3]) -> Lanes {
+    Lanes { capacity, weights }
+}
 
 /// One scripted lane-queue operation.
 #[derive(Debug, Clone, Copy)]
@@ -88,68 +210,31 @@ pub enum LaneOp {
     Shutdown,
 }
 
-/// Threads of lane ops over one shared [`LaneQueue`].
-pub struct LaneScenario {
-    /// Per-lane capacity under test.
-    pub capacity: usize,
-    /// Per-cycle lane credits under test.
-    pub weights: [u64; 3],
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<LaneOp>>,
-}
-
 /// Real lane queue + shadow model for one interleaving.
 pub struct LaneState {
     real: LaneQueue<u64>,
     model: PriorityQueueModel,
 }
 
-impl LaneState {
-    fn lens_diverged(&self) -> Option<String> {
-        for lane in 0..3 {
-            let p = Priority::from_index(lane)?;
-            if self.real.lane_len(p) != self.model.lane_len(lane) {
-                return Some(format!(
-                    "lane {lane} len diverged: real {} vs spec {}",
-                    self.real.lane_len(p),
-                    self.model.lane_len(lane)
-                ));
-            }
-        }
-        None
-    }
-}
-
-impl Scenario for LaneScenario {
+impl Subject for Lanes {
+    type Op = LaneOp;
     type State = LaneState;
+    const NAME: &'static str = "serve::lanes";
 
-    fn name(&self) -> &'static str {
-        "serve::lanes"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> LaneState {
+    fn init(real: &Lanes, spec: &Lanes, _threads: usize) -> LaneState {
         LaneState {
-            real: LaneQueue::new(self.capacity, self.weights),
-            model: PriorityQueueModel::new(self.capacity, self.weights),
+            real: LaneQueue::new(real.capacity, real.weights),
+            model: PriorityQueueModel::new(spec.capacity, spec.weights),
         }
     }
 
-    fn step(&self, state: &mut LaneState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
+    fn step(&self, state: &mut LaneState, _thread: usize, op: LaneOp) -> Result<(), String> {
         match op {
             LaneOp::Push(lane, value) => {
                 let Some(p) = Priority::from_index(lane) else {
                     return Err(format!("script lane {lane} out of range"));
                 };
-                let real = state.real.push(p, value);
-                let model = state.model.push(lane, value);
-                let real_kind = match real {
+                let real = match state.real.push(p, value) {
                     PushOutcome::Enqueued => ModelPush::Enqueued,
                     PushOutcome::Saturated(v) if v == value => ModelPush::Saturated,
                     PushOutcome::Rejected(v) if v == value => ModelPush::Rejected,
@@ -157,70 +242,44 @@ impl Scenario for LaneScenario {
                         return Err(format!("push({lane}, {value}) handed back wrong item {v}"))
                     }
                 };
-                if real_kind != model {
-                    return Err(format!(
-                        "push({lane}, {value}): real {real_kind:?} but spec says {model:?}"
-                    ));
-                }
+                let model = state.model.push(lane, value);
+                agree(format_args!("push({lane}, {value})"), real, model)?;
             }
-            LaneOp::TryPop => {
-                let real = state.real.try_pop().map(|(p, v)| (p.index(), v));
-                let model = state.model.try_pop();
-                if real != model {
-                    return Err(format!(
-                        "try_pop: real {real:?} but spec says {model:?} \
-                         (wrong lane selected or wrong item)"
-                    ));
-                }
-            }
-            LaneOp::TryPopBatch(max) => {
-                let real = state.real.try_pop_batch(max).map(|(p, b)| (p.index(), b));
-                let model = state.model.try_pop_batch(max);
-                if real != model {
-                    return Err(format!(
-                        "try_pop_batch({max}): real {real:?} but spec says {model:?}"
-                    ));
-                }
-            }
+            LaneOp::TryPop => agree(
+                "try_pop (lane, item)",
+                state.real.try_pop().map(|(p, v)| (p.index(), v)),
+                state.model.try_pop(),
+            )?,
+            LaneOp::TryPopBatch(max) => agree(
+                format_args!("try_pop_batch({max})"),
+                state.real.try_pop_batch(max).map(|(p, b)| (p.index(), b)),
+                state.model.try_pop_batch(max),
+            )?,
             LaneOp::PopBatch(max) => {
                 if state.model.is_empty() && !state.model.is_shutdown() {
                     // Would block with no co-runner to wake it; the
                     // blocking path is exercised by the queue's own
-                    // cross-thread unit test.
+                    // cross-thread unit test. The spec never hands out
+                    // an empty batch, so agreeing with it rules one out.
                     return Ok(());
                 }
-                let real = state
-                    .real
-                    .pop_batch(max, Duration::ZERO)
-                    .map(|(p, b)| (p.index(), b));
-                let model = state.model.try_pop_batch(max);
-                match (real, model) {
-                    (None, None) if state.model.is_shutdown() => {}
-                    (Some((lane, batch)), Some((mlane, mbatch))) => {
-                        if lane != mlane || batch != mbatch {
-                            return Err(format!(
-                                "pop_batch({max}): real lane {lane} {batch:?} but spec \
-                                 says lane {mlane} {mbatch:?}"
-                            ));
-                        }
-                        if batch.is_empty() {
-                            return Err("pop_batch returned an empty batch".into());
-                        }
-                    }
-                    (real, model) => {
-                        return Err(format!(
-                            "pop_batch({max}): real {real:?} but spec says {model:?}"
-                        ));
-                    }
-                }
+                agree(
+                    format_args!("pop_batch({max})"),
+                    state
+                        .real
+                        .pop_batch(max, Duration::ZERO)
+                        .map(|(p, b)| (p.index(), b)),
+                    state.model.try_pop_batch(max),
+                )?;
             }
             LaneOp::Shutdown => {
                 state.real.shutdown();
                 state.model.shutdown();
             }
         }
-        if let Some(msg) = state.lens_diverged() {
-            return Err(format!("after {op:?}: {msg}"));
+        for p in Priority::ALL {
+            let (real, model) = (state.real.lane_len(p), state.model.lane_len(p.index()));
+            agree(format_args!("lane {p:?} len after {op:?}"), real, model)?;
         }
         Ok(())
     }
@@ -231,15 +290,12 @@ impl Scenario for LaneScenario {
         // the conservation check.
         loop {
             let real = state.real.try_pop().map(|(p, v)| (p.index(), v));
-            let model = state.model.try_pop();
-            if real != model {
-                return Err(format!("drain diverged: real {real:?} vs spec {model:?}"));
-            }
-            if real.is_none() {
-                break;
+            let drained = real.is_none();
+            agree("drain", real, state.model.try_pop())?;
+            if drained {
+                return state.model.check_conservation();
             }
         }
-        state.model.check_conservation()
     }
 
     /// Lane-queue commutativity, as objects: `0` = control plane
@@ -248,8 +304,8 @@ impl Scenario for LaneScenario {
     /// pickup cursor, consumed by every pop). Pushes to *different*
     /// lanes commute: each appends to its own FIFO and neither moves
     /// the scheduler; everything else conflicts.
-    fn footprint(&self, thread: usize, op: usize) -> Footprint {
-        match self.scripts[thread][op] {
+    fn footprint(op: LaneOp) -> Footprint {
+        match op {
             LaneOp::Push(lane, _) => Footprint::new(vec![0], vec![1 + lane as u64]),
             LaneOp::TryPop | LaneOp::TryPopBatch(_) | LaneOp::PopBatch(_) => {
                 Footprint::new(vec![0], vec![1, 2, 3, 4])
@@ -259,96 +315,80 @@ impl Scenario for LaneScenario {
     }
 }
 
-/// Run the lane suite at the given budget.
-pub fn lane_suite(budget: Budget, ex: &mut Explorer) {
+/// The lane suite.
+pub fn lane_rows() -> Vec<Row<Lanes>> {
     use LaneOp::*;
-
-    // Three producers (one per lane) racing one popper through the
-    // default [8, 4, 1] weighting — every interleaving of 9 ops
-    // (1680 exhaustively). Every pop's lane choice is cross-checked.
-    let contended = LaneScenario {
-        capacity: 4,
-        weights: [8, 4, 1],
-        scripts: vec![
-            vec![Push(0, 100), Push(0, 101), Push(0, 102)],
-            vec![Push(2, 300), Push(2, 301), Push(2, 302)],
-            vec![TryPop, TryPop, TryPop],
-        ],
-    };
-    // Per-lane saturation + shutdown against batched popping,
-    // capacity 1 per lane (560 interleavings).
-    let saturating = LaneScenario {
-        capacity: 1,
-        weights: [4, 2, 1],
-        scripts: vec![
-            vec![Push(0, 1), Push(0, 2), Push(1, 3)],
-            vec![Push(2, 10), Push(2, 11), Shutdown],
-            vec![TryPopBatch(2), TryPopBatch(2)],
-        ],
-    };
-    // Blocking pop_batch vs producers + shutdown (560 interleavings):
-    // batches must stay lane-pure under every arrival order.
-    let blocking = LaneScenario {
-        capacity: 4,
-        weights: [2, 2, 2],
-        scripts: vec![
-            vec![Push(1, 7), Push(2, 8), Shutdown],
-            vec![Push(0, 9), Push(0, 10)],
-            vec![PopBatch(3), PopBatch(3)],
-        ],
-    };
-    // DPOR dividend: a deep two-producer burst (4 interactive + 4 bulk
-    // pushes) against a 3-pop consumer — 11550 interleavings, which
-    // plain DFS could not afford at this budget, but cross-lane pushes
-    // commute so DPOR runs ~1.2k representative schedules. This is the
-    // burst-arrival shape the PR 6 lanes scenarios could only sample.
-    let deep = LaneScenario {
-        capacity: 4,
-        weights: [8, 4, 1],
-        scripts: vec![
-            vec![Push(0, 1), Push(0, 2), Push(0, 3), Push(0, 4)],
-            vec![Push(2, 21), Push(2, 22), Push(2, 23), Push(2, 24)],
-            vec![TryPop, TryPopBatch(2), TryPop],
-        ],
-    };
-    match budget {
-        Budget::Full => {
-            ex.exhaustive(&contended);
-            ex.exhaustive(&saturating);
-            ex.exhaustive(&blocking);
-            ex.exhaustive(&deep);
-        }
-        Budget::Small => {
-            ex.random(&contended, 60, 41);
-            ex.random(&saturating, 60, 42);
-            ex.exhaustive(&blocking);
-            ex.random(&deep, 150, 43);
-        }
-    }
-
-    // A larger mixed workload, randomly scheduled: pushers on every
-    // lane, mixed poppers, a late shutdown. Too many interleavings to
-    // enumerate, so sample a seeded stream.
-    let mixed = LaneScenario {
-        capacity: 3,
-        weights: [4, 2, 1],
-        scripts: vec![
-            vec![Push(0, 1), Push(1, 2), Push(0, 3), Push(2, 4), Push(0, 5)],
-            vec![Push(2, 21), Push(2, 22), Push(1, 23), Push(2, 24)],
-            vec![TryPop, TryPopBatch(2), TryPop, TryPopBatch(3), TryPop],
-            vec![PopBatch(2), TryPop, PopBatch(2)],
-            vec![Push(1, 31), Push(0, 32), Shutdown],
-        ],
-    };
-    let trials = match budget {
-        Budget::Full => 4000,
-        Budget::Small => 200,
-    };
-    ex.random(&mixed, trials, 0x1A4E5);
+    vec![
+        // Three producers (one per lane) racing one popper through the
+        // default [8, 4, 1] weighting — every interleaving of 9 ops
+        // (1680). Every pop's lane choice is cross-checked.
+        row(
+            lanes(4, [8, 4, 1]),
+            EXH,
+            random(60, 41),
+            vec![
+                vec![Push(0, 100), Push(0, 101), Push(0, 102)],
+                vec![Push(2, 300), Push(2, 301), Push(2, 302)],
+                vec![TryPop, TryPop, TryPop],
+            ],
+        ),
+        // Per-lane saturation + shutdown against batched popping,
+        // capacity 1 per lane (560 interleavings).
+        row(
+            lanes(1, [4, 2, 1]),
+            EXH,
+            random(60, 42),
+            vec![
+                vec![Push(0, 1), Push(0, 2), Push(1, 3)],
+                vec![Push(2, 10), Push(2, 11), Shutdown],
+                vec![TryPopBatch(2), TryPopBatch(2)],
+            ],
+        ),
+        // Blocking pop_batch vs producers + shutdown (210 interleavings):
+        // batches must stay lane-pure under every arrival order.
+        row(
+            lanes(4, [2, 2, 2]),
+            EXH,
+            EXH,
+            vec![
+                vec![Push(1, 7), Push(2, 8), Shutdown],
+                vec![Push(0, 9), Push(0, 10)],
+                vec![PopBatch(3), PopBatch(3)],
+            ],
+        ),
+        // DPOR dividend: a deep two-producer burst (4 interactive + 4
+        // bulk pushes) against a 3-pop consumer — 11550 interleavings,
+        // but cross-lane pushes commute so DPOR runs ~1.2k
+        // representative schedules.
+        row(
+            lanes(4, [8, 4, 1]),
+            EXH,
+            random(150, 43),
+            vec![
+                vec![Push(0, 1), Push(0, 2), Push(0, 3), Push(0, 4)],
+                vec![Push(2, 21), Push(2, 22), Push(2, 23), Push(2, 24)],
+                vec![TryPop, TryPopBatch(2), TryPop],
+            ],
+        ),
+        // A larger mixed workload: pushers on every lane, mixed poppers,
+        // a late shutdown. Too many interleavings to enumerate.
+        row(
+            lanes(3, [4, 2, 1]),
+            random(4000, 0x1A4E5),
+            random(200, 0x1A4E5),
+            vec![
+                vec![Push(0, 1), Push(1, 2), Push(0, 3), Push(2, 4), Push(0, 5)],
+                vec![Push(2, 21), Push(2, 22), Push(1, 23), Push(2, 24)],
+                vec![TryPop, TryPopBatch(2), TryPop, TryPopBatch(3), TryPop],
+                vec![PopBatch(2), TryPop, PopBatch(2)],
+                vec![Push(1, 31), Push(0, 32), Shutdown],
+            ],
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------
-// Quota suite
+// Quota
 // ---------------------------------------------------------------------
 
 /// One scripted quota operation: `try_take_at(tenant, now_ns)`. Clock
@@ -363,65 +403,36 @@ pub struct QuotaOp {
     pub now_ns: u64,
 }
 
-/// Threads of quota takes over one shared [`QuotaTable`].
-pub struct QuotaScenario {
-    /// Limits enforced for every tenant.
-    pub cfg: QuotaConfig,
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<QuotaOp>>,
-}
-
 /// Real table + per-tenant shadow buckets for one interleaving.
 pub struct QuotaState {
     real: QuotaTable,
-    model: std::collections::HashMap<u64, QuotaModel>,
+    model: HashMap<u64, QuotaModel>,
 }
 
-impl Scenario for QuotaScenario {
+impl Subject for QuotaConfig {
+    type Op = QuotaOp;
     type State = QuotaState;
+    const NAME: &'static str = "serve::quota";
 
-    fn name(&self) -> &'static str {
-        "serve::quota"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> QuotaState {
+    fn init(real: &QuotaConfig, _spec: &QuotaConfig, _threads: usize) -> QuotaState {
         QuotaState {
-            real: QuotaTable::new(self.cfg),
-            model: std::collections::HashMap::new(),
+            real: QuotaTable::new(*real),
+            model: HashMap::new(),
         }
     }
 
-    fn step(&self, state: &mut QuotaState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
+    fn step(&self, state: &mut QuotaState, _thread: usize, op: QuotaOp) -> Result<(), String> {
         let real = state.real.try_take_at(op.tenant, op.now_ns);
         let bucket = state
             .model
             .entry(op.tenant)
-            .or_insert_with(|| QuotaModel::new(self.cfg.rate_per_sec, self.cfg.burst, op.now_ns));
-        let model = bucket.try_take(op.now_ns);
-        if real != model {
-            return Err(format!(
-                "try_take_at(tenant {}, {} ns): real {real} but spec says {model}",
-                op.tenant, op.now_ns
-            ));
-        }
-        Ok(())
+            .or_insert_with(|| QuotaModel::new(self.rate_per_sec, self.burst, op.now_ns));
+        let what = format_args!("try_take_at(tenant {}, {} ns)", op.tenant, op.now_ns);
+        agree(what, real, bucket.try_take(op.now_ns))
     }
 
     fn finish(&self, state: &mut QuotaState) -> Result<(), String> {
-        if state.real.tenants() != state.model.len() {
-            return Err(format!(
-                "tenant count diverged: real {} vs spec {}",
-                state.real.tenants(),
-                state.model.len()
-            ));
-        }
+        agree("tenant count", state.real.tenants(), state.model.len())?;
         for (tenant, bucket) in &state.model {
             bucket
                 .check_conservation()
@@ -434,98 +445,121 @@ impl Scenario for QuotaScenario {
     /// *different* tenants commute (the table's one lock serializes
     /// them, but their admit/deny results, per-bucket conservation
     /// bounds, and the final tenant count are all order-independent).
-    fn footprint(&self, thread: usize, op: usize) -> Footprint {
-        Footprint::exclusive(self.scripts[thread][op].tenant)
+    fn footprint(op: QuotaOp) -> Footprint {
+        Footprint::exclusive(op.tenant)
     }
 }
 
-/// Run the quota suite at the given budget.
-pub fn quota_suite(budget: Budget, ex: &mut Explorer) {
-    let take = |tenant, now_ns| QuotaOp { tenant, now_ns };
-    let ms = 1_000_000u64;
+/// `try_take_at(tenant, now_ns)` as a script op.
+fn take(tenant: u64, now_ns: u64) -> QuotaOp {
+    QuotaOp { tenant, now_ns }
+}
 
-    // Two tenants, three threads with overlapping clock ranges: every
-    // interleaving delivers a different (often non-monotonic) clock
-    // sequence to each bucket (1680 exhaustively). rate 100/s, burst 2:
-    // refills land mid-script (one token per 10 ms).
-    let cfg = QuotaConfig {
-        rate_per_sec: 100,
-        burst: 2,
-    };
-    let racing = QuotaScenario {
-        cfg,
-        scripts: vec![
-            vec![take(1, 0), take(1, 5 * ms), take(1, 30 * ms)],
-            vec![take(1, 10 * ms), take(2, 0), take(2, ms)],
-            vec![take(2, 20 * ms), take(1, 15 * ms), take(2, 2 * ms)],
-        ],
-    };
-    // DPOR dividend: two single-tenant burst threads against one
-    // cross-tenant prober — 34650 interleavings of (4, 4, 4), far past
-    // the per-scenario DFS budget, but only the prober's two overlap
-    // takes conflict across threads, so DPOR runs a few dozen
-    // representative schedules. The prober's clocks land *inside* the
-    // bursts' refill windows, so every representative ordering yields a
-    // different admit/deny history for tenants 1 and 2.
-    let deep = QuotaScenario {
-        cfg,
-        scripts: vec![
-            vec![
-                take(1, 0),
-                take(1, 4 * ms),
-                take(1, 25 * ms),
-                take(1, 12 * ms),
-            ],
-            vec![
-                take(2, 10 * ms),
-                take(2, 0),
-                take(2, 18 * ms),
-                take(2, 40 * ms),
-            ],
-            vec![
-                take(1, 8 * ms),
-                take(3, 0),
-                take(3, 15 * ms),
-                take(2, 22 * ms),
-            ],
-        ],
-    };
-    match budget {
-        Budget::Full => {
-            ex.exhaustive(&racing);
-            ex.exhaustive(&deep);
-        }
-        Budget::Small => {
-            ex.random(&racing, 80, 51);
-            ex.random(&deep, 150, 53);
-        }
+/// A [`QuotaConfig`].
+fn quota(rate_per_sec: u64, burst: u64) -> QuotaConfig {
+    QuotaConfig {
+        rate_per_sec,
+        burst,
     }
+}
 
-    // Heavier churn: four tenants, dense takes, clocks that jump both
-    // ways — randomly scheduled.
-    let churn = QuotaScenario {
-        cfg: QuotaConfig {
-            rate_per_sec: 1000,
-            burst: 3,
-        },
-        scripts: (0..4)
-            .map(|t| {
-                (0..6)
-                    .map(|k| take(1 + (t as u64 + k) % 4, (k * 7 + t as u64 * 3) * ms))
-                    .collect()
-            })
-            .collect(),
-    };
-    let trials = match budget {
-        Budget::Full => 4000,
-        Budget::Small => 200,
-    };
-    ex.random(&churn, trials, 0x900A);
+/// One millisecond of logical clock.
+const MS: u64 = 1_000_000;
+
+/// The quota suite.
+pub fn quota_rows() -> Vec<Row<QuotaConfig>> {
+    vec![
+        // Two tenants, three threads with overlapping clock ranges:
+        // every interleaving delivers a different (often non-monotonic)
+        // clock sequence to each bucket (1680). Rate 100/s, burst 2:
+        // refills land mid-script (one token per 10 ms).
+        row(
+            quota(100, 2),
+            EXH,
+            random(80, 51),
+            vec![
+                vec![take(1, 0), take(1, 5 * MS), take(1, 30 * MS)],
+                vec![take(1, 10 * MS), take(2, 0), take(2, MS)],
+                vec![take(2, 20 * MS), take(1, 15 * MS), take(2, 2 * MS)],
+            ],
+        ),
+        // DPOR dividend: two single-tenant burst threads against one
+        // cross-tenant prober — 34650 interleavings of (4, 4, 4), but
+        // only the prober's two overlap takes conflict across threads,
+        // so DPOR runs a few dozen representatives. The prober's clocks
+        // land *inside* the bursts' refill windows, so every
+        // representative yields a different admit/deny history.
+        row(
+            quota(100, 2),
+            EXH,
+            random(150, 53),
+            vec![
+                vec![
+                    take(1, 0),
+                    take(1, 4 * MS),
+                    take(1, 25 * MS),
+                    take(1, 12 * MS),
+                ],
+                vec![
+                    take(2, 10 * MS),
+                    take(2, 0),
+                    take(2, 18 * MS),
+                    take(2, 40 * MS),
+                ],
+                vec![
+                    take(1, 8 * MS),
+                    take(3, 0),
+                    take(3, 15 * MS),
+                    take(2, 22 * MS),
+                ],
+            ],
+        ),
+        // Heavier churn: four tenants, dense takes, clocks that jump
+        // both ways.
+        row(
+            quota(1000, 3),
+            random(4000, 0x900A),
+            random(200, 0x900A),
+            (0..4u64)
+                .map(|t| {
+                    (0..6)
+                        .map(|k| take(1 + (t + k) % 4, (k * 7 + t * 3) * MS))
+                        .collect()
+                })
+                .collect(),
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------
-// Cache suite
+// Cache
 // ---------------------------------------------------------------------
+
+/// A [`PatchCache`] configuration over small integer keys.
+#[derive(Debug, Clone)]
+pub struct Cache {
+    /// Cache capacity.
+    pub capacity: usize,
+    /// Pre-built keys, indexed by the small-key id (so per-interleaving
+    /// init does no hashing work).
+    keys: Vec<PatchKey>,
+}
+
+impl Cache {
+    /// A cache of `capacity` entries over key ids `0..=max_key`.
+    pub fn new(capacity: usize, max_key: u64) -> Cache {
+        let keys = (0..=max_key)
+            .map(|k| PatchKey::new(0, 0, &Tensor::from_vec(Shape::d1(1), vec![k as f32])))
+            .collect();
+        Cache { capacity, keys }
+    }
+
+    fn key(&self, k: u64) -> Result<&PatchKey, String> {
+        self.keys
+            .get(k as usize)
+            .ok_or_else(|| format!("script key {k} out of range (bad script)"))
+    }
+}
 
 /// One scripted cache operation over small integer keys.
 #[derive(Debug, Clone, Copy)]
@@ -536,37 +570,6 @@ pub enum CacheOp {
     Insert(u64),
     /// `clear()`.
     Clear,
-}
-
-/// Threads of cache ops over one shared [`PatchCache`].
-pub struct CacheScenario {
-    /// Cache capacity under test.
-    pub capacity: usize,
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<CacheOp>>,
-    /// Pre-built keys, indexed by the small-key id (so per-interleaving
-    /// init does no hashing work).
-    keys: Vec<PatchKey>,
-}
-
-impl CacheScenario {
-    /// Build a scenario; `max_key` bounds the key ids used in scripts.
-    pub fn new(capacity: usize, scripts: Vec<Vec<CacheOp>>, max_key: u64) -> CacheScenario {
-        let keys = (0..=max_key)
-            .map(|k| PatchKey::new(0, 0, &Tensor::from_vec(Shape::d1(1), vec![k as f32])))
-            .collect();
-        CacheScenario {
-            capacity,
-            scripts,
-            keys,
-        }
-    }
-
-    fn key(&self, k: u64) -> Result<&PatchKey, String> {
-        self.keys
-            .get(k as usize)
-            .ok_or_else(|| format!("script key {k} out of range (bad script)"))
-    }
 }
 
 /// The cached value for key `k` — deterministic so hits are checkable.
@@ -580,48 +583,33 @@ pub struct CacheState {
     model: LruModel,
 }
 
-impl Scenario for CacheScenario {
+/// Every cache op moves the one shared LRU recency list (even a `get`
+/// reorders it), so the default fully-dependent footprint is the honest
+/// one: DPOR explores this suite like plain DFS.
+impl Subject for Cache {
+    type Op = CacheOp;
     type State = CacheState;
+    const NAME: &'static str = "serve::cache";
 
-    fn name(&self) -> &'static str {
-        "serve::cache"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> CacheState {
+    fn init(real: &Cache, spec: &Cache, _threads: usize) -> CacheState {
         CacheState {
-            real: PatchCache::new(self.capacity),
-            model: LruModel::new(self.capacity),
+            real: PatchCache::new(real.capacity),
+            model: LruModel::new(spec.capacity),
         }
     }
 
-    fn step(&self, state: &mut CacheState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
+    fn step(&self, state: &mut CacheState, _thread: usize, op: CacheOp) -> Result<(), String> {
         match op {
             CacheOp::Get(k) => {
                 let real = state.real.get(self.key(k)?);
                 let model = state.model.get(k);
-                match (real, model) {
-                    (None, None) => {}
-                    (Some(t), Some(v)) => {
-                        if t != cache_value(v) {
-                            return Err(format!(
-                                "get({k}): hit returned wrong tensor (spec value {v})"
-                            ));
-                        }
-                    }
-                    (real, model) => {
-                        return Err(format!(
-                            "get({k}): real {} but spec says {}",
-                            if real.is_some() { "hit" } else { "miss" },
-                            if model.is_some() { "hit" } else { "miss" }
-                        ));
-                    }
+                agree(
+                    format_args!("get({k}) hit"),
+                    real.is_some(),
+                    model.is_some(),
+                )?;
+                if let (Some(t), Some(v)) = (real, model) {
+                    agree(format_args!("get({k}) value"), t, cache_value(v))?;
                 }
             }
             CacheOp::Insert(k) => {
@@ -633,87 +621,70 @@ impl Scenario for CacheScenario {
                 state.model.clear();
             }
         }
-        if state.real.len() != state.model.len() {
-            return Err(format!(
-                "len diverged after {op:?}: real {} vs spec {}",
-                state.real.len(),
-                state.model.len()
-            ));
-        }
-        if state.real.hits() != state.model.hits || state.real.misses() != state.model.misses {
-            return Err(format!(
-                "counters diverged after {op:?}: real {}h/{}m vs spec {}h/{}m",
-                state.real.hits(),
-                state.real.misses(),
-                state.model.hits,
-                state.model.misses
-            ));
-        }
-        Ok(())
+        agree(
+            format_args!("(len, hits, misses) after {op:?}"),
+            (state.real.len(), state.real.hits(), state.real.misses()),
+            (state.model.len(), state.model.hits, state.model.misses),
+        )
     }
 
     fn finish(&self, state: &mut CacheState) -> Result<(), String> {
-        // Final sweep: every key agrees on hit/miss and value.
+        // Final sweep: every key agrees on hit/miss.
         for k in 0..self.keys.len() as u64 {
-            let real = state.real.get(self.key(k)?);
-            let model = state.model.get(k);
-            if real.is_some() != model.is_some() {
-                return Err(format!(
-                    "final sweep: key {k} real {} vs spec {}",
-                    if real.is_some() { "hit" } else { "miss" },
-                    if model.is_some() { "hit" } else { "miss" }
-                ));
-            }
+            let real = state.real.get(self.key(k)?).is_some();
+            agree(
+                format_args!("final sweep: key {k} hit"),
+                real,
+                state.model.get(k).is_some(),
+            )?;
         }
         Ok(())
     }
 }
 
-/// Run the cache suite at the given budget.
-///
-/// Every cache op moves the one shared LRU recency list (even a `get`
-/// reorders it), so the default (fully-dependent) footprint is the
-/// honest one: DPOR explores this suite like plain DFS.
-pub fn cache_suite(budget: Budget, ex: &mut Explorer) {
+/// The cache suite.
+pub fn cache_rows() -> Vec<Row<Cache>> {
     use CacheOp::*;
-
-    // Capacity-2 cache, three threads contending on four keys with an
-    // eviction-heavy mix (1680 interleavings exhaustively).
-    let evicting = CacheScenario::new(
-        2,
-        vec![
-            vec![Insert(0), Get(0), Insert(1)],
-            vec![Insert(2), Get(1), Get(2)],
-            vec![Get(0), Insert(3), Get(3)],
-        ],
-        4,
-    );
-    match budget {
-        Budget::Full => ex.exhaustive(&evicting),
-        Budget::Small => ex.random(&evicting, 80, 21),
-    }
-
-    // Bigger key space + clears, randomly scheduled.
-    let churning = CacheScenario::new(
-        3,
-        vec![
-            vec![Insert(0), Insert(1), Insert(2), Get(0), Get(1)],
-            vec![Get(2), Insert(3), Get(3), Insert(4), Get(4)],
-            vec![Insert(1), Get(1), Clear, Insert(0), Get(0)],
-            vec![Get(4), Get(0), Insert(2), Get(2)],
-        ],
-        4,
-    );
-    let trials = match budget {
-        Budget::Full => 4000,
-        Budget::Small => 200,
-    };
-    ex.random(&churning, trials, 0xCAC4E);
+    vec![
+        // Capacity-2 cache, three threads contending on four keys with
+        // an eviction-heavy mix (1680 interleavings).
+        row(
+            Cache::new(2, 4),
+            EXH,
+            random(80, 21),
+            vec![
+                vec![Insert(0), Get(0), Insert(1)],
+                vec![Insert(2), Get(1), Get(2)],
+                vec![Get(0), Insert(3), Get(3)],
+            ],
+        ),
+        // Bigger key space + clears.
+        row(
+            Cache::new(3, 4),
+            random(4000, 0xCAC4E),
+            random(200, 0xCAC4E),
+            vec![
+                vec![Insert(0), Insert(1), Insert(2), Get(0), Get(1)],
+                vec![Get(2), Insert(3), Get(3), Insert(4), Get(4)],
+                vec![Insert(1), Get(1), Clear, Insert(0), Get(0)],
+                vec![Get(4), Get(0), Insert(2), Get(2)],
+            ],
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------
-// Registry suite
+// Registry
 // ---------------------------------------------------------------------
+
+/// A [`ModelRegistry`] holding constant-weight checkpoints, one
+/// constant per name — the torn-swap detector.
+#[derive(Clone)]
+pub struct Registry {
+    names: Vec<String>,
+    /// Per-name checkpoint, every weight filled with the name's constant.
+    checkpoints: Vec<ModelCheckpoint>,
+}
 
 /// One scripted registry operation.
 #[derive(Debug, Clone, Copy)]
@@ -735,75 +706,46 @@ pub enum RegistryOp {
     UseHeld,
 }
 
-/// One name's constant-filled `(scorer, decoder)` weight set.
-type WeightSet = (Vec<Tensor<f32>>, Vec<Tensor<f32>>);
-
-/// Threads of registry ops over one shared [`ModelRegistry`] holding
-/// constant-weight checkpoints (one constant per name — the torn-swap
-/// detector).
-pub struct RegistryScenario {
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<RegistryOp>>,
-    names: Vec<String>,
-    /// Per-name constant-filled weights.
-    weights: Vec<WeightSet>,
-    cfg: AdarNetConfig,
-}
-
-/// The uniform weight constant assigned to name index `i`.
-fn name_constant(i: usize) -> f32 {
-    (i + 1) as f32
-}
-
-impl RegistryScenario {
-    /// Build a scenario over `names.len()` constant-weight checkpoints.
-    pub fn new(names: &[&str], scripts: Vec<Vec<RegistryOp>>) -> RegistryScenario {
+impl Registry {
+    /// A registry over `names.len()` constant-weight checkpoints; name
+    /// `i`'s weights are all `i + 1`.
+    pub fn new(names: &[&str]) -> Registry {
         let cfg = AdarNetConfig {
             ph: 8,
             pw: 8,
             seed: 1,
             ..AdarNetConfig::default()
         };
-        let model = AdarNet::new(cfg);
-        let base = adarnet_core::checkpoint::snapshot(&model, &NormStats::identity());
-        let weights = (0..names.len())
-            .map(|i| {
-                let fill = |ts: &[Tensor<f32>]| {
-                    ts.iter()
-                        .map(|t| {
-                            let mut t = t.clone();
-                            t.as_mut_slice().fill(name_constant(i));
-                            t
-                        })
-                        .collect::<Vec<_>>()
-                };
-                (fill(&base.scorer), fill(&base.decoder))
+        let base = adarnet_core::checkpoint::snapshot(&AdarNet::new(cfg), &NormStats::identity());
+        let checkpoints = (1..=names.len())
+            .map(|c| {
+                let mut ckpt = base.clone();
+                for t in ckpt.scorer.iter_mut().chain(ckpt.decoder.iter_mut()) {
+                    t.as_mut_slice().fill(c as f32);
+                }
+                ckpt
             })
             .collect();
-        RegistryScenario {
-            scripts,
+        Registry {
             names: names.iter().map(|s| s.to_string()).collect(),
-            weights,
-            cfg,
+            checkpoints,
         }
     }
 
-    fn checkpoint(&self, i: usize) -> ModelCheckpoint {
-        let (scorer, decoder) = &self.weights[i.min(self.weights.len() - 1)];
-        ModelCheckpoint {
-            version: CHECKPOINT_VERSION,
-            in_channels: self.cfg.in_channels,
-            ph: self.cfg.ph,
-            pw: self.cfg.pw,
-            bins: self.cfg.bins,
-            norm: NormStats::identity(),
-            scorer: scorer.clone(),
-            decoder: decoder.clone(),
+    /// `Ok` if every weight of `ckpt` is `name`'s constant; anything
+    /// else is a torn (half-swapped) checkpoint.
+    fn untorn(&self, ckpt: &ModelCheckpoint, name: &str) -> Result<(), String> {
+        let Some(i) = self.names.iter().position(|n| n == name) else {
+            return Err(format!("{name:?} was never registered"));
+        };
+        let c = (i + 1) as f32;
+        let uniform = (ckpt.scorer.iter().chain(&ckpt.decoder))
+            .all(|t| t.as_slice().iter().all(|&v| (v - c).abs() < f32::EPSILON));
+        if uniform {
+            Ok(())
+        } else {
+            Err(format!("torn weights: {name:?} is not uniformly {c}"))
         }
-    }
-
-    fn constant_of(&self, name: &str) -> Option<f32> {
-        self.names.iter().position(|n| n == name).map(name_constant)
     }
 }
 
@@ -819,42 +761,25 @@ pub struct RegistryState {
     last_shared: Option<(u64, Arc<InferenceEngine>)>,
 }
 
-/// All weights uniformly equal to `c` — anything else is a torn swap.
-fn is_uniform(ckpt: &ModelCheckpoint, c: f32) -> bool {
-    ckpt.scorer
-        .iter()
-        .chain(ckpt.decoder.iter())
-        .all(|t| t.as_slice().iter().all(|&v| (v - c).abs() < f32::EPSILON))
-}
-
-impl Scenario for RegistryScenario {
+impl Subject for Registry {
+    type Op = RegistryOp;
     type State = RegistryState;
+    const NAME: &'static str = "serve::registry";
 
-    fn name(&self) -> &'static str {
-        "serve::registry"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> RegistryState {
-        let real = ModelRegistry::new();
-        for (i, name) in self.names.iter().enumerate() {
-            real.register(name.clone(), self.checkpoint(i));
+    fn init(real: &Registry, _spec: &Registry, threads: usize) -> RegistryState {
+        let registry = ModelRegistry::new();
+        for (name, ckpt) in real.names.iter().zip(&real.checkpoints) {
+            registry.register(name.clone(), ckpt.clone());
         }
         RegistryState {
-            real,
+            real: registry,
             model: RegistryModel::new(),
-            held: vec![None; self.scripts.len()],
+            held: vec![None; threads],
             last_shared: None,
         }
     }
 
-    fn step(&self, state: &mut RegistryState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
+    fn step(&self, state: &mut RegistryState, thread: usize, op: RegistryOp) -> Result<(), String> {
         match op {
             RegistryOp::Activate(i) => {
                 let Some(name) = self.names.get(i) else {
@@ -865,71 +790,34 @@ impl Scenario for RegistryScenario {
                     .activate(name)
                     .map_err(|e| format!("activate({name}) failed: {e}"))?;
                 let model = state.model.activate(name);
-                if real != model {
-                    return Err(format!(
-                        "activate({name}): real generation {real} but spec says {model}"
-                    ));
-                }
+                agree(format_args!("activate({name}) generation"), real, model)?;
             }
             RegistryOp::ReadActive => {
                 let real = state.real.active();
-                match (&real, &state.model.active) {
-                    (None, None) => {}
-                    (Some(a), Some((generation, name))) => {
-                        if a.generation != *generation || &a.name != name {
-                            return Err(format!(
-                                "active: real ({}, {:?}) but spec says ({generation}, {name:?})",
-                                a.generation, a.name
-                            ));
-                        }
-                        let Some(c) = self.constant_of(&a.name) else {
-                            return Err(format!("active name {:?} never registered", a.name));
-                        };
-                        if !is_uniform(&a.checkpoint, c) {
-                            return Err(format!(
-                                "torn checkpoint: active {:?} has non-uniform weights \
-                                 (expected all {c})",
-                                a.name
-                            ));
-                        }
-                    }
-                    (real, model) => {
-                        return Err(format!(
-                            "active: real {} but spec says {}",
-                            if real.is_some() { "Some" } else { "None" },
-                            if model.is_some() { "Some" } else { "None" }
-                        ));
-                    }
+                let active = real.as_ref().map(|a| (a.generation, a.name.clone()));
+                agree(
+                    "active (generation, name)",
+                    active,
+                    state.model.active.clone(),
+                )?;
+                if let Some(a) = real {
+                    self.untorn(&a.checkpoint, &a.name)
+                        .map_err(|e| format!("active checkpoint: {e}"))?;
                 }
             }
             RegistryOp::Shared => {
-                if state.model.active.is_none() {
-                    if state.real.shared_with(Precision::F32).is_ok() {
-                        return Err("shared succeeded with no active model".into());
-                    }
-                    return Ok(());
-                }
-                let (generation, engine) = state
-                    .real
-                    .shared_with(Precision::F32)
-                    .map_err(|e| format!("shared failed with an active model: {e}"))?;
+                let shared = state.real.shared_with(Precision::F32);
                 let Some((model_generation, model_name)) = state.model.active.clone() else {
-                    return Err("spec lost its active model".into());
+                    return match shared {
+                        Ok(_) => Err("shared succeeded with no active model".into()),
+                        Err(_) => Ok(()),
+                    };
                 };
-                if generation != model_generation {
-                    return Err(format!(
-                        "shared generation {generation} but spec says {model_generation}"
-                    ));
-                }
-                let Some(c) = self.constant_of(&model_name) else {
-                    return Err(format!("active name {model_name:?} never registered"));
-                };
-                if !is_uniform(&engine.checkpoint(), c) {
-                    return Err(format!(
-                        "torn shared engine: generation {generation} ({model_name:?}) has \
-                         non-uniform weights (expected all {c})"
-                    ));
-                }
+                let (generation, engine) =
+                    shared.map_err(|e| format!("shared failed with an active model: {e}"))?;
+                agree("shared generation", generation, model_generation)?;
+                self.untorn(&engine.checkpoint(), &model_name)
+                    .map_err(|e| format!("shared engine at generation {generation}: {e}"))?;
                 if let Some((last_generation, last_engine)) = &state.last_shared {
                     if *last_generation == generation && !Arc::ptr_eq(last_engine, &engine) {
                         return Err(format!(
@@ -945,40 +833,20 @@ impl Scenario for RegistryScenario {
                 let Some((generation, name, engine)) = &state.held[thread] else {
                     return Ok(());
                 };
-                let Some(c) = self.constant_of(name) else {
-                    return Err(format!("held name {name:?} never registered"));
-                };
-                if !is_uniform(&engine.checkpoint(), c) {
-                    return Err(format!(
-                        "in-flight engine from generation {generation} lost its weights \
-                         after a hot swap (expected all {c})"
-                    ));
-                }
+                self.untorn(&engine.checkpoint(), name).map_err(|e| {
+                    format!("in-flight engine from generation {generation} after a hot swap: {e}")
+                })?;
             }
         }
-        if state.real.generation() != state.model.generation {
-            return Err(format!(
-                "generation diverged after {op:?}: real {} vs spec {}",
-                state.real.generation(),
-                state.model.generation
-            ));
-        }
-        Ok(())
+        let (real, model) = (state.real.generation(), state.model.generation);
+        agree(format_args!("generation after {op:?}"), real, model)
     }
 
     fn finish(&self, state: &mut RegistryState) -> Result<(), String> {
         // The final published model must be the last linearized
-        // activation, with intact (untorn) weights.
-        let real = state.real.active();
-        match (&real, &state.model.active) {
-            (None, None) => Ok(()),
-            (Some(a), Some((generation, name)))
-                if a.generation == *generation && &a.name == name =>
-            {
-                Ok(())
-            }
-            _ => Err("final active model diverged from the spec".into()),
-        }
+        // activation.
+        let real = state.real.active().map(|a| (a.generation, a.name.clone()));
+        agree("final active model", real, state.model.active.clone())
     }
 
     /// Object `0` is the published active slot (generation + name +
@@ -990,8 +858,8 @@ impl Scenario for RegistryScenario {
     /// so DPOR still explores it on *both* sides of every activation —
     /// the in-flight-engine-survives-a-hot-swap orderings are the whole
     /// point of those scenarios.
-    fn footprint(&self, thread: usize, op: usize) -> Footprint {
-        match self.scripts[thread][op] {
+    fn footprint(op: RegistryOp) -> Footprint {
+        match op {
             RegistryOp::Activate(_) => Footprint::new(vec![], vec![0, 1]),
             RegistryOp::ReadActive | RegistryOp::UseHeld => Footprint::reads(&[0]),
             RegistryOp::Shared => Footprint::new(vec![0], vec![1]),
@@ -999,74 +867,79 @@ impl Scenario for RegistryScenario {
     }
 }
 
-/// Run the registry suite at the given budget.
-pub fn registry_suite(budget: Budget, ex: &mut Explorer) {
+/// The registry suite.
+pub fn registry_rows() -> Vec<Row<Registry>> {
     use RegistryOp::*;
-
-    // Two activators racing a reader (210 interleavings exhaustively) —
-    // this is the scenario that catches the generation-outside-lock
-    // race the fix in `ModelRegistry::activate` addresses.
-    let racing = RegistryScenario::new(
-        &["a", "b", "c"],
-        vec![
-            vec![Activate(0), Activate(2)],
-            vec![Activate(1), ReadActive],
-            vec![ReadActive, Shared, UseHeld],
-        ],
-    );
-    ex.exhaustive(&racing);
-
-    // Longer random-schedule churn with a shared-engine fetch in the mix.
-    let churn = RegistryScenario::new(
-        &["a", "b"],
-        vec![
-            vec![Activate(0), Activate(1), Activate(0), ReadActive],
-            vec![ReadActive, Activate(1), ReadActive, Activate(0)],
-            vec![ReadActive, Shared, UseHeld, ReadActive],
-        ],
-    );
-    let trials = match budget {
-        Budget::Full => 2000,
-        Budget::Small => 100,
-    };
-    ex.random(&churn, trials, 0x9E6);
-
-    // Hot swap under shared engines: a swapper races two "workers" that
-    // fetch the shared engine and then keep using it — every
-    // interleaving of fetch vs. activate vs. in-flight use (210
-    // exhaustively). The `UseHeld` steps after an `Activate` are the
-    // in-flight-batch-completes-on-old-generation guarantee.
-    let hot_swap = RegistryScenario::new(
-        &["a", "b"],
-        vec![
-            vec![Activate(0), Activate(1)],
-            vec![Shared, UseHeld, Shared],
-            vec![Shared, UseHeld],
-        ],
-    );
-    ex.exhaustive(&hot_swap);
-
-    // Longer random-schedule churn mixing swaps, shared fetches, and
-    // in-flight re-use across three worker threads.
-    let shared_churn = RegistryScenario::new(
-        &["a", "b", "c"],
-        vec![
-            vec![Activate(0), Activate(1), Activate(2), Activate(0)],
-            vec![Shared, UseHeld, Shared, UseHeld],
-            vec![Shared, UseHeld, UseHeld, Shared],
-            vec![ReadActive, Shared, UseHeld, ReadActive],
-        ],
-    );
-    let shared_trials = match budget {
-        Budget::Full => 1500,
-        Budget::Small => 80,
-    };
-    ex.random(&shared_churn, shared_trials, 0x5A4ED);
+    vec![
+        // Two activators racing a reader (210 interleavings) — the
+        // scenario that catches the generation-outside-lock race the fix
+        // in `ModelRegistry::activate` addresses.
+        row(
+            Registry::new(&["a", "b", "c"]),
+            EXH,
+            EXH,
+            vec![
+                vec![Activate(0), Activate(2)],
+                vec![Activate(1), ReadActive],
+                vec![ReadActive, Shared, UseHeld],
+            ],
+        ),
+        // Longer churn with a shared-engine fetch in the mix.
+        row(
+            Registry::new(&["a", "b"]),
+            random(2000, 0x9E6),
+            random(100, 0x9E6),
+            vec![
+                vec![Activate(0), Activate(1), Activate(0), ReadActive],
+                vec![ReadActive, Activate(1), ReadActive, Activate(0)],
+                vec![ReadActive, Shared, UseHeld, ReadActive],
+            ],
+        ),
+        // Hot swap under shared engines: a swapper races two "workers"
+        // that fetch the shared engine and then keep using it — every
+        // interleaving of fetch vs. activate vs. in-flight use (210). The
+        // `UseHeld` steps after an `Activate` are the
+        // in-flight-batch-completes-on-old-generation guarantee.
+        row(
+            Registry::new(&["a", "b"]),
+            EXH,
+            EXH,
+            vec![
+                vec![Activate(0), Activate(1)],
+                vec![Shared, UseHeld, Shared],
+                vec![Shared, UseHeld],
+            ],
+        ),
+        // Churn mixing swaps, shared fetches, and in-flight re-use across
+        // three worker threads.
+        row(
+            Registry::new(&["a", "b", "c"]),
+            random(1500, 0x5A4ED),
+            random(80, 0x5A4ED),
+            vec![
+                vec![Activate(0), Activate(1), Activate(2), Activate(0)],
+                vec![Shared, UseHeld, Shared, UseHeld],
+                vec![Shared, UseHeld, UseHeld, Shared],
+                vec![ReadActive, Shared, UseHeld, ReadActive],
+            ],
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------
-// Trace arena + tail sampler suite
+// Trace arena + tail sampler
 // ---------------------------------------------------------------------
+
+/// A [`TraceArena`] + [`TailSampler`] configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct Trace {
+    /// Arena trace-slot capacity.
+    pub capacity: usize,
+    /// Per-trace span budget.
+    pub spans_per_trace: usize,
+    /// Tail sampler `(slow_cap, error_cap, window)`.
+    pub sampler: (usize, usize, u64),
+}
 
 /// One scripted trace operation. Trace identity is per *owner thread*
 /// and incarnation (`trace_id_for`), so cross-thread ops — a worker
@@ -1088,18 +961,6 @@ pub enum TraceOp {
     Finish(bool),
 }
 
-/// Threads of trace ops over one shared [`TraceArena`] + [`TailSampler`].
-pub struct TraceScenario {
-    /// Arena trace-slot capacity under test.
-    pub capacity: usize,
-    /// Per-trace span budget under test.
-    pub spans_per_trace: usize,
-    /// Tail sampler `(slow_cap, error_cap, window)`.
-    pub sampler: (usize, usize, u64),
-    /// Per-thread op scripts.
-    pub scripts: Vec<Vec<TraceOp>>,
-}
-
 /// Real arena + sampler and their shadow models for one interleaving.
 pub struct TraceState {
     real: TraceArena,
@@ -1111,6 +972,15 @@ pub struct TraceState {
     /// Pending spans held by each acting thread:
     /// `(real pending, trace_id, model idx, span_id)`.
     pendings: Vec<Vec<(PendingSpan, u64, usize, u64)>>,
+}
+
+impl TraceState {
+    fn owner_ctx(&self, owner: usize) -> TraceCtx {
+        TraceCtx {
+            trace_id: trace_id_for(owner, self.incarnation[owner]),
+            span_id: 0,
+        }
+    }
 }
 
 /// Deterministic nonzero trace id for thread `t`'s `k`-th trace. All
@@ -1127,80 +997,52 @@ fn trace_e2e_for(thread: usize, incarnation: u64) -> u64 {
     ((thread as u64 * 7 + incarnation * 3) % 5 + 1) * 10
 }
 
-impl TraceScenario {
-    fn owner_ctx(&self, state: &TraceState, owner: usize) -> TraceCtx {
-        TraceCtx {
-            trace_id: trace_id_for(owner, state.incarnation[owner]),
-            span_id: 0,
-        }
-    }
-}
-
-impl Scenario for TraceScenario {
+/// Every op hits the one shared arena (and the per-step checks read all
+/// of it), so the default fully-dependent footprint is honest and DPOR
+/// degenerates to DFS here.
+impl Subject for Trace {
+    type Op = TraceOp;
     type State = TraceState;
+    const NAME: &'static str = "obs::trace";
 
-    fn name(&self) -> &'static str {
-        "obs::trace"
-    }
-
-    fn thread_ops(&self) -> Vec<usize> {
-        self.scripts.iter().map(Vec::len).collect()
-    }
-
-    fn init(&self) -> TraceState {
+    fn init(real: &Trace, spec: &Trace, threads: usize) -> TraceState {
         // The arena's admission gate reads the global obs enable flag;
         // the suite asserts the enabled contract.
         adarnet_obs::set_enabled(true);
-        let (slow, err, window) = self.sampler;
+        let (slow, err, window) = real.sampler;
+        let (mslow, merr, mwindow) = spec.sampler;
         TraceState {
-            real: TraceArena::with_capacity(self.capacity, self.spans_per_trace),
+            real: TraceArena::with_capacity(real.capacity, real.spans_per_trace),
             sampler: TailSampler::new(slow, err, window),
-            model: TraceModel::new(self.capacity, self.spans_per_trace),
-            smodel: SamplerModel::new(slow, err, window),
-            incarnation: vec![0; self.scripts.len()],
-            pendings: vec![Vec::new(); self.scripts.len()],
+            model: TraceModel::new(spec.capacity, spec.spans_per_trace),
+            smodel: SamplerModel::new(mslow, merr, mwindow),
+            incarnation: vec![0; threads],
+            pendings: vec![Vec::new(); threads],
         }
     }
 
-    fn step(&self, state: &mut TraceState, thread: usize, op: usize) -> Result<(), String> {
-        let Some(op) = self.scripts.get(thread).and_then(|s| s.get(op)).copied() else {
-            return Err(format!("no op {op} for thread {thread} (bad script)"));
-        };
+    fn step(&self, state: &mut TraceState, thread: usize, op: TraceOp) -> Result<(), String> {
         match op {
             TraceOp::Start => {
-                let ctx = self.owner_ctx(state, thread);
+                let ctx = state.owner_ctx(thread);
                 let real = state.real.start(ctx);
-                let model = state.model.start(ctx.trace_id);
-                if real != model {
-                    return Err(format!(
-                        "start({:#x}): real {real} but spec says {model}",
-                        ctx.trace_id
-                    ));
-                }
+                agree(
+                    format_args!("start({:#x})", ctx.trace_id),
+                    real,
+                    state.model.start(ctx.trace_id),
+                )?;
             }
             TraceOp::Begin(owner) => {
-                let ctx = self.owner_ctx(state, owner);
+                let ctx = state.owner_ctx(owner);
                 let real = state.real.begin(ctx, "mc_begin");
                 let model = state.model.begin(ctx.trace_id, 0, "mc_begin");
-                match (real, model) {
-                    (Some(p), Some((span_id, idx))) => {
-                        if p.span_id != span_id {
-                            return Err(format!(
-                                "begin on {:#x}: real span id {} but spec says {span_id}",
-                                ctx.trace_id, p.span_id
-                            ));
-                        }
-                        state.pendings[thread].push((p, ctx.trace_id, idx, span_id));
-                    }
-                    (None, None) => {}
-                    (real, model) => {
-                        return Err(format!(
-                            "begin on {:#x}: real {} but spec says {}",
-                            ctx.trace_id,
-                            real.is_some(),
-                            model.is_some()
-                        ));
-                    }
+                agree(
+                    format_args!("begin on {:#x}: span id", ctx.trace_id),
+                    real.map(|p| p.span_id),
+                    model.map(|(span_id, _)| span_id),
+                )?;
+                if let (Some(p), Some((span_id, idx))) = (real, model) {
+                    state.pendings[thread].push((p, ctx.trace_id, idx, span_id));
                 }
             }
             TraceOp::Commit(k) => {
@@ -1214,230 +1056,151 @@ impl Scenario for TraceScenario {
                 let model = state
                     .model
                     .commit(trace_id, idx, span_id, dur, "k", k as u64);
-                if real != model {
-                    return Err(format!(
-                        "commit span {span_id} of {trace_id:#x}: real {real} but spec says {model}"
-                    ));
-                }
+                agree(
+                    format_args!("commit span {span_id} of {trace_id:#x}"),
+                    real,
+                    model,
+                )?;
             }
             TraceOp::Record(owner) => {
-                let ctx = self.owner_ctx(state, owner);
+                let ctx = state.owner_ctx(owner);
                 let dur = 7 * (owner as u64 + 1);
-                let real = state
-                    .real
-                    .record(ctx, "mc_record", dur, "owner", owner as u64);
-                let model =
-                    state
-                        .model
-                        .record(ctx.trace_id, 0, "mc_record", dur, "owner", owner as u64);
-                if real != model {
-                    return Err(format!(
-                        "record on {:#x}: real {real:?} but spec says {model:?}",
-                        ctx.trace_id
-                    ));
-                }
+                let v = owner as u64;
+                let real = state.real.record(ctx, "mc_record", dur, "owner", v);
+                let model = state
+                    .model
+                    .record(ctx.trace_id, 0, "mc_record", dur, "owner", v);
+                agree(format_args!("record on {:#x}", ctx.trace_id), real, model)?;
             }
             TraceOp::Finish(error) => {
-                let ctx = self.owner_ctx(state, thread);
+                let ctx = state.owner_ctx(thread);
                 let e2e = trace_e2e_for(thread, state.incarnation[thread]);
                 let real = state.real.finish(ctx, e2e, error);
-                let model = state.model.finish(ctx.trace_id);
-                match (real, model) {
-                    (Some(fin), Some((spans, dropped))) => {
-                        let got: Vec<ModelSpan> = fin
-                            .spans
-                            .iter()
-                            .map(|s| ModelSpan {
-                                span_id: s.span_id,
-                                parent: s.parent,
-                                name: s.name,
-                                dur_ns: s.dur_ns,
-                                field: s.field,
-                                value: s.value,
-                            })
-                            .collect();
-                        if got != spans {
-                            return Err(format!(
-                                "finish {:#x}: spans {got:?} but spec says {spans:?} \
-                                 (torn or lost span)",
-                                ctx.trace_id
-                            ));
-                        }
-                        if fin.dropped_spans != dropped {
-                            return Err(format!(
-                                "finish {:#x}: dropped {} but spec says {dropped}",
-                                ctx.trace_id, fin.dropped_spans
-                            ));
-                        }
-                        state.sampler.offer(fin);
-                        state.smodel.offer(e2e, error);
-                        let got: Vec<u64> = state
-                            .sampler
-                            .snapshot()
-                            .iter()
-                            .map(|r| r.offer_seq)
-                            .collect();
-                        let want = state.smodel.expected();
-                        if got != want {
-                            return Err(format!("sampler snapshot {got:?} but spec says {want:?}"));
-                        }
-                    }
-                    (None, None) => {}
-                    (real, model) => {
-                        return Err(format!(
-                            "finish {:#x}: real {} but spec says {}",
-                            ctx.trace_id,
-                            real.is_some(),
-                            model.is_some()
-                        ));
-                    }
+                let spans = real.as_ref().map(|fin| {
+                    let spans = fin.spans.iter().map(|s| ModelSpan {
+                        span_id: s.span_id,
+                        parent: s.parent,
+                        name: s.name,
+                        dur_ns: s.dur_ns,
+                        field: s.field,
+                        value: s.value,
+                    });
+                    (spans.collect::<Vec<_>>(), fin.dropped_spans)
+                });
+                agree(
+                    format_args!(
+                        "finish {:#x}: (spans, dropped) — torn or lost",
+                        ctx.trace_id
+                    ),
+                    spans,
+                    state.model.finish(ctx.trace_id),
+                )?;
+                if let Some(fin) = real {
+                    state.sampler.offer(fin);
+                    state.smodel.offer(e2e, error);
+                    let snapshot = state.sampler.snapshot();
+                    let kept: Vec<u64> = snapshot.iter().map(|r| r.offer_seq).collect();
+                    agree("sampler snapshot", kept, state.smodel.expected())?;
                 }
                 state.incarnation[thread] += 1;
             }
         }
         // Slot bookkeeping must agree after every step — a leaked slot
         // here is a slow arena-exhaustion leak in production.
-        if state.real.in_flight() != state.model.in_flight() {
-            return Err(format!(
-                "in_flight {} after {op:?} but spec says {}",
-                state.real.in_flight(),
-                state.model.in_flight()
-            ));
-        }
-        Ok(())
+        let (real, model) = (state.real.in_flight(), state.model.in_flight());
+        agree(format_args!("in_flight after {op:?}"), real, model)
     }
 
     fn finish(&self, state: &mut TraceState) -> Result<(), String> {
         // Drain: every still-live trace must finish exactly once, with
         // real and spec agreeing on liveness; afterwards the arena must
         // be empty and the sampler must sit at the model's fixed point.
-        for thread in 0..self.scripts.len() {
+        for thread in 0..state.incarnation.len() {
             for inc in 0..=state.incarnation[thread] {
-                let id = trace_id_for(thread, inc);
+                let trace_id = trace_id_for(thread, inc);
                 let ctx = TraceCtx {
-                    trace_id: id,
+                    trace_id,
                     span_id: 0,
                 };
-                let real = state.real.finish(ctx, 1, false);
-                let model = state.model.finish(id);
-                if real.is_some() != model.is_some() {
-                    return Err(format!(
-                        "drain finish {id:#x}: real {} but spec says {}",
-                        real.is_some(),
-                        model.is_some()
-                    ));
-                }
+                let real = state.real.finish(ctx, 1, false).is_some();
+                let model = state.model.finish(trace_id).is_some();
+                agree(format_args!("drain finish {trace_id:#x}"), real, model)?;
             }
         }
-        if state.real.in_flight() != 0 {
-            return Err(format!(
-                "{} trace slot(s) leaked after drain",
-                state.real.in_flight()
-            ));
-        }
-        if state.sampler.offers() != state.smodel.offers() {
-            return Err(format!(
-                "sampler offers {} but spec says {}",
-                state.sampler.offers(),
-                state.smodel.offers()
-            ));
-        }
-        Ok(())
+        agree(
+            "trace slots in flight after drain",
+            state.real.in_flight(),
+            0,
+        )?;
+        agree(
+            "sampler offers",
+            state.sampler.offers(),
+            state.smodel.offers(),
+        )
     }
 }
 
-/// Run the trace arena + tail sampler suite at the given budget.
-///
-/// Every op hits the one shared arena (and the per-step checks read
-/// all of it), so the default fully-dependent footprint is honest and
-/// DPOR degenerates to DFS here.
-pub fn trace_suite(budget: Budget, ex: &mut Explorer) {
+/// The trace arena + tail sampler suite.
+pub fn trace_rows() -> Vec<Row<Trace>> {
     use TraceOp::*;
-
-    // Three requests over a 2-slot arena with colliding home slots:
-    // admission races, span-budget drops (thread 2 begins three spans
-    // against a budget of 2), and an errored finish all interleave
-    // (90090 interleavings for (4,4,5) exhaustively).
-    let contention = TraceScenario {
+    let arena = Trace {
         capacity: 2,
         spans_per_trace: 2,
         sampler: (2, 2, 4),
-        scripts: vec![
-            vec![Start, Begin(0), Commit(0), Finish(false)],
-            vec![Start, Record(1), Record(1), Finish(true)],
-            vec![Start, Record(2), Record(2), Record(2), Finish(false)],
-        ],
     };
-    // The laggard shape on a 1-slot arena: thread 1 begins a span on
-    // thread 0's trace; depending on the schedule, thread 0 finishes
-    // first and thread 1's own trace re-claims the slot — the laggard
-    // commit must never land in the successor trace.
-    let laggard = TraceScenario {
-        capacity: 1,
-        spans_per_trace: 2,
-        sampler: (1, 1, 2),
-        scripts: vec![
-            vec![Start, Finish(false)],
-            vec![Begin(0), Start, Commit(0), Finish(true)],
-        ],
-    };
-    match budget {
-        Budget::Full => {
-            ex.exhaustive(&contention);
-            ex.exhaustive(&laggard);
-        }
-        Budget::Small => {
-            ex.random(&contention, 150, 47);
-            ex.exhaustive(&laggard);
-        }
-    }
-
-    // Incarnation churn, randomly scheduled: three threads each running
-    // two traced requests back-to-back, recording into each other's
-    // traces, with enough finishes to roll the sampler window.
-    let churn = TraceScenario {
-        capacity: 2,
-        spans_per_trace: 2,
-        sampler: (2, 2, 4),
-        scripts: (0..3)
-            .map(|t| {
-                vec![
-                    Start,
-                    Record(t),
-                    Finish(t == 1),
-                    Start,
-                    Record((t + 1) % 3),
-                    Finish(t == 2),
-                ]
-            })
-            .collect(),
-    };
-    let trials = match budget {
-        Budget::Full => 4000,
-        Budget::Small => 250,
-    };
-    ex.random(&churn, trials, 0x17ACE);
-}
-
-/// Run every suite under `mode`, returning `(suite name, stats)` per
-/// suite.
-pub fn run_all(budget: Budget, mode: Mode) -> Vec<(&'static str, SuiteStats)> {
-    fn run(
-        name: &'static str,
-        budget: Budget,
-        mode: Mode,
-        suite: fn(Budget, &mut Explorer),
-    ) -> (&'static str, SuiteStats) {
-        let mut ex = Explorer::new(mode);
-        suite(budget, &mut ex);
-        (name, ex.stats)
-    }
     vec![
-        run("lanes", budget, mode, lane_suite),
-        run("quota", budget, mode, quota_suite),
-        run("cache", budget, mode, cache_suite),
-        run("registry", budget, mode, registry_suite),
-        run("trace", budget, mode, trace_suite),
+        // Three requests over a 2-slot arena with colliding home slots:
+        // admission races, span-budget drops (thread 2 records three
+        // spans against a budget of 2), and an errored finish all
+        // interleave (90090 interleavings for (4,4,5)).
+        row(
+            arena,
+            EXH,
+            random(150, 47),
+            vec![
+                vec![Start, Begin(0), Commit(0), Finish(false)],
+                vec![Start, Record(1), Record(1), Finish(true)],
+                vec![Start, Record(2), Record(2), Record(2), Finish(false)],
+            ],
+        ),
+        // The laggard shape on a 1-slot arena: thread 1 begins a span on
+        // thread 0's trace; depending on the schedule, thread 0 finishes
+        // first and thread 1's own trace re-claims the slot — the laggard
+        // commit must never land in the successor trace.
+        row(
+            Trace {
+                capacity: 1,
+                spans_per_trace: 2,
+                sampler: (1, 1, 2),
+            },
+            EXH,
+            EXH,
+            vec![
+                vec![Start, Finish(false)],
+                vec![Begin(0), Start, Commit(0), Finish(true)],
+            ],
+        ),
+        // Incarnation churn: three threads each running two traced
+        // requests back-to-back, recording into each other's traces,
+        // with enough finishes to roll the sampler window.
+        row(
+            arena,
+            random(4000, 0x17ACE),
+            random(250, 0x17ACE),
+            (0..3)
+                .map(|t| {
+                    let (a, b) = (t == 1, t == 2);
+                    vec![
+                        Start,
+                        Record(t),
+                        Finish(a),
+                        Start,
+                        Record((t + 1) % 3),
+                        Finish(b),
+                    ]
+                })
+                .collect(),
+        ),
     ]
 }
 
@@ -1451,7 +1214,10 @@ mod tests {
 
     #[test]
     fn small_budget_suites_pass() {
-        for (name, stats) in run_all(Budget::Small, Mode::Dpor) {
+        // Every small-budget exhaustive row (lanes' blocking pops, both
+        // registry hot-swap shapes, the trace laggard) is cross-checked
+        // against DFS here too.
+        for (name, stats) in run_all(Budget::Small) {
             assert!(
                 stats.violations.is_empty(),
                 "{name}: {:?}",
@@ -1470,67 +1236,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dfs_and_dpor_agree_on_the_quota_footprints() {
-        // A small exhaustive space where the per-tenant footprints do
-        // real commuting: Compare cross-checks the DPOR reduction
-        // against full DFS — verdicts and covered counts must match.
-        let take = |tenant, now_ns| QuotaOp { tenant, now_ns };
-        let ms = 1_000_000u64;
-        let racing = QuotaScenario {
-            cfg: QuotaConfig {
-                rate_per_sec: 100,
-                burst: 1,
-            },
-            scripts: vec![
-                vec![take(1, 0), take(1, 5 * ms), take(2, 10 * ms)],
-                vec![take(2, 0), take(1, 3 * ms), take(2, 7 * ms)],
-            ],
+    /// A script exhaustively explored, DFS and DPOR cross-checked.
+    fn explore<S: Subject>(real: S, spec: S, threads: Vec<Vec<S::Op>>) -> SuiteStats {
+        let mut stats = SuiteStats::default();
+        let script = Script {
+            real,
+            spec,
+            threads,
         };
-        let mut ex = Explorer::new(Mode::Compare);
-        ex.exhaustive(&racing);
-        assert!(ex.stats.mismatches.is_empty(), "{:?}", ex.stats.mismatches);
-        assert!(ex.stats.violations.is_empty(), "{:?}", ex.stats.violations);
-        assert!(
-            ex.stats.exh_explored < ex.stats.exh_covered,
-            "tenant footprints should commute somewhere ({} of {})",
-            ex.stats.exh_explored,
-            ex.stats.exh_covered
-        );
+        stats.explore(&script, Plan::Exhaustive);
+        stats
     }
 
     #[test]
-    fn dfs_and_dpor_agree_on_the_registry_footprints() {
-        use RegistryOp::*;
-        let hot_swap = RegistryScenario::new(
-            &["a", "b"],
+    fn dfs_and_dpor_agree_on_the_quota_footprints() {
+        // A small exhaustive space where the per-tenant footprints do
+        // real commuting: the cross-check holds DPOR's reduction to full
+        // DFS — verdicts and covered counts must match.
+        let stats = explore(
+            quota(100, 1),
+            quota(100, 1),
             vec![
-                vec![Activate(0), Activate(1)],
-                vec![Shared, UseHeld, Shared],
-                vec![Shared, UseHeld],
+                vec![take(1, 0), take(1, 5 * MS), take(2, 10 * MS)],
+                vec![take(2, 0), take(1, 3 * MS), take(2, 7 * MS)],
             ],
         );
-        let mut ex = Explorer::new(Mode::Compare);
-        ex.exhaustive(&hot_swap);
-        assert!(ex.stats.mismatches.is_empty(), "{:?}", ex.stats.mismatches);
-        assert!(ex.stats.violations.is_empty(), "{:?}", ex.stats.violations);
+        assert!(stats.mismatches.is_empty(), "{:?}", stats.mismatches);
+        assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+        assert!(
+            stats.exh_explored < stats.exh_covered,
+            "tenant footprints should commute somewhere ({} of {})",
+            stats.exh_explored,
+            stats.exh_covered
+        );
     }
 
     #[test]
     fn dpor_reduces_the_deep_lane_burst_at_least_five_fold() {
-        use LaneOp::*;
-        // Same shape as lane_suite's `deep` scenario: two commuting
-        // burst producers against one popper.
-        let deep = LaneScenario {
-            capacity: 4,
-            weights: [8, 4, 1],
-            scripts: vec![
-                vec![Push(0, 1), Push(0, 2), Push(0, 3), Push(0, 4)],
-                vec![Push(2, 21), Push(2, 22), Push(2, 23), Push(2, 24)],
-                vec![TryPop, TryPopBatch(2), TryPop],
-            ],
-        };
-        let d = explore_dpor(&deep);
+        // The lane suite's largest exhaustive row: two commuting burst
+        // producers against one popper.
+        let rows = lane_rows();
+        let deep = rows
+            .iter()
+            .filter(|row| row.1 == Plan::Exhaustive)
+            .map(|row| &row.0)
+            .max_by_key(|script| interleaving_count(&script.thread_ops()));
+        let d = explore_dpor(deep.expect("the lane suite has exhaustive rows"));
         assert!(d.result.violations.is_empty(), "{:?}", d.result.violations);
         assert_eq!(d.covered, interleaving_count(&[4, 4, 3]));
         assert!(
@@ -1539,6 +1290,58 @@ mod tests {
             d.result.interleavings,
             d.covered
         );
+    }
+
+    #[test]
+    fn oracles_catch_the_seeded_bugs() {
+        use LaneOp::*;
+        use TraceOp::*;
+        // Each script runs a real primitive configured unlike its spec;
+        // DFS and DPOR must both catch it.
+        let caught = |stats: SuiteStats, bug: &str| {
+            assert!(!stats.violations.is_empty(), "seeded {bug} must be caught");
+            assert!(stats.mismatches.is_empty(), "{bug}: {:?}", stats.mismatches);
+        };
+        // Real weights favor bulk; the spec expects [4, 2, 1]. Some pop's
+        // lane choice diverges, at the latest at drain time.
+        let pushes = vec![
+            vec![Push(0, 1), Push(0, 2), Push(0, 3)],
+            vec![Push(2, 10), Push(2, 11), Push(2, 12)],
+        ];
+        caught(
+            explore(lanes(8, [1, 1, 4]), lanes(8, [4, 2, 1]), pushes),
+            "lane weights",
+        );
+        // Real lanes one slot smaller than the spec believes.
+        let script = vec![vec![Push(0, 1), Push(0, 2)], vec![TryPop]];
+        caught(
+            explore(lanes(1, [8, 4, 1]), lanes(2, [8, 4, 1]), script),
+            "lane capacity",
+        );
+        // A real table admitting at double the spec's rate: 100/s is one
+        // token per 10 ms, so at 2× the 5 ms take after exhaustion is
+        // wrongly admitted.
+        let takes = vec![vec![take(1, 0), take(1, 5 * MS), take(1, 10 * MS)]];
+        caught(
+            explore(quota(200, 1), quota(100, 1), takes),
+            "double-rate quota",
+        );
+        // A real arena one slot smaller than the spec believes diverges
+        // on some start's admission decision.
+        let spec = Trace {
+            capacity: 2,
+            spans_per_trace: 2,
+            sampler: (2, 2, 4),
+        };
+        let real = Trace {
+            capacity: 1,
+            ..spec
+        };
+        let traces = vec![
+            vec![Start, Record(0), Finish(false)],
+            vec![Start, Record(1), Finish(false)],
+        ];
+        caught(explore(real, spec, traces), "undersized trace arena");
     }
 
     /// Deliberately racy: both threads write shared location `1`, but
@@ -1641,180 +1444,6 @@ mod tests {
                 .any(|v| v.message.contains("lock-order inversion")),
             "DPOR must catch the same inversion: {:?}",
             d.result.violations
-        );
-    }
-
-    #[test]
-    fn oracle_catches_a_seeded_trace_arena_size_bug() {
-        // A real arena one slot smaller than the spec believes must
-        // diverge on some start's admission decision.
-        struct Buggy(TraceScenario);
-        impl Scenario for Buggy {
-            type State = TraceState;
-            fn name(&self) -> &'static str {
-                "buggy-trace"
-            }
-            fn thread_ops(&self) -> Vec<usize> {
-                self.0.thread_ops()
-            }
-            fn init(&self) -> TraceState {
-                let mut s = self.0.init();
-                s.real = TraceArena::with_capacity(1, self.0.spans_per_trace);
-                s
-            }
-            fn step(&self, s: &mut TraceState, t: usize, o: usize) -> Result<(), String> {
-                self.0.step(s, t, o)
-            }
-            fn finish(&self, s: &mut TraceState) -> Result<(), String> {
-                self.0.finish(s)
-            }
-        }
-        use TraceOp::*;
-        let buggy = Buggy(TraceScenario {
-            capacity: 2,
-            spans_per_trace: 2,
-            sampler: (2, 2, 4),
-            scripts: vec![
-                vec![Start, Record(0), Finish(false)],
-                vec![Start, Record(1), Finish(false)],
-            ],
-        });
-        let r = explore_exhaustive(&buggy);
-        assert!(
-            !r.violations.is_empty(),
-            "seeded undersized arena must be caught"
-        );
-    }
-
-    #[test]
-    fn oracle_catches_a_seeded_lane_weight_bug() {
-        // A real queue configured with different weights than the spec
-        // believes must diverge on some pop's lane choice.
-        struct Buggy(LaneScenario);
-        impl Scenario for Buggy {
-            type State = LaneState;
-            fn name(&self) -> &'static str {
-                "buggy-lanes"
-            }
-            fn thread_ops(&self) -> Vec<usize> {
-                self.0.thread_ops()
-            }
-            fn init(&self) -> LaneState {
-                LaneState {
-                    // Real weights favor bulk; the spec expects [4,2,1].
-                    real: LaneQueue::new(self.0.capacity, [1, 1, 4]),
-                    model: PriorityQueueModel::new(self.0.capacity, [4, 2, 1]),
-                }
-            }
-            fn step(&self, s: &mut LaneState, t: usize, o: usize) -> Result<(), String> {
-                self.0.step(s, t, o)
-            }
-            fn finish(&self, s: &mut LaneState) -> Result<(), String> {
-                self.0.finish(s)
-            }
-        }
-        use LaneOp::*;
-        let buggy = Buggy(LaneScenario {
-            capacity: 8,
-            weights: [4, 2, 1],
-            scripts: vec![
-                vec![Push(0, 1), Push(0, 2), Push(0, 3)],
-                vec![Push(2, 10), Push(2, 11), Push(2, 12)],
-            ],
-        });
-        let r = explore_exhaustive(&buggy);
-        assert!(
-            !r.violations.is_empty(),
-            "seeded weight mismatch must be caught at drain time"
-        );
-    }
-
-    #[test]
-    fn oracle_catches_a_seeded_quota_bug() {
-        // A real table admitting at double the spec's rate must diverge.
-        struct Buggy(QuotaScenario);
-        impl Scenario for Buggy {
-            type State = QuotaState;
-            fn name(&self) -> &'static str {
-                "buggy-quota"
-            }
-            fn thread_ops(&self) -> Vec<usize> {
-                self.0.thread_ops()
-            }
-            fn init(&self) -> QuotaState {
-                QuotaState {
-                    real: QuotaTable::new(QuotaConfig {
-                        rate_per_sec: self.0.cfg.rate_per_sec * 2,
-                        burst: self.0.cfg.burst,
-                    }),
-                    model: std::collections::HashMap::new(),
-                }
-            }
-            fn step(&self, s: &mut QuotaState, t: usize, o: usize) -> Result<(), String> {
-                self.0.step(s, t, o)
-            }
-            fn finish(&self, s: &mut QuotaState) -> Result<(), String> {
-                self.0.finish(s)
-            }
-        }
-        let take = |tenant, now_ns| QuotaOp { tenant, now_ns };
-        let buggy = Buggy(QuotaScenario {
-            cfg: QuotaConfig {
-                rate_per_sec: 100,
-                burst: 1,
-            },
-            scripts: vec![
-                // 100/s = one token per 10 ms; at 2× rate the 5 ms take
-                // after exhaustion is wrongly admitted.
-                vec![take(1, 0), take(1, 5_000_000), take(1, 10_000_000)],
-            ],
-        });
-        let r = explore_exhaustive(&buggy);
-        assert!(
-            !r.violations.is_empty(),
-            "seeded double-rate table must be caught"
-        );
-    }
-
-    #[test]
-    fn oracle_catches_a_seeded_queue_bug() {
-        // Sanity that the harness *can* fail: a wrong-capacity shadow
-        // model must diverge from the real lane queue.
-        struct Buggy(LaneScenario);
-        impl Scenario for Buggy {
-            type State = LaneState;
-            fn name(&self) -> &'static str {
-                "buggy"
-            }
-            fn thread_ops(&self) -> Vec<usize> {
-                self.0.thread_ops()
-            }
-            fn init(&self) -> LaneState {
-                // Real lanes one slot smaller than the model believes.
-                LaneState {
-                    real: LaneQueue::new(1, self.0.weights),
-                    model: PriorityQueueModel::new(2, self.0.weights),
-                }
-            }
-            fn step(&self, s: &mut LaneState, t: usize, o: usize) -> Result<(), String> {
-                self.0.step(s, t, o)
-            }
-            fn finish(&self, s: &mut LaneState) -> Result<(), String> {
-                self.0.finish(s)
-            }
-        }
-        let buggy = Buggy(LaneScenario {
-            capacity: 1,
-            weights: [8, 4, 1],
-            scripts: vec![
-                vec![LaneOp::Push(0, 1), LaneOp::Push(0, 2)],
-                vec![LaneOp::TryPop],
-            ],
-        });
-        let r = explore_exhaustive(&buggy);
-        assert!(
-            !r.violations.is_empty(),
-            "seeded capacity bug must be caught"
         );
     }
 }

@@ -18,6 +18,19 @@
 //! [`surfnet`] provides the uniform-SR baseline and [`memory`] the
 //! activation-memory model used for the paper's Figure 1 and Table 2.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod checkpoint;
 pub mod decoder;
 pub mod engine;

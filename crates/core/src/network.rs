@@ -176,6 +176,10 @@ impl AdarNet {
     pub fn plan(&mut self, x: &Tensor<f32>) -> ForwardPlan {
         match self.try_plan(x) {
             Ok(plan) => plan,
+            #[expect(
+                clippy::panic,
+                reason = "the infallible adapter over a typed error: its callers feed fields they synthesized themselves, so an error here is a bug to stop on, not a condition to handle; serving goes through the try_ variant"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -332,13 +336,18 @@ impl FrozenAdarNet {
             patches[i] = Some(p);
         }
         plan.aug.recycle();
+        #[expect(
+            clippy::expect_used,
+            reason = "post-condition of the per-bin assembly loop directly above: every patch index is written exactly once before the take(); structurally unreachable"
+        )]
+        let patches = patches
+            .into_iter()
+            .map(|p| p.expect("per-bin loops fill every patch"))
+            .collect();
         Prediction {
             layout: plan.layout,
             binning: plan.binning,
-            patches: patches
-                .into_iter()
-                .map(|p| p.expect("per-bin loops fill every patch"))
-                .collect(),
+            patches,
             scores: plan.scores,
         }
     }

@@ -171,12 +171,21 @@ pub struct LockGuard<'a, T> {
     id: usize,
 }
 
+/// The `None` arm of every access to a [`LockGuard`]'s inner guard.
+#[expect(
+    clippy::unreachable,
+    reason = "the Option inside LockGuard is vacated only by wait()/wait_timeout(), which consume the guard by value and hand back a re-filled one; no caller can deref or drop-release a vacated guard"
+)]
+fn vacated() -> ! {
+    unreachable!("lock guard vacated by wait")
+}
+
 impl<T> std::ops::Deref for LockGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         match &self.inner {
             Some(g) => g,
-            None => unreachable!("lock guard vacated by wait"),
+            None => vacated(),
         }
     }
 }
@@ -185,7 +194,7 @@ impl<T> std::ops::DerefMut for LockGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
-            None => unreachable!("lock guard vacated by wait"),
+            None => vacated(),
         }
     }
 }
@@ -284,7 +293,7 @@ pub fn wait<'a, T>(cv: &Condvar, mut guard: LockGuard<'a, T>) -> LockGuard<'a, T
     let id = guard.id;
     let inner = match guard.inner.take() {
         Some(g) => g,
-        None => unreachable!("lock guard vacated by wait"),
+        None => vacated(),
     };
     drop(guard); // vacated: emits no Release
     trace::wait(id);
@@ -307,7 +316,7 @@ pub fn wait_timeout<'a, T>(
     let id = guard.id;
     let inner = match guard.inner.take() {
         Some(g) => g,
-        None => unreachable!("lock guard vacated by wait"),
+        None => vacated(),
     };
     drop(guard); // vacated: emits no Release
     trace::wait(id);

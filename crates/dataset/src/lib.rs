@@ -10,6 +10,19 @@
 //! * [`solver_gen`] — full-fidelity samples through the
 //!   [`adarnet_cfd`] solver (the paper's actual path; slow).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod cases;
 pub mod generator;
 pub mod io;

@@ -27,6 +27,19 @@
 //!   serving `/metrics` (exposition text), `/traces` (tail-sampled
 //!   span trees as JSON), and `/health` over the same framing.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod admin;
 pub mod client;
 pub mod frame;

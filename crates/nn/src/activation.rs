@@ -116,6 +116,10 @@ impl Layer for Activation {
         Box::new(FrozenActivation { kind: self.kind })
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "backward-before-forward is an API-contract violation by the caller (programmer error), not a data error"
+    )]
     fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
         let x = self
             .cached_input

@@ -133,6 +133,10 @@ impl Layer for Conv2d {
         y
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "backward-before-forward is an API-contract violation by the caller (programmer error), not a data error"
+    )]
     fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
         let x = self
             .cached_input

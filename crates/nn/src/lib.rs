@@ -16,6 +16,19 @@
 //!
 //! All activations are `f32` NCHW [`adarnet_tensor::Tensor`]s.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod activation;
 pub mod bicubic;
 pub mod conv;

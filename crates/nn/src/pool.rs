@@ -75,6 +75,10 @@ impl Layer for MaxPool2d {
         self.device = device;
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "backward-before-forward is an API-contract violation by the caller (programmer error), not a data error"
+    )]
     fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
         let argmax = self
             .cached_argmax
@@ -170,6 +174,10 @@ impl Layer for AvgPool2d {
         self.device = device;
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "backward-before-forward is an API-contract violation by the caller (programmer error), not a data error"
+    )]
     fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
         let in_shape = self
             .cached_in_shape

@@ -65,6 +65,10 @@ impl Layer for SpatialSoftmax {
         self.device = device;
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "backward-before-forward is an API-contract violation by the caller (programmer error), not a data error"
+    )]
     fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
         let y = self
             .cached_output

@@ -28,6 +28,19 @@
 //! instrumented `infer_batch` must stay within 3% of the
 //! uninstrumented run.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod metrics;
 pub mod names;
 pub mod span;

@@ -141,13 +141,18 @@ pub fn infer_cached(
                 binning,
             } = plan;
             aug.recycle();
+            #[expect(
+                clippy::expect_used,
+                reason = "post-condition of the per-bin assembly loop directly above: every patch index is written exactly once before the take(); structurally unreachable"
+            )]
+            let patches = patches
+                .into_iter()
+                .map(|p| p.expect("per-bin loops fill every patch"))
+                .collect();
             Prediction {
                 layout,
                 binning,
-                patches: patches
-                    .into_iter()
-                    .map(|p| p.expect("per-bin loops fill every patch"))
-                    .collect(),
+                patches,
                 scores,
             }
         })

@@ -34,6 +34,19 @@
 //!   throughput and per-lane p50/p95/p99 latency (the `serve` and
 //!   `net-serve bench` bins write `BENCH_serve.json`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 // `ledger/src/workloads/mod.rs` imports `PRECISION_COUNT` from here;
 // the wire crate takes `Precision` from here too.
 pub use adarnet_core::{Precision, PRECISION_COUNT};

@@ -154,6 +154,10 @@ pub fn run_closed_loop<T: Transport>(
                 }));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "benchmark harness join(): a panicked load-generator thread must propagate, not be silently dropped from the latency sample"
+        )]
         for h in handles {
             samples.extend(h.join().expect("client thread panicked"));
         }

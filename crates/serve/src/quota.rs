@@ -25,21 +25,35 @@ const NANO: u64 = 1_000_000_000;
 
 /// Distinct tenant ids given a bucket (and, in the server, a counter
 /// set) of their own. Tenant ids come off the wire, so per-tenant state
-/// must not grow with the ids a peer invents: ids first seen after this
-/// many share one overflow bucket and one overflow counter set.
+/// must not grow with the ids a peer invents: past this many, a new id
+/// shares one overflow bucket and one overflow counter set.
 ///
-/// Known limitation (ROADMAP item 4): a slot is never given back, so a
-/// peer cycling this many junk ids leaves every later tenant on the
-/// overflow bucket's one `rate_per_sec`/`burst` for the life of the
-/// process. The quota table (per server) and the tenant counters
-/// (process-wide) fill independently: near the cap a tenant can hold
-/// its own bucket yet count into `serve_tenant_overflow_*`, or the reverse.
+/// The quota table gives a slot back: at the cap, a new tenant takes
+/// the slot of a bucket that has refilled to `burst`, which is the
+/// state a fresh bucket starts in. That changes no admit/deny decision
+/// under a monotonic clock only if a full bucket is found when an
+/// evicted tenant returns; if none is, the returning tenant draws from
+/// the shared overflow bucket, which it never would have had it kept
+/// its slot. The tenant counters never give a slot back, because a
+/// metric name, once registered, is permanent: a peer cycling this many
+/// junk ids leaves every later tenant counting into
+/// `serve_tenant_overflow_*` for the life of the process. The two maps
+/// therefore fill independently: near the cap a tenant can hold its own
+/// bucket yet count into the overflow set.
 pub const MAX_TRACKED_TENANTS: usize = 1024;
 
-/// Per-tenant values under that cap: one `V` each for the first
-/// [`MAX_TRACKED_TENANTS`] tenants seen, one shared `V` for the rest.
+/// Tracked values one [`TenantMap::evict`] call inspects, so a request
+/// from an untracked tenant at the cap costs a bounded search.
+const EVICT_PROBES: usize = 8;
+
+/// Per-tenant values under that cap: one `V` each for up to
+/// [`MAX_TRACKED_TENANTS`] tenants, one shared `V` for the rest.
 pub(crate) struct TenantMap<V> {
     tracked: HashMap<u64, V>,
+    /// The keys of `tracked`, in the order [`TenantMap::evict`] sweeps.
+    ids: Vec<u64>,
+    /// Where the next sweep resumes in `ids`.
+    cursor: usize,
     overflow: Option<V>,
 }
 
@@ -47,6 +61,8 @@ impl<V> Default for TenantMap<V> {
     fn default() -> Self {
         TenantMap {
             tracked: HashMap::new(),
+            ids: Vec::new(),
+            cursor: 0,
             overflow: None,
         }
     }
@@ -59,8 +75,31 @@ impl<V> TenantMap<V> {
         let room = self.tracked.len() < MAX_TRACKED_TENANTS;
         match self.tracked.entry(tenant) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) if room => e.insert(fresh(Some(tenant))),
+            Entry::Vacant(e) if room => {
+                self.ids.push(tenant);
+                e.insert(fresh(Some(tenant)))
+            }
             Entry::Vacant(_) => self.overflow.get_or_insert_with(|| fresh(None)),
+        }
+    }
+
+    /// At the cap, with `tenant` untracked, drop the first tracked value
+    /// `spare` accepts among the next [`EVICT_PROBES`] of a sweep that
+    /// resumes where the last call stopped, so that the following
+    /// [`TenantMap::slot`] gives `tenant` the freed slot.
+    pub(crate) fn evict(&mut self, tenant: u64, spare: impl Fn(&V) -> bool) {
+        if self.tracked.len() < MAX_TRACKED_TENANTS || self.tracked.contains_key(&tenant) {
+            return;
+        }
+        for _ in 0..EVICT_PROBES.min(self.ids.len()) {
+            self.cursor %= self.ids.len();
+            let id = self.ids[self.cursor];
+            if self.tracked.get(&id).is_some_and(&spare) {
+                self.tracked.remove(&id);
+                self.ids.swap_remove(self.cursor);
+                return;
+            }
+            self.cursor += 1;
         }
     }
 }
@@ -129,6 +168,15 @@ impl TokenBucket {
         }
     }
 
+    /// Whether the bucket has refilled to `burst` by `now_ns`: the state
+    /// a fresh bucket starts in.
+    fn full_at(&self, now_ns: u64) -> bool {
+        let elapsed = now_ns.saturating_sub(self.last_ns) as u128;
+        let fill = (self.tokens_nano as u128)
+            .saturating_add(elapsed.saturating_mul(self.cfg.rate_per_sec as u128));
+        fill >= self.cfg.burst as u128 * NANO as u128
+    }
+
     /// Current fill in whole tokens (diagnostic).
     pub fn available(&self) -> u64 {
         self.tokens_nano / NANO
@@ -143,9 +191,10 @@ impl TokenBucket {
 /// Lazily-populated map of tenant id → bucket, sharing one
 /// [`QuotaConfig`] (per-tenant overrides can layer on later without a
 /// wire change — the frame already carries the tenant id). A tenant's
-/// bucket is created full on first sight, for the first
-/// [`MAX_TRACKED_TENANTS`] tenants; later ones draw from one shared
-/// overflow bucket.
+/// bucket is created full on first sight, for up to
+/// [`MAX_TRACKED_TENANTS`] tenants at a time; at the cap a new tenant
+/// replaces one whose bucket a bounded sweep finds full again, or else
+/// draws from one shared overflow bucket.
 pub struct QuotaTable {
     cfg: QuotaConfig,
     epoch: Instant,
@@ -171,7 +220,9 @@ impl QuotaTable {
 
     /// Clock-explicit variant (tests and the model checker).
     pub fn try_take_at(&self, tenant: u64, now_ns: u64) -> bool {
-        sync::lock(&self.buckets)
+        let mut buckets = sync::lock(&self.buckets);
+        buckets.evict(tenant, |b| b.full_at(now_ns));
+        buckets
             .slot(tenant, |_| TokenBucket::new(self.cfg, now_ns))
             .try_take(now_ns)
     }
@@ -283,5 +334,63 @@ mod tests {
         assert_eq!(admitted, MAX_TRACKED_TENANTS + 1);
         // A tracked tenant keeps its own bucket among the overflow.
         assert!(table.try_take_at(0, NANO));
+    }
+
+    #[test]
+    fn a_refilled_bucket_gives_its_slot_to_a_new_tenant() {
+        let cfg = QuotaConfig {
+            rate_per_sec: 1,
+            burst: 2,
+        };
+        let (table, cap, s) = (QuotaTable::new(cfg), MAX_TRACKED_TENANTS as u64, NANO);
+        let tracked = |t| sync::lock(&table.buckets).tracked.contains_key(&t);
+        // At t=0 tenants 0..cap fill the cap and each spends its whole
+        // burst; nothing is full, so tenant `cap` draws the overflow burst.
+        for t in 0..=cap {
+            assert!(table.try_take_at(t, 0) && table.try_take_at(t, 0));
+        }
+        let mut twin = TokenBucket::new(cfg, 0);
+        assert!(twin.try_take(0) && twin.try_take(0) && !tracked(cap));
+        // At t=2s every bucket is full again: a new tenant gets its own.
+        assert!(table.try_take_at(cap + 1, 2 * s) && tracked(cap + 1));
+        assert_eq!(table.tenants(), MAX_TRACKED_TENANTS);
+        // The evicted tenant returns while other buckets are full, and
+        // decides like its never-evicted twin.
+        let gone = (0..cap).find(|&t| !tracked(t)).unwrap();
+        for now in [2, 2, 2, 3, 6, 6, 6].map(|k| k * s) {
+            assert_eq!(table.try_take_at(gone, now), twin.try_take(now), "{now}");
+        }
+        // With no bucket full, an evicted tenant that returns is demoted
+        // to the overflow bucket, as it would not be had it kept its slot.
+        let again = (0..cap).find(|&t| !tracked(t)).unwrap();
+        for t in (0..cap + 2).filter(|&t| tracked(t)) {
+            table.try_take_at(t, 6 * s);
+        }
+        assert!(table.try_take_at(again, 6 * s) && !tracked(again));
+        assert_eq!(table.tenants(), MAX_TRACKED_TENANTS);
+    }
+
+    #[test]
+    fn eviction_probes_a_bounded_sweep() {
+        let (mut map, cap) = (TenantMap::default(), MAX_TRACKED_TENANTS as u64);
+        for t in 0..cap {
+            map.slot(t, |_| t);
+        }
+        // 10,000 untracked tenants at the cap with nothing spare: each
+        // evict inspects EVICT_PROBES slots, not the whole table.
+        let probes = std::cell::Cell::new(0);
+        for t in cap..cap + 10_000 {
+            map.evict(t, |_| {
+                probes.set(probes.get() + 1);
+                false
+            });
+        }
+        assert_eq!(probes.get(), 10_000 * EVICT_PROBES);
+        // The sweep resumes where it stopped, so it finds the one spare
+        // slot within one pass over the table.
+        for _ in 0..MAX_TRACKED_TENANTS / EVICT_PROBES {
+            map.evict(cap, |&v| v == cap - 1);
+        }
+        assert!(!map.tracked.contains_key(&(cap - 1)));
     }
 }

@@ -223,43 +223,95 @@ impl ServeStats {
     }
 }
 
-/// Internal counter cells. Increments use `Release` so that a reader
-/// who synchronized with the incrementing thread (e.g. joined it in
-/// `shutdown()`, or received its reply on a channel) observes the
-/// count under the acquire fence in [`StatsCells::snapshot`] — plain
-/// `Relaxed` loads right after shutdown-drain could legally read stale
-/// values.
-#[derive(Default)]
-struct StatsCells {
-    completed: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_inference_error: AtomicU64,
-    shed_quota: AtomicU64,
-    shed_shutdown: AtomicU64,
-    brownout_deadline: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    engine_swaps: AtomicU64,
-    completed_per_lane: [AtomicU64; 3],
+/// One server counter: a cell of [`StatsCells`] and, for all but the
+/// per-lane completions, the process-global counter mirroring it.
+#[derive(Clone, Copy)]
+enum Stat {
+    Completed,
+    ShedQueueFull,
+    ShedInferenceError,
+    ShedQuota,
+    ShedShutdown,
+    BrownoutDeadline,
+    Batches,
+    BatchedRequests,
+    EngineSwaps,
+    CompletedInteractive,
+    CompletedStandard,
+    CompletedBulk,
 }
 
+/// Number of [`Stat`]s (the last variant's index, plus one).
+const STATS: usize = Stat::CompletedBulk as usize + 1;
+
+impl Stat {
+    /// The obs counter this stat mirrors into.
+    fn mirror(self) -> Option<&'static str> {
+        Some(match self {
+            Stat::Completed => "serve_completed_total",
+            Stat::ShedQueueFull => "serve_shed_queue_full_total",
+            Stat::ShedInferenceError => "serve_shed_inference_error_total",
+            Stat::ShedQuota => "serve_shed_quota_total",
+            Stat::ShedShutdown => "serve_shed_shutdown_total",
+            Stat::BrownoutDeadline => "serve_brownout_deadline_total",
+            Stat::Batches => "serve_batches_total",
+            Stat::BatchedRequests => "serve_batched_requests_total",
+            Stat::EngineSwaps => "serve_engine_swaps_total",
+            Stat::CompletedInteractive | Stat::CompletedStandard | Stat::CompletedBulk => {
+                return None
+            }
+        })
+    }
+
+    /// Requests fully served on `lane`.
+    fn completed_on(lane: Priority) -> Stat {
+        match lane {
+            Priority::Interactive => Stat::CompletedInteractive,
+            Priority::Standard => Stat::CompletedStandard,
+            Priority::Bulk => Stat::CompletedBulk,
+        }
+    }
+}
+
+/// Internal counter cells, indexed by [`Stat`]. Increments use
+/// `Release` so that a reader who synchronized with the incrementing
+/// thread (e.g. joined it in `shutdown()`, or received its reply on a
+/// channel) observes the count under the acquire fence in
+/// [`StatsCells::snapshot`] — plain `Relaxed` loads right after
+/// shutdown-drain could legally read stale values.
+#[derive(Default)]
+struct StatsCells([AtomicU64; STATS]);
+
 impl StatsCells {
+    /// Count `n` into `stat` and its mirror: the one writer of both.
+    fn add(&self, stat: Stat, n: u64) {
+        static MIRRORS: [OnceLock<Arc<adarnet_obs::Counter>>; STATS] =
+            [const { OnceLock::new() }; STATS];
+        self.0[stat as usize].fetch_add(n, Ordering::Release);
+        if let Some(name) = stat.mirror() {
+            MIRRORS[stat as usize]
+                .get_or_init(|| adarnet_obs::registry().counter(name))
+                .add(n);
+        }
+    }
+
     fn snapshot(&self) -> ServeStats {
         fence(Ordering::Acquire);
+        let get = |stat: Stat| self.0[stat as usize].load(Ordering::Relaxed);
         ServeStats {
-            completed: self.completed.load(Ordering::Relaxed),
-            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            shed_inference_error: self.shed_inference_error.load(Ordering::Relaxed),
-            shed_quota: self.shed_quota.load(Ordering::Relaxed),
-            shed_shutdown: self.shed_shutdown.load(Ordering::Relaxed),
-            brownout_deadline: self.brownout_deadline.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            engine_swaps: self.engine_swaps.load(Ordering::Relaxed),
+            completed: get(Stat::Completed),
+            shed_queue_full: get(Stat::ShedQueueFull),
+            shed_inference_error: get(Stat::ShedInferenceError),
+            shed_quota: get(Stat::ShedQuota),
+            shed_shutdown: get(Stat::ShedShutdown),
+            brownout_deadline: get(Stat::BrownoutDeadline),
+            batches: get(Stat::Batches),
+            batched_requests: get(Stat::BatchedRequests),
+            engine_swaps: get(Stat::EngineSwaps),
             completed_per_lane: [
-                self.completed_per_lane[0].load(Ordering::Relaxed),
-                self.completed_per_lane[1].load(Ordering::Relaxed),
-                self.completed_per_lane[2].load(Ordering::Relaxed),
+                get(Stat::CompletedInteractive),
+                get(Stat::CompletedStandard),
+                get(Stat::CompletedBulk),
             ],
         }
     }
@@ -293,23 +345,16 @@ impl Shared {
     /// through here, so the typed counter bookkeeping cannot be
     /// skipped on any path.
     fn reject(&self, job: Job, kind: ResponseKind, norm: &NormStats, cfg: AdarNetConfig) {
-        let (cell, counter_name) = match kind {
-            ResponseKind::ShedQueueFull => {
-                (&self.stats.shed_queue_full, "serve_shed_queue_full_total")
-            }
-            ResponseKind::ShedInferenceError => (
-                &self.stats.shed_inference_error,
-                "serve_shed_inference_error_total",
-            ),
-            ResponseKind::ShedQuota => (&self.stats.shed_quota, "serve_shed_quota_total"),
-            ResponseKind::ShedShutdown => (&self.stats.shed_shutdown, "serve_shed_shutdown_total"),
-            ResponseKind::BrownoutDeadline | ResponseKind::Full => (
-                &self.stats.brownout_deadline,
-                "serve_brownout_deadline_total",
-            ),
-        };
-        cell.fetch_add(1, Ordering::Release);
-        adarnet_obs::registry().counter(counter_name).inc();
+        self.stats.add(
+            match kind {
+                ResponseKind::ShedQueueFull => Stat::ShedQueueFull,
+                ResponseKind::ShedInferenceError => Stat::ShedInferenceError,
+                ResponseKind::ShedQuota => Stat::ShedQuota,
+                ResponseKind::ShedShutdown => Stat::ShedShutdown,
+                ResponseKind::BrownoutDeadline | ResponseKind::Full => Stat::BrownoutDeadline,
+            },
+            1,
+        );
         count_tenant(job.tenant, TenantEvent::Reject);
         let response = ServeResponse {
             prediction: degraded_prediction(norm, cfg, &job.field),
@@ -486,11 +531,7 @@ impl Server {
         match self.submit_with(field, opts).recv() {
             Ok(response) => response,
             Err(_) => {
-                self.shared
-                    .stats
-                    .shed_inference_error
-                    .fetch_add(1, Ordering::Release);
-                adarnet_obs::counter!("serve_shed_inference_error_total").inc();
+                self.shared.stats.add(Stat::ShedInferenceError, 1);
                 let (norm, cfg) = self.shared.shed_params();
                 let response = ServeResponse {
                     prediction: degraded_prediction(&norm, cfg, &fallback),
@@ -676,20 +717,14 @@ fn worker_loop(
                     let _ = adarnet_obs::dump("hot_swap", false);
                     generation = gen;
                     engine = fresh;
-                    shared.stats.engine_swaps.fetch_add(1, Ordering::Release);
-                    adarnet_obs::counter!("serve_engine_swaps_total").inc();
+                    shared.stats.add(Stat::EngineSwaps, 1);
                 }
             }
         }
 
         let fields: Vec<Tensor<f32>> = batch.iter().map(|j| j.field.clone()).collect();
-        shared.stats.batches.fetch_add(1, Ordering::Release);
-        shared
-            .stats
-            .batched_requests
-            .fetch_add(batch.len() as u64, Ordering::Release);
-        adarnet_obs::counter!("serve_batches_total").inc();
-        adarnet_obs::counter!("serve_batched_requests_total").add(batch.len() as u64);
+        shared.stats.add(Stat::Batches, 1);
+        shared.stats.add(Stat::BatchedRequests, batch.len() as u64);
 
         // Two-phase infer spans: allocate the span id up front so the
         // per-bin decode spans inside `infer_cached` can parent under
@@ -720,13 +755,10 @@ fn worker_loop(
         }
         match inferred {
             Ok(predictions) => {
+                shared.stats.add(Stat::Completed, batch.len() as u64);
                 shared
                     .stats
-                    .completed
-                    .fetch_add(batch.len() as u64, Ordering::Release);
-                shared.stats.completed_per_lane[lane.index()]
-                    .fetch_add(batch.len() as u64, Ordering::Release);
-                adarnet_obs::counter!("serve_completed_total").add(batch.len() as u64);
+                    .add(Stat::completed_on(lane), batch.len() as u64);
                 for (job, prediction) in batch.into_iter().zip(predictions) {
                     let response = ServeResponse {
                         prediction,

@@ -16,6 +16,19 @@
 //!
 //! [NCHW]: https://docs.nvidia.com/deeplearning/performance/dl-performance-convolutional/index.html#tensor-layout
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub mod element;
 pub mod grid;
 pub mod ops;

@@ -247,7 +247,10 @@ impl AlignedBuf {
 
     /// View the buffer as a float slice.
     #[inline]
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "AlignedBuf's slice view over the Lane-array allocation it owns; this is the one place the 64-byte alignment contract for SIMD loads is implemented"
+    )]
     pub fn as_slice(&self) -> &[f32] {
         // SAFETY: `Lane` is `repr(C, align(64))` over `[f32; 16]`, so
         // `lanes` is a contiguous run of `lanes.len() * 16` initialized
@@ -258,7 +261,10 @@ impl AlignedBuf {
 
     /// View the buffer as a mutable float slice.
     #[inline]
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "AlignedBuf's mutable slice view, under the same contract as `as_slice`"
+    )]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         // SAFETY: as in `as_slice`; `&mut self` gives exclusive access.
         unsafe { std::slice::from_raw_parts_mut(self.lanes.as_mut_ptr().cast::<f32>(), self.len) }

@@ -6,6 +6,19 @@
 //! workspace-level `examples/` and `tests/` directories and re-exports the
 //! member crates for convenience.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+
 pub use adarnet_amr as amr;
 pub use adarnet_cfd as cfd;
 pub use adarnet_core as core;
