@@ -175,22 +175,24 @@ impl CompositeField {
     /// coarse neighbors interpolated up. This is the standard face-ghost
     /// fill for block-structured AMR.
     pub fn ghost_line(&self, py: usize, px: usize, side: Side) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        self.ghost_line_into(py, px, side, &mut out).then_some(out)
+    }
+
+    /// [`Self::ghost_line`] into a caller-owned buffer, which is cleared
+    /// first and keeps its capacity. Returns `false`, with `out` empty,
+    /// at a domain boundary.
+    pub fn ghost_line_into(&self, py: usize, px: usize, side: Side, out: &mut Vec<f64>) -> bool {
+        out.clear();
         let layout = self.map.layout();
-        let (ny, nx) = match side {
-            Side::ILo => (py.checked_sub(1)?, px),
-            Side::IHi => {
-                if py + 1 >= layout.npy {
-                    return None;
-                }
-                (py + 1, px)
-            }
-            Side::JLo => (py, px.checked_sub(1)?),
-            Side::JHi => {
-                if px + 1 >= layout.npx {
-                    return None;
-                }
-                (py, px + 1)
-            }
+        let neighbor = match side {
+            Side::ILo => py.checked_sub(1).map(|ny| (ny, px)),
+            Side::IHi => (py + 1 < layout.npy).then_some((py + 1, px)),
+            Side::JLo => px.checked_sub(1).map(|nx| (py, nx)),
+            Side::JHi => (px + 1 < layout.npx).then_some((py, px + 1)),
+        };
+        let Some((ny, nx)) = neighbor else {
+            return false;
         };
         let me = self.patch(py, px);
         let nb = self.patch(ny, nx);
@@ -199,7 +201,7 @@ impl CompositeField {
             Side::ILo | Side::IHi => (me.nx(), nb.nx()),
             Side::JHi | Side::JLo => (me.ny(), nb.ny()),
         };
-        let mut out = Vec::with_capacity(mine);
+        out.reserve(mine);
         for k in 0..mine {
             // Fractional position along the interface, in neighbor cells.
             let t = (k as f64 + 0.5) * theirs as f64 / mine as f64 - 0.5;
@@ -217,7 +219,7 @@ impl CompositeField {
             };
             out.push(v0 * (1.0 - frac) + v1 * frac);
         }
-        Some(out)
+        true
     }
 
     /// Resample this field onto a new refinement map of the same layout
@@ -388,6 +390,22 @@ mod tests {
         assert!(f.ghost_line(1, 1, Side::IHi).is_none());
         assert!(f.ghost_line(1, 1, Side::JHi).is_none());
         assert!(f.ghost_line(0, 0, Side::JHi).is_some());
+    }
+
+    #[test]
+    fn ghost_line_into_reuses_the_buffer() {
+        let mut f = CompositeField::zeros(&mixed_map());
+        for (k, x) in f.patch_mut(1, 0).as_mut_slice().iter_mut().enumerate() {
+            *x = k as f64;
+        }
+        let mut buf = Vec::new();
+        for (py, px) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            for side in Side::ALL {
+                let found = f.ghost_line_into(py, px, side, &mut buf);
+                assert_eq!(found.then(|| buf.clone()), f.ghost_line(py, px, side));
+                assert!(found || buf.is_empty());
+            }
+        }
     }
 
     #[test]

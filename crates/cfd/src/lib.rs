@@ -34,6 +34,7 @@ pub mod qoi;
 pub mod sa;
 pub mod solver;
 pub mod state;
+mod sweep;
 
 pub use geometry::{Body, CaseConfig, SideBc, NU};
 pub use mesh::CaseMesh;

@@ -19,15 +19,30 @@
 //!   convective, acoustic, and viscous limits;
 //! * patch sweeps are Jacobi in space (every patch updates from the old
 //!   state); ghost lines across refinement-level jumps come from
-//!   [`CompositeField::ghost_line`].
+//!   [`adarnet_amr::CompositeField::ghost_line_into`].
+//!
+//! The cell kernel and the scratch it runs in live in `sweep.rs`;
+//! this module drives it. Because a step reads only the old state,
+//! [`RansSolver::solve_to_convergence`] sweeps contiguous patch ranges on
+//! every core (one lane each, parked at two barriers per step) and the
+//! calling thread copies them in and sums the residual in patch order:
+//! the state and residual bits are the same at any lane count, and the
+//! same as [`RansSolver::step`], which sweeps on the calling thread alone
+//! (`tests/golden_solver.rs` pins them).
 
-use adarnet_amr::{gradient_indicator, AmrSim, RefinementMap, Side, SolveStats};
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock};
+use std::thread;
 use std::time::Instant;
 
-use crate::geometry::SideBc;
+use adarnet_amr::{gradient_indicator, AmrSim, RefinementMap, SolveStats};
+
 use crate::mesh::CaseMesh;
-use crate::sa::{self, SaConstants};
+use crate::sa::SaConstants;
 use crate::state::FlowState;
+use crate::sweep::{Kernel, Lane};
 
 /// Solver tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +62,8 @@ pub struct SolverConfig {
     pub tol: f64,
     /// Iteration cap.
     pub max_iters: u64,
-    /// How often (iterations) the residual is evaluated.
+    /// How often (iterations) a residual sample is recorded in
+    /// `history`; the last step of a solve is always recorded.
     pub check_every: u64,
 }
 
@@ -65,24 +81,6 @@ impl Default for SolverConfig {
     }
 }
 
-/// One patch's padded working arrays: `(ny + 2) x (nx + 2)` with ghost ring.
-struct Padded {
-    ny: usize,
-    nx: usize,
-    u: Vec<f64>,
-    v: Vec<f64>,
-    p: Vec<f64>,
-    nt: Vec<f64>,
-    solid: Vec<bool>,
-}
-
-impl Padded {
-    #[inline(always)]
-    fn at(&self, i: usize, j: usize) -> usize {
-        i * (self.nx + 2) + j
-    }
-}
-
 /// The RANS + SA solver bound to a mesh and state.
 pub struct RansSolver {
     /// Discretized case (masks, wall distances).
@@ -96,6 +94,8 @@ pub struct RansSolver {
     /// `(iteration, normalized residual)` samples.
     pub history: Vec<(u64, f64)>,
     iters_done: u64,
+    /// Sweep scratch, one per lane, kept across steps and solves.
+    lanes: Vec<Mutex<Lane>>,
 }
 
 impl RansSolver {
@@ -109,6 +109,7 @@ impl RansSolver {
             sa: SaConstants::standard(),
             history: Vec::new(),
             iters_done: 0,
+            lanes: Vec::new(),
         }
     }
 
@@ -127,6 +128,7 @@ impl RansSolver {
             sa: SaConstants::standard(),
             history: Vec::new(),
             iters_done: 0,
+            lanes: Vec::new(),
         }
     }
 
@@ -135,408 +137,122 @@ impl RansSolver {
         self.iters_done
     }
 
-    fn beta(&self) -> f64 {
-        (self.cfg.beta_factor * self.mesh.case.u_in * self.mesh.case.u_in).max(1e-8)
-    }
-
-    /// Build the padded array for one patch from the current state.
-    fn pad_patch(&self, py: usize, px: usize) -> Padded {
-        let s = &self.state;
-        let layout = self.mesh.layout();
-        let idx = layout.idx(py, px);
-        let gu = s.u.patch_at(idx);
-        let gv = s.v.patch_at(idx);
-        let gp = s.p.patch_at(idx);
-        let gn = s.nt.patch_at(idx);
-        let (ny, nx) = (gu.ny(), gu.nx());
-        let (pnx, stride) = (nx + 2, nx + 2);
-        let n = (ny + 2) * pnx;
-        let mut pad = Padded {
-            ny,
-            nx,
-            u: vec![0.0; n],
-            v: vec![0.0; n],
-            p: vec![0.0; n],
-            nt: vec![0.0; n],
-            solid: vec![false; n],
-        };
-        // Interior.
-        for i in 0..ny {
-            let base = (i + 1) * stride + 1;
-            pad.u[base..base + nx].copy_from_slice(&gu.as_slice()[i * nx..(i + 1) * nx]);
-            pad.v[base..base + nx].copy_from_slice(&gv.as_slice()[i * nx..(i + 1) * nx]);
-            pad.p[base..base + nx].copy_from_slice(&gp.as_slice()[i * nx..(i + 1) * nx]);
-            pad.nt[base..base + nx].copy_from_slice(&gn.as_slice()[i * nx..(i + 1) * nx]);
-            for j in 0..nx {
-                pad.solid[base + j] = self.mesh.solid[idx][i * nx + j];
-            }
-        }
-
-        let u_in = self.mesh.case.u_in;
-        let nt_in = self.mesh.case.nu_tilde_inflow();
-
-        // Ghost values for one variable along one side, from the neighbor
-        // patch or from the physical BC.
-        // Interior line adjacent to each side, per variable.
-        let fill_side = |pad_field: &mut [f64],
-                         field: &adarnet_amr::CompositeField,
-                         side: Side,
-                         // (interior_value) -> ghost_value at a physical BC
-                         bc: &dyn Fn(f64) -> f64| {
-            match field.ghost_line(py, px, side) {
-                Some(g) => match side {
-                    Side::ILo => {
-                        for (j, &val) in g.iter().enumerate() {
-                            pad_field[j + 1] = val;
-                        }
-                    }
-                    Side::IHi => {
-                        for (j, &val) in g.iter().enumerate() {
-                            pad_field[(ny + 1) * stride + j + 1] = val;
-                        }
-                    }
-                    Side::JLo => {
-                        for (i, &val) in g.iter().enumerate() {
-                            pad_field[(i + 1) * stride] = val;
-                        }
-                    }
-                    Side::JHi => {
-                        for (i, &val) in g.iter().enumerate() {
-                            pad_field[(i + 1) * stride + nx + 1] = val;
-                        }
-                    }
-                },
-                None => match side {
-                    Side::ILo => {
-                        for j in 0..nx {
-                            pad_field[j + 1] = bc(pad_field[stride + j + 1]);
-                        }
-                    }
-                    Side::IHi => {
-                        for j in 0..nx {
-                            pad_field[(ny + 1) * stride + j + 1] =
-                                bc(pad_field[ny * stride + j + 1]);
-                        }
-                    }
-                    Side::JLo => {
-                        for i in 0..ny {
-                            pad_field[(i + 1) * stride] = bc(pad_field[(i + 1) * stride + 1]);
-                        }
-                    }
-                    Side::JHi => {
-                        for i in 0..ny {
-                            pad_field[(i + 1) * stride + nx + 1] =
-                                bc(pad_field[(i + 1) * stride + nx]);
-                        }
-                    }
-                },
-            }
-        };
-
-        // Physical BC ghost formulas per variable. `i = 0` is the domain
-        // bottom, so Side::ILo at py = 0 is the bottom boundary.
-        let case = &self.mesh.case;
-        for side in Side::ALL {
-            let bc_kind = match side {
-                Side::ILo => case.bottom,
-                Side::IHi => case.top,
-                Side::JLo => case.left,
-                Side::JHi => case.right,
-            };
-            let tangential_x = matches!(side, Side::ILo | Side::IHi);
-            type BcFn = Box<dyn Fn(f64) -> f64>;
-            let (bc_u, bc_v): (BcFn, BcFn) = match bc_kind {
-                SideBc::Inlet => (Box::new(move |c| 2.0 * u_in - c), Box::new(|c| -c)),
-                SideBc::Outlet => (Box::new(|c| c), Box::new(|c| c)),
-                SideBc::Wall => (Box::new(|c| -c), Box::new(|c| -c)),
-                SideBc::Symmetry => {
-                    if tangential_x {
-                        // Horizontal boundary: u tangential, v normal.
-                        (Box::new(|c| c), Box::new(|c| -c))
-                    } else {
-                        (Box::new(|c| -c), Box::new(|c| c))
-                    }
-                }
-            };
-            let bc_p: Box<dyn Fn(f64) -> f64> = match bc_kind {
-                SideBc::Outlet => Box::new(|c| -c), // p = 0 at the face
-                _ => Box::new(|c| c),               // zero gradient
-            };
-            let bc_nt: Box<dyn Fn(f64) -> f64> = match bc_kind {
-                SideBc::Inlet => Box::new(move |c| 2.0 * nt_in - c),
-                SideBc::Wall => Box::new(|c| -c),
-                _ => Box::new(|c| c),
-            };
-            fill_side(&mut pad.u, &s.u, side, bc_u.as_ref());
-            fill_side(&mut pad.v, &s.v, side, bc_v.as_ref());
-            fill_side(&mut pad.p, &s.p, side, bc_p.as_ref());
-            fill_side(&mut pad.nt, &s.nt, side, bc_nt.as_ref());
-        }
-
-        // Corners: copy the diagonal interior value (not used by the
-        // 5-point stencils, but keeps the arrays finite).
-        for field in [&mut pad.u, &mut pad.v, &mut pad.p, &mut pad.nt] {
-            field[0] = field[stride + 1];
-            field[nx + 1] = field[stride + nx];
-            field[(ny + 1) * stride] = field[ny * stride + 1];
-            field[(ny + 1) * stride + nx + 1] = field[ny * stride + nx];
-        }
-        pad
-    }
-
-    /// One explicit pseudo-time step across all patches. Returns the
-    /// normalized momentum residual (RMS of the momentum RHS scaled by
-    /// `ly / u_in^2`).
+    /// One explicit pseudo-time step across all patches, on one lane on
+    /// the calling thread. Returns the normalized momentum residual (RMS
+    /// of the momentum RHS scaled by `ly / u_in^2`).
     pub fn step(&mut self) -> f64 {
-        let layout = *self.mesh.layout();
-        let beta = self.beta();
-        let cfg = self.cfg;
-        let sa_c = self.sa;
-        let nu = self.mesh.case.nu;
-        let u_ref = self.mesh.case.u_in.max(1e-12);
-        let l_ref = self.mesh.case.ly;
-
-        // Compute every patch's update from the *old* state (Jacobi in
-        // space, so the step does not depend on patch visit order).
-        struct PatchOut {
-            u: Vec<f64>,
-            v: Vec<f64>,
-            p: Vec<f64>,
-            nt: Vec<f64>,
-            res_sq: f64,
-            cells: usize,
-        }
-
-        let outs: Vec<PatchOut> = (0..layout.num_patches())
-            .map(|idx| {
-                let (py, px) = layout.coords(idx);
-                let level = self.mesh.map.level_at(idx);
-                let (dy, dx) = self.mesh.cell_size(level);
-                let pad = self.pad_patch(py, px);
-                let (ny, nx) = (pad.ny, pad.nx);
-                let dist = &self.mesh.dist[idx];
-
-                let mut out = PatchOut {
-                    u: vec![0.0; ny * nx],
-                    v: vec![0.0; ny * nx],
-                    p: vec![0.0; ny * nx],
-                    nt: vec![0.0; ny * nx],
-                    res_sq: 0.0,
-                    cells: 0,
-                };
-
-                for i in 0..ny {
-                    for j in 0..nx {
-                        let c = pad.at(i + 1, j + 1);
-                        let k = i * nx + j;
-                        if pad.solid[c] {
-                            // Solid cells: zero velocity and nu_tilde,
-                            // pressure relaxed toward fluid neighbors for a
-                            // smooth gradient at the surface.
-                            let mut psum = 0.0;
-                            let mut cnt = 0.0;
-                            for nb in [
-                                pad.at(i + 1, j),
-                                pad.at(i + 1, j + 2),
-                                pad.at(i, j + 1),
-                                pad.at(i + 2, j + 1),
-                            ] {
-                                if !pad.solid[nb] {
-                                    psum += pad.p[nb];
-                                    cnt += 1.0;
-                                }
-                            }
-                            out.p[k] = if cnt > 0.0 { psum / cnt } else { pad.p[c] };
-                            continue;
-                        }
-
-                        let (uc, vc, pc, ntc) = (pad.u[c], pad.v[c], pad.p[c], pad.nt[c]);
-                        let w = pad.at(i + 1, j);
-                        let e = pad.at(i + 1, j + 2);
-                        let s_ = pad.at(i, j + 1);
-                        let n_ = pad.at(i + 2, j + 1);
-
-                        // Neighbor values with no-slip reflection across
-                        // solid faces (stair-step immersed boundary).
-                        let gv = |arr: &[f64], nb: usize, center: f64, refl: f64| -> f64 {
-                            if pad.solid[nb] {
-                                refl * center
-                            } else {
-                                arr[nb]
-                            }
-                        };
-                        let u_w = gv(&pad.u, w, uc, -1.0);
-                        let u_e = gv(&pad.u, e, uc, -1.0);
-                        let u_s = gv(&pad.u, s_, uc, -1.0);
-                        let u_n = gv(&pad.u, n_, uc, -1.0);
-                        let v_w = gv(&pad.v, w, vc, -1.0);
-                        let v_e = gv(&pad.v, e, vc, -1.0);
-                        let v_s = gv(&pad.v, s_, vc, -1.0);
-                        let v_n = gv(&pad.v, n_, vc, -1.0);
-                        let p_w = gv(&pad.p, w, pc, 1.0);
-                        let p_e = gv(&pad.p, e, pc, 1.0);
-                        let p_s = gv(&pad.p, s_, pc, 1.0);
-                        let p_n = gv(&pad.p, n_, pc, 1.0);
-                        let nt_w = gv(&pad.nt, w, ntc, -1.0);
-                        let nt_e = gv(&pad.nt, e, ntc, -1.0);
-                        let nt_s = gv(&pad.nt, s_, ntc, -1.0);
-                        let nt_n = gv(&pad.nt, n_, ntc, -1.0);
-
-                        // Effective viscosity at the cell and faces.
-                        let nut_c = sa::eddy_viscosity(ntc, nu, &sa_c);
-                        let nue_c = nu + nut_c;
-                        let face_nue = |nt_nb: f64| -> f64 {
-                            nu + 0.5 * (nut_c + sa::eddy_viscosity(nt_nb.max(0.0), nu, &sa_c))
-                        };
-                        let nue_e = face_nue(nt_e);
-                        let nue_w = face_nue(nt_w);
-                        let nue_n = face_nue(nt_n);
-                        let nue_s = face_nue(nt_s);
-
-                        // Convection: first-order upwind blended with a
-                        // central contribution per cfg.conv_blend (hybrid
-                        // scheme; non-conservative form).
-                        let blend = cfg.conv_blend;
-                        let upwind = |q_c: f64, q_w: f64, q_e: f64, q_s: f64, q_n: f64| -> f64 {
-                            let fx_up = if uc >= 0.0 {
-                                uc * (q_c - q_w) / dx
-                            } else {
-                                uc * (q_e - q_c) / dx
-                            };
-                            let fy_up = if vc >= 0.0 {
-                                vc * (q_c - q_s) / dy
-                            } else {
-                                vc * (q_n - q_c) / dy
-                            };
-                            if blend <= 0.0 {
-                                return fx_up + fy_up;
-                            }
-                            let fx_ct = uc * (q_e - q_w) / (2.0 * dx);
-                            let fy_ct = vc * (q_n - q_s) / (2.0 * dy);
-                            (1.0 - blend) * (fx_up + fy_up) + blend * (fx_ct + fy_ct)
-                        };
-
-                        let conv_u = upwind(uc, u_w, u_e, u_s, u_n);
-                        let conv_v = upwind(vc, v_w, v_e, v_s, v_n);
-                        let conv_nt = upwind(ntc, nt_w, nt_e, nt_s, nt_n);
-
-                        let diff_u = (nue_e * (u_e - uc) - nue_w * (uc - u_w)) / (dx * dx)
-                            + (nue_n * (u_n - uc) - nue_s * (uc - u_s)) / (dy * dy);
-                        let diff_v = (nue_e * (v_e - vc) - nue_w * (vc - v_w)) / (dx * dx)
-                            + (nue_n * (v_n - vc) - nue_s * (vc - v_s)) / (dy * dy);
-
-                        let dpdx = (p_e - p_w) / (2.0 * dx);
-                        let dpdy = (p_n - p_s) / (2.0 * dy);
-
-                        let rhs_u = -conv_u - dpdx + diff_u;
-                        let rhs_v = -conv_v - dpdy + diff_v;
-
-                        // Continuity with artificial compressibility plus
-                        // scalar pressure dissipation.
-                        let div = (u_e - u_w) / (2.0 * dx) + (v_n - v_s) / (2.0 * dy);
-                        let c_ac = (uc * uc + vc * vc + beta).sqrt();
-                        let diss_p = cfg.kp
-                            * c_ac
-                            * ((p_e - 2.0 * pc + p_w) / dx + (p_n - 2.0 * pc + p_s) / dy);
-                        let rhs_p = -beta * div + diss_p;
-
-                        // SA transport.
-                        let omega = ((v_e - v_w) / (2.0 * dx) - (u_n - u_s) / (2.0 * dy)).abs();
-                        let d_wall = dist[k];
-                        let src = sa::source(ntc, nu, omega, d_wall, &sa_c);
-                        let face_dnt = |nt_nb: f64| -> f64 { nu + 0.5 * (ntc + nt_nb.max(0.0)) };
-                        let diff_nt = ((face_dnt(nt_e) * (nt_e - ntc)
-                            - face_dnt(nt_w) * (ntc - nt_w))
-                            / (dx * dx)
-                            + (face_dnt(nt_n) * (nt_n - ntc) - face_dnt(nt_s) * (ntc - nt_s))
-                                / (dy * dy))
-                            / sa_c.sigma;
-                        let grad_nt_sq = {
-                            let gx = (nt_e - nt_w) / (2.0 * dx);
-                            let gy = (nt_n - nt_s) / (2.0 * dy);
-                            gx * gx + gy * gy
-                        };
-                        let rhs_nt = -conv_nt + src + diff_nt + sa_c.cb2 / sa_c.sigma * grad_nt_sq;
-
-                        // Local pseudo-time step.
-                        let lam_x = uc.abs() + c_ac;
-                        let lam_y = vc.abs() + c_ac;
-                        let dt = cfg.cfl
-                            / (lam_x / dx
-                                + lam_y / dy
-                                + 2.0 * nue_c * (1.0 / (dx * dx) + 1.0 / (dy * dy))
-                                + 1e-30);
-
-                        out.u[k] = uc + dt * rhs_u;
-                        out.v[k] = vc + dt * rhs_v;
-                        out.p[k] = pc + dt * rhs_p;
-                        out.nt[k] = (ntc + dt * rhs_nt).max(0.0);
-
-                        out.res_sq += rhs_u * rhs_u + rhs_v * rhs_v;
-                        out.cells += 1;
-                    }
-                }
-                out
-            })
-            .collect();
-
-        // Write back and accumulate the residual.
-        let mut res_sq = 0.0;
-        let mut cells = 0usize;
-        for (idx, o) in outs.into_iter().enumerate() {
-            self.state
-                .u
-                .patch_at_mut(idx)
-                .as_mut_slice()
-                .copy_from_slice(&o.u);
-            self.state
-                .v
-                .patch_at_mut(idx)
-                .as_mut_slice()
-                .copy_from_slice(&o.v);
-            self.state
-                .p
-                .patch_at_mut(idx)
-                .as_mut_slice()
-                .copy_from_slice(&o.p);
-            self.state
-                .nt
-                .patch_at_mut(idx)
-                .as_mut_slice()
-                .copy_from_slice(&o.nt);
-            res_sq += o.res_sq;
-            cells += o.cells;
-        }
+        let res = self.sweep_on(1, |step| step());
         self.iters_done += 1;
-        let rms = (res_sq / (2.0 * cells.max(1) as f64)).sqrt();
-        rms * l_ref / (u_ref * u_ref)
+        res
     }
 
     /// March to convergence: iterate until the normalized residual drops
-    /// below `cfg.tol` or `cfg.max_iters` is reached.
+    /// below `cfg.tol`, turns non-finite, or `cfg.max_iters` is reached.
+    /// The patches are swept on every core; the result does not depend
+    /// on how many there are.
     pub fn solve_to_convergence(&mut self) -> SolveStats {
+        self.solve_on(thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    }
+
+    /// [`Self::solve_to_convergence`] on at most `lanes` lanes.
+    fn solve_on(&mut self, lanes: usize) -> SolveStats {
         let _span = adarnet_obs::span!("stage_solver");
         let t0 = Instant::now();
-        let start_iters = self.iters_done;
-        let mut res = f64::INFINITY;
-        while self.iters_done - start_iters < self.cfg.max_iters {
-            res = self.step();
-            if (self.iters_done - start_iters).is_multiple_of(self.cfg.check_every) {
-                self.history.push((self.iters_done, res));
-                if !res.is_finite() {
+        let cfg = self.cfg;
+        let start = self.iters_done;
+        let mut samples = Vec::new();
+        let (iterations, res) = self.sweep_on(lanes, |step| {
+            let (mut n, mut res) = (0, f64::INFINITY);
+            while n < cfg.max_iters {
+                res = step();
+                n += 1;
+                let last = !res.is_finite() || res < cfg.tol || n == cfg.max_iters;
+                // Every `check_every` steps, and always the last.
+                if last || n.is_multiple_of(cfg.check_every) {
+                    samples.push((start + n, res));
+                }
+                if last {
                     break;
                 }
             }
-            if res < self.cfg.tol {
-                break;
-            }
-        }
+            (n, res)
+        });
+        self.iters_done += iterations;
+        self.history.extend(samples);
         SolveStats {
-            iterations: self.iters_done - start_iters,
+            iterations,
             final_residual: res,
             seconds: t0.elapsed().as_secs_f64(),
-            converged: res < self.cfg.tol,
+            converged: res < cfg.tol,
         }
+    }
+
+    /// Hands `drive` a step function that sweeps every patch once from
+    /// the old state (Jacobi in space) and returns the normalized
+    /// residual.
+    ///
+    /// The patches are split into contiguous ranges of about equal cell
+    /// count, one per lane. The calling thread sweeps the first range
+    /// and a scoped thread each other one; a start and a finish barrier
+    /// bracket every step. The calling thread then copies every range in
+    /// and sums the residual in patch order, so the bits do not depend on
+    /// the lane count.
+    fn sweep_on<R>(&mut self, lanes: usize, drive: impl FnOnce(&mut dyn FnMut() -> f64) -> R) -> R {
+        // Checked here, not in a lane: a lane that panicked would leave
+        // the others parked at a barrier for good.
+        assert_eq!(
+            self.state.map(),
+            &self.mesh.map,
+            "state and mesh must share a refinement map"
+        );
+        let ranges = lane_ranges(&self.mesh.map, lanes);
+        if self.lanes.len() < ranges.len() {
+            self.lanes.resize_with(ranges.len(), Mutex::default);
+        }
+        let lanes = &self.lanes[..ranges.len()];
+        let kernel = Kernel::new(&self.mesh, self.cfg, self.sa);
+        let state = RwLock::new(&mut self.state);
+        let start = Barrier::new(ranges.len());
+        let finish = Barrier::new(ranges.len());
+        let running = AtomicBool::new(true);
+        // A poisoned lane is still valid: a sweep overwrites every
+        // scratch value it uses.
+        let sweep = |lane: usize| {
+            let state = state.read().unwrap_or_else(PoisonError::into_inner);
+            lanes[lane]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .sweep(&kernel, &state, ranges[lane].clone());
+        };
+        thread::scope(|s| {
+            for lane in 1..ranges.len() {
+                let (start, finish, running, sweep) = (&start, &finish, &running, &sweep);
+                s.spawn(move || loop {
+                    start.wait();
+                    if !running.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    sweep(lane);
+                    finish.wait();
+                });
+            }
+            let out = drive(&mut || {
+                start.wait();
+                sweep(0);
+                finish.wait();
+                let mut state = state.write().unwrap_or_else(PoisonError::into_inner);
+                let mut sums = (0.0, 0);
+                for (lane, range) in lanes.iter().zip(&ranges) {
+                    lane.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .write_back(&mut state, range.clone(), &mut sums);
+                }
+                kernel.residual(sums.0, sums.1)
+            });
+            running.store(false, Ordering::SeqCst);
+            start.wait();
+            out
+        })
     }
 
     /// Per-patch refinement indicator: max |grad nu_tilde| (the
@@ -545,6 +261,29 @@ impl RansSolver {
         let (dy0, dx0) = self.mesh.cell_size0();
         gradient_indicator(&self.state.nt, dy0, dx0)
     }
+}
+
+/// Contiguous patch ranges of about equal cell count, one per lane:
+/// `lanes` of them, capped at the patch count, none empty.
+fn lane_ranges(map: &RefinementMap, lanes: usize) -> Vec<Range<usize>> {
+    let layout = map.layout();
+    let n = layout.num_patches();
+    let lanes = lanes.clamp(1, n.max(1));
+    let total = map.active_cells();
+    let mut ranges = Vec::with_capacity(lanes);
+    let (mut start, mut cells) = (0, 0);
+    for idx in 0..n {
+        cells += layout.patch_cells(map.level_at(idx));
+        let closed = ranges.len() + 1;
+        // Close a range once it holds its share, or when every lane left
+        // needs one of the patches left.
+        if closed < lanes && (cells * lanes >= total * closed || n - idx - 1 == lanes - closed) {
+            ranges.push(start..idx + 1);
+            start = idx + 1;
+        }
+    }
+    ranges.push(start..n);
+    ranges
 }
 
 impl AmrSim for RansSolver {
@@ -806,5 +545,122 @@ mod tests {
         // Can keep stepping after projection.
         let r = s.step();
         assert!(r.is_finite());
+    }
+
+    /// The cylinder at the ledger's LR extent on a map with level jumps
+    /// up to three.
+    fn mixed_cylinder(iters: u64) -> RansSolver {
+        let layout = PatchLayout::for_field(24, 48, 8, 8);
+        #[rustfmt::skip]
+        let levels = vec![
+            1, 2, 0, 0, 0, 0,
+            0, 3, 1, 0, 0, 0,
+            0, 0, 0, 0, 2, 1,
+        ];
+        let map = RefinementMap::from_levels(layout, levels, 3);
+        RansSolver::new(
+            CaseMesh::new(CaseConfig::cylinder(1e5), map),
+            SolverConfig {
+                max_iters: iters,
+                tol: 0.0,
+                ..SolverConfig::default()
+            },
+        )
+    }
+
+    fn bits(s: &RansSolver) -> Vec<u64> {
+        let n = s.mesh.layout().num_patches();
+        [&s.state.u, &s.state.v, &s.state.p, &s.state.nt]
+            .into_iter()
+            .flat_map(|f| (0..n).flat_map(move |idx| f.patch_at(idx).as_slice().iter()))
+            .chain(s.history.iter().map(|(_, r)| r))
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn lane_count_does_not_move_a_bit() {
+        let solved = |lanes: usize| {
+            let mut s = mixed_cylinder(20);
+            let stats = s.solve_on(lanes);
+            assert_eq!(stats.iterations, 20);
+            assert!(s.state.all_finite());
+            (bits(&s), s.history)
+        };
+        let one = solved(1);
+        assert_eq!(solved(2), one);
+        assert_eq!(solved(3), one);
+    }
+
+    #[test]
+    fn lane_ranges_cover_every_patch_once() {
+        let map = mixed_cylinder(0).mesh.map;
+        let n = map.layout().num_patches();
+        for lanes in 0..=n + 2 {
+            let ranges = lane_ranges(&map, lanes);
+            assert_eq!(ranges.len(), lanes.clamp(1, n), "{lanes} lanes");
+            assert!(ranges.iter().all(|r| !r.is_empty()), "{ranges:?}");
+            let ends: Vec<usize> = ranges.iter().map(|r| r.start).chain([n]).collect();
+            assert!(ranges.iter().zip(&ends[1..]).all(|(r, &e)| r.end == e));
+            assert_eq!(ranges[0].start, 0);
+        }
+        // Equal cells split evenly.
+        let uniform = RefinementMap::uniform(*map.layout(), 0, 3);
+        assert_eq!(lane_ranges(&uniform, 2), vec![0..9, 9..18]);
+        assert_eq!(lane_ranges(&uniform, 3), vec![0..6, 6..12, 12..18]);
+    }
+
+    #[test]
+    fn history_ends_on_the_last_step() {
+        // Converging off a sample boundary: find the first step under a
+        // tolerance (the residual peaks near step 45, then falls), then
+        // sample every `k - 1` steps.
+        let mut reference = tiny_channel(100);
+        let res: Vec<f64> = (0..100).map(|_| reference.step()).collect();
+        let tol = res[89];
+        let k = 1 + res.iter().position(|&r| r < tol).expect("drops below r_90") as u64;
+        assert!(k >= 3, "converged at step {k}");
+        let mut s = tiny_channel(100);
+        s.cfg.tol = tol;
+        s.cfg.check_every = k - 1;
+        let stats = s.solve_to_convergence();
+        assert!(stats.converged);
+        assert_eq!(stats.iterations, k);
+        let last = res[k as usize - 1];
+        assert_eq!(stats.final_residual.to_bits(), last.to_bits());
+        let sampled: Vec<(u64, u64)> = s.history.iter().map(|&(i, r)| (i, r.to_bits())).collect();
+        let expect = vec![(k - 1, res[k as usize - 2].to_bits()), (k, last.to_bits())];
+        assert_eq!(sampled, expect);
+        let h = crate::ConvergenceHistory::new(s.history.clone());
+        assert_eq!(h.final_residual().to_bits(), stats.final_residual.to_bits());
+        assert_eq!(h.iterations_to(tol), Some(stats.iterations));
+
+        // Diverging: the solve stops on the first non-finite residual,
+        // however far off the next sample is.
+        let diverging = || {
+            let mut case = CaseConfig::channel(2.5e3);
+            case.lx = 0.5;
+            let layout = PatchLayout::new(2, 4, 4, 4);
+            let mesh = CaseMesh::new(case, RefinementMap::uniform(layout, 0, 3));
+            RansSolver::new(
+                mesh,
+                SolverConfig {
+                    cfl: 50.0,
+                    max_iters: 5000,
+                    check_every: 5000,
+                    ..SolverConfig::default()
+                },
+            )
+        };
+        let mut reference = diverging();
+        let first_bad = (1..=5000u64)
+            .find(|_| !reference.step().is_finite())
+            .expect("cfl 50 diverges");
+        let mut s = diverging();
+        let stats = s.solve_to_convergence();
+        assert_eq!(stats.iterations, first_bad);
+        assert!(!stats.final_residual.is_finite());
+        assert_eq!(s.history.len(), 1);
+        assert_eq!(s.history[0].0, first_bad);
     }
 }

@@ -79,7 +79,8 @@ pub const RULES: [(&str, Scope, Scan); 7] = [
         scan_lock_order,
     ),
     // No allocating constructors in the kernels: buffers come from the
-    // workspace pool, so steady-state inference stays allocation-free.
+    // workspace pool, so steady-state inference stays allocation-free,
+    // and the solver's sweep reuses the scratch its lanes own.
     (
         "no-alloc-in-hot-path",
         Scope::Files(&[
@@ -87,6 +88,7 @@ pub const RULES: [(&str, Scope, Scan); 7] = [
             "crates/nn/src/device/driver.rs",
             "crates/nn/src/device/cpu_scalar.rs",
             "crates/nn/src/device/cpu_simd.rs",
+            "crates/cfd/src/sweep.rs",
         ]),
         scan_no_alloc,
     ),
@@ -775,14 +777,17 @@ mod tests {
         assert!(applies("float-eq", "core", "crates/core/src/ranker.rs"));
         assert!(applies("float-eq", "adarnet-repro", "src/lib.rs"));
         // no-alloc is per file: only the designated kernel files get it
-        // (the dispatch façade plus both device kernel planes).
+        // (the dispatch façade, both device kernel planes, and the
+        // solver's sweep but not its driver).
         let alloc = "no-alloc-in-hot-path";
         assert!(applies(alloc, "nn", "crates/nn/src/kernels.rs"));
         assert!(applies(alloc, "nn", "crates/nn/src/device/driver.rs"));
         assert!(applies(alloc, "nn", "crates/nn/src/device/cpu_scalar.rs"));
         assert!(applies(alloc, "nn", "crates/nn/src/device/cpu_simd.rs"));
+        assert!(applies(alloc, "cfd", "crates/cfd/src/sweep.rs"));
         assert!(!applies(alloc, "nn", "crates/nn/src/device/mod.rs"));
         assert!(!applies(alloc, "nn", "crates/nn/src/model.rs"));
+        assert!(!applies(alloc, "cfd", "crates/cfd/src/solver.rs"));
         // unchecked-arith is per file: only the wire-parse files get it.
         let arith = "unchecked-arith";
         assert!(applies(arith, "net", "crates/net/src/frame.rs"));

@@ -35,6 +35,14 @@ cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --wor
 # same replay: hit share 0, `FrozenDecoder::forward` at least 0.8 of a
 # miss, at most 0.1 of the operation unattributed.
 cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --workload net_miss --seed 1 --seconds 2 --trace 1
+# And the paper's path, LR solve → inference → warm solve on the seven
+# Table 1 cases, with the solver sweeping on every core. The traced run
+# replays each case and checks that `cfd` is at least 0.85 of the
+# operation and that the stages cover it. The untraced run makes two
+# passes in 4 s, so the ledger's repeat-and-finite check holds every
+# case's iteration counts and active cells to the first pass's.
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --workload ttc_capped --seed 1 --seconds 4 --trace 1
+cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- --workload ttc_capped --seed 1 --seconds 4 --trace 0
 
 echo "==> repo lint (crates/check)"
 cargo run --release -q -p check --bin lint
