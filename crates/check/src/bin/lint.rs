@@ -1,7 +1,8 @@
 //! `cargo run -p check --bin lint [-- --verbose]`
 //!
 //! Exit codes: 0 = clean (possibly via waivers), 1 = unwaived
-//! violations, 2 = driver error (I/O, malformed allow.toml).
+//! violations or a stale waiver in allow.toml, 2 = driver error (I/O,
+//! malformed allow.toml).
 
 use check::lint::{run_lint, workspace_root};
 

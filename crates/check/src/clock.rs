@@ -6,7 +6,7 @@
 //! where neither dominates describe *concurrent* points. The race
 //! detector in [`crate::race`] keeps one clock per thread (its own
 //! history), joins in the release clocks of every lock it acquires, and
-//! compares access snapshots for the ordering check. See DESIGN.md §14.
+//! compares access snapshots for the ordering check. See DESIGN.md §9.4.
 
 /// A per-thread event counter vector. Index = logical thread id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -6,25 +6,24 @@
 //! 1. **Lint pass** (`cargo run -p check --bin lint`): the repo
 //!    policies no compiler lint expresses — explicit float comparisons,
 //!    spelled-out float→int rounding in the numeric kernels, single-lock
-//!    discipline in the serving crates, allocation-free kernels, checked
-//!    wire-length arithmetic, justified `Ordering::Relaxed`, registered
-//!    observable names. Intentional exceptions live, with reasons, in
-//!    `check/allow.toml`. Panic-free and print-free library code and
-//!    justified `unsafe` are compiler lints: the pass only checks that
-//!    every library root denies them.
+//!    discipline in the serving crates, allocation-free kernels,
+//!    justified `Ordering::Relaxed`, registered observable names.
+//!    Intentional exceptions live, with reasons, in `check/allow.toml`.
+//!    Panic-free and print-free library code, justified `unsafe` and
+//!    overflow-free arithmetic in the wire-parse files are compiler
+//!    lints: the pass only checks that every library root and both
+//!    wire-parse files deny them.
 //! 2. **Model checker** (`cargo run -p check --bin model-check`): a
 //!    deterministic mini-loom that drives the serve primitives
 //!    ([`adarnet_serve::LaneQueue`], [`adarnet_serve::QuotaTable`],
 //!    [`adarnet_serve::PatchCache`], [`adarnet_serve::ModelRegistry`])
 //!    and the obs trace plane ([`adarnet_obs::TraceArena`],
-//!    [`adarnet_obs::TailSampler`]) through bounded-exhaustive and
-//!    seeded-random interleavings against sequential shadow oracles,
-//!    one [`suites::Subject`] per primitive. Every exhaustive space runs
-//!    plain DFS and sleep-set DPOR ([`dpor`]) — one executed schedule
-//!    per Mazurkiewicz trace — cross-checked against each other, and
-//!    every schedule's captured sync-event stream is replayed through a
-//!    vector-clock race detector and lock-order cycle check
-//!    ([`race`], [`clock`]; DESIGN.md §14).
+//!    [`adarnet_obs::TailSampler`]) through every interleaving (a
+//!    depth-first walk) or seeded-random ones against sequential shadow
+//!    oracles, one [`suites::Subject`] per primitive. Every schedule's
+//!    captured sync-event stream is replayed through a vector-clock race
+//!    detector and lock-order cycle check ([`race`], [`clock`];
+//!    DESIGN.md §9.3–9.4).
 //!
 //! Both are CI stages (`scripts/ci.sh`); both are libraries first, so
 //! every rule and suite also runs as a plain `cargo test -p check`.
@@ -44,7 +43,6 @@
 
 pub mod allow;
 pub mod clock;
-pub mod dpor;
 pub mod lexer;
 pub mod lint;
 pub mod oracle;
@@ -53,7 +51,6 @@ pub mod rules;
 pub mod sched;
 pub mod suites;
 
-pub use dpor::{explore_dpor, DporResult, Footprint};
 pub use lint::{run_lint, workspace_root, LintReport};
 pub use race::{analyze, Problem, ProblemKind};
 pub use sched::{

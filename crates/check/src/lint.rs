@@ -13,6 +13,9 @@
 //! * every linted `lib.rs` must carry [`LIB_ROOT_DENY`], so panic-free
 //!   and print-free library code is the compiler's check and a new
 //!   crate cannot opt out by omission;
+//! * each of the [`WIRE_PARSE_FILES`] must carry [`WIRE_ARITH_DENY`],
+//!   so arithmetic where attacker-controlled sizes enter is clippy's
+//!   `arithmetic_side_effects` check;
 //! * across the tree, each `span!` site name must be unique — a
 //!   deliberate second site feeding the same histogram carries a waiver
 //!   arguing the stages are genuinely the same.
@@ -33,7 +36,16 @@ pub const LIB_ROOT_DENY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used
     clippy::expect_used, clippy::panic, clippy::unreachable, clippy::unimplemented, \
     clippy::print_stdout, clippy::print_stderr))]";
 
-/// Rule id of the library-root check.
+/// The attribute each of the [`WIRE_PARSE_FILES`] carries: no
+/// arithmetic that can overflow or panic outside test builds. Sites
+/// that keep a bare operator argue the bound with
+/// `#[expect(clippy::arithmetic_side_effects, reason = "...")]`.
+pub const WIRE_ARITH_DENY: &str = "#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]";
+
+/// The files where attacker-controlled sizes enter the process.
+pub const WIRE_PARSE_FILES: [&str; 2] = ["crates/net/src/frame.rs", "crates/net/src/proto.rs"];
+
+/// Rule id of the library-root and wire-parse attribute checks.
 const COMPILER_LINTS: &str = "compiler-lints";
 
 /// Aggregate outcome of a lint run.
@@ -87,17 +99,21 @@ pub fn run_lint(root: &Path) -> Result<LintReport, LintError> {
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;
     let mut macro_sites: Vec<SpanMacroSite> = Vec::new();
+    for file in WIRE_PARSE_FILES {
+        findings.extend(missing_attribute(
+            root,
+            &root.join(file),
+            WIRE_ARITH_DENY,
+            "wire-parse file does not deny clippy::arithmetic_side_effects",
+        ));
+    }
     for (dir, crate_name) in lint_targets(root)? {
-        let lib = dir.join("lib.rs");
-        if !fs::read_to_string(&lib).is_ok_and(|src| denies_compiler_lints(&src)) {
-            findings.push(Finding {
-                rule: COMPILER_LINTS,
-                path: lib.strip_prefix(root).unwrap_or(&lib).to_path_buf(),
-                line: 1,
-                message: "library root does not deny the clippy panic and print lints".into(),
-                line_text: LIB_ROOT_DENY.into(),
-            });
-        }
+        findings.extend(missing_attribute(
+            root,
+            &dir.join("lib.rs"),
+            LIB_ROOT_DENY,
+            "library root does not deny the clippy panic and print lints",
+        ));
         let mut files = Vec::new();
         collect_rs_files(&dir, &mut files)?;
         for file in files {
@@ -170,14 +186,28 @@ fn lint_targets(root: &Path) -> Result<Vec<(PathBuf, String)>, LintError> {
     Ok(targets)
 }
 
-/// Whether a library root's source carries [`LIB_ROOT_DENY`] outside a
-/// comment, however rustfmt laid it out.
-fn denies_compiler_lints(src: &str) -> bool {
+/// A [`COMPILER_LINTS`] finding unless `file` carries `attribute`.
+fn missing_attribute(root: &Path, file: &Path, attribute: &str, message: &str) -> Option<Finding> {
+    if fs::read_to_string(file).is_ok_and(|src| carries(&src, attribute)) {
+        return None;
+    }
+    Some(Finding {
+        rule: COMPILER_LINTS,
+        path: file.strip_prefix(root).unwrap_or(file).to_path_buf(),
+        line: 1,
+        message: message.into(),
+        line_text: attribute.into(),
+    })
+}
+
+/// Whether `src` carries `attribute` outside a comment, however rustfmt
+/// laid it out.
+fn carries(src: &str, attribute: &str) -> bool {
     let squash = |s: &str| {
         let toks = tokenize(s).into_iter().map(|t| t.text);
         toks.collect::<String>().replace(",)", ")")
     };
-    squash(src).contains(&squash(LIB_ROOT_DENY))
+    squash(src).contains(&squash(attribute))
 }
 
 /// One non-test `span!` site, accumulated across the walk for the
@@ -240,7 +270,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError>
 
 impl LintReport {
     /// Render the report to stderr-style text; returns the process exit
-    /// code (0 = clean or fully waived, 1 = violations remain).
+    /// code (0 = clean or fully waived, 1 = violations or stale waivers
+    /// remain).
     pub fn render(&self, verbose: bool) -> (String, i32) {
         let mut out = String::new();
         for f in &self.violations {
@@ -267,7 +298,7 @@ impl LintReport {
         }
         for w in &self.unused_waivers {
             out.push_str(&format!(
-                "warning: allow.toml:{}: waiver for `{}` matched nothing (stale?)\n",
+                "allow.toml:{}: stale waiver for `{}` matched nothing (delete it)\n",
                 w.line, w.rule
             ));
         }
@@ -278,7 +309,8 @@ impl LintReport {
             self.waived.len(),
             self.unused_waivers.len()
         ));
-        let code = if self.violations.is_empty() { 0 } else { 1 };
+        let clean = self.violations.is_empty() && self.unused_waivers.is_empty();
+        let code = if clean { 0 } else { 1 };
         (out, code)
     }
 }
@@ -301,12 +333,56 @@ mod tests {
                          clippy::panic,\n        clippy::unreachable,\n        \
                          clippy::unimplemented,\n        clippy::print_stdout,\n        \
                          clippy::print_stderr\n    )\n)]\n\npub mod x;\n";
-        assert!(denies_compiler_lints(formatted));
-        assert!(!denies_compiler_lints(
-            &formatted.replace("        clippy::print_stderr\n", "")
+        assert!(carries(formatted, LIB_ROOT_DENY));
+        assert!(!carries(
+            &formatted.replace("        clippy::print_stderr\n", ""),
+            LIB_ROOT_DENY
         ));
-        assert!(!denies_compiler_lints("pub mod x;\n"));
-        assert!(!denies_compiler_lints(&formatted.replace("#![", "// #![")));
+        assert!(!carries("pub mod x;\n", LIB_ROOT_DENY));
+        assert!(!carries(&formatted.replace("#![", "// #!["), LIB_ROOT_DENY));
+    }
+
+    #[test]
+    fn wire_parse_files_must_deny_arithmetic_side_effects() {
+        let src = "//! docs\n\n#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]\n";
+        assert!(carries(src, WIRE_ARITH_DENY));
+        assert!(!carries(&src.replace("not(test), ", ""), WIRE_ARITH_DENY));
+        assert!(!carries(&src.replace("#![", "// #!["), WIRE_ARITH_DENY));
+        // The driver fails a tree whose proto.rs lost the attribute.
+        let root = std::env::temp_dir().join(format!("check-wire-arith-{}", std::process::id()));
+        let net = root.join("crates/net/src");
+        let written = fs::create_dir_all(&net)
+            .and_then(|()| fs::create_dir_all(root.join("check")))
+            .and_then(|()| fs::write(root.join("check/allow.toml"), ""))
+            .and_then(|()| fs::write(net.join("lib.rs"), LIB_ROOT_DENY))
+            .and_then(|()| fs::write(net.join("frame.rs"), src))
+            .and_then(|()| fs::write(net.join("proto.rs"), "//! docs\n"));
+        let report = written.map(|()| run_lint(&root));
+        fs::remove_dir_all(&root).ok();
+        let report = report
+            .expect("temp tree must be writable")
+            .expect("lint driver must run");
+        let flagged: Vec<_> = report.violations.iter().map(|f| &f.path).collect();
+        assert_eq!(flagged, [Path::new("crates/net/src/proto.rs")]);
+    }
+
+    #[test]
+    fn a_stale_waiver_fails_the_lint() {
+        let report = LintReport {
+            files_scanned: 1,
+            violations: Vec::new(),
+            waived: Vec::new(),
+            unused_waivers: vec![Waiver {
+                rule: "float-eq".into(),
+                path: Some("crates/x/src/y.rs".into()),
+                contains: None,
+                reason: "gone".into(),
+                line: 7,
+            }],
+        };
+        let (text, code) = report.render(false);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("allow.toml:7: stale waiver"), "{text}");
     }
 
     #[test]
@@ -340,6 +416,10 @@ mod tests {
         assert!(
             report.violations.is_empty(),
             "unwaived lint violations:\n{rendered}"
+        );
+        assert!(
+            report.unused_waivers.is_empty(),
+            "stale waivers:\n{rendered}"
         );
         assert!(report.files_scanned > 40, "walker found too few files");
     }

@@ -19,10 +19,10 @@
 //! at least one write, different threads) race iff neither snapshot
 //! `≤` the other's current clock.
 //!
-//! Because the scheduler explores interleavings exhaustively (or via
-//! DPOR, which preserves race coverage per Mazurkiewicz trace), a race
-//! reported in *any* explored schedule is a real race of the scenario;
-//! the violation carries that schedule for replay.
+//! Every schedule the scheduler explores, exhaustively or by seeded
+//! sampling, is one the scenario can really run, so a race reported in
+//! *any* of them is a real race of the scenario; the violation carries
+//! that schedule for replay.
 //!
 //! # Lock-order inversion
 //!

@@ -1,9 +1,9 @@
 //! Repo-specific lint rules over token streams: the policies no
 //! compiler lint expresses, one [`RULES`] row each (DESIGN.md §9.1
 //! says what each guards and why clippy's nearest lint does not fit).
-//! Panic-free and print-free library code and justified `unsafe` are
-//! compiler lints; the driver only checks that every library root
-//! denies them.
+//! Panic-free and print-free library code, justified `unsafe` and
+//! overflow-free wire-parse arithmetic are compiler lints; the driver
+//! only checks that the files they guard deny them.
 //!
 //! The rules are token-level heuristics, deliberately conservative in
 //! what they flag; anything intentionally kept is waived — with a
@@ -63,7 +63,7 @@ pub type Scan = fn(&[Tok], &[bool], &[&str], &mut dyn FnMut(usize, String));
 
 /// Every hand-rolled rule as `(id, scope, scan)`, in report order. The
 /// id is what findings and `check/allow.toml` spell.
-pub const RULES: [(&str, Scope, Scan); 7] = [
+pub const RULES: [(&str, Scope, Scan); 6] = [
     // No `==`/`!=` against a float literal: a NaN compares false everywhere.
     ("float-eq", Scope::All, scan_float_eq),
     // Float→int casts spell their rounding in the crates that index grids.
@@ -91,12 +91,6 @@ pub const RULES: [(&str, Scope, Scan); 7] = [
             "crates/cfd/src/sweep.rs",
         ]),
         scan_no_alloc,
-    ),
-    // Checked length arithmetic where attacker-controlled sizes enter.
-    (
-        "unchecked-arith",
-        Scope::Files(&["crates/net/src/frame.rs", "crates/net/src/proto.rs"]),
-        scan_unchecked_arith,
     ),
     // `Ordering::Relaxed` argues its case, outside `obs`, whose metrics
     // cells and trace-slot probe keys are statistics or hints a lock
@@ -330,80 +324,6 @@ fn scan_lock_order(toks: &[Tok], mask: &[bool], _: &[&str], push: &mut dyn FnMut
             });
         }
         i += 1;
-    }
-}
-
-/// Identifiers that name a length or count in the wire-parse files;
-/// bare arithmetic on these is what `unchecked-arith` flags.
-const LEN_IDENTS: &[&str] = &[
-    "len",
-    "count",
-    "cells",
-    "size",
-    "pos",
-    "offset",
-    "extent",
-    "remaining",
-];
-/// Method callees whose result is a length (`x.len() * 4`).
-const LEN_CALLEES: &[&str] = &["len", "count", "size", "capacity"];
-
-/// Whether the token at `i` ends an operand (so a following `+`/`*` is
-/// binary, not unary/deref).
-fn ends_operand(t: &Tok) -> bool {
-    t.kind == TokKind::Ident || t.kind == TokKind::Int || t.is_punct(")") || t.is_punct("]")
-}
-
-/// Whether tokens at `i..` spell `ident . len ( ` — a length call as
-/// the right-hand operand.
-fn len_call_ahead(toks: &[Tok], i: usize) -> bool {
-    toks.get(i).is_some_and(|t| t.kind == TokKind::Ident)
-        && toks.get(i + 1).is_some_and(|t| t.is_punct("."))
-        && toks
-            .get(i + 2)
-            .is_some_and(|t| t.kind == TokKind::Ident && LEN_CALLEES.contains(&t.text.as_str()))
-        && toks.get(i + 3).is_some_and(|t| t.is_punct("("))
-}
-
-fn scan_unchecked_arith(
-    toks: &[Tok],
-    mask: &[bool],
-    _: &[&str],
-    push: &mut dyn FnMut(usize, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !(t.is_punct("+") || t.is_punct("*")) {
-            continue;
-        }
-        // Binary position only: `+=`/`*=`/`::` are fused by the lexer,
-        // so a lone `+`/`*` with an operand on each side is arithmetic.
-        let Some(prev) = i.checked_sub(1).map(|j| &toks[j]) else {
-            continue;
-        };
-        let Some(next) = toks.get(i + 1) else {
-            continue;
-        };
-        if !ends_operand(prev) || prev.kind == TokKind::Float || next.kind == TokKind::Float {
-            continue;
-        }
-        let prev_len = (prev.kind == TokKind::Ident && LEN_IDENTS.contains(&prev.text.as_str()))
-            || (prev.is_punct(")")
-                && matches!(
-                    callee_before_close_paren(toks, i - 1),
-                    Some(name) if LEN_CALLEES.contains(&name.as_str())
-                ));
-        let next_len = (next.kind == TokKind::Ident && LEN_IDENTS.contains(&next.text.as_str()))
-            || len_call_ahead(toks, i + 1);
-        if prev_len || next_len {
-            push(
-                t.line,
-                format!(
-                    "bare `{}` on a length in a wire-parse file \
-                     (use checked_*/saturating_* or waive with a bound argument)",
-                    t.text
-                ),
-            );
-        }
     }
 }
 
@@ -788,11 +708,6 @@ mod tests {
         assert!(!applies(alloc, "nn", "crates/nn/src/device/mod.rs"));
         assert!(!applies(alloc, "nn", "crates/nn/src/model.rs"));
         assert!(!applies(alloc, "cfd", "crates/cfd/src/solver.rs"));
-        // unchecked-arith is per file: only the wire-parse files get it.
-        let arith = "unchecked-arith";
-        assert!(applies(arith, "net", "crates/net/src/frame.rs"));
-        assert!(applies(arith, "net", "crates/net/src/proto.rs"));
-        assert!(!applies(arith, "net", "crates/net/src/server.rs"));
         // relaxed-ordering applies everywhere except the obs crate.
         let relaxed = "relaxed-ordering";
         assert!(applies(relaxed, "serve", "crates/serve/src/server.rs"));
@@ -922,40 +837,6 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests { fn t() { let v = vec![1.0]; \
                    let t = Tensor::zeros(s); } }";
         assert!(rules_of(src).is_empty());
-    }
-
-    #[test]
-    fn unchecked_arith_flags_length_sums_and_products() {
-        let src = "fn f() { let a = 16 + 24 + data.len() * 4; let b = cells * 5; \
-                   let c = pos + n_bytes; }";
-        // `24 + data.len()`, `data.len() * 4`, `cells * 5`, `pos + ...`.
-        let got: Vec<_> = rules_of(src)
-            .into_iter()
-            .filter(|r| *r == "unchecked-arith")
-            .collect();
-        assert_eq!(got.len(), 4);
-    }
-
-    #[test]
-    fn checked_and_saturating_arith_not_flagged() {
-        let src = "fn f() { let a = count.checked_mul(4)?; \
-                   let b = 40usize.saturating_add(cells.saturating_mul(5)); \
-                   let c = self.pos.checked_add(n)?; }";
-        assert!(!rules_of(src).contains(&"unchecked-arith"));
-    }
-
-    #[test]
-    fn non_length_arith_and_unary_not_flagged() {
-        let src = "fn f(p: *const u8) { let a = x + y; let b = 2 * k; \
-                   let c = *ptr; let d = w * h; }";
-        assert!(!rules_of(src).contains(&"unchecked-arith"));
-    }
-
-    #[test]
-    fn float_arith_on_len_words_not_flagged() {
-        // Geometry math on floats is not wire-length arithmetic.
-        let src = "fn f() { let a = extent * 0.5; let b = 1.0 + size; }";
-        assert!(!rules_of(src).contains(&"unchecked-arith"));
     }
 
     #[test]

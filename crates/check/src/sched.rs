@@ -7,23 +7,26 @@
 //! reproducible from its choice trace — no real parallelism, no timing
 //! dependence.
 //!
-//! Why this is sound for the serve primitives: every public operation
-//! on [`adarnet_serve::LaneQueue`], [`adarnet_serve::PatchCache`]
-//! and [`adarnet_serve::ModelRegistry`] is atomic under that
-//! structure's internal lock, so any concurrent execution is equivalent
-//! to *some* linearization of the operations — and the explorer visits
-//! those linearizations exhaustively (or by seeded random sampling for
-//! the larger spaces). What this cannot see is a non-linearizable
-//! implementation (e.g. a torn multi-lock update); the lock-order lint
-//! and the uniform-checkpoint torn-read oracle cover that flank. See
-//! DESIGN.md §9 for the full argument and its limits.
+//! Why this is sound for the checked primitives: every public operation
+//! on [`adarnet_serve::LaneQueue`], [`adarnet_serve::QuotaTable`],
+//! [`adarnet_serve::PatchCache`], [`adarnet_serve::ModelRegistry`] and
+//! the obs [`adarnet_obs::TailSampler`] is atomic under that
+//! structure's internal lock, and every [`adarnet_obs::TraceArena`]
+//! operation commits under one slot's lock, which re-checks what the
+//! arena's lock-free probe key suggested, so any concurrent
+//! execution is equivalent to *some* linearization of the operations —
+//! and the explorer visits those linearizations exhaustively (or by
+//! seeded random sampling for the larger spaces). What this cannot see
+//! is a non-linearizable implementation (e.g. a torn multi-lock
+//! update); the race and lock-order replay of every schedule, the
+//! lock-order lint and the uniform-checkpoint torn-read oracle cover
+//! that flank. See DESIGN.md §9 for the full argument and its limits.
 //!
 //! Two exploration plans ([`Plan`]):
 //!
 //! * exhaustive — [`explore_exhaustive`] goes depth-first over *all*
 //!   interleavings (the count for thread op-lengths `(a, b, c)` is the
-//!   multinomial `(a+b+c)! / (a! b! c!)`), and sleep-set DPOR
-//!   ([`explore_dpor`]) is cross-checked against it;
+//!   multinomial `(a+b+c)! / (a! b! c!)`), executing each once;
 //! * random — [`explore_random`] makes uniformly random scheduler
 //!   choices from a seeded [`rand_chacha::ChaCha8Rng`], for spaces too
 //!   large to enumerate.
@@ -33,7 +36,6 @@ use rand_chacha::ChaCha8Rng;
 
 use adarnet_core::sync::trace;
 
-use crate::dpor::{explore_dpor, Footprint};
 use crate::race;
 
 /// A model-checking scenario: threads of operations over shared state.
@@ -59,14 +61,6 @@ pub trait Scenario {
     /// End-of-interleaving invariants (e.g. conservation after a full
     /// drain).
     fn finish(&self, state: &mut Self::State) -> Result<(), String>;
-
-    /// Declared read/write footprint of `op` on `thread`, used by
-    /// [`crate::dpor::explore_dpor`] to decide which steps commute.
-    /// The default makes every pair of steps conflict, so DPOR
-    /// degenerates to plain DFS — sound without any declaration.
-    fn footprint(&self, _thread: usize, _op: usize) -> Footprint {
-        Footprint::exclusive(0)
-    }
 }
 
 /// One invariant violation with its reproducing schedule.
@@ -103,11 +97,7 @@ pub struct ExploreResult {
 impl ExploreResult {
     /// Count one executed interleaving's `(trace, failure)` outcome
     /// (from [`run_one`]), keeping at most [`MAX_VIOLATIONS`] violations.
-    pub(crate) fn record<S: Scenario>(
-        &mut self,
-        scenario: &S,
-        outcome: (Vec<usize>, Option<String>),
-    ) {
+    fn record<S: Scenario>(&mut self, scenario: &S, outcome: (Vec<usize>, Option<String>)) {
         self.interleavings += 1;
         let (trace, failed) = outcome;
         if let (Some(message), true) = (failed, self.violations.len() < MAX_VIOLATIONS) {
@@ -136,7 +126,7 @@ const MAX_VIOLATIONS: usize = 8;
 /// it — even when every oracle check passed. `init` and `finish` run
 /// outside the recording window: they are single-threaded prologue /
 /// epilogue, not concurrent behavior.
-pub(crate) fn run_one<S: Scenario>(
+fn run_one<S: Scenario>(
     scenario: &S,
     ops: &[usize],
     mut choose: impl FnMut(&[usize]) -> usize,
@@ -240,8 +230,7 @@ pub fn explore_random<S: Scenario>(scenario: &S, trials: u64, seed: u64) -> Expl
 /// How one scenario is explored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plan {
-    /// Every interleaving: plain DFS as the reference, with sleep-set
-    /// DPOR cross-checked against it.
+    /// Every interleaving, by [`explore_exhaustive`].
     Exhaustive,
     /// `trials` seeded-random schedules.
     Random {
@@ -252,101 +241,69 @@ pub enum Plan {
     },
 }
 
-/// Accumulated counts and findings for one suite.
+/// Accumulated counts and findings for one suite. Every interleaving
+/// counted here was executed once.
 #[derive(Debug, Default)]
 pub struct SuiteStats {
-    /// Schedules DPOR executed on the exhaustive spaces.
-    pub exh_explored: u64,
-    /// Interleavings DFS enumerated on the exhaustive spaces.
-    pub exh_covered: u64,
-    /// Schedules DPOR skipped as trace-equivalent.
-    pub exh_skipped: u64,
-    /// Schedules executed by seeded random sampling.
-    pub random_explored: u64,
+    /// Interleavings executed on the exhaustive spaces.
+    pub exhaustive: u64,
+    /// Interleavings executed by seeded random sampling.
+    pub random: u64,
     /// Violations found (empty = pass).
     pub violations: Vec<Violation>,
-    /// Places where DFS and DPOR disagree (empty = every footprint
-    /// declaration held).
-    pub mismatches: Vec<String>,
 }
 
 impl SuiteStats {
-    /// Total schedules executed.
-    pub fn explored(&self) -> u64 {
-        self.exh_explored + self.random_explored
+    /// Total interleavings executed.
+    pub fn interleavings(&self) -> u64 {
+        self.exhaustive + self.random
     }
 
-    /// Total interleavings covered (each random trial counts once).
-    pub fn covered(&self) -> u64 {
-        self.exh_covered + self.random_explored
-    }
-
-    /// Explore `scenario` under `plan`, folding the outcome in. An
-    /// exhaustive plan runs DFS and DPOR and reports a mismatch where
-    /// they disagree on whether violations exist or on the covered
-    /// count: either means a footprint declaration is wrong.
+    /// Explore `scenario` under `plan`, folding the outcome in.
     pub fn explore<S: Scenario>(&mut self, scenario: &S, plan: Plan) {
-        if let Plan::Random { trials, seed } = plan {
-            let r = explore_random(scenario, trials, seed);
-            self.random_explored += r.interleavings;
-            self.violations.extend(r.violations);
-            return;
-        }
-        let r = explore_exhaustive(scenario);
-        let d = explore_dpor(scenario);
-        if r.violations.is_empty() != d.result.violations.is_empty() {
-            self.mismatches.push(format!(
-                "{}: dfs found {} violation(s), dpor found {} — a footprint \
-                 declaration is wrong",
-                scenario.name(),
-                r.violations.len(),
-                d.result.violations.len()
-            ));
-        }
-        if d.covered != r.interleavings {
-            self.mismatches.push(format!(
-                "{}: dpor claims to cover {} interleavings, dfs enumerated {}",
-                scenario.name(),
-                d.covered,
-                r.interleavings
-            ));
-        }
-        self.exh_explored += d.result.interleavings;
-        self.exh_covered += r.interleavings;
-        self.exh_skipped += d.skipped;
-        // DFS findings subsume DPOR's (same traces, more schedules); fall
-        // back so a DPOR-only find still surfaces beside its mismatch.
-        if r.violations.is_empty() {
-            self.violations.extend(d.result.violations);
-        } else {
-            self.violations.extend(r.violations);
-        }
+        let r = match plan {
+            Plan::Exhaustive => {
+                let r = explore_exhaustive(scenario);
+                self.exhaustive += r.interleavings;
+                r
+            }
+            Plan::Random { trials, seed } => {
+                let r = explore_random(scenario, trials, seed);
+                self.random += r.interleavings;
+                r
+            }
+        };
+        self.violations.extend(r.violations);
     }
-}
-
-/// Number of distinct interleavings for the given per-thread op counts
-/// (the multinomial coefficient), saturating at `u64::MAX`.
-pub fn interleaving_count(ops: &[usize]) -> u64 {
-    // Multiply incrementally: result *= C(total, k) per thread.
-    let mut result: u64 = 1;
-    let mut total: u64 = 0;
-    for &k in ops {
-        for i in 1..=(k as u64) {
-            total += 1;
-            // result * total / i is always integral at this point.
-            result = match result.checked_mul(total) {
-                Some(v) => v / i,
-                None => return u64::MAX,
-            };
-        }
-    }
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suites::{
+        cache_rows, lane_rows, quota_rows, registry_rows, trace_rows, Row, Subject,
+    };
     use std::cell::RefCell;
+    use std::collections::BTreeSet;
+
+    /// Number of distinct interleavings for the given per-thread op
+    /// counts (the multinomial coefficient), saturating at `u64::MAX`.
+    fn interleaving_count(ops: &[usize]) -> u64 {
+        // Multiply incrementally: result *= C(total, k) per thread.
+        let mut result: u64 = 1;
+        let mut total: u64 = 0;
+        for &k in ops {
+            for i in 1..=(k as u64) {
+                total += 1;
+                // result * total / i is always integral at this point.
+                result = match result.checked_mul(total) {
+                    Some(v) => v / i,
+                    None => return u64::MAX,
+                };
+            }
+        }
+        result
+    }
 
     /// Counts distinct traces and checks program order per thread.
     struct TraceCollector {
@@ -381,18 +338,42 @@ mod tests {
         }
     }
 
+    /// The thread shapes of a suite's rows that the full budget
+    /// enumerates.
+    fn exhaustive_shapes<S: Subject>(rows: Vec<Row<S>>) -> impl Iterator<Item = Vec<usize>> {
+        rows.into_iter()
+            .filter(|row| row.1 == Plan::Exhaustive)
+            .map(|row| row.0.thread_ops())
+    }
+
     #[test]
     fn exhaustive_visits_every_interleaving_exactly_once() {
-        let s = TraceCollector {
-            ops: vec![2, 2, 1],
-            seen: RefCell::new(Default::default()),
-        };
-        let r = explore_exhaustive(&s);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        // A hand-sized shape plus every shape the model check enumerates,
+        // up to (4, 4, 5) = 90090 interleavings.
+        let shapes: BTreeSet<Vec<usize>> = std::iter::once(vec![2, 2, 1])
+            .chain(exhaustive_shapes(lane_rows()))
+            .chain(exhaustive_shapes(quota_rows()))
+            .chain(exhaustive_shapes(cache_rows()))
+            .chain(exhaustive_shapes(registry_rows()))
+            .chain(exhaustive_shapes(trace_rows()))
+            .collect();
         // 5!/(2!2!1!) = 30 distinct interleavings.
         assert_eq!(interleaving_count(&[2, 2, 1]), 30);
-        assert_eq!(r.interleavings, 30);
-        assert_eq!(s.seen.borrow().len(), 30, "each visited exactly once");
+        for ops in shapes {
+            let s = TraceCollector {
+                ops: ops.clone(),
+                seen: RefCell::new(Default::default()),
+            };
+            let r = explore_exhaustive(&s);
+            assert!(r.violations.is_empty(), "{ops:?}: {:?}", r.violations);
+            let want = interleaving_count(&ops);
+            assert_eq!(r.interleavings, want, "{ops:?}");
+            assert_eq!(
+                s.seen.borrow().len() as u64,
+                want,
+                "{ops:?}: each visited exactly once"
+            );
+        }
     }
 
     #[test]

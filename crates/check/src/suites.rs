@@ -24,18 +24,18 @@ use adarnet_tensor::{Shape, Tensor};
 
 use adarnet_obs::trace::{PendingSpan, TailSampler, TraceArena, TraceCtx};
 
-use crate::dpor::Footprint;
 use crate::oracle::{
     LruModel, ModelPush, ModelSpan, PriorityQueueModel, QuotaModel, RegistryModel, SamplerModel,
     TraceModel,
 };
 use crate::sched::{Plan, Scenario, SuiteStats};
 
-/// Exploration effort: `Full` is the CI gate (≥ 10k interleavings,
-/// ≥ 5× DPOR reduction), `Small` the SKIP_SLOW smoke budget.
+/// Exploration effort: `Full` is the CI gate (every row's full plan,
+/// ≥ 10,000 interleavings), `Small` the SKIP_SLOW smoke budget (every
+/// row's small plan, no floor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Budget {
-    /// Full bounded-exhaustive + random budget.
+    /// Full exhaustive + random budget.
     Full,
     /// Reduced smoke budget for fast iteration.
     Small,
@@ -66,12 +66,6 @@ pub trait Subject {
 
     /// End-of-interleaving invariants.
     fn finish(&self, state: &mut Self::State) -> Result<(), String>;
-
-    /// Declared footprint of `op` for DPOR; the default conflicts with
-    /// every other step.
-    fn footprint(_op: Self::Op) -> Footprint {
-        Footprint::exclusive(0)
-    }
 }
 
 /// Threads of scripted ops over one [`Subject`]: the one [`Scenario`]
@@ -110,10 +104,6 @@ impl<S: Subject> Scenario for Script<S> {
     fn finish(&self, state: &mut S::State) -> Result<(), String> {
         self.spec.finish(state)
     }
-
-    fn footprint(&self, thread: usize, op: usize) -> Footprint {
-        S::footprint(self.threads[thread][op])
-    }
 }
 
 /// One suite row: a script, then its plan at the full and the small
@@ -134,7 +124,7 @@ fn row<S: Subject + Clone>(spec: S, full: Plan, small: Plan, threads: Vec<Vec<S:
     )
 }
 
-/// Every interleaving, cross-checked.
+/// Every interleaving.
 const EXH: Plan = Plan::Exhaustive;
 
 /// `trials` seeded-random schedules.
@@ -297,22 +287,6 @@ impl Subject for Lanes {
             }
         }
     }
-
-    /// Lane-queue commutativity, as objects: `0` = control plane
-    /// (shutdown flag, read by every op), `1 + lane` = one lane's
-    /// FIFO, `4` = the weighted-deficit scheduler state (credits +
-    /// pickup cursor, consumed by every pop). Pushes to *different*
-    /// lanes commute: each appends to its own FIFO and neither moves
-    /// the scheduler; everything else conflicts.
-    fn footprint(op: LaneOp) -> Footprint {
-        match op {
-            LaneOp::Push(lane, _) => Footprint::new(vec![0], vec![1 + lane as u64]),
-            LaneOp::TryPop | LaneOp::TryPopBatch(_) | LaneOp::PopBatch(_) => {
-                Footprint::new(vec![0], vec![1, 2, 3, 4])
-            }
-            LaneOp::Shutdown => Footprint::exclusive(0),
-        }
-    }
 }
 
 /// The lane suite.
@@ -356,10 +330,9 @@ pub fn lane_rows() -> Vec<Row<Lanes>> {
                 vec![PopBatch(3), PopBatch(3)],
             ],
         ),
-        // DPOR dividend: a deep two-producer burst (4 interactive + 4
-        // bulk pushes) against a 3-pop consumer — 11550 interleavings,
-        // but cross-lane pushes commute so DPOR runs ~1.2k
-        // representative schedules.
+        // A deep two-producer burst (4 interactive + 4 bulk pushes)
+        // against a 3-pop consumer (11550 interleavings): every arrival
+        // order of the two bursts meets every pop.
         row(
             lanes(4, [8, 4, 1]),
             EXH,
@@ -440,14 +413,6 @@ impl Subject for QuotaConfig {
         }
         Ok(())
     }
-
-    /// Each take touches exactly one tenant's bucket; takes on
-    /// *different* tenants commute (the table's one lock serializes
-    /// them, but their admit/deny results, per-bucket conservation
-    /// bounds, and the final tenant count are all order-independent).
-    fn footprint(op: QuotaOp) -> Footprint {
-        Footprint::exclusive(op.tenant)
-    }
 }
 
 /// `try_take_at(tenant, now_ns)` as a script op.
@@ -483,12 +448,10 @@ pub fn quota_rows() -> Vec<Row<QuotaConfig>> {
                 vec![take(2, 20 * MS), take(1, 15 * MS), take(2, 2 * MS)],
             ],
         ),
-        // DPOR dividend: two single-tenant burst threads against one
-        // cross-tenant prober — 34650 interleavings of (4, 4, 4), but
-        // only the prober's two overlap takes conflict across threads,
-        // so DPOR runs a few dozen representatives. The prober's clocks
-        // land *inside* the bursts' refill windows, so every
-        // representative yields a different admit/deny history.
+        // Two single-tenant burst threads against one cross-tenant
+        // prober (34650 interleavings of (4, 4, 4)). The prober's clocks
+        // land *inside* the bursts' refill windows, so where its takes
+        // fall among the bursts changes the admit/deny history.
         row(
             quota(100, 2),
             EXH,
@@ -583,9 +546,6 @@ pub struct CacheState {
     model: LruModel,
 }
 
-/// Every cache op moves the one shared LRU recency list (even a `get`
-/// reorders it), so the default fully-dependent footprint is the honest
-/// one: DPOR explores this suite like plain DFS.
 impl Subject for Cache {
     type Op = CacheOp;
     type State = CacheState;
@@ -848,23 +808,6 @@ impl Subject for Registry {
         let real = state.real.active().map(|a| (a.generation, a.name.clone()));
         agree("final active model", real, state.model.active.clone())
     }
-
-    /// Object `0` is the published active slot (generation + name +
-    /// checkpoint); object `1` the one-resident-engine cell behind
-    /// `shared_with()`. Reads of the active slot commute with each other but
-    /// not with activations; two `shared_with()` calls conflict (both may
-    /// instantiate the resident engine). `UseHeld` only reads the
-    /// thread's retained `Arc`, but is declared a reader of `0` anyway
-    /// so DPOR still explores it on *both* sides of every activation —
-    /// the in-flight-engine-survives-a-hot-swap orderings are the whole
-    /// point of those scenarios.
-    fn footprint(op: RegistryOp) -> Footprint {
-        match op {
-            RegistryOp::Activate(_) => Footprint::new(vec![], vec![0, 1]),
-            RegistryOp::ReadActive | RegistryOp::UseHeld => Footprint::reads(&[0]),
-            RegistryOp::Shared => Footprint::new(vec![0], vec![1]),
-        }
-    }
 }
 
 /// The registry suite.
@@ -997,9 +940,6 @@ fn trace_e2e_for(thread: usize, incarnation: u64) -> u64 {
     ((thread as u64 * 7 + incarnation * 3) % 5 + 1) * 10
 }
 
-/// Every op hits the one shared arena (and the per-step checks read all
-/// of it), so the default fully-dependent footprint is honest and DPOR
-/// degenerates to DFS here.
 impl Subject for Trace {
     type Op = TraceOp;
     type State = TraceState;
@@ -1207,36 +1147,26 @@ pub fn trace_rows() -> Vec<Row<Trace>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpor::explore_dpor;
-    use crate::sched::{explore_exhaustive, interleaving_count};
+    use crate::sched::explore_exhaustive;
     use adarnet_core::sync;
     use std::sync::Mutex;
 
     #[test]
     fn small_budget_suites_pass() {
         // Every small-budget exhaustive row (lanes' blocking pops, both
-        // registry hot-swap shapes, the trace laggard) is cross-checked
-        // against DFS here too.
+        // registry hot-swap shapes, the trace laggard) runs in full here
+        // too.
         for (name, stats) in run_all(Budget::Small) {
             assert!(
                 stats.violations.is_empty(),
                 "{name}: {:?}",
                 stats.violations
             );
-            assert!(
-                stats.mismatches.is_empty(),
-                "{name}: {:?}",
-                stats.mismatches
-            );
-            assert!(stats.explored() > 0, "{name} explored nothing");
-            assert!(
-                stats.covered() >= stats.explored(),
-                "{name} covered < explored"
-            );
+            assert!(stats.interleavings() > 0, "{name} explored nothing");
         }
     }
 
-    /// A script exhaustively explored, DFS and DPOR cross-checked.
+    /// A script exhaustively explored.
     fn explore<S: Subject>(real: S, spec: S, threads: Vec<Vec<S::Op>>) -> SuiteStats {
         let mut stats = SuiteStats::default();
         let script = Script {
@@ -1249,58 +1179,13 @@ mod tests {
     }
 
     #[test]
-    fn dfs_and_dpor_agree_on_the_quota_footprints() {
-        // A small exhaustive space where the per-tenant footprints do
-        // real commuting: the cross-check holds DPOR's reduction to full
-        // DFS — verdicts and covered counts must match.
-        let stats = explore(
-            quota(100, 1),
-            quota(100, 1),
-            vec![
-                vec![take(1, 0), take(1, 5 * MS), take(2, 10 * MS)],
-                vec![take(2, 0), take(1, 3 * MS), take(2, 7 * MS)],
-            ],
-        );
-        assert!(stats.mismatches.is_empty(), "{:?}", stats.mismatches);
-        assert!(stats.violations.is_empty(), "{:?}", stats.violations);
-        assert!(
-            stats.exh_explored < stats.exh_covered,
-            "tenant footprints should commute somewhere ({} of {})",
-            stats.exh_explored,
-            stats.exh_covered
-        );
-    }
-
-    #[test]
-    fn dpor_reduces_the_deep_lane_burst_at_least_five_fold() {
-        // The lane suite's largest exhaustive row: two commuting burst
-        // producers against one popper.
-        let rows = lane_rows();
-        let deep = rows
-            .iter()
-            .filter(|row| row.1 == Plan::Exhaustive)
-            .map(|row| &row.0)
-            .max_by_key(|script| interleaving_count(&script.thread_ops()));
-        let d = explore_dpor(deep.expect("the lane suite has exhaustive rows"));
-        assert!(d.result.violations.is_empty(), "{:?}", d.result.violations);
-        assert_eq!(d.covered, interleaving_count(&[4, 4, 3]));
-        assert!(
-            d.result.interleavings * 5 <= d.covered,
-            "DPOR explored {} of {} — reduction under 5x",
-            d.result.interleavings,
-            d.covered
-        );
-    }
-
-    #[test]
     fn oracles_catch_the_seeded_bugs() {
         use LaneOp::*;
         use TraceOp::*;
         // Each script runs a real primitive configured unlike its spec;
-        // DFS and DPOR must both catch it.
+        // DFS must catch it.
         let caught = |stats: SuiteStats, bug: &str| {
             assert!(!stats.violations.is_empty(), "seeded {bug} must be caught");
-            assert!(stats.mismatches.is_empty(), "{bug}: {:?}", stats.mismatches);
         };
         // Real weights favor bulk; the spec expects [4, 2, 1]. Some pop's
         // lane choice diverges, at the latest at drain time.
@@ -1385,15 +1270,6 @@ mod tests {
         let v = &r.violations[0];
         assert!(v.message.contains("data race"), "{}", v.message);
         assert!(!v.trace.is_empty(), "violation must carry a schedule");
-        let d = explore_dpor(&RacyPair);
-        assert!(
-            d.result
-                .violations
-                .iter()
-                .any(|v| v.message.contains("data race")),
-            "DPOR must catch the same race: {:?}",
-            d.result.violations
-        );
     }
 
     /// Deliberate lock-order inversion: thread 0 nests `a` then `b`,
@@ -1436,14 +1312,5 @@ mod tests {
         let v = &r.violations[0];
         assert!(v.message.contains("lock-order inversion"), "{}", v.message);
         assert!(!v.trace.is_empty(), "violation must carry a schedule");
-        let d = explore_dpor(&InvertedLocks);
-        assert!(
-            d.result
-                .violations
-                .iter()
-                .any(|v| v.message.contains("lock-order inversion")),
-            "DPOR must catch the same inversion: {:?}",
-            d.result.violations
-        );
     }
 }

@@ -24,7 +24,7 @@
 //! recorder around each schedule, and replays the captured trace
 //! through a vector-clock happens-before analysis (data races) and an
 //! acquisition-graph cycle check (lock-order inversions). See
-//! DESIGN.md §14.
+//! DESIGN.md §9.3–9.4.
 //!
 //! When the recorder is *not* armed (every production thread), the only
 //! cost per lock operation is one thread-local flag read; no events are

@@ -16,6 +16,8 @@
 //! well-framed body are request-level ([`crate::proto::DecodeError`])
 //! and answered with a typed error response instead.
 
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use std::io::{Read, Write};
 
 /// Hard bound on one frame's body, bytes. A 4-channel 1024×4096 f32

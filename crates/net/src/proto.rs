@@ -52,6 +52,8 @@
 //! [`DecodeError`], which the server answers with a `status = error`
 //! response (the connection survives — the frame itself was intact).
 
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use adarnet_serve::{Precision, Priority, RejectReason};
 use adarnet_tensor::{Shape, Tensor};
 
@@ -121,14 +123,14 @@ pub const REJECT_BAD_REQUEST: u8 = 6;
 fn precision_to_u8(p: Option<Precision>) -> u8 {
     match p {
         None => 0,
-        Some(p) => p.index() as u8 + 1,
+        Some(p) => (p.index() as u8).saturating_add(1),
     }
 }
 
 fn precision_from_u8(v: u8) -> Result<Option<Precision>, DecodeError> {
-    match v {
-        0 => Ok(None),
-        _ => match Precision::from_index(v as usize - 1) {
+    match v.checked_sub(1) {
+        None => Ok(None),
+        Some(i) => match Precision::from_index(usize::from(i)) {
             Some(p) => Ok(Some(p)),
             None => Err(DecodeError::BadPrecision(v)),
         },
@@ -332,6 +334,10 @@ fn read_header(c: &mut Cursor<'_>, expected_kind: u8) -> Result<u64, DecodeError
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let (ch, h, w) = field_dims(&req.field);
     let data = req.field.as_slice();
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "encode path, not decode: `data` is the request's already-resident f32 tensor, so its backing buffer occupies len*4 bytes and len*4 cannot exceed usize; the +48 header bytes cannot overflow past that, and write_frame rejects anything over MAX_FRAME before it reaches the wire"
+    )]
     let mut out = Vec::with_capacity(16 + 32 + data.len() * 4);
     put_header(&mut out, KIND_REQUEST, req.request_id);
     out.extend_from_slice(&req.tenant.to_le_bytes());
