@@ -3,8 +3,8 @@
 //! The baseline AMR solver in the paper is *feature-based* (§4.3): it
 //! refines cells where the gradient of the eddy viscosity is highest, up to
 //! refinement level 4. [`gradient_indicator`] computes the per-patch maximum
-//! gradient magnitude of a [`CompositeField`]; [`mark_threshold`] and
-//! [`mark_top_fraction`] convert indicator values into refinement marks.
+//! gradient magnitude of a [`CompositeField`]; [`mark_threshold`]
+//! converts indicator values into refinement marks.
 
 use crate::{CompositeField, Side};
 
@@ -93,25 +93,6 @@ pub fn mark_threshold(indicator: &[f64], theta: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Mark the `frac` fraction of patches with the highest indicator values
-/// (at least one patch if `frac > 0` and any indicator is positive).
-pub fn mark_top_fraction(indicator: &[f64], frac: f64) -> Vec<usize> {
-    assert!((0.0..=1.0).contains(&frac), "frac must be in [0, 1]");
-    if frac <= 0.0 || indicator.is_empty() {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..indicator.len()).collect();
-    order.sort_by(|&a, &b| {
-        indicator[b]
-            .partial_cmp(&indicator[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let k = ((indicator.len() as f64 * frac).ceil() as usize).max(1);
-    order.truncate(k);
-    order.retain(|&i| indicator[i] > 0.0);
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,13 +174,5 @@ mod tests {
         assert_eq!(mark_threshold(&ind, 0.4), vec![1, 2]);
         assert_eq!(mark_threshold(&ind, 0.99), vec![2]);
         assert!(mark_threshold(&[0.0, 0.0], 0.5).is_empty());
-    }
-
-    #[test]
-    fn top_fraction_marking() {
-        let ind = vec![0.1, 0.5, 1.0, 0.05];
-        assert_eq!(mark_top_fraction(&ind, 0.5), vec![2, 1]);
-        assert_eq!(mark_top_fraction(&ind, 0.01), vec![2]);
-        assert!(mark_top_fraction(&[0.0; 4], 0.5).is_empty());
     }
 }

@@ -42,6 +42,6 @@ pub mod map;
 
 pub use driver::{AmrDriver, AmrOutcome, AmrSim, RoundStats, SolveStats};
 pub use field::{CompositeField, Side};
-pub use indicator::{gradient_indicator, mark_threshold, mark_top_fraction};
+pub use indicator::{gradient_indicator, mark_threshold};
 pub use layout::PatchLayout;
 pub use map::RefinementMap;

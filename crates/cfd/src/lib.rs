@@ -29,7 +29,6 @@
 
 pub mod geometry;
 pub mod mesh;
-pub mod monitor;
 pub mod qoi;
 pub mod sa;
 pub mod solver;
@@ -38,7 +37,6 @@ mod sweep;
 
 pub use geometry::{Body, CaseConfig, SideBc, NU};
 pub use mesh::CaseMesh;
-pub use monitor::{ConvergenceHistory, RunReport};
 pub use qoi::{drag_coefficient, lift_coefficient, skin_friction_coefficient, HOERNER_CYLINDER_CD};
 pub use sa::SaConstants;
 pub use solver::{RansSolver, SolverConfig};

@@ -78,16 +78,6 @@ impl CaseMesh {
         (dy0 / s, dx0 / s)
     }
 
-    /// Physical center of cell `(i, j)` in patch `(py, px)`.
-    pub fn cell_center(&self, py: usize, px: usize, i: usize, j: usize) -> (f64, f64) {
-        let layout = self.layout();
-        let level = self.map.level(py, px);
-        let (dy, dx) = self.cell_size(level);
-        let x0 = px as f64 * layout.pw as f64 * self.case.lx / layout.coarse_w() as f64;
-        let y0 = py as f64 * layout.ph as f64 * self.case.ly / layout.coarse_h() as f64;
-        (x0 + (j as f64 + 0.5) * dx, y0 + (i as f64 + 0.5) * dy)
-    }
-
     /// Number of fluid (non-solid) cells across the mesh.
     pub fn fluid_cells(&self) -> usize {
         self.solid
@@ -150,19 +140,6 @@ mod tests {
         // Solid fraction ~ area(pi r^2) / domain area = pi*0.25/16 ~ 4.9%.
         let frac = 1.0 - mesh.fluid_cells() as f64 / mesh.active_cells() as f64;
         assert!((frac - 0.049).abs() < 0.02, "solid fraction {frac}");
-    }
-
-    #[test]
-    fn cell_center_positions() {
-        let map = RefinementMap::uniform(small_layout(), 0, 3);
-        let mesh = CaseMesh::new(CaseConfig::channel(2.5e3), map);
-        let (x, y) = mesh.cell_center(0, 0, 0, 0);
-        assert!((x - 6.0 / 64.0 / 2.0).abs() < 1e-12);
-        assert!((y - 0.1 / 16.0 / 2.0).abs() < 1e-12);
-        // Last cell of last patch.
-        let (x, y) = mesh.cell_center(1, 7, 7, 7);
-        assert!((x - (6.0 - 6.0 / 64.0 / 2.0)).abs() < 1e-12);
-        assert!((y - (0.1 - 0.1 / 16.0 / 2.0)).abs() < 1e-12);
     }
 
     #[test]

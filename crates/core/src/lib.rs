@@ -37,13 +37,11 @@ pub mod engine;
 pub mod framework;
 pub mod loss;
 pub mod memory;
-pub mod metrics;
 pub mod network;
 pub mod observe;
 pub mod pde;
 pub mod precision;
 pub mod ranker;
-pub mod schedule;
 pub mod scorer;
 pub mod surfnet;
 pub mod sync;
@@ -56,11 +54,9 @@ pub use framework::{
     run_adarnet_case, run_amr_baseline, try_run_adarnet_case, AdarnetRunReport, AmrBaselineReport,
 };
 pub use loss::{hybrid_loss_and_grad, LossConfig, NormStats, PatchLoss};
-pub use metrics::{psnr_db, relative_l2, MapAgreement, StateComparison};
 pub use network::{AdarNet, AdarNetConfig, ForwardPlan, FrozenAdarNet, Prediction};
 pub use precision::{Precision, PRECISION_COUNT};
 pub use ranker::{Binning, Ranker, RankerError};
-pub use schedule::{EarlyStopping, LrSchedule};
 pub use scorer::{FrozenScorer, PoolKind, Scorer, ScorerOutput};
 pub use surfnet::SurfNet;
 pub use trainer::{PassStats, Trainer, TrainerConfig};

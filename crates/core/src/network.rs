@@ -52,7 +52,7 @@ pub struct AdarNet {
     /// Shared decoder (Figure 5).
     pub decoder: Decoder,
     /// Compute backend every kernel in the scorer and decoder routes
-    /// through; [`Device::active`] at construction, changed via
+    /// through; [`Device::detect`] at construction, changed via
     /// [`AdarNet::set_device`].
     device: Device,
 }
@@ -138,7 +138,7 @@ impl AdarNet {
             ranker: Ranker::new(cfg.bins),
             // Decoder input: flow channels + latent + 2 coordinates.
             decoder: Decoder::new(cfg.in_channels + 3, cfg.seed + 100),
-            device: Device::active(),
+            device: Device::detect(),
         }
     }
 
@@ -410,27 +410,6 @@ impl Prediction {
     pub fn active_cells(&self) -> usize {
         self.patches.iter().map(|p| p.dim(1) * p.dim(2)).sum()
     }
-
-    /// Sample the non-uniform prediction onto a uniform grid at `level`
-    /// for visualization/comparison, channel `ch`.
-    pub fn to_uniform_channel(&self, ch: usize, level: u8) -> adarnet_tensor::Grid2<f64> {
-        let map = self.refinement_map(self.patches_max_level());
-        let mut field = adarnet_amr::CompositeField::zeros(&map);
-        for (idx, p) in self.patches.iter().enumerate() {
-            let g = field.patch_at_mut(idx);
-            let (h, w) = (p.dim(1), p.dim(2));
-            for i in 0..h {
-                for j in 0..w {
-                    g.set(i, j, p.get3(ch, i, j) as f64);
-                }
-            }
-        }
-        field.to_uniform(level)
-    }
-
-    fn patches_max_level(&self) -> u8 {
-        self.binning.bin_of_patch.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -527,12 +506,6 @@ mod tests {
         for idx in 0..8 {
             assert_eq!(map.level_at(idx), pred.binning.level_of(idx));
         }
-    }
-
-    #[test]
-    fn to_uniform_channel_shapes() {
-        let g = predict(&sample(16, 32)).to_uniform_channel(0, 1);
-        assert_eq!((g.ny(), g.nx()), (32, 64));
     }
 
     #[test]

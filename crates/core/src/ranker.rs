@@ -8,7 +8,6 @@
 //! every patch would land in bin 0 — a detail the paper leaves implicit).
 //! The highest bin maps to the highest target resolution.
 
-use adarnet_amr::{PatchLayout, RefinementMap};
 use adarnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -50,8 +49,9 @@ impl std::error::Error for RankerError {}
 /// use adarnet_core::Ranker;
 ///
 /// let ranker = Ranker::paper(); // b = 4 bins, levels 0..=3
-/// let binning = ranker.bin_scores(&[0.01, 0.2, 0.6, 0.99]);
+/// let binning = ranker.try_bin_scores(&[0.01, 0.2, 0.6, 0.99])?;
 /// assert_eq!(binning.bin_of_patch, vec![0, 0, 2, 3]);
+/// # Ok::<(), adarnet_core::RankerError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Ranker {
@@ -79,22 +79,6 @@ impl Ranker {
     /// The paper's configuration: b = 4 (§4.2).
     pub fn paper() -> Ranker {
         Ranker::new(4)
-    }
-
-    /// Bin a flat slice of patch scores, panicking on invalid input.
-    ///
-    /// Convenience wrapper over [`Ranker::try_bin_scores`] for contexts
-    /// (training, tests) where empty or non-finite scores are a
-    /// programming error.
-    pub fn bin_scores(&self, scores: &[f64]) -> Binning {
-        match self.try_bin_scores(scores) {
-            Ok(b) => b,
-            #[expect(
-                clippy::panic,
-                reason = "the infallible adapter over a typed error: its callers feed fields they synthesized themselves, so an error here is a bug to stop on, not a condition to handle; serving goes through the try_ variant"
-            )]
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Bin a flat slice of patch scores.
@@ -146,29 +130,12 @@ impl Ranker {
         let flat: Vec<f64> = scores.as_slice().iter().map(|&v| v as f64).collect();
         self.try_bin_scores(&flat)
     }
-
-    /// Convert a binning into a [`RefinementMap`] on the given layout
-    /// (bin index = refinement level; this is the one-shot mesh ADARNet
-    /// outputs).
-    pub fn to_refinement_map(&self, binning: &Binning, layout: PatchLayout) -> RefinementMap {
-        assert_eq!(
-            binning.bin_of_patch.len(),
-            layout.num_patches(),
-            "binning does not match layout"
-        );
-        RefinementMap::from_levels(layout, binning.bin_of_patch.clone(), self.bins - 1)
-    }
 }
 
 impl Binning {
     /// Refinement level (== bin index) of patch `idx`.
     pub fn level_of(&self, idx: usize) -> u8 {
         self.bin_of_patch[idx]
-    }
-
-    /// Number of non-empty bins.
-    pub fn occupied_bins(&self) -> usize {
-        self.groups.iter().filter(|g| !g.is_empty()).count()
     }
 }
 
@@ -182,7 +149,7 @@ mod tests {
         let scores: Vec<f64> = (0..64)
             .map(|i| (i as f64 * 0.37).sin().abs() / 64.0)
             .collect();
-        let b = r.bin_scores(&scores);
+        let b = r.try_bin_scores(&scores).unwrap();
         let total: usize = b.groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, 64);
         for (bin, group) in b.groups.iter().enumerate() {
@@ -196,7 +163,7 @@ mod tests {
     fn monotone_score_to_level() {
         let r = Ranker::paper();
         let scores = vec![0.0, 0.1, 0.5, 0.9, 1.0];
-        let b = r.bin_scores(&scores);
+        let b = r.try_bin_scores(&scores).unwrap();
         for w in b.bin_of_patch.windows(2) {
             assert!(w[0] <= w[1], "{:?}", b.bin_of_patch);
         }
@@ -209,7 +176,7 @@ mod tests {
         // Softmax-like scores all near 1/N still spread across bins.
         let r = Ranker::paper();
         let scores = vec![0.0155, 0.0156, 0.0158, 0.0160];
-        let b = r.bin_scores(&scores);
+        let b = r.try_bin_scores(&scores).unwrap();
         assert_eq!(b.bin_of_patch[0], 0);
         assert_eq!(b.bin_of_patch[3], 3);
     }
@@ -217,25 +184,15 @@ mod tests {
     #[test]
     fn constant_scores_all_lowest_bin() {
         let r = Ranker::paper();
-        let b = r.bin_scores(&[0.25; 16]);
+        let b = r.try_bin_scores(&[0.25; 16]).unwrap();
         assert!(b.bin_of_patch.iter().all(|&v| v == 0));
-        assert_eq!(b.occupied_bins(), 1);
-    }
-
-    #[test]
-    fn to_refinement_map_roundtrip() {
-        let r = Ranker::paper();
-        let layout = PatchLayout::new(2, 2, 4, 4);
-        let b = r.bin_scores(&[0.0, 0.3, 0.6, 1.0]);
-        let map = r.to_refinement_map(&b, layout);
-        assert_eq!(map.levels(), &[0, 1, 2, 3]);
-        assert_eq!(map.max_level(), 3);
+        assert_eq!(b.groups[0].len(), 16);
     }
 
     #[test]
     fn two_bins_split_at_half() {
         let r = Ranker::new(2);
-        let b = r.bin_scores(&[0.0, 0.49, 0.51, 1.0]);
+        let b = r.try_bin_scores(&[0.0, 0.49, 0.51, 1.0]).unwrap();
         assert_eq!(b.bin_of_patch, vec![0, 0, 1, 1]);
     }
 
@@ -256,11 +213,5 @@ mod tests {
             r.try_bin_scores(&[f64::INFINITY]),
             Err(RankerError::NonFiniteScore { index: 0, .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "no scores to bin")]
-    fn bin_scores_empty_panics_with_legacy_message() {
-        Ranker::paper().bin_scores(&[]);
     }
 }

@@ -65,12 +65,6 @@ impl SurfNet {
         self.frozen.forward(&self.decoder_input(lr)).image(0)
     }
 
-    /// Number of output cells for an `(h, w)` LR input — always the full
-    /// uniform HR extent (contrast with ADARNet's active cells).
-    pub fn output_cells(&self, h: usize, w: usize) -> usize {
-        h * self.scale * w * self.scale
-    }
-
     /// Load trained decoder weights ([`Decoder::snapshot`] order) and
     /// re-freeze, so `predict` never serves stale panels.
     pub fn restore(&mut self, tensors: &[Tensor<f32>]) {
@@ -100,14 +94,6 @@ mod tests {
         let s = SurfNet::new(4, 0);
         let hr = s.predict(&lr_field(8, 16));
         assert_eq!(hr.shape(), &Shape::d3(4, 32, 64));
-        assert_eq!(s.output_cells(8, 16), 32 * 64);
-    }
-
-    #[test]
-    fn every_pixel_is_hr_no_savings() {
-        // The defining property vs ADARNet: output cells = scale^2 * input.
-        let s = SurfNet::new(8, 1);
-        assert_eq!(s.output_cells(64, 256), 64 * 256 * 64);
     }
 
     #[test]

@@ -187,38 +187,6 @@ impl Trainer {
         agg
     }
 
-    /// Multi-epoch training with a learning-rate schedule and optional
-    /// early stopping on validation loss. Returns per-epoch
-    /// `(train, val)` statistics (the run may end early).
-    pub fn train_with_schedule(
-        &mut self,
-        train: &[Sample],
-        val: &[Sample],
-        epochs: usize,
-        schedule: crate::schedule::LrSchedule,
-        mut early: Option<crate::schedule::EarlyStopping>,
-    ) -> Vec<(PassStats, PassStats)> {
-        let base_lr = self.cfg.lr;
-        let mut history = Vec::with_capacity(epochs);
-        for epoch in 0..epochs {
-            self.opt.set_learning_rate(base_lr * schedule.factor(epoch));
-            let tr = self.train_epoch(train);
-            let va = if val.is_empty() {
-                tr
-            } else {
-                self.validate(val)
-            };
-            history.push((tr, va));
-            if let Some(es) = early.as_mut() {
-                if es.update(va.total) {
-                    break;
-                }
-            }
-        }
-        self.opt.set_learning_rate(base_lr);
-        history
-    }
-
     /// Mean validation loss over samples.
     pub fn validate(&mut self, samples: &[Sample]) -> PassStats {
         let mut agg = PassStats {
@@ -419,30 +387,6 @@ mod tests {
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a, b, "evaluation must not mutate weights");
         }
-    }
-
-    #[test]
-    fn scheduled_training_runs_and_can_stop_early() {
-        use crate::schedule::{EarlyStopping, LrSchedule};
-        let mut t = tiny_trainer();
-        let train: Vec<Sample> = (0..2).map(tiny_sample).collect();
-        let val: Vec<Sample> = vec![tiny_sample(9)];
-        let history = t.train_with_schedule(
-            &train,
-            &val,
-            4,
-            LrSchedule::StepDecay {
-                every: 2,
-                gamma: 0.5,
-            },
-            Some(EarlyStopping::new(0, 1e9)), // stop after first non-improvement
-        );
-        assert!(!history.is_empty() && history.len() <= 4);
-        for (tr, va) in &history {
-            assert!(tr.total.is_finite() && va.total.is_finite());
-        }
-        // Learning rate restored after the run.
-        assert_eq!(t.opt.learning_rate(), t.cfg.lr);
     }
 
     #[test]

@@ -9,12 +9,8 @@ use crate::{InferLayer, Layer, F};
 pub enum ActivationKind {
     /// `max(0, x)`.
     Relu,
-    /// `x` for `x > 0`, `alpha * x` otherwise, with fixed `alpha = 0.01`.
-    LeakyRelu,
     /// Hyperbolic tangent.
     Tanh,
-    /// Identity (useful to disable a nonlinearity in ablations).
-    Identity,
 }
 
 impl ActivationKind {
@@ -22,15 +18,7 @@ impl ActivationKind {
     fn apply(self, x: F) -> F {
         match self {
             ActivationKind::Relu => x.max(0.0),
-            ActivationKind::LeakyRelu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    0.01 * x
-                }
-            }
             ActivationKind::Tanh => x.tanh(),
-            ActivationKind::Identity => x,
         }
     }
 
@@ -45,15 +33,7 @@ impl ActivationKind {
                     0.0
                 }
             }
-            ActivationKind::LeakyRelu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.01
-                }
-            }
             ActivationKind::Tanh => 1.0 - y * y,
-            ActivationKind::Identity => 1.0,
         }
     }
 }
@@ -78,11 +58,6 @@ impl Activation {
     /// Convenience constructor for ReLU.
     pub fn relu() -> Self {
         Self::new(ActivationKind::Relu)
-    }
-
-    /// Convenience constructor for LeakyReLU(0.01).
-    pub fn leaky_relu() -> Self {
-        Self::new(ActivationKind::LeakyRelu)
     }
 
     /// Convenience constructor for tanh.
@@ -174,13 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_values() {
-        let mut l = Activation::leaky_relu();
-        let y = l.forward(&input());
-        assert_eq!(y.as_slice(), &[-0.02, -0.005, 0.0, 0.5, 2.0]);
-    }
-
-    #[test]
     fn tanh_gradcheck() {
         let mut l = Activation::tanh();
         let r = crate::gradcheck::check_layer_gradients(&mut l, Shape::d2(3, 4), 31, 1e-3);
@@ -193,14 +161,5 @@ mod tests {
         let _ = l.forward(&input());
         let dx = l.backward(&Tensor::full(Shape::d1(5), 1.0f32));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn identity_passes_through() {
-        let mut l = Activation::new(ActivationKind::Identity);
-        let x = input();
-        assert_eq!(l.forward(&x), x);
-        let g = Tensor::full(Shape::d1(5), 3.0f32);
-        assert_eq!(l.backward(&g), g);
     }
 }

@@ -150,26 +150,6 @@ pub fn bicubic_resize3_adjoint(dy: &Tensor<F>, in_h: usize, in_w: usize) -> Tens
     dx
 }
 
-/// Rank-4 `(N, C, H, W)` wrapper over [`bicubic_resize3`].
-pub fn bicubic_resize4(x: &Tensor<F>, out_h: usize, out_w: usize) -> Tensor<F> {
-    assert_eq!(x.shape().rank(), 4, "bicubic_resize4 expects NCHW");
-    let n = x.dim(0);
-    let images: Vec<_> = (0..n)
-        .map(|i| bicubic_resize3(&x.image(i), out_h, out_w))
-        .collect();
-    Tensor::stack(&images)
-}
-
-/// Rank-4 wrapper over [`bicubic_resize3_adjoint`].
-pub fn bicubic_resize4_adjoint(dy: &Tensor<F>, in_h: usize, in_w: usize) -> Tensor<F> {
-    assert_eq!(dy.shape().rank(), 4, "bicubic adjoint expects NCHW");
-    let n = dy.dim(0);
-    let images: Vec<_> = (0..n)
-        .map(|i| bicubic_resize3_adjoint(&dy.image(i), in_h, in_w))
-        .collect();
-    Tensor::stack(&images)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,15 +325,5 @@ mod tests {
         let down = bicubic_resize3(&x, 8, 8);
         let up = bicubic_resize3(&down, 16, 16);
         assert!(up.mse(&x) < 1e-3, "mse={}", up.mse(&x));
-    }
-
-    #[test]
-    fn rank4_wrapper_matches_per_image() {
-        let a = Tensor::from_fn_2d(4, 4, |i, j| (i + j) as F).reshape(Shape::d3(1, 4, 4));
-        let b = Tensor::from_fn_2d(4, 4, |i, j| (i * j) as F).reshape(Shape::d3(1, 4, 4));
-        let batch = Tensor::stack(&[a.clone(), b.clone()]);
-        let y = bicubic_resize4(&batch, 8, 8);
-        assert_eq!(y.image(0), bicubic_resize3(&a, 8, 8));
-        assert_eq!(y.image(1), bicubic_resize3(&b, 8, 8));
     }
 }

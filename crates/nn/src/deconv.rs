@@ -30,7 +30,7 @@ pub struct ConvTranspose2d {
     dweight: Tensor<F>,
     dbias: Tensor<F>,
     cached_input: Option<Tensor<F>>,
-    /// Compute backend for this layer's kernels. [`Device::active`] by
+    /// Compute backend for this layer's kernels. [`Device::detect`] by
     /// default; see [`Layer::set_device`].
     device: Device,
 }
@@ -58,7 +58,7 @@ impl ConvTranspose2d {
             dweight: Tensor::zeros(wshape),
             dbias: Tensor::zeros(Shape::d1(out_channels)),
             cached_input: None,
-            device: Device::active(),
+            device: Device::detect(),
         }
     }
 

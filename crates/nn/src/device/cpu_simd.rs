@@ -20,7 +20,7 @@
 //! from the scalar plane only by the fused rounding (the scalar build
 //! must round after every multiply and add, and cannot be auto-FMA'd
 //! without `-ffast-math`-style license). Ragged edges run the shared
-//! [`ragged_rows_body`] compiled under each tile's features, and the
+//! `driver::ragged_rows_body` compiled under each tile's features, and the
 //! dot-product kernel splits its reduction across 32 independent lanes
 //! to break the serial FMA dependency chain.
 //!

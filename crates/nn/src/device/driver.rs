@@ -74,7 +74,7 @@ pub trait MicroGemm: Copy + Send + Sync {
     /// and every column of a row block with `rows < MR`. Per output
     /// element: `acc = bias[m]; acc += wp[k*MR + m] * colp[k*cn + j]`
     /// for `k` ascending, multiply and add rounded separately on every
-    /// backend ([`ragged_rows_body`]).
+    /// backend (`ragged_rows_body`).
     fn ragged_rows(&self, blk: &mut RowBlock<'_>, rows: usize, j0: usize, jn: usize);
 
     /// Dot product of two equal-length slices (weight-gradient GEMM).
@@ -102,7 +102,7 @@ pub(crate) fn ragged_rows_body(blk: &mut RowBlock<'_>, rows: usize, j0: usize, j
 }
 
 /// Blocked im2col + GEMM convolution over packed f32 weight panels (see
-/// [`crate::kernels::conv2d_forward_packed`] for the public contract
+/// [`crate::Device::conv2d_forward_packed`] for the public contract
 /// and DESIGN.md §10 for the blocking argument). The im2col panel comes
 /// 64-byte-aligned from the workspace pool so vector loads never split
 /// a cache line; every finished tile goes straight into `y`, bias
@@ -198,7 +198,7 @@ pub fn conv2d_forward_packed<M: MicroGemm>(
 }
 
 /// GEMM-based weight-gradient accumulation (see
-/// [`crate::kernels::conv2d_backward_params_gemm`]), generic over the
+/// [`crate::Device::conv2d_backward_params_gemm`]), generic over the
 /// reduction dot product.
 pub fn conv2d_backward_params_gemm<M: MicroGemm>(
     micro: M,

@@ -26,14 +26,14 @@
 //!
 //! ## Selection
 //!
-//! [`Device::active`] is the process-wide default used by every layer
-//! constructor: the `ADARNET_DEVICE` environment variable
-//! (`cpu_scalar` / `cpu_simd`) when set to a recognized name, else
-//! [`Device::detect`] (SIMD wherever it can run). Tests and tools that
-//! need a specific backend regardless of environment use the layers'
-//! `set_device` hooks ([`crate::Layer::set_device`]) — there is
-//! deliberately no mutable global, so a process's default backend
-//! never changes underneath a running engine.
+//! [`Device::detect`] is the process-wide default used by every layer
+//! constructor: SIMD wherever it can run, else scalar, probed once per
+//! process. There is no override. Tests and tools that need a specific
+//! backend construct [`Device::CpuScalar`] or [`Device::CpuSimd`]
+//! directly or use the layers' `set_device` hooks
+//! ([`crate::Layer::set_device`]) — there is deliberately no mutable
+//! global, so a process's default backend never changes underneath a
+//! running engine.
 
 pub mod cpu_scalar;
 pub mod cpu_simd;
@@ -88,34 +88,19 @@ fn tile_of<M: driver::MicroGemm>(_: M) -> (&'static str, usize) {
 }
 
 impl Device {
-    /// The process-wide default backend: `ADARNET_DEVICE` when set to a
-    /// recognized name, else [`Device::detect`]. Read once and cached
-    /// for the life of the process.
-    pub fn active() -> Device {
-        static ACTIVE: OnceLock<Device> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match std::env::var("ADARNET_DEVICE") {
-            Ok(name) => Device::from_name(&name).unwrap_or_else(Device::detect),
-            Err(_) => Device::detect(),
-        })
-    }
-
-    /// The best backend this machine can run: [`Device::CpuSimd`] when
-    /// AVX2+FMA are present, else [`Device::CpuScalar`].
+    /// The process-wide default backend, and the best this machine can
+    /// run: [`Device::CpuSimd`] when AVX2+FMA are present, else
+    /// [`Device::CpuScalar`]. Probed once and cached for the life of
+    /// the process.
     pub fn detect() -> Device {
-        if cpu_simd::available() {
-            Device::CpuSimd
-        } else {
-            Device::CpuScalar
-        }
-    }
-
-    /// Parse a backend name (`cpu_scalar`/`scalar`, `cpu_simd`/`simd`).
-    pub fn from_name(name: &str) -> Option<Device> {
-        match name.trim() {
-            "cpu_scalar" | "scalar" => Some(Device::CpuScalar),
-            "cpu_simd" | "simd" => Some(Device::CpuSimd),
-            _ => None,
-        }
+        static DETECTED: OnceLock<Device> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            if cpu_simd::available() {
+                Device::CpuSimd
+            } else {
+                Device::CpuScalar
+            }
+        })
     }
 
     /// Canonical backend name (`cpu_scalar` / `cpu_simd`).
@@ -165,8 +150,10 @@ impl Device {
         cpu_scalar::conv2d_backward_input_direct(dy, w, in_h, in_w, pad)
     }
 
-    /// Direct-loop weight/bias gradient accumulation. Shared scalar
-    /// implementation: bitwise identical across backends.
+    /// Direct-loop weight/bias gradient accumulation: adds into `dw`
+    /// `(OC, IC, KH, KW)` and `db` `(OC)`, which may be empty to skip
+    /// the bias. Shared scalar implementation: bitwise identical across
+    /// backends.
     pub fn conv2d_backward_params(
         self,
         dy: &Tensor<F>,
@@ -179,8 +166,13 @@ impl Device {
     }
 
     /// Blocked im2col + GEMM over packed weight panels on this
-    /// backend's register tile (see
-    /// [`crate::kernels::conv2d_forward_packed`]).
+    /// backend's register tile: identical semantics to
+    /// [`Device::conv2d_forward`], the production path at or above
+    /// [`crate::kernels::GEMM_THRESHOLD`] output pixels. Packing happens
+    /// outside ([`crate::kernels::pack_weight_panels`]): once at freeze
+    /// time for a frozen model, once per call for a mutable layer
+    /// ([`Device::conv2d_forward_percall`]). See [`driver`] for the
+    /// blocking structure (DESIGN.md §10).
     pub fn conv2d_forward_packed(
         self,
         x: &Tensor<F>,
@@ -221,8 +213,12 @@ impl Device {
         y
     }
 
-    /// GEMM-based weight-gradient accumulation on this backend's
-    /// reduction kernel.
+    /// GEMM-based weight-gradient accumulation for **same-padded
+    /// stride-1** convolutions on this backend's reduction kernel:
+    /// `dw = dy_mat · col(x)^T` per batch item, reusing the im2col
+    /// transform. Identical semantics to
+    /// [`Device::conv2d_backward_params`] (verified in tests); much
+    /// faster at large spatial extents.
     pub fn conv2d_backward_params_gemm(
         self,
         dy: &Tensor<F>,
@@ -270,16 +266,6 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for d in [Device::CpuScalar, Device::CpuSimd] {
-            assert_eq!(Device::from_name(d.name()), Some(d));
-        }
-        assert_eq!(Device::from_name("scalar"), Some(Device::CpuScalar));
-        assert_eq!(Device::from_name("simd"), Some(Device::CpuSimd));
-        assert_eq!(Device::from_name("gpu"), None);
-    }
 
     #[test]
     fn detect_matches_feature_probe() {

@@ -1,33 +1,31 @@
-//! Raw convolution kernels (forward and adjoints), shared by [`crate::Conv2d`]
-//! and [`crate::ConvTranspose2d`].
+//! Backend-independent convolution plumbing, shared by [`crate::Conv2d`],
+//! [`crate::ConvTranspose2d`] and the frozen layers.
 //!
 //! Layouts: activations `(N, C, H, W)`, weights `(OC, IC, KH, KW)`, bias
 //! `(OC)`. Stride is 1 with symmetric zero padding `pad` (the paper's DNN
 //! uses stride 1 and "same" 3x3 convolutions everywhere). Output spatial
 //! size is `H + 2*pad - KH + 1`.
 //!
-//! The kernel *bodies* live in [`crate::device`]: the backend-generic
-//! GEMM driver in [`crate::device::driver`], the scalar reference
-//! implementations in [`crate::device::cpu_scalar`], and the AVX2+FMA
-//! and AVX-512 micro-kernels in [`crate::device::cpu_simd`]. This module keeps what
-//! is backend-independent — tiling constants, the dispatch threshold,
-//! the im2col fill, weight packing — plus free-function entry points
-//! that run on [`crate::device::Device::CpuScalar`], the *scalar
-//! reference* surface this module's tests and the equivalence
-//! proptests pin. Backend-aware callers (the layers, frozen models) go
-//! through [`crate::device::Device`] methods instead.
+//! The kernel *bodies* and their entry points live in [`crate::device`]:
+//! the backend-generic GEMM driver in [`crate::device::driver`], the
+//! scalar reference implementations in [`crate::device::cpu_scalar`],
+//! and the AVX2+FMA and AVX-512 micro-kernels in
+//! [`crate::device::cpu_simd`]. Every caller, the scalar reference
+//! included, goes through a [`crate::device::Device`] method. This
+//! module keeps what is backend-independent — tiling constants, the
+//! dispatch threshold, the im2col fill, weight packing.
 //!
 //! Two forward implementations, equivalent within float tolerance
 //! (proptest-verified in `tests/kernel_equivalence.rs`):
 //!
-//! * [`conv2d_forward`] — direct 7-loop convolution. The numerical
-//!   reference, and the path below [`GEMM_THRESHOLD`] output pixels
-//!   where im2col overhead dominates.
-//! * [`conv2d_forward_packed`] — im2col + register-tiled, cache-blocked
-//!   micro-kernel (see [`MR`]/[`NR`]/[`NC`]) over weight A-panels
-//!   packed into the k-major, [`MR`]-row layout the micro-kernel
-//!   consumes (see [`pack_weight_panels`]); the production path.
-//!   Frozen models (`crate::packed::PackedConvWeights`) pack at
+//! * [`Device::conv2d_forward`] — direct 7-loop convolution. The
+//!   numerical reference, and the path below [`GEMM_THRESHOLD`] output
+//!   pixels where im2col overhead dominates.
+//! * [`Device::conv2d_forward_packed`] — im2col + register-tiled,
+//!   cache-blocked micro-kernel (see [`MR`]/[`NR`]/[`NC`]) over weight
+//!   A-panels packed into the k-major, [`MR`]-row layout the
+//!   micro-kernel consumes (see [`pack_weight_panels`]); the production
+//!   path. Frozen models (`crate::packed::PackedConvWeights`) pack at
 //!   construction and serve every call from the shared panels; the
 //!   mutable layers pack into pooled scratch once per call
 //!   ([`Device::conv2d_forward_percall`]). Either way the driver reads
@@ -40,10 +38,13 @@
 //! warmup the hot path performs no heap allocation (enforced by the
 //! `no-alloc-in-hot-path` repo lint rule and asserted end-to-end by
 //! `crates/core/tests/zero_alloc.rs`).
+//!
+//! [`Device::conv2d_forward`]: crate::device::Device::conv2d_forward
+//! [`Device::conv2d_forward_packed`]: crate::device::Device::conv2d_forward_packed
+//! [`Device::conv2d_forward_percall`]: crate::device::Device::conv2d_forward_percall
 
 use adarnet_tensor::{Shape, Tensor};
 
-use crate::device::Device;
 use crate::F;
 
 /// Output spatial extent for stride-1 convolution.
@@ -101,44 +102,6 @@ pub const NR: usize = 16;
 /// decoder layer — L2-resident while `oc/MR` row sweeps reuse it); a
 /// single bin-3 patch (16384 px) is 64 panels of four 64-wide tiles.
 pub const NC: usize = 256;
-
-/// Stride-1 2-D convolution (cross-correlation, as in every DL framework).
-///
-/// `x`: `(N, IC, H, W)`, `w`: `(OC, IC, KH, KW)`, `bias`: `(OC)` or empty.
-///
-/// Scalar-reference entry point (shared direct loop, bitwise identical
-/// on every backend); backend-aware callers use
-/// [`Device::conv2d_forward`].
-pub fn conv2d_forward(x: &Tensor<F>, w: &Tensor<F>, bias: &Tensor<F>, pad: usize) -> Tensor<F> {
-    Device::CpuScalar.conv2d_forward(x, w, bias, pad)
-}
-
-/// Adjoint of [`conv2d_forward`] with respect to the input.
-///
-/// `dy`: `(N, OC, OH, OW)` -> returns `dx`: `(N, IC, H, W)`.
-pub fn conv2d_backward_input(
-    dy: &Tensor<F>,
-    w: &Tensor<F>,
-    in_h: usize,
-    in_w: usize,
-    pad: usize,
-) -> Tensor<F> {
-    Device::CpuScalar.conv2d_backward_input(dy, w, in_h, in_w, pad)
-}
-
-/// Accumulate weight and bias gradients for [`conv2d_forward`].
-///
-/// Adds into `dw` (`(OC, IC, KH, KW)`) and `db` (`(OC)`, may be empty to
-/// skip bias).
-pub fn conv2d_backward_params(
-    dy: &Tensor<F>,
-    x: &Tensor<F>,
-    pad: usize,
-    dw: &mut Tensor<F>,
-    db: &mut Tensor<F>,
-) {
-    Device::CpuScalar.conv2d_backward_params(dy, x, pad, dw, db);
-}
 
 /// Fill one im2col row segment for column range `[c0, c0 + cn)`.
 ///
@@ -252,39 +215,6 @@ pub struct PackedPanels<'a> {
     pub kw: usize,
 }
 
-/// Blocked im2col + GEMM convolution over packed weight panels:
-/// identical semantics to [`conv2d_forward`], the production path at or
-/// above [`GEMM_THRESHOLD`] output pixels. See
-/// `crate::device::driver` for the blocking structure (DESIGN.md §10).
-/// Packing happens outside this function ([`pack_weight_panels`]): once
-/// at freeze time for a frozen model, once per call for a mutable
-/// layer.
-///
-/// Scalar-reference entry point; backend-aware callers use
-/// [`Device::conv2d_forward_packed`].
-pub fn conv2d_forward_packed(
-    x: &Tensor<F>,
-    w: PackedPanels<'_>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    Device::CpuScalar.conv2d_forward_packed(x, w, bias, pad)
-}
-
-/// GEMM-based weight-gradient accumulation for **same-padded stride-1**
-/// convolutions: `dw = dy_mat · col(x)^T` per batch item, reusing the
-/// im2col transform. Identical semantics to [`conv2d_backward_params`]
-/// (verified in tests); much faster at large spatial extents.
-pub fn conv2d_backward_params_gemm(
-    dy: &Tensor<F>,
-    x: &Tensor<F>,
-    pad: usize,
-    dw: &mut Tensor<F>,
-    db: &mut Tensor<F>,
-) {
-    Device::CpuScalar.conv2d_backward_params_gemm(dy, x, pad, dw, db);
-}
-
 /// Flip a weight tensor spatially and transpose its channel axes:
 /// `(A, B, KH, KW)` -> `(B, A, KH, KW)` with both kernel axes reversed.
 ///
@@ -311,6 +241,7 @@ pub fn flip_transpose_weights(w: &Tensor<F>) -> Tensor<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
 
     fn seq_tensor(shape: Shape) -> Tensor<F> {
         let n = shape.numel();
@@ -330,7 +261,7 @@ mod tests {
         for c in 0..3 {
             w.set4(c, c, 0, 0, 1.0);
         }
-        let y = conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
+        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
         assert_eq!(y, x);
         let yp = packed(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
         assert_eq!(yp, x);
@@ -340,7 +271,7 @@ mod tests {
     fn same_padding_preserves_extent() {
         let x = seq_tensor(Shape::d4(1, 4, 16, 16));
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
-        let y = conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(8)), 1);
+        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(8)), 1);
         assert_eq!(y.shape(), &Shape::d4(1, 8, 16, 16));
     }
 
@@ -349,7 +280,7 @@ mod tests {
         // Single channel, all-ones 3x3 kernel: interior output = 3x3 window sum.
         let x = Tensor::from_fn_2d(4, 4, |y, x| (y * 4 + x) as F).reshape(Shape::d4(1, 1, 4, 4));
         let w = Tensor::full(Shape::d4(1, 1, 3, 3), 1.0f32);
-        let y = conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 1);
+        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 1);
         // Interior point (1,1): sum of x[0..3, 0..3] = 0+1+2+4+5+6+8+9+10 = 45.
         assert_eq!(y.get4(0, 0, 1, 1), 45.0);
         // Corner (0,0): sum of x[0..2, 0..2] = 0+1+4+5 = 10 (zero padding).
@@ -361,7 +292,7 @@ mod tests {
         let x = Tensor::<F>::zeros(Shape::d4(1, 1, 2, 2));
         let w = Tensor::<F>::zeros(Shape::d4(2, 1, 3, 3));
         let b = Tensor::from_vec(Shape::d1(2), vec![1.5, -2.0]);
-        let y = conv2d_forward(&x, &w, &b, 1);
+        let y = Device::CpuScalar.conv2d_forward(&x, &w, &b, 1);
         assert_eq!(y.get4(0, 0, 1, 1), 1.5);
         assert_eq!(y.get4(0, 1, 0, 0), -2.0);
     }
@@ -372,9 +303,9 @@ mod tests {
         let x = seq_tensor(Shape::d4(2, 3, 6, 5));
         let w = seq_tensor(Shape::d4(4, 3, 3, 3));
         let pad = 1;
-        let y = conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), pad);
+        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), pad);
         let dy = seq_tensor(y.shape().clone());
-        let dx = conv2d_backward_input(&dy, &w, 6, 5, pad);
+        let dx = Device::CpuScalar.conv2d_backward_input(&dy, &w, 6, 5, pad);
         let lhs = y.dot(&dy);
         let rhs = x.dot(&dx);
         assert!(
@@ -390,19 +321,19 @@ mod tests {
         let b = Tensor::<F>::zeros(Shape::d1(2));
         let pad = 1;
         // Loss = sum(y); so dy = ones.
-        let y = conv2d_forward(&x, &w, &b, pad);
+        let y = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad);
         let dy = Tensor::full(y.shape().clone(), 1.0f32);
         let mut dw = Tensor::zeros(w.shape().clone());
         let mut db = Tensor::zeros(Shape::d1(2));
-        conv2d_backward_params(&dy, &x, pad, &mut dw, &mut db);
+        Device::CpuScalar.conv2d_backward_params(&dy, &x, pad, &mut dw, &mut db);
 
         let eps = 1e-2f32;
         for idx in [0usize, 7, 17, 35] {
             let orig = w.as_slice()[idx];
             w.as_mut_slice()[idx] = orig + eps;
-            let lp = conv2d_forward(&x, &w, &b, pad).sum();
+            let lp = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad).sum();
             w.as_mut_slice()[idx] = orig - eps;
-            let lm = conv2d_forward(&x, &w, &b, pad).sum();
+            let lm = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad).sum();
             w.as_mut_slice()[idx] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let ana = dw.as_slice()[idx];
@@ -434,7 +365,7 @@ mod tests {
             let x = seq_tensor(Shape::d4(n, ic, h, wd));
             let w = seq_tensor(Shape::d4(oc, ic, k, k));
             let b = seq_tensor(Shape::d1(oc));
-            let direct = conv2d_forward(&x, &w, &b, pad);
+            let direct = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad);
             let gemm = packed(&x, &w, &b, pad);
             assert_eq!(direct.shape(), gemm.shape());
             for (a, g) in direct.as_slice().iter().zip(gemm.as_slice()) {
@@ -474,10 +405,10 @@ mod tests {
         let dy = seq_tensor(Shape::d4(2, 4, 6, 5));
         let mut dw_a = Tensor::<F>::zeros(w_shape.clone());
         let mut db_a = Tensor::<F>::zeros(Shape::d1(4));
-        conv2d_backward_params(&dy, &x, 1, &mut dw_a, &mut db_a);
+        Device::CpuScalar.conv2d_backward_params(&dy, &x, 1, &mut dw_a, &mut db_a);
         let mut dw_b = Tensor::<F>::zeros(w_shape);
         let mut db_b = Tensor::<F>::zeros(Shape::d1(4));
-        conv2d_backward_params_gemm(&dy, &x, 1, &mut dw_b, &mut db_b);
+        Device::CpuScalar.conv2d_backward_params_gemm(&dy, &x, 1, &mut dw_b, &mut db_b);
         for (a, b) in dw_a.as_slice().iter().zip(dw_b.as_slice()) {
             assert!((a - b).abs() < 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
         }
@@ -489,8 +420,8 @@ mod tests {
         // The deconvolution identity used by the layers' fast backward.
         let w = seq_tensor(Shape::d4(4, 3, 3, 3));
         let dy = seq_tensor(Shape::d4(1, 4, 7, 6));
-        let direct = conv2d_backward_input(&dy, &w, 7, 6, 1);
-        let via_conv = conv2d_forward(
+        let direct = Device::CpuScalar.conv2d_backward_input(&dy, &w, 7, 6, 1);
+        let via_conv = Device::CpuScalar.conv2d_forward(
             &dy,
             &flip_transpose_weights(&w),
             &Tensor::zeros(Shape::d1(0)),

@@ -69,7 +69,7 @@ pub trait Layer: Send {
     fn freeze(&self) -> Box<dyn InferLayer>;
 
     /// Select the compute backend this layer's kernels run on. Layers
-    /// default to [`Device::active`] at construction; this override
+    /// default to [`Device::detect`] at construction; this override
     /// exists for tests and tools that must pin a backend regardless of
     /// environment (e.g. the backend-equivalence suite, the kernels
     /// bench). Weightless layers ignore it.

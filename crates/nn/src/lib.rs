@@ -46,9 +46,7 @@ pub mod pool;
 pub mod softmax;
 
 pub use activation::{Activation, ActivationKind, FrozenActivation};
-pub use bicubic::{
-    bicubic_resize3, bicubic_resize3_adjoint, bicubic_resize4, bicubic_resize4_adjoint,
-};
+pub use bicubic::{bicubic_resize3, bicubic_resize3_adjoint};
 pub use conv::Conv2d;
 pub use deconv::ConvTranspose2d;
 pub use device::Device;

@@ -1,7 +1,7 @@
-//! First-order optimizers: SGD (with momentum) and Adam.
+//! First-order optimizers: plain SGD and Adam.
 //!
 //! The paper trains with Adam at learning rate 1e-4 (§4.2); SGD is kept for
-//! ablations and tests.
+//! tests.
 
 use adarnet_tensor::Tensor;
 
@@ -9,7 +9,7 @@ use crate::F;
 
 /// An optimizer that updates a flat list of `(param, grad)` pairs.
 ///
-/// State (momentum/moments) is keyed by position in the list, so callers
+/// State (Adam's moments) is keyed by position in the list, so callers
 /// must pass parameters in a stable order — [`crate::Sequential::params_mut`]
 /// guarantees that.
 pub trait Optimizer {
@@ -23,56 +23,26 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f64);
 }
 
-/// Stochastic gradient descent with classical momentum.
+/// Plain stochastic gradient descent: `p -= lr·g`.
 pub struct Sgd {
     lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<F>>,
 }
 
 impl Sgd {
-    /// Plain SGD (momentum 0).
+    /// SGD at learning rate `lr`.
     pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Tensor<F>], grads: &[&Tensor<F>]) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "optimizer state mismatch"
-        );
         let lr = self.lr as F;
-        let mu = self.momentum as F;
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
+        for (p, g) in params.iter_mut().zip(grads) {
             assert_eq!(p.len(), g.len(), "param/grad shape mismatch");
-            for ((pi, &gi), vi) in p
-                .as_mut_slice()
-                .iter_mut()
-                .zip(g.as_slice())
-                .zip(v.iter_mut())
-            {
-                *vi = mu * *vi - lr * gi;
-                *pi += *vi;
+            for (pi, &gi) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *pi -= lr * gi;
             }
         }
     }
@@ -109,11 +79,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// The paper's configuration: Adam at learning rate 1e-4 (§4.2).
-    pub fn paper_default() -> Self {
-        Self::new(1e-4)
     }
 }
 
@@ -186,12 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        assert!(quadratic_descent(&mut opt, 200) < 1e-4);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.05);
         assert!(quadratic_descent(&mut opt, 500) < 1e-3);
@@ -211,7 +170,7 @@ mod tests {
 
     #[test]
     fn learning_rate_is_settable() {
-        let mut opt = Adam::paper_default();
+        let mut opt = Adam::new(1e-4);
         assert_eq!(opt.learning_rate(), 1e-4);
         opt.set_learning_rate(5e-5);
         assert_eq!(opt.learning_rate(), 5e-5);

@@ -182,7 +182,7 @@ mod tests {
     fn weight_bytes_counts_both_copies() {
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
         let b = seq_tensor(Shape::d1(8));
-        let p = PackedConvWeights::from_conv_weight(Device::active(), &w, &b, 1);
+        let p = PackedConvWeights::from_conv_weight(Device::detect(), &w, &b, 1);
         let expect = (8 * 4 * 9 + 8 + packed_panels_len(8, 36)) * 4;
         assert_eq!(p.weight_bytes(), expect);
     }
@@ -191,7 +191,7 @@ mod tests {
     fn packed_forward_dispatches_on_the_gemm_threshold() {
         // Compare against the same backend the frozen weights captured:
         // the dispatch contract is bitwise equality per backend.
-        let dev = Device::active();
+        let dev = Device::detect();
         let w = seq_tensor(Shape::d4(3, 2, 3, 3));
         let b = seq_tensor(Shape::d1(3));
         let p = PackedConvWeights::from_conv_weight(dev, &w, &b, 1);

@@ -33,7 +33,7 @@ impl MaxPool2d {
             pool_w,
             cached_argmax: None,
             cached_in_shape: None,
-            device: Device::active(),
+            device: Device::detect(),
         }
     }
 
@@ -141,7 +141,7 @@ impl AvgPool2d {
             pool_h,
             pool_w,
             cached_in_shape: None,
-            device: Device::active(),
+            device: Device::detect(),
         }
     }
 }

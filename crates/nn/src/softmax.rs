@@ -23,7 +23,7 @@ impl SpatialSoftmax {
     pub fn new() -> Self {
         SpatialSoftmax {
             cached_output: None,
-            device: Device::active(),
+            device: Device::detect(),
         }
     }
 

@@ -2,8 +2,7 @@
 //! operators, adjoint identities, and shape invariants.
 
 use adarnet_nn::kernels::{
-    conv2d_forward, conv2d_forward_packed, flip_transpose_weights, pack_weight_panels,
-    packed_panels_len, PackedPanels,
+    flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels,
 };
 use adarnet_nn::{
     bicubic_resize3, bicubic_resize3_adjoint, Device, Layer, MaxPool2d, SpatialSoftmax,
@@ -31,8 +30,8 @@ proptest! {
             (0..54).map(|i| ((i as f32) * 0.17).sin()).collect(),
         );
         let bias = Tensor::zeros(Shape::d1(0));
-        let lhs = conv2d_forward(&x.scale(a).add(&y), &w, &bias, 1);
-        let rhs = conv2d_forward(&x, &w, &bias, 1).scale(a).add(&conv2d_forward(&y, &w, &bias, 1));
+        let lhs = Device::CpuScalar.conv2d_forward(&x.scale(a).add(&y), &w, &bias, 1);
+        let rhs = Device::CpuScalar.conv2d_forward(&x, &w, &bias, 1).scale(a).add(&Device::CpuScalar.conv2d_forward(&y, &w, &bias, 1));
         for (l, r) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((l - r).abs() < 1e-3 * (1.0 + r.abs()), "{l} vs {r}");
         }
@@ -47,7 +46,7 @@ proptest! {
             (0..54).map(|i| ((i as f32) * 0.23).cos()).collect(),
         );
         let b = Tensor::from_vec(Shape::d1(2), vec![0.1, -0.2]);
-        let d = conv2d_forward(&x, &w, &b, 1);
+        let d = Device::CpuScalar.conv2d_forward(&x, &w, &b, 1);
         let g = Device::CpuScalar.conv2d_forward_percall(&x, &w, &b, 1);
         for (a, bv) in d.as_slice().iter().zip(g.as_slice()) {
             prop_assert!((a - bv).abs() < 1e-4 * (1.0 + a.abs()));
@@ -68,7 +67,7 @@ proptest! {
         let k_len = 3 * 3 * 3;
         let mut panels = vec![0.0f32; packed_panels_len(5, k_len)];
         pack_weight_panels(w.as_slice(), 5, k_len, &mut panels);
-        let packed = conv2d_forward_packed(
+        let packed = Device::CpuScalar.conv2d_forward_packed(
             &x,
             PackedPanels { data: &panels, oc: 5, ic: 3, kh: 3, kw: 3 },
             &b,

@@ -9,7 +9,7 @@
 //!    allocation-free; [`MetricsRegistry::snapshot`] returns a
 //!    serializable view and [`Snapshot::render_text`] emits
 //!    Prometheus-style exposition text.
-//! 2. **Spans** ([`span`]) — `obs::span!("stage_decoder", bin = b)`
+//! 2. **Spans** ([`span`](mod@span)) — `obs::span!("stage_decoder", bin = b)`
 //!    RAII guards that time a scope into the `{name}_ns` histogram.
 //! 3. **Tracing** ([`trace`]) — per-request span trees: a [`TraceCtx`]
 //!    carried by value through the request path, a bounded arena of

@@ -150,7 +150,7 @@ const FIRST_OCTAVE: u32 = 5;
 pub const NUM_BUCKETS: usize = EXACT as usize + (64 - FIRST_OCTAVE as usize) * SUB;
 
 /// Bucket index of a recorded value. Log-scale with 3 significant
-/// bits: exact below [`EXACT`], then `[2^o + s*2^(o-3), 2^o + (s+1)*2^(o-3))`
+/// bits: exact below 32, then `[2^o + s*2^(o-3), 2^o + (s+1)*2^(o-3))`
 /// for octave `o` and sub-bucket `s`.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
@@ -187,7 +187,7 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 /// Buckets are single atomics — distinct values stripe across the
 /// bucket array by construction; the running sum is striped explicitly.
 /// Quantization error of any quantile estimate is bounded by the
-/// sub-bucket width: <= 12.5% relative above [`EXACT`], exact below.
+/// sub-bucket width: <= 12.5% relative above 32, exact below.
 pub struct Histogram {
     name: String,
     buckets: Box<[AtomicU64]>,
@@ -197,8 +197,8 @@ pub struct Histogram {
     /// below. Writers claim with one CAS (losers skip — an exemplar is
     /// advisory), readers retry on a torn read.
     ex_seq: AtomicU64,
-    /// Value of the exemplar sample (the max-latency traced sample
-    /// since the last [`Histogram::reset_exemplar`]).
+    /// Value of the exemplar sample: the max-latency traced sample of
+    /// the current exemplar window (see [`Histogram::reset_exemplar`]).
     ex_value: AtomicU64,
     /// Trace id of that sample, linking `/metrics` to `/traces`.
     ex_trace: AtomicU64,
@@ -262,8 +262,8 @@ impl Histogram {
     }
 
     /// The `(value, trace_id)` exemplar pair, if a traced sample has
-    /// landed since the last reset. `None` is also returned on a
-    /// persistently torn read (a writer mid-install).
+    /// landed in the current exemplar window. `None` is also returned on
+    /// a persistently torn read (a writer mid-install).
     pub fn exemplar(&self) -> Option<(u64, u64)> {
         for _ in 0..64 {
             let s1 = self.ex_seq.load(Ordering::Acquire);
@@ -280,7 +280,13 @@ impl Histogram {
     }
 
     /// Open a new exemplar window: the next traced sample becomes the
-    /// exemplar regardless of past maxima.
+    /// exemplar regardless of past maxima. On the global [`registry`]
+    /// the process-wide trace sampler ([`crate::trace::sampler`]) does
+    /// this every time it rolls its sampling window, so an exemplar
+    /// always names a trace its `/traces` document still holds. A reset
+    /// that meets a writer mid-install is skipped: that writer is
+    /// installing a sample recorded at the roll, and its trace is about
+    /// to be offered to the new window.
     pub fn reset_exemplar(&self) {
         let seq = self.ex_seq.load(Ordering::Relaxed);
         if seq.is_multiple_of(2)
@@ -569,6 +575,13 @@ impl MetricsRegistry {
             .entry(name.clone())
             .or_insert_with(|| Arc::new(Histogram::new(name)))
             .clone()
+    }
+
+    /// [`Histogram::reset_exemplar`] on every registered histogram.
+    pub(crate) fn reset_exemplars(&self) {
+        for h in lock(&self.histograms).values() {
+            h.reset_exemplar();
+        }
     }
 
     /// Acquire-fenced view of every metric, sorted by name.

@@ -1,7 +1,7 @@
 //! Per-request distributed tracing: trace contexts, a bounded span
 //! arena, and a tail sampler (DESIGN.md §16).
 //!
-//! The aggregate layers ([`metrics`](crate::metrics), [`span`](crate::span))
+//! The aggregate layers ([`metrics`](crate::metrics), [`span`](mod@crate::span))
 //! answer "how slow is the fleet"; this module answers "*which*
 //! request was slow and *where* its time went". Four pieces:
 //!
@@ -491,6 +491,10 @@ pub struct TailSampler {
     slow_cap: usize,
     error_cap: usize,
     window: u64,
+    /// Set on the process-wide sampler only: a window roll also resets
+    /// the global registry's histogram exemplars, so `/metrics` never
+    /// names a trace that `/traces` has already dropped.
+    resets_exemplars: bool,
 }
 
 impl TailSampler {
@@ -508,6 +512,7 @@ impl TailSampler {
             slow_cap: slow_cap.max(1),
             error_cap: error_cap.max(1),
             window: window.max(1),
+            resets_exemplars: false,
         }
     }
 
@@ -530,6 +535,11 @@ impl TailSampler {
         if window_id != s.window_id {
             s.window_id = window_id;
             s.slow_prev = std::mem::take(&mut s.slow);
+            if self.resets_exemplars {
+                // Still under the sampler lock: no offer can land in the
+                // new window before its exemplar window opens.
+                crate::metrics::registry().reset_exemplars();
+            }
         }
         let mut retained = false;
         if t.error {
@@ -623,7 +633,10 @@ pub fn arena() -> &'static TraceArena {
 /// The process-wide tail sampler.
 pub fn sampler() -> &'static TailSampler {
     static SAMPLER: OnceLock<TailSampler> = OnceLock::new();
-    SAMPLER.get_or_init(|| TailSampler::new(SLOW_RETAIN, ERROR_RETAIN, SAMPLE_WINDOW))
+    SAMPLER.get_or_init(|| TailSampler {
+        resets_exemplars: true,
+        ..TailSampler::new(SLOW_RETAIN, ERROR_RETAIN, SAMPLE_WINDOW)
+    })
 }
 
 /// Finish `ctx` in the global arena and offer it to the global

@@ -57,8 +57,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The unbatched baseline: one request per decoder pass, no linger,
-    /// no cache. This is the per-request-inference configuration the
-    /// `serve_throughput` bench compares against.
+    /// no cache. The `serve` bin's `unbatched` runs use it as the
+    /// per-request-inference baseline that batched serving is measured
+    /// against.
     pub fn unbatched(self) -> ServeConfig {
         ServeConfig {
             max_batch: 1,

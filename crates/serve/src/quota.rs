@@ -12,7 +12,7 @@
 //! nano-tokens`) against a caller-supplied `now_ns` clock, so refill is
 //! exact (no float drift), deterministic under a logical clock, and
 //! checkable by the `QuotaModel` oracle in `crates/check`: over any
-//! window, `granted ≤ burst + elapsed_ns * rate / 1e9` (conservation).
+//! window, `granted ≤ burst + window_ns * rate / 1e9` (conservation).
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Mutex;

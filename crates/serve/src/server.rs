@@ -609,8 +609,8 @@ fn model_cfg(ckpt: &adarnet_core::checkpoint::ModelCheckpoint) -> AdarNetConfig 
 /// the aggregate `serve_e2e_ns` histogram every reply path shares, plus
 /// the per-lane histogram (macro names must be literals, hence the
 /// match). Traced responses also update the histogram's exemplar: the
-/// trace id of the max-latency sample this window, linking `/metrics`
-/// to `/traces`.
+/// trace id of the max-latency sample in the trace sampler's current
+/// window, linking `/metrics` to `/traces`.
 fn record_e2e(response: &ServeResponse) {
     let ns = response.latency.as_nanos() as u64;
     let trace_id = response.trace_id;

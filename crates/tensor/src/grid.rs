@@ -89,13 +89,6 @@ impl<T: Element> Grid2<T> {
         self.data[i * self.nx + j] = v;
     }
 
-    /// Add to the value at `(i, j)`.
-    #[inline(always)]
-    pub fn add_at(&mut self, i: usize, j: usize, v: T) {
-        debug_assert!(i < self.ny && j < self.nx);
-        self.data[i * self.nx + j] += v;
-    }
-
     /// Immutable view of the backing buffer (row-major).
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -241,8 +234,6 @@ mod tests {
         g.set(2, 3, 7.0);
         assert_eq!(g.get(2, 3), 7.0);
         assert_eq!(g.row(2)[3], 7.0);
-        g.add_at(2, 3, 1.0);
-        assert_eq!(g.get(2, 3), 8.0);
     }
 
     #[test]

@@ -158,26 +158,6 @@ impl<T: Element> Tensor<T> {
             .map(|(a, b)| a.to_f64() * b.to_f64())
             .sum()
     }
-
-    /// Min-max normalize into `[0, 1]`. Constant tensors map to all zeros.
-    ///
-    /// The paper scales flow variables to `[0, 1]` during training "for
-    /// learning stability purposes" (§5.1); this is that transform.
-    pub fn minmax_normalized(&self) -> (Tensor<T>, T, T) {
-        let lo = self.min_value();
-        let hi = self.max_value();
-        let span = hi - lo;
-        if span == T::ZERO {
-            return (Tensor::zeros(self.shape().clone()), lo, hi);
-        }
-        (self.map(move |v| (v - lo) / span), lo, hi)
-    }
-
-    /// Invert [`Tensor::minmax_normalized`] given the recorded bounds.
-    pub fn minmax_denormalized(&self, lo: T, hi: T) -> Tensor<T> {
-        let span = hi - lo;
-        self.map(move |v| v * span + lo)
-    }
 }
 
 #[cfg(test)]
@@ -224,23 +204,6 @@ mod tests {
         let b = t(vec![3.0, 4.0]);
         assert_eq!(a.mse(&b), 4.0);
         assert_eq!(a.dot(&b), 11.0);
-    }
-
-    #[test]
-    fn minmax_roundtrip() {
-        let a = t(vec![2.0, 4.0, 6.0]);
-        let (norm, lo, hi) = a.minmax_normalized();
-        assert_eq!(norm.as_slice(), &[0.0, 0.5, 1.0]);
-        let back = norm.minmax_denormalized(lo, hi);
-        assert_eq!(back.as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn minmax_constant_is_zeros() {
-        let a = t(vec![5.0, 5.0]);
-        let (norm, lo, hi) = a.minmax_normalized();
-        assert_eq!(norm.as_slice(), &[0.0, 0.0]);
-        assert_eq!((lo, hi), (5.0, 5.0));
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl Shape {
         self.0[i]
     }
 
-    /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.0[i + 1];
-        }
-        s
-    }
-
     /// Flat row-major offset of a multi-index. Panics (debug) on rank or
     /// bounds mismatch.
     #[inline]
@@ -110,15 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn strides_row_major() {
-        let s = Shape::d4(2, 3, 4, 5);
-        assert_eq!(s.strides(), vec![60, 20, 5, 1]);
-    }
-
-    #[test]
-    fn offset_matches_strides() {
+    fn offset_is_row_major() {
         let s = Shape::d3(3, 4, 5);
-        let st = s.strides();
+        let st = [20, 5, 1];
         for c in 0..3 {
             for y in 0..4 {
                 for x in 0..5 {

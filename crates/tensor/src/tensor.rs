@@ -134,13 +134,6 @@ impl<T: Element> Tensor<T> {
         self.data[off] = v;
     }
 
-    /// Rank-2 accessor `(row, col)`.
-    #[inline]
-    pub fn get2(&self, y: usize, x: usize) -> T {
-        debug_assert_eq!(self.shape.rank(), 2);
-        self.data[y * self.shape.dim(1) + x]
-    }
-
     /// Rank-3 accessor `(channel, row, col)`.
     #[inline]
     pub fn get3(&self, c: usize, y: usize, x: usize) -> T {
@@ -372,7 +365,7 @@ mod tests {
         let mut t = Tensor::<f64>::zeros(Shape::d3(2, 2, 2));
         t.set3(1, 0, 1, 9.0);
         let c1 = t.channel(1);
-        assert_eq!(c1.get2(0, 1), 9.0);
+        assert_eq!(c1.as_slice()[1], 9.0); // (row 0, col 1)
         assert_eq!(c1.shape(), &Shape::d2(2, 2));
     }
 

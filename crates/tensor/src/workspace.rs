@@ -201,7 +201,7 @@ const ZERO_LANE: Lane = Lane([0.0; LANE_FLOATS]);
 /// Why a dedicated type: over-aligning a `Vec<f32>` directly is
 /// impossible without raw allocator calls (the deallocation `Layout`
 /// must match), so alignment rides on the element type instead — the
-/// buffer is a `Vec` of 64-byte [`Lane`]s viewed as floats, and the
+/// buffer is a `Vec` of 64-byte `Lane`s viewed as floats, and the
 /// `Vec` keeps normal ownership/drop semantics. Length is tracked in
 /// floats and may leave the tail of the last lane unused.
 pub struct AlignedBuf {

@@ -43,16 +43,6 @@ proptest! {
     }
 
     #[test]
-    fn minmax_normalized_in_unit_interval(v in small_vec(64)) {
-        let n = v.len();
-        let a = Tensor::from_vec(Shape::d1(n), v);
-        let (norm, _, _) = a.minmax_normalized();
-        for &x in norm.as_slice() {
-            prop_assert!((-1e-12..=1.0 + 1e-12).contains(&x));
-        }
-    }
-
-    #[test]
     fn patch_split_assemble_roundtrip(
         c in 1usize..4,
         npy in 1usize..4,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: build, test, ledger build + test, repo lint, clippy, model
+# CI gate: build, test, ledger build + test, repo lint, clippy, rustdoc, model
 # check, smokes, format — all must pass.
 #
 #   ./scripts/ci.sh          # full gate
@@ -53,6 +53,11 @@ cargo run --release -q -p check --bin lint
 # a violation fails here, before the slow stages.
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc -D warnings"
+# Every intra-doc link must resolve, and no public doc may link a
+# private item, so a deletion that leaves a link dangling fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> concurrency model check (crates/check)"
 # One explorer: a depth-first walk executes every interleaving of each

@@ -38,7 +38,7 @@ proptest! {
     #[test]
     fn ranker_partition_invariants(scores in prop::collection::vec(0.0f64..1.0, 1..64), bins in 1u8..6) {
         let ranker = Ranker::new(bins);
-        let b = ranker.bin_scores(&scores);
+        let b = ranker.try_bin_scores(&scores).unwrap();
         let total: usize = b.groups.iter().map(|g| g.len()).sum();
         prop_assert_eq!(total, scores.len());
         for &lvl in &b.bin_of_patch {
