@@ -2,7 +2,6 @@
 //! own resolution.
 
 use adarnet_tensor::Grid2;
-use serde::{Deserialize, Serialize};
 
 use crate::RefinementMap;
 
@@ -31,7 +30,7 @@ impl Side {
 /// `(ph * 2^n) x (pw * 2^n)` cell-centered grid. All patches cover
 /// equal-size rectangles of the physical domain; refined patches just
 /// resolve theirs with more cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositeField {
     map: RefinementMap,
     patches: Vec<Grid2<f64>>,

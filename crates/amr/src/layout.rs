@@ -1,13 +1,11 @@
 //! Patch-grid geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of the patch tiling: `npy x npx` patches, each `ph x pw` cells
 /// at the coarse (level-0) resolution.
 ///
 /// The paper's configuration is a 64x256 LR field tiled by 16x16 patches,
 /// i.e. `PatchLayout::new(4, 16, 16, 16)` — 64 patches total (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatchLayout {
     /// Patch rows (vertical direction).
     pub npy: usize,

@@ -1,7 +1,5 @@
 //! Per-patch refinement levels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::PatchLayout;
 
 /// A refinement decision: one level per patch.
@@ -18,7 +16,7 @@ use crate::PatchLayout;
 /// map.set_level(0, 0, 3); // refine one patch 64x in cells
 /// assert_eq!(map.active_cells(), 63 * 256 + 256 * 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefinementMap {
     layout: PatchLayout,
     max_level: u8,

@@ -46,10 +46,10 @@ use adarnet_nn::he_normal;
 use adarnet_nn::kernels::{pack_weight_panels, packed_panels_len, PackedPanels, GEMM_THRESHOLD};
 use adarnet_nn::Device;
 use adarnet_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
+use serde::{field, object, DeError, Deserialize, Serialize, Value};
 
 /// One benchmarked (extent, channels, backend) configuration.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct ConfigResult {
     /// Square spatial extent per side (bin n of a 16x16 patch -> 16 << n),
     /// except the scorer rows which are 64x256.
@@ -83,7 +83,7 @@ struct ConfigResult {
 }
 
 /// The committed benchmark artifact.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct BenchReport {
     schema: String,
     /// `full` or `smoke` — smoke numbers are for the regression gate
@@ -97,6 +97,70 @@ struct BenchReport {
     /// to scalar, so the two backends' rows measure the same code).
     simd_active: bool,
     configs: Vec<ConfigResult>,
+}
+
+impl Serialize for ConfigResult {
+    fn to_value(&self) -> Value {
+        object([
+            ("label", self.label.to_value()),
+            ("backend", self.backend.to_value()),
+            ("tile", self.tile.to_value()),
+            ("h", self.h.to_value()),
+            ("w", self.w.to_value()),
+            ("ic", self.ic.to_value()),
+            ("oc", self.oc.to_value()),
+            ("o_len", self.o_len.to_value()),
+            ("naive_secs", self.naive_secs.to_value()),
+            ("packed_secs", self.packed_secs.to_value()),
+            ("percall_secs", self.percall_secs.to_value()),
+            ("packed_gflops", self.packed_gflops.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ConfigResult {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        const OWNER: &str = "ConfigResult";
+        Ok(ConfigResult {
+            label: field(value, "label", OWNER)?,
+            backend: field(value, "backend", OWNER)?,
+            tile: field(value, "tile", OWNER)?,
+            h: field(value, "h", OWNER)?,
+            w: field(value, "w", OWNER)?,
+            ic: field(value, "ic", OWNER)?,
+            oc: field(value, "oc", OWNER)?,
+            o_len: field(value, "o_len", OWNER)?,
+            naive_secs: field(value, "naive_secs", OWNER)?,
+            packed_secs: field(value, "packed_secs", OWNER)?,
+            percall_secs: field(value, "percall_secs", OWNER)?,
+            packed_gflops: field(value, "packed_gflops", OWNER)?,
+        })
+    }
+}
+
+impl Serialize for BenchReport {
+    fn to_value(&self) -> Value {
+        object([
+            ("schema", self.schema.to_value()),
+            ("mode", self.mode.to_value()),
+            ("gemm_threshold", self.gemm_threshold.to_value()),
+            ("simd_active", self.simd_active.to_value()),
+            ("configs", self.configs.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for BenchReport {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        const OWNER: &str = "BenchReport";
+        Ok(BenchReport {
+            schema: field(value, "schema", OWNER)?,
+            mode: field(value, "mode", OWNER)?,
+            gemm_threshold: field(value, "gemm_threshold", OWNER)?,
+            simd_active: field(value, "simd_active", OWNER)?,
+            configs: field(value, "configs", OWNER)?,
+        })
+    }
 }
 
 /// Time `f` adaptively: one probe iteration sizes a batch that targets
@@ -386,4 +450,24 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&path, json + "\n").unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     eprintln!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline is what `--check-against` reads: it must
+    /// decode, and rendering it again must give back its exact bytes.
+    #[test]
+    fn committed_baseline_roundtrips_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_kernels.json is committed");
+        let report: BenchReport = serde_json::from_str(&text).expect("baseline decodes");
+        assert!(!report.configs.is_empty());
+        let rendered = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
+        assert!(
+            rendered == text,
+            "re-rendered baseline differs from the file"
+        );
+    }
 }

@@ -12,10 +12,8 @@
 //! Bodies are closed polygons: point-in-polygon gives the solid mask,
 //! distance-to-polyline gives the SA wall distance.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical boundary condition on one side of the rectangular domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SideBc {
     /// Fixed velocity `(u_in, 0)`, fixed inflow `nu_tilde`, zero-gradient p.
     Inlet,
@@ -28,7 +26,7 @@ pub enum SideBc {
 }
 
 /// A closed polygonal body immersed in the domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Body {
     /// Boundary vertices, in order (closed implicitly).
     pub pts: Vec<(f64, f64)>,
@@ -213,7 +211,7 @@ impl Body {
 /// assert!((case.u_in - 0.25).abs() < 1e-12);
 /// assert!(case.body.is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseConfig {
     /// Human-readable case name (used in reports).
     pub name: String,

@@ -121,7 +121,12 @@ fn cmd_train(opts: &Flags) -> Result<(), String> {
     let h = get_num(opts, "height", 32usize)?;
     let w = get_num(opts, "width", 128usize)?;
     let patch = get_num(opts, "patch", 8usize)?;
-    if h % patch != 0 || w % patch != 0 {
+    if per_family < 2 {
+        return Err(format!(
+            "--per-family {per_family}: need at least 2 samples per family"
+        ));
+    }
+    if patch == 0 || h % patch != 0 || w % patch != 0 {
         return Err(format!(
             "patch {patch} must divide height {h} and width {w}"
         ));

@@ -8,13 +8,13 @@ use std::io;
 use std::path::Path;
 
 use adarnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{field, object, DeError, Deserialize, Serialize, Value};
 
 use crate::loss::NormStats;
 use crate::network::{AdarNet, AdarNetConfig};
 
 /// On-disk representation of a trained model.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct ModelCheckpoint {
     /// Format version (bumped on layout changes).
     pub version: u32,
@@ -32,6 +32,39 @@ pub struct ModelCheckpoint {
     pub scorer: Vec<Tensor<f32>>,
     /// Decoder weights in [`crate::decoder::Decoder::snapshot`] order.
     pub decoder: Vec<Tensor<f32>>,
+}
+
+impl Serialize for ModelCheckpoint {
+    fn to_value(&self) -> Value {
+        object([
+            ("version", self.version.to_value()),
+            ("in_channels", self.in_channels.to_value()),
+            ("ph", self.ph.to_value()),
+            ("pw", self.pw.to_value()),
+            ("bins", self.bins.to_value()),
+            ("norm", self.norm.to_value()),
+            ("scorer", self.scorer.to_value()),
+            ("decoder", self.decoder.to_value()),
+        ])
+    }
+}
+
+/// Decoding checks the file's structure; whether the tensors fit the
+/// config is [`restore`]'s check.
+impl Deserialize for ModelCheckpoint {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        const OWNER: &str = "ModelCheckpoint";
+        Ok(ModelCheckpoint {
+            version: field(value, "version", OWNER)?,
+            in_channels: field(value, "in_channels", OWNER)?,
+            ph: field(value, "ph", OWNER)?,
+            pw: field(value, "pw", OWNER)?,
+            bins: field(value, "bins", OWNER)?,
+            norm: field(value, "norm", OWNER)?,
+            scorer: field(value, "scorer", OWNER)?,
+            decoder: field(value, "decoder", OWNER)?,
+        })
+    }
 }
 
 /// Current checkpoint format version.
@@ -52,6 +85,11 @@ pub fn snapshot(model: &AdarNet, norm: &NormStats) -> ModelCheckpoint {
 }
 
 /// Rebuild a model (and its normalization) from a checkpoint.
+///
+/// A checkpoint that does not fit its own config — a zero extent or bin
+/// count, more input channels than its scorer has weights, or a tensor
+/// count or shape other than a fresh model's — is an `Err`, checked
+/// before any weight is copied.
 pub fn restore(ckpt: &ModelCheckpoint) -> Result<(AdarNet, NormStats), String> {
     if ckpt.version != CHECKPOINT_VERSION {
         return Err(format!(
@@ -59,16 +97,56 @@ pub fn restore(ckpt: &ModelCheckpoint) -> Result<(AdarNet, NormStats), String> {
             ckpt.version, CHECKPOINT_VERSION
         ));
     }
-    let mut model = AdarNet::new(AdarNetConfig {
+    let cfg = AdarNetConfig {
         in_channels: ckpt.in_channels,
         ph: ckpt.ph,
         pw: ckpt.pw,
         bins: ckpt.bins,
         seed: 0,
-    });
+    };
+    if [cfg.in_channels, cfg.ph, cfg.pw, cfg.bins as usize].contains(&0) {
+        return Err(format!(
+            "checkpoint config needs in_channels, ph, pw and bins >= 1, has {}, {}, {}, {}",
+            cfg.in_channels, cfg.ph, cfg.pw, cfg.bins
+        ));
+    }
+    // Every input channel has scorer weights of its own, so a config
+    // wider than the saved scorer cannot fit it: refuse before building
+    // (and allocating) a model that wide.
+    let saved_scorer: usize = ckpt.scorer.iter().map(Tensor::len).sum();
+    if cfg.in_channels > saved_scorer {
+        return Err(format!(
+            "checkpoint in_channels {} exceeds its {saved_scorer} scorer weights",
+            cfg.in_channels
+        ));
+    }
+    let mut model = AdarNet::new(cfg);
+    fits("scorer", &model.scorer.snapshot(), &ckpt.scorer)?;
+    fits("decoder", &model.decoder.snapshot(), &ckpt.decoder)?;
     model.scorer.restore(&ckpt.scorer);
     model.decoder.restore(&ckpt.decoder);
     Ok((model, ckpt.norm))
+}
+
+/// `Err` unless `saved` has `fresh`'s tensor count and shapes.
+fn fits(part: &str, fresh: &[Tensor<f32>], saved: &[Tensor<f32>]) -> Result<(), String> {
+    if saved.len() != fresh.len() {
+        return Err(format!(
+            "checkpoint {part} has {} tensors, its config needs {}",
+            saved.len(),
+            fresh.len()
+        ));
+    }
+    for (i, (f, s)) in fresh.iter().zip(saved).enumerate() {
+        if !f.shape().same(s.shape()) {
+            return Err(format!(
+                "checkpoint {part} tensor {i} has shape {:?}, its config needs {:?}",
+                s.shape(),
+                f.shape()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Save a model to a JSON file.

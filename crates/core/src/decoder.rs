@@ -119,15 +119,12 @@ impl Decoder {
 
     /// Snapshot weights.
     pub fn snapshot(&self) -> Vec<Tensor<f32>> {
-        self.net.snapshot().tensors
+        self.net.snapshot()
     }
 
     /// Restore weights from [`Decoder::snapshot`] output.
     pub fn restore(&mut self, tensors: &[Tensor<f32>]) {
-        let ckpt = adarnet_nn::model::Checkpoint {
-            tensors: tensors.to_vec(),
-        };
-        self.net.restore(&ckpt);
+        self.net.restore(tensors);
     }
 }
 

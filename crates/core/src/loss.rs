@@ -15,18 +15,33 @@
 
 use adarnet_nn::{bicubic_resize3, bicubic_resize3_adjoint};
 use adarnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{field, object, DeError, Deserialize, Serialize, Value};
 
 use crate::pde::{residual_loss_and_grad, Field};
 
 /// Per-channel min/max used to scale the four flow variables to `[0, 1]`
 /// during training (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormStats {
     /// Per-channel minimum.
     pub lo: [f32; 4],
     /// Per-channel maximum.
     pub hi: [f32; 4],
+}
+
+impl Serialize for NormStats {
+    fn to_value(&self) -> Value {
+        object([("lo", self.lo.to_value()), ("hi", self.hi.to_value())])
+    }
+}
+
+impl Deserialize for NormStats {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Ok(NormStats {
+            lo: field(value, "lo", "NormStats")?,
+            hi: field(value, "hi", "NormStats")?,
+        })
+    }
 }
 
 impl NormStats {

@@ -9,7 +9,6 @@
 //! The highest bin maps to the highest target resolution.
 
 use adarnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Why a score slice cannot be binned.
 ///
@@ -53,7 +52,7 @@ impl std::error::Error for RankerError {}
 /// assert_eq!(binning.bin_of_patch, vec![0, 0, 2, 3]);
 /// # Ok::<(), adarnet_core::RankerError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ranker {
     /// Number of bins (4 in the paper, so refinement factors 4^0..4^3).
     pub bins: u8,

@@ -2,10 +2,10 @@
 //! cases (§5).
 
 use adarnet_cfd::CaseConfig;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Which canonical flow family a sample belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Turbulent channel flow (wall-bounded).
     Channel,
@@ -15,10 +15,28 @@ pub enum Family {
     Ellipse,
 }
 
+/// A family persists as its variant name, `"FlatPlate"`.
+impl Serialize for Family {
+    fn to_value(&self) -> Value {
+        Value::Str(format!("{self:?}"))
+    }
+}
+
+impl Deserialize for Family {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        match value.as_str() {
+            Some("Channel") => Ok(Family::Channel),
+            Some("FlatPlate") => Ok(Family::FlatPlate),
+            Some("Ellipse") => Ok(Family::Ellipse),
+            _ => Err(DeError::new(format!("unknown Family {value:?}"))),
+        }
+    }
+}
+
 /// One of the paper's seven evaluation cases (§5): interpolated and
 /// extrapolated boundary conditions on trained geometries, plus three
 /// unseen geometries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestCase {
     /// Channel flow at Re = 2.5e3 (interpolated).
     ChannelInt,

@@ -6,7 +6,7 @@ use adarnet_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{field, object, DeError, Deserialize, Serialize, Value};
 
 use crate::cases::{
     channel_training_res, ellipse_training_configs, flat_plate_training_res, Family,
@@ -14,7 +14,7 @@ use crate::cases::{
 use crate::synthetic::synthesize;
 
 /// Metadata carried with each sample.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SampleMeta {
     /// Flow family.
     pub family: Family,
@@ -26,6 +26,31 @@ pub struct SampleMeta {
     pub lx: f64,
     /// Physical domain height (m).
     pub ly: f64,
+}
+
+impl Serialize for SampleMeta {
+    fn to_value(&self) -> Value {
+        object([
+            ("family", self.family.to_value()),
+            ("reynolds", self.reynolds.to_value()),
+            ("name", self.name.to_value()),
+            ("lx", self.lx.to_value()),
+            ("ly", self.ly.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for SampleMeta {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        const OWNER: &str = "SampleMeta";
+        Ok(SampleMeta {
+            family: field(value, "family", OWNER)?,
+            reynolds: field(value, "reynolds", OWNER)?,
+            name: field(value, "name", OWNER)?,
+            lx: field(value, "lx", OWNER)?,
+            ly: field(value, "ly", OWNER)?,
+        })
+    }
 }
 
 /// One LR training sample: a 4-channel `(4, H, W)` field plus metadata.

@@ -9,12 +9,11 @@ use std::io;
 use std::path::Path;
 
 use adarnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{field, object, DeError, Deserialize, Serialize, Value};
 
 use crate::generator::{Sample, SampleMeta};
 
 /// Serializable dataset container.
-#[derive(Serialize, Deserialize)]
 pub struct DatasetFile {
     /// Format version.
     pub version: u32,
@@ -22,6 +21,27 @@ pub struct DatasetFile {
     pub fields: Vec<Tensor<f32>>,
     /// Sample metadata, aligned with `fields`.
     pub metas: Vec<SampleMeta>,
+}
+
+impl Serialize for DatasetFile {
+    fn to_value(&self) -> Value {
+        object([
+            ("version", self.version.to_value()),
+            ("fields", self.fields.to_value()),
+            ("metas", self.metas.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for DatasetFile {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        const OWNER: &str = "DatasetFile";
+        Ok(DatasetFile {
+            version: field(value, "version", OWNER)?,
+            fields: field(value, "fields", OWNER)?,
+            metas: field(value, "metas", OWNER)?,
+        })
+    }
 }
 
 /// Current dataset file version.

@@ -42,7 +42,7 @@ use adarnet_serve::{
     field_pool, run_closed_loop, ClientSpec, LoadReport, ModelRegistry, Priority, QuotaConfig,
     ServeConfig, Server,
 };
-use serde::{Serialize, Value};
+use serde::{object, Serialize, Value};
 
 fn registry(patch: usize) -> Arc<ModelRegistry> {
     let model = AdarNet::new(AdarNetConfig {
@@ -413,26 +413,6 @@ fn render_traces_doc(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-#[derive(Serialize)]
-struct LanesVsFifo {
-    mode: String,
-    report: LoadReport,
-}
-
-#[derive(Serialize)]
-struct TcpLanesBench {
-    interactive_connections: usize,
-    bulk_connections: usize,
-    interactive_requests_per_conn: usize,
-    bulk_requests_per_conn: usize,
-    lane_weights: [u64; 3],
-    runs: Vec<LanesVsFifo>,
-    fifo_interactive_p99_ms: f64,
-    lanes_interactive_p99_ms: f64,
-    interactive_p99_speedup: f64,
-    bulk_completed_under_lanes: u64,
-}
-
 fn bench() {
     let scale = match std::env::var("ADARNET_SERVE_SCALE").as_deref() {
         Ok("full") => 4,
@@ -453,9 +433,10 @@ fn bench() {
         ..ServeConfig::default()
     };
     let mut runs = Vec::new();
+    let mut p99 = [0.0f64; 2];
     let mut bulk_completed = 0u64;
 
-    for (mode, fifo_only) in [("fifo", true), ("lanes", false)] {
+    for (i, (mode, fifo_only)) in [("fifo", true), ("lanes", false)].into_iter().enumerate() {
         let cfg = ServeConfig { fifo_only, ..base };
         let (net, serve) = start_stack(cfg, 8, "127.0.0.1:0");
         let report = run_over_tcp(&net, &specs);
@@ -471,17 +452,15 @@ fn bench() {
                 "bulk lane starved under the weighted scheduler"
             );
         }
-        runs.push(LanesVsFifo {
-            mode: mode.to_string(),
-            report,
-        });
+        let lane = report.lane(Priority::Interactive);
+        p99[i] = lane.expect("interactive lane saw traffic").p99_ms;
+        runs.push(object([
+            ("mode", mode.to_string().to_value()),
+            ("report", report.to_value()),
+        ]));
     }
 
-    let p99 = |run: &LanesVsFifo| {
-        let lane = run.report.lane(Priority::Interactive);
-        lane.expect("interactive lane saw traffic").p99_ms
-    };
-    let (fifo_p99, lanes_p99) = (p99(&runs[0]), p99(&runs[1]));
+    let [fifo_p99, lanes_p99] = p99;
     let speedup = if lanes_p99 > 0.0 {
         fifo_p99 / lanes_p99
     } else {
@@ -491,28 +470,30 @@ fn bench() {
         "interactive p99: fifo {fifo_p99:.2} ms vs lanes {lanes_p99:.2} ms -> {speedup:.2}x; bulk completed under lanes: {bulk_completed}"
     );
 
-    let bench = TcpLanesBench {
-        interactive_connections: specs[0].connections,
-        bulk_connections: specs[1].connections,
-        interactive_requests_per_conn: specs[0].requests,
-        bulk_requests_per_conn: specs[1].requests,
-        lane_weights: base.lane_weights,
-        runs,
-        fifo_interactive_p99_ms: fifo_p99,
-        lanes_interactive_p99_ms: lanes_p99,
-        interactive_p99_speedup: speedup,
-        bulk_completed_under_lanes: bulk_completed,
-    };
+    let bench = object([
+        ("interactive_connections", specs[0].connections.to_value()),
+        ("bulk_connections", specs[1].connections.to_value()),
+        (
+            "interactive_requests_per_conn",
+            specs[0].requests.to_value(),
+        ),
+        ("bulk_requests_per_conn", specs[1].requests.to_value()),
+        ("lane_weights", base.lane_weights.to_value()),
+        ("runs", Value::Array(runs)),
+        ("fifo_interactive_p99_ms", fifo_p99.to_value()),
+        ("lanes_interactive_p99_ms", lanes_p99.to_value()),
+        ("interactive_p99_speedup", speedup.to_value()),
+        ("bulk_completed_under_lanes", bulk_completed.to_value()),
+    ]);
 
     let out_path = std::env::var("ADARNET_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    merge_into_bench_json(&out_path, &bench);
+    merge_into_bench_json(&out_path, bench);
     println!("merged tcp_lanes into {out_path}");
 }
 
 /// Insert/replace the `tcp_lanes` key in the (existing or fresh)
 /// BENCH_serve.json, preserving everything the serve bin wrote.
-fn merge_into_bench_json(path: &str, bench: &TcpLanesBench) {
-    use serde::Serialize as _;
+fn merge_into_bench_json(path: &str, entry: Value) {
     let parsed = std::fs::read_to_string(path)
         .ok()
         .and_then(|text| serde_json::parse_value(&text).ok());
@@ -520,7 +501,6 @@ fn merge_into_bench_json(path: &str, bench: &TcpLanesBench) {
         Some(Value::Object(fields)) => fields,
         _ => Vec::new(),
     };
-    let entry = bench.to_value();
     match fields.iter_mut().find(|(k, _)| k == "tcp_lanes") {
         Some((_, v)) => *v = entry,
         None => fields.push(("tcp_lanes".to_string(), entry)),

@@ -1,7 +1,6 @@
-//! Sequential container over boxed layers, with weight (de)serialization.
+//! Sequential container over boxed layers, with weight snapshot/restore.
 
 use adarnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::device::Device;
 use crate::{InferLayer, Layer, F};
@@ -97,11 +96,9 @@ impl Sequential {
         self.layers.iter().map(|l| l.num_params()).sum()
     }
 
-    /// Snapshot all weights into a serializable checkpoint.
-    pub fn snapshot(&self) -> Checkpoint {
-        Checkpoint {
-            tensors: self.params().into_iter().cloned().collect(),
-        }
+    /// Snapshot all weights, in [`Sequential::params`] order.
+    pub fn snapshot(&self) -> Vec<Tensor<F>> {
+        self.params().into_iter().cloned().collect()
     }
 
     /// Freeze every layer into an immutable [`FrozenSequential`] whose
@@ -114,17 +111,18 @@ impl Sequential {
         }
     }
 
-    /// Restore weights from a checkpoint (shapes must match exactly).
-    pub fn restore(&mut self, ckpt: &Checkpoint) {
+    /// Restore weights from [`Sequential::snapshot`] output (shapes must
+    /// match exactly).
+    pub fn restore(&mut self, tensors: &[Tensor<F>]) {
         let mut params = self.params_mut();
         assert_eq!(
             params.len(),
-            ckpt.tensors.len(),
+            tensors.len(),
             "checkpoint has {} tensors, model has {}",
-            ckpt.tensors.len(),
+            tensors.len(),
             params.len()
         );
-        for (p, t) in params.iter_mut().zip(&ckpt.tensors) {
+        for (p, t) in params.iter_mut().zip(tensors) {
             assert!(
                 p.shape().same(t.shape()),
                 "checkpoint tensor shape {:?} != model {:?}",
@@ -179,13 +177,6 @@ impl FrozenSequential {
     }
 }
 
-/// Serializable weight snapshot of a model.
-#[derive(Clone, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Parameter tensors in [`Sequential::params`] order.
-    pub tensors: Vec<Tensor<F>>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,15 +219,5 @@ mod tests {
         let ckpt = a.snapshot();
         b.restore(&ckpt);
         assert_eq!(b.forward(&x), ya);
-    }
-
-    #[test]
-    fn checkpoint_serializes_via_json() {
-        let a = tiny_net(3);
-        let ckpt = a.snapshot();
-        let s = serde_json::to_string(&ckpt).unwrap();
-        let back: Checkpoint = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.tensors.len(), ckpt.tensors.len());
-        assert_eq!(back.tensors[0], ckpt.tensors[0]);
     }
 }

@@ -35,37 +35,7 @@ use adarnet_serve::{
     ServeConfig, Server,
 };
 use adarnet_tensor::Tensor;
-use serde::Serialize;
-
-/// One closed-loop run: its configuration beside the generator's report.
-#[derive(Serialize)]
-struct Run {
-    mode: String,
-    concurrency: usize,
-    cache_hit_rate: f64,
-    report: LoadReport,
-}
-
-#[derive(Serialize)]
-struct SaturationReport {
-    queue_capacity: usize,
-    burst: usize,
-    shed_queue_full: u64,
-    degraded_seen: u64,
-    full_seen: u64,
-}
-
-#[derive(Serialize)]
-struct BenchOutput {
-    scale: String,
-    field_h: usize,
-    field_w: usize,
-    patch: usize,
-    pool_size: usize,
-    runs: Vec<Run>,
-    batched_vs_unbatched_speedup_at_max_concurrency: f64,
-    saturation: SaturationReport,
-}
+use serde::{object, Serialize, Value};
 
 /// `clients` in-process closed-loop clients on the standard lane, each
 /// sending `requests` fields from `pool`.
@@ -159,7 +129,9 @@ fn main() {
         pool.len()
     );
 
-    let mut runs: Vec<Run> = Vec::new();
+    // One object per closed-loop run: its configuration beside the
+    // generator's report.
+    let mut runs: Vec<Value> = Vec::new();
     let mut speedup_at_max = 0.0;
 
     for &concurrency in &concurrencies {
@@ -196,12 +168,12 @@ fn main() {
                 lane.degraded,
             );
             throughput[mode_idx] = report.throughput_rps;
-            runs.push(Run {
-                mode: mode.to_string(),
-                concurrency,
-                cache_hit_rate,
-                report,
-            });
+            runs.push(object([
+                ("mode", mode.to_string().to_value()),
+                ("concurrency", concurrency.to_value()),
+                ("cache_hit_rate", cache_hit_rate.to_value()),
+                ("report", report.to_value()),
+            ]));
             server.shutdown();
         }
         if concurrency == *concurrencies.last().unwrap() && throughput[1] > 0.0 {
@@ -242,25 +214,28 @@ fn main() {
             "saturation: burst {burst} over capacity 4 -> {full} full, {degraded} degraded ({shed} shed at queue)"
         );
         server.shutdown();
-        SaturationReport {
-            queue_capacity: 4,
-            burst,
-            shed_queue_full: shed,
-            degraded_seen: degraded,
-            full_seen: full,
-        }
+        object([
+            ("queue_capacity", 4usize.to_value()),
+            ("burst", burst.to_value()),
+            ("shed_queue_full", shed.to_value()),
+            ("degraded_seen", degraded.to_value()),
+            ("full_seen", full.to_value()),
+        ])
     };
 
-    let output = BenchOutput {
-        scale,
-        field_h: h,
-        field_w: w,
-        patch,
-        pool_size: pool.len(),
-        runs,
-        batched_vs_unbatched_speedup_at_max_concurrency: speedup_at_max,
-        saturation,
-    };
+    let output = object([
+        ("scale", scale.to_value()),
+        ("field_h", h.to_value()),
+        ("field_w", w.to_value()),
+        ("patch", patch.to_value()),
+        ("pool_size", pool.len().to_value()),
+        ("runs", Value::Array(runs)),
+        (
+            "batched_vs_unbatched_speedup_at_max_concurrency",
+            speedup_at_max.to_value(),
+        ),
+        ("saturation", saturation),
+    ]);
     let json = serde_json::to_string_pretty(&output).expect("report serializes");
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("error: cannot write {out_path}: {e}");

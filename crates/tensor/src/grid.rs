@@ -6,11 +6,10 @@
 //! finite-difference-friendly neighbor access).
 
 use crate::Element;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major 2-D field. `ny` rows by `nx` columns; `(i, j)` indexes
 /// row `i` (y-direction) and column `j` (x-direction).
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Grid2<T: Element> {
     ny: usize,
     nx: usize,

@@ -1,13 +1,13 @@
 //! Shape bookkeeping for dynamically-ranked tensors.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The extents of a tensor along each axis, row-major (last axis fastest).
 ///
 /// Rank is dynamic but in practice the workspace uses rank 1 (vectors),
 /// rank 2 (fields / matrices), rank 3 (CHW images), and rank 4 (NCHW
 /// batches).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape(pub Vec<usize>);
 
 impl Shape {
@@ -74,6 +74,19 @@ impl std::fmt::Debug for Shape {
             write!(f, "{d}")?;
         }
         write!(f, "]")
+    }
+}
+
+/// A shape persists as its bare extent array, `[4,16,16]`.
+impl Serialize for Shape {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Shape {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Vec::from_value(value).map(Shape)
     }
 }
 

@@ -1,7 +1,8 @@
 //! The dense row-major tensor type.
 
+use serde::{field, object, DeError, Deserialize, Serialize, Value};
+
 use crate::{workspace, Element, Shape};
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major, dynamically-shaped tensor.
 ///
@@ -16,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let patches = lr.split_patches(16, 16);
 /// assert_eq!(patches.len(), 64); // the paper's patch count
 /// ```
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 pub struct Tensor<T: Element> {
     shape: Shape,
     data: Vec<T>,
@@ -36,6 +37,33 @@ impl<T: Element> Clone for Tensor<T> {
             shape: self.shape.clone(),
             data: self.data.clone(),
         }
+    }
+}
+
+/// A tensor persists as `{"shape":[..],"data":[..]}`.
+impl<T: Element + Serialize> Serialize for Tensor<T> {
+    fn to_value(&self) -> Value {
+        object([
+            ("shape", self.shape.to_value()),
+            ("data", self.data.to_value()),
+        ])
+    }
+}
+
+/// Decoding keeps the construction invariant: data whose length does not
+/// match the shape is a [`DeError`], not a tensor.
+impl<T: Element + Deserialize> Deserialize for Tensor<T> {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let shape: Shape = field(value, "shape", "Tensor")?;
+        let data: Vec<T> = field(value, "data", "Tensor")?;
+        if data.len() != shape.numel() {
+            return Err(DeError::new(format!(
+                "Tensor data has {} elements, shape {shape:?} needs {}",
+                data.len(),
+                shape.numel()
+            )));
+        }
+        Ok(Tensor { shape, data })
     }
 }
 
@@ -326,6 +354,22 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn from_vec_length_checked() {
         let _ = Tensor::<f32>::from_vec(Shape::d2(2, 2), vec![1.0; 3]);
+    }
+
+    #[test]
+    fn decoding_keeps_the_length_invariant() {
+        let t = Tensor::<f32>::from_vec(Shape::d2(2, 2), vec![1.0, -2.5, 0.0, 3.0]);
+        assert_eq!(Tensor::from_value(&t.to_value()), Ok(t));
+        // `{"shape":[2,2],"data":[1.0]}`
+        let short = object([
+            ("shape", Shape::d2(2, 2).to_value()),
+            ("data", vec![1.0f32].to_value()),
+        ]);
+        let err = Tensor::<f32>::from_value(&short).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "Tensor data has 1 elements, shape [2x2] needs 4"
+        );
     }
 
     #[test]

@@ -90,6 +90,39 @@ fi
 # the gate. Its timings gate nothing.
 cargo run --release -q -p adarnet-bench --bin ablations
 
+echo "==> cli smoke (the README's four adarnet commands, at tiny scale)"
+# Train, predict, run-case and info, as README quotes them, on a
+# 16x64 field with one epoch (~2 s in all); outputs go under target/.
+# Then bad input: a truncated checkpoint, one with its last decoder
+# tensor dropped, and a one-sample-per-family train must each end in a
+# clean `error: ...` and exit 1, never a panic (exit 101).
+ADARNET=target/release/adarnet
+MODEL=target/ci-model.json
+"$ADARNET" train --out "$MODEL" --per-family 2 --epochs 1 --height 16 --width 64
+"$ADARNET" predict --model "$MODEL" --case cylinder
+"$ADARNET" run-case --model "$MODEL" --case channel --re 2.5e3 --length 1.0 --max-iters 50
+"$ADARNET" info --model "$MODEL"
+fails_cleanly() {
+  local want=$1 out status=0
+  shift
+  out=$("$ADARNET" "$@" 2>&1) || status=$?
+  if [ "$status" != 1 ] || ! grep -q "^error: $want" <<<"$out"; then
+    echo "adarnet $*: expected exit 1 with 'error: $want', got exit $status:"
+    echo "$out"
+    exit 1
+  fi
+}
+head -c 4096 "$MODEL" > target/ci-model-truncated.json
+fails_cleanly "loading" info --model target/ci-model-truncated.json
+# The compact JSON ends with the decoder array; drop its last tensor.
+sed -E 's/,\{"shape":\[[0-9,]*\],"data":\[[^]]*\]\}\]\}$/]}/' "$MODEL" > target/ci-model-dropped.json
+if cmp -s "$MODEL" target/ci-model-dropped.json; then
+  echo "cli smoke: dropping a decoder tensor left the checkpoint unchanged"
+  exit 1
+fi
+fails_cleanly "loading" info --model target/ci-model-dropped.json
+fails_cleanly "--per-family 1" train --out target/ci-model-unused.json --per-family 1
+
 echo "==> serve smoke (the closed-loop generator, in process)"
 # One request per client through every phase of the serve bin (batched
 # and unbatched at 1/8/32 clients, then the saturation burst): the
