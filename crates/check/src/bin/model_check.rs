@@ -1,9 +1,9 @@
 //! `cargo run -p check --bin model-check [-- --budget full|small]`
 //!
 //! Drives the serve primitives and the obs trace plane through explored
-//! interleavings against their shadow oracles, with every schedule's
-//! sync-event stream replayed through the vector-clock race detector
-//! (DESIGN.md §9.4). Prints one line per suite and a total.
+//! interleavings against their shadow oracles, and fails any schedule
+//! whose steps took a `sync` guard while holding another (DESIGN.md
+//! §9.3). Prints one line per suite and a total.
 //! `--budget full` (the default) also requires at least [`MIN_COVERED`]
 //! interleavings; `small` is the quick smoke and has no floor. Exit
 //! codes: 0 = all invariants held and the floor was met, 1 = violations

@@ -5,8 +5,8 @@
 //!
 //! 1. **Lint pass** (`cargo run -p check --bin lint`): the repo
 //!    policies no compiler lint expresses — explicit float comparisons,
-//!    spelled-out float→int rounding in the numeric kernels, single-lock
-//!    discipline in the serving crates, allocation-free kernels,
+//!    spelled-out float→int rounding in the numeric kernels, one lock
+//!    held at a time, allocation-free kernels,
 //!    justified `Ordering::Relaxed`, registered observable names.
 //!    Intentional exceptions live, with reasons, in `check/allow.toml`.
 //!    Panic-free and print-free library code, justified `unsafe` and
@@ -20,10 +20,10 @@
 //!    and the obs trace plane ([`adarnet_obs::TraceArena`],
 //!    [`adarnet_obs::TailSampler`]) through every interleaving (a
 //!    depth-first walk) or seeded-random ones against sequential shadow
-//!    oracles, one [`suites::Subject`] per primitive. Every schedule's
-//!    captured sync-event stream is replayed through a vector-clock race
-//!    detector and lock-order cycle check ([`race`], [`clock`];
-//!    DESIGN.md §9.3–9.4).
+//!    oracles, one [`suites::Subject`] per primitive. Every schedule
+//!    also fails if one of its steps acquired a `sync` guard while
+//!    holding another ([`adarnet_core::sync::take_nested`]; DESIGN.md
+//!    §9.3).
 //!
 //! Both are CI stages (`scripts/ci.sh`); both are libraries first, so
 //! every rule and suite also runs as a plain `cargo test -p check`.
@@ -42,17 +42,14 @@
 )]
 
 pub mod allow;
-pub mod clock;
 pub mod lexer;
 pub mod lint;
 pub mod oracle;
-pub mod race;
 pub mod rules;
 pub mod sched;
 pub mod suites;
 
 pub use lint::{run_lint, workspace_root, LintReport};
-pub use race::{analyze, Problem, ProblemKind};
 pub use sched::{
     explore_exhaustive, explore_random, ExploreResult, Plan, Scenario, SuiteStats, Violation,
 };

@@ -72,12 +72,8 @@ pub const RULES: [(&str, Scope, Scan); 6] = [
         Scope::Crates(&["nn", "tensor", "cfd"]),
         scan_lossy_cast,
     ),
-    // No second lock while a guard is held, in the crates that share locks.
-    (
-        "lock-order",
-        Scope::Crates(&["serve", "net"]),
-        scan_lock_order,
-    ),
+    // No second lock while a guard is held.
+    ("lock-order", Scope::All, scan_lock_order),
     // No allocating constructors in the kernels: buffers come from the
     // workspace pool, so steady-state inference stays allocation-free,
     // and the solver's sweep reuses the scratch its lanes own.
@@ -650,11 +646,30 @@ fn let_binding_name(toks: &[Tok], i: usize) -> Option<String> {
 
 /// Whether the acquisition's guard is consumed within its statement
 /// (method-chained temporary) rather than bound: true when the token
-/// after the call's matching `)` is not `;`.
+/// after the call's matching `)` is not `;`, once any
+/// `.unwrap()` / `.expect(..)` / `.unwrap_or_else(..)` that only
+/// unwraps the lock result is skipped.
 fn acquisition_is_temporary(toks: &[Tok], i: usize) -> bool {
     // toks[i] is the method ident; toks[i+1] is `(`.
+    let mut j = closing_paren(toks, i + 1);
+    while toks.get(j + 1).is_some_and(|t| t.is_punct("."))
+        && toks.get(j + 2).is_some_and(|t| {
+            t.is_ident("unwrap") || t.is_ident("expect") || t.is_ident("unwrap_or_else")
+        })
+        && toks.get(j + 3).is_some_and(|t| t.is_punct("("))
+    {
+        j = closing_paren(toks, j + 3);
+    }
+    // A bound guard (`let g = sync::lock(&m);`) reaches `;`; anything
+    // else (`.`, `)`, `,`) keeps it a temporary.
+    !matches!(toks.get(j + 1), Some(t) if t.is_punct(";"))
+}
+
+/// Index of the `)` matching the `(` at `open` (or the end of the
+/// stream if it is unbalanced).
+fn closing_paren(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
-    let mut j = i + 1;
+    let mut j = open;
     while j < toks.len() {
         if toks[j].is_punct("(") {
             depth += 1;
@@ -666,9 +681,7 @@ fn acquisition_is_temporary(toks: &[Tok], i: usize) -> bool {
         }
         j += 1;
     }
-    // `.lock().unwrap()` / `sync::lock(&m)` followed by `;` ⇒ binding or
-    // statement end; anything else (`.`, `)`, `,`) keeps it a temporary.
-    !matches!(toks.get(j + 1), Some(t) if t.is_punct(";"))
+    j
 }
 
 #[cfg(test)]
@@ -693,7 +706,7 @@ mod tests {
         assert!(applies(lock, "serve", "crates/serve/src/lanes.rs"));
         assert!(applies(lock, "net", "crates/net/src/server.rs"));
         assert!(!applies(lossy, "serve", "crates/serve/src/lanes.rs"));
-        assert!(!applies(lock, "core", "crates/core/src/sync.rs"));
+        assert!(applies(lock, "cfd", "crates/cfd/src/solver.rs"));
         assert!(applies("float-eq", "core", "crates/core/src/ranker.rs"));
         assert!(applies("float-eq", "adarnet-repro", "src/lib.rs"));
         // no-alloc is per file: only the designated kernel files get it
@@ -784,6 +797,15 @@ mod tests {
     fn nested_acquisition_in_one_statement_flagged() {
         let src = "fn f() { let x = a.lock().merge(b.read()); }";
         assert_eq!(rules_of(src), vec!["lock-order"]);
+    }
+
+    #[test]
+    fn unwrapped_lock_results_are_bound_guards() {
+        let src = "fn f() { let g = a.lock().unwrap(); let h = b.lock(); }\n\
+                   fn g() { let g = a.read().expect(\"poisoned\"); let h = b.lock(); }\n\
+                   fn h() { let g = a.lock().unwrap_or_else(PoisonError::into_inner); \
+                   let h = b.write(); }";
+        assert_eq!(rules_of(src), vec!["lock-order"; 3]);
     }
 
     #[test]

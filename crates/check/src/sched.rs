@@ -18,9 +18,12 @@
 //! and the explorer visits those linearizations exhaustively (or by
 //! seeded random sampling for the larger spaces). What this cannot see
 //! is a non-linearizable implementation (e.g. a torn multi-lock
-//! update); the race and lock-order replay of every schedule, the
-//! lock-order lint and the uniform-checkpoint torn-read oracle cover
-//! that flank. See DESIGN.md §9 for the full argument and its limits.
+//! update). Every schedule therefore also fails if one of its steps
+//! took a `sync` guard while holding another
+//! ([`adarnet_core::sync::take_nested`]), so no operation holds two
+//! `sync` locks at once; the uniform-checkpoint torn-read oracle
+//! covers an update torn across two locks taken one after the other.
+//! See DESIGN.md §9 for the full argument and its limits.
 //!
 //! Two exploration plans ([`Plan`]):
 //!
@@ -34,9 +37,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use adarnet_core::sync::trace;
-
-use crate::race;
+use adarnet_core::sync;
 
 /// A model-checking scenario: threads of operations over shared state.
 pub trait Scenario {
@@ -118,14 +119,12 @@ const MAX_VIOLATIONS: usize = 8;
 /// which must return an index into the runnable-thread list. Returns
 /// the trace and the first violation (if any).
 ///
-/// Every step runs with the `adarnet_core::sync::trace` recorder
-/// armed and attributed to the acting logical thread; after the last
-/// step the captured acquire/release/wait/read/write stream is
-/// replayed through [`race::analyze`], so a data race or lock-order
-/// inversion surfaces as a violation of the schedule that exhibited
-/// it — even when every oracle check passed. `init` and `finish` run
-/// outside the recording window: they are single-threaded prologue /
-/// epilogue, not concurrent behavior.
+/// The steps are the check window for the lock rule: the thread's
+/// nested-acquisition count is cleared before the first step, and a
+/// count left after the last step is a violation naming the first
+/// nested call site, even when every oracle check passed. `init` and
+/// `finish` run outside the window: they are single-threaded prologue
+/// / epilogue, not concurrent behavior.
 fn run_one<S: Scenario>(
     scenario: &S,
     ops: &[usize],
@@ -136,7 +135,7 @@ fn run_one<S: Scenario>(
     let mut state = scenario.init();
     let mut trace_out = Vec::new();
     let mut failed: Option<String> = None;
-    trace::begin();
+    sync::take_nested();
     loop {
         let runnable: Vec<usize> = (0..remaining.len()).filter(|&t| remaining[t] > 0).collect();
         if runnable.is_empty() {
@@ -146,7 +145,6 @@ fn run_one<S: Scenario>(
         let t = runnable[pick];
         trace_out.push(t);
         if failed.is_none() {
-            trace::set_thread(t as u32);
             if let Err(m) = scenario.step(&mut state, t, cursor[t]) {
                 failed = Some(m);
             }
@@ -154,11 +152,11 @@ fn run_one<S: Scenario>(
         cursor[t] += 1;
         remaining[t] -= 1;
     }
-    let events = trace::end();
-    if failed.is_none() {
-        if let Some(p) = race::analyze(&events).into_iter().next() {
-            failed = Some(p.message);
-        }
+    if let (None, Some(n)) = (&failed, sync::take_nested()) {
+        failed = Some(format!(
+            "nested sync acquisition: {} lock(s) taken while another guard was held, first at {}",
+            n.count, n.first
+        ));
     }
     if failed.is_none() {
         if let Err(m) = scenario.finish(&mut state) {

@@ -1147,8 +1147,10 @@ pub fn trace_rows() -> Vec<Row<Trace>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::lint_source;
     use crate::sched::explore_exhaustive;
     use adarnet_core::sync;
+    use std::path::Path;
     use std::sync::Mutex;
 
     #[test]
@@ -1229,53 +1231,10 @@ mod tests {
         caught(explore(real, spec, traces), "undersized trace arena");
     }
 
-    /// Deliberately racy: both threads write shared location `1`, but
-    /// thread 1 guards its write with the *wrong* lock, so the two
-    /// writes are unordered by happens-before in every schedule.
-    struct RacyPair;
-    impl Scenario for RacyPair {
-        type State = (Mutex<u64>, Mutex<u64>);
-        fn name(&self) -> &'static str {
-            "seeded-racy-pair"
-        }
-        fn thread_ops(&self) -> Vec<usize> {
-            vec![1, 1]
-        }
-        fn init(&self) -> Self::State {
-            (Mutex::new(0), Mutex::new(0))
-        }
-        fn step(&self, state: &mut Self::State, thread: usize, _op: usize) -> Result<(), String> {
-            if thread == 0 {
-                let mut g = sync::lock(&state.0);
-                sync::trace::write(1);
-                *g += 1;
-            } else {
-                // Bug under test: location 1 is supposed to be guarded
-                // by the first mutex.
-                let mut g = sync::lock(&state.1);
-                sync::trace::write(1);
-                *g += 1;
-            }
-            Ok(())
-        }
-        fn finish(&self, _: &mut Self::State) -> Result<(), String> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn race_detector_flags_a_seeded_two_lock_race() {
-        let r = explore_exhaustive(&RacyPair);
-        assert!(!r.violations.is_empty(), "seeded race must be caught");
-        let v = &r.violations[0];
-        assert!(v.message.contains("data race"), "{}", v.message);
-        assert!(!v.trace.is_empty(), "violation must carry a schedule");
-    }
-
     /// Deliberate lock-order inversion: thread 0 nests `a` then `b`,
     /// thread 1 nests `b` then `a`. The mini-loom serializes steps so
-    /// no schedule actually deadlocks — the acquisition-graph cycle
-    /// check must flag the hazard anyway.
+    /// no schedule actually deadlocks; the inner acquisitions are
+    /// nested, and that is what must be flagged.
     struct InvertedLocks;
     impl Scenario for InvertedLocks {
         type State = (Mutex<u64>, Mutex<u64>);
@@ -1305,12 +1264,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cycle_detector_flags_a_seeded_lock_inversion() {
-        let r = explore_exhaustive(&InvertedLocks);
-        assert!(!r.violations.is_empty(), "seeded inversion must be caught");
+    /// The violation every schedule of `scenario` must report: a nested
+    /// acquisition named by its call site in this file.
+    fn assert_nested_caught(scenario: &impl Scenario) {
+        let r = explore_exhaustive(scenario);
+        assert_eq!(
+            r.violations.len() as u64,
+            r.interleavings,
+            "every schedule nests"
+        );
         let v = &r.violations[0];
-        assert!(v.message.contains("lock-order inversion"), "{}", v.message);
+        assert!(
+            v.message.contains("nested sync acquisition"),
+            "{}",
+            v.message
+        );
+        assert!(v.message.contains(file!()), "names the site: {}", v.message);
         assert!(!v.trace.is_empty(), "violation must carry a schedule");
+    }
+
+    #[test]
+    fn nested_acquisition_flags_a_seeded_lock_inversion() {
+        assert_nested_caught(&InvertedLocks);
+    }
+
+    /// Items compiled as written and also kept as text, so a test can
+    /// lint the very code a scenario runs.
+    macro_rules! with_source {
+        ($($item:item)*) => {
+            $($item)*
+            const CROSS_FUNCTION_SOURCE: &str = stringify!($($item)*);
+        };
+    }
+
+    with_source! {
+        fn bump(counter: &Mutex<u64>) {
+            *sync::lock(counter) += 1;
+        }
+
+        fn bump_under_guard(state: &(Mutex<u64>, Mutex<u64>)) {
+            let _outer = sync::lock(&state.0);
+            bump(&state.1);
+        }
+    }
+
+    /// A step that calls a helper which locks while the caller holds a
+    /// guard: no one function nests two acquisitions.
+    struct CrossFunctionNesting;
+    impl Scenario for CrossFunctionNesting {
+        type State = (Mutex<u64>, Mutex<u64>);
+        fn name(&self) -> &'static str {
+            "seeded-cross-function-nesting"
+        }
+        fn thread_ops(&self) -> Vec<usize> {
+            vec![1, 1]
+        }
+        fn init(&self) -> Self::State {
+            (Mutex::new(0), Mutex::new(0))
+        }
+        fn step(&self, state: &mut Self::State, thread: usize, _op: usize) -> Result<(), String> {
+            if thread == 0 {
+                bump_under_guard(state);
+            } else {
+                bump(&state.1);
+            }
+            Ok(())
+        }
+        fn finish(&self, _: &mut Self::State) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn nested_acquisition_across_a_call_is_caught_where_the_lint_is_blind() {
+        let lexical = lint_source(Path::new("x.rs"), CROSS_FUNCTION_SOURCE, |_| true);
+        assert!(lexical.is_empty(), "the lint cannot see it: {lexical:?}");
+        assert_nested_caught(&CrossFunctionNesting);
     }
 }

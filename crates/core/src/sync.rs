@@ -1,4 +1,4 @@
-//! Poison-tolerant locking helpers with an optional sync-event trace.
+//! Poison-tolerant locking helpers that count nested acquisitions.
 //!
 //! The serving layers hold models, caches, and queues behind `Mutex`/
 //! `RwLock`. The std guards return a `PoisonError` when another thread
@@ -12,206 +12,132 @@
 //! meaningless because a panic unwound through it.
 //!
 //! These helpers centralize that policy so library code never spells
-//! `lock().unwrap()` (the in-repo lint forbids it; see `crates/check`).
+//! `lock().unwrap()` (clippy's `unwrap_used`, denied at every library
+//! root, forbids it).
 //!
-//! # Sync-event tracing
+//! # One lock at a time
 //!
-//! The helpers now return thin wrapper guards ([`LockGuard`],
-//! [`ReadGuard`], [`WriteGuard`]) that — when the thread-local recorder
-//! in [`trace`] is armed — emit an acquire/release/wait event stream
-//! attributed to a *logical* thread id. The model checker in
-//! `crates/check` runs every logical thread on one OS thread, arms the
-//! recorder around each schedule, and replays the captured trace
-//! through a vector-clock happens-before analysis (data races) and an
-//! acquisition-graph cycle check (lock-order inversions). See
-//! DESIGN.md §9.3–9.4.
+//! The lock rule is that no guard is acquired while another guard is
+//! held on the same thread. The `lock-order` lint checks it lexically,
+//! within one function; the guards check it at run time, across calls.
+//! Each guard ([`LockGuard`], [`ReadGuard`], [`WriteGuard`]) carries a
+//! zero-sized token that raises a thread-local held-guard depth when
+//! it is built and lowers it when it drops. An acquisition made while
+//! the depth is non-zero is counted, together with the call site of
+//! the first one, and [`take_nested`] hands over and clears that
+//! count. The model checker in `crates/check` fails every schedule
+//! whose steps leave a count behind (DESIGN.md §9.3).
 //!
-//! When the recorder is *not* armed (every production thread), the only
-//! cost per lock operation is one thread-local flag read; no events are
-//! allocated and no shared state is touched, so the instrumentation is
-//! contention-free by construction.
+//! Guards are `!Send`, so a thread-local depth is exact. Nothing needs
+//! arming: every lock operation pays one thread-local access and
+//! touches no shared state.
 
+use std::cell::Cell;
+use std::panic::Location;
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::time::Duration;
 
-/// Thread-local synchronization-event recorder.
-///
-/// Disarmed by default. The model checker arms it with [`trace::begin`]
-/// on its own OS thread, labels each scheduler step with
-/// [`trace::set_thread`], and collects the events with [`trace::end`].
-/// Scenarios may additionally annotate shared-memory accesses that are
-/// *not* mediated by these helpers via [`trace::read`] /
-/// [`trace::write`]; those feed the race detector directly.
-///
-/// Lock identities are the lock's address for the duration of one
-/// schedule (structures are rebuilt per interleaving, so ids are only
-/// meaningful within a single recorded trace).
-pub mod trace {
-    use std::cell::{Cell, RefCell};
+/// Acquisitions this thread made while it already held a guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Nested {
+    /// How many acquisitions were nested.
+    pub count: u32,
+    /// Call site of the first nested acquisition.
+    pub first: &'static Location<'static>,
+}
 
-    /// What happened, against which lock or annotated location.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum EventKind {
-        /// A lock was acquired (`shared` = rwlock read guard).
-        Acquire {
-            /// Lock identity (address, stable within one schedule).
-            lock: usize,
-            /// Shared (read) acquisition rather than exclusive.
-            shared: bool,
-        },
-        /// A guard was dropped.
-        Release {
-            /// Lock identity.
-            lock: usize,
-        },
-        /// A condvar wait *entered*: the mutex is released and the
-        /// thread blocks. The matching wake-up re-acquisition is
-        /// emitted as a fresh [`EventKind::Acquire`]. For
-        /// happens-before purposes this event is exactly a release.
-        Wait {
-            /// Lock identity of the mutex handed to the condvar.
-            lock: usize,
-        },
-        /// Annotated read of a logical shared location.
-        Read {
-            /// Scenario-chosen location id.
-            loc: u64,
-        },
-        /// Annotated write of a logical shared location.
-        Write {
-            /// Scenario-chosen location id.
-            loc: u64,
-        },
-    }
+#[derive(Clone, Copy)]
+struct Held {
+    depth: u32,
+    nested: Option<Nested>,
+}
 
-    /// One recorded event, attributed to a logical thread.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Event {
-        /// Logical thread id (set by [`set_thread`]).
-        pub thread: u32,
-        /// The event.
-        pub kind: EventKind,
-    }
+thread_local! {
+    static HELD: Cell<Held> = const {
+        Cell::new(Held {
+            depth: 0,
+            nested: None,
+        })
+    };
+}
 
-    thread_local! {
-        static ACTIVE: Cell<bool> = const { Cell::new(false) };
-        static CURRENT: Cell<u32> = const { Cell::new(0) };
-        static EVENTS: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
-    }
+/// Take this thread's nested-acquisition count (`None` when there was
+/// none since the last call), and clear it.
+pub fn take_nested() -> Option<Nested> {
+    HELD.with(|h| {
+        let mut held = h.get();
+        let nested = held.nested.take();
+        h.set(held);
+        nested
+    })
+}
 
-    /// Arm the recorder on this OS thread, clearing any prior events.
-    pub fn begin() {
-        EVENTS.with(|e| e.borrow_mut().clear());
-        CURRENT.with(|c| c.set(0));
-        ACTIVE.with(|a| a.set(true));
-    }
+/// One held guard's share of the thread's depth: counted on
+/// acquisition, given back on drop.
+struct HeldToken;
 
-    /// Disarm the recorder and take the captured events.
-    pub fn end() -> Vec<Event> {
-        ACTIVE.with(|a| a.set(false));
-        EVENTS.with(|e| e.borrow_mut().drain(..).collect())
-    }
-
-    /// Whether the recorder is armed on this OS thread.
-    pub fn is_active() -> bool {
-        ACTIVE.with(|a| a.get())
-    }
-
-    /// Attribute subsequent events to logical thread `t`.
-    pub fn set_thread(t: u32) {
-        CURRENT.with(|c| c.set(t));
-    }
-
-    fn emit(kind: EventKind) {
-        if !is_active() {
-            return;
-        }
-        let thread = CURRENT.with(|c| c.get());
-        EVENTS.with(|e| e.borrow_mut().push(Event { thread, kind }));
-    }
-
-    /// Record an annotated shared read of logical location `loc`.
-    pub fn read(loc: u64) {
-        emit(EventKind::Read { loc });
-    }
-
-    /// Record an annotated shared write of logical location `loc`.
-    pub fn write(loc: u64) {
-        emit(EventKind::Write { loc });
-    }
-
-    /// Record a lock acquisition (used by the guard wrappers; also
-    /// available to scenarios modelling a lock the helpers don't
-    /// cover).
-    pub fn acquire(lock: usize, shared: bool) {
-        emit(EventKind::Acquire { lock, shared });
-    }
-
-    /// Record a guard release.
-    pub fn release(lock: usize) {
-        emit(EventKind::Release { lock });
-    }
-
-    /// Record a condvar-wait entry (release half of the wait).
-    pub fn wait(lock: usize) {
-        emit(EventKind::Wait { lock });
+impl HeldToken {
+    #[track_caller]
+    fn acquire() -> Self {
+        let site = Location::caller();
+        HELD.with(|h| {
+            let mut held = h.get();
+            if held.depth > 0 {
+                held.nested = Some(match held.nested {
+                    Some(n) => Nested {
+                        count: n.count.saturating_add(1),
+                        ..n
+                    },
+                    None => Nested {
+                        count: 1,
+                        first: site,
+                    },
+                });
+            }
+            held.depth = held.depth.saturating_add(1);
+            h.set(held);
+        });
+        HeldToken
     }
 }
 
-/// Mutex guard that reports its release to the [`trace`] recorder.
+impl Drop for HeldToken {
+    fn drop(&mut self) {
+        HELD.with(|h| {
+            let mut held = h.get();
+            held.depth = held.depth.saturating_sub(1);
+            h.set(held);
+        });
+    }
+}
+
+/// Mutex guard that holds its share of the thread's guard depth.
 ///
-/// Derefs to the protected data exactly like [`MutexGuard`]. The inner
-/// guard is vacated only by [`wait`] / [`wait_timeout`], which consume
-/// the wrapper by value — after that the wrapper is never touched
-/// again, so the `None` arms below are structurally unreachable.
+/// Derefs to the protected data exactly like [`MutexGuard`].
 pub struct LockGuard<'a, T> {
-    inner: Option<MutexGuard<'a, T>>,
-    id: usize,
-}
-
-/// The `None` arm of every access to a [`LockGuard`]'s inner guard.
-#[expect(
-    clippy::unreachable,
-    reason = "the Option inside LockGuard is vacated only by wait()/wait_timeout(), which consume the guard by value and hand back a re-filled one; no caller can deref or drop-release a vacated guard"
-)]
-fn vacated() -> ! {
-    unreachable!("lock guard vacated by wait")
+    inner: MutexGuard<'a, T>,
+    _held: HeldToken,
 }
 
 impl<T> std::ops::Deref for LockGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        match &self.inner {
-            Some(g) => g,
-            None => vacated(),
-        }
+        &self.inner
     }
 }
 
 impl<T> std::ops::DerefMut for LockGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        match &mut self.inner {
-            Some(g) => g,
-            None => vacated(),
-        }
+        &mut self.inner
     }
 }
 
-impl<T> Drop for LockGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.is_some() {
-            trace::release(self.id);
-        }
-    }
-}
-
-/// RwLock read guard that reports its release to the [`trace`]
-/// recorder.
+/// RwLock read guard that holds its share of the thread's guard depth.
 pub struct ReadGuard<'a, T> {
     inner: RwLockReadGuard<'a, T>,
-    id: usize,
+    _held: HeldToken,
 }
 
 impl<T> std::ops::Deref for ReadGuard<'_, T> {
@@ -221,17 +147,10 @@ impl<T> std::ops::Deref for ReadGuard<'_, T> {
     }
 }
 
-impl<T> Drop for ReadGuard<'_, T> {
-    fn drop(&mut self) {
-        trace::release(self.id);
-    }
-}
-
-/// RwLock write guard that reports its release to the [`trace`]
-/// recorder.
+/// RwLock write guard that holds its share of the thread's guard depth.
 pub struct WriteGuard<'a, T> {
     inner: RwLockWriteGuard<'a, T>,
-    id: usize,
+    _held: HeldToken,
 }
 
 impl<T> std::ops::Deref for WriteGuard<'_, T> {
@@ -247,95 +166,69 @@ impl<T> std::ops::DerefMut for WriteGuard<'_, T> {
     }
 }
 
-impl<T> Drop for WriteGuard<'_, T> {
-    fn drop(&mut self) {
-        trace::release(self.id);
-    }
-}
-
-fn addr_of<T>(p: &T) -> usize {
-    std::ptr::from_ref(p) as *const () as usize
-}
-
 /// Lock a mutex, recovering the guard if a previous holder panicked.
+#[track_caller]
 pub fn lock<T>(m: &Mutex<T>) -> LockGuard<'_, T> {
-    let id = addr_of(m);
-    let inner = m.lock().unwrap_or_else(PoisonError::into_inner);
-    trace::acquire(id, false);
     LockGuard {
-        inner: Some(inner),
-        id,
+        inner: m.lock().unwrap_or_else(PoisonError::into_inner),
+        _held: HeldToken::acquire(),
     }
 }
 
 /// Acquire a read guard, recovering from poisoning.
+#[track_caller]
 pub fn read<T>(l: &RwLock<T>) -> ReadGuard<'_, T> {
-    let id = addr_of(l);
-    let inner = l.read().unwrap_or_else(PoisonError::into_inner);
-    trace::acquire(id, true);
-    ReadGuard { inner, id }
+    ReadGuard {
+        inner: l.read().unwrap_or_else(PoisonError::into_inner),
+        _held: HeldToken::acquire(),
+    }
 }
 
 /// Acquire a write guard, recovering from poisoning.
+#[track_caller]
 pub fn write<T>(l: &RwLock<T>) -> WriteGuard<'_, T> {
-    let id = addr_of(l);
-    let inner = l.write().unwrap_or_else(PoisonError::into_inner);
-    trace::acquire(id, false);
-    WriteGuard { inner, id }
+    WriteGuard {
+        inner: l.write().unwrap_or_else(PoisonError::into_inner),
+        _held: HeldToken::acquire(),
+    }
 }
 
 /// Block on a condvar, recovering the guard from poisoning.
 ///
-/// In the event stream this is a `Wait` (≡ release) at entry and a
-/// fresh `Acquire` at wake-up, so happens-before edges through the
-/// mutex are preserved across the block.
-pub fn wait<'a, T>(cv: &Condvar, mut guard: LockGuard<'a, T>) -> LockGuard<'a, T> {
-    let id = guard.id;
-    let inner = match guard.inner.take() {
-        Some(g) => g,
-        None => vacated(),
-    };
-    drop(guard); // vacated: emits no Release
-    trace::wait(id);
-    let inner = cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
-    trace::acquire(id, false);
+/// The guard keeps its depth token through the wait, so the wake-up
+/// re-acquisition is the same hold, never a nested one.
+pub fn wait<'a, T>(cv: &Condvar, guard: LockGuard<'a, T>) -> LockGuard<'a, T> {
+    let LockGuard { inner, _held } = guard;
     LockGuard {
-        inner: Some(inner),
-        id,
+        inner: cv.wait(inner).unwrap_or_else(PoisonError::into_inner),
+        _held,
     }
 }
 
 /// Block on a condvar with a timeout, recovering the guard from
 /// poisoning. The timed-out flag is dropped: callers re-check their
-/// predicate and deadline anyway. Event semantics match [`wait`].
+/// predicate and deadline anyway. Depth semantics match [`wait`].
 pub fn wait_timeout<'a, T>(
     cv: &Condvar,
-    mut guard: LockGuard<'a, T>,
+    guard: LockGuard<'a, T>,
     dur: Duration,
 ) -> LockGuard<'a, T> {
-    let id = guard.id;
-    let inner = match guard.inner.take() {
-        Some(g) => g,
-        None => vacated(),
-    };
-    drop(guard); // vacated: emits no Release
-    trace::wait(id);
+    let LockGuard { inner, _held } = guard;
     let inner = match cv.wait_timeout(inner, dur) {
         Ok((g, _)) => g,
         Err(poisoned) => poisoned.into_inner().0,
     };
-    trace::acquire(id, false);
-    LockGuard {
-        inner: Some(inner),
-        id,
-    }
+    LockGuard { inner, _held }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::trace::EventKind;
     use super::*;
     use std::sync::{Arc, Mutex, RwLock};
+
+    fn depth() -> u32 {
+        HELD.with(|h| h.get().depth)
+    }
 
     #[test]
     fn lock_recovers_from_poison() {
@@ -365,76 +258,51 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_returns_after_deadline() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let g = lock(&m);
-        let _g = wait_timeout(&cv, g, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn recorder_is_off_by_default() {
-        let m = Mutex::new(0u32);
-        *lock(&m) += 1;
-        assert!(!trace::is_active());
-        trace::begin();
-        let events = trace::end();
-        assert!(events.is_empty(), "nothing recorded while disarmed");
-    }
-
-    #[test]
-    fn guards_emit_acquire_release_pairs() {
+    fn guards_give_their_depth_back() {
         let m = Mutex::new(0u32);
         let l = RwLock::new(0u32);
-        trace::begin();
-        trace::set_thread(3);
-        *lock(&m) += 1;
+        let g = lock(&m);
+        assert_eq!(depth(), 1);
+        drop(g);
+        assert_eq!(depth(), 0, "after lock");
         let _ = *read(&l);
+        assert_eq!(depth(), 0, "after read");
         *write(&l) = 2;
-        let events = trace::end();
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
-        assert!(events.iter().all(|e| e.thread == 3));
-        assert_eq!(events.len(), 6, "three acquire/release pairs: {kinds:?}");
-        assert!(matches!(kinds[0], EventKind::Acquire { shared: false, .. }));
-        assert!(matches!(kinds[1], EventKind::Release { .. }));
-        assert!(matches!(kinds[2], EventKind::Acquire { shared: true, .. }));
-        // Mutex and rwlock ids differ; pairs match up.
-        let (lock_id, rw_id) = match (kinds[0], kinds[2]) {
-            (EventKind::Acquire { lock: a, .. }, EventKind::Acquire { lock: b, .. }) => (a, b),
-            _ => (0, 0),
-        };
-        assert_ne!(lock_id, rw_id);
-        assert_eq!(kinds[1], EventKind::Release { lock: lock_id });
-        assert_eq!(kinds[5], EventKind::Release { lock: rw_id });
+        assert_eq!(depth(), 0, "after write");
+        assert_eq!(take_nested(), None, "one guard at a time is not nesting");
     }
 
     #[test]
-    fn wait_emits_wait_then_reacquire() {
+    fn wait_timeout_keeps_one_hold() {
         let m = Mutex::new(());
         let cv = Condvar::new();
-        trace::begin();
         let g = lock(&m);
         let g = wait_timeout(&cv, g, Duration::from_millis(1));
+        assert_eq!(depth(), 1, "the wake-up re-acquisition is the same hold");
         drop(g);
-        let kinds: Vec<EventKind> = trace::end().iter().map(|e| e.kind).collect();
-        assert!(matches!(kinds[0], EventKind::Acquire { .. }));
-        assert!(matches!(kinds[1], EventKind::Wait { .. }), "{kinds:?}");
-        assert!(matches!(kinds[2], EventKind::Acquire { .. }));
-        assert!(matches!(kinds[3], EventKind::Release { .. }));
-        assert_eq!(kinds.len(), 4, "wait itself must not emit a Release");
+        assert_eq!(depth(), 0);
+        assert_eq!(
+            take_nested(),
+            None,
+            "re-acquiring after a wait is not nesting"
+        );
     }
 
     #[test]
-    fn annotations_record_reads_and_writes() {
-        trace::begin();
-        trace::set_thread(1);
-        trace::write(42);
-        trace::set_thread(2);
-        trace::read(42);
-        let events = trace::end();
-        assert_eq!(events[0].kind, EventKind::Write { loc: 42 }, "{events:?}");
-        assert_eq!(events[0].thread, 1);
-        assert_eq!(events[1].kind, EventKind::Read { loc: 42 });
-        assert_eq!(events[1].thread, 2);
+    fn nested_lock_is_counted_at_its_call_site() {
+        let m = Mutex::new(0u32);
+        let l = RwLock::new(0u32);
+        let r = read(&l);
+        let line = line!() + 1;
+        *lock(&m) += *r;
+        *lock(&m) += *r;
+        drop(r);
+        let n = take_nested().expect("the locks under the read guard are counted");
+        assert_eq!(
+            (n.count, n.first.file(), n.first.line()),
+            (2, file!(), line)
+        );
+        assert_eq!(take_nested(), None, "taking the count clears it");
+        assert_eq!(depth(), 0);
     }
 }

@@ -62,8 +62,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> concurrency model check (crates/check)"
 # One explorer: a depth-first walk executes every interleaving of each
 # exhaustive space once, and seeded-random sampling covers the spaces
-# too large to enumerate; every schedule is also replayed through the
-# race and lock-order checks. The full budget requires >= 10,000
+# too large to enumerate; a schedule also fails if any step takes a
+# sync guard while holding another. The full budget requires >= 10,000
 # interleavings. The checker's own tests run first at both budgets, so
 # the seeded-bug tests (proof the explorer can still fail) run under
 # SKIP_SLOW=1 too, where the workspace test stage is skipped.
