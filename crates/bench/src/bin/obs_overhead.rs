@@ -8,8 +8,8 @@
 //! and takes the *minimum* per arm — the standard estimator for the
 //! true cost floor under noise.
 //!
-//! The instrumented arm runs each rep as a *traced request*: a minted
-//! trace is started in the arena, scoped to the thread (so every stage
+//! The instrumented arm runs each rep as a *traced request*: a trace is
+//! minted with its own span buffer, scoped to the thread (so every stage
 //! `span!` attaches a span record), then finished and offered to the
 //! tail sampler — the full per-request tracing cost, not just the
 //! histogram path, must fit the budget.
@@ -46,21 +46,19 @@ fn field(h: usize, w: usize, phase: f32) -> Tensor<f32> {
 /// Mean seconds per `infer_batch` call over `fields`, averaged across
 /// `inner` back-to-back calls (averaging inside the sample shrinks
 /// scheduler/cache noise before the min-across-reps estimator sees
-/// it). When `traced`, every call runs as a full traced request: arena
-/// start, thread scope (so stage spans attach), finish, tail-sampler
+/// it). When `traced`, every call runs as a full traced request: trace
+/// mint, thread scope (so stage spans attach), finish, tail-sampler
 /// offer — all inside the timed region.
 fn time_once(engine: &InferenceEngine, fields: &[Tensor<f32>], inner: usize, traced: bool) -> f64 {
     let start = Instant::now();
     for _ in 0..inner {
         let req = Instant::now();
-        let ctx = traced
-            .then(adarnet_obs::TraceCtx::mint)
-            .filter(|&ctx| adarnet_obs::trace::arena().start(ctx));
+        let ctx = traced.then(adarnet_obs::TraceCtx::mint).flatten();
         let out = {
-            let _scope = ctx.map(adarnet_obs::trace::scope);
+            let _scope = ctx.clone().map(adarnet_obs::trace::scope);
             engine.infer_batch(black_box(fields)).expect("inference")
         };
-        if let Some(ctx) = ctx {
+        if let Some(ctx) = &ctx {
             adarnet_obs::trace::finish(ctx, req.elapsed().as_nanos() as u64, false);
         }
         for p in out {

@@ -1,6 +1,6 @@
 //! `cargo run -p check --bin model-check [-- --budget full|small]`
 //!
-//! Drives the serve primitives and the obs trace plane through explored
+//! Drives the serve primitives and the obs tail sampler through explored
 //! interleavings against their shadow oracles, and fails any schedule
 //! whose steps took a `sync` guard while holding another (DESIGN.md
 //! §9.3). Prints one line per suite and a total.

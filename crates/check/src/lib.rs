@@ -17,8 +17,8 @@
 //!    deterministic mini-loom that drives the serve primitives
 //!    ([`adarnet_serve::LaneQueue`], [`adarnet_serve::QuotaTable`],
 //!    [`adarnet_serve::PatchCache`], [`adarnet_serve::ModelRegistry`])
-//!    and the obs trace plane ([`adarnet_obs::TraceArena`],
-//!    [`adarnet_obs::TailSampler`]) through every interleaving (a
+//!    and the obs tail sampler ([`adarnet_obs::TailSampler`]) through
+//!    every interleaving (a
 //!    depth-first walk) or seeded-random ones against sequential shadow
 //!    oracles, one [`suites::Subject`] per primitive. Every schedule
 //!    also fails if one of its steps acquired a `sync` guard while

@@ -342,182 +342,6 @@ impl Default for RegistryModel {
     }
 }
 
-/// One span inside a [`TraceModel`] trace (start offsets are
-/// wall-clock and deliberately not modeled).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelSpan {
-    /// Dense per-trace span id (1-based).
-    pub span_id: u64,
-    /// Parent span id (0 = trace root).
-    pub parent: u64,
-    /// Span site name.
-    pub name: &'static str,
-    /// Committed duration.
-    pub dur_ns: u64,
-    /// Structured field name (`""` = none).
-    pub field: &'static str,
-    /// Structured field value.
-    pub value: u64,
-}
-
-/// One in-flight trace inside the [`TraceModel`].
-struct ModelActive {
-    trace_id: u64,
-    next_span_id: u64,
-    /// `(span, committed)` in begin order.
-    spans: Vec<(ModelSpan, bool)>,
-    dropped: u64,
-}
-
-/// Naive in-flight trace table — the
-/// [`adarnet_obs::trace::TraceArena`] start/begin/commit/finish
-/// contract, restated without slots, probing, or locks: a flat list of
-/// live traces keyed by id.
-///
-/// The headline claims this oracle pins down:
-///
-/// * `start` admits a trace iff its id is nonzero, not already in
-///   flight, and fewer than `capacity` traces are live — probe order
-///   and slot reuse must never change admission;
-/// * span ids are dense per trace and the span budget drops (never
-///   truncates) excess begins;
-/// * a commit lands iff its trace is *still the same in-flight trace*
-///   — a laggard commit after finish (or after the slot was re-claimed)
-///   must vanish;
-/// * `finish` returns exactly the committed spans — an uncommitted
-///   (torn) span never escapes the arena.
-pub struct TraceModel {
-    capacity: usize,
-    spans_per_trace: usize,
-    live: Vec<ModelActive>,
-}
-
-impl TraceModel {
-    /// Model of an arena with `capacity` trace slots of
-    /// `spans_per_trace` spans each (both clamped to 1, like the real
-    /// arena).
-    pub fn new(capacity: usize, spans_per_trace: usize) -> TraceModel {
-        TraceModel {
-            capacity: capacity.max(1),
-            spans_per_trace: spans_per_trace.max(1),
-            live: Vec::new(),
-        }
-    }
-
-    fn find(&mut self, trace_id: u64) -> Option<&mut ModelActive> {
-        self.live.iter_mut().find(|t| t.trace_id == trace_id)
-    }
-
-    /// Spec: admit iff nonzero, not in flight, and below capacity.
-    pub fn start(&mut self, trace_id: u64) -> bool {
-        if trace_id == 0
-            || self.live.iter().any(|t| t.trace_id == trace_id)
-            || self.live.len() >= self.capacity
-        {
-            return false;
-        }
-        self.live.push(ModelActive {
-            trace_id,
-            next_span_id: 1,
-            spans: Vec::new(),
-            dropped: 0,
-        });
-        true
-    }
-
-    /// Spec: allocate the next dense span id, or count a drop when the
-    /// budget is spent. Returns `(span_id, index)` for the matching
-    /// commit.
-    pub fn begin(
-        &mut self,
-        trace_id: u64,
-        parent: u64,
-        name: &'static str,
-    ) -> Option<(u64, usize)> {
-        let budget = self.spans_per_trace;
-        let t = self.find(trace_id)?;
-        if t.spans.len() >= budget {
-            t.dropped += 1;
-            return None;
-        }
-        let span_id = t.next_span_id;
-        t.next_span_id += 1;
-        let idx = t.spans.len();
-        t.spans.push((
-            ModelSpan {
-                span_id,
-                parent,
-                name,
-                dur_ns: 0,
-                field: "",
-                value: 0,
-            },
-            false,
-        ));
-        Some((span_id, idx))
-    }
-
-    /// Spec: a commit lands iff the trace is still live and the record
-    /// at `idx` is the one this begin allocated.
-    pub fn commit(
-        &mut self,
-        trace_id: u64,
-        idx: usize,
-        span_id: u64,
-        dur_ns: u64,
-        field: &'static str,
-        value: u64,
-    ) -> bool {
-        let Some(t) = self.find(trace_id) else {
-            return false;
-        };
-        match t.spans.get_mut(idx) {
-            Some((rec, committed)) if rec.span_id == span_id => {
-                rec.dur_ns = dur_ns;
-                rec.field = field;
-                rec.value = value;
-                *committed = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Spec: begin + immediate commit (the `record` convenience).
-    pub fn record(
-        &mut self,
-        trace_id: u64,
-        parent: u64,
-        name: &'static str,
-        dur_ns: u64,
-        field: &'static str,
-        value: u64,
-    ) -> Option<u64> {
-        let (span_id, idx) = self.begin(trace_id, parent, name)?;
-        self.commit(trace_id, idx, span_id, dur_ns, field, value)
-            .then_some(span_id)
-    }
-
-    /// Spec: remove the trace and return only its committed spans plus
-    /// the drop count. `None` when the trace is not in flight.
-    pub fn finish(&mut self, trace_id: u64) -> Option<(Vec<ModelSpan>, u64)> {
-        let pos = self.live.iter().position(|t| t.trace_id == trace_id)?;
-        let t = self.live.remove(pos);
-        Some((
-            t.spans
-                .into_iter()
-                .filter_map(|(rec, committed)| committed.then_some(rec))
-                .collect(),
-            t.dropped,
-        ))
-    }
-
-    /// Traces currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.live.len()
-    }
-}
-
 /// Naive tail-sampling history — the
 /// [`adarnet_obs::trace::TailSampler`] retention contract, restated as
 /// a pure function of the full offer history instead of an incremental
@@ -722,55 +546,6 @@ mod tests {
         assert_eq!(r.activate("a"), 1);
         assert_eq!(r.activate("b"), 2);
         assert_eq!(r.active, Some((2, "b".to_string())));
-    }
-
-    #[test]
-    fn trace_model_admission_budget_and_torn_spans() {
-        let mut m = TraceModel::new(2, 2);
-        assert!(!m.start(0), "zero id is untraced");
-        assert!(m.start(7));
-        assert!(!m.start(7), "duplicate id");
-        assert!(m.start(9));
-        assert!(!m.start(11), "at capacity");
-        assert_eq!(m.in_flight(), 2);
-
-        let (s1, i1) = m.begin(7, 0, "a").unwrap();
-        let (s2, _i2) = m.begin(7, s1, "b").unwrap();
-        assert_eq!((s1, s2), (1, 2), "span ids are dense");
-        assert!(m.begin(7, 0, "c").is_none(), "budget of 2 spent");
-        assert!(m.commit(7, i1, s1, 50, "bin", 3));
-        // `b` begun but never committed: it must not escape.
-        let (spans, dropped) = m.finish(7).unwrap();
-        assert_eq!(dropped, 1);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(
-            spans[0],
-            ModelSpan {
-                span_id: 1,
-                parent: 0,
-                name: "a",
-                dur_ns: 50,
-                field: "bin",
-                value: 3
-            }
-        );
-        // Laggard commit after finish (even with slot freed) drops.
-        assert!(!m.commit(7, i1, s1, 99, "", 0));
-        assert!(m.start(11), "slot freed by finish");
-        assert!(m.finish(7).is_none(), "double finish is a no-op");
-    }
-
-    #[test]
-    fn trace_model_record_is_begin_plus_commit() {
-        let mut m = TraceModel::new(1, 2);
-        assert!(m.start(5));
-        assert_eq!(m.record(5, 0, "x", 10, "", 0), Some(1));
-        assert_eq!(m.record(5, 1, "y", 20, "k", 2), Some(2));
-        assert_eq!(m.record(5, 0, "z", 30, "", 0), None, "budget spent");
-        let (spans, dropped) = m.finish(5).unwrap();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(dropped, 1);
-        assert_eq!(spans[1].parent, 1);
     }
 
     #[test]

@@ -350,9 +350,10 @@ fn scan_relaxed_ordering(
 pub enum SpanSiteKind {
     /// `span!("name", ...)` — a static span site (one histogram each).
     Macro,
-    /// `trace::arena().begin(ctx, "name")` / `.record(ctx, "name", ...)`
-    /// — a direct trace-span record sharing a `span!` site's name.
-    ArenaCall,
+    /// `ctx.begin("name")` / `ctx.record("name", ...)` on a trace
+    /// handle — a direct trace-span record sharing a `span!` site's
+    /// name.
+    TraceCall,
     /// `RejectReason::Variant => "tag"` — a reject-reason wire tag.
     RejectTag,
 }
@@ -441,38 +442,21 @@ pub fn span_name_sites(toks: &[Tok], mask: &[bool], lines: &[&str]) -> Vec<SpanN
             }
             continue;
         }
-        // `arena().begin(ctx, "name")` / `arena().record(ctx, "name", ..)`
-        // — the span name is the second argument; a later literal (the
-        // structured field) is not a name.
-        if t.text == "arena"
+        // `.begin("name")` / `.record("name", ..)` — the span name is the
+        // first argument; a later literal (the structured field) is not
+        // a name.
+        if (t.text == "begin" || t.text == "record")
+            && i > 0
+            && toks[i - 1].is_punct(".")
             && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(")"))
-            && toks.get(i + 3).is_some_and(|t| t.is_punct("."))
-            && toks
-                .get(i + 4)
-                .is_some_and(|t| t.is_ident("begin") || t.is_ident("record"))
-            && toks.get(i + 5).is_some_and(|t| t.is_punct("("))
+            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
         {
-            let mut depth = 1usize;
-            let mut j = i + 6;
-            while j < toks.len() && depth > 0 {
-                if toks[j].is_punct("(") {
-                    depth += 1;
-                } else if toks[j].is_punct(")") {
-                    depth -= 1;
-                } else if depth == 1 && toks[j].is_punct(",") {
-                    if toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Str) {
-                        if let Some((line, name)) = extract(j + 1) {
-                            out.push(SpanNameSite {
-                                line,
-                                name,
-                                kind: SpanSiteKind::ArenaCall,
-                            });
-                        }
-                    }
-                    break;
-                }
-                j += 1;
+            if let Some((line, name)) = extract(i + 2) {
+                out.push(SpanNameSite {
+                    line,
+                    name,
+                    kind: SpanSiteKind::TraceCall,
+                });
             }
             continue;
         }
@@ -516,7 +500,7 @@ fn scan_span_registry(
 ) {
     for site in span_name_sites(toks, mask, lines) {
         let (registered, table) = match site.kind {
-            SpanSiteKind::Macro | SpanSiteKind::ArenaCall => (
+            SpanSiteKind::Macro | SpanSiteKind::TraceCall => (
                 adarnet_obs::names::is_registered_span(&site.name),
                 "SPAN_SITES",
             ),
@@ -892,9 +876,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_call_names_are_registry_checked() {
-        let src = "fn f() { trace::arena().record(ctx, \"bogus\", ns, \"bin\", 0); \
-                   trace::arena().begin(ctx, \"serve_infer\"); }";
+    fn trace_call_names_are_registry_checked() {
+        let src = "fn f() { ctx.record(\"bogus\", ns, \"bin\", 0); \
+                   let infer = ctx.begin(\"serve_infer\"); }";
         let got: Vec<_> = findings(src)
             .into_iter()
             .filter(|f| f.rule == SPAN_REGISTRY)
@@ -921,7 +905,7 @@ mod tests {
     fn non_literal_names_and_test_regions_skipped() {
         // The span! expansion records via a field, not a literal — no
         // name to check lexically; test regions never fire the rule.
-        let src = "fn f() { trace::arena().record(ctx, self.site.name, ns, \"bin\", v); }\n\
+        let src = "fn f() { ctx.record(self.site.name, ns, \"bin\", v); }\n\
                    #[cfg(test)]\nmod tests { fn t() { let _s = span!(\"totally_bogus\"); } }";
         assert!(!rules_of(src).contains(&SPAN_REGISTRY));
     }

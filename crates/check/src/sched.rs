@@ -11,9 +11,7 @@
 //! on [`adarnet_serve::LaneQueue`], [`adarnet_serve::QuotaTable`],
 //! [`adarnet_serve::PatchCache`], [`adarnet_serve::ModelRegistry`] and
 //! the obs [`adarnet_obs::TailSampler`] is atomic under that
-//! structure's internal lock, and every [`adarnet_obs::TraceArena`]
-//! operation commits under one slot's lock, which re-checks what the
-//! arena's lock-free probe key suggested, so any concurrent
+//! structure's internal lock, so any concurrent
 //! execution is equivalent to *some* linearization of the operations —
 //! and the explorer visits those linearizations exhaustively (or by
 //! seeded random sampling for the larger spaces). What this cannot see
@@ -279,7 +277,7 @@ impl SuiteStats {
 mod tests {
     use super::*;
     use crate::suites::{
-        cache_rows, lane_rows, quota_rows, registry_rows, trace_rows, Row, Subject,
+        cache_rows, lane_rows, quota_rows, registry_rows, sampler_rows, Row, Subject,
     };
     use std::cell::RefCell;
     use std::collections::BTreeSet;
@@ -347,13 +345,13 @@ mod tests {
     #[test]
     fn exhaustive_visits_every_interleaving_exactly_once() {
         // A hand-sized shape plus every shape the model check enumerates,
-        // up to (4, 4, 5) = 90090 interleavings.
+        // up to (4, 4, 4) = 34650 interleavings.
         let shapes: BTreeSet<Vec<usize>> = std::iter::once(vec![2, 2, 1])
             .chain(exhaustive_shapes(lane_rows()))
             .chain(exhaustive_shapes(quota_rows()))
             .chain(exhaustive_shapes(cache_rows()))
             .chain(exhaustive_shapes(registry_rows()))
-            .chain(exhaustive_shapes(trace_rows()))
+            .chain(exhaustive_shapes(sampler_rows()))
             .collect();
         // 5!/(2!2!1!) = 30 distinct interleavings.
         assert_eq!(interleaving_count(&[2, 2, 1]), 30);

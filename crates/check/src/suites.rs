@@ -22,11 +22,10 @@ use adarnet_serve::{
 };
 use adarnet_tensor::{Shape, Tensor};
 
-use adarnet_obs::trace::{PendingSpan, TailSampler, TraceArena, TraceCtx};
+use adarnet_obs::trace::{FinishedTrace, TailSampler};
 
 use crate::oracle::{
-    LruModel, ModelPush, ModelSpan, PriorityQueueModel, QuotaModel, RegistryModel, SamplerModel,
-    TraceModel,
+    LruModel, ModelPush, PriorityQueueModel, QuotaModel, RegistryModel, SamplerModel,
 };
 use crate::sched::{Plan, Scenario, SuiteStats};
 
@@ -152,7 +151,7 @@ pub fn run_all(budget: Budget) -> Vec<(&'static str, SuiteStats)> {
         ("quota", run(&quota_rows(), budget)),
         ("cache", run(&cache_rows(), budget)),
         ("registry", run(&registry_rows(), budget)),
-        ("trace", run(&trace_rows(), budget)),
+        ("sampler", run(&sampler_rows(), budget)),
     ]
 }
 
@@ -870,276 +869,131 @@ pub fn registry_rows() -> Vec<Row<Registry>> {
 }
 
 // ---------------------------------------------------------------------
-// Trace arena + tail sampler
+// Tail sampler
 // ---------------------------------------------------------------------
 
-/// A [`TraceArena`] + [`TailSampler`] configuration.
+/// A [`TailSampler`] configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct Trace {
-    /// Arena trace-slot capacity.
-    pub capacity: usize,
-    /// Per-trace span budget.
-    pub spans_per_trace: usize,
-    /// Tail sampler `(slow_cap, error_cap, window)`.
-    pub sampler: (usize, usize, u64),
+pub struct Sampler {
+    /// Slowest traces retained per window.
+    pub slow_cap: usize,
+    /// Errored traces retained (newest-wins ring).
+    pub error_cap: usize,
+    /// Offers per sampling window.
+    pub window: u64,
 }
 
-/// One scripted trace operation. Trace identity is per *owner thread*
-/// and incarnation (`trace_id_for`), so cross-thread ops — a worker
-/// recording spans into a requester's trace, a laggard committing
-/// after the requester finished — are expressible by naming the owner.
+/// A [`Sampler`] configuration.
+fn sampler(slow_cap: usize, error_cap: usize, window: u64) -> Sampler {
+    Sampler {
+        slow_cap,
+        error_cap,
+        window,
+    }
+}
+
+/// One scripted sampler operation: offer a finished trace with this
+/// end-to-end latency and error flag.
 #[derive(Debug, Clone, Copy)]
-pub enum TraceOp {
-    /// `start()` the acting thread's own trace (current incarnation).
-    Start,
-    /// `begin(owner's trace, name)`; the pending span is held by the
-    /// *acting* thread (the laggard shape).
-    Begin(usize),
-    /// `commit(acting thread's k-th pending span)`.
-    Commit(usize),
-    /// `record(owner's trace, name, dur)` — begin + commit in one call.
-    Record(usize),
-    /// `finish(own trace, e2e, error)` and offer it to the sampler;
-    /// the thread's next `Start` uses a fresh trace id.
-    Finish(bool),
+pub struct Offer {
+    /// End-to-end latency of the offered trace.
+    pub e2e_ns: u64,
+    /// Whether the offered trace errored.
+    pub error: bool,
 }
 
-/// Real arena + sampler and their shadow models for one interleaving.
-pub struct TraceState {
-    real: TraceArena,
-    sampler: TailSampler,
-    model: TraceModel,
-    smodel: SamplerModel,
-    /// Current incarnation per owner thread (bumped at `Finish`).
-    incarnation: Vec<u64>,
-    /// Pending spans held by each acting thread:
-    /// `(real pending, trace_id, model idx, span_id)`.
-    pendings: Vec<Vec<(PendingSpan, u64, usize, u64)>>,
+/// An offer as a script op.
+fn offer(e2e_ns: u64, error: bool) -> Offer {
+    Offer { e2e_ns, error }
 }
 
-impl TraceState {
-    fn owner_ctx(&self, owner: usize) -> TraceCtx {
-        TraceCtx {
-            trace_id: trace_id_for(owner, self.incarnation[owner]),
-            span_id: 0,
-        }
-    }
+/// Real sampler + shadow history for one interleaving.
+pub struct SamplerState {
+    real: TailSampler,
+    model: SamplerModel,
 }
 
-/// Deterministic nonzero trace id for thread `t`'s `k`-th trace. All
-/// ids are odd, so with an even slot count every trace probes from the
-/// same home slot — maximal probe collision.
-fn trace_id_for(thread: usize, incarnation: u64) -> u64 {
-    1 + 2 * (thread as u64 + 16 * incarnation)
-}
+impl Subject for Sampler {
+    type Op = Offer;
+    type State = SamplerState;
+    const NAME: &'static str = "obs::sampler";
 
-/// Deterministic e2e latency for thread `t`'s `k`-th trace: a small
-/// set of repeating values, so sampler tie-breaks and displacements
-/// both occur under exploration.
-fn trace_e2e_for(thread: usize, incarnation: u64) -> u64 {
-    ((thread as u64 * 7 + incarnation * 3) % 5 + 1) * 10
-}
-
-impl Subject for Trace {
-    type Op = TraceOp;
-    type State = TraceState;
-    const NAME: &'static str = "obs::trace";
-
-    fn init(real: &Trace, spec: &Trace, threads: usize) -> TraceState {
-        // The arena's admission gate reads the global obs enable flag;
-        // the suite asserts the enabled contract.
-        adarnet_obs::set_enabled(true);
-        let (slow, err, window) = real.sampler;
-        let (mslow, merr, mwindow) = spec.sampler;
-        TraceState {
-            real: TraceArena::with_capacity(real.capacity, real.spans_per_trace),
-            sampler: TailSampler::new(slow, err, window),
-            model: TraceModel::new(spec.capacity, spec.spans_per_trace),
-            smodel: SamplerModel::new(mslow, merr, mwindow),
-            incarnation: vec![0; threads],
-            pendings: vec![Vec::new(); threads],
+    fn init(real: &Sampler, spec: &Sampler, _threads: usize) -> SamplerState {
+        SamplerState {
+            real: TailSampler::new(real.slow_cap, real.error_cap, real.window),
+            model: SamplerModel::new(spec.slow_cap, spec.error_cap, spec.window),
         }
     }
 
-    fn step(&self, state: &mut TraceState, thread: usize, op: TraceOp) -> Result<(), String> {
-        match op {
-            TraceOp::Start => {
-                let ctx = state.owner_ctx(thread);
-                let real = state.real.start(ctx);
-                agree(
-                    format_args!("start({:#x})", ctx.trace_id),
-                    real,
-                    state.model.start(ctx.trace_id),
-                )?;
-            }
-            TraceOp::Begin(owner) => {
-                let ctx = state.owner_ctx(owner);
-                let real = state.real.begin(ctx, "mc_begin");
-                let model = state.model.begin(ctx.trace_id, 0, "mc_begin");
-                agree(
-                    format_args!("begin on {:#x}: span id", ctx.trace_id),
-                    real.map(|p| p.span_id),
-                    model.map(|(span_id, _)| span_id),
-                )?;
-                if let (Some(p), Some((span_id, idx))) = (real, model) {
-                    state.pendings[thread].push((p, ctx.trace_id, idx, span_id));
-                }
-            }
-            TraceOp::Commit(k) => {
-                let Some(&(p, trace_id, idx, span_id)) = state.pendings[thread].get(k) else {
-                    // The matching Begin hit a budget/not-in-flight
-                    // branch in this interleaving; nothing to commit.
-                    return Ok(());
-                };
-                let dur = 100 + k as u64;
-                let real = state.real.commit(p, dur, "k", k as u64);
-                let model = state
-                    .model
-                    .commit(trace_id, idx, span_id, dur, "k", k as u64);
-                agree(
-                    format_args!("commit span {span_id} of {trace_id:#x}"),
-                    real,
-                    model,
-                )?;
-            }
-            TraceOp::Record(owner) => {
-                let ctx = state.owner_ctx(owner);
-                let dur = 7 * (owner as u64 + 1);
-                let v = owner as u64;
-                let real = state.real.record(ctx, "mc_record", dur, "owner", v);
-                let model = state
-                    .model
-                    .record(ctx.trace_id, 0, "mc_record", dur, "owner", v);
-                agree(format_args!("record on {:#x}", ctx.trace_id), real, model)?;
-            }
-            TraceOp::Finish(error) => {
-                let ctx = state.owner_ctx(thread);
-                let e2e = trace_e2e_for(thread, state.incarnation[thread]);
-                let real = state.real.finish(ctx, e2e, error);
-                let spans = real.as_ref().map(|fin| {
-                    let spans = fin.spans.iter().map(|s| ModelSpan {
-                        span_id: s.span_id,
-                        parent: s.parent,
-                        name: s.name,
-                        dur_ns: s.dur_ns,
-                        field: s.field,
-                        value: s.value,
-                    });
-                    (spans.collect::<Vec<_>>(), fin.dropped_spans)
-                });
-                agree(
-                    format_args!(
-                        "finish {:#x}: (spans, dropped) — torn or lost",
-                        ctx.trace_id
-                    ),
-                    spans,
-                    state.model.finish(ctx.trace_id),
-                )?;
-                if let Some(fin) = real {
-                    state.sampler.offer(fin);
-                    state.smodel.offer(e2e, error);
-                    let snapshot = state.sampler.snapshot();
-                    let kept: Vec<u64> = snapshot.iter().map(|r| r.offer_seq).collect();
-                    agree("sampler snapshot", kept, state.smodel.expected())?;
-                }
-                state.incarnation[thread] += 1;
-            }
-        }
-        // Slot bookkeeping must agree after every step — a leaked slot
-        // here is a slow arena-exhaustion leak in production.
-        let (real, model) = (state.real.in_flight(), state.model.in_flight());
-        agree(format_args!("in_flight after {op:?}"), real, model)
-    }
-
-    fn finish(&self, state: &mut TraceState) -> Result<(), String> {
-        // Drain: every still-live trace must finish exactly once, with
-        // real and spec agreeing on liveness; afterwards the arena must
-        // be empty and the sampler must sit at the model's fixed point.
-        for thread in 0..state.incarnation.len() {
-            for inc in 0..=state.incarnation[thread] {
-                let trace_id = trace_id_for(thread, inc);
-                let ctx = TraceCtx {
-                    trace_id,
-                    span_id: 0,
-                };
-                let real = state.real.finish(ctx, 1, false).is_some();
-                let model = state.model.finish(trace_id).is_some();
-                agree(format_args!("drain finish {trace_id:#x}"), real, model)?;
-            }
-        }
+    fn step(&self, state: &mut SamplerState, _thread: usize, op: Offer) -> Result<(), String> {
+        let seq = state.model.offers();
+        let retained = state.real.offer(FinishedTrace {
+            trace_id: seq + 1,
+            started_unix_us: 0,
+            e2e_ns: op.e2e_ns,
+            error: op.error,
+            dropped_spans: 0,
+            spans: Vec::new(),
+        });
+        state.model.offer(op.e2e_ns, op.error);
+        let expected = state.model.expected();
         agree(
-            "trace slots in flight after drain",
-            state.real.in_flight(),
-            0,
+            format_args!("offer {seq} {op:?} retained"),
+            retained,
+            expected.contains(&seq),
         )?;
-        agree(
-            "sampler offers",
-            state.sampler.offers(),
-            state.smodel.offers(),
-        )
+        let kept: Vec<u64> = state.real.snapshot().iter().map(|r| r.offer_seq).collect();
+        agree(format_args!("snapshot after offer {seq}"), kept, expected)
+    }
+
+    fn finish(&self, state: &mut SamplerState) -> Result<(), String> {
+        agree("sampler offers", state.real.offers(), state.model.offers())
     }
 }
 
-/// The trace arena + tail sampler suite.
-pub fn trace_rows() -> Vec<Row<Trace>> {
-    use TraceOp::*;
-    let arena = Trace {
-        capacity: 2,
-        spans_per_trace: 2,
-        sampler: (2, 2, 4),
-    };
+/// The tail sampler suite.
+pub fn sampler_rows() -> Vec<Row<Sampler>> {
     vec![
-        // Three requests over a 2-slot arena with colliding home slots:
-        // admission races, span-budget drops (thread 2 records three
-        // spans against a budget of 2), and an errored finish all
-        // interleave (90090 interleavings for (4,4,5)).
+        // Three requesters finishing four traces each into one sampler
+        // of two slow slots per four-offer window: every window rolls
+        // with a shelf behind it, equal latencies across threads tie
+        // (the earliest offer must keep its slot), and five errors
+        // overrun a two-entry ring (34650 interleavings for (4,4,4)).
         row(
-            arena,
+            sampler(2, 2, 4),
             EXH,
-            random(150, 47),
+            random(150, 0x5A3B1E),
             vec![
-                vec![Start, Begin(0), Commit(0), Finish(false)],
-                vec![Start, Record(1), Record(1), Finish(true)],
-                vec![Start, Record(2), Record(2), Record(2), Finish(false)],
+                vec![
+                    offer(30, false),
+                    offer(10, true),
+                    offer(50, false),
+                    offer(20, false),
+                ],
+                vec![
+                    offer(30, false),
+                    offer(40, false),
+                    offer(10, true),
+                    offer(50, true),
+                ],
+                vec![
+                    offer(20, true),
+                    offer(50, false),
+                    offer(30, false),
+                    offer(10, true),
+                ],
             ],
         ),
-        // The laggard shape on a 1-slot arena: thread 1 begins a span on
-        // thread 0's trace; depending on the schedule, thread 0 finishes
-        // first and thread 1's own trace re-claims the slot — the laggard
-        // commit must never land in the successor trace.
+        // One slow slot rolling every second offer: the shelf turns
+        // over on nearly every step.
         row(
-            Trace {
-                capacity: 1,
-                spans_per_trace: 2,
-                sampler: (1, 1, 2),
-            },
+            sampler(1, 1, 2),
             EXH,
             EXH,
             vec![
-                vec![Start, Finish(false)],
-                vec![Begin(0), Start, Commit(0), Finish(true)],
+                vec![offer(5, false), offer(9, true), offer(5, false)],
+                vec![offer(7, false), offer(5, false), offer(9, false)],
             ],
-        ),
-        // Incarnation churn: three threads each running two traced
-        // requests back-to-back, recording into each other's traces,
-        // with enough finishes to roll the sampler window.
-        row(
-            arena,
-            random(4000, 0x17ACE),
-            random(250, 0x17ACE),
-            (0..3)
-                .map(|t| {
-                    let (a, b) = (t == 1, t == 2);
-                    vec![
-                        Start,
-                        Record(t),
-                        Finish(a),
-                        Start,
-                        Record((t + 1) % 3),
-                        Finish(b),
-                    ]
-                })
-                .collect(),
         ),
     ]
 }
@@ -1156,8 +1010,8 @@ mod tests {
     #[test]
     fn small_budget_suites_pass() {
         // Every small-budget exhaustive row (lanes' blocking pops, both
-        // registry hot-swap shapes, the trace laggard) runs in full here
-        // too.
+        // registry hot-swap shapes, the rolling sampler shelf) runs in
+        // full here too.
         for (name, stats) in run_all(Budget::Small) {
             assert!(
                 stats.violations.is_empty(),
@@ -1183,7 +1037,6 @@ mod tests {
     #[test]
     fn oracles_catch_the_seeded_bugs() {
         use LaneOp::*;
-        use TraceOp::*;
         // Each script runs a real primitive configured unlike its spec;
         // DFS must catch it.
         let caught = |stats: SuiteStats, bug: &str| {
@@ -1213,22 +1066,13 @@ mod tests {
             explore(quota(200, 1), quota(100, 1), takes),
             "double-rate quota",
         );
-        // A real arena one slot smaller than the spec believes diverges
-        // on some start's admission decision.
-        let spec = Trace {
-            capacity: 2,
-            spans_per_trace: 2,
-            sampler: (2, 2, 4),
-        };
-        let real = Trace {
-            capacity: 1,
-            ..spec
-        };
-        let traces = vec![
-            vec![Start, Record(0), Finish(false)],
-            vec![Start, Record(1), Finish(false)],
-        ];
-        caught(explore(real, spec, traces), "undersized trace arena");
+        // A real sampler keeping one slow trace per window where the
+        // spec keeps two: the second offer is dropped, not retained.
+        let offers = vec![vec![offer(10, false)], vec![offer(20, false)]];
+        caught(
+            explore(sampler(1, 1, 4), sampler(2, 1, 4), offers),
+            "undersized slow shelf",
+        );
     }
 
     /// Deliberate lock-order inversion: thread 0 nests `a` then `b`,

@@ -283,9 +283,10 @@ impl FrozenAdarNet {
         self.scorer.weight_bytes() + self.decoder.weight_bytes()
     }
 
-    /// The shared frozen decoder, for callers that compose their own
-    /// decoder batches (e.g. cache-aware serving, which decodes only
-    /// cache misses).
+    /// The shared frozen decoder itself, for callers that time or probe
+    /// the bare forward. A decode that should count in the
+    /// `stage_decoder` span and the `core_decode_*` counters goes
+    /// through [`FrozenAdarNet::decode_batch`].
     pub fn decoder(&self) -> &FrozenDecoder {
         &self.decoder
     }
@@ -297,9 +298,24 @@ impl FrozenAdarNet {
         plan_sample(&self.cfg, &self.ranker, x, |x4| self.scorer.forward(x4))
     }
 
+    /// Decode one bin's stacked `(N, C, ph, pw)` decoder batch: the
+    /// `stage_decoder` span, the shared frozen decoder forward, and the
+    /// `core_decode_*` counters. Every decode in the workspace — this
+    /// model's own per-bin batches and serving's cache-miss batches —
+    /// goes through here, so the span and the counters see them all.
+    pub fn decode_batch(&self, bin: u8, batch: &Tensor<f32>) -> Tensor<f32> {
+        let out = {
+            let _span = adarnet_obs::span!("stage_decoder", bin = bin);
+            self.decoder.forward(batch)
+        };
+        adarnet_obs::counter!("core_decode_tasks_total").inc();
+        adarnet_obs::counter!("core_decode_patches_total").add(batch.dim(0) as u64);
+        out
+    }
+
     /// Decode one bin of one plan: assemble the decoder batch from the
-    /// plan's augmented field, run the shared frozen decoder, and split
-    /// the output back into `(patch_idx, patch)` pairs.
+    /// plan's augmented field, decode it, and split the output back
+    /// into `(patch_idx, patch)` pairs.
     fn decode_bin(&self, plan: &ForwardPlan, bin: u8) -> DecodedBin {
         let group = &plan.binning.groups[bin as usize];
         let inputs: Vec<Tensor<f32>> = group.iter().map(|&i| plan.decoder_input(i)).collect();
@@ -307,13 +323,8 @@ impl FrozenAdarNet {
         for dec_in in inputs {
             dec_in.recycle();
         }
-        let out = {
-            let _span = adarnet_obs::span!("stage_decoder", bin = bin);
-            self.decoder.forward(&batch)
-        };
+        let out = self.decode_batch(bin, &batch);
         batch.recycle();
-        adarnet_obs::counter!("core_decode_tasks_total").inc();
-        adarnet_obs::counter!("core_decode_patches_total").add(group.len() as u64);
         let split = group
             .iter()
             .enumerate()

@@ -101,7 +101,7 @@ pub fn serve_path(path: &str) -> (u8, String) {
             let payload = format!(
                 "{{\"status\":\"ok\",\"obs_enabled\":{},\"traces_in_flight\":{},\"sampler_offers\":{}}}",
                 adarnet_obs::enabled(),
-                adarnet_obs::trace::arena().in_flight(),
+                adarnet_obs::trace::in_flight(),
                 adarnet_obs::trace::sampler().offers(),
             );
             (ADMIN_OK, payload)

@@ -21,8 +21,9 @@
 //!   complete span tree (the CI admin stage).
 //! * `net-serve trace-dump [ADMIN_ADDR]` — with an address, fetch
 //!   `/traces` from a running admin endpoint and render the retained
-//!   span trees; without one, run a small in-process load and render
-//!   its traces.
+//!   span trees; without one, run a small in-process load, render its
+//!   traces, and exit 1 unless one complete tree holds both
+//!   `serve_infer` and `stage_decoder` (the CI admin stage).
 //!
 //! Environment knobs: `ADARNET_SERVE_SCALE` (`quick` | `full`),
 //! `ADARNET_NET_REQUESTS` (requests per interactive connection),
@@ -316,20 +317,25 @@ fn trace_dump(addr: Option<String>) {
     run_over_tcp(&net, &specs);
     net.shutdown();
     drop(serve);
-    let retained = adarnet_obs::trace::sampler().snapshot();
-    println!(
-        "{} retained traces ({} offered)",
-        retained.len(),
-        adarnet_obs::trace::sampler().offers()
-    );
-    for r in &retained {
-        print!("{}", r.trace.render_tree());
+    let rendered = render_traces_doc(&adarnet_obs::trace::sampler().to_json())
+        .expect("the sampler's /traces document parses");
+    print!("{rendered}");
+    // The run served real inference, so some retained tree must be
+    // whole and reach from the batch down to a decoder bin.
+    let served_tree = rendered.split("\ntrace ").skip(1).any(|tree| {
+        let header = tree.lines().next().unwrap_or_default();
+        !header.contains("(incomplete)")
+            && tree.contains("serve_infer")
+            && tree.contains("stage_decoder")
+    });
+    if !served_tree {
+        eprintln!("trace-dump: no complete span tree with serve_infer and stage_decoder");
+        std::process::exit(1);
     }
 }
 
-/// Render the `/traces` JSON document as the same indented span trees
-/// the in-process path prints, so the walkthrough reads identically
-/// whether the traces came from this process or a remote admin port.
+/// Render a `/traces` JSON document as indented span trees, one header
+/// line per trace, for both the remote and the in-process path.
 fn render_traces_doc(text: &str) -> Result<String, String> {
     fn get<'v>(fields: &'v [(String, Value)], name: &str) -> Result<&'v Value, String> {
         fields

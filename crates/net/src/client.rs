@@ -92,7 +92,7 @@ impl NetClient {
             tenant,
             priority,
             deadline_ms,
-            trace_id: adarnet_obs::TraceCtx::mint().trace_id,
+            trace_id: adarnet_obs::trace::mint_id(),
             precision: None,
             field,
         })

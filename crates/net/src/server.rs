@@ -131,13 +131,12 @@ fn connection_loop(stream: TcpStream, serve: &Server, shutdown: &AtomicBool) {
                 };
                 // Client-sent trace id, or a locally minted one when the
                 // client sent none — every request is traceable either
-                // way.
-                let ctx = TraceCtx::from_wire(req.trace_id).unwrap_or_else(TraceCtx::mint);
+                // way (untraced only while obs is disabled).
                 let opts = SubmitOptions {
                     priority: req.priority,
                     tenant: req.tenant,
                     deadline,
-                    trace: Some(ctx),
+                    trace: TraceCtx::from_wire(req.trace_id).or_else(TraceCtx::mint),
                 };
                 let served = serve.submit_wait_with(req.field, opts);
                 response_from_serve(req.request_id, &served)

@@ -12,8 +12,8 @@
 //! 2. **Spans** ([`span`](mod@span)) — `obs::span!("stage_decoder", bin = b)`
 //!    RAII guards that time a scope into the `{name}_ns` histogram.
 //! 3. **Tracing** ([`trace`]) — per-request span trees: a [`TraceCtx`]
-//!    carried by value through the request path, a bounded arena of
-//!    in-flight traces, and a tail sampler retaining the slowest and
+//!    handle carried through the request path that owns its trace's
+//!    span buffer, and a tail sampler retaining the slowest and
 //!    errored traces per window. A `span!` site entered under
 //!    [`trace::scope`] attaches its record to the active trace.
 //!    [`dump`] writes the sampler's retained traces plus a metrics
@@ -51,7 +51,7 @@ pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot,
 };
 pub use span::{SpanGuard, SpanSite};
-pub use trace::{dump, FinishedTrace, SpanRec, TailSampler, TraceArena, TraceCtx};
+pub use trace::{dump, FinishedTrace, SpanRec, TailSampler, TraceCtx};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;

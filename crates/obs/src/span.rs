@@ -78,7 +78,7 @@ impl Drop for SpanGuard {
         // — for untraced work this is the single `None` branch the
         // overhead budget allows.
         if let Some(ctx) = crate::trace::active() {
-            crate::trace::arena().record(ctx, self.site.name, ns, self.field, self.value);
+            ctx.record(self.site.name, ns, self.field, self.value);
         }
     }
 }
@@ -110,10 +110,9 @@ mod tests {
     #[test]
     fn span_records_duration_and_active_trace_span() {
         let _g = crate::testutil::shared();
-        let ctx = crate::TraceCtx::mint();
-        assert!(crate::trace::arena().start(ctx));
+        let ctx = crate::TraceCtx::mint().expect("obs enabled");
         {
-            let _scope = crate::trace::scope(ctx);
+            let _scope = crate::trace::scope(ctx.clone());
             let _g = crate::span!("obs_test_span", bin = 2u64);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -121,7 +120,7 @@ mod tests {
         let h = snap.histogram("obs_test_span_ns").expect("histogram");
         assert!(h.count >= 1);
         assert!(h.max >= 1_000_000, "slept 1ms, recorded {}ns", h.max);
-        let fin = crate::trace::arena().finish(ctx, 0, false).expect("trace");
+        let fin = ctx.finish(0, false).expect("trace");
         let rec = fin
             .spans
             .iter()

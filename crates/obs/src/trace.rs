@@ -1,50 +1,45 @@
-//! Per-request distributed tracing: trace contexts, a bounded span
-//! arena, and a tail sampler (DESIGN.md §16).
+//! Per-request distributed tracing: trace handles that own their span
+//! buffers, and a tail sampler (DESIGN.md §16).
 //!
 //! The aggregate layers ([`metrics`](crate::metrics), [`span`](mod@crate::span))
 //! answer "how slow is the fleet"; this module answers "*which*
-//! request was slow and *where* its time went". Four pieces:
+//! request was slow and *where* its time went". Three pieces:
 //!
-//! 1. [`TraceCtx`] — a 64-bit trace id plus the current parent span
-//!    id, carried *by value* through the request path (submit options,
-//!    queue jobs, the wire protocol's optional trace-id field).
-//! 2. [`TraceArena`] — a bounded arena of in-flight traces. A slot is
-//!    claimed per trace (atomic id probe, per-slot lock for the span
-//!    list), spans are appended two-phase ([`TraceArena::begin`] allocates a
-//!    span id so children can parent under it before the duration is
-//!    known, [`TraceArena::commit`] fills it in), and
-//!    [`TraceArena::finish`] extracts the tree. Laggard commits from a
-//!    request that already finished hit a trace-id mismatch and drop —
-//!    the model checker's trace suite proves a snapshot never contains
-//!    a torn (uncommitted or cross-trace) span.
-//! 3. [`TailSampler`] — keeps only the interesting finished traces:
+//! 1. [`TraceCtx`] — a trace handle: the 64-bit trace id, the span id
+//!    acting as parent for spans recorded through the handle, and the
+//!    trace's own span buffer, shared by every clone. Minting or
+//!    adopting a trace builds the buffer; the handle travels with the
+//!    request (submit options, queue jobs) and the id on the wire.
+//!    Spans land two-phase ([`TraceCtx::begin`] allocates a span id and
+//!    returns a child handle, so spans can parent under it before the
+//!    duration is known; [`TraceCtx::commit`] fills it in) or in one
+//!    call ([`TraceCtx::record`]). [`TraceCtx::finish`] takes the
+//!    committed spans out and closes the buffer, so a late commit, or a
+//!    second finish, finds it closed and drops.
+//! 2. [`TailSampler`] — keeps only the interesting finished traces:
 //!    the N slowest per window of offers plus every errored/rejected
 //!    trace in a newest-wins ring.
-//! 4. [`dump`] — the forensics file: the sampler's retained traces and
+//! 3. [`dump`] — the forensics file: the sampler's retained traces and
 //!    a metrics snapshot (the admin endpoint's `/traces` and `/metrics`
 //!    documents) written to disk on panic, load shed and hot swap.
 //!
-//! Cost contract: a request with no trace context pays **one branch**
-//! per span site (a thread-local load that reads `None`); this is what
-//! keeps the `obs_overhead` gate under its 3% budget with tracing
-//! compiled in and the sampler live. Traced requests pay one
-//! uncontended per-slot lock per span.
+//! Cost contract: a span site with no trace in scope pays **one
+//! branch** (a thread-local read that finds `None`); this is what keeps
+//! the `obs_overhead` gate under its 3% budget with tracing compiled in
+//! and the sampler live. A traced span pays one uncontended lock of its
+//! own trace's buffer.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Spans retained per trace; later spans are counted as dropped.
 pub const MAX_SPANS_PER_TRACE: usize = 32;
-/// In-flight trace slots in the global arena (must comfortably exceed
-/// the serve queue depth so queued-but-traced requests keep their
-/// slots).
-pub const ARENA_TRACES: usize = 256;
 /// Slowest traces retained per sampling window.
 pub const SLOW_RETAIN: usize = 8;
 /// Errored/rejected traces retained (newest-wins ring).
@@ -52,20 +47,11 @@ pub const ERROR_RETAIN: usize = 32;
 /// Offers per tail-sampling window.
 pub const SAMPLE_WINDOW: u64 = 512;
 
-/// A trace identity carried by value through the request path: the
-/// 64-bit trace id (nonzero; 0 means "untraced" on the wire) and the
-/// span id acting as parent for spans recorded under this context
-/// (0 = the trace root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Nonzero trace identity, stable across the wire.
-    pub trace_id: u64,
-    /// Parent span id for spans recorded under this context.
-    pub span_id: u64,
-}
+/// Traces built and not yet finished (or dropped), for `/health`.
+static IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
 
 /// splitmix64 — the standard 64-bit bit-mixer, used to spread minted
-/// trace ids so `trace_id % slots` probes the arena uniformly.
+/// trace ids.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -73,45 +59,22 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-impl TraceCtx {
-    /// Mint a fresh root context with a process-unique nonzero trace
-    /// id (a counter mixed with the process start time, so ids differ
-    /// across restarts).
-    pub fn mint() -> TraceCtx {
-        static SALT: OnceLock<u64> = OnceLock::new();
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        let salt = *SALT.get_or_init(|| {
-            SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0x5eed)
-        });
-        loop {
-            let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            let id = splitmix64(n ^ salt);
-            if id != 0 {
-                return TraceCtx {
-                    trace_id: id,
-                    span_id: 0,
-                };
-            }
-        }
-    }
-
-    /// Adopt a trace id received on the wire (`0` = untraced).
-    pub fn from_wire(trace_id: u64) -> Option<TraceCtx> {
-        (trace_id != 0).then_some(TraceCtx {
-            trace_id,
-            span_id: 0,
-        })
-    }
-
-    /// Re-parent: the same trace with spans now attaching under
-    /// `span_id`.
-    pub fn child(self, span_id: u64) -> TraceCtx {
-        TraceCtx {
-            trace_id: self.trace_id,
-            span_id,
+/// A process-unique nonzero trace id: a counter mixed with the process
+/// start time, so ids differ across restarts. Builds no trace — a
+/// client stamping an id on the wire calls this.
+pub fn mint_id() -> u64 {
+    static SALT: OnceLock<u64> = OnceLock::new();
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    let salt = *SALT.get_or_init(|| {
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0x5eed)
+    });
+    loop {
+        let id = splitmix64(NEXT.fetch_add(1, Ordering::Relaxed) ^ salt);
+        if id != 0 {
+            return id;
         }
     }
 }
@@ -135,221 +98,175 @@ pub struct SpanRec {
     pub value: u64,
 }
 
-/// A span that has been [`begun`](TraceArena::begin) but not yet
-/// committed: carries the allocated span id so children can parent
-/// under it before the duration is known.
-#[derive(Debug, Clone, Copy)]
-pub struct PendingSpan {
-    trace_id: u64,
-    slot: usize,
-    idx: usize,
-    /// The allocated span id, for deriving child contexts.
-    pub span_id: u64,
-}
-
-/// In-flight state behind one arena slot's lock.
-struct ActiveTrace {
-    trace_id: u64,
+/// An open trace's spans.
+#[derive(Debug)]
+struct OpenTrace {
     started: Instant,
     started_unix_us: u64,
-    next_span_id: u64,
-    /// `(record, committed)` in begin order; uncommitted records never
-    /// leave the slot.
+    /// `(record, committed)` in begin order; span id = index + 1.
+    /// Uncommitted records never leave the buffer.
     spans: Vec<(SpanRec, bool)>,
     dropped: u64,
 }
 
-struct Slot {
-    /// Owning trace id, 0 = free. A lock-free probe key only; the
-    /// lock below is the arbiter.
-    id: AtomicU64,
-    inner: Mutex<Option<ActiveTrace>>,
+/// The span buffer every clone of one [`TraceCtx`] shares: `None` once
+/// the trace is finished.
+#[derive(Debug)]
+struct Buffer(Mutex<Option<OpenTrace>>);
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        // A trace dropped unfinished is no longer in flight either.
+        let open = self.0.get_mut().unwrap_or_else(|e| e.into_inner());
+        if open.is_some() {
+            IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
 }
 
-/// Bounded arena of in-flight traces (see module docs).
-pub struct TraceArena {
-    slots: Vec<Slot>,
-    spans_per_trace: usize,
+/// A trace handle carried through the request path: the nonzero trace
+/// id (0 means "untraced" on the wire), the span id acting as parent
+/// for spans recorded through this handle (0 = the trace root), and
+/// the trace's span buffer. Cloning shares the buffer.
+#[derive(Debug, Clone)]
+pub struct TraceCtx {
+    trace_id: u64,
+    span_id: u64,
+    buf: Arc<Buffer>,
 }
 
-impl TraceArena {
-    /// Arena with `traces` slots of up to `spans_per_trace` spans each
-    /// (both clamped to at least 1).
-    pub fn with_capacity(traces: usize, spans_per_trace: usize) -> TraceArena {
-        TraceArena {
-            slots: (0..traces.max(1))
-                .map(|_| Slot {
-                    id: AtomicU64::new(0),
-                    inner: Mutex::new(None),
-                })
-                .collect(),
-            spans_per_trace: spans_per_trace.max(1),
-        }
+impl TraceCtx {
+    /// Nonzero trace identity, stable across the wire.
+    pub fn trace_id(&self) -> u64 {
+        self.trace_id
     }
 
-    fn home(&self, trace_id: u64) -> usize {
-        (trace_id % self.slots.len() as u64) as usize
+    /// Build a trace with an empty span buffer; `None` while the obs
+    /// layer is disabled, so the request runs untraced.
+    fn open(trace_id: u64) -> Option<TraceCtx> {
+        if !crate::enabled() {
+            return None;
+        }
+        IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+        Some(TraceCtx {
+            trace_id,
+            span_id: 0,
+            buf: Arc::new(Buffer(Mutex::new(Some(OpenTrace {
+                started: Instant::now(),
+                started_unix_us: SystemTime::now()
+                    .duration_since(UNIX_EPOCH)
+                    .map(|d| d.as_micros() as u64)
+                    .unwrap_or(0),
+                spans: Vec::new(),
+                dropped: 0,
+            })))),
+        })
     }
 
-    fn lock(&self, slot: usize) -> MutexGuard<'_, Option<ActiveTrace>> {
-        self.slots[slot]
-            .inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// A fresh trace under a [`mint_id`] id (`None` with obs disabled).
+    pub fn mint() -> Option<TraceCtx> {
+        TraceCtx::open(mint_id())
     }
 
-    /// Claim a slot for `ctx`'s trace. Returns `false` when the arena
-    /// is saturated or the id is already in flight — the request then
-    /// proceeds untraced (its spans drop on the id probe).
-    pub fn start(&self, ctx: TraceCtx) -> bool {
-        if !crate::enabled() || ctx.trace_id == 0 {
-            return false;
-        }
-        let n = self.slots.len();
-        let h = self.home(ctx.trace_id);
-        let mut free = None;
-        for off in 0..n {
-            let i = (h + off) % n;
-            match self.slots[i].id.load(Ordering::Relaxed) {
-                0 if free.is_none() => free = Some(i),
-                id if id == ctx.trace_id => return false,
-                _ => {}
-            }
-        }
-        // Probe chose a candidate; the slot lock arbitrates racing
-        // claims (a loser re-probes nothing — it just fails and the
-        // request runs untraced, which the saturation counter records).
-        if let Some(i) = free {
-            let mut g = self.lock(i);
-            if g.is_none() {
-                *g = Some(ActiveTrace {
-                    trace_id: ctx.trace_id,
-                    started: Instant::now(),
-                    started_unix_us: SystemTime::now()
-                        .duration_since(UNIX_EPOCH)
-                        .map(|d| d.as_micros() as u64)
-                        .unwrap_or(0),
-                    next_span_id: 1,
-                    spans: Vec::with_capacity(self.spans_per_trace),
-                    dropped: 0,
-                });
-                self.slots[i].id.store(ctx.trace_id, Ordering::Release);
-                return true;
-            }
-        }
-        crate::counter!("trace_arena_full_total").inc();
-        false
-    }
-
-    /// Find the slot owning `trace_id` (probe from its home slot).
-    fn find(&self, trace_id: u64) -> Option<usize> {
+    /// Adopt a trace id received on the wire (`None` for `0` =
+    /// untraced, or with obs disabled).
+    pub fn from_wire(trace_id: u64) -> Option<TraceCtx> {
         if trace_id == 0 {
             return None;
         }
-        let n = self.slots.len();
-        let h = self.home(trace_id);
-        (0..n)
-            .map(|off| (h + off) % n)
-            .find(|&i| self.slots[i].id.load(Ordering::Acquire) == trace_id)
+        TraceCtx::open(trace_id)
     }
 
-    /// Phase one of recording a span: allocate its span id and a
-    /// record slot (parented under `ctx.span_id`). Returns `None` when
-    /// the trace is not in flight or its span budget is spent.
-    pub fn begin(&self, ctx: TraceCtx, name: &'static str) -> Option<PendingSpan> {
-        let slot = self.find(ctx.trace_id)?;
-        let mut g = self.lock(slot);
-        let t = g.as_mut().filter(|t| t.trace_id == ctx.trace_id)?;
-        if t.spans.len() >= self.spans_per_trace {
+    fn lock(&self) -> MutexGuard<'_, Option<OpenTrace>> {
+        self.buf.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Append a span under this handle's parent; its start is
+    /// back-dated by `dur_ns`. `None` when the trace is finished or its
+    /// span budget is spent (the drop is counted).
+    fn push(
+        &self,
+        name: &'static str,
+        dur_ns: u64,
+        field: &'static str,
+        value: u64,
+        committed: bool,
+    ) -> Option<u64> {
+        let mut g = self.lock();
+        let t = g.as_mut()?;
+        if t.spans.len() >= MAX_SPANS_PER_TRACE {
             t.dropped += 1;
             drop(g);
             crate::counter!("trace_spans_dropped_total").inc();
             return None;
         }
-        let span_id = t.next_span_id;
-        t.next_span_id += 1;
-        let idx = t.spans.len();
-        let start_rel_ns = t.started.elapsed().as_nanos() as u64;
+        let span_id = t.spans.len() as u64 + 1;
+        let start_rel_ns = (t.started.elapsed().as_nanos() as u64).saturating_sub(dur_ns);
         t.spans.push((
             SpanRec {
                 span_id,
-                parent: ctx.span_id,
+                parent: self.span_id,
                 name,
                 start_rel_ns,
-                dur_ns: 0,
-                field: "",
-                value: 0,
+                dur_ns,
+                field,
+                value,
             },
-            false,
+            committed,
         ));
-        Some(PendingSpan {
-            trace_id: ctx.trace_id,
-            slot,
-            idx,
+        Some(span_id)
+    }
+
+    /// Phase one of recording a span: allocate its span id and return
+    /// the child handle spans parent under. `None` when the trace is
+    /// finished or its span budget is spent.
+    pub fn begin(&self, name: &'static str) -> Option<TraceCtx> {
+        let span_id = self.push(name, 0, "", 0, false)?;
+        Some(TraceCtx {
             span_id,
+            ..self.clone()
         })
     }
 
-    /// Phase two: fill in the duration and structured field, making
-    /// the span visible to [`TraceArena::finish`]. A laggard commit
-    /// (its trace already finished, the slot possibly re-claimed) is
-    /// dropped on the trace-id / span-id check; returns whether the
-    /// span landed.
-    pub fn commit(&self, p: PendingSpan, dur_ns: u64, field: &'static str, value: u64) -> bool {
-        if self.slots[p.slot].id.load(Ordering::Acquire) != p.trace_id {
-            return false;
-        }
-        let mut g = self.lock(p.slot);
-        let Some(t) = g.as_mut().filter(|t| t.trace_id == p.trace_id) else {
+    /// Phase two, on the handle [`TraceCtx::begin`] returned: fill in
+    /// the duration and structured field, making the span visible to
+    /// [`TraceCtx::finish`]. Returns whether the span landed — a commit
+    /// after finish (or on a root handle) does not.
+    pub fn commit(&self, dur_ns: u64, field: &'static str, value: u64) -> bool {
+        let mut g = self.lock();
+        let span = self
+            .span_id
+            .checked_sub(1)
+            .and_then(|i| g.as_mut()?.spans.get_mut(i as usize));
+        let Some((rec, committed)) = span else {
             return false;
         };
-        match t.spans.get_mut(p.idx) {
-            Some((rec, committed)) if rec.span_id == p.span_id => {
-                rec.dur_ns = dur_ns;
-                rec.field = field;
-                rec.value = value;
-                *committed = true;
-                true
-            }
-            _ => false,
-        }
+        rec.dur_ns = dur_ns;
+        rec.field = field;
+        rec.value = value;
+        *committed = true;
+        true
     }
 
-    /// Record a span whose duration is already known (begin + commit,
-    /// with the start back-dated by `dur_ns`). Returns the span id.
+    /// Record a span whose duration is already known (begin + commit
+    /// in one lock). Returns the span id.
     pub fn record(
         &self,
-        ctx: TraceCtx,
         name: &'static str,
         dur_ns: u64,
         field: &'static str,
         value: u64,
     ) -> Option<u64> {
-        let p = self.begin(ctx, name)?;
-        {
-            let mut g = self.lock(p.slot);
-            if let Some(t) = g.as_mut().filter(|t| t.trace_id == p.trace_id) {
-                if let Some((rec, _)) = t.spans.get_mut(p.idx) {
-                    rec.start_rel_ns = rec.start_rel_ns.saturating_sub(dur_ns);
-                }
-            }
-        }
-        self.commit(p, dur_ns, field, value).then_some(p.span_id)
+        self.push(name, dur_ns, field, value, true)
     }
 
-    /// Close the trace: extract the committed spans, free the slot.
-    /// `None` when the trace was never started (or already finished).
-    pub fn finish(&self, ctx: TraceCtx, e2e_ns: u64, error: bool) -> Option<FinishedTrace> {
-        let slot = self.find(ctx.trace_id)?;
-        let mut g = self.lock(slot);
-        if g.as_ref().is_none_or(|t| t.trace_id != ctx.trace_id) {
-            return None;
-        }
-        let t = g.take()?;
-        self.slots[slot].id.store(0, Ordering::Release);
-        drop(g);
+    /// Close the trace: take the committed spans out of the buffer.
+    /// `None` when the trace was already finished.
+    pub fn finish(&self, e2e_ns: u64, error: bool) -> Option<FinishedTrace> {
+        let t = self.lock().take()?;
+        IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
         Some(FinishedTrace {
-            trace_id: t.trace_id,
+            trace_id: self.trace_id,
             started_unix_us: t.started_unix_us,
             e2e_ns,
             error,
@@ -360,14 +277,6 @@ impl TraceArena {
                 .filter_map(|(rec, committed)| committed.then_some(rec))
                 .collect(),
         })
-    }
-
-    /// Number of traces currently holding slots.
-    pub fn in_flight(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.id.load(Ordering::Relaxed) != 0)
-            .count()
     }
 }
 
@@ -424,41 +333,6 @@ impl FinishedTrace {
             ));
         }
         out.push_str("]}");
-        out
-    }
-
-    /// Indented tree rendering for `net-serve trace-dump`.
-    pub fn render_tree(&self) -> String {
-        fn walk(trace: &FinishedTrace, parent: u64, depth: usize, out: &mut String) {
-            for s in trace.spans.iter().filter(|s| s.parent == parent) {
-                out.push_str(&"  ".repeat(depth + 1));
-                out.push_str(&format!(
-                    "{} {:.3}ms (+{:.3}ms)",
-                    s.name,
-                    s.dur_ns as f64 / 1e6,
-                    s.start_rel_ns as f64 / 1e6
-                ));
-                if !s.field.is_empty() {
-                    out.push_str(&format!(" {}={}", s.field, s.value));
-                }
-                out.push('\n');
-                if depth < MAX_SPANS_PER_TRACE {
-                    walk(trace, s.span_id, depth + 1, out);
-                }
-            }
-        }
-        let mut out = format!(
-            "trace {:016x}: e2e {:.3}ms{}{}\n",
-            self.trace_id,
-            self.e2e_ns as f64 / 1e6,
-            if self.error { " ERROR" } else { "" },
-            if self.is_complete() {
-                ""
-            } else {
-                " (incomplete)"
-            }
-        );
-        walk(self, 0, 0, &mut out);
         out
     }
 }
@@ -624,12 +498,6 @@ impl TailSampler {
     }
 }
 
-/// The process-wide trace arena.
-pub fn arena() -> &'static TraceArena {
-    static ARENA: OnceLock<TraceArena> = OnceLock::new();
-    ARENA.get_or_init(|| TraceArena::with_capacity(ARENA_TRACES, MAX_SPANS_PER_TRACE))
-}
-
 /// The process-wide tail sampler.
 pub fn sampler() -> &'static TailSampler {
     static SAMPLER: OnceLock<TailSampler> = OnceLock::new();
@@ -639,13 +507,16 @@ pub fn sampler() -> &'static TailSampler {
     })
 }
 
-/// Finish `ctx` in the global arena and offer it to the global
-/// sampler. Returns whether the trace was retained.
-pub fn finish(ctx: TraceCtx, e2e_ns: u64, error: bool) -> bool {
-    match arena().finish(ctx, e2e_ns, error) {
-        Some(t) => sampler().offer(t),
-        None => false,
-    }
+/// Finish `ctx` and offer it to the global sampler. Returns whether
+/// the trace was retained.
+pub fn finish(ctx: &TraceCtx, e2e_ns: u64, error: bool) -> bool {
+    ctx.finish(e2e_ns, error)
+        .is_some_and(|t| sampler().offer(t))
+}
+
+/// Traces built and not yet finished (served on `/health`).
+pub fn in_flight() -> u64 {
+    IN_FLIGHT.load(Ordering::Relaxed)
 }
 
 /// Write `{"reason", "traces", "metrics"}` — the sampler's retained
@@ -685,17 +556,17 @@ pub fn dump(reason: &str, force: bool) -> Option<PathBuf> {
 }
 
 thread_local! {
-    static ACTIVE: Cell<Option<TraceCtx>> = const { Cell::new(None) };
+    static ACTIVE: RefCell<Option<TraceCtx>> = const { RefCell::new(None) };
 }
 
-/// The thread's active trace context, if a [`scope`] is open. This is
-/// the one branch an untraced request pays per span site.
+/// The thread's active trace, if a [`scope`] is open. This is the one
+/// branch an untraced span site pays.
 #[inline]
 pub fn active() -> Option<TraceCtx> {
-    ACTIVE.with(|c| c.get())
+    ACTIVE.with(|c| c.borrow().clone())
 }
 
-/// RAII guard restoring the previous thread-local context on drop.
+/// RAII guard restoring the previous thread-local trace on drop.
 pub struct TraceScope {
     prev: Option<TraceCtx>,
     /// `!Send`: the guard must drop on the thread that opened it.
@@ -715,7 +586,8 @@ pub fn scope(ctx: TraceCtx) -> TraceScope {
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        ACTIVE.with(|c| c.set(self.prev));
+        let prev = self.prev.take();
+        ACTIVE.with(|c| c.replace(prev));
     }
 }
 
@@ -734,34 +606,45 @@ mod tests {
         }
     }
 
+    fn mint() -> TraceCtx {
+        TraceCtx::mint().expect("obs enabled")
+    }
+
     #[test]
     fn mint_is_unique_and_nonzero() {
-        let a = TraceCtx::mint();
-        let b = TraceCtx::mint();
+        let _g = crate::testutil::shared();
+        let (a, b) = (mint(), mint());
         assert_ne!(a.trace_id, 0);
         assert_ne!(a.trace_id, b.trace_id);
         assert_eq!(a.span_id, 0);
+        assert_ne!(mint_id(), 0);
     }
 
     #[test]
     fn from_wire_rejects_zero() {
+        let _g = crate::testutil::shared();
         assert!(TraceCtx::from_wire(0).is_none());
         assert_eq!(TraceCtx::from_wire(7).unwrap().trace_id, 7);
     }
 
     #[test]
-    fn arena_roundtrip_builds_a_tree() {
+    fn disabled_obs_builds_no_trace() {
+        let _g = crate::testutil::exclusive();
+        crate::set_enabled(false);
+        let (minted, adopted) = (TraceCtx::mint(), TraceCtx::from_wire(7));
+        crate::set_enabled(true);
+        assert!(minted.is_none() && adopted.is_none());
+    }
+
+    #[test]
+    fn spans_build_a_tree() {
         let _g = crate::testutil::shared();
-        let arena = TraceArena::with_capacity(4, 8);
-        let ctx = TraceCtx::mint();
-        assert!(arena.start(ctx));
-        assert_eq!(arena.in_flight(), 1);
-        let infer = arena.begin(ctx, "serve_infer").unwrap();
-        let child = ctx.child(infer.span_id);
-        let decode = arena.record(child, "stage_decoder", 50, "bin", 2).unwrap();
-        assert!(arena.commit(infer, 120, "batch", 1));
-        let fin = arena.finish(ctx, 200, false).unwrap();
-        assert_eq!(arena.in_flight(), 0);
+        let ctx = mint();
+        let infer = ctx.begin("serve_infer").unwrap();
+        let decode = infer.record("stage_decoder", 50, "bin", 2).unwrap();
+        assert!(infer.commit(120, "batch", 1));
+        let fin = ctx.finish(200, false).unwrap();
+        assert_eq!(fin.trace_id, ctx.trace_id);
         assert_eq!(fin.spans.len(), 2);
         assert!(fin.is_complete());
         let d = fin.spans.iter().find(|s| s.span_id == decode).unwrap();
@@ -773,60 +656,77 @@ mod tests {
         let json = fin.to_json();
         assert!(json.contains("\"name\":\"stage_decoder\""));
         assert!(json.contains("\"complete\":true"));
-        assert!(fin.render_tree().contains("stage_decoder"));
     }
 
     #[test]
     fn uncommitted_spans_never_leak() {
         let _g = crate::testutil::shared();
-        let arena = TraceArena::with_capacity(2, 4);
-        let ctx = TraceCtx::mint();
-        assert!(arena.start(ctx));
-        let _pending = arena.begin(ctx, "serve_infer").unwrap();
-        let fin = arena.finish(ctx, 10, false).unwrap();
+        let ctx = mint();
+        let _pending = ctx.begin("serve_infer").unwrap();
+        let fin = ctx.finish(10, false).unwrap();
         assert!(fin.spans.is_empty(), "torn span leaked: {:?}", fin.spans);
     }
 
     #[test]
-    fn laggard_commit_after_finish_is_dropped() {
+    fn commit_after_finish_never_lands() {
         let _g = crate::testutil::shared();
-        let arena = TraceArena::with_capacity(1, 4);
-        let a = TraceCtx::mint();
-        assert!(arena.start(a));
-        let pending = arena.begin(a, "serve_infer").unwrap();
-        arena.finish(a, 10, false).unwrap();
-        // Slot re-claimed by another trace; the laggard must not land.
-        let b = TraceCtx::mint();
-        assert!(arena.start(b));
-        assert!(!arena.commit(pending, 99, "", 0));
-        let fin = arena.finish(b, 20, false).unwrap();
-        assert!(fin.spans.is_empty());
+        let a = mint();
+        let pending = a.begin("serve_infer").unwrap();
+        assert!(a.finish(10, false).unwrap().spans.is_empty());
+        // The laggard finds the buffer closed: no finished trace, of
+        // this id or any other, can hold it.
+        let b = mint();
+        assert!(!pending.commit(99, "", 0));
+        assert!(pending.record("stage_decoder", 99, "", 0).is_none());
+        assert!(a.finish(10, false).is_none(), "second finish");
+        b.record("serve_queue_wait", 5, "", 0).unwrap();
+        let fin = b.finish(20, false).unwrap();
+        assert_eq!(fin.spans.len(), 1);
+        assert!(fin.spans.iter().all(|s| s.dur_ns != 99));
     }
 
     #[test]
-    fn arena_saturation_and_duplicate_ids_fail_start() {
+    fn three_hundred_traces_stay_in_flight_at_once() {
         let _g = crate::testutil::shared();
-        let arena = TraceArena::with_capacity(1, 4);
-        let a = TraceCtx::mint();
-        assert!(arena.start(a));
-        assert!(!arena.start(a), "duplicate id must not double-claim");
-        assert!(!arena.start(TraceCtx::mint()), "arena is full");
-        arena.finish(a, 1, false).unwrap();
-        assert!(arena.start(TraceCtx::mint()));
+        let traces: Vec<TraceCtx> = (0..300).map(|_| mint()).collect();
+        for (i, ctx) in traces.iter().enumerate() {
+            ctx.record("stage_decoder", 1, "bin", i as u64).unwrap();
+        }
+        // Other tests' traces only add to the count.
+        assert!(in_flight() >= 300);
+        for (i, ctx) in traces.iter().enumerate() {
+            let fin = ctx.finish(1, false).unwrap();
+            assert_eq!(fin.trace_id, ctx.trace_id);
+            let values: Vec<u64> = fin.spans.iter().map(|s| s.value).collect();
+            assert_eq!(values, vec![i as u64], "trace {i} holds its own span");
+        }
+    }
+
+    #[test]
+    fn dropped_trace_leaves_the_in_flight_count() {
+        let _g = crate::testutil::exclusive();
+        let before = in_flight();
+        let ctx = mint();
+        let child = ctx.begin("serve_infer").unwrap();
+        assert_eq!(in_flight(), before + 1);
+        drop(ctx);
+        assert_eq!(in_flight(), before + 1, "a clone keeps the trace open");
+        drop(child);
+        assert_eq!(in_flight(), before);
     }
 
     #[test]
     fn span_budget_is_enforced() {
         let _g = crate::testutil::shared();
-        let arena = TraceArena::with_capacity(1, 2);
-        let ctx = TraceCtx::mint();
-        assert!(arena.start(ctx));
-        assert!(arena.record(ctx, "stage_decoder", 1, "", 0).is_some());
-        assert!(arena.record(ctx, "stage_decoder", 1, "", 0).is_some());
-        assert!(arena.record(ctx, "stage_decoder", 1, "", 0).is_none());
-        let fin = arena.finish(ctx, 5, false).unwrap();
-        assert_eq!(fin.spans.len(), 2);
-        assert_eq!(fin.dropped_spans, 1);
+        let ctx = mint();
+        for _ in 0..MAX_SPANS_PER_TRACE {
+            assert!(ctx.record("stage_decoder", 1, "", 0).is_some());
+        }
+        assert!(ctx.record("stage_decoder", 1, "", 0).is_none());
+        assert!(ctx.begin("serve_infer").is_none());
+        let fin = ctx.finish(5, false).unwrap();
+        assert_eq!(fin.spans.len(), MAX_SPANS_PER_TRACE);
+        assert_eq!(fin.dropped_spans, 2);
         assert!(!fin.is_complete());
     }
 
@@ -866,17 +766,19 @@ mod tests {
 
     #[test]
     fn scope_sets_and_restores_active() {
+        let _g = crate::testutil::shared();
+        let id = |ctx: Option<TraceCtx>| ctx.map(|c| (c.trace_id, c.span_id));
         assert!(active().is_none());
-        let ctx = TraceCtx::mint();
+        let ctx = mint();
         {
-            let _g = scope(ctx);
-            assert_eq!(active(), Some(ctx));
+            let _g = scope(ctx.clone());
+            assert_eq!(id(active()), Some((ctx.trace_id, 0)));
             {
-                let inner = ctx.child(3);
-                let _g2 = scope(inner);
-                assert_eq!(active(), Some(inner));
+                let inner = ctx.begin("serve_infer").unwrap();
+                let _g2 = scope(inner.clone());
+                assert_eq!(id(active()), Some((ctx.trace_id, inner.span_id)));
             }
-            assert_eq!(active(), Some(ctx));
+            assert_eq!(id(active()), Some((ctx.trace_id, 0)));
         }
         assert!(active().is_none());
     }
@@ -884,12 +786,11 @@ mod tests {
     #[test]
     fn global_finish_offers_to_sampler() {
         let _g = crate::testutil::shared();
-        let ctx = TraceCtx::mint();
-        assert!(arena().start(ctx));
-        arena().record(ctx, "serve_infer", 10, "", 0);
+        let ctx = mint();
+        ctx.record("serve_infer", 10, "", 0);
         // An errored trace is always retained, so this asserts true
         // regardless of what other tests offered.
-        assert!(finish(ctx, 1, true));
-        assert!(!finish(ctx, 1, true), "double finish is a no-op");
+        assert!(finish(&ctx, 1, true));
+        assert!(!finish(&ctx, 1, true), "double finish is a no-op");
     }
 }

@@ -21,13 +21,12 @@ fn panic_dump_produces_parseable_json() {
 
     adarnet_obs::init();
     adarnet_obs::counter!("dump_test_total").add(5);
-    let ctx = trace::TraceCtx::mint();
-    assert!(trace::arena().start(ctx));
+    let ctx = trace::TraceCtx::mint().expect("obs enabled");
     {
-        let _scope = trace::scope(ctx);
+        let _scope = trace::scope(ctx.clone());
         let _g = adarnet_obs::span!("doomed_stage");
     }
-    assert!(trace::finish(ctx, 1_000, true), "errored trace retained");
+    assert!(trace::finish(&ctx, 1_000, true), "errored trace retained");
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         panic!("induced panic for dump test");
     }));
@@ -41,7 +40,7 @@ fn panic_dump_produces_parseable_json() {
     assert!(get("traces").is_some(), "retained traces embedded");
     assert!(get("metrics").is_some(), "metrics snapshot embedded");
     // The trace that errored before the panic is in the dump, span and all.
-    let id = format!("\"trace_id\":\"{:016x}\"", ctx.trace_id);
+    let id = format!("\"trace_id\":\"{:016x}\"", ctx.trace_id());
     let at = raw.find(&id).expect("pre-panic errored trace survives");
     assert!(raw[at..].contains("\"error\":true"));
     assert!(raw[at..].contains("\"name\":\"doomed_stage\""));

@@ -6,20 +6,19 @@
 //! faster ones, the slow trace is gone from the sampler, and the
 //! exemplar must have moved off it.
 //!
-//! Runs in its own test binary so the global arena, sampler and
-//! registry hold only this test's traffic.
+//! Runs in its own test binary so the global sampler and registry
+//! hold only this test's traffic.
 
 use adarnet_obs::trace::{self, TraceCtx, SAMPLE_WINDOW};
 use adarnet_obs::{registry, Histogram};
 
-/// One traced request through the global path: claim an arena slot,
-/// record its latency into `h` with its trace id, finish and offer it.
+/// One traced request through the global path: mint a trace, record
+/// its latency into `h` with its trace id, finish and offer it.
 fn request(h: &Histogram, e2e_ns: u64) -> u64 {
-    let ctx = TraceCtx::mint();
-    assert!(trace::arena().start(ctx));
-    h.record_traced(e2e_ns, ctx.trace_id);
-    trace::finish(ctx, e2e_ns, false);
-    ctx.trace_id
+    let ctx = TraceCtx::mint().expect("obs enabled");
+    h.record_traced(e2e_ns, ctx.trace_id());
+    trace::finish(&ctx, e2e_ns, false);
+    ctx.trace_id()
 }
 
 /// Every exemplar in the global registry names a retained trace.

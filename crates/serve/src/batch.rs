@@ -94,10 +94,7 @@ pub fn infer_cached(
             dec_in.recycle();
         }
         let decode_start = Instant::now();
-        let out = {
-            let _span = adarnet_obs::span!("stage_decoder", bin = bin);
-            frozen.decoder().forward(&batch)
-        };
+        let out = frozen.decode_batch(bin, &batch);
         batch.recycle();
         // Attribute the shared decode to each traced request whose
         // patches rode this bin's decoder batch.
@@ -108,14 +105,8 @@ pub fn infer_cached(
                 continue;
             }
             seen = si;
-            if let Some(ctx) = traces.get(si).copied().flatten() {
-                adarnet_obs::trace::arena().record(
-                    ctx,
-                    "stage_decoder",
-                    decode_ns,
-                    "bin",
-                    bin as u64,
-                );
+            if let Some(ctx) = traces.get(si).and_then(Option::as_ref) {
+                ctx.record("stage_decoder", decode_ns, "bin", bin as u64);
             }
         }
         for (k, (si, pi, key)) in owners.into_iter().enumerate() {

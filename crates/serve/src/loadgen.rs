@@ -96,7 +96,7 @@ impl Transport for &Server {
             tenant: spec.tenant,
             deadline: (spec.deadline_ms != 0)
                 .then(|| Instant::now() + Duration::from_millis(u64::from(spec.deadline_ms))),
-            trace: Some(TraceCtx::mint()),
+            trace: TraceCtx::mint(),
         };
         let response = self.submit_wait_with(field, opts);
         Some(Reply {

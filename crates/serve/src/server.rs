@@ -125,7 +125,7 @@ impl ResponseKind {
 
 /// Per-request admission options. [`Default`] is the pre-lane behavior:
 /// standard lane, tenant 0, no deadline.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SubmitOptions {
     /// Which lane the request rides (ignored under
     /// [`ServeConfig::fifo_only`], which maps everything to standard).
@@ -135,9 +135,10 @@ pub struct SubmitOptions {
     /// Absolute deadline; past it, the request is answered with the
     /// degraded brownout instead of being inferred.
     pub deadline: Option<Instant>,
-    /// Trace context for per-request attribution (DESIGN.md §16).
-    /// `None` = untraced: the request pays one branch per span site
-    /// and nothing else.
+    /// Trace for per-request attribution (DESIGN.md §16); the request
+    /// records its spans into it and finishes it on reply. `None` =
+    /// untraced: the request pays one branch per span site and nothing
+    /// else.
     pub trace: Option<TraceCtx>,
 }
 
@@ -362,16 +363,16 @@ impl Shared {
             latency: job.submitted.elapsed(),
             generation: 0,
             priority: job.priority,
-            trace_id: job.trace.map_or(0, |t| t.trace_id),
+            trace_id: job.trace.as_ref().map_or(0, TraceCtx::trace_id),
         };
         record_e2e(&response);
         // A rejected trace is always interesting: say why in one span
         // (reason tag, queue depth) and finish it errored so the tail
         // sampler retains it unconditionally.
-        if let Some(ctx) = job.trace {
+        if let Some(ctx) = &job.trace {
             if let Some(reason) = kind.reject_reason() {
                 let depth = self.queue.len() as u64;
-                trace::arena().record(ctx, reason.as_str(), 0, "queue_depth", depth);
+                ctx.record(reason.as_str(), 0, "queue_depth", depth);
             }
             trace::finish(ctx, response.latency.as_nanos() as u64, true);
         }
@@ -473,17 +474,13 @@ impl Server {
         } else {
             opts.priority
         };
-        // Claim an arena slot before admission so rejected traces are
-        // captured too. A saturated arena downgrades the request to
-        // untraced rather than failing it.
-        let traced = opts.trace.filter(|&ctx| trace::arena().start(ctx));
         let job = Job {
             field,
             submitted,
             deadline: opts.deadline,
             tenant: opts.tenant,
             priority,
-            trace: traced,
+            trace: opts.trace,
             reply,
         };
 
@@ -528,6 +525,7 @@ impl Server {
     pub fn submit_wait_with(&self, field: Tensor<f32>, opts: SubmitOptions) -> ServeResponse {
         let fallback = field.clone();
         let submitted = Instant::now();
+        let (priority, trace) = (opts.priority, opts.trace.clone());
         match self.submit_with(field, opts).recv() {
             Ok(response) => response,
             Err(_) => {
@@ -538,11 +536,11 @@ impl Server {
                     kind: ResponseKind::ShedInferenceError,
                     latency: submitted.elapsed(),
                     generation: 0,
-                    priority: opts.priority,
-                    trace_id: opts.trace.map_or(0, |t| t.trace_id),
+                    priority,
+                    trace_id: trace.as_ref().map_or(0, TraceCtx::trace_id),
                 };
                 record_e2e(&response);
-                if let Some(ctx) = opts.trace {
+                if let Some(ctx) = &trace {
                     trace::finish(ctx, response.latency.as_nanos() as u64, true);
                 }
                 response
@@ -667,21 +665,14 @@ fn worker_loop(
             // Per-request attribution: the wait this job actually saw
             // and the assembly window that picked it up (shared by the
             // whole batch, recorded under each participating trace).
-            if let Some(ctx) = job.trace {
-                trace::arena().record(
-                    ctx,
-                    "serve_queue_wait",
-                    wait_ns,
-                    "lane",
-                    lane.index() as u64,
-                );
+            if let Some(ctx) = &job.trace {
+                ctx.record("serve_queue_wait", wait_ns, "lane", lane.index() as u64);
                 // Capped at the job's own wait: the histogram keeps
                 // the full window (idle-gap semantics), but a trace
                 // must not be charged for idle time before its request
                 // existed — uncapped, a first-after-idle trace shows an
                 // assembly span longer than its entire e2e.
-                trace::arena().record(
-                    ctx,
+                ctx.record(
                     "serve_batch_assembly",
                     assembly_ns.min(wait_ns),
                     "batch",
@@ -726,23 +717,16 @@ fn worker_loop(
         shared.stats.add(Stat::Batches, 1);
         shared.stats.add(Stat::BatchedRequests, batch.len() as u64);
 
-        // Two-phase infer spans: allocate the span id up front so the
-        // per-bin decode spans inside `infer_cached` can parent under
-        // it, commit the duration once the batch returns.
+        // Two-phase infer spans: begin each traced request's span up
+        // front so the per-bin decode spans inside `infer_cached` parent
+        // under it, commit the duration once the batch returns. A trace
+        // whose span budget is spent records its decodes under the root.
         let infer_start = Instant::now();
-        let pending_infer: Vec<Option<trace::PendingSpan>> = batch
-            .iter()
-            .map(|j| {
-                j.trace
-                    .and_then(|ctx| trace::arena().begin(ctx, "serve_infer"))
-            })
-            .collect();
         let traces: Vec<Option<TraceCtx>> = batch
             .iter()
-            .zip(&pending_infer)
-            .map(|(j, p)| match (j.trace, p) {
-                (Some(ctx), Some(p)) => Some(ctx.child(p.span_id)),
-                (ctx, _) => ctx,
+            .map(|j| {
+                let ctx = j.trace.as_ref()?;
+                Some(ctx.begin("serve_infer").unwrap_or_else(|| ctx.clone()))
             })
             .collect();
         let inferred = {
@@ -750,8 +734,8 @@ fn worker_loop(
             infer_cached(&engine, generation, &fields, &traces, &shared.cache)
         };
         let infer_ns = infer_start.elapsed().as_nanos() as u64;
-        for p in pending_infer.into_iter().flatten() {
-            trace::arena().commit(p, infer_ns, "batch", fields.len() as u64);
+        for infer in traces.iter().flatten() {
+            infer.commit(infer_ns, "batch", fields.len() as u64);
         }
         match inferred {
             Ok(predictions) => {
@@ -766,10 +750,10 @@ fn worker_loop(
                         latency: job.submitted.elapsed(),
                         generation,
                         priority: job.priority,
-                        trace_id: job.trace.map_or(0, |t| t.trace_id),
+                        trace_id: job.trace.as_ref().map_or(0, TraceCtx::trace_id),
                     };
                     record_e2e(&response);
-                    if let Some(ctx) = job.trace {
+                    if let Some(ctx) = &job.trace {
                         trace::finish(ctx, response.latency.as_nanos() as u64, false);
                     }
                     let _ = job.reply.send(response);

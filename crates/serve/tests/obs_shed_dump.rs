@@ -60,7 +60,7 @@ fn load_shed_dumps_errored_trace_and_metrics() {
     let receivers: Vec<_> = (0..24)
         .map(|i| {
             let opts = SubmitOptions {
-                trace: Some(TraceCtx::mint()),
+                trace: TraceCtx::mint(),
                 ..SubmitOptions::default()
             };
             server.submit_with(field(i as f32 * 0.1), opts)

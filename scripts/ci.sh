@@ -140,7 +140,7 @@ else
   ADARNET_NET_REQUESTS=1 cargo run --release -q -p adarnet-net --bin net-serve -- smoke
 fi
 
-echo "==> admin endpoint smoke (/metrics, /traces, /health over TCP)"
+echo "==> admin endpoint smoke (/metrics, /traces, /health over TCP; trace-dump)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
   # Drives mixed load with the admin listener up, then asserts the
   # introspection endpoint answers /health, serves /metrics text that
@@ -151,6 +151,10 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
 else
   ADARNET_NET_REQUESTS=1 cargo run --release -q -p adarnet-net --bin net-serve -- admin-smoke
 fi
+# The README's "Tracing a slow request" command, in process: a small
+# load rendered through the /traces renderer; exits 1 unless one
+# complete tree holds both serve_infer and stage_decoder.
+cargo run --release -q -p adarnet-net --bin net-serve -- trace-dump
 
 echo "==> obs overhead gate"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
