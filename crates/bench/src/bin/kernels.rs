@@ -1,23 +1,18 @@
 //! Convolution kernel throughput sweep over the paper's shapes, per
 //! compute backend.
 //!
-//! Benchmarks the forward paths that exist — the direct loop nest
-//! (`Device::conv2d_forward`, the numerical reference) and the packed
-//! GEMM driver as the layers dispatch it (packed at or above
-//! `GEMM_THRESHOLD` output pixels, direct below) in its two feeds:
-//! panels packed once outside the timed region, as a frozen model
-//! does (`packed`), and the weight packed into pooled scratch inside
-//! every call, the mutable layers' entry point (`percall`) — across
-//! the patch extents the decoder actually sees (16/32/64/128 per side: 16x16 patches refined
-//! to bins 0–3) and the decoder/scorer channel widths (8/16/64), plus
-//! the scorer's four convs (4→8, 8→16, 16→16, 16→1) on its full 64x256
-//! LR field. Every configuration runs on **both** backends: the scalar
-//! reference plane and the vectorized plane, each row recording the
-//! register tile that ran (`scalar_4x16` | `avx2_4x16` | `avx512_4x64`).
-//!
-//! The sweep is what `GEMM_THRESHOLD` in `adarnet_nn::kernels` is
-//! calibrated from: the `sub0_*` probe rows bracket the direct/GEMM
-//! crossover (between 4 and 16 output pixels).
+//! Benchmarks the one conv path the layers run, the packed GEMM
+//! driver, in its two feeds: panels packed once outside the timed
+//! region, as a frozen model does (`packed`), and the weight packed
+//! into pooled scratch inside every call, the mutable layers' entry
+//! point (`percall`) — across the patch extents the decoder actually
+//! sees (16/32/64/128 per side: 16x16 patches refined to bins 0–3, and
+//! the 8x8 bin-0 patch of the 8x8-patch models) and the decoder/scorer
+//! channel widths (8/16/64), plus the scorer's four convs (4→8, 8→16,
+//! 16→16, 16→1) on its full 64x256 LR field. Every configuration runs
+//! on **both** backends: the scalar reference plane and the vectorized
+//! plane, each row recording the register tile that ran (`scalar_4x16`
+//! | `avx2_4x16` | `avx512_4x64`).
 //!
 //! Usage:
 //!
@@ -43,7 +38,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use adarnet_nn::he_normal;
-use adarnet_nn::kernels::{pack_weight_panels, packed_panels_len, PackedPanels, GEMM_THRESHOLD};
+use adarnet_nn::kernels::{pack_weight_panels, packed_panels_len, PackedPanels};
 use adarnet_nn::Device;
 use adarnet_tensor::{Shape, Tensor};
 use serde::{field, object, DeError, Deserialize, Serialize, Value};
@@ -65,18 +60,14 @@ struct ConfigResult {
     /// Input and output channels (3x3 same-padded).
     ic: usize,
     oc: usize,
-    /// Output pixels per image (`h * w` with same padding) — the quantity
-    /// the layers dispatch on.
+    /// Output pixels per image (`h * w` with same padding).
     o_len: usize,
-    /// Seconds per iteration, per path.
-    naive_secs: f64,
-    /// The dispatched frozen path: what a frozen layer runs for this
-    /// shape — packed panels at or above `GEMM_THRESHOLD` (packed once
-    /// outside the timed region), the direct loop nest below.
+    /// Seconds per iteration of the frozen path: the driver over panels
+    /// packed once outside the timed region.
     packed_secs: f64,
-    /// The dispatched mutable path: what `Conv2d::forward` runs for
-    /// this shape — as `packed_secs`, with the weight packed into
-    /// pooled scratch inside every timed call.
+    /// Seconds per iteration of the mutable path, what `Conv2d::forward`
+    /// runs: as `packed_secs`, with the weight packed into pooled
+    /// scratch inside every timed call.
     percall_secs: f64,
     /// Packed-path throughput in GFLOP/s (2 * oc * k_len * o_len flops).
     packed_gflops: f64,
@@ -89,9 +80,6 @@ struct BenchReport {
     /// `full` or `smoke` — smoke numbers are for the regression gate
     /// only and are never written over a full baseline.
     mode: String,
-    /// The threshold compiled into `adarnet_nn::kernels` when this
-    /// report was produced.
-    gemm_threshold: usize,
     /// Whether the `cpu_simd` rows actually ran vectorized
     /// micro-kernels on the producing machine (false = they degraded
     /// to scalar, so the two backends' rows measure the same code).
@@ -110,7 +98,6 @@ impl Serialize for ConfigResult {
             ("ic", self.ic.to_value()),
             ("oc", self.oc.to_value()),
             ("o_len", self.o_len.to_value()),
-            ("naive_secs", self.naive_secs.to_value()),
             ("packed_secs", self.packed_secs.to_value()),
             ("percall_secs", self.percall_secs.to_value()),
             ("packed_gflops", self.packed_gflops.to_value()),
@@ -130,7 +117,6 @@ impl Deserialize for ConfigResult {
             ic: field(value, "ic", OWNER)?,
             oc: field(value, "oc", OWNER)?,
             o_len: field(value, "o_len", OWNER)?,
-            naive_secs: field(value, "naive_secs", OWNER)?,
             packed_secs: field(value, "packed_secs", OWNER)?,
             percall_secs: field(value, "percall_secs", OWNER)?,
             packed_gflops: field(value, "packed_gflops", OWNER)?,
@@ -143,7 +129,6 @@ impl Serialize for BenchReport {
         object([
             ("schema", self.schema.to_value()),
             ("mode", self.mode.to_value()),
-            ("gemm_threshold", self.gemm_threshold.to_value()),
             ("simd_active", self.simd_active.to_value()),
             ("configs", self.configs.to_value()),
         ])
@@ -156,7 +141,6 @@ impl Deserialize for BenchReport {
         Ok(BenchReport {
             schema: field(value, "schema", OWNER)?,
             mode: field(value, "mode", OWNER)?,
-            gemm_threshold: field(value, "gemm_threshold", OWNER)?,
             simd_active: field(value, "simd_active", OWNER)?,
             configs: field(value, "configs", OWNER)?,
         })
@@ -197,10 +181,6 @@ fn bench_config(
     let o_len = h * w;
     let k_len = ic * 9;
 
-    let naive_secs = time_secs(budget, || {
-        black_box(dev.conv2d_forward(black_box(&x), &wt, &b, 1)).recycle();
-    });
-
     // Panels for the pre-packed path, built outside the timed region
     // — exactly what a frozen model does at construction.
     let mut panels = vec![0.0f32; packed_panels_len(oc, k_len)];
@@ -217,28 +197,16 @@ fn bench_config(
     // each column takes its per-path minimum (the classical
     // least-interference estimator on a steal-prone shared host). Full
     // mode buys five rounds; smoke stays at three to hold the CI
-    // budget. The informational naive column keeps one cheap batch.
-    //
-    // Below `GEMM_THRESHOLD` the layers, frozen and mutable alike, run
-    // the direct loop nest.
-    let gemm = o_len >= GEMM_THRESHOLD;
+    // budget.
     let rounds = if budget > 0.1 { 5 } else { 3 };
     let mut packed_secs = f64::INFINITY;
     let mut percall_secs = f64::INFINITY;
     for _ in 0..rounds {
         let packed_r = time_secs(budget, || {
-            if gemm {
-                black_box(dev.conv2d_forward_packed(black_box(&x), packed, &b, 1)).recycle();
-            } else {
-                black_box(dev.conv2d_forward(black_box(&x), &wt, &b, 1)).recycle();
-            }
+            black_box(dev.conv2d_forward_packed(black_box(&x), packed, &b, 1)).recycle();
         });
         let percall_r = time_secs(budget, || {
-            if gemm {
-                black_box(dev.conv2d_forward_percall(black_box(&x), &wt, &b, 1)).recycle();
-            } else {
-                black_box(dev.conv2d_forward(black_box(&x), &wt, &b, 1)).recycle();
-            }
+            black_box(dev.conv2d_forward_percall(black_box(&x), &wt, &b, 1)).recycle();
         });
         packed_secs = packed_secs.min(packed_r);
         percall_secs = percall_secs.min(percall_r);
@@ -254,7 +222,6 @@ fn bench_config(
         ic,
         oc,
         o_len,
-        naive_secs,
         packed_secs,
         percall_secs,
         packed_gflops: flops / packed_secs / 1e9,
@@ -268,11 +235,8 @@ fn run_sweep(smoke: bool) -> BenchReport {
     // sweep under a few seconds for CI; full targets stable numbers.
     let budget = if smoke { 0.02 } else { 0.25 };
     let mut shapes: Vec<(String, usize, usize, usize, usize)> = Vec::new();
-    // Crossover probes below the smallest paper shape: where the direct
-    // path still beats the GEMM (`GEMM_THRESHOLD` is read off 2x2/4x4).
-    for &e in &[2usize, 4, 8] {
-        shapes.push((format!("sub0_{e}x{e}_8ch"), e, e, 8, 8));
-    }
+    // Bin 0 of the 8x8-patch models, below the 16x16 patch's bin 0.
+    shapes.push(("sub0_8x8_8ch".to_string(), 8, 8, 8, 8));
     // 16x16 patches at bins 0..=3 -> 16/32/64/128 per side.
     for bin in 0..4usize {
         let e = 16 << bin;
@@ -298,9 +262,8 @@ fn run_sweep(smoke: bool) -> BenchReport {
     }
 
     BenchReport {
-        schema: "adarnet-bench-kernels-v6".to_string(),
+        schema: "adarnet-bench-kernels-v7".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
-        gemm_threshold: GEMM_THRESHOLD,
         simd_active: Device::CpuSimd.is_simd_active(),
         configs,
     }
@@ -372,30 +335,21 @@ fn main() {
         .map(|i| args[i + 1].clone());
 
     eprintln!(
-        "kernel sweep ({}): naive vs packed vs per-call, \
-         backends {:?}, GEMM_THRESHOLD={}, simd_active={}",
+        "kernel sweep ({}): packed vs per-call, backends {:?}, simd_active={}",
         if smoke { "smoke" } else { "full" },
         BACKENDS.map(Device::name),
-        GEMM_THRESHOLD,
         Device::CpuSimd.is_simd_active(),
     );
     let report = run_sweep(smoke);
 
     println!(
-        "{:<24} {:<11} {:<12} {:>8} {:>12} {:>12} {:>12} {:>10}",
-        "config", "backend", "tile", "o_len", "naive s", "packed s", "percall s", "GFLOP/s",
+        "{:<24} {:<11} {:<12} {:>8} {:>12} {:>12} {:>10}",
+        "config", "backend", "tile", "o_len", "packed s", "percall s", "GFLOP/s",
     );
     for c in &report.configs {
         println!(
-            "{:<24} {:<11} {:<12} {:>8} {:>12.3e} {:>12.3e} {:>12.3e} {:>10.2}",
-            c.label,
-            c.backend,
-            c.tile,
-            c.o_len,
-            c.naive_secs,
-            c.packed_secs,
-            c.percall_secs,
-            c.packed_gflops,
+            "{:<24} {:<11} {:<12} {:>8} {:>12.3e} {:>12.3e} {:>10.2}",
+            c.label, c.backend, c.tile, c.o_len, c.packed_secs, c.percall_secs, c.packed_gflops,
         );
     }
 

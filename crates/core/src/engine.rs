@@ -267,7 +267,9 @@ mod tests {
                 assert_eq!(a, b);
             }
         }
-        assert!(engine.weight_bytes() > 0);
+        // One weight copy: the packed panels (61,848 floats, the 16->1
+        // scorer conv padded to a 4-row block) and the biases (213).
+        assert_eq!(engine.weight_bytes(), (61_848 + 213) * 4);
     }
 
     #[test]

@@ -104,19 +104,14 @@ impl Scorer {
         }
     }
 
-    /// Route every compute-bearing layer to `device` (see
-    /// [`Layer::set_device`]). Freezing afterwards yields a frozen
-    /// scorer pinned to the same backend.
+    /// Route the four convs to `device` (see [`Layer::set_device`]);
+    /// the pool and the softmax have no backend. Freezing afterwards
+    /// yields a frozen scorer pinned to the same backend.
     pub fn set_device(&mut self, device: Device) {
         self.conv1.set_device(device);
         self.conv2.set_device(device);
         self.conv3.set_device(device);
         self.conv4.set_device(device);
-        match &mut self.pool {
-            ScorerPool::Max(l) => l.set_device(device),
-            ScorerPool::Avg(l) => l.set_device(device),
-        }
-        self.softmax.set_device(device);
     }
 
     /// Forward pass on an `(N, C, H, W)` LR field.

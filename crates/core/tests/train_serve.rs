@@ -3,11 +3,10 @@
 //! **bitwise** — from a single conv up to the assembled network.
 //!
 //! Training packs weight panels per call and serving packs them once at
-//! freeze time; both then run the one packed GEMM driver (or, below
-//! `GEMM_THRESHOLD` output pixels, the one direct loop nest), so there
-//! is no tolerance to state. One table: each row builds a seeded model
-//! on the device under test and returns `(what, trained, served)`
-//! triples to compare.
+//! freeze time; both then run the one packed GEMM driver at every
+//! extent, so there is no tolerance to state. One table: each row
+//! builds a seeded model on the device under test and returns `(what,
+//! trained, served)` triples to compare.
 
 use adarnet_core::{AdarNet, AdarNetConfig, Decoder, PoolKind, Scorer};
 use adarnet_nn::{
@@ -25,10 +24,10 @@ fn filled(shape: Shape, phase: f32) -> Tensor<f32> {
     )
 }
 
-/// Spatial extents every single-layer row runs: 3×3 = 9 px (direct
-/// loop nest), 5×7 = 35 px (the GEMM's smallest band, ragged column
-/// tile), 13×9 = 117 px (`o_len % NR != 0` past one tile) and 16×16
-/// (a paper patch, edge-free).
+/// Spatial extents every single-layer row runs: 3×3 = 9 px (below one
+/// register tile, all ragged edge), 5×7 = 35 px (ragged column tile),
+/// 13×9 = 117 px (`o_len % NR != 0` past one tile) and 16×16 (a paper
+/// patch, edge-free).
 const EXTENTS: [(usize, usize); 4] = [(3, 3), (5, 7), (13, 9), (16, 16)];
 
 /// `forward` vs `freeze().infer` for one layer over [`EXTENTS`].

@@ -52,8 +52,8 @@ fn steady_state_infer_batch_performs_zero_data_allocations() {
         model.set_device(device);
         let engine = InferenceEngine::new(model, NormStats::identity());
         // Two 16x32 fields -> 2x4 patch grids; with 8x8 patches the four bins
-        // span extents 8/16/32/64, all above GEMM_THRESHOLD, so the loop runs
-        // the blocked kernel path the pool exists for.
+        // span extents 8/16/32/64, every one through the blocked GEMM driver
+        // the pool exists for.
         let fields = vec![sample(16, 32, 0.0), sample(16, 32, 1.3)];
 
         // Warmup: several rounds so the pool reaches its steady-state working

@@ -3,30 +3,9 @@
 use adarnet_tensor::{Shape, Tensor};
 
 use crate::device::Device;
-use crate::kernels::{flip_transpose_weights, runs_gemm, GEMM_THRESHOLD};
+use crate::kernels::flip_transpose_weights;
 use crate::packed::{FrozenConv2d, PackedConvWeights};
 use crate::{InferLayer, Initializer, Layer, F};
-
-/// Training-side forward of a conv-layout weight `(OC, IC, KH, KW)`,
-/// shared by [`Conv2d`] and [`crate::ConvTranspose2d`]: the packed GEMM
-/// (weight packed into pooled scratch for this call) at or above
-/// [`GEMM_THRESHOLD`] output pixels, the direct loop nest below. The
-/// same split on the same kernels as the frozen
-/// [`PackedConvWeights::forward`], so training and serving agree
-/// bitwise per backend.
-pub(crate) fn forward_conv_layout(
-    device: Device,
-    x: &Tensor<F>,
-    w: &Tensor<F>,
-    bias: &Tensor<F>,
-    pad: usize,
-) -> Tensor<F> {
-    if runs_gemm(x, w.dim(2), w.dim(3), pad) {
-        device.conv2d_forward_percall(x, w, bias, pad)
-    } else {
-        device.conv2d_forward(x, w, bias, pad)
-    }
-}
 
 /// 2-D convolution, stride 1, symmetric zero padding.
 ///
@@ -128,7 +107,9 @@ impl Layer for Conv2d {
             old.recycle();
         }
         self.cached_input = Some(x.pooled_copy());
-        let y = forward_conv_layout(self.device, x, &self.weight, &self.bias, self.pad);
+        let y = self
+            .device
+            .conv2d_forward_percall(x, &self.weight, &self.bias, self.pad);
         crate::finite::debug_guard_finite("Conv2d", x, &y);
         y
     }
@@ -142,38 +123,25 @@ impl Layer for Conv2d {
             .cached_input
             .as_ref()
             .expect("Conv2d::backward called before forward");
-        // For "same"-padded stride-1 convs at large extents, both backward
-        // passes have GEMM forms: dw = dy . col(x)^T and
-        // dx = conv(dy, flip_transpose(w)) (the deconvolution identity).
-        let big = grad_out.dim(2) * grad_out.dim(3) >= GEMM_THRESHOLD;
-        if big {
-            self.device.conv2d_backward_params_gemm(
-                grad_out,
-                x,
-                self.pad,
-                &mut self.dweight,
-                &mut self.dbias,
-            );
-            let w_flip = flip_transpose_weights(&self.weight);
-            let dx = self.device.conv2d_forward_percall(
-                grad_out,
-                &w_flip,
-                &Tensor::zeros(Shape::d1(0)),
-                self.pad,
-            );
-            w_flip.recycle();
-            dx
-        } else {
-            self.device.conv2d_backward_params(
-                grad_out,
-                x,
-                self.pad,
-                &mut self.dweight,
-                &mut self.dbias,
-            );
-            self.device
-                .conv2d_backward_input(grad_out, &self.weight, x.dim(2), x.dim(3), self.pad)
-        }
+        // Both backward halves are GEMMs: dw = dy . col(x)^T, and for a
+        // "same"-padded stride-1 conv dx = conv(dy, flip_transpose(w))
+        // (the deconvolution identity).
+        self.device.conv2d_backward_params(
+            grad_out,
+            x,
+            self.pad,
+            &mut self.dweight,
+            &mut self.dbias,
+        );
+        let w_flip = flip_transpose_weights(&self.weight);
+        let dx = self.device.conv2d_forward_percall(
+            grad_out,
+            &w_flip,
+            &Tensor::zeros(Shape::d1(0)),
+            self.pad,
+        );
+        w_flip.recycle();
+        dx
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
@@ -218,11 +186,18 @@ mod tests {
         assert_eq!(y.shape(), &Shape::d4(2, 8, 16, 16));
     }
 
+    /// 20 px, and two fields below one 16-pixel register tile, where
+    /// the GEMM runs only ragged edges in both backward halves.
     #[test]
     fn gradcheck_small_conv() {
-        let mut l = Conv2d::new(2, 3, 3, Initializer::XavierUniform, 11);
-        let report = check_layer_gradients(&mut l, Shape::d4(1, 2, 5, 4), 13, 1e-2);
-        assert!(report.max_rel_err < 2e-2, "gradcheck failed: {report:?}");
+        for (h, w) in [(5, 4), (3, 3), (2, 5)] {
+            let mut l = Conv2d::new(2, 3, 3, Initializer::XavierUniform, 11);
+            let report = check_layer_gradients(&mut l, Shape::d4(1, 2, h, w), 13, 1e-2);
+            assert!(
+                report.max_rel_err < 2e-2,
+                "{h}x{w} gradcheck failed: {report:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,12 +5,17 @@
 //! baseline the SIMD backend is proptest-bounded against
 //! (`tests/device_equivalence.rs`).
 //!
-//! The direct (sub-[`crate::kernels::GEMM_THRESHOLD`]) convolution
-//! kernels and the memory-bound pool/softmax ops live here too and are
-//! shared by *all* CPU backends: their cost is loads and stores, not
-//! arithmetic, so a vector plane buys nothing and sharing one
-//! implementation keeps cross-backend outputs bitwise identical for
-//! every op except the FMA-reassociated GEMMs.
+//! Two more kinds of code live here, and neither is a [`crate::Device`]
+//! method:
+//!
+//! * [`conv2d_forward_direct`], the direct loop nest: the numerical
+//!   reference the GEMM driver is tested against. No layer calls it.
+//! * The pool and softmax bodies, called as free functions by
+//!   [`crate::MaxPool2d`], [`crate::AvgPool2d`] and
+//!   [`crate::SpatialSoftmax`] and their frozen twins. Their cost is
+//!   loads and stores, not arithmetic, so a vector plane buys nothing;
+//!   one body serves every backend. They stay in this file so the
+//!   `no-alloc-in-hot-path` lint covers them.
 
 use adarnet_tensor::{Shape, Tensor};
 
@@ -68,7 +73,8 @@ impl MicroGemm for ScalarMicro {
 }
 
 /// Direct 7-loop stride-1 convolution, one pass over `(batch,
-/// out-channel)` planes — the sub-threshold path for every backend.
+/// out-channel)` planes: the numerical reference for
+/// [`crate::Device::conv2d_forward_packed`] in tests. No layer calls it.
 pub fn conv2d_forward_direct(
     x: &Tensor<F>,
     w: &Tensor<F>,
@@ -138,150 +144,10 @@ pub fn conv2d_forward_direct(
     y
 }
 
-/// Adjoint of [`conv2d_forward_direct`] with respect to the input.
-pub fn conv2d_backward_input_direct(
-    dy: &Tensor<F>,
-    w: &Tensor<F>,
-    in_h: usize,
-    in_w: usize,
-    pad: usize,
-) -> Tensor<F> {
-    let (n, oc, oh, ow) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
-    let (woc, ic, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    assert_eq!(
-        oc, woc,
-        "conv2d backward: dy channels {oc} != weight out channels {woc}"
-    );
-    assert_eq!(
-        oh,
-        conv_out_extent(in_h, kh, pad),
-        "conv2d backward: oh mismatch"
-    );
-    assert_eq!(
-        ow,
-        conv_out_extent(in_w, kw, pad),
-        "conv2d backward: ow mismatch"
-    );
-
-    let mut dx = Tensor::<F>::pooled_scratch(Shape::d4(n, ic, in_h, in_w));
-    let dys = dy.as_slice();
-    let ws = w.as_slice();
-    let plane = in_h * in_w;
-
-    dx.as_mut_slice()
-        .chunks_mut(plane)
-        .enumerate()
-        .for_each(|(p, dxplane)| {
-            let ni = p / ic;
-            let ici = p % ic;
-            // dx[iy, ix] = sum_{oc, ky, kx : oy = iy + pad - ky in range}
-            //              dy[oc, oy, ox] * w[oc, ic, ky, kx]
-            for iy in 0..in_h {
-                for ix in 0..in_w {
-                    let mut acc = 0.0f32;
-                    for oci in 0..oc {
-                        let dybase = (ni * oc + oci) * oh * ow;
-                        let wbase = ((oci * ic + ici) * kh) * kw;
-                        for ky in 0..kh {
-                            let oy = iy + pad;
-                            if oy < ky {
-                                continue;
-                            }
-                            let oy = oy - ky;
-                            if oy >= oh {
-                                continue;
-                            }
-                            let dyrow = dybase + oy * ow;
-                            let wrow = wbase + ky * kw;
-                            for kx in 0..kw {
-                                let ox = ix + pad;
-                                if ox < kx {
-                                    continue;
-                                }
-                                let ox = ox - kx;
-                                if ox >= ow {
-                                    continue;
-                                }
-                                acc += dys[dyrow + ox] * ws[wrow + kx];
-                            }
-                        }
-                    }
-                    dxplane[iy * in_w + ix] = acc;
-                }
-            }
-        });
-    dx
-}
-
-/// Direct-loop weight/bias gradient accumulation, the small-shape
-/// counterpart of the GEMM-based driver.
-pub fn conv2d_backward_params_direct(
-    dy: &Tensor<F>,
-    x: &Tensor<F>,
-    pad: usize,
-    dw: &mut Tensor<F>,
-    db: &mut Tensor<F>,
-) {
-    let (n, oc, oh, ow) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
-    let (xn, ic, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    assert_eq!(n, xn, "conv2d params: batch mismatch");
-    let (dwoc, dwic, kh, kw) = (dw.dim(0), dw.dim(1), dw.dim(2), dw.dim(3));
-    assert_eq!((dwoc, dwic), (oc, ic), "conv2d params: dw shape mismatch");
-
-    let dys = dy.as_slice();
-    let xs = x.as_slice();
-    let slab = ic * kh * kw;
-
-    dw.as_mut_slice()
-        .chunks_mut(slab)
-        .enumerate()
-        .for_each(|(oci, dwslab)| {
-            for ni in 0..n {
-                let dybase = (ni * oc + oci) * oh * ow;
-                for ici in 0..ic {
-                    let xbase = (ni * ic + ici) * h * wd;
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let mut acc = 0.0f32;
-                            for oy in 0..oh {
-                                let iy = oy + ky;
-                                if iy < pad || iy >= h + pad {
-                                    continue;
-                                }
-                                let xrow = xbase + (iy - pad) * wd;
-                                let dyrow = dybase + oy * ow;
-                                for ox in 0..ow {
-                                    let ix = ox + kx;
-                                    if ix < pad || ix >= wd + pad {
-                                        continue;
-                                    }
-                                    acc += dys[dyrow + ox] * xs[xrow + (ix - pad)];
-                                }
-                            }
-                            dwslab[(ici * kh + ky) * kw + kx] += acc;
-                        }
-                    }
-                }
-            }
-        });
-
-    if !db.is_empty() {
-        assert_eq!(db.len(), oc, "conv2d params: db length mismatch");
-        let dbs = db.as_mut_slice();
-        for ni in 0..n {
-            for (oci, slot) in dbs.iter_mut().enumerate() {
-                let base = (ni * oc + oci) * oh * ow;
-                *slot += dys[base..base + oh * ow].iter().sum::<f32>();
-            }
-        }
-    }
-}
-
 /// Non-overlapping max pool (pool size == stride); `record` is called
 /// with `(output index, flat input argmax)` for each output element (a
-/// no-op closure on the inference path). Moved verbatim from
-/// `MaxPool2d::run_forward`.
-pub fn max_pool2d_forward(
+/// no-op closure on the inference path).
+pub(crate) fn max_pool2d_forward(
     x: &Tensor<F>,
     pool_h: usize,
     pool_w: usize,
@@ -323,9 +189,8 @@ pub fn max_pool2d_forward(
     y
 }
 
-/// Non-overlapping average pool (pool size == stride). Moved verbatim
-/// from `AvgPool2d::run_forward`.
-pub fn avg_pool2d_forward(x: &Tensor<F>, pool_h: usize, pool_w: usize) -> Tensor<F> {
+/// Non-overlapping average pool (pool size == stride).
+pub(crate) fn avg_pool2d_forward(x: &Tensor<F>, pool_h: usize, pool_w: usize) -> Tensor<F> {
     assert_eq!(x.shape().rank(), 4, "AvgPool2d expects NCHW input");
     let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
     assert!(
@@ -357,9 +222,8 @@ pub fn avg_pool2d_forward(x: &Tensor<F>, pool_h: usize, pool_w: usize) -> Tensor
 }
 
 /// Softmax across everything but the batch axis, max-shifted with an
-/// f64 partition sum. Moved verbatim from `SpatialSoftmax::run_forward`
-/// (minus the caller's finite guard, which stays in the layer).
-pub fn spatial_softmax_forward(x: &Tensor<F>) -> Tensor<F> {
+/// f64 partition sum. The caller keeps the finite guard.
+pub(crate) fn spatial_softmax_forward(x: &Tensor<F>) -> Tensor<F> {
     assert!(x.shape().rank() >= 1, "softmax needs at least rank 1");
     let n = x.dim(0);
     let per = x.len() / n.max(1);
@@ -383,8 +247,7 @@ pub fn spatial_softmax_forward(x: &Tensor<F>) -> Tensor<F> {
 
 /// Softmax backward: `dx_i = y_i * (g_i - sum_j g_j y_j)` per batch
 /// item with an f64 inner product, `y` being the cached forward output.
-/// Moved verbatim from `SpatialSoftmax::backward`.
-pub fn spatial_softmax_backward(y: &Tensor<F>, grad_out: &Tensor<F>) -> Tensor<F> {
+pub(crate) fn spatial_softmax_backward(y: &Tensor<F>, grad_out: &Tensor<F>) -> Tensor<F> {
     assert!(
         y.shape().same(grad_out.shape()),
         "softmax grad shape mismatch"

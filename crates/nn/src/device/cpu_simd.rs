@@ -1,6 +1,6 @@
 //! The vectorized CPU backend: AVX2+FMA and AVX-512 micro-kernels.
 //!
-//! Strategy (DESIGN.md §15): the register tiles are written against the
+//! Strategy (DESIGN.md §10.4): the register tiles are written against the
 //! intrinsics directly, under `#[target_feature]`, so the accumulators
 //! provably live in vector registers for the whole `k` reduction. Two
 //! tiles sit behind [`crate::device::Device::CpuSimd`], the widest one

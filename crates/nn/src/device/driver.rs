@@ -198,9 +198,9 @@ pub fn conv2d_forward_packed<M: MicroGemm>(
 }
 
 /// GEMM-based weight-gradient accumulation (see
-/// [`crate::Device::conv2d_backward_params_gemm`]), generic over the
+/// [`crate::Device::conv2d_backward_params`]), generic over the
 /// reduction dot product.
-pub fn conv2d_backward_params_gemm<M: MicroGemm>(
+pub fn conv2d_backward_params<M: MicroGemm>(
     micro: M,
     dy: &Tensor<F>,
     x: &Tensor<F>,

@@ -1,9 +1,13 @@
 //! Pluggable compute backends for the nn kernel plane.
 //!
-//! Every compute kernel — the packed GEMM behind [`crate::Conv2d`] /
-//! [`crate::ConvTranspose2d`], the direct small-shape convolutions,
-//! pooling, and softmax — is reachable as a method on the [`Device`]
-//! enum. Two backends exist today:
+//! [`Device`] is the GEMM and nothing else: the packed conv forward
+//! behind [`crate::Conv2d`] and [`crate::ConvTranspose2d`] (both
+//! backward halves included: `dx` is a forward over the flip-transposed
+//! weights) and the weight-gradient reduction, at every extent. Ops
+//! whose cost is loads and stores, not arithmetic — pooling, softmax —
+//! gain nothing from a vector plane and are free functions in
+//! [`cpu_scalar`], called by their layers directly. Two backends exist
+//! today:
 //!
 //! * [`Device::CpuScalar`] — the reference plane
 //!   ([`cpu_scalar::ScalarMicro`]): plain scalar loops. The train ==
@@ -15,9 +19,7 @@
 //!   bitwise. Falls back to the scalar micro-kernels at runtime when
 //!   the CPU lacks AVX2/FMA (or off x86_64), so selecting it is always
 //!   safe. GEMM outputs differ from scalar only by FMA reassociation
-//!   (ULP-bounded, pinned by `tests/device_equivalence.rs`); the
-//!   direct, pool, and softmax ops share one implementation across
-//!   backends and stay bitwise identical.
+//!   (ULP-bounded, pinned by `tests/device_equivalence.rs`).
 //!
 //! Dispatch is enum + monomorphization: each method matches on the
 //! backend once per *kernel call* and runs a driver instantiated with
@@ -26,11 +28,11 @@
 //!
 //! ## Selection
 //!
-//! [`Device::detect`] is the process-wide default used by every layer
-//! constructor: SIMD wherever it can run, else scalar, probed once per
+//! [`Device::detect`] is the process-wide default used by every conv
+//! layer constructor: SIMD wherever it can run, else scalar, probed once per
 //! process. There is no override. Tests and tools that need a specific
 //! backend construct [`Device::CpuScalar`] or [`Device::CpuSimd`]
-//! directly or use the layers' `set_device` hooks
+//! directly or use the conv layers' `set_device` hooks
 //! ([`crate::Layer::set_device`]) — there is deliberately no mutable
 //! global, so a process's default backend never changes underneath a
 //! running engine.
@@ -125,50 +127,10 @@ impl Device {
         with_micro!(self, m => tile_of(m))
     }
 
-    /// Direct 7-loop convolution (the sub-`GEMM_THRESHOLD` path).
-    /// Shared scalar implementation: bitwise identical across backends.
-    pub fn conv2d_forward(
-        self,
-        x: &Tensor<F>,
-        w: &Tensor<F>,
-        bias: &Tensor<F>,
-        pad: usize,
-    ) -> Tensor<F> {
-        cpu_scalar::conv2d_forward_direct(x, w, bias, pad)
-    }
-
-    /// Adjoint of [`Device::conv2d_forward`] w.r.t. the input. Shared
-    /// scalar implementation: bitwise identical across backends.
-    pub fn conv2d_backward_input(
-        self,
-        dy: &Tensor<F>,
-        w: &Tensor<F>,
-        in_h: usize,
-        in_w: usize,
-        pad: usize,
-    ) -> Tensor<F> {
-        cpu_scalar::conv2d_backward_input_direct(dy, w, in_h, in_w, pad)
-    }
-
-    /// Direct-loop weight/bias gradient accumulation: adds into `dw`
-    /// `(OC, IC, KH, KW)` and `db` `(OC)`, which may be empty to skip
-    /// the bias. Shared scalar implementation: bitwise identical across
-    /// backends.
-    pub fn conv2d_backward_params(
-        self,
-        dy: &Tensor<F>,
-        x: &Tensor<F>,
-        pad: usize,
-        dw: &mut Tensor<F>,
-        db: &mut Tensor<F>,
-    ) {
-        cpu_scalar::conv2d_backward_params_direct(dy, x, pad, dw, db);
-    }
-
     /// Blocked im2col + GEMM over packed weight panels on this
-    /// backend's register tile: identical semantics to
-    /// [`Device::conv2d_forward`], the production path at or above
-    /// [`crate::kernels::GEMM_THRESHOLD`] output pixels. Packing happens
+    /// backend's register tile: the semantics of the reference
+    /// [`cpu_scalar::conv2d_forward_direct`], and the one conv path
+    /// every layer runs, at every extent. Packing happens
     /// outside ([`crate::kernels::pack_weight_panels`]): once at freeze
     /// time for a frozen model, once per call for a mutable layer
     /// ([`Device::conv2d_forward_percall`]). See [`driver`] for the
@@ -213,13 +175,12 @@ impl Device {
         y
     }
 
-    /// GEMM-based weight-gradient accumulation for **same-padded
-    /// stride-1** convolutions on this backend's reduction kernel:
-    /// `dw = dy_mat · col(x)^T` per batch item, reusing the im2col
-    /// transform. Identical semantics to
-    /// [`Device::conv2d_backward_params`] (verified in tests); much
-    /// faster at large spatial extents.
-    pub fn conv2d_backward_params_gemm(
+    /// Weight/bias gradient accumulation on this backend's reduction
+    /// kernel: adds `dy_mat · col(x)^T` per batch item into `dw` `(OC,
+    /// IC, KH, KW)`, reusing the forward's im2col fill, and the
+    /// per-channel sums of `dy` into `db` `(OC)`, which may be empty to
+    /// skip the bias.
+    pub fn conv2d_backward_params(
         self,
         dy: &Tensor<F>,
         x: &Tensor<F>,
@@ -227,39 +188,7 @@ impl Device {
         dw: &mut Tensor<F>,
         db: &mut Tensor<F>,
     ) {
-        with_micro!(self, m => driver::conv2d_backward_params_gemm(m, dy, x, pad, dw, db))
-    }
-
-    /// Non-overlapping max pool; `record` receives `(output index, flat
-    /// input argmax)` per output element. Memory-bound — shared scalar
-    /// implementation, bitwise identical across backends.
-    pub fn max_pool2d_forward(
-        self,
-        x: &Tensor<F>,
-        pool_h: usize,
-        pool_w: usize,
-        record: impl FnMut(usize, usize),
-    ) -> Tensor<F> {
-        cpu_scalar::max_pool2d_forward(x, pool_h, pool_w, record)
-    }
-
-    /// Non-overlapping average pool. Memory-bound — shared scalar
-    /// implementation, bitwise identical across backends.
-    pub fn avg_pool2d_forward(self, x: &Tensor<F>, pool_h: usize, pool_w: usize) -> Tensor<F> {
-        cpu_scalar::avg_pool2d_forward(x, pool_h, pool_w)
-    }
-
-    /// Softmax across everything but the batch axis. Exp/renormalize is
-    /// latency-bound on `exp` — shared scalar implementation, bitwise
-    /// identical across backends.
-    pub fn spatial_softmax_forward(self, x: &Tensor<F>) -> Tensor<F> {
-        cpu_scalar::spatial_softmax_forward(x)
-    }
-
-    /// Softmax backward against the cached forward output `y`. Shared
-    /// scalar implementation, bitwise identical across backends.
-    pub fn spatial_softmax_backward(self, y: &Tensor<F>, grad_out: &Tensor<F>) -> Tensor<F> {
-        cpu_scalar::spatial_softmax_backward(y, grad_out)
+        with_micro!(self, m => driver::conv2d_backward_params(m, dy, x, pad, dw, db))
     }
 }
 

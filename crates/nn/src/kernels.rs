@@ -8,29 +8,25 @@
 //!
 //! The kernel *bodies* and their entry points live in [`crate::device`]:
 //! the backend-generic GEMM driver in [`crate::device::driver`], the
-//! scalar reference implementations in [`crate::device::cpu_scalar`],
-//! and the AVX2+FMA and AVX-512 micro-kernels in
-//! [`crate::device::cpu_simd`]. Every caller, the scalar reference
-//! included, goes through a [`crate::device::Device`] method. This
-//! module keeps what is backend-independent — tiling constants, the
-//! dispatch threshold, the im2col fill, weight packing.
+//! scalar micro-kernel and the reference loop nest in
+//! [`crate::device::cpu_scalar`], and the AVX2+FMA and AVX-512
+//! micro-kernels in [`crate::device::cpu_simd`]. This module keeps what
+//! is backend-independent — tiling constants, the im2col fill, weight
+//! packing, the deconv flip-transpose.
 //!
-//! Two forward implementations, equivalent within float tolerance
-//! (proptest-verified in `tests/kernel_equivalence.rs`):
-//!
-//! * [`Device::conv2d_forward`] — direct 7-loop convolution. The
-//!   numerical reference, and the path below [`GEMM_THRESHOLD`] output
-//!   pixels where im2col overhead dominates.
-//! * [`Device::conv2d_forward_packed`] — im2col + register-tiled,
-//!   cache-blocked micro-kernel (see [`MR`]/[`NR`]/[`NC`]) over weight
-//!   A-panels packed into the k-major, [`MR`]-row layout the
-//!   micro-kernel consumes (see [`pack_weight_panels`]); the production
-//!   path. Frozen models (`crate::packed::PackedConvWeights`) pack at
-//!   construction and serve every call from the shared panels; the
-//!   mutable layers pack into pooled scratch once per call
-//!   ([`Device::conv2d_forward_percall`]). Either way the driver reads
-//!   the same panels, so training `forward` and frozen `infer` agree
-//!   bitwise on a backend.
+//! One conv path, at every extent: im2col + register-tiled,
+//! cache-blocked micro-kernel (see [`MR`]/[`NR`]/[`NC`]) over weight
+//! A-panels packed into the k-major, [`MR`]-row layout the micro-kernel
+//! consumes (see [`pack_weight_panels`]), entered through
+//! [`Device::conv2d_forward_packed`]. Frozen models
+//! (`crate::packed::PackedConvWeights`) pack at construction and serve
+//! every call from the shared panels; the mutable layers pack into
+//! pooled scratch once per call ([`Device::conv2d_forward_percall`]).
+//! Either way the driver reads the same panels, so training `forward`
+//! and frozen `infer` agree bitwise on a backend. The direct loop nest
+//! ([`conv2d_forward_direct`]) is the numerical reference the driver is
+//! held to within float tolerance (proptest-verified in
+//! `tests/kernel_equivalence.rs`); no layer runs it.
 //!
 //! Memory discipline: every scratch buffer (im2col panels, per-call
 //! weight panels) and every output tensor comes from
@@ -39,9 +35,9 @@
 //! `no-alloc-in-hot-path` repo lint rule and asserted end-to-end by
 //! `crates/core/tests/zero_alloc.rs`).
 //!
-//! [`Device::conv2d_forward`]: crate::device::Device::conv2d_forward
 //! [`Device::conv2d_forward_packed`]: crate::device::Device::conv2d_forward_packed
 //! [`Device::conv2d_forward_percall`]: crate::device::Device::conv2d_forward_percall
+//! [`conv2d_forward_direct`]: crate::device::cpu_scalar::conv2d_forward_direct
 
 use adarnet_tensor::{Shape, Tensor};
 
@@ -51,33 +47,6 @@ use crate::F;
 #[inline]
 pub fn conv_out_extent(in_extent: usize, k: usize, pad: usize) -> usize {
     in_extent + 2 * pad + 1 - k
-}
-
-/// Output-pixel count at or above which [`crate::Conv2d`],
-/// [`crate::ConvTranspose2d`] and their frozen twin run the packed GEMM
-/// driver; below it they run the direct loop nest.
-///
-/// Calibrated from `BENCH_kernels.json` (`cargo run --release -p
-/// adarnet-bench --bin kernels`) over the paper's shapes — 16×16
-/// patches at bin 0..3 refinement (output extents 16/32/64/128) across
-/// decoder channel widths 8/16/64 — plus a sub-paper crossover probe
-/// (`sub0_*` rows) at 2/4/8 px per side: every paper shape, bin 0
-/// included, runs ~10× faster through the GEMM than through the direct
-/// loop nest at 256 px, and the direct path only wins below the
-/// probe's 4×4 = 16 px row, where im2col + panel dispatch overhead
-/// exceeds the compute.
-///
-/// So 16 routes everything the model actually decodes — bins 0–3 and
-/// the full-field scorer — to the GEMM while keeping the direct loop
-/// nest for degenerate sub-16-pixel fields.
-/// `kernels::tests::threshold_splits_paper_shapes` pins this routing.
-pub const GEMM_THRESHOLD: usize = 16;
-
-/// The forward dispatch decision, made in one place for the mutable
-/// layers and their frozen twin: whether a `kh × kw` convolution of `x`
-/// at `pad` yields at least [`GEMM_THRESHOLD`] output pixels.
-pub(crate) fn runs_gemm(x: &Tensor<F>, kh: usize, kw: usize, pad: usize) -> bool {
-    conv_out_extent(x.dim(2), kh, pad) * conv_out_extent(x.dim(3), kw, pad) >= GEMM_THRESHOLD
 }
 
 /// Register-tile rows: output channels accumulated simultaneously, and
@@ -241,6 +210,7 @@ pub fn flip_transpose_weights(w: &Tensor<F>) -> Tensor<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::cpu_scalar::conv2d_forward_direct as reference;
     use crate::device::Device;
 
     fn seq_tensor(shape: Shape) -> Tensor<F> {
@@ -261,7 +231,7 @@ mod tests {
         for c in 0..3 {
             w.set4(c, c, 0, 0, 1.0);
         }
-        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
+        let y = reference(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
         assert_eq!(y, x);
         let yp = packed(&x, &w, &Tensor::zeros(Shape::d1(0)), 0);
         assert_eq!(yp, x);
@@ -271,7 +241,7 @@ mod tests {
     fn same_padding_preserves_extent() {
         let x = seq_tensor(Shape::d4(1, 4, 16, 16));
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
-        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(8)), 1);
+        let y = reference(&x, &w, &Tensor::zeros(Shape::d1(8)), 1);
         assert_eq!(y.shape(), &Shape::d4(1, 8, 16, 16));
     }
 
@@ -280,11 +250,13 @@ mod tests {
         // Single channel, all-ones 3x3 kernel: interior output = 3x3 window sum.
         let x = Tensor::from_fn_2d(4, 4, |y, x| (y * 4 + x) as F).reshape(Shape::d4(1, 1, 4, 4));
         let w = Tensor::full(Shape::d4(1, 1, 3, 3), 1.0f32);
-        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), 1);
-        // Interior point (1,1): sum of x[0..3, 0..3] = 0+1+2+4+5+6+8+9+10 = 45.
-        assert_eq!(y.get4(0, 0, 1, 1), 45.0);
-        // Corner (0,0): sum of x[0..2, 0..2] = 0+1+4+5 = 10 (zero padding).
-        assert_eq!(y.get4(0, 0, 0, 0), 10.0);
+        let none = Tensor::zeros(Shape::d1(0));
+        for y in [reference(&x, &w, &none, 1), packed(&x, &w, &none, 1)] {
+            // Interior point (1,1): sum of x[0..3, 0..3] = 0+1+2+4+5+6+8+9+10 = 45.
+            assert_eq!(y.get4(0, 0, 1, 1), 45.0);
+            // Corner (0,0): sum of x[0..2, 0..2] = 0+1+4+5 = 10 (zero padding).
+            assert_eq!(y.get4(0, 0, 0, 0), 10.0);
+        }
     }
 
     #[test]
@@ -292,26 +264,33 @@ mod tests {
         let x = Tensor::<F>::zeros(Shape::d4(1, 1, 2, 2));
         let w = Tensor::<F>::zeros(Shape::d4(2, 1, 3, 3));
         let b = Tensor::from_vec(Shape::d1(2), vec![1.5, -2.0]);
-        let y = Device::CpuScalar.conv2d_forward(&x, &w, &b, 1);
-        assert_eq!(y.get4(0, 0, 1, 1), 1.5);
-        assert_eq!(y.get4(0, 1, 0, 0), -2.0);
+        for y in [reference(&x, &w, &b, 1), packed(&x, &w, &b, 1)] {
+            assert_eq!(y.get4(0, 0, 1, 1), 1.5);
+            assert_eq!(y.get4(0, 1, 0, 0), -2.0);
+        }
     }
 
-    /// The adjoint test: for linear op A, <A x, y> == <x, A^T y> for all x, y.
+    /// The adjoint test: for linear op A, <A x, y> == <x, A^T y> for all
+    /// x, y. A is the reference forward; A^T is what the layers' backward
+    /// runs, the packed GEMM over the flip-transposed weights (the
+    /// deconvolution identity), on a sub-tile field and a ragged one.
     #[test]
     fn backward_input_is_adjoint_of_forward() {
-        let x = seq_tensor(Shape::d4(2, 3, 6, 5));
-        let w = seq_tensor(Shape::d4(4, 3, 3, 3));
-        let pad = 1;
-        let y = Device::CpuScalar.conv2d_forward(&x, &w, &Tensor::zeros(Shape::d1(0)), pad);
-        let dy = seq_tensor(y.shape().clone());
-        let dx = Device::CpuScalar.conv2d_backward_input(&dy, &w, 6, 5, pad);
-        let lhs = y.dot(&dy);
-        let rhs = x.dot(&dx);
-        assert!(
-            (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
-            "adjoint mismatch: {lhs} vs {rhs}"
-        );
+        for (n, h, wd) in [(1usize, 3usize, 3usize), (2, 6, 5)] {
+            let x = seq_tensor(Shape::d4(n, 3, h, wd));
+            let w = seq_tensor(Shape::d4(4, 3, 3, 3));
+            let none = Tensor::zeros(Shape::d1(0));
+            let y = reference(&x, &w, &none, 1);
+            let dy = seq_tensor(y.shape().clone());
+            let dx = packed(&dy, &flip_transpose_weights(&w), &none, 1);
+            assert_eq!(dx.shape(), x.shape());
+            let lhs = y.dot(&dy);
+            let rhs = x.dot(&dx);
+            assert!(
+                (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
+                "adjoint mismatch at {h}x{wd}: {lhs} vs {rhs}"
+            );
+        }
     }
 
     #[test]
@@ -321,7 +300,7 @@ mod tests {
         let b = Tensor::<F>::zeros(Shape::d1(2));
         let pad = 1;
         // Loss = sum(y); so dy = ones.
-        let y = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad);
+        let y = reference(&x, &w, &b, pad);
         let dy = Tensor::full(y.shape().clone(), 1.0f32);
         let mut dw = Tensor::zeros(w.shape().clone());
         let mut db = Tensor::zeros(Shape::d1(2));
@@ -331,9 +310,9 @@ mod tests {
         for idx in [0usize, 7, 17, 35] {
             let orig = w.as_slice()[idx];
             w.as_mut_slice()[idx] = orig + eps;
-            let lp = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad).sum();
+            let lp = reference(&x, &w, &b, pad).sum();
             w.as_mut_slice()[idx] = orig - eps;
-            let lm = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad).sum();
+            let lm = reference(&x, &w, &b, pad).sum();
             w.as_mut_slice()[idx] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let ana = dw.as_slice()[idx];
@@ -365,7 +344,7 @@ mod tests {
             let x = seq_tensor(Shape::d4(n, ic, h, wd));
             let w = seq_tensor(Shape::d4(oc, ic, k, k));
             let b = seq_tensor(Shape::d1(oc));
-            let direct = Device::CpuScalar.conv2d_forward(&x, &w, &b, pad);
+            let direct = reference(&x, &w, &b, pad);
             let gemm = packed(&x, &w, &b, pad);
             assert_eq!(direct.shape(), gemm.shape());
             for (a, g) in direct.as_slice().iter().zip(gemm.as_slice()) {
@@ -374,61 +353,6 @@ mod tests {
                     "packed mismatch: {a} vs {g} (cfg {n},{ic},{oc},{h},{wd},{k},{pad})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn threshold_splits_paper_shapes() {
-        // Decoder patch extents per bin: 16 << level, level 0..=3. The
-        // bench-derived routing: every paper shape — bin 0's 16x16
-        // patches through bin 3 and the full-field scorer (64x256) —
-        // goes to the GEMM, while the threshold still leaves the direct
-        // loop nest reachable for degenerate sub-16-pixel fields, so
-        // both dispatch arms stay exercised.
-        let extents: Vec<usize> = (0..4).map(|lvl| 16usize << lvl).collect();
-        for &e in &extents {
-            assert!(e * e >= GEMM_THRESHOLD, "bin {e}px -> gemm");
-        }
-        let (scorer_h, scorer_w) = (64usize, 256usize);
-        assert!(scorer_h * scorer_w >= GEMM_THRESHOLD, "scorer -> gemm");
-        let degenerate = extents[0] / 8; // 2x2 field, below any paper shape
-        assert!(
-            degenerate * degenerate < GEMM_THRESHOLD,
-            "degenerate fields -> direct"
-        );
-    }
-
-    #[test]
-    fn params_gemm_matches_direct() {
-        let x = seq_tensor(Shape::d4(2, 3, 6, 5));
-        let w_shape = Shape::d4(4, 3, 3, 3);
-        let dy = seq_tensor(Shape::d4(2, 4, 6, 5));
-        let mut dw_a = Tensor::<F>::zeros(w_shape.clone());
-        let mut db_a = Tensor::<F>::zeros(Shape::d1(4));
-        Device::CpuScalar.conv2d_backward_params(&dy, &x, 1, &mut dw_a, &mut db_a);
-        let mut dw_b = Tensor::<F>::zeros(w_shape);
-        let mut db_b = Tensor::<F>::zeros(Shape::d1(4));
-        Device::CpuScalar.conv2d_backward_params_gemm(&dy, &x, 1, &mut dw_b, &mut db_b);
-        for (a, b) in dw_a.as_slice().iter().zip(dw_b.as_slice()) {
-            assert!((a - b).abs() < 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-        assert_eq!(db_a, db_b);
-    }
-
-    #[test]
-    fn dx_equals_conv_with_flipped_weights_same_pad() {
-        // The deconvolution identity used by the layers' fast backward.
-        let w = seq_tensor(Shape::d4(4, 3, 3, 3));
-        let dy = seq_tensor(Shape::d4(1, 4, 7, 6));
-        let direct = Device::CpuScalar.conv2d_backward_input(&dy, &w, 7, 6, 1);
-        let via_conv = Device::CpuScalar.conv2d_forward(
-            &dy,
-            &flip_transpose_weights(&w),
-            &Tensor::zeros(Shape::d1(0)),
-            1,
-        );
-        for (a, b) in direct.as_slice().iter().zip(via_conv.as_slice()) {
-            assert!((a - b).abs() < 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
         }
     }
 

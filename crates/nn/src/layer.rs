@@ -35,7 +35,7 @@ pub trait InferLayer: Send + Sync {
 
     /// Resident bytes of frozen weight data (including packed panels).
     /// Zero for weightless layers; feeds the `engine_weight_bytes`
-    /// gauge and the serve bench's `weight_bytes_resident` column.
+    /// gauge, which `serve stats` prints.
     fn weight_bytes(&self) -> usize {
         0
     }

@@ -1,9 +1,10 @@
 //! Pre-packed, frozen convolution weights for `&self` inference.
 //!
-//! [`PackedConvWeights`] owns a frozen conv weight: the conv-layout
-//! tensor (kept for the direct small-shape path) plus its GEMM A-panels
+//! [`PackedConvWeights`] owns a frozen conv weight: its GEMM A-panels
 //! packed once (see [`crate::kernels::pack_weight_panels`]) into the
-//! k-major, `MR`-blocked layout the micro-kernel consumes.
+//! k-major, `MR`-blocked layout the micro-kernel consumes, the bias,
+//! and the conv-layout dims. No unpacked copy is kept: the one conv
+//! path reads panels only.
 //! Bitwise-identical to the source layer's training `forward`, which
 //! packs the same panels per call.
 //!
@@ -16,20 +17,18 @@
 use adarnet_tensor::{AlignedBuf, Tensor};
 
 use crate::device::Device;
-use crate::kernels::{
-    flip_transpose_weights, pack_weight_panels, packed_panels_len, runs_gemm, PackedPanels,
-};
+use crate::kernels::{flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels};
 use crate::{InferLayer, F};
 
 /// A conv weight frozen for inference.
 pub struct PackedConvWeights {
-    /// Conv layout `(OC, IC, KH, KW)`, for the direct path.
-    weight: Tensor<F>,
     /// Pre-packed A-panels, `packed_panels_len(oc, ic*kh*kw)` floats,
     /// aligned for the SIMD micro-kernel's panel reads.
     packed: AlignedBuf,
     bias: Tensor<F>,
     pad: usize,
+    /// Conv-layout dims `(OC, IC, KH, KW)` of the packed weight.
+    dims: [usize; 4],
     /// Compute backend the frozen forward runs on, captured at freeze
     /// time from the source layer.
     device: Device,
@@ -51,10 +50,10 @@ impl PackedConvWeights {
         packed.resize(packed_panels_len(oc, k_len));
         pack_weight_panels(weight.as_slice(), oc, k_len, packed.as_mut_slice());
         PackedConvWeights {
-            weight: weight.clone(),
             packed,
             bias: bias.clone(),
             pad,
+            dims: [oc, ic, kh, kw],
             device,
         }
     }
@@ -81,41 +80,34 @@ impl PackedConvWeights {
 
     /// Input channel count (conv-layout axis 1).
     pub fn in_channels(&self) -> usize {
-        self.weight.dim(1)
+        self.dims[1]
     }
 
     /// Output channel count (conv-layout axis 0).
     pub fn out_channels(&self) -> usize {
-        self.weight.dim(0)
+        self.dims[0]
     }
 
-    /// Resident bytes of the weight storage: the unpacked copy, the
-    /// packed panels and the bias.
+    /// Resident bytes of the weight storage: the packed panels and the
+    /// bias.
     pub fn weight_bytes(&self) -> usize {
-        (self.weight.len() + self.packed.len() + self.bias.len()) * std::mem::size_of::<F>()
+        (self.packed.len() + self.bias.len()) * std::mem::size_of::<F>()
     }
 
-    /// Forward pass, with the exact dispatch of [`crate::Conv2d`]'s
-    /// training forward: the packed GEMM driver at or above
-    /// [`crate::kernels::GEMM_THRESHOLD`] output pixels, the direct
-    /// loop nest below it — bitwise-identical to the mutable layer on
-    /// the same backend.
+    /// Forward pass: the packed GEMM driver over the frozen panels,
+    /// bitwise-identical to [`crate::Conv2d`]'s training forward on the
+    /// same backend, which packs the same panels per call.
     pub fn forward(&self, x: &Tensor<F>) -> Tensor<F> {
-        let (kh, kw) = (self.weight.dim(2), self.weight.dim(3));
-        if runs_gemm(x, kh, kw, self.pad) {
-            let view = PackedPanels {
-                data: &self.packed,
-                oc: self.weight.dim(0),
-                ic: self.weight.dim(1),
-                kh,
-                kw,
-            };
-            self.device
-                .conv2d_forward_packed(x, view, &self.bias, self.pad)
-        } else {
-            self.device
-                .conv2d_forward(x, &self.weight, &self.bias, self.pad)
-        }
+        let [oc, ic, kh, kw] = self.dims;
+        let view = PackedPanels {
+            data: &self.packed,
+            oc,
+            ic,
+            kh,
+            kw,
+        };
+        self.device
+            .conv2d_forward_packed(x, view, &self.bias, self.pad)
     }
 }
 
@@ -179,35 +171,17 @@ mod tests {
     }
 
     #[test]
-    fn weight_bytes_counts_both_copies() {
+    fn weight_bytes_counts_panels_and_bias() {
+        // 8 output channels fill two MR-row blocks exactly, so the panels
+        // are as long as the weight.
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
         let b = seq_tensor(Shape::d1(8));
         let p = PackedConvWeights::from_conv_weight(Device::detect(), &w, &b, 1);
-        let expect = (8 * 4 * 9 + 8 + packed_panels_len(8, 36)) * 4;
-        assert_eq!(p.weight_bytes(), expect);
-    }
-
-    #[test]
-    fn packed_forward_dispatches_on_the_gemm_threshold() {
-        // Compare against the same backend the frozen weights captured:
-        // the dispatch contract is bitwise equality per backend.
-        let dev = Device::detect();
-        let w = seq_tensor(Shape::d4(3, 2, 3, 3));
-        let b = seq_tensor(Shape::d1(3));
-        let p = PackedConvWeights::from_conv_weight(dev, &w, &b, 1);
-        // 3x3 input -> 9 px: below GEMM_THRESHOLD, direct path.
-        let small = seq_tensor(Shape::d4(1, 2, 3, 3));
-        assert_eq!(
-            p.forward(&small),
-            dev.conv2d_forward(&small, &w, &b, 1),
-            "direct dispatch"
-        );
-        // 4x4 input -> 16 px: the first GEMM extent.
-        let edge = seq_tensor(Shape::d4(1, 2, 4, 4));
-        assert_eq!(
-            p.forward(&edge),
-            dev.conv2d_forward_percall(&edge, &w, &b, 1),
-            "packed dispatch"
-        );
+        assert_eq!(p.weight_bytes(), (8 * 4 * 9 + 8) * 4);
+        // One output channel (the scorer's last conv) pads to a 4-row block.
+        let w = seq_tensor(Shape::d4(1, 16, 3, 3));
+        let b = seq_tensor(Shape::d1(1));
+        let p = PackedConvWeights::from_conv_weight(Device::detect(), &w, &b, 1);
+        assert_eq!(p.weight_bytes(), (4 * 16 * 9 + 1) * 4);
     }
 }

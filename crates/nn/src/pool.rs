@@ -5,10 +5,15 @@
 //! image into one non-normalized score per patch. The paper motivates max
 //! over average pooling as the conservative choice: an entire patch shares
 //! one resolution, so the highest required score in the patch should win.
+//!
+//! Pooling is memory-bound, so it is not a [`crate::Device`] op: every
+//! layer here calls one scalar body in [`crate::device::cpu_scalar`]
+//! whatever the backend, and the frozen twins hold only the pool
+//! extents.
 
 use adarnet_tensor::{Shape, Tensor};
 
-use crate::device::Device;
+use crate::device::cpu_scalar::{avg_pool2d_forward, max_pool2d_forward};
 use crate::{InferLayer, Layer, F};
 
 /// Non-overlapping 2-D max pooling.
@@ -18,10 +23,6 @@ pub struct MaxPool2d {
     /// Flat argmax index into the input buffer per output element.
     cached_argmax: Option<Vec<usize>>,
     cached_in_shape: Option<Shape>,
-    /// Compute backend. Pooling is memory-bound and shared across
-    /// backends ([`Device::max_pool2d_forward`]), so this only selects
-    /// where the call routes — outputs are bitwise identical.
-    device: Device,
 }
 
 impl MaxPool2d {
@@ -33,16 +34,7 @@ impl MaxPool2d {
             pool_w,
             cached_argmax: None,
             cached_in_shape: None,
-            device: Device::detect(),
         }
-    }
-
-    /// Shared max-pool compute into a pool-backed output; `record` is
-    /// called with `(output index, flat input argmax)` for each output
-    /// element (a no-op closure on the inference path).
-    fn run_forward(&self, x: &Tensor<F>, record: impl FnMut(usize, usize)) -> Tensor<F> {
-        self.device
-            .max_pool2d_forward(x, self.pool_h, self.pool_w, record)
     }
 }
 
@@ -59,20 +51,19 @@ impl Layer for MaxPool2d {
         let mut argmax = self.cached_argmax.take().unwrap_or_default();
         argmax.clear();
         argmax.resize(out_len, 0);
-        let y = self.run_forward(x, |oidx, best_idx| argmax[oidx] = best_idx);
+        let y = max_pool2d_forward(x, self.pool_h, self.pool_w, |oidx, best_idx| {
+            argmax[oidx] = best_idx
+        });
         self.cached_argmax = Some(argmax);
         self.cached_in_shape = Some(x.shape().clone());
         y
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        let mut inner = MaxPool2d::new(self.pool_h, self.pool_w);
-        inner.device = self.device;
-        Box::new(FrozenMaxPool2d { inner })
-    }
-
-    fn set_device(&mut self, device: Device) {
-        self.device = device;
+        Box::new(FrozenMaxPool2d {
+            pool_h: self.pool_h,
+            pool_w: self.pool_w,
+        })
     }
 
     #[expect(
@@ -99,22 +90,20 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Frozen max pool: stateless wrapper over the shared compute with a
+/// Frozen max pool: the pool extents over the shared compute, with a
 /// no-op argmax recorder.
 pub struct FrozenMaxPool2d {
-    inner: MaxPool2d,
+    pool_h: usize,
+    pool_w: usize,
 }
 
 impl InferLayer for FrozenMaxPool2d {
     fn name(&self) -> String {
-        format!(
-            "FrozenMaxPool2d({}x{})",
-            self.inner.pool_h, self.inner.pool_w
-        )
+        format!("FrozenMaxPool2d({}x{})", self.pool_h, self.pool_w)
     }
 
     fn infer(&self, x: &Tensor<F>) -> Tensor<F> {
-        self.inner.run_forward(x, |_, _| {})
+        max_pool2d_forward(x, self.pool_h, self.pool_w, |_, _| {})
     }
 }
 
@@ -128,8 +117,6 @@ pub struct AvgPool2d {
     pool_h: usize,
     pool_w: usize,
     cached_in_shape: Option<Shape>,
-    /// Compute backend; same routing-only role as `MaxPool2d`'s.
-    device: Device,
 }
 
 impl AvgPool2d {
@@ -141,15 +128,7 @@ impl AvgPool2d {
             pool_h,
             pool_w,
             cached_in_shape: None,
-            device: Device::detect(),
         }
-    }
-}
-
-impl AvgPool2d {
-    /// Shared average-pool compute into a pool-backed output.
-    fn run_forward(&self, x: &Tensor<F>) -> Tensor<F> {
-        self.device.avg_pool2d_forward(x, self.pool_h, self.pool_w)
     }
 }
 
@@ -159,19 +138,16 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let y = self.run_forward(x);
+        let y = avg_pool2d_forward(x, self.pool_h, self.pool_w);
         self.cached_in_shape = Some(x.shape().clone());
         y
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        let mut inner = AvgPool2d::new(self.pool_h, self.pool_w);
-        inner.device = self.device;
-        Box::new(FrozenAvgPool2d { inner })
-    }
-
-    fn set_device(&mut self, device: Device) {
-        self.device = device;
+        Box::new(FrozenAvgPool2d {
+            pool_h: self.pool_h,
+            pool_w: self.pool_w,
+        })
     }
 
     #[expect(
@@ -215,21 +191,19 @@ impl Layer for AvgPool2d {
     }
 }
 
-/// Frozen average pool: stateless wrapper over the shared compute.
+/// Frozen average pool: the pool extents over the shared compute.
 pub struct FrozenAvgPool2d {
-    inner: AvgPool2d,
+    pool_h: usize,
+    pool_w: usize,
 }
 
 impl InferLayer for FrozenAvgPool2d {
     fn name(&self) -> String {
-        format!(
-            "FrozenAvgPool2d({}x{})",
-            self.inner.pool_h, self.inner.pool_w
-        )
+        format!("FrozenAvgPool2d({}x{})", self.pool_h, self.pool_w)
     }
 
     fn infer(&self, x: &Tensor<F>) -> Tensor<F> {
-        self.inner.run_forward(x)
+        avg_pool2d_forward(x, self.pool_h, self.pool_w)
     }
 }
 

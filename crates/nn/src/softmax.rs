@@ -3,19 +3,19 @@
 //! The scorer's final layer (§3.1): normalizes the per-patch scores of one
 //! sample into a 0-1 probability distribution across all patches. Channels
 //! and spatial positions are flattened together per batch item.
+//!
+//! Softmax is latency-bound on `exp`, not arithmetic-bound, so it is not
+//! a [`crate::Device`] op: the layer and its frozen twin call one scalar
+//! body in [`crate::device::cpu_scalar`] whatever the backend.
 
 use adarnet_tensor::Tensor;
 
-use crate::device::Device;
+use crate::device::cpu_scalar::{spatial_softmax_backward, spatial_softmax_forward};
 use crate::{InferLayer, Layer, F};
 
 /// Softmax across everything but the batch axis.
 pub struct SpatialSoftmax {
     cached_output: Option<Tensor<F>>,
-    /// Compute backend. Softmax is `exp`-latency-bound and shared
-    /// across backends ([`Device::spatial_softmax_forward`]): outputs
-    /// are bitwise identical whichever backend is selected.
-    device: Device,
 }
 
 impl SpatialSoftmax {
@@ -23,16 +23,15 @@ impl SpatialSoftmax {
     pub fn new() -> Self {
         SpatialSoftmax {
             cached_output: None,
-            device: Device::detect(),
         }
     }
+}
 
-    /// Shared forward compute into a pool-backed output.
-    fn run_forward(&self, x: &Tensor<F>) -> Tensor<F> {
-        let y = self.device.spatial_softmax_forward(x);
-        crate::finite::debug_guard_finite("SpatialSoftmax", x, &y);
-        y
-    }
+/// Shared forward compute into a pool-backed output, finite-guarded.
+fn run_forward(x: &Tensor<F>) -> Tensor<F> {
+    let y = spatial_softmax_forward(x);
+    crate::finite::debug_guard_finite("SpatialSoftmax", x, &y);
+    y
 }
 
 impl Default for SpatialSoftmax {
@@ -47,7 +46,7 @@ impl Layer for SpatialSoftmax {
     }
 
     fn forward(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let y = self.run_forward(x);
+        let y = run_forward(x);
         if let Some(old) = self.cached_output.take() {
             old.recycle();
         }
@@ -56,13 +55,7 @@ impl Layer for SpatialSoftmax {
     }
 
     fn freeze(&self) -> Box<dyn InferLayer> {
-        let mut inner = SpatialSoftmax::new();
-        inner.device = self.device;
-        Box::new(FrozenSpatialSoftmax { inner })
-    }
-
-    fn set_device(&mut self, device: Device) {
-        self.device = device;
+        Box::new(FrozenSpatialSoftmax)
     }
 
     #[expect(
@@ -74,14 +67,12 @@ impl Layer for SpatialSoftmax {
             .cached_output
             .as_ref()
             .expect("SpatialSoftmax::backward called before forward");
-        self.device.spatial_softmax_backward(y, grad_out)
+        spatial_softmax_backward(y, grad_out)
     }
 }
 
-/// Frozen spatial softmax: stateless wrapper over the shared compute.
-pub struct FrozenSpatialSoftmax {
-    inner: SpatialSoftmax,
-}
+/// Frozen spatial softmax: stateless, over the shared compute.
+pub struct FrozenSpatialSoftmax;
 
 impl InferLayer for FrozenSpatialSoftmax {
     fn name(&self) -> String {
@@ -89,7 +80,7 @@ impl InferLayer for FrozenSpatialSoftmax {
     }
 
     fn infer(&self, x: &Tensor<F>) -> Tensor<F> {
-        self.inner.run_forward(x)
+        run_forward(x)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based equivalence suite for the convolution forward paths
 //! against the naive reference, the direct loop nest
-//! (`Device::CpuScalar.conv2d_forward`):
+//! (`cpu_scalar::conv2d_forward_direct`, which no layer runs):
 //!
 //! * the packed GEMM driver over panels packed ahead of the call (the
 //!   frozen layers' path),
@@ -12,6 +12,7 @@
 //! output channel (`oc = 1`, below the MR=4 register tile), a 1x1
 //! kernel, a single-sample batch, and non-square fields (H != W).
 
+use adarnet_nn::device::cpu_scalar::conv2d_forward_direct;
 use adarnet_nn::kernels::{pack_weight_panels, packed_panels_len, PackedPanels, MR};
 use adarnet_nn::Device;
 use adarnet_tensor::{Shape, Tensor};
@@ -62,11 +63,7 @@ fn packed_agrees(
         kw: w.dim(3),
     };
     let packed = Device::CpuScalar.conv2d_forward_packed(x, view, b, pad);
-    close(
-        "packed",
-        &Device::CpuScalar.conv2d_forward(x, w, b, pad),
-        &packed,
-    )?;
+    close("packed", &conv2d_forward_direct(x, w, b, pad), &packed)?;
     Ok(packed)
 }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the NN substrate: linearity of the linear
 //! operators, adjoint identities, and shape invariants.
 
+use adarnet_nn::device::cpu_scalar::conv2d_forward_direct;
 use adarnet_nn::kernels::{
     flip_transpose_weights, pack_weight_panels, packed_panels_len, PackedPanels,
 };
@@ -30,8 +31,8 @@ proptest! {
             (0..54).map(|i| ((i as f32) * 0.17).sin()).collect(),
         );
         let bias = Tensor::zeros(Shape::d1(0));
-        let lhs = Device::CpuScalar.conv2d_forward(&x.scale(a).add(&y), &w, &bias, 1);
-        let rhs = Device::CpuScalar.conv2d_forward(&x, &w, &bias, 1).scale(a).add(&Device::CpuScalar.conv2d_forward(&y, &w, &bias, 1));
+        let lhs = conv2d_forward_direct(&x.scale(a).add(&y), &w, &bias, 1);
+        let rhs = conv2d_forward_direct(&x, &w, &bias, 1).scale(a).add(&conv2d_forward_direct(&y, &w, &bias, 1));
         for (l, r) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((l - r).abs() < 1e-3 * (1.0 + r.abs()), "{l} vs {r}");
         }
@@ -46,7 +47,7 @@ proptest! {
             (0..54).map(|i| ((i as f32) * 0.23).cos()).collect(),
         );
         let b = Tensor::from_vec(Shape::d1(2), vec![0.1, -0.2]);
-        let d = Device::CpuScalar.conv2d_forward(&x, &w, &b, 1);
+        let d = conv2d_forward_direct(&x, &w, &b, 1);
         let g = Device::CpuScalar.conv2d_forward_percall(&x, &w, &b, 1);
         for (a, bv) in d.as_slice().iter().zip(g.as_slice()) {
             prop_assert!((a - bv).abs() < 1e-4 * (1.0 + a.abs()));

@@ -16,7 +16,9 @@
 //! Subcommand:
 //! * `serve stats` — run a short demo load against a fresh server and
 //!   print the obs registry's Prometheus-style exposition text (the
-//!   "stats endpoint" of a process with no network listener).
+//!   "stats endpoint" of a process with no network listener). Exits 1
+//!   unless the text parses back to its snapshot and carries the
+//!   `engine_weight_bytes` gauge.
 //!
 //! Environment knobs (all optional):
 //! * `ADARNET_SERVE_SCALE` — `quick` (default; 16x32 fields, 8x8
@@ -93,7 +95,23 @@ fn stats_main() {
     let pool = field_pool(4, 16, 32, 7);
     closed_loop(&server, &pool, 4, 4);
     server.shutdown();
-    print!("{}", adarnet_obs::registry().render_text());
+    let snap = adarnet_obs::registry().snapshot();
+    let text = snap.render_text();
+    print!("{text}");
+    // The text must parse back to the snapshot it was rendered from and
+    // carry the frozen model's resident weight bytes.
+    let verdict = match adarnet_obs::text::parse(&text) {
+        Err(e) => Err(format!("exposition text does not parse: {e}")),
+        Ok(back) if back != snap => Err("exposition text does not round-trip".to_string()),
+        Ok(back) => match back.gauge("engine_weight_bytes") {
+            Some(bytes) if bytes > 0.0 => Ok(()),
+            _ => Err("no engine_weight_bytes gauge".to_string()),
+        },
+    };
+    if let Err(e) = verdict {
+        eprintln!("serve stats: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {

@@ -195,7 +195,7 @@ const ZERO_LANE: Lane = Lane([0.0; LANE_FLOATS]);
 
 /// A pool-managed `f32` buffer whose storage is 64-byte aligned, for
 /// SIMD kernels whose vector loads must never split a cache line
-/// (DESIGN.md §15). Dereferences to `[f32]` like the plain pooled
+/// (DESIGN.md §10.6). Dereferences to `[f32]` like the plain pooled
 /// `Vec<f32>` buffers.
 ///
 /// Why a dedicated type: over-aligning a `Vec<f32>` directly is

@@ -129,6 +129,11 @@ echo "==> serve smoke (the closed-loop generator, in process)"
 # in-process half of the one load generator, whose TCP half the net
 # smoke below runs. Timings gate nothing.
 ADARNET_SERVE_REQUESTS=1 ADARNET_SERVE_OUT=target/ci-serve.json cargo run --release -q -p adarnet-serve --bin serve
+# The README's "Observing a running server" command: exits 1 unless
+# its exposition text round-trips the parser and carries
+# engine_weight_bytes. The text itself goes to a file (a pipe into
+# head would kill the bin mid-run).
+cargo run --release -q -p adarnet-serve --bin serve stats > target/ci-serve-stats.txt
 
 echo "==> net smoke (loopback TCP end-to-end)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
