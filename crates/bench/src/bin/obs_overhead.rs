@@ -23,8 +23,7 @@
 //! ```
 //!
 //! `--smoke` shrinks reps/batch for the SKIP_SLOW CI budget. The gate
-//! threshold is 3% (`ADARNET_OBS_GATE_PCT` overrides — CI machines
-//! with noisy neighbors may need headroom).
+//! threshold is a fixed 3%.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -72,10 +71,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let gate = args.iter().any(|a| a == "--gate");
-    let threshold_pct: f64 = std::env::var("ADARNET_OBS_GATE_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
+    let threshold_pct = 3.0;
 
     let (h, w, batch, reps, inner) = if smoke {
         (16, 32, 2, 5, 3)

@@ -57,6 +57,6 @@ pub use loss::{hybrid_loss_and_grad, LossConfig, NormStats, PatchLoss};
 pub use network::{AdarNet, AdarNetConfig, ForwardPlan, FrozenAdarNet, Prediction};
 pub use precision::{Precision, PRECISION_COUNT};
 pub use ranker::{Binning, Ranker, RankerError};
-pub use scorer::{FrozenScorer, PoolKind, Scorer, ScorerOutput};
+pub use scorer::{FrozenScorer, Scorer, ScorerOutput};
 pub use surfnet::SurfNet;
 pub use trainer::{PassStats, Trainer, TrainerConfig};

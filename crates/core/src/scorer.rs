@@ -13,43 +13,9 @@
 //! (Figure 3) — gradient arrives via [`Scorer::backward_latent`].
 
 use adarnet_nn::{
-    Activation, AvgPool2d, Conv2d, Device, InferLayer, Initializer, Layer, MaxPool2d,
-    SpatialSoftmax,
+    Activation, Conv2d, Device, InferLayer, Initializer, Layer, MaxPool2d, SpatialSoftmax,
 };
 use adarnet_tensor::Tensor;
-
-/// Which pooling collapses the latent image into per-patch scores.
-///
-/// The paper chooses max pooling as the conservative option (§5.1); the
-/// average variant exists for the corresponding ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolKind {
-    /// Max pooling (the paper's choice).
-    #[default]
-    Max,
-    /// Average pooling (ablation).
-    Avg,
-}
-
-enum ScorerPool {
-    Max(MaxPool2d),
-    Avg(AvgPool2d),
-}
-
-impl ScorerPool {
-    fn forward(&mut self, x: &Tensor<f32>) -> Tensor<f32> {
-        match self {
-            ScorerPool::Max(l) => l.forward(x),
-            ScorerPool::Avg(l) => l.forward(x),
-        }
-    }
-    fn backward(&mut self, g: &Tensor<f32>) -> Tensor<f32> {
-        match self {
-            ScorerPool::Max(l) => l.backward(g),
-            ScorerPool::Avg(l) => l.backward(g),
-        }
-    }
-}
 
 /// The scorer: 4 convs -> (latent, pool+softmax scores).
 pub struct Scorer {
@@ -60,7 +26,7 @@ pub struct Scorer {
     conv3: Conv2d,
     act3: Activation,
     conv4: Conv2d,
-    pool: ScorerPool,
+    pool: MaxPool2d,
     softmax: SpatialSoftmax,
 }
 
@@ -76,18 +42,6 @@ impl Scorer {
     /// Build a scorer for `in_channels`-channel inputs and `ph x pw`
     /// patches, with the paper's max pooling.
     pub fn new(in_channels: usize, ph: usize, pw: usize, seed: u64) -> Scorer {
-        Self::with_pooling(in_channels, ph, pw, seed, PoolKind::Max)
-    }
-
-    /// Build a scorer with an explicit pooling choice (for the max-vs-avg
-    /// ablation).
-    pub fn with_pooling(
-        in_channels: usize,
-        ph: usize,
-        pw: usize,
-        seed: u64,
-        pooling: PoolKind,
-    ) -> Scorer {
         Scorer {
             conv1: Conv2d::new(in_channels, 8, 3, Initializer::HeNormal, seed),
             act1: Activation::relu(),
@@ -96,10 +50,7 @@ impl Scorer {
             conv3: Conv2d::new(16, 16, 3, Initializer::HeNormal, seed + 2),
             act3: Activation::relu(),
             conv4: Conv2d::new(16, 1, 3, Initializer::XavierUniform, seed + 3),
-            pool: match pooling {
-                PoolKind::Max => ScorerPool::Max(MaxPool2d::new(ph, pw)),
-                PoolKind::Avg => ScorerPool::Avg(AvgPool2d::new(ph, pw)),
-            },
+            pool: MaxPool2d::new(ph, pw),
             softmax: SpatialSoftmax::new(),
         }
     }
@@ -151,10 +102,7 @@ impl Scorer {
             conv3: self.conv3.freeze(),
             act3: self.act3.freeze(),
             conv4: self.conv4.freeze(),
-            pool: match &self.pool {
-                ScorerPool::Max(l) => l.freeze(),
-                ScorerPool::Avg(l) => l.freeze(),
-            },
+            pool: self.pool.freeze(),
             softmax: self.softmax.freeze(),
         }
     }
@@ -361,26 +309,6 @@ mod tests {
         b.restore(&a.snapshot());
         let yb = b.forward(&x).latent;
         assert_eq!(ya, yb);
-    }
-
-    #[test]
-    fn avg_pooling_variant_runs_and_differs_from_max() {
-        let mut max = Scorer::with_pooling(4, 8, 8, 7, PoolKind::Max);
-        let mut avg = Scorer::with_pooling(4, 8, 8, 7, PoolKind::Avg);
-        // Same seed -> same conv weights; only the pooling differs.
-        let x = input(1, 16, 16);
-        let sm = max.forward(&x);
-        let sa = avg.forward(&x);
-        assert_eq!(sm.latent, sa.latent, "conv stacks should be identical");
-        assert_ne!(sm.scores, sa.scores, "pooling choice must matter");
-        // Both remain probability distributions.
-        let sum: f64 = sa.scores.as_slice().iter().map(|&v| v as f64).sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        // Backward works through the avg pool too.
-        let ds = Tensor::full(sa.scores.shape().clone(), 0.1f32);
-        let dl = Tensor::zeros(sa.latent.shape().clone());
-        let dx = avg.backward(&dl, Some(&ds));
-        assert_eq!(dx.shape(), x.shape());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! builds a seeded model on the device under test and returns `(what,
 //! trained, served)` triples to compare.
 
-use adarnet_core::{AdarNet, AdarNetConfig, Decoder, PoolKind, Scorer};
+use adarnet_core::{AdarNet, AdarNetConfig, Decoder, Scorer};
 use adarnet_nn::{
     Activation, Conv2d, ConvTranspose2d, Device, Initializer, Layer, Optimizer, Sequential, Sgd,
 };
@@ -76,8 +76,8 @@ fn sequential_pairs(dev: Device) -> Pairs {
     pairs
 }
 
-fn scorer_pairs(pooling: PoolKind, dev: Device) -> Pairs {
-    let mut s = Scorer::with_pooling(4, 8, 8, 11, pooling);
+fn scorer_pairs(dev: Device) -> Pairs {
+    let mut s = Scorer::new(4, 8, 8, 11);
     s.set_device(dev);
     let x = filled(Shape::d4(2, 4, 16, 32), 0.0);
     let (live, cold) = (s.forward(&x), s.freeze().forward(&x));
@@ -139,7 +139,7 @@ fn network_pairs(dev: Device) -> Pairs {
 #[test]
 fn training_forward_equals_frozen_infer_bitwise() {
     type Row = (&'static str, fn(Device) -> Pairs);
-    let table: [Row; 9] = [
+    let table: [Row; 8] = [
         ("Conv2d 2->3", |d| {
             layer_pairs(Conv2d::new(2, 3, 3, Initializer::HeNormal, 7), 2, d)
         }),
@@ -162,8 +162,7 @@ fn training_forward_equals_frozen_infer_bitwise() {
             )
         }),
         ("Sequential conv+relu+deconv", sequential_pairs),
-        ("Scorer (max pool)", |d| scorer_pairs(PoolKind::Max, d)),
-        ("Scorer (avg pool)", |d| scorer_pairs(PoolKind::Avg, d)),
+        ("Scorer", scorer_pairs),
         ("Decoder", decoder_pairs),
         ("AdarNet plan + decode", network_pairs),
     ];

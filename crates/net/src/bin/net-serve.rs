@@ -1,6 +1,6 @@
 //! TCP serving driver: stand up the full stack (model → serve →
-//! net) on loopback or a given address, and measure the priority
-//! scheduler under mixed tenant load.
+//! net) on loopback or a given address, and check it under mixed
+//! tenant load.
 //!
 //! Subcommands:
 //!
@@ -10,11 +10,6 @@
 //!   rejected. Exit code 0 on success (the CI net stage).
 //! * `net-serve serve [ADDR]` — run a server (default
 //!   `127.0.0.1:7878`) until killed, printing the bound address.
-//! * `net-serve bench` — the lanes-vs-FIFO acceptance benchmark: the
-//!   same interactive + bulk tenant mix through (a) the 3-lane
-//!   weighted-deficit scheduler and (b) a FIFO-only configuration,
-//!   reporting per-lane p50/p95/p99 and merging a `tcp_lanes` object
-//!   into `BENCH_serve.json` (path from `ADARNET_SERVE_OUT`).
 //! * `net-serve admin-smoke` — start the stack plus the admin
 //!   listener, push traffic, then verify `/metrics` round-trips
 //!   through the exposition parser and `/traces` holds at least one
@@ -25,9 +20,10 @@
 //!   traces, and exit 1 unless one complete tree holds both
 //!   `serve_infer` and `stage_decoder` (the CI admin stage).
 //!
-//! Environment knobs: `ADARNET_SERVE_SCALE` (`quick` | `full`),
-//! `ADARNET_NET_REQUESTS` (requests per interactive connection),
-//! `ADARNET_SERVE_OUT` (bench JSON path, default `BENCH_serve.json`),
+//! An address that does not parse or bind, or an admin endpoint that
+//! does not answer, prints `error: ...` and exits 1.
+//!
+//! Environment knobs: `ADARNET_NET_REQUESTS` (requests per connection),
 //! `ADARNET_ADMIN_ADDR` (admin listener for `serve`, default
 //! `127.0.0.1:7879`).
 
@@ -43,7 +39,7 @@ use adarnet_serve::{
     field_pool, run_closed_loop, ClientSpec, LoadReport, ModelRegistry, Priority, QuotaConfig,
     ServeConfig, Server,
 };
-use serde::{object, Serialize, Value};
+use serde::Value;
 
 fn registry(patch: usize) -> Arc<ModelRegistry> {
     let model = AdarNet::new(AdarNetConfig {
@@ -58,9 +54,22 @@ fn registry(patch: usize) -> Arc<ModelRegistry> {
     registry
 }
 
+/// The value of `result`, or `error: <what>: <e>` on stderr and exit
+/// 1: operator input (an address, an unreachable endpoint) ends the
+/// process cleanly, never in a panic.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
+}
+
 fn start_stack(cfg: ServeConfig, patch: usize, addr: &str) -> (NetServer, Arc<Server>) {
-    let serve = Arc::new(Server::start(cfg, registry(patch)).unwrap());
-    let net = NetServer::start(addr, serve.clone()).unwrap();
+    let serve = Arc::new(or_exit(Server::start(cfg, registry(patch)), "start server"));
+    let net = or_exit(
+        NetServer::start(addr, serve.clone()),
+        &format!("listen on {addr}"),
+    );
     (net, serve)
 }
 
@@ -71,14 +80,11 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The mixed tenant load both bench sides and the smoke test share:
-/// interactive tenants send small fields with a deadline; bulk tenants
-/// keep a deep backlog of 4×-the-cells fields queued at all times.
-/// `scale` multiplies request counts. Many medium bulk jobs (rather
-/// than a few huge ones) keep the single worker's in-flight time short
-/// relative to the queue backlog, so *queue order* — the thing the
-/// lane scheduler controls — is what separates the two bench modes.
-fn mixed_specs(scale: usize, interactive_requests: usize) -> Vec<ClientSpec> {
+/// The mixed tenant load the smokes and `trace-dump` share: four
+/// interactive connections send small fields; eight bulk connections
+/// keep a backlog of 4×-the-cells fields queued, so every lane must be
+/// served under contention.
+fn mixed_specs(requests: usize) -> Vec<ClientSpec> {
     // Interactive: small fields, latency-sensitive.
     let small = field_pool(4, 16, 32, 7);
     // Bulk: 4x the cells per request, throughput-oriented.
@@ -88,7 +94,7 @@ fn mixed_specs(scale: usize, interactive_requests: usize) -> Vec<ClientSpec> {
             tenant: 1,
             priority: Priority::Interactive,
             connections: 4,
-            requests: interactive_requests * scale,
+            requests,
             deadline_ms: 0,
             fields: small,
         },
@@ -96,7 +102,7 @@ fn mixed_specs(scale: usize, interactive_requests: usize) -> Vec<ClientSpec> {
             tenant: 2,
             priority: Priority::Bulk,
             connections: 8,
-            requests: interactive_requests * scale,
+            requests,
             deadline_ms: 0,
             fields: large,
         },
@@ -137,7 +143,7 @@ fn smoke() {
     let addr = net.local_addr();
     println!("smoke: serving on {addr}");
 
-    let specs = mixed_specs(1, env_usize("ADARNET_NET_REQUESTS", 4));
+    let specs = mixed_specs(env_usize("ADARNET_NET_REQUESTS", 4));
     let report = run_over_tcp(&net, &specs);
     print_report("smoke mixed load", &report);
 
@@ -197,7 +203,10 @@ fn serve_forever(addr: &str) {
     let (net, _serve) = start_stack(ServeConfig::default(), 8, addr);
     let admin_addr =
         std::env::var("ADARNET_ADMIN_ADDR").unwrap_or_else(|_| "127.0.0.1:7879".into());
-    let admin = AdminServer::start(&admin_addr).unwrap();
+    let admin = or_exit(
+        AdminServer::start(&admin_addr),
+        &format!("admin listen on {admin_addr}"),
+    );
     println!(
         "serving on {} (admin on {}; ctrl-c to stop)",
         net.local_addr(),
@@ -229,7 +238,7 @@ fn admin_smoke() {
         admin.local_addr()
     );
 
-    let specs = mixed_specs(1, env_usize("ADARNET_NET_REQUESTS", 4));
+    let specs = mixed_specs(env_usize("ADARNET_NET_REQUESTS", 4));
     let report = run_over_tcp(&net, &specs);
     print_report("admin-smoke load", &report);
     assert_ne!(
@@ -299,10 +308,13 @@ fn admin_smoke() {
 /// address is given, else from a fresh in-process run.
 fn trace_dump(addr: Option<String>) {
     if let Some(addr) = addr {
-        let addr: std::net::SocketAddr = addr.parse().expect("ADMIN_ADDR parses");
-        let mut client = AdminClient::connect(addr).unwrap();
-        let (st, traces) = client.get("/traces").unwrap();
-        assert_eq!(st, ADMIN_OK, "{traces}");
+        let addr: std::net::SocketAddr = or_exit(addr.parse(), &format!("admin address {addr}"));
+        let mut client = or_exit(AdminClient::connect(addr), &format!("connect to {addr}"));
+        let (st, traces) = or_exit(client.get("/traces"), &format!("GET /traces from {addr}"));
+        if st != ADMIN_OK {
+            eprintln!("error: GET /traces from {addr}: status {st}: {traces}");
+            std::process::exit(1);
+        }
         match render_traces_doc(&traces) {
             Ok(rendered) => print!("{rendered}"),
             Err(e) => {
@@ -313,7 +325,7 @@ fn trace_dump(addr: Option<String>) {
         return;
     }
     let (net, serve) = start_stack(ServeConfig::default(), 8, "127.0.0.1:0");
-    let specs = mixed_specs(1, env_usize("ADARNET_NET_REQUESTS", 2));
+    let specs = mixed_specs(env_usize("ADARNET_NET_REQUESTS", 2));
     run_over_tcp(&net, &specs);
     net.shutdown();
     drop(serve);
@@ -419,106 +431,6 @@ fn render_traces_doc(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-fn bench() {
-    let scale = match std::env::var("ADARNET_SERVE_SCALE").as_deref() {
-        Ok("full") => 4,
-        _ => 1,
-    };
-    let interactive_requests = env_usize("ADARNET_NET_REQUESTS", 8);
-    let specs = mixed_specs(scale, interactive_requests);
-
-    // Tight queues + single worker + single-request batches: the
-    // scheduler, not spare capacity or in-flight batch length, decides
-    // who waits. FIFO side funnels everything into one lane.
-    let base = ServeConfig {
-        queue_capacity: 512,
-        max_batch: 1,
-        max_linger: Duration::from_millis(0),
-        workers: 1,
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    };
-    let mut runs = Vec::new();
-    let mut p99 = [0.0f64; 2];
-    let mut bulk_completed = 0u64;
-
-    for (i, (mode, fifo_only)) in [("fifo", true), ("lanes", false)].into_iter().enumerate() {
-        let cfg = ServeConfig { fifo_only, ..base };
-        let (net, serve) = start_stack(cfg, 8, "127.0.0.1:0");
-        let report = run_over_tcp(&net, &specs);
-        print_report(mode, &report);
-        net.shutdown();
-        let stats = Arc::try_unwrap(serve)
-            .map(|s| s.shutdown())
-            .unwrap_or_else(|arc| arc.stats());
-        if mode == "lanes" {
-            bulk_completed = stats.completed_per_lane[Priority::Bulk.index()];
-            assert!(
-                bulk_completed > 0,
-                "bulk lane starved under the weighted scheduler"
-            );
-        }
-        let lane = report.lane(Priority::Interactive);
-        p99[i] = lane.expect("interactive lane saw traffic").p99_ms;
-        runs.push(object([
-            ("mode", mode.to_string().to_value()),
-            ("report", report.to_value()),
-        ]));
-    }
-
-    let [fifo_p99, lanes_p99] = p99;
-    let speedup = if lanes_p99 > 0.0 {
-        fifo_p99 / lanes_p99
-    } else {
-        0.0
-    };
-    println!(
-        "interactive p99: fifo {fifo_p99:.2} ms vs lanes {lanes_p99:.2} ms -> {speedup:.2}x; bulk completed under lanes: {bulk_completed}"
-    );
-
-    let bench = object([
-        ("interactive_connections", specs[0].connections.to_value()),
-        ("bulk_connections", specs[1].connections.to_value()),
-        (
-            "interactive_requests_per_conn",
-            specs[0].requests.to_value(),
-        ),
-        ("bulk_requests_per_conn", specs[1].requests.to_value()),
-        ("lane_weights", base.lane_weights.to_value()),
-        ("runs", Value::Array(runs)),
-        ("fifo_interactive_p99_ms", fifo_p99.to_value()),
-        ("lanes_interactive_p99_ms", lanes_p99.to_value()),
-        ("interactive_p99_speedup", speedup.to_value()),
-        ("bulk_completed_under_lanes", bulk_completed.to_value()),
-    ]);
-
-    let out_path = std::env::var("ADARNET_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    merge_into_bench_json(&out_path, bench);
-    println!("merged tcp_lanes into {out_path}");
-}
-
-/// Insert/replace the `tcp_lanes` key in the (existing or fresh)
-/// BENCH_serve.json, preserving everything the serve bin wrote.
-fn merge_into_bench_json(path: &str, entry: Value) {
-    let parsed = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::parse_value(&text).ok());
-    let mut fields = match parsed {
-        Some(Value::Object(fields)) => fields,
-        _ => Vec::new(),
-    };
-    match fields.iter_mut().find(|(k, _)| k == "tcp_lanes") {
-        Some((_, v)) => *v = entry,
-        None => fields.push(("tcp_lanes".to_string(), entry)),
-    }
-    let json =
-        serde_json::to_string_pretty(&Value::Object(fields)).expect("bench report serializes");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     adarnet_obs::init();
     let mode = std::env::args().nth(1).unwrap_or_else(|| "smoke".into());
@@ -530,12 +442,11 @@ fn main() {
                 .unwrap_or_else(|| "127.0.0.1:7878".into());
             serve_forever(&addr);
         }
-        "bench" => bench(),
         "admin-smoke" => admin_smoke(),
         "trace-dump" => trace_dump(std::env::args().nth(2)),
         other => {
             eprintln!(
-                "unknown subcommand '{other}' (expected smoke | serve | bench | admin-smoke | trace-dump)"
+                "unknown subcommand '{other}' (expected smoke | serve | admin-smoke | trace-dump)"
             );
             std::process::exit(2);
         }

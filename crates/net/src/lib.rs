@@ -21,8 +21,8 @@
 //!   shed or browned out;
 //! * **client** ([`client`]): a blocking request/response client,
 //!   which is also the TCP transport of `adarnet_serve`'s closed-loop
-//!   load generator (the `net-serve` bin's bench mode writes its
-//!   per-lane latency percentiles into `BENCH_serve.json`);
+//!   load generator (the `net-serve` bin's smokes drive a mixed
+//!   tenant load through it);
 //! * **admin endpoint** ([`admin`]): a second, read-only listener
 //!   serving `/metrics` (exposition text), `/traces` (tail-sampled
 //!   span trees as JSON), and `/health` over the same framing.

@@ -11,10 +11,9 @@
 //! * [`conv2d_forward_direct`], the direct loop nest: the numerical
 //!   reference the GEMM driver is tested against. No layer calls it.
 //! * The pool and softmax bodies, called as free functions by
-//!   [`crate::MaxPool2d`], [`crate::AvgPool2d`] and
-//!   [`crate::SpatialSoftmax`] and their frozen twins. Their cost is
-//!   loads and stores, not arithmetic, so a vector plane buys nothing;
-//!   one body serves every backend. They stay in this file so the
+//!   [`crate::MaxPool2d`] and [`crate::SpatialSoftmax`] and their
+//!   frozen twins. Their cost is loads and stores, not arithmetic, so a
+//!   vector plane buys nothing; one body serves every backend. They stay in this file so the
 //!   `no-alloc-in-hot-path` lint covers them.
 
 use adarnet_tensor::{Shape, Tensor};
@@ -182,38 +181,6 @@ pub(crate) fn max_pool2d_forward(
                     let oidx = ((ni * c + ci) * oh + oy) * ow + ox;
                     y.as_mut_slice()[oidx] = best;
                     record(oidx, best_idx);
-                }
-            }
-        }
-    }
-    y
-}
-
-/// Non-overlapping average pool (pool size == stride).
-pub(crate) fn avg_pool2d_forward(x: &Tensor<F>, pool_h: usize, pool_w: usize) -> Tensor<F> {
-    assert_eq!(x.shape().rank(), 4, "AvgPool2d expects NCHW input");
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    assert!(
-        h % pool_h == 0 && w % pool_w == 0,
-        "pool {pool_h}x{pool_w} does not tile {h}x{w}"
-    );
-    let (oh, ow) = (h / pool_h, w / pool_w);
-    let inv = 1.0 / (pool_h * pool_w) as F;
-    let mut y = Tensor::<F>::pooled_scratch(Shape::d4(n, c, oh, ow));
-    let xs = x.as_slice();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for py in 0..pool_h {
-                        let row = base + (oy * pool_h + py) * w + ox * pool_w;
-                        for px in 0..pool_w {
-                            acc += xs[row + px];
-                        }
-                    }
-                    y.as_mut_slice()[((ni * c + ci) * oh + oy) * ow + ox] = acc * inv;
                 }
             }
         }

@@ -57,7 +57,7 @@ pub use layer::{InferLayer, Layer};
 pub use model::{FrozenSequential, Sequential};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use packed::{FrozenConv2d, PackedConvWeights};
-pub use pool::{AvgPool2d, FrozenAvgPool2d, FrozenMaxPool2d, MaxPool2d};
+pub use pool::{FrozenMaxPool2d, MaxPool2d};
 pub use softmax::{FrozenSpatialSoftmax, SpatialSoftmax};
 
 /// The floating-point type used for all network activations and weights.

@@ -6,14 +6,13 @@
 //! over average pooling as the conservative choice: an entire patch shares
 //! one resolution, so the highest required score in the patch should win.
 //!
-//! Pooling is memory-bound, so it is not a [`crate::Device`] op: every
-//! layer here calls one scalar body in [`crate::device::cpu_scalar`]
-//! whatever the backend, and the frozen twins hold only the pool
-//! extents.
+//! Pooling is memory-bound, so it is not a [`crate::Device`] op: the
+//! layer calls one scalar body in [`crate::device::cpu_scalar`] whatever
+//! the backend, and the frozen twin holds only the pool extents.
 
 use adarnet_tensor::{Shape, Tensor};
 
-use crate::device::cpu_scalar::{avg_pool2d_forward, max_pool2d_forward};
+use crate::device::cpu_scalar::max_pool2d_forward;
 use crate::{InferLayer, Layer, F};
 
 /// Non-overlapping 2-D max pooling.
@@ -107,151 +106,9 @@ impl InferLayer for FrozenMaxPool2d {
     }
 }
 
-/// Non-overlapping 2-D average pooling.
-///
-/// The paper deliberately prefers max pooling in the scorer (§5.1) — the
-/// whole patch shares one resolution, so the *most* demanding cell should
-/// decide. Average pooling is kept for the corresponding ablation
-/// (`ablation_scorer_pooling`).
-pub struct AvgPool2d {
-    pool_h: usize,
-    pool_w: usize,
-    cached_in_shape: Option<Shape>,
-}
-
-impl AvgPool2d {
-    /// Create an average-pool layer with window (and stride)
-    /// `(pool_h, pool_w)`.
-    pub fn new(pool_h: usize, pool_w: usize) -> Self {
-        assert!(pool_h > 0 && pool_w > 0, "pool extents must be positive");
-        AvgPool2d {
-            pool_h,
-            pool_w,
-            cached_in_shape: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn name(&self) -> String {
-        format!("AvgPool2d({}x{})", self.pool_h, self.pool_w)
-    }
-
-    fn forward(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let y = avg_pool2d_forward(x, self.pool_h, self.pool_w);
-        self.cached_in_shape = Some(x.shape().clone());
-        y
-    }
-
-    fn freeze(&self) -> Box<dyn InferLayer> {
-        Box::new(FrozenAvgPool2d {
-            pool_h: self.pool_h,
-            pool_w: self.pool_w,
-        })
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "backward-before-forward is an API-contract violation by the caller (programmer error), not a data error"
-    )]
-    fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
-        let in_shape = self
-            .cached_in_shape
-            .as_ref()
-            .expect("AvgPool2d::backward called before forward")
-            .clone();
-        let (n, c, h, w) = (
-            in_shape.dim(0),
-            in_shape.dim(1),
-            in_shape.dim(2),
-            in_shape.dim(3),
-        );
-        let (oh, ow) = (h / self.pool_h, w / self.pool_w);
-        let inv = 1.0 / (self.pool_h * self.pool_w) as F;
-        let mut dx = Tensor::<F>::pooled_zeroed(in_shape);
-        let dxs = dx.as_mut_slice();
-        let gs = grad_out.as_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gs[((ni * c + ci) * oh + oy) * ow + ox] * inv;
-                        for py in 0..self.pool_h {
-                            let row = base + (oy * self.pool_h + py) * w + ox * self.pool_w;
-                            for px in 0..self.pool_w {
-                                dxs[row + px] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        dx
-    }
-}
-
-/// Frozen average pool: the pool extents over the shared compute.
-pub struct FrozenAvgPool2d {
-    pool_h: usize,
-    pool_w: usize,
-}
-
-impl InferLayer for FrozenAvgPool2d {
-    fn name(&self) -> String {
-        format!("FrozenAvgPool2d({}x{})", self.pool_h, self.pool_w)
-    }
-
-    fn infer(&self, x: &Tensor<F>) -> Tensor<F> {
-        avg_pool2d_forward(x, self.pool_h, self.pool_w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avg_pools_mean_per_window() {
-        let x = Tensor::from_vec(
-            Shape::d4(1, 1, 2, 4),
-            vec![1.0, 5.0, 2.0, 0.0, 3.0, 4.0, 7.0, 6.0],
-        );
-        let mut l = AvgPool2d::new(2, 2);
-        let y = l.forward(&x);
-        assert_eq!(y.as_slice(), &[3.25, 3.75]);
-    }
-
-    #[test]
-    fn avg_backward_spreads_uniformly() {
-        let x = Tensor::<F>::full(Shape::d4(1, 1, 2, 2), 1.0);
-        let mut l = AvgPool2d::new(2, 2);
-        let _ = l.forward(&x);
-        let dx = l.backward(&Tensor::full(Shape::d4(1, 1, 1, 1), 4.0f32));
-        assert_eq!(dx.as_slice(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn gradcheck_avgpool() {
-        let mut l = AvgPool2d::new(2, 2);
-        let r = crate::gradcheck::check_layer_gradients(&mut l, Shape::d4(1, 2, 4, 4), 47, 1e-3);
-        assert!(r.max_rel_err < 1e-2, "{r:?}");
-    }
-
-    #[test]
-    fn avg_is_upper_bounded_by_max() {
-        let x = Tensor::from_vec(
-            Shape::d4(1, 1, 4, 4),
-            (0..16).map(|i| ((i * 7) % 13) as F).collect(),
-        );
-        let mut avg = AvgPool2d::new(2, 2);
-        let mut max = MaxPool2d::new(2, 2);
-        let ya = avg.forward(&x);
-        let ym = max.forward(&x);
-        for (a, m) in ya.as_slice().iter().zip(ym.as_slice()) {
-            assert!(a <= m, "avg {a} > max {m}");
-        }
-    }
 
     #[test]
     fn pools_max_per_window() {

@@ -28,9 +28,6 @@ pub struct ServeConfig {
     /// interactive/standard/bulk lanes (each clamped ≥ 1; see
     /// [`crate::lanes::LaneQueue`]).
     pub lane_weights: [u64; NUM_LANES],
-    /// Collapse every submission into the standard lane — the FIFO
-    /// baseline configuration the lane benchmark compares against.
-    pub fifo_only: bool,
     /// Per-tenant token-bucket admission quota; `None` admits every
     /// tenant unconditionally.
     pub quota: Option<QuotaConfig>,
@@ -48,24 +45,8 @@ impl Default for ServeConfig {
             workers: 1,
             cache_capacity: 4096,
             lane_weights: [8, 4, 1],
-            fifo_only: false,
             quota: None,
             default_precision: Precision::F32,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The unbatched baseline: one request per decoder pass, no linger,
-    /// no cache. The `serve` bin's `unbatched` runs use it as the
-    /// per-request-inference baseline that batched serving is measured
-    /// against.
-    pub fn unbatched(self) -> ServeConfig {
-        ServeConfig {
-            max_batch: 1,
-            max_linger: Duration::ZERO,
-            cache_capacity: 0,
-            ..self
         }
     }
 }

@@ -31,8 +31,8 @@
 //! * **load generation** ([`loadgen`]): the closed-loop synthetic
 //!   driver over the `adarnet-dataset` families, run in process or
 //!   (through `adarnet-net`'s transport) over TCP, reporting
-//!   throughput and per-lane p50/p95/p99 latency (the `serve` and
-//!   `net-serve bench` bins write `BENCH_serve.json`).
+//!   throughput and per-lane p50/p95/p99 latency (`serve stats` and
+//!   the `net-serve` smokes drive it).
 
 #![cfg_attr(
     not(test),

@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use adarnet_dataset::{generate, DatasetConfig};
 use adarnet_obs::TraceCtx;
 use adarnet_tensor::Tensor;
-use serde::{object, Serialize, Value};
 
 use crate::lanes::Priority;
 use crate::server::{RejectReason, Server, SubmitOptions};
@@ -179,8 +178,7 @@ pub fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
 }
 
 /// Per-reason counts of the degraded responses a run's clients saw,
-/// keyed by the typed [`RejectReason`]. Explicit fields (not a map) so
-/// the `BENCH_serve.json` schema is stable and diffable.
+/// keyed by the typed [`RejectReason`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectBreakdown {
     /// Shed at admission: the lane queue was full.
@@ -194,18 +192,6 @@ pub struct RejectBreakdown {
     pub shutdown: u64,
     /// Degraded by an inference failure.
     pub inference_error: u64,
-}
-
-impl Serialize for RejectBreakdown {
-    fn to_value(&self) -> Value {
-        object([
-            ("queue_full", self.queue_full.to_value()),
-            ("quota_exceeded", self.quota_exceeded.to_value()),
-            ("deadline_exceeded", self.deadline_exceeded.to_value()),
-            ("shutdown", self.shutdown.to_value()),
-            ("inference_error", self.inference_error.to_value()),
-        ])
-    }
 }
 
 impl RejectBreakdown {
@@ -245,24 +231,7 @@ pub struct LaneReport {
     pub max_ms: f64,
 }
 
-impl Serialize for LaneReport {
-    fn to_value(&self) -> Value {
-        object([
-            ("lane", self.lane.to_value()),
-            ("requests", self.requests.to_value()),
-            ("full", self.full.to_value()),
-            ("degraded", self.degraded.to_value()),
-            ("errors", self.errors.to_value()),
-            ("rejects", self.rejects.to_value()),
-            ("p50_ms", self.p50_ms.to_value()),
-            ("p95_ms", self.p95_ms.to_value()),
-            ("p99_ms", self.p99_ms.to_value()),
-            ("max_ms", self.max_ms.to_value()),
-        ])
-    }
-}
-
-/// Whole-run aggregate (serialized into `BENCH_serve.json`).
+/// Whole-run aggregate.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Wall-clock duration of the whole run, seconds.
@@ -274,17 +243,6 @@ pub struct LoadReport {
     pub slowest_trace: String,
     /// Per-lane breakdown (lanes with zero requests are omitted).
     pub lanes: Vec<LaneReport>,
-}
-
-impl Serialize for LoadReport {
-    fn to_value(&self) -> Value {
-        object([
-            ("elapsed_s", self.elapsed_s.to_value()),
-            ("throughput_rps", self.throughput_rps.to_value()),
-            ("slowest_trace", self.slowest_trace.to_value()),
-            ("lanes", self.lanes.to_value()),
-        ])
-    }
 }
 
 impl LoadReport {

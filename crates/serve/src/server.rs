@@ -127,8 +127,7 @@ impl ResponseKind {
 /// standard lane, tenant 0, no deadline.
 #[derive(Debug, Clone)]
 pub struct SubmitOptions {
-    /// Which lane the request rides (ignored under
-    /// [`ServeConfig::fifo_only`], which maps everything to standard).
+    /// Which lane the request rides.
     pub priority: Priority,
     /// Tenant id for quota accounting and per-tenant counters.
     pub tenant: u64,
@@ -469,17 +468,12 @@ impl Server {
     pub fn submit_with(&self, field: Tensor<f32>, opts: SubmitOptions) -> Receiver<ServeResponse> {
         let (reply, rx) = mpsc::channel();
         let submitted = Instant::now();
-        let priority = if self.shared.cfg.fifo_only {
-            Priority::Standard
-        } else {
-            opts.priority
-        };
         let job = Job {
             field,
             submitted,
             deadline: opts.deadline,
             tenant: opts.tenant,
-            priority,
+            priority: opts.priority,
             trace: opts.trace,
             reply,
         };
@@ -504,7 +498,7 @@ impl Server {
 
         // Admission stage 3: the lane itself.
         count_tenant(job.tenant, TenantEvent::Admit);
-        let (job, kind) = match self.shared.queue.push(priority, job) {
+        let (job, kind) = match self.shared.queue.push(job.priority, job) {
             PushOutcome::Enqueued => return rx,
             PushOutcome::Saturated(job) => (job, ResponseKind::ShedQueueFull),
             PushOutcome::Rejected(job) => (job, ResponseKind::ShedShutdown),

@@ -102,38 +102,45 @@ MODEL=target/ci-model.json
 "$ADARNET" predict --model "$MODEL" --case cylinder
 "$ADARNET" run-case --model "$MODEL" --case channel --re 2.5e3 --length 1.0 --max-iters 50
 "$ADARNET" info --model "$MODEL"
+# fails_cleanly BIN WANT ARGS...: BIN ARGS must exit 1 and print a
+# line starting `error: WANT`.
 fails_cleanly() {
-  local want=$1 out status=0
-  shift
-  out=$("$ADARNET" "$@" 2>&1) || status=$?
+  local bin=$1 want=$2 out status=0
+  shift 2
+  out=$("$bin" "$@" 2>&1) || status=$?
   if [ "$status" != 1 ] || ! grep -q "^error: $want" <<<"$out"; then
-    echo "adarnet $*: expected exit 1 with 'error: $want', got exit $status:"
+    echo "$(basename "$bin") $*: expected exit 1 with 'error: $want', got exit $status:"
     echo "$out"
     exit 1
   fi
 }
 head -c 4096 "$MODEL" > target/ci-model-truncated.json
-fails_cleanly "loading" info --model target/ci-model-truncated.json
+fails_cleanly "$ADARNET" "loading" info --model target/ci-model-truncated.json
 # The compact JSON ends with the decoder array; drop its last tensor.
 sed -E 's/,\{"shape":\[[0-9,]*\],"data":\[[^]]*\]\}\]\}$/]}/' "$MODEL" > target/ci-model-dropped.json
 if cmp -s "$MODEL" target/ci-model-dropped.json; then
   echo "cli smoke: dropping a decoder tensor left the checkpoint unchanged"
   exit 1
 fi
-fails_cleanly "loading" info --model target/ci-model-dropped.json
-fails_cleanly "--per-family 1" train --out target/ci-model-unused.json --per-family 1
+fails_cleanly "$ADARNET" "loading" info --model target/ci-model-dropped.json
+fails_cleanly "$ADARNET" "--per-family 1" train --out target/ci-model-unused.json --per-family 1
 
 echo "==> serve smoke (the closed-loop generator, in process)"
-# One request per client through every phase of the serve bin (batched
-# and unbatched at 1/8/32 clients, then the saturation burst): the
+# The README's "Observing a running server" command drives the
 # in-process half of the one load generator, whose TCP half the net
-# smoke below runs. Timings gate nothing.
-ADARNET_SERVE_REQUESTS=1 ADARNET_SERVE_OUT=target/ci-serve.json cargo run --release -q -p adarnet-serve --bin serve
-# The README's "Observing a running server" command: exits 1 unless
-# its exposition text round-trips the parser and carries
-# engine_weight_bytes. The text itself goes to a file (a pipe into
-# head would kill the bin mid-run).
+# smoke below runs: exits 1 unless its exposition text round-trips the
+# parser and carries engine_weight_bytes. The text itself goes to a
+# file (a pipe into head would kill the bin mid-run). Timings gate
+# nothing.
 cargo run --release -q -p adarnet-serve --bin serve stats > target/ci-serve-stats.txt
+# `stats` is the bin's one command: anything else is a usage error.
+status=0
+target/release/serve > target/ci-serve-bare.txt 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+  echo "serve with no command: expected usage and exit 2, got exit $status"
+  cat target/ci-serve-bare.txt
+  exit 1
+fi
 
 echo "==> net smoke (loopback TCP end-to-end)"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
@@ -160,11 +167,18 @@ fi
 # load rendered through the /traces renderer; exits 1 unless one
 # complete tree holds both serve_infer and stage_decoder.
 cargo run --release -q -p adarnet-net --bin net-serve -- trace-dump
+# Operator input: an address that does not parse or bind, or an admin
+# endpoint with nothing listening, ends in `error: ...` and exit 1,
+# never a panic (exit 101).
+NET_SERVE=target/release/net-serve
+fails_cleanly "$NET_SERVE" "admin address" trace-dump not-an-addr
+fails_cleanly "$NET_SERVE" "connect to" trace-dump 127.0.0.1:1
+fails_cleanly "$NET_SERVE" "listen on" serve not-an-addr
 
 echo "==> obs overhead gate"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
   # Fails if instrumented infer_batch runs >3% slower than with the
-  # obs layer disabled (ADARNET_OBS_GATE_PCT overrides the budget).
+  # obs layer disabled.
   cargo run --release -q -p adarnet-bench --bin obs_overhead -- --gate
 else
   cargo run --release -q -p adarnet-bench --bin obs_overhead -- --smoke --gate
