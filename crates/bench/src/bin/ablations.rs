@@ -19,8 +19,10 @@
 //!
 //! Run with: `cargo run --release -p adarnet-bench --bin ablations`
 
-use adarnet_core::{hybrid_loss_and_grad, AdarNet, AdarNetConfig, LossConfig, NormStats, Ranker};
-use adarnet_nn::{Layer, MaxPool2d};
+use adarnet_core::{
+    decoder, hybrid_loss_and_grad, AdarNet, AdarNetConfig, LossConfig, NormStats, Ranker,
+};
+use adarnet_nn::{FrozenSequential, Layer, MaxPool2d};
 use adarnet_tensor::{Shape, Tensor};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -78,9 +80,7 @@ fn decoder_sharing() {
     });
 
     // Per-resolution: one (frozen, like the shared one) decoder per bin.
-    let per_bin: Vec<adarnet_core::FrozenDecoder> = (0..4)
-        .map(|k| adarnet_core::Decoder::new(7, 1000 + k).freeze())
-        .collect();
+    let per_bin: Vec<FrozenSequential> = (0..4).map(|k| decoder(7, 1000 + k).freeze()).collect();
     report(
         "ablation_decoder_sharing/per_resolution_decoders_predict",
         || {
@@ -93,7 +93,7 @@ fn decoder_sharing() {
                 let inputs: Vec<Tensor<f32>> =
                     group_idx.iter().map(|&i| plan.decoder_input(i)).collect();
                 let batch = Tensor::stack(&inputs);
-                cells += per_bin[bin].forward(&batch).len();
+                cells += per_bin[bin].infer(&batch).len();
             }
             cells
         },

@@ -1,12 +1,12 @@
-//! Observability overhead gate: instrumented vs. bare `infer_batch`.
+//! Observability overhead gate: instrumented vs. bare inference.
 //!
 //! The obs layer promises a near-free record path (striped atomic
 //! adds, no locks, no allocation). This bench holds it to that: it
-//! times `InferenceEngine::infer_batch` with the obs layer enabled and
-//! disabled (`adarnet_obs::set_enabled`), interleaving the two arms
-//! rep-for-rep so drift (thermal, cache, scheduler) hits both equally,
-//! and takes the *minimum* per arm — the standard estimator for the
-//! true cost floor under noise.
+//! times `InferenceEngine::infer` over a batch of fields with the obs
+//! layer enabled and disabled (`adarnet_obs::set_enabled`),
+//! interleaving the two arms rep-for-rep so drift (thermal, cache,
+//! scheduler) hits both equally, and takes the *minimum* per arm — the
+//! standard estimator for the true cost floor under noise.
 //!
 //! The instrumented arm runs each rep as a *traced request*: a trace is
 //! minted with its own span buffer, scoped to the thread (so every stage
@@ -42,12 +42,12 @@ fn field(h: usize, w: usize, phase: f32) -> Tensor<f32> {
     )
 }
 
-/// Mean seconds per `infer_batch` call over `fields`, averaged across
-/// `inner` back-to-back calls (averaging inside the sample shrinks
-/// scheduler/cache noise before the min-across-reps estimator sees
-/// it). When `traced`, every call runs as a full traced request: trace
-/// mint, thread scope (so stage spans attach), finish, tail-sampler
-/// offer — all inside the timed region.
+/// Mean seconds per pass of `InferenceEngine::infer` over every field,
+/// averaged across `inner` back-to-back passes (averaging inside the
+/// sample shrinks scheduler/cache noise before the min-across-reps
+/// estimator sees it). When `traced`, every pass runs as a full traced
+/// request: trace mint, thread scope (so stage spans attach), finish,
+/// tail-sampler offer — all inside the timed region.
 fn time_once(engine: &InferenceEngine, fields: &[Tensor<f32>], inner: usize, traced: bool) -> f64 {
     let start = Instant::now();
     for _ in 0..inner {
@@ -55,7 +55,10 @@ fn time_once(engine: &InferenceEngine, fields: &[Tensor<f32>], inner: usize, tra
         let ctx = traced.then(adarnet_obs::TraceCtx::mint).flatten();
         let out = {
             let _scope = ctx.clone().map(adarnet_obs::trace::scope);
-            engine.infer_batch(black_box(fields)).expect("inference")
+            black_box(fields)
+                .iter()
+                .map(|x| engine.infer(x).expect("inference"))
+                .collect::<Vec<_>>()
         };
         if let Some(ctx) = &ctx {
             adarnet_obs::trace::finish(ctx, req.elapsed().as_nanos() as u64, false);
@@ -88,7 +91,7 @@ fn main() {
     let fields: Vec<Tensor<f32>> = (0..batch).map(|i| field(h, w, i as f32 * 0.3)).collect();
 
     eprintln!(
-        "obs overhead ({}): infer_batch of {batch} {h}x{w} fields, min of {reps} interleaved reps, gate {threshold_pct:.1}%",
+        "obs overhead ({}): infer of {batch} {h}x{w} fields, min of {reps} interleaved reps, gate {threshold_pct:.1}%",
         if smoke { "smoke" } else { "full" },
     );
 

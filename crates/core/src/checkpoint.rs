@@ -30,7 +30,7 @@ pub struct ModelCheckpoint {
     pub norm: NormStats,
     /// Scorer weights in [`crate::scorer::Scorer::snapshot`] order.
     pub scorer: Vec<Tensor<f32>>,
-    /// Decoder weights in [`crate::decoder::Decoder::snapshot`] order.
+    /// Decoder weights in [`adarnet_nn::Sequential::snapshot`] order.
     pub decoder: Vec<Tensor<f32>>,
 }
 

@@ -7,157 +7,59 @@
 //! is not desired", §3.1). One decoder instance is **shared across all
 //! target resolutions** (the paper's weight-sharing design choice): every
 //! bin's batch, including the LR bin, passes through the same weights.
+//!
+//! The decoder is a plain [`Sequential`] built by [`decoder`]: training
+//! runs its `forward`/`backward`, serving its `freeze().infer`.
 
-use adarnet_nn::{
-    Activation, Conv2d, ConvTranspose2d, Device, FrozenSequential, Initializer, Sequential,
-};
+use adarnet_nn::{Activation, Conv2d, ConvTranspose2d, FrozenSequential, Initializer, Sequential};
 use adarnet_tensor::Tensor;
 
-/// The shared decoder: input `(N, in_channels, h, w)` -> `(N, 4, h, w)`.
-pub struct Decoder {
-    net: Sequential,
-    in_channels: usize,
+/// Build the paper's decoder for `in_channels` input channels (patch
+/// channels + 2 coordinate channels): input `(N, in_channels, h, w)` ->
+/// `(N, 4, h, w)`. Spatial extent is preserved; the batch may differ per
+/// bin (the paper's dynamic batch size).
+pub fn decoder(in_channels: usize, seed: u64) -> Sequential {
+    Sequential::new()
+        .push(Conv2d::new(in_channels, 8, 3, Initializer::HeNormal, seed))
+        .push(Activation::relu())
+        .push(Conv2d::new(8, 16, 3, Initializer::HeNormal, seed + 1))
+        .push(Activation::relu())
+        .push(Conv2d::new(16, 64, 3, Initializer::HeNormal, seed + 2))
+        .push(Activation::relu())
+        .push(ConvTranspose2d::new(
+            64,
+            64,
+            3,
+            Initializer::HeNormal,
+            seed + 3,
+        ))
+        .push(Activation::relu())
+        .push(ConvTranspose2d::new(
+            64,
+            16,
+            3,
+            Initializer::HeNormal,
+            seed + 4,
+        ))
+        .push(Activation::relu())
+        .push(ConvTranspose2d::new(
+            16,
+            4,
+            3,
+            Initializer::XavierUniform,
+            seed + 5,
+        ))
 }
 
-impl Decoder {
-    /// Build the paper's decoder for `in_channels` input channels
-    /// (patch channels + 2 coordinate channels).
-    pub fn new(in_channels: usize, seed: u64) -> Decoder {
-        let net = Sequential::new()
-            .push(Conv2d::new(in_channels, 8, 3, Initializer::HeNormal, seed))
-            .push(Activation::relu())
-            .push(Conv2d::new(8, 16, 3, Initializer::HeNormal, seed + 1))
-            .push(Activation::relu())
-            .push(Conv2d::new(16, 64, 3, Initializer::HeNormal, seed + 2))
-            .push(Activation::relu())
-            .push(ConvTranspose2d::new(
-                64,
-                64,
-                3,
-                Initializer::HeNormal,
-                seed + 3,
-            ))
-            .push(Activation::relu())
-            .push(ConvTranspose2d::new(
-                64,
-                16,
-                3,
-                Initializer::HeNormal,
-                seed + 4,
-            ))
-            .push(Activation::relu())
-            .push(ConvTranspose2d::new(
-                16,
-                4,
-                3,
-                Initializer::XavierUniform,
-                seed + 5,
-            ));
-        Decoder { net, in_channels }
-    }
-
-    /// Expected input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// Route every conv/deconv kernel to `device` (see
-    /// [`adarnet_nn::Layer::set_device`]). Freezing afterwards yields a
-    /// frozen decoder pinned to the same backend.
-    pub fn set_device(&mut self, device: Device) {
-        self.net.set_device(device);
-    }
-
-    /// Forward a per-bin batch. Spatial extent is preserved; the batch may
-    /// differ per bin (the paper's dynamic batch size).
-    pub fn forward(&mut self, x: &Tensor<f32>) -> Tensor<f32> {
-        assert_eq!(
-            x.dim(1),
-            self.in_channels,
-            "decoder expects {} channels, got {}",
-            self.in_channels,
-            x.dim(1)
-        );
-        self.net.forward(x)
-    }
-
-    /// Freeze into an immutable, `Sync` [`FrozenDecoder`] — bitwise the
-    /// same forward as [`Decoder::forward`], with the deconv
-    /// flip-transpose and GEMM panel packing done once, here.
-    pub fn freeze(&self) -> FrozenDecoder {
-        FrozenDecoder {
-            net: self.net.freeze(),
-            in_channels: self.in_channels,
-        }
-    }
-
-    /// Backward a per-bin batch gradient; accumulates parameter gradients
-    /// and returns dL/dinput.
-    pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        self.net.backward(grad_out)
-    }
-
-    /// Mutable parameter views.
-    pub fn params_mut(&mut self) -> Vec<&mut Tensor<f32>> {
-        self.net.params_mut()
-    }
-
-    /// Accumulated gradients.
-    pub fn grads(&self) -> Vec<&Tensor<f32>> {
-        self.net.grads()
-    }
-
-    /// Zero accumulated gradients.
-    pub fn zero_grads(&mut self) {
-        self.net.zero_grads();
-    }
-
-    /// Trainable scalar count.
-    pub fn num_params(&self) -> usize {
-        self.net.num_params()
-    }
-
-    /// Snapshot weights.
-    pub fn snapshot(&self) -> Vec<Tensor<f32>> {
-        self.net.snapshot()
-    }
-
-    /// Restore weights from [`Decoder::snapshot`] output.
-    pub fn restore(&mut self, tensors: &[Tensor<f32>]) {
-        self.net.restore(tensors);
-    }
-}
-
-/// The decoder's frozen twin: one weight copy, any number of threads.
-/// Produced by [`Decoder::freeze`]; every bin's batch still passes
-/// through the same shared weights (the paper's weight-sharing design),
-/// now concurrently.
-pub struct FrozenDecoder {
-    net: FrozenSequential,
-    in_channels: usize,
-}
+/// The frozen decoder of a [`crate::network::FrozenAdarNet`]: one weight
+/// copy, any number of threads, every bin's batch through the same
+/// shared weights (the paper's weight-sharing design), now concurrently.
+pub struct FrozenDecoder(pub(crate) FrozenSequential);
 
 impl FrozenDecoder {
-    /// Expected input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
     /// Inference forward of a per-bin batch; pool-backed output.
     pub fn forward(&self, x: &Tensor<f32>) -> Tensor<f32> {
-        assert_eq!(
-            x.dim(1),
-            self.in_channels,
-            "decoder expects {} channels, got {}",
-            self.in_channels,
-            x.dim(1)
-        );
-        self.net.infer(x)
-    }
-
-    /// Resident frozen-weight bytes across the 6 conv/deconv layers.
-    pub fn weight_bytes(&self) -> usize {
-        self.net.weight_bytes()
+        self.0.infer(x)
     }
 }
 
@@ -168,7 +70,7 @@ mod tests {
 
     #[test]
     fn preserves_spatial_extent_across_resolutions() {
-        let mut d = Decoder::new(7, 0);
+        let mut d = decoder(7, 0);
         for (h, w) in [(16, 16), (32, 32), (64, 64)] {
             let x = Tensor::<f32>::full(Shape::d4(2, 7, h, w), 0.1);
             let y = d.forward(&x);
@@ -180,7 +82,7 @@ mod tests {
     fn dynamic_batch_sizes_share_weights() {
         // The same decoder must process bins of different batch sizes and
         // give identical results for identical items.
-        let mut d = Decoder::new(7, 1);
+        let mut d = decoder(7, 1);
         let one = Tensor::from_vec(
             Shape::d4(1, 7, 8, 8),
             (0..7 * 64).map(|i| (i as f32 * 0.03).cos()).collect(),
@@ -195,7 +97,7 @@ mod tests {
 
     #[test]
     fn backward_accumulates_gradients() {
-        let mut d = Decoder::new(7, 2);
+        let mut d = decoder(7, 2);
         let x = Tensor::<f32>::full(Shape::d4(1, 7, 8, 8), 0.2);
         let y = d.forward(&x);
         let dx = d.backward(&Tensor::full(y.shape().clone(), 1.0f32));
@@ -207,7 +109,7 @@ mod tests {
 
     #[test]
     fn layer_count_and_params() {
-        let d = Decoder::new(7, 3);
+        let d = decoder(7, 3);
         // 6 trainable layers, each weight+bias.
         assert_eq!(d.grads().len(), 12);
         let expect = (8 * 7 * 9 + 8)

@@ -7,7 +7,7 @@
 //! trained model and submit batches concurrently. [`InferenceEngine`]
 //! owns a [`FrozenAdarNet`] — the immutable weight plane, with GEMM
 //! A-panels pre-packed and the deconv flip-transpose applied once at
-//! construction — plus its normalization, and exposes `&self` batch
+//! construction — plus its normalization, and exposes `&self`
 //! inference (normalize → score → bin → per-bin decode) with typed
 //! errors so a bad request cannot take down a worker.
 //!
@@ -144,37 +144,21 @@ impl InferenceEngine {
         self.frozen.device().name()
     }
 
-    /// Infer one raw (physical-units) `(C, H, W)` LR field.
+    /// Infer one raw (physical-units) `(C, H, W)` LR field: normalize,
+    /// then [`FrozenAdarNet::try_predict`].
     ///
-    /// The returned [`Prediction`] is backed by workspace-pool buffers;
-    /// call [`Prediction::recycle`] once it is consumed to keep
-    /// steady-state inference loops free of data-plane heap allocation.
+    /// The returned [`Prediction`] is backed by workspace-pool buffers.
+    /// After warmup, a steady-state loop of `infer` +
+    /// [`Prediction::recycle`] performs zero data-plane heap allocations:
+    /// every tensor buffer (normalized input, scorer/decoder
+    /// activations, im2col panels, patch outputs) is drawn from and
+    /// returned to the workspace pool (see `adarnet_tensor::workspace`;
+    /// pinned by `tests/zero_alloc.rs`).
     pub fn infer(&self, lr_field: &Tensor<f32>) -> Result<Prediction, EngineError> {
         let normalized = self.norm.normalize(lr_field);
         let pred = self.frozen.try_predict(&normalized);
         normalized.recycle();
         Ok(pred?)
-    }
-
-    /// Infer a batch of raw LR fields of identical extent: every
-    /// `(sample, bin)` pair decodes as an independent work item over
-    /// the shared frozen decoder
-    /// ([`FrozenAdarNet::try_predict_batch`]), which is the
-    /// serving-time payoff of non-uniform SR.
-    ///
-    /// After warmup, a steady-state loop of `infer_batch` +
-    /// [`Prediction::recycle`] performs zero data-plane heap allocations:
-    /// every tensor buffer (normalized inputs, scorer/decoder
-    /// activations, im2col panels, patch outputs) is drawn from and
-    /// returned to the workspace pool (see `adarnet_tensor::workspace`).
-    pub fn infer_batch(&self, lr_fields: &[Tensor<f32>]) -> Result<Vec<Prediction>, EngineError> {
-        let normalized: Vec<Tensor<f32>> =
-            lr_fields.iter().map(|x| self.norm.normalize(x)).collect();
-        let preds = self.frozen.try_predict_batch(&normalized);
-        for x in normalized {
-            x.recycle();
-        }
-        Ok(preds?)
     }
 }
 
@@ -216,23 +200,6 @@ mod tests {
         assert_eq!(via_engine.binning.bin_of_patch, direct.binning.bin_of_patch);
         for (a, b) in via_engine.patches.iter().zip(&direct.patches) {
             assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn infer_batch_matches_singles() {
-        let engine = tiny_engine(12);
-        let a = sample(16, 32, 0.0);
-        let b = sample(16, 32, 1.3);
-        let batch = engine.infer_batch(&[a.clone(), b.clone()]).unwrap();
-        let pa = engine.infer(&a).unwrap();
-        let pb = engine.infer(&b).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (x, y) in batch[0].patches.iter().zip(&pa.patches) {
-            assert_eq!(x, y);
-        }
-        for (x, y) in batch[1].patches.iter().zip(&pb.patches) {
-            assert_eq!(x, y);
         }
     }
 

@@ -7,7 +7,7 @@
 //! The DNN ([`network::AdarNet`]) decomposes non-uniform SR into three
 //! sub-tasks (§3.1): a trainable [`scorer::Scorer`] scores each 16x16
 //! patch of the LR flow field, a non-trainable [`ranker::Ranker`] bins
-//! patches into target resolutions, and a shared [`decoder::Decoder`]
+//! patches into target resolutions, and a shared [`decoder::decoder`]
 //! reconstructs every patch at its bin's resolution. Training is
 //! semi-supervised with a hybrid LR-data + PDE-residual loss
 //! ([`loss`], [`pde`]); no HR labels are needed.
@@ -48,7 +48,7 @@ pub mod sync;
 pub mod trainer;
 
 pub use checkpoint::{load_file, save_file, ModelCheckpoint};
-pub use decoder::{Decoder, FrozenDecoder};
+pub use decoder::{decoder, FrozenDecoder};
 pub use engine::{EngineError, InferenceEngine};
 pub use framework::{
     run_adarnet_case, run_amr_baseline, try_run_adarnet_case, AdarnetRunReport, AmrBaselineReport,

@@ -6,10 +6,10 @@
 //! resolution `2^n x` per side (`4^n x` cells) chosen by the ranker.
 
 use adarnet_amr::{PatchLayout, RefinementMap};
-use adarnet_nn::{bicubic_resize3, Device};
+use adarnet_nn::{bicubic_resize3, Device, Sequential};
 use adarnet_tensor::{Shape, Tensor};
 
-use crate::decoder::{Decoder, FrozenDecoder};
+use crate::decoder::{decoder, FrozenDecoder};
 use crate::ranker::{Binning, Ranker, RankerError};
 use crate::scorer::{FrozenScorer, Scorer, ScorerOutput};
 
@@ -49,8 +49,8 @@ pub struct AdarNet {
     pub scorer: Scorer,
     /// Ranker (binning, §3.1).
     pub ranker: Ranker,
-    /// Shared decoder (Figure 5).
-    pub decoder: Decoder,
+    /// Shared decoder (Figure 5), built by [`decoder`].
+    pub decoder: Sequential,
     /// Compute backend every kernel in the scorer and decoder routes
     /// through; [`Device::detect`] at construction, changed via
     /// [`AdarNet::set_device`].
@@ -137,7 +137,7 @@ impl AdarNet {
             scorer: Scorer::new(cfg.in_channels, cfg.ph, cfg.pw, cfg.seed),
             ranker: Ranker::new(cfg.bins),
             // Decoder input: flow channels + latent + 2 coordinates.
-            decoder: Decoder::new(cfg.in_channels + 3, cfg.seed + 100),
+            decoder: decoder(cfg.in_channels + 3, cfg.seed + 100),
             device: Device::detect(),
         }
     }
@@ -160,14 +160,14 @@ impl AdarNet {
     /// (GEMM A-panels, the deconv flip-transpose), the `Copy` ranker is
     /// copied, and every entry point becomes `&self`. What it computes
     /// is bitwise what the training forward ([`AdarNet::try_plan`] +
-    /// [`Decoder::forward`]) computes on the same weights — pinned by
-    /// `tests/train_serve.rs`.
+    /// the decoder's [`Sequential::forward`]) computes on the same
+    /// weights — pinned by `tests/train_serve.rs`.
     pub fn freeze(&self) -> FrozenAdarNet {
         FrozenAdarNet {
             cfg: self.cfg,
             scorer: self.scorer.freeze(),
             ranker: self.ranker,
-            decoder: self.decoder.freeze(),
+            decoder: FrozenDecoder(self.decoder.freeze()),
             device: self.device,
         }
     }
@@ -247,10 +247,12 @@ fn plan_sample(
 /// every entry point is `&self` and activations come from the
 /// workspace pool, so concurrency is the caller's (serve workers and
 /// connection threads share one instance behind an `Arc`); a single
-/// call decodes its `(sample, bin)` batches one after another. Each
-/// bin's decoder output is per-item independent of batch composition
-/// (pinned by `predict_batch_matches_per_sample_predict`), so cutting
-/// the batches along `(sample, bin)` changes nothing but wall-clock.
+/// call decodes its non-empty bins one after another, one decoder batch
+/// per bin. Each bin's decoder output is per-item independent of batch
+/// composition, so serving's cross-request batches (`adarnet-serve`'s
+/// `infer_cached`, pinned bitwise against per-field
+/// [`crate::engine::InferenceEngine::infer`]) change nothing but
+/// wall-clock.
 pub struct FrozenAdarNet {
     cfg: AdarNetConfig,
     scorer: FrozenScorer,
@@ -280,7 +282,7 @@ impl FrozenAdarNet {
     /// Resident frozen-weight bytes (scorer + decoder). The serving
     /// gauge `engine_weight_bytes` reports this.
     pub fn weight_bytes(&self) -> usize {
-        self.scorer.weight_bytes() + self.decoder.weight_bytes()
+        self.scorer.weight_bytes() + self.decoder.0.weight_bytes()
     }
 
     /// The shared frozen decoder itself, for callers that time or probe
@@ -371,35 +373,12 @@ impl FrozenAdarNet {
     pub fn try_predict(&self, x: &Tensor<f32>) -> Result<Prediction, RankerError> {
         Ok(self.decode_plan(self.try_plan(x)?))
     }
-
-    /// Batched `&self` inference over samples of identical extent:
-    /// every sample is planned first, then every `(sample, bin)` pair
-    /// with a non-empty group decodes as its own decoder batch. This is
-    /// where non-uniform SR pays off at serving time (Figure 1's
-    /// motivation): the expensive high-resolution bins hold few patches
-    /// while LR patches stay cheap — uniform SR would run every sample
-    /// entirely at max resolution. The first sample whose scores cannot
-    /// be binned fails the whole batch (callers that want per-sample
-    /// degradation pre-validate with [`FrozenAdarNet::try_plan`]).
-    pub fn try_predict_batch(
-        &self,
-        samples: &[Tensor<f32>],
-    ) -> Result<Vec<Prediction>, RankerError> {
-        let plans: Vec<ForwardPlan> = samples
-            .iter()
-            .map(|x| self.try_plan(x))
-            .collect::<Result<_, _>>()?;
-        Ok(plans
-            .into_iter()
-            .map(|plan| self.decode_plan(plan))
-            .collect())
-    }
 }
 
 impl Prediction {
     /// Return every tensor buffer in this prediction to the workspace
     /// pool. Inference entry points ([`FrozenAdarNet::try_predict`],
-    /// [`crate::engine::InferenceEngine::infer_batch`], ...) produce
+    /// [`crate::engine::InferenceEngine::infer`], ...) produce
     /// pool-backed predictions; recycling consumed ones is what makes
     /// steady-state serving loops allocation-free. Dropping a prediction
     /// instead is always safe — it merely returns the buffers to the
@@ -517,26 +496,6 @@ mod tests {
         for idx in 0..8 {
             assert_eq!(map.level_at(idx), pred.binning.level_of(idx));
         }
-    }
-
-    #[test]
-    fn predict_batch_matches_per_sample_predict() {
-        let frozen = tiny_model().freeze();
-        let a = sample(16, 32);
-        let b = {
-            let mut t = sample(16, 32);
-            t.map_inplace(|v| v * 0.7 + 0.1);
-            t
-        };
-        let batch = frozen.try_predict_batch(&[a.clone(), b.clone()]).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (got, x) in batch.iter().zip([&a, &b]) {
-            let want = frozen.try_predict(x).unwrap();
-            assert_eq!(got.binning.bin_of_patch, want.binning.bin_of_patch);
-            assert_eq!(got.scores, want.scores);
-            assert_eq!(got.patches, want.patches);
-        }
-        assert!(frozen.try_predict_batch(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -7,27 +7,27 @@
 //! convolution collapsing it to the 2-D latent image, a maxpool with pool
 //! size = stride = patch extent, and a softmax over patches.
 //!
+//! The network is two [`Sequential`] stacks: the `body` (the four convs
+//! and their ReLUs) ends at the latent image, and the weightless `head`
+//! (pool, softmax) turns the latent into scores.
+//!
 //! Training signal: the softmax scores feed the (discrete) ranker, so no
 //! gradient flows through them; the scorer learns through the latent
 //! channel, which is concatenated to every patch before the decoder
-//! (Figure 3) — gradient arrives via [`Scorer::backward_latent`].
+//! (Figure 3) — gradient arrives via [`Scorer::backward`].
 
 use adarnet_nn::{
-    Activation, Conv2d, Device, InferLayer, Initializer, Layer, MaxPool2d, SpatialSoftmax,
+    Activation, Conv2d, Device, FrozenSequential, Initializer, MaxPool2d, Sequential,
+    SpatialSoftmax,
 };
 use adarnet_tensor::Tensor;
 
 /// The scorer: 4 convs -> (latent, pool+softmax scores).
 pub struct Scorer {
-    conv1: Conv2d,
-    act1: Activation,
-    conv2: Conv2d,
-    act2: Activation,
-    conv3: Conv2d,
-    act3: Activation,
-    conv4: Conv2d,
-    pool: MaxPool2d,
-    softmax: SpatialSoftmax,
+    /// conv1, ReLU, conv2, ReLU, conv3, ReLU, conv4: field -> latent.
+    body: Sequential,
+    /// Max pool, softmax: latent -> patch scores.
+    head: Sequential,
 }
 
 /// Scorer forward output: per-patch scores and the 2-D latent image.
@@ -43,49 +43,32 @@ impl Scorer {
     /// patches, with the paper's max pooling.
     pub fn new(in_channels: usize, ph: usize, pw: usize, seed: u64) -> Scorer {
         Scorer {
-            conv1: Conv2d::new(in_channels, 8, 3, Initializer::HeNormal, seed),
-            act1: Activation::relu(),
-            conv2: Conv2d::new(8, 16, 3, Initializer::HeNormal, seed + 1),
-            act2: Activation::relu(),
-            conv3: Conv2d::new(16, 16, 3, Initializer::HeNormal, seed + 2),
-            act3: Activation::relu(),
-            conv4: Conv2d::new(16, 1, 3, Initializer::XavierUniform, seed + 3),
-            pool: MaxPool2d::new(ph, pw),
-            softmax: SpatialSoftmax::new(),
+            body: Sequential::new()
+                .push(Conv2d::new(in_channels, 8, 3, Initializer::HeNormal, seed))
+                .push(Activation::relu())
+                .push(Conv2d::new(8, 16, 3, Initializer::HeNormal, seed + 1))
+                .push(Activation::relu())
+                .push(Conv2d::new(16, 16, 3, Initializer::HeNormal, seed + 2))
+                .push(Activation::relu())
+                .push(Conv2d::new(16, 1, 3, Initializer::XavierUniform, seed + 3)),
+            head: Sequential::new()
+                .push(MaxPool2d::new(ph, pw))
+                .push(SpatialSoftmax::new()),
         }
     }
 
-    /// Route the four convs to `device` (see [`Layer::set_device`]);
-    /// the pool and the softmax have no backend. Freezing afterwards
-    /// yields a frozen scorer pinned to the same backend.
+    /// Route the four convs to `device` (see
+    /// [`adarnet_nn::Layer::set_device`]); the pool and the softmax have
+    /// no backend. Freezing afterwards yields a frozen scorer pinned to
+    /// the same backend.
     pub fn set_device(&mut self, device: Device) {
-        self.conv1.set_device(device);
-        self.conv2.set_device(device);
-        self.conv3.set_device(device);
-        self.conv4.set_device(device);
+        self.body.set_device(device);
     }
 
     /// Forward pass on an `(N, C, H, W)` LR field.
     pub fn forward(&mut self, x: &Tensor<f32>) -> ScorerOutput {
-        // Intermediates are recycled into the workspace pool as soon as
-        // the next layer has consumed (and internally cached) them, so
-        // steady-state training epochs reuse the same buffers.
-        let c1 = self.conv1.forward(x);
-        let h1 = self.act1.forward(&c1);
-        c1.recycle();
-        let c2 = self.conv2.forward(&h1);
-        h1.recycle();
-        let h2 = self.act2.forward(&c2);
-        c2.recycle();
-        let c3 = self.conv3.forward(&h2);
-        h2.recycle();
-        let h3 = self.act3.forward(&c3);
-        c3.recycle();
-        let latent = self.conv4.forward(&h3);
-        h3.recycle();
-        let pooled = self.pool.forward(&latent);
-        let scores = self.softmax.forward(&pooled);
-        pooled.recycle();
+        let latent = self.body.forward(x);
+        let scores = self.head.forward(&latent);
         ScorerOutput { scores, latent }
     }
 
@@ -95,162 +78,85 @@ impl Scorer {
     /// end to end.
     pub fn freeze(&self) -> FrozenScorer {
         FrozenScorer {
-            conv1: self.conv1.freeze(),
-            act1: self.act1.freeze(),
-            conv2: self.conv2.freeze(),
-            act2: self.act2.freeze(),
-            conv3: self.conv3.freeze(),
-            act3: self.act3.freeze(),
-            conv4: self.conv4.freeze(),
-            pool: self.pool.freeze(),
-            softmax: self.softmax.freeze(),
+            body: self.body.freeze(),
+            head: self.head.freeze(),
         }
     }
 
-    /// Backward pass for the gradient arriving at the **latent** output
-    /// (the differentiable path through the decoder; gradients on the
-    /// binning decision itself are cut by the discrete ranker).
-    /// Accumulates parameter gradients, returns dL/dinput.
-    pub fn backward_latent(&mut self, grad_latent: &Tensor<f32>) -> Tensor<f32> {
-        let g4 = self.conv4.backward(grad_latent);
-        let a3 = self.act3.backward(&g4);
-        g4.recycle();
-        let g3 = self.conv3.backward(&a3);
-        a3.recycle();
-        let a2 = self.act2.backward(&g3);
-        g3.recycle();
-        let g2 = self.conv2.backward(&a2);
-        a2.recycle();
-        let a1 = self.act1.backward(&g2);
-        g2.recycle();
-        let dx = self.conv1.backward(&a1);
-        a1.recycle();
-        dx
-    }
-
-    /// Combined backward: gradient on the latent output plus (optionally)
-    /// a gradient on the softmax scores — used by the trainer's
+    /// Backward pass for the gradient arriving at the latent output (the
+    /// differentiable path through the decoder) plus, optionally, a
+    /// gradient on the softmax scores — used by the trainer's
     /// physics-based score supervision, which routes dL/dscores back
     /// through the softmax and maxpool into the same latent image.
+    /// Accumulates parameter gradients, returns dL/dinput.
     pub fn backward(
         &mut self,
         grad_latent: &Tensor<f32>,
         grad_scores: Option<&Tensor<f32>>,
     ) -> Tensor<f32> {
-        let mut g = grad_latent.pooled_copy();
-        if let Some(ds) = grad_scores {
-            let d_pooled = self.softmax.backward(ds);
-            let d_latent2 = self.pool.backward(&d_pooled);
-            d_pooled.recycle();
-            g.axpy_inplace(1.0, &d_latent2);
-            d_latent2.recycle();
-        }
-        let dx = self.backward_latent(&g);
+        let Some(ds) = grad_scores else {
+            return self.body.backward(grad_latent);
+        };
+        let mut g = self.head.backward(ds);
+        g.axpy_inplace(1.0, grad_latent);
+        let dx = self.body.backward(&g);
         g.recycle();
         dx
     }
 
     /// All trainable parameters (4 convs x weight+bias).
     pub fn params_mut(&mut self) -> Vec<&mut Tensor<f32>> {
-        let mut v = self.conv1.params_mut();
-        v.extend(self.conv2.params_mut());
-        v.extend(self.conv3.params_mut());
-        v.extend(self.conv4.params_mut());
-        v
+        self.body.params_mut()
     }
 
     /// Accumulated gradients, aligned with [`Scorer::params_mut`].
     pub fn grads(&self) -> Vec<&Tensor<f32>> {
-        let mut v = self.conv1.grads();
-        v.extend(self.conv2.grads());
-        v.extend(self.conv3.grads());
-        v.extend(self.conv4.grads());
-        v
+        self.body.grads()
     }
 
     /// Zero all accumulated gradients.
     pub fn zero_grads(&mut self) {
-        self.conv1.zero_grads();
-        self.conv2.zero_grads();
-        self.conv3.zero_grads();
-        self.conv4.zero_grads();
+        self.body.zero_grads();
     }
 
     /// Trainable scalar count.
     pub fn num_params(&self) -> usize {
-        self.conv1.num_params()
-            + self.conv2.num_params()
-            + self.conv3.num_params()
-            + self.conv4.num_params()
+        self.body.num_params()
     }
 
     /// Snapshot weights for checkpointing.
     pub fn snapshot(&self) -> Vec<Tensor<f32>> {
-        let mut v: Vec<Tensor<f32>> = Vec::new();
-        for l in [&self.conv1, &self.conv2, &self.conv3, &self.conv4] {
-            v.extend(l.params().into_iter().cloned());
-        }
-        v
+        self.body.snapshot()
     }
 
     /// Restore weights from [`Scorer::snapshot`] output.
     pub fn restore(&mut self, tensors: &[Tensor<f32>]) {
-        let mut params = self.params_mut();
-        assert_eq!(params.len(), tensors.len(), "snapshot length mismatch");
-        for (p, t) in params.iter_mut().zip(tensors) {
-            assert!(p.shape().same(t.shape()), "snapshot shape mismatch");
-            p.as_mut_slice().copy_from_slice(t.as_slice());
-        }
+        self.body.restore(tensors);
     }
 }
 
-/// The scorer's frozen, share-everything twin: same layer chain over
-/// [`InferLayer`]s, `&self` forward, `Sync`. Produced by
-/// [`Scorer::freeze`].
+/// The scorer's frozen, share-everything twin: the same two stacks,
+/// frozen, with a `&self` forward. Produced by [`Scorer::freeze`].
 pub struct FrozenScorer {
-    conv1: Box<dyn InferLayer>,
-    act1: Box<dyn InferLayer>,
-    conv2: Box<dyn InferLayer>,
-    act2: Box<dyn InferLayer>,
-    conv3: Box<dyn InferLayer>,
-    act3: Box<dyn InferLayer>,
-    conv4: Box<dyn InferLayer>,
-    pool: Box<dyn InferLayer>,
-    softmax: Box<dyn InferLayer>,
+    body: FrozenSequential,
+    head: FrozenSequential,
 }
 
 impl FrozenScorer {
-    /// Inference forward: the op/recycle chain of [`Scorer::forward`]
-    /// over frozen weights, with no backprop caches. Both returned
-    /// tensors are pool-backed — recycle them (or let
-    /// [`crate::network::Prediction::recycle`] do it) when done.
+    /// Inference forward: [`Scorer::forward`] over frozen weights, with
+    /// no backprop caches. Both returned tensors are pool-backed —
+    /// recycle them (or let [`crate::network::Prediction::recycle`] do
+    /// it) when done.
     pub fn forward(&self, x: &Tensor<f32>) -> ScorerOutput {
-        let c1 = self.conv1.infer(x);
-        let h1 = self.act1.infer(&c1);
-        c1.recycle();
-        let c2 = self.conv2.infer(&h1);
-        h1.recycle();
-        let h2 = self.act2.infer(&c2);
-        c2.recycle();
-        let c3 = self.conv3.infer(&h2);
-        h2.recycle();
-        let h3 = self.act3.infer(&c3);
-        c3.recycle();
-        let latent = self.conv4.infer(&h3);
-        h3.recycle();
-        let pooled = self.pool.infer(&latent);
-        let scores = self.softmax.infer(&pooled);
-        pooled.recycle();
+        let latent = self.body.infer(x);
+        let scores = self.head.infer(&latent);
         ScorerOutput { scores, latent }
     }
 
     /// Resident frozen-weight bytes (the four convs' tensors + packed
     /// panels; pool/softmax/activations are weightless).
     pub fn weight_bytes(&self) -> usize {
-        [&self.conv1, &self.conv2, &self.conv3, &self.conv4]
-            .iter()
-            .map(|l| l.weight_bytes())
-            .sum()
+        self.body.weight_bytes()
     }
 }
 
@@ -294,7 +200,7 @@ mod tests {
         let mut s = Scorer::new(4, 8, 8, 2);
         let x = input(1, 16, 16);
         let out = s.forward(&x);
-        let dx = s.backward_latent(&Tensor::full(out.latent.shape().clone(), 1.0f32));
+        let dx = s.backward(&Tensor::full(out.latent.shape().clone(), 1.0f32), None);
         assert_eq!(dx.shape(), x.shape());
         let total_grad: f64 = s.grads().iter().map(|g| g.abs_max()).sum();
         assert!(total_grad > 0.0, "no gradient reached the scorer convs");

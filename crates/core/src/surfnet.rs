@@ -6,21 +6,21 @@
 //! (bicubic), appends global coordinates, and runs a full-resolution
 //! convolutional decode — every pixel of the domain pays HR inference
 //! cost, which is exactly the inefficiency ADARNet removes. The conv stack
-//! reuses the verified [`Decoder`] architecture so the comparison isolates
+//! reuses the verified [`decoder`] architecture so the comparison isolates
 //! *uniform vs non-uniform* rather than architecture differences.
 
-use adarnet_nn::bicubic_resize3;
+use adarnet_nn::{bicubic_resize3, FrozenSequential, Sequential};
 use adarnet_tensor::{Shape, Tensor};
 
-use crate::decoder::{Decoder, FrozenDecoder};
+use crate::decoder::decoder;
 
 /// The uniform-SR baseline network.
 pub struct SurfNet {
-    decoder: Decoder,
+    decoder: Sequential,
     /// `decoder` frozen for inference, as ADARNet's is: weight
     /// preparation happens at construction (and in
     /// [`SurfNet::restore`]), never inside a timed `predict`.
-    frozen: FrozenDecoder,
+    frozen: FrozenSequential,
     /// Per-side upscale factor (8 for the paper's 64x SR).
     pub scale: usize,
 }
@@ -30,7 +30,7 @@ impl SurfNet {
     pub fn new(scale: usize, seed: u64) -> SurfNet {
         assert!(scale >= 1, "scale must be positive");
         // 4 flow channels + 2 coordinate channels.
-        let decoder = Decoder::new(6, seed);
+        let decoder = decoder(6, seed);
         let frozen = decoder.freeze();
         SurfNet {
             decoder,
@@ -62,10 +62,10 @@ impl SurfNet {
 
     /// Uniform SR of a `(4, H, W)` LR field to `(4, H*scale, W*scale)`.
     pub fn predict(&self, lr: &Tensor<f32>) -> Tensor<f32> {
-        self.frozen.forward(&self.decoder_input(lr)).image(0)
+        self.frozen.infer(&self.decoder_input(lr)).image(0)
     }
 
-    /// Load trained decoder weights ([`Decoder::snapshot`] order) and
+    /// Load trained decoder weights ([`Sequential::snapshot`] order) and
     /// re-freeze, so `predict` never serves stale panels.
     pub fn restore(&mut self, tensors: &[Tensor<f32>]) {
         self.decoder.restore(tensors);
@@ -111,7 +111,7 @@ mod tests {
         let before = s.predict(&lr);
         assert_eq!(before, s.decoder.forward(&input).image(0));
 
-        s.restore(&Decoder::new(6, 99).snapshot());
+        s.restore(&decoder(6, 99).snapshot());
         let after = s.predict(&lr);
         assert_ne!(after, before, "restore must re-freeze");
         assert_eq!(after, s.decoder.forward(&input).image(0));

@@ -87,21 +87,3 @@ fn scalar_and_simd_engines_agree_on_refinement_decisions() {
         pv.recycle();
     }
 }
-
-/// Batched inference agrees across backends too (the `(sample, bin)`
-/// decodes reuse the same per-backend kernels).
-#[test]
-fn batch_decisions_match_across_backends() {
-    let scalar = engine_on(Device::CpuScalar, 7);
-    let simd = engine_on(Device::CpuSimd, 7);
-    let fields = vec![sample(16, 32, 0.0), sample(16, 32, 1.3)];
-    let bs = scalar.infer_batch(&fields).expect("scalar batch");
-    let bv = simd.infer_batch(&fields).expect("simd batch");
-    assert_eq!(bs.len(), bv.len());
-    for (ps, pv) in bs.into_iter().zip(bv) {
-        assert_eq!(ps.binning.bin_of_patch, pv.binning.bin_of_patch);
-        assert_eq!(ps.active_cells(), pv.active_cells());
-        ps.recycle();
-        pv.recycle();
-    }
-}

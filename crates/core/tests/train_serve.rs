@@ -8,7 +8,7 @@
 //! builds a seeded model on the device under test and returns `(what,
 //! trained, served)` triples to compare.
 
-use adarnet_core::{AdarNet, AdarNetConfig, Decoder, Scorer};
+use adarnet_core::{decoder, AdarNet, AdarNetConfig, Scorer};
 use adarnet_nn::{
     Activation, Conv2d, ConvTranspose2d, Device, Initializer, Layer, Optimizer, Sequential, Sgd,
 };
@@ -88,14 +88,14 @@ fn scorer_pairs(dev: Device) -> Pairs {
 }
 
 fn decoder_pairs(dev: Device) -> Pairs {
-    let mut d = Decoder::new(7, 5);
+    let mut d = decoder(7, 5);
     d.set_device(dev);
     let frozen = d.freeze();
     [(8, 8), (16, 16), (32, 32)]
         .iter()
         .map(|&(h, w)| {
             let x = filled(Shape::d4(2, 7, h, w), 0.2);
-            (format!("{h}x{w}"), d.forward(&x), frozen.forward(&x))
+            (format!("{h}x{w}"), d.forward(&x), frozen.infer(&x))
         })
         .collect()
 }

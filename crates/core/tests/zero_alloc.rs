@@ -2,8 +2,9 @@
 //! workspace-pool refactor).
 //!
 //! After a warmup phase that populates the pool with the steady-state
-//! working set, repeated `InferenceEngine::infer_batch` calls — the
-//! serving hot loop — must perform **zero data-plane heap allocations**:
+//! working set, repeated `InferenceEngine::infer` calls — the engine's
+//! per-field inference, on both compute backends — must perform **zero
+//! data-plane heap allocations**:
 //! every `f32` buffer (normalized inputs, scorer/decoder activations,
 //! im2col panels, GEMM output panels, refined patches, coordinate
 //! channels, patch outputs) is drawn from and recycled back into the
@@ -16,6 +17,9 @@
 //! per-bin index lists, the `Vec<Prediction>` spine — are deliberately
 //! out of scope: they are O(patches) pointer-sized, not O(pixels), and a
 //! global-allocator hook is off the table under `unsafe_code = "deny"`.
+//!
+//! The serving hot loop, `adarnet_serve::infer_cached`, has its own
+//! process and assertion in `crates/serve/tests/zero_alloc.rs`.
 
 use adarnet_core::engine::InferenceEngine;
 use adarnet_core::loss::NormStats;
@@ -37,7 +41,7 @@ fn sample(h: usize, w: usize, phase: f32) -> Tensor<f32> {
 /// thread would perturb the count. Integration tests get their own
 /// process, which is exactly the isolation this assertion needs.
 #[test]
-fn steady_state_infer_batch_performs_zero_data_allocations() {
+fn steady_state_infer_performs_zero_data_allocations() {
     // Both compute backends must honor the contract: the SIMD plane
     // draws its im2col/output panels from the same (64-byte-aligned)
     // workspace shelves as the scalar plane. Engines run sequentially
@@ -60,15 +64,16 @@ fn steady_state_infer_batch_performs_zero_data_allocations() {
         // set, including the peak number of concurrently-held im2col/output
         // panels.
         for _ in 0..6 {
-            for pred in engine.infer_batch(&fields).expect("warmup inference") {
-                pred.recycle();
+            for field in &fields {
+                engine.infer(field).expect("warmup inference").recycle();
             }
         }
 
         let before = workspace::data_allocs();
         let mut cells = 0usize;
         for _ in 0..8 {
-            for pred in engine.infer_batch(&fields).expect("steady-state inference") {
+            for field in &fields {
+                let pred = engine.infer(field).expect("steady-state inference");
                 cells += pred.active_cells();
                 pred.recycle();
             }
@@ -78,7 +83,7 @@ fn steady_state_infer_batch_performs_zero_data_allocations() {
         assert_eq!(
             after - before,
             0,
-            "steady-state infer_batch on {} allocated {} data buffers in 8 \
+            "steady-state infer on {} allocated {} data buffers in 8 \
              iterations; the hot path must run entirely from the workspace pool",
             device.name(),
             after - before

@@ -32,29 +32,20 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Forward through every layer. Intermediate activations are
-    /// recycled into the workspace pool as soon as the next layer has
-    /// consumed them.
+    /// Forward through every layer. The first layer reads `x` itself
+    /// (a layer that needs its input for backprop caches its own copy);
+    /// intermediate activations are recycled into the workspace pool as
+    /// soon as the next layer has consumed them. An empty stack returns
+    /// a pooled copy of `x`.
     pub fn forward(&mut self, x: &Tensor<F>) -> Tensor<F> {
-        let mut cur = x.pooled_copy();
-        for layer in &mut self.layers {
-            let next = layer.forward(&cur);
-            cur.recycle();
-            cur = next;
-        }
-        cur
+        chain(x, self.layers.iter_mut(), |l, t| l.forward(t))
     }
 
     /// Backward through every layer in reverse; returns dL/dinput.
-    /// Intermediate gradients are recycled like forward activations.
+    /// Gradients flow like forward activations: the last layer reads
+    /// `grad_out` itself, intermediates are recycled.
     pub fn backward(&mut self, grad_out: &Tensor<F>) -> Tensor<F> {
-        let mut cur = grad_out.pooled_copy();
-        for layer in self.layers.iter_mut().rev() {
-            let next = layer.backward(&cur);
-            cur.recycle();
-            cur = next;
-        }
-        cur
+        chain(grad_out, self.layers.iter_mut().rev(), |l, t| l.backward(t))
     }
 
     /// All trainable parameters across layers.
@@ -162,19 +153,34 @@ impl FrozenSequential {
     /// `&mut` or backprop caches. The returned tensor is pool-backed;
     /// recycle it when done to keep serving loops allocation-free.
     pub fn infer(&self, x: &Tensor<F>) -> Tensor<F> {
-        let mut cur = x.pooled_copy();
-        for layer in &self.layers {
-            let next = layer.infer(&cur);
-            cur.recycle();
-            cur = next;
-        }
-        cur
+        chain(x, self.layers.iter(), |l, t| l.infer(t))
     }
 
     /// Total resident frozen-weight bytes across layers.
     pub fn weight_bytes(&self) -> usize {
         self.layers.iter().map(|l| l.weight_bytes()).sum()
     }
+}
+
+/// Run `step` through `layers` in order, starting from `x` without
+/// copying it and recycling each intermediate once the next layer has
+/// consumed it — the one loop behind [`Sequential::forward`],
+/// [`Sequential::backward`] and [`FrozenSequential::infer`].
+fn chain<L>(
+    x: &Tensor<F>,
+    mut layers: impl Iterator<Item = L>,
+    mut step: impl FnMut(L, &Tensor<F>) -> Tensor<F>,
+) -> Tensor<F> {
+    let Some(first) = layers.next() else {
+        return x.pooled_copy();
+    };
+    let mut cur = step(first, x);
+    for layer in layers {
+        let next = step(layer, &cur);
+        cur.recycle();
+        cur = next;
+    }
+    cur
 }
 
 #[cfg(test)]
@@ -206,6 +212,14 @@ mod tests {
         assert_eq!(net.params().len(), 4); // 2 convs x (weight, bias)
         assert_eq!(net.grads().len(), 4);
         assert_eq!(net.num_params(), 2 * 9 + 2 + 2 * 9 + 1);
+    }
+
+    #[test]
+    fn empty_stack_returns_a_copy_of_its_input() {
+        let x = Tensor::<F>::full(Shape::d4(1, 1, 3, 3), 0.5);
+        assert_eq!(Sequential::new().forward(&x), x);
+        assert_eq!(Sequential::new().backward(&x), x);
+        assert_eq!(Sequential::new().freeze().infer(&x), x);
     }
 
     #[test]

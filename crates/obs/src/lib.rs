@@ -25,8 +25,8 @@
 //! return, which is what the `obs_overhead` CI gate measures.
 //!
 //! Overhead budget (enforced by `scripts/ci.sh` stage `obs`): an
-//! instrumented `infer_batch` must stay within 3% of the
-//! uninstrumented run.
+//! instrumented pass of `InferenceEngine::infer` over a batch of fields
+//! must stay within 3% of the uninstrumented run.
 
 #![cfg_attr(
     not(test),

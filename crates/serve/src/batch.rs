@@ -1,12 +1,14 @@
 //! Cache-aware micro-batch inference and the degraded bin-0 fallback.
 //!
-//! [`infer_cached`] is the serving-side twin of
-//! `AdarNet::predict_batch`: same-bin patches from every request in the
-//! micro-batch form one decoder batch, but each patch first consults
-//! the [`PatchCache`] — only misses are decoded, and fresh decodes are
-//! inserted for the next request. Because cache values are the exact
-//! tensors the decoder produced (keyed on the exact decoder input),
-//! predictions are bitwise identical with the cache on or off.
+//! [`infer_cached`] is the server's one inference path: the same
+//! plan → per-bin decode as `InferenceEngine::infer`, but same-bin
+//! patches from every request in the micro-batch form one decoder
+//! batch, and each patch first consults the [`PatchCache`] — only
+//! misses are decoded, and fresh decodes are inserted for the next
+//! request. Because cache values are the exact tensors the decoder
+//! produced (keyed on the exact decoder input), and each patch's decode
+//! does not depend on its batch mates, predictions are bitwise what
+//! per-field `InferenceEngine::infer` gives, with the cache on or off.
 //!
 //! [`degraded_prediction`] is the load-shedding path: a bin-0-everywhere
 //! "prediction" whose patches are the raw (normalized) LR patches — no
@@ -231,6 +233,14 @@ mod tests {
             for (x, y) in a.patches.iter().zip(&b.patches) {
                 assert_eq!(x, y);
             }
+        }
+        // The cross-request batch changes nothing: each field's
+        // prediction is bitwise the engine's per-field inference.
+        for (field, batched) in fields.iter().zip(&cold) {
+            let single = engine.infer(field).unwrap();
+            assert_eq!(single.binning.bin_of_patch, batched.binning.bin_of_patch);
+            assert_eq!(single.scores, batched.scores);
+            assert_eq!(single.patches, batched.patches);
         }
     }
 

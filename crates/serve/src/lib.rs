@@ -5,8 +5,8 @@
 //! into a serving system:
 //!
 //! * **micro-batching** ([`server`]): concurrent requests are fused so
-//!   same-bin patches from different requests share decoder batches —
-//!   the cross-request generalization of `AdarNet::predict_batch`;
+//!   same-bin patches from different requests share decoder batches
+//!   ([`infer_cached`]), bitwise what per-field inference gives;
 //! * **decoded-patch cache** ([`cache`]): content-hash-keyed LRU over
 //!   decoder outputs; repeated freestream patches skip the decoder
 //!   entirely, with bitwise-identical results;

@@ -125,6 +125,20 @@ fi
 fails_cleanly "$ADARNET" "loading" info --model target/ci-model-dropped.json
 fails_cleanly "$ADARNET" "--per-family 1" train --out target/ci-model-unused.json --per-family 1
 
+echo "==> examples (each of the six runs to exit 0)"
+if [ "${SKIP_SLOW:-0}" != "1" ]; then
+  # The examples build, train and run the model end to end, as README
+  # quotes them; train_small runs one epoch. About 2.5 min in all on a
+  # two-core host. Stdout goes to target/ci-example-*.txt; a panic or a
+  # non-zero exit fails the gate, and their numbers gate nothing.
+  for ex in quickstart channel_flow cylinder_amr airfoil_sweep solver_data; do
+    cargo run --release -q --example "$ex" > "target/ci-example-$ex.txt"
+  done
+  cargo run --release -q --example train_small 1 > target/ci-example-train_small.txt
+else
+  echo "    skipped (SKIP_SLOW=1): the six examples take minutes"
+fi
+
 echo "==> serve smoke (the closed-loop generator, in process)"
 # The README's "Observing a running server" command drives the
 # in-process half of the one load generator, whose TCP half the net
@@ -177,8 +191,8 @@ fails_cleanly "$NET_SERVE" "listen on" serve not-an-addr
 
 echo "==> obs overhead gate"
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
-  # Fails if instrumented infer_batch runs >3% slower than with the
-  # obs layer disabled.
+  # Fails if instrumented inference (InferenceEngine::infer over a
+  # batch of fields) runs >3% slower than with the obs layer disabled.
   cargo run --release -q -p adarnet-bench --bin obs_overhead -- --gate
 else
   cargo run --release -q -p adarnet-bench --bin obs_overhead -- --smoke --gate
