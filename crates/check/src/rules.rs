@@ -356,6 +356,8 @@ pub enum SpanSiteKind {
     TraceCall,
     /// `RejectReason::Variant => "tag"` — a reject-reason wire tag.
     RejectTag,
+    /// `counter!("name")` — a process-wide counter.
+    Counter,
 }
 
 /// One observable-name literal found in non-test source.
@@ -409,7 +411,7 @@ fn nth_quoted(line: &str, n: usize) -> Option<String> {
 
 /// Extract every observable-name literal site from non-test tokens.
 ///
-/// Three shapes are recognized (see [`SpanSiteKind`]); a call whose
+/// Four shapes are recognized (see [`SpanSiteKind`]); a call whose
 /// name argument is not a string literal (e.g. the `span!` macro's own
 /// expansion passing `self.site.name`) is deliberately skipped — only
 /// literal names can be registry-checked lexically.
@@ -427,8 +429,8 @@ pub fn span_name_sites(toks: &[Tok], mask: &[bool], lines: &[&str]) -> Vec<SpanN
         if mask[i] || t.kind != TokKind::Ident {
             continue;
         }
-        // `span!("name", ...)`
-        if t.text == "span"
+        // `span!("name", ...)` / `counter!("name")`
+        if (t.text == "span" || t.text == "counter")
             && toks.get(i + 1).is_some_and(|t| t.is_punct("!"))
             && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
             && toks.get(i + 3).is_some_and(|t| t.kind == TokKind::Str)
@@ -437,7 +439,11 @@ pub fn span_name_sites(toks: &[Tok], mask: &[bool], lines: &[&str]) -> Vec<SpanN
                 out.push(SpanNameSite {
                     line,
                     name,
-                    kind: SpanSiteKind::Macro,
+                    kind: if t.text == "span" {
+                        SpanSiteKind::Macro
+                    } else {
+                        SpanSiteKind::Counter
+                    },
                 });
             }
             continue;
@@ -507,6 +513,10 @@ fn scan_span_registry(
             SpanSiteKind::RejectTag => (
                 adarnet_obs::names::is_registered_reject(&site.name),
                 "REJECT_REASONS",
+            ),
+            SpanSiteKind::Counter => (
+                adarnet_obs::names::is_registered_counter(&site.name),
+                "COUNTERS",
             ),
         };
         if !registered {
@@ -899,6 +909,19 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert!(got[0].message.contains("rate_limited"));
         assert!(got[0].message.contains("REJECT_REASONS"));
+    }
+
+    #[test]
+    fn counter_names_are_registry_checked() {
+        let src = "fn f() { adarnet_obs::counter!(\"bogus_total\").inc(); \
+                   counter!(\"nn_infer_split_total\").inc(); }";
+        let got: Vec<_> = findings(src)
+            .into_iter()
+            .filter(|f| f.rule == SPAN_REGISTRY)
+            .collect();
+        assert_eq!(got.len(), 1);
+        assert!(got[0].message.contains("bogus_total"));
+        assert!(got[0].message.contains("COUNTERS"));
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! were packed a moment or a month ago, and whichever tile width the
 //! backend's registers allow.
 //!
+//! This code runs on the thread that calls it. Parallelism sits one
+//! level up: [`crate::FrozenSequential::infer`] splits a batch over the
+//! idle cores, once per stack call, so every lane drives this code on
+//! its own items. Splitting inside a conv instead (a spawn and a join
+//! per layer) measured slower.
+//!
 //! Monomorphization, not dynamic dispatch: the driver is generic over
 //! `M: MicroGemm` and the [`crate::device::Device`] enum selects the
 //! instantiation, so the micro-kernel inlines into the panel loop.
@@ -107,8 +113,10 @@ pub(crate) fn ragged_rows_body(blk: &mut RowBlock<'_>, rows: usize, j0: usize, j
 /// 64-byte-aligned from the workspace pool so vector loads never split
 /// a cache line; every finished tile goes straight into `y`, bias
 /// added, with no staging copy. Batch items and column panels run in
-/// order on the calling thread (callers parallelize across requests,
-/// not inside a conv).
+/// order on the calling thread. A conv does not split itself: a frozen
+/// stack splits its batch over idle cores once per call
+/// ([`crate::FrozenSequential::infer`]), and each lane's convs run here
+/// on that lane's items.
 pub fn conv2d_forward_packed<M: MicroGemm>(
     micro: M,
     x: &Tensor<F>,

@@ -1,11 +1,12 @@
-//! The registry of observable names: every `span!` site name and every
-//! reject-reason tag in the workspace, in one place.
+//! The registry of observable names: every `span!` site name, every
+//! `counter!` name and every reject-reason tag in the workspace, in one
+//! place.
 //!
 //! Dashboards, the admin endpoint's `/traces` consumers, and the
 //! loadgen reject-breakdown all key on these strings. Scattering them
 //! as ad-hoc literals is how a renamed stage silently orphans a graph,
 //! so `crates/check`'s `span-registry` lint cross-references the source
-//! tree against these tables: a `span!("name")` or
+//! tree against these tables: a `span!("name")`, `counter!("name")` or
 //! `RejectReason::X => "tag"` that is not listed here fails lint, and
 //! so does a duplicate entry in the tables themselves (enforced by the
 //! tests below).
@@ -25,6 +26,30 @@ pub const SPAN_SITES: &[&str] = &[
     "stage_solver",
 ];
 
+/// Every `counter!` name in the workspace's library code, sorted. The
+/// admin endpoint and `serve stats` print them as they are written here.
+pub const COUNTERS: &[&str] = &[
+    "admin_requests_total",
+    "core_decode_patches_total",
+    "core_decode_tasks_total",
+    "loadgen_transport_errors_total",
+    "net_bad_requests_total",
+    "net_connections_refused_total",
+    "net_connections_total",
+    "net_frame_errors_total",
+    "net_frames_rx_total",
+    "net_frames_tx_total",
+    "nn_gemm_panels_total",
+    "nn_infer_split_total",
+    "serve_cache_hits_total",
+    "serve_cache_misses_total",
+    "tensor_pool_hits_total",
+    "tensor_pool_misses_total",
+    "trace_retained_total",
+    "trace_spans_dropped_total",
+    "train_epochs_total",
+];
+
 /// Every `RejectReason` wire tag, sorted. These appear in degraded
 /// responses, per-reason reject counters, and the loadgen breakdown.
 pub const REJECT_REASONS: &[&str] = &[
@@ -38,6 +63,11 @@ pub const REJECT_REASONS: &[&str] = &[
 /// True if `name` is a registered span site.
 pub fn is_registered_span(name: &str) -> bool {
     SPAN_SITES.binary_search(&name).is_ok()
+}
+
+/// True if `name` is a registered counter.
+pub fn is_registered_counter(name: &str) -> bool {
+    COUNTERS.binary_search(&name).is_ok()
 }
 
 /// True if `tag` is a registered reject reason.
@@ -63,6 +93,7 @@ mod tests {
     #[test]
     fn tables_are_sorted_and_unique() {
         assert_sorted_unique(SPAN_SITES, "SPAN_SITES");
+        assert_sorted_unique(COUNTERS, "COUNTERS");
         assert_sorted_unique(REJECT_REASONS, "REJECT_REASONS");
     }
 
@@ -70,6 +101,8 @@ mod tests {
     fn lookups_use_the_sort_order() {
         assert!(is_registered_span("stage_decoder"));
         assert!(!is_registered_span("stage_decoderx"));
+        assert!(is_registered_counter("nn_infer_split_total"));
+        assert!(!is_registered_counter("nn_infer_splits_total"));
         assert!(is_registered_reject("queue_full"));
         assert!(!is_registered_reject("rate_limited"));
     }

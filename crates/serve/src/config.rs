@@ -21,6 +21,11 @@ pub struct ServeConfig {
     pub max_linger: Duration,
     /// Worker threads. All workers share one frozen engine (one
     /// resident weight copy); this only sets batching concurrency.
+    /// Workers and decoder lanes share the cores: a worker's decoder
+    /// batch splits over the cores no other inference holds
+    /// (`FrozenSequential::infer` in `adarnet-nn`), so one busy worker
+    /// gets every core, and with as many busy workers as cores nothing
+    /// splits.
     pub workers: usize,
     /// Decoded-patch cache capacity in entries (0 disables the cache).
     pub cache_capacity: usize,

@@ -12,7 +12,9 @@
 //!
 //! Kernels that touch every element (`map`, `zip`, reductions) run as one
 //! sequential pass on the calling thread; concurrency lives above this
-//! crate, in the serving worker pool.
+//! crate, in the serving worker pool and in the frozen stacks of
+//! `adarnet-nn`, which split a batch over idle cores (the workspace pool
+//! keeps each lane's buffers apart: [`workspace::hold`]).
 //!
 //! [NCHW]: https://docs.nvidia.com/deeplearning/performance/dl-performance-convolutional/index.html#tensor-layout
 

@@ -1,5 +1,7 @@
 //! The dense row-major tensor type.
 
+use std::ops::Range;
+
 use serde::{field, object, DeError, Deserialize, Serialize, Value};
 
 use crate::{workspace, Element, Shape};
@@ -322,6 +324,25 @@ impl Tensor<f32> {
         }
     }
 
+    /// Copy items `range` of the outermost axis (the batch of a rank-4
+    /// tensor) into a pooled tensor of the same trailing shape.
+    pub fn pooled_items(&self, range: Range<usize>) -> Tensor<f32> {
+        let mut dims = self.shape.0.clone();
+        assert!(
+            !dims.is_empty() && range.start <= range.end && range.end <= dims[0],
+            "items {range:?} out of {:?}",
+            self.shape
+        );
+        let item = self.data.len() / dims[0].max(1);
+        dims[0] = range.len();
+        let mut data = workspace::take_scratch(range.len() * item);
+        data.copy_from_slice(&self.data[range.start * item..range.end * item]);
+        Tensor {
+            shape: Shape(dims),
+            data,
+        }
+    }
+
     /// Return this tensor's backing buffer to the workspace pool.
     ///
     /// Safe to call on any `f32` tensor, pooled or not — recycling a
@@ -446,6 +467,21 @@ mod tests {
         assert_eq!(plain, pooled);
         assert_eq!(plain.image(1), pooled.pooled_image(1));
         pooled.recycle();
+    }
+
+    #[test]
+    fn pooled_items_copies_a_contiguous_item_range() {
+        let _g = crate::workspace::TEST_POOL_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        let images: Vec<Tensor<f32>> = (0..5)
+            .map(|n| Tensor::full(Shape::d3(2, 1, 3), n as f32))
+            .collect();
+        let batch = Tensor::stack(&images);
+        let mid = batch.pooled_items(1..4);
+        assert_eq!(mid, Tensor::stack(&images[1..4]));
+        assert_eq!(batch.pooled_items(2..2).shape(), &Shape::d4(0, 2, 1, 3));
+        mid.recycle();
     }
 
     #[test]

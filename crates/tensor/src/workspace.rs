@@ -27,6 +27,12 @@
 //!   [`MAX_PER_SHELF`] buffers; put beyond that drops the buffer, so
 //!   a transient burst (e.g. a wide training batch) cannot pin its
 //!   peak memory forever.
+//! * **Held lanes.** A thread running under [`hold`] puts its buffers
+//!   into a private stash instead of the shelves, and takes from that
+//!   stash first. A batch split over lanes therefore draws from the
+//!   shelves exactly each lane's own peak, whatever order the lanes run
+//!   in, and the stashes go back only after every lane has joined: the
+//!   pool's high-water mark does not depend on the interleaving.
 //! * **Observability.** Every *fresh* heap allocation of tensor data —
 //!   a pool miss here, or any `Tensor` constructor/clone building a new
 //!   backing `Vec` — bumps a process-wide counter readable via
@@ -37,6 +43,7 @@
 //!   out of scope. Tests snapshot the counter, run a steady-state
 //!   window, and assert it did not move.
 
+use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -107,14 +114,7 @@ pub fn take_scratch(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    let shelf = shelf_for_request(len);
-    let popped = {
-        let mut guard = POOL.shelves[shelf]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        guard.pop()
-    };
-    match popped {
+    match pop(&POOL.shelves, shelf_for_request(len)) {
         Some(mut buf) => {
             adarnet_obs::counter!("tensor_pool_hits_total").inc();
             debug_assert!(buf.capacity() >= len);
@@ -141,16 +141,8 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
 /// Return a buffer to the pool for reuse. Zero-capacity buffers and
 /// overflow beyond the shelf cap are dropped.
 pub fn put(buf: Vec<f32>) {
-    let cap = buf.capacity();
-    if cap == 0 {
-        return;
-    }
-    let shelf = shelf_of_capacity(cap);
-    let mut guard = POOL.shelves[shelf]
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    if guard.len() < MAX_PER_SHELF {
-        guard.push(buf);
+    if buf.capacity() > 0 {
+        push(&POOL.shelves, buf);
     }
 }
 
@@ -318,14 +310,7 @@ pub fn take_aligned(len: usize) -> AlignedBuf {
         };
     }
     let lanes = len.div_ceil(LANE_FLOATS);
-    let shelf = shelf_for_request(lanes);
-    let popped = {
-        let mut guard = ALIGNED_POOL.shelves[shelf]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        guard.pop()
-    };
-    match popped {
+    match pop(&ALIGNED_POOL.shelves, shelf_for_request(lanes)) {
         Some(mut buf) => {
             adarnet_obs::counter!("tensor_pool_hits_total").inc();
             debug_assert!(buf.lanes.capacity() >= lanes);
@@ -345,17 +330,115 @@ pub fn take_aligned(len: usize) -> AlignedBuf {
 /// Return an aligned buffer to the pool for reuse. Zero-capacity
 /// buffers and overflow beyond the shelf cap are dropped.
 pub fn put_aligned(buf: AlignedBuf) {
-    let cap = buf.lanes.capacity();
-    if cap == 0 {
-        return;
+    if buf.lanes.capacity() > 0 {
+        push(&ALIGNED_POOL.shelves, buf);
     }
-    let shelf = shelf_of_capacity(cap);
-    let mut guard = ALIGNED_POOL.shelves[shelf]
+}
+
+/// A buffer kind the pool keeps on size-class shelves.
+trait Pooled: Sized {
+    /// The shelf this buffer's capacity belongs on.
+    fn shelf(&self) -> usize;
+    /// This kind's part of a lane's stash.
+    fn stash(held: &mut Held) -> &mut Vec<Self>;
+}
+
+impl Pooled for Vec<f32> {
+    fn shelf(&self) -> usize {
+        shelf_of_capacity(self.capacity())
+    }
+    fn stash(held: &mut Held) -> &mut Vec<Self> {
+        &mut held.scalar
+    }
+}
+
+impl Pooled for AlignedBuf {
+    fn shelf(&self) -> usize {
+        shelf_of_capacity(self.lanes.capacity())
+    }
+    fn stash(held: &mut Held) -> &mut Vec<Self> {
+        &mut held.aligned
+    }
+}
+
+/// A buffer for `shelf`: from this thread's stash under [`hold`] first,
+/// then from the shared shelf.
+fn pop<B: Pooled>(shelves: &[Mutex<Vec<B>>; SHELVES], shelf: usize) -> Option<B> {
+    let held = HELD.with_borrow_mut(|held| {
+        let stash = B::stash(held.as_mut()?);
+        let at = stash.iter().position(|b| b.shelf() == shelf)?;
+        Some(stash.swap_remove(at))
+    });
+    held.or_else(|| {
+        shelves[shelf]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .pop()
+    })
+}
+
+/// Return a non-empty buffer: into this thread's stash under [`hold`],
+/// else onto its shared shelf, up to [`MAX_PER_SHELF`].
+fn push<B: Pooled>(shelves: &[Mutex<Vec<B>>; SHELVES], buf: B) {
+    let Some(buf) = HELD.with_borrow_mut(|held| match held {
+        Some(held) => {
+            B::stash(held).push(buf);
+            None
+        }
+        None => Some(buf),
+    }) else {
+        return;
+    };
+    let mut guard = shelves[buf.shelf()]
         .lock()
         .unwrap_or_else(|p| p.into_inner());
     if guard.len() < MAX_PER_SHELF {
         guard.push(buf);
     }
+}
+
+thread_local! {
+    /// The stash of the [`hold`] running on this thread, if any.
+    static HELD: RefCell<Option<Held>> = const { RefCell::new(None) };
+}
+
+/// The buffers one lane put back while it ran under [`hold`], kept off
+/// the shared shelves until [`Held::release`].
+#[derive(Default)]
+pub struct Held {
+    scalar: Vec<Vec<f32>>,
+    aligned: Vec<AlignedBuf>,
+}
+
+impl Held {
+    /// Put every held buffer back on the shared shelves.
+    pub fn release(self) {
+        self.scalar.into_iter().for_each(put);
+        self.aligned.into_iter().for_each(put_aligned);
+    }
+}
+
+/// Run `f` as one lane of a split: every buffer `f` returns to the pool
+/// goes into a stash private to this call, and `f` takes from that
+/// stash before the shared shelves. So `f` draws from the shelves
+/// exactly its own peak, however other lanes interleave with it. The
+/// stash comes back beside `f`'s result; release it once every lane of
+/// the split has joined. If `f` panics, the stash goes straight back to
+/// the shelves.
+pub fn hold<R>(f: impl FnOnce() -> R) -> (R, Held) {
+    /// Reinstates the enclosing stash; on unwind, releases this one.
+    struct Restore(Option<Held>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(held) = HELD.replace(self.0.take()) {
+                held.release();
+            }
+        }
+    }
+    let _restore = Restore(HELD.replace(Some(Held::default())));
+    let out = f();
+    let held = HELD.take().unwrap_or_default();
+    (out, held)
 }
 
 /// Serializes tests that assert on global pool state (pool hits, exact
@@ -490,6 +573,60 @@ mod tests {
         let buf = take_aligned(0);
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), 0, "zero-len take must not allocate");
+    }
+
+    #[test]
+    fn a_held_lane_draws_its_own_peak_whatever_the_interleaving() {
+        let _g = serial();
+        clear();
+        // Two lanes each hold two 100-float buffers at a time, then put
+        // them back and take them again. Run one after the other, a
+        // lane that put straight onto the shelves would hand its
+        // buffers to the next; held, each lane draws its own two.
+        let lane = || {
+            hold(|| {
+                let shelved = pooled_buffers();
+                for _ in 0..3 {
+                    let (a, b) = (take_scratch(100), take_scratch(100));
+                    put(a);
+                    put(b);
+                }
+                let left = shelved.saturating_sub(2);
+                assert_eq!(pooled_buffers(), left, "a held put reached the shelves");
+            })
+            .1
+        };
+        let before = data_allocs();
+        let (first, second) = (lane(), lane());
+        assert!(data_allocs() - before >= 4, "each lane drew its own pair");
+        first.release();
+        second.release();
+        assert_eq!(pooled_buffers(), 4);
+        // Released, the four serve the same two lanes: a miss would
+        // leave a fifth buffer on the shelves.
+        let (first, second) = (lane(), lane());
+        first.release();
+        second.release();
+        assert_eq!(pooled_buffers(), 4, "warm lanes must not miss");
+        clear();
+    }
+
+    #[test]
+    fn a_panicking_lane_returns_its_stash_to_the_shelves() {
+        let _g = serial();
+        clear();
+        let caught = std::panic::catch_unwind(|| {
+            hold(|| {
+                put(take_scratch(100));
+                panic!("lane failed");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(pooled_buffers(), 1, "the stash went back");
+        // This thread is no longer held: a put reaches the shelves.
+        put(take_scratch(100));
+        assert_eq!(pooled_buffers(), 1);
+        clear();
     }
 
     #[test]

@@ -17,6 +17,17 @@ cargo build --release --workspace
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
   echo "==> cargo test -q"
   cargo test -q --workspace
+
+  echo "==> zero-alloc tests, ten runs each in release"
+  # A frozen stack splits its batch over idle cores, so the lanes'
+  # order of pool takes differs run to run. A pool footprint that
+  # depended on it would fail only some runs, and one pass would miss
+  # it.
+  for run in $(seq 10); do
+    echo "    run $run"
+    cargo test --release -q -p adarnet-core --test zero_alloc
+    cargo test --release -q -p adarnet-serve --test zero_alloc
+  done
 fi
 
 echo "==> ledger (the BENCHMARK.json package builds and passes its own tests)"
