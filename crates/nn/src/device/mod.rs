@@ -175,11 +175,14 @@ impl Device {
         y
     }
 
-    /// Weight/bias gradient accumulation on this backend's reduction
-    /// kernel: adds `dy_mat · col(x)^T` per batch item into `dw` `(OC,
-    /// IC, KH, KW)`, reusing the forward's im2col fill, and the
-    /// per-channel sums of `dy` into `db` `(OC)`, which may be empty to
-    /// skip the bias.
+    /// Weight/bias gradient accumulation: adds `dy_mat · col(x)^T` per
+    /// batch item, in order, into `dw` `(OC, IC, KH, KW)`, every element
+    /// by this backend's dot-product chain (docs/NUMERICS.md §2), and
+    /// the per-channel sums of `dy` into `db` `(OC)`, which may be empty
+    /// to skip the bias. No item's whole im2col matrix is ever built:
+    /// the scalar backend fills one row at a time, the vector backends
+    /// run their register tiles over one lane's rows of a 64-column
+    /// panel ([`driver::MicroGemm::weight_grad`]).
     pub fn conv2d_backward_params(
         self,
         dy: &Tensor<F>,
