@@ -6,6 +6,14 @@
 //! and from its latent channel into the scorer (the differentiable path;
 //! the discrete ranker cuts the score path). Adam at lr 1e-4, the paper's
 //! optimizer.
+//!
+//! A step breaks down by stage in `stage_*` spans: the plan's
+//! `stage_scorer` and `stage_ranker`, then per bin
+//! `stage_train_forward`, `stage_train_loss` (hybrid loss and PDE
+//! gradient), `stage_train_backward` (decoder) and `stage_train_scatter`
+//! (bicubic adjoint into the augmented-field gradient), then
+//! `stage_train_scorer_backward` (score targets and the scorer) and
+//! `stage_train_optimizer` (Adam).
 
 use adarnet_dataset::Sample;
 use adarnet_nn::{bicubic_resize3_adjoint, Adam, Optimizer};
@@ -145,6 +153,7 @@ impl Trainer {
         self.model.scorer.zero_grads();
         self.model.decoder.zero_grads();
         let (stats, _) = self.forward_backward(sample, true);
+        let _span = adarnet_obs::span!("stage_train_optimizer");
         // Gather aligned param/grad lists across scorer and decoder.
         let grads: Vec<Tensor<f32>> = {
             let mut g: Vec<Tensor<f32>> = self.model.scorer.grads().into_iter().cloned().collect();
@@ -235,11 +244,15 @@ impl Trainer {
                 continue;
             }
             let level = bin;
-            let inputs: Vec<Tensor<f32>> = group.iter().map(|&i| plan.decoder_input(i)).collect();
-            let batch = Tensor::stack(&inputs);
-            let out = self.model.decoder.forward(&batch);
+            let out = {
+                let _span = adarnet_obs::span!("stage_train_forward", bin = bin);
+                let inputs: Vec<Tensor<f32>> =
+                    group.iter().map(|&i| plan.decoder_input(i)).collect();
+                self.model.decoder.forward(&Tensor::stack(&inputs))
+            };
 
             // Per-patch hybrid loss and gradient.
+            let loss_span = adarnet_obs::span!("stage_train_loss", bin = bin);
             let mut grads = Vec::with_capacity(group.len());
             for (k, &i) in group.iter().enumerate() {
                 let (py, px) = layout.coords(i);
@@ -252,12 +265,17 @@ impl Trainer {
                 agg.patches += 1;
                 grads.push(g);
             }
+            drop(loss_span);
 
             if backward {
-                let batch_grad = Tensor::stack(&grads);
-                let din = self.model.decoder.backward(&batch_grad); // (Nb, c_aug+2, th, tw)
-                                                                    // Route input gradients back: drop the coordinate channels,
-                                                                    // adjoint the bicubic refinement, scatter into aug_grad.
+                let din = {
+                    let _span = adarnet_obs::span!("stage_train_backward", bin = bin);
+                    // (Nb, c_aug + 2, th, tw)
+                    self.model.decoder.backward(&Tensor::stack(&grads))
+                };
+                // Route input gradients back: drop the coordinate channels,
+                // adjoint the bicubic refinement, scatter into aug_grad.
+                let _span = adarnet_obs::span!("stage_train_scatter", bin = bin);
                 for (k, &i) in group.iter().enumerate() {
                     let (py, px) = layout.coords(i);
                     let d_full = din.image(k); // (c_aug + 2, th, tw)
@@ -287,6 +305,7 @@ impl Trainer {
         }
 
         if backward {
+            let _span = adarnet_obs::span!("stage_train_scorer_backward");
             // The latent channel of the augmented field is the scorer's
             // differentiable output.
             let mut d_latent = Tensor::<f32>::zeros(Shape::d4(1, 1, h, w));

@@ -24,6 +24,12 @@ pub const SPAN_SITES: &[&str] = &[
     "stage_ranker",
     "stage_scorer",
     "stage_solver",
+    "stage_train_backward",
+    "stage_train_forward",
+    "stage_train_loss",
+    "stage_train_optimizer",
+    "stage_train_scatter",
+    "stage_train_scorer_backward",
 ];
 
 /// Every `counter!` name in the workspace's library code, sorted. The
