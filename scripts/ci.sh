@@ -28,6 +28,13 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
     cargo test --release -q -p adarnet-core --test zero_alloc
     cargo test --release -q -p adarnet-serve --test zero_alloc
   done
+
+  echo "==> gradient golden hashes in release"
+  # The workspace pass above is a debug build. Training and the ledger
+  # run release, where the SIMD weight-gradient kernels are the
+  # `#[target_feature]` code they compile to, so the dW/db/dX hashes
+  # are checked in that profile too.
+  cargo test --release -q -p adarnet-nn --test golden_grad
 fi
 
 echo "==> ledger (the BENCHMARK.json package builds and passes its own tests)"
