@@ -53,11 +53,14 @@ pub fn decoder(in_channels: usize, seed: u64) -> Sequential {
 
 /// The frozen decoder of a [`crate::network::FrozenAdarNet`]: one weight
 /// copy, any number of threads, every bin's batch through the same
-/// shared weights (the paper's weight-sharing design), now concurrently.
+/// shared weights (the paper's weight-sharing design).
+/// [`crate::network::FrozenAdarNet::decode_bins`] runs all of a call's
+/// bins through it at once, in one split over the idle cores.
 pub struct FrozenDecoder(pub(crate) FrozenSequential);
 
 impl FrozenDecoder {
-    /// Inference forward of a per-bin batch; pool-backed output.
+    /// Inference forward of one per-bin batch on its own, split over
+    /// the idle cores like any frozen-stack call; pool-backed output.
     pub fn forward(&self, x: &Tensor<f32>) -> Tensor<f32> {
         self.0.infer(x)
     }

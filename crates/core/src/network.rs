@@ -247,9 +247,10 @@ fn plan_sample(
 /// every entry point is `&self` and activations come from the
 /// workspace pool, so concurrency is the caller's (serve workers and
 /// connection threads share one instance behind an `Arc`); a single
-/// call decodes its non-empty bins one after another, one decoder batch
-/// per bin. Each bin's decoder output is per-item independent of batch
-/// composition, so serving's cross-request batches (`adarnet-serve`'s
+/// call decodes all its non-empty bins at once, one decoder batch per
+/// bin, their items split together over the idle cores. Each bin's
+/// decoder output is per-item independent of batch composition and of
+/// the split, so serving's cross-request batches (`adarnet-serve`'s
 /// `infer_cached`, pinned bitwise against per-field
 /// [`crate::engine::InferenceEngine::infer`]) change nothing but
 /// wall-clock.
@@ -260,10 +261,6 @@ pub struct FrozenAdarNet {
     decoder: FrozenDecoder,
     device: Device,
 }
-
-/// Output of one `(sample, bin)` decode: `(patch_idx, patch)` pairs for
-/// every patch the ranker placed in that bin.
-type DecodedBin = Vec<(usize, Tensor<f32>)>;
 
 impl FrozenAdarNet {
     /// Model configuration.
@@ -288,7 +285,7 @@ impl FrozenAdarNet {
     /// The shared frozen decoder itself, for callers that time or probe
     /// the bare forward. A decode that should count in the
     /// `stage_decoder` span and the `core_decode_*` counters goes
-    /// through [`FrozenAdarNet::decode_batch`].
+    /// through [`FrozenAdarNet::decode_bins`].
     pub fn decoder(&self) -> &FrozenDecoder {
         &self.decoder
     }
@@ -300,53 +297,58 @@ impl FrozenAdarNet {
         plan_sample(&self.cfg, &self.ranker, x, |x4| self.scorer.forward(x4))
     }
 
-    /// Decode one bin's stacked `(N, C, ph, pw)` decoder batch: the
-    /// `stage_decoder` span, the shared frozen decoder forward, and the
-    /// `core_decode_*` counters. Every decode in the workspace — this
-    /// model's own per-bin batches and serving's cache-miss batches —
+    /// Decode the stacked `(N, C, ph, pw)` decoder batches of every
+    /// non-empty bin in one call: the `stage_decoder` span (one per
+    /// call, field `bins`, the batch count), the shared frozen decoder
+    /// forward over all the batches at once (one cost-balanced split
+    /// over the idle cores,
+    /// [`adarnet_nn::FrozenSequential::infer_all`]), and the
+    /// `core_decode_*` counters, one task per batch. Returns one output
+    /// per batch, in order. Every decode in the workspace — this
+    /// model's own per-sample bins and serving's cache-miss batches —
     /// goes through here, so the span and the counters see them all.
-    pub fn decode_batch(&self, bin: u8, batch: &Tensor<f32>) -> Tensor<f32> {
+    pub fn decode_bins(&self, batches: &[&Tensor<f32>]) -> Vec<Tensor<f32>> {
         let out = {
-            let _span = adarnet_obs::span!("stage_decoder", bin = bin);
-            self.decoder.forward(batch)
+            let _span = adarnet_obs::span!("stage_decoder", bins = batches.len());
+            self.decoder.0.infer_all(batches)
         };
-        adarnet_obs::counter!("core_decode_tasks_total").inc();
-        adarnet_obs::counter!("core_decode_patches_total").add(batch.dim(0) as u64);
+        for batch in batches {
+            adarnet_obs::counter!("core_decode_tasks_total").inc();
+            adarnet_obs::counter!("core_decode_patches_total").add(batch.dim(0) as u64);
+        }
         out
     }
 
-    /// Decode one bin of one plan: assemble the decoder batch from the
-    /// plan's augmented field, decode it, and split the output back
-    /// into `(patch_idx, patch)` pairs.
-    fn decode_bin(&self, plan: &ForwardPlan, bin: u8) -> DecodedBin {
-        let group = &plan.binning.groups[bin as usize];
-        let inputs: Vec<Tensor<f32>> = group.iter().map(|&i| plan.decoder_input(i)).collect();
-        let batch = Tensor::pooled_stack(&inputs);
-        for dec_in in inputs {
-            dec_in.recycle();
-        }
-        let out = self.decode_batch(bin, &batch);
-        batch.recycle();
-        let split = group
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| (i, out.pooled_image(k)))
-            .collect();
-        out.recycle();
-        split
-    }
-
-    /// Decode every non-empty bin of `plan`, in bin order, one decoder
-    /// batch per bin (the paper's dynamic batch size), and close the
-    /// plan into its prediction.
+    /// Decode every non-empty bin of `plan` in one
+    /// [`FrozenAdarNet::decode_bins`] call, one decoder batch per bin
+    /// (the paper's dynamic batch size), and close the plan into its
+    /// prediction.
     fn decode_plan(&self, plan: ForwardPlan) -> Prediction {
+        let groups: Vec<&Vec<usize>> = plan
+            .binning
+            .groups
+            .iter()
+            .filter(|group| !group.is_empty())
+            .collect();
+        let batches: Vec<Tensor<f32>> = groups
+            .iter()
+            .map(|group| {
+                let inputs: Vec<Tensor<f32>> =
+                    group.iter().map(|&i| plan.decoder_input(i)).collect();
+                let batch = Tensor::pooled_stack(&inputs);
+                inputs.into_iter().for_each(Tensor::recycle);
+                batch
+            })
+            .collect();
+        let outs = self.decode_bins(&batches.iter().collect::<Vec<_>>());
+        batches.into_iter().for_each(Tensor::recycle);
         let mut patches: Vec<Option<Tensor<f32>>> =
             (0..plan.layout.num_patches()).map(|_| None).collect();
-        let decoded = (0..self.cfg.bins)
-            .filter(|&bin| !plan.binning.groups[bin as usize].is_empty())
-            .flat_map(|bin| self.decode_bin(&plan, bin));
-        for (i, p) in decoded {
-            patches[i] = Some(p);
+        for (group, out) in groups.into_iter().zip(outs) {
+            for (k, &i) in group.iter().enumerate() {
+                patches[i] = Some(out.pooled_image(k));
+            }
+            out.recycle();
         }
         plan.aug.recycle();
         #[expect(

@@ -57,7 +57,9 @@ fn steady_state_infer_performs_zero_data_allocations() {
         let engine = InferenceEngine::new(model, NormStats::identity());
         // Two 16x32 fields -> 2x4 patch grids; with 8x8 patches the four bins
         // span extents 8/16/32/64, every one through the blocked GEMM driver
-        // the pool exists for.
+        // the pool exists for. Each field spans at least two non-empty
+        // bins (asserted below), so its decode is one split over several
+        // batches.
         let fields = vec![sample(16, 32, 0.0), sample(16, 32, 1.3)];
 
         // Warmup: several rounds so the pool reaches its steady-state working
@@ -74,6 +76,8 @@ fn steady_state_infer_performs_zero_data_allocations() {
         for _ in 0..8 {
             for field in &fields {
                 let pred = engine.infer(field).expect("steady-state inference");
+                let bins = pred.binning.groups.iter().filter(|g| !g.is_empty());
+                assert!(bins.count() >= 2, "{:?}", pred.binning.groups);
                 cells += pred.active_cells();
                 pred.recycle();
             }

@@ -333,7 +333,7 @@ fn trace_dump(addr: Option<String>) {
         .expect("the sampler's /traces document parses");
     print!("{rendered}");
     // The run served real inference, so some retained tree must be
-    // whole and reach from the batch down to a decoder bin.
+    // whole and reach from the batch down to the decoder.
     let served_tree = rendered.split("\ntrace ").skip(1).any(|tree| {
         let header = tree.lines().next().unwrap_or_default();
         !header.contains("(incomplete)")

@@ -1,7 +1,8 @@
-//! How `FrozenSequential::infer` shares the cores: a batch splits over
-//! the cores no other frozen-stack call holds at that moment, a call
-//! releases its lanes when it ends, panics included, and a split
-//! batch's panic reads as the one-lane path's.
+//! How `FrozenSequential::infer` and `infer_all` share the cores: the
+//! items of a call's batches split over the cores no other frozen-stack
+//! call holds at that moment, a call releases its lanes when it ends,
+//! panics included, and a split call's panic reads as the one-lane
+//! path's.
 //!
 //! The lanes a call ran on are observed directly: a probe layer records
 //! the thread of every call it serves, so a one-lane call shows one
@@ -89,6 +90,16 @@ fn lanes_for_two(probe: &Probe) -> Vec<ThreadId> {
     probe.take_seen()
 }
 
+/// The lanes `probe`'s stack ran two batches of two in one call on: one
+/// record per lane and batch, as each lane's run holds whole batches.
+fn lanes_for_two_batches(probe: &Probe) -> Vec<ThreadId> {
+    let (a, b) = (batch(2, 1), batch(2, 1));
+    for y in probe.stack().infer_all(&[&a, &b]) {
+        y.recycle();
+    }
+    probe.take_seen()
+}
+
 #[test]
 fn a_batch_splits_only_over_idle_cores() {
     let _g = serial();
@@ -111,6 +122,9 @@ fn a_batch_splits_only_over_idle_cores() {
     let before = splits();
     assert_eq!(lanes_for_two(&probe), vec![me], "every core is held");
     assert_eq!(splits(), before, "a one-lane call is not a split");
+    let seen = lanes_for_two_batches(&probe);
+    assert_eq!(seen, vec![me, me], "every core is held");
+    assert_eq!(splits(), before, "a one-lane call is not a split");
     gate.wait();
     for holder in holders {
         holder.join().unwrap();
@@ -124,6 +138,16 @@ fn a_batch_splits_only_over_idle_cores() {
         assert_ne!(seen[0], seen[1]);
         assert_eq!(splits(), before + 1);
     }
+
+    // Two batches in one call take two lanes and count one split.
+    let mut seen = lanes_for_two_batches(&probe);
+    assert!(seen.contains(&me));
+    seen.dedup();
+    assert_eq!(seen.len(), cores().min(2), "{seen:?}");
+    if seen.len() == 2 {
+        assert_ne!(seen[0], seen[1]);
+        assert_eq!(splits(), before + 2, "one split per call, not per batch");
+    }
 }
 
 #[test]
@@ -132,17 +156,20 @@ fn a_split_panics_as_one_lane_does_and_releases_its_lanes() {
     let conv = Sequential::new()
         .push(Conv2d::new(3, 2, 3, Initializer::XavierUniform, 0))
         .freeze();
-    let message = |n: usize| {
-        let panic = catch_unwind(AssertUnwindSafe(|| conv.infer(&batch(n, 5))))
+    // The message of the panic `xs` raise in one call.
+    let message = |xs: &[&Tensor<F>]| {
+        let panic = catch_unwind(AssertUnwindSafe(|| conv.infer_all(xs)))
             .expect_err("a channel mismatch must panic");
         match panic.downcast::<String>() {
             Ok(s) => *s,
             Err(panic) => panic.downcast::<&str>().map(|s| s.to_string()).unwrap(),
         }
     };
-    let one_lane = message(1);
+    let one_lane = message(&[&batch(1, 5)]);
     assert!(one_lane.contains("input has 5 channels"), "{one_lane}");
-    assert_eq!(message(2), one_lane);
+    assert_eq!(message(&[&batch(2, 5)]), one_lane);
+    // A call over two batches, the second one bad, panics alike.
+    assert_eq!(message(&[&batch(2, 3), &batch(2, 5)]), one_lane);
 
     // The panicked split released its lanes: the next call splits.
     let seen = lanes_for_two(&Probe::default());

@@ -87,7 +87,7 @@ impl Drop for SpanGuard {
 ///
 /// ```
 /// {
-///     let _g = adarnet_obs::span!("stage_decoder", bin = 3u64);
+///     let _g = adarnet_obs::span!("stage_decoder", bins = 4u64);
 ///     // ... work ...
 /// } // duration recorded here
 /// ```

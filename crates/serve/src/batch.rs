@@ -1,9 +1,10 @@
 //! Cache-aware micro-batch inference and the degraded bin-0 fallback.
 //!
 //! [`infer_cached`] is the server's one inference path: the same
-//! plan → per-bin decode as `InferenceEngine::infer`, but same-bin
-//! patches from every request in the micro-batch form one decoder
-//! batch, and each patch first consults the [`PatchCache`] — only
+//! plan → decode as `InferenceEngine::infer`, but same-bin patches from
+//! every request in the micro-batch form one decoder batch, every bin's
+//! batch is decoded in one `decode_bins` call (one split over the idle
+//! cores), and each patch first consults the [`PatchCache`] — only
 //! misses are decoded, and fresh decodes are inserted for the next
 //! request. Because cache values are the exact tensors the decoder
 //! produced (keyed on the exact decoder input), and each patch's decode
@@ -35,10 +36,15 @@ use crate::cache::{PatchCache, PatchKey};
 /// `&engine` — the frozen weight plane is shared, so any number of
 /// workers run this concurrently against one engine.
 ///
-/// `traces` runs parallel to `fields` (`&[]` = nothing traced): a
-/// bin's shared decoder forward is recorded as a `stage_decoder` span
-/// under every traced request contributing patches to that bin — the
-/// per-bin decode attribution the admin endpoint's span trees show.
+/// The misses of every bin are gathered first, one stacked batch per
+/// bin, and decoded together in one
+/// [`adarnet_core::network::FrozenAdarNet::decode_bins`] call.
+///
+/// `traces` runs parallel to `fields` (`&[]` = nothing traced): that
+/// one shared decode is recorded as a `stage_decoder` span (field
+/// `bins`, the batch count) under every traced request contributing a
+/// patch to it — the decode attribution the admin endpoint's span
+/// trees show.
 pub fn infer_cached(
     engine: &InferenceEngine,
     generation: u64,
@@ -64,12 +70,15 @@ pub fn infer_cached(
         .map(|p| (0..p.layout.num_patches()).map(|_| None).collect())
         .collect();
 
+    // Gather every bin's (sample, patch) pairs across the whole
+    // micro-batch, resolving cache hits up front, one stacked batch per
+    // bin with misses; then decode all the batches in one call.
+    // A disabled cache gets no key (a full copy and hash of the
+    // decoder input), only its miss counted.
+    let mut owners: Vec<Vec<(usize, usize, Option<PatchKey>)>> = Vec::new();
+    let mut batches: Vec<Tensor<f32>> = Vec::new();
     for bin in 0..bins {
-        // Gather this bin's (sample, patch) pairs across the whole
-        // micro-batch, resolving cache hits up front.
-        // A disabled cache gets no key (a full copy and hash of the
-        // decoder input), only its miss counted.
-        let mut owners: Vec<(usize, usize, Option<PatchKey>)> = Vec::new();
+        let mut bin_owners = Vec::new();
         let mut inputs: Vec<Tensor<f32>> = Vec::new();
         for (si, plan) in plans.iter().enumerate() {
             for &pi in &plan.binning.groups[bin as usize] {
@@ -83,7 +92,7 @@ pub fn infer_cached(
                 if let Some(hit) = key.as_ref().and_then(|k| cache.get(k)) {
                     outputs[si][pi] = Some(hit);
                 } else {
-                    owners.push((si, pi, key));
+                    bin_owners.push((si, pi, key));
                     inputs.push(dec_in);
                 }
             }
@@ -91,36 +100,35 @@ pub fn infer_cached(
         if inputs.is_empty() {
             continue;
         }
-        let batch = Tensor::pooled_stack(&inputs);
-        for dec_in in inputs {
-            dec_in.recycle();
-        }
+        batches.push(Tensor::pooled_stack(&inputs));
+        inputs.into_iter().for_each(Tensor::recycle);
+        owners.push(bin_owners);
+    }
+    if !batches.is_empty() {
         let decode_start = Instant::now();
-        let out = frozen.decode_batch(bin, &batch);
-        batch.recycle();
-        // Attribute the shared decode to each traced request whose
-        // patches rode this bin's decoder batch.
+        let outs = frozen.decode_bins(&batches.iter().collect::<Vec<_>>());
         let decode_ns = decode_start.elapsed().as_nanos() as u64;
-        let mut seen = usize::MAX;
-        for &(si, _, _) in &owners {
-            if si == seen {
-                continue;
-            }
-            seen = si;
-            if let Some(ctx) = traces.get(si).and_then(Option::as_ref) {
-                ctx.record("stage_decoder", decode_ns, "bin", bin as u64);
+        // Attribute the shared decode once to each traced request whose
+        // patches rode it.
+        for (si, ctx) in traces.iter().enumerate() {
+            let Some(ctx) = ctx else { continue };
+            if owners.iter().flatten().any(|&(owner, _, _)| owner == si) {
+                ctx.record("stage_decoder", decode_ns, "bins", batches.len() as u64);
             }
         }
-        for (k, (si, pi, key)) in owners.into_iter().enumerate() {
-            let image = out.pooled_image(k);
-            // The cache owns an independent copy; the pooled image
-            // travels with the prediction and is recycled by callers.
-            if let Some(key) = key {
-                cache.insert(key, image.clone());
+        batches.into_iter().for_each(Tensor::recycle);
+        for (bin_owners, out) in owners.into_iter().zip(outs) {
+            for (k, (si, pi, key)) in bin_owners.into_iter().enumerate() {
+                let image = out.pooled_image(k);
+                // The cache owns an independent copy; the pooled image
+                // travels with the prediction and is recycled by callers.
+                if let Some(key) = key {
+                    cache.insert(key, image.clone());
+                }
+                outputs[si][pi] = Some(image);
             }
-            outputs[si][pi] = Some(image);
+            out.recycle();
         }
-        out.recycle();
     }
 
     Ok(plans

@@ -45,12 +45,18 @@ fn steady_state_infer_cached_performs_zero_data_allocations() {
         ..AdarNetConfig::default()
     });
     let engine = InferenceEngine::new(model, NormStats::identity());
-    // Two 16x32 fields in one micro-batch -> 2x4 patch grids each.
+    // Two 16x32 fields in one micro-batch -> 2x4 patch grids each, each
+    // field spanning at least two non-empty bins (asserted below), so
+    // the decode is one split over several batches.
     let fields = vec![sample(16, 32, 0.0), sample(16, 32, 1.3)];
     let cache = PatchCache::new(0);
     let round = || {
         let preds = infer_cached(&engine, 1, &fields, &[], &cache).expect("inference");
         let cells: usize = preds.iter().map(|p| p.active_cells()).sum();
+        for pred in &preds {
+            let bins = pred.binning.groups.iter().filter(|g| !g.is_empty());
+            assert!(bins.count() >= 2, "{:?}", pred.binning.groups);
+        }
         for pred in preds {
             pred.recycle();
         }

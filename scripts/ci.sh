@@ -19,8 +19,8 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
   cargo test -q --workspace
 
   echo "==> zero-alloc tests, ten runs each in release"
-  # A frozen stack splits its batch over idle cores, so the lanes'
-  # order of pool takes differs run to run. A pool footprint that
+  # A frozen stack splits its batches' items over idle cores, so the
+  # lanes' order of pool takes differs run to run. A pool footprint that
   # depended on it would fail only some runs, and one pass would miss
   # it.
   for run in $(seq 10); do
@@ -35,6 +35,13 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
   # `#[target_feature]` code they compile to, so the dW/db/dX hashes
   # are checked in that profile too.
   cargo test --release -q -p adarnet-nn --test golden_grad
+
+  echo "==> frozen-stack lane tests in release"
+  # The same holds for inference: a split's bits are checked against
+  # one lane on both backends, and in release the SIMD tiles are the
+  # `#[target_feature]` code serving runs.
+  cargo test --release -q -p adarnet-nn --lib model::tests
+  cargo test --release -q -p adarnet-nn --test lanes
 fi
 
 echo "==> ledger (the BENCHMARK.json package builds and passes its own tests)"
