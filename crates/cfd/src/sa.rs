@@ -76,41 +76,92 @@ pub fn s_tilde(omega: f64, nu_tilde: f64, d: f64, chi: f64, c: &SaConstants) -> 
     s.max(0.3 * omega).max(1e-16)
 }
 
+/// `x^6` in the order `powi(6)` evaluates it, both as LLVM's release
+/// expansion and as `__powidf2` in a debug build: `x2 * (x2 * x2)`.
+#[inline]
+fn pow6(x: f64) -> f64 {
+    let x2 = x * x;
+    x2 * (x2 * x2)
+}
+
 /// Wall function `fw(r)` with `r = min(nu_tilde / (S_tilde kappa^2 d^2), 10)`.
 #[inline]
 pub fn fw(nu_tilde: f64, s_t: f64, d: f64, c: &SaConstants) -> f64 {
-    let r = (nu_tilde / (s_t * c.kappa * c.kappa * d * d)).min(10.0);
-    let g = r + c.cw2 * (r.powi(6) - r);
-    let c6 = c.cw3.powi(6);
-    g * ((1.0 + c6) / (g.powi(6) + c6)).powf(1.0 / 6.0)
+    let (g, arg) = fw_parts(nu_tilde, s_t, d, c);
+    g * arg.powf(1.0 / 6.0)
 }
 
-/// Eddy viscosity from the working variable: `nu_t = nu_tilde * fv1(chi)`.
+/// [`fw`] split around its one `powf`: `(g, arg)` with
+/// `fw = g * arg^(1/6)`.
+#[inline]
+pub(crate) fn fw_parts(nu_tilde: f64, s_t: f64, d: f64, c: &SaConstants) -> (f64, f64) {
+    let r = (nu_tilde / (s_t * c.kappa * c.kappa * d * d)).min(10.0);
+    let g = r + c.cw2 * (pow6(r) - r);
+    let c6 = pow6(c.cw3);
+    (g, (1.0 + c6) / (pow6(g) + c6))
+}
+
+/// Eddy viscosity from the working variable: `nu_t = nu_tilde * fv1(chi)`,
+/// zero where `nu_tilde <= 0`.
 #[inline]
 pub fn eddy_viscosity(nu_tilde: f64, nu: f64, c: &SaConstants) -> f64 {
+    let nu_t = nu_tilde * fv1(nu_tilde / nu, c);
+    // A select, not an early return: the sweep's row pass stays
+    // branch-free.
     if nu_tilde <= 0.0 {
-        return 0.0;
+        0.0
+    } else {
+        nu_t
     }
-    nu_tilde * fv1(nu_tilde / nu, c)
 }
 
 /// Net local SA source (production minus destruction) per unit volume:
-/// `cb1 * S_tilde * nu_tilde - cw1 * fw * (nu_tilde / d)^2`.
+/// `cb1 * S_tilde * nu_tilde - cw1 * fw * (nu_tilde / d)^2`, zero where
+/// `nu_tilde <= 0` (the working variable is kept non-negative; no source
+/// in laminar/zero cells).
 ///
 /// `omega` is the vorticity magnitude, `d` the wall distance (clamped
 /// positive by the caller).
 #[inline]
 pub fn source(nu_tilde: f64, nu: f64, omega: f64, d: f64, c: &SaConstants) -> f64 {
-    if nu_tilde <= 0.0 {
-        // The working variable is kept non-negative; no source in
-        // laminar/zero cells.
-        return 0.0;
-    }
+    let (production, g, arg) = source_parts(nu_tilde, nu, omega, d, c);
+    source_finish(production, g, arg.powf(1.0 / 6.0), nu_tilde, d, c)
+}
+
+/// [`source`] up to its one `powf`: the production term and the
+/// [`fw_parts`] of the destruction term.
+#[inline]
+pub(crate) fn source_parts(
+    nu_tilde: f64,
+    nu: f64,
+    omega: f64,
+    d: f64,
+    c: &SaConstants,
+) -> (f64, f64, f64) {
     let chi = nu_tilde / nu;
     let s_t = s_tilde(omega, nu_tilde, d, chi, c);
     let production = c.cb1 * s_t * nu_tilde;
-    let destruction = c.cw1 * fw(nu_tilde, s_t, d, c) * (nu_tilde / d) * (nu_tilde / d);
-    production - destruction
+    let (g, arg) = fw_parts(nu_tilde, s_t, d, c);
+    (production, g, arg)
+}
+
+/// [`source`] from its [`source_parts`] and `root = arg^(1/6)`.
+#[inline]
+pub(crate) fn source_finish(
+    production: f64,
+    g: f64,
+    root: f64,
+    nu_tilde: f64,
+    d: f64,
+    c: &SaConstants,
+) -> f64 {
+    let destruction = c.cw1 * (g * root) * (nu_tilde / d) * (nu_tilde / d);
+    let src = production - destruction;
+    if nu_tilde <= 0.0 {
+        0.0
+    } else {
+        src
+    }
 }
 
 #[cfg(test)]

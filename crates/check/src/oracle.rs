@@ -351,9 +351,11 @@ impl Default for RegistryModel {
 ///
 /// * the last `error_cap` errored offers (oldest first), and
 /// * per window of `window` offers, the `slow_cap` largest-`e2e`
-///   offers with ties broken toward the *earliest* offer — for the
-///   current window and the one before it (the shelf), ordered by
-///   offer sequence.
+///   offers with ties broken toward the *earliest* offer, counting only
+///   the largest (again earliest on ties) of the window's offers from
+///   each batch — for the current window and the one before it (the
+///   shelf), ordered by offer sequence. An offer with no batch is a
+///   batch of its own.
 ///
 /// Any order-dependence in the real displacement loop (or a torn
 /// window roll) diverges from this fixed point.
@@ -361,8 +363,8 @@ pub struct SamplerModel {
     slow_cap: usize,
     error_cap: usize,
     window: u64,
-    /// Every offer, in sequence order: `(e2e_ns, error)`.
-    pub offered: Vec<(u64, bool)>,
+    /// Every offer, in sequence order: `(e2e_ns, error, batch)`.
+    pub offered: Vec<(u64, bool, Option<u64>)>,
 }
 
 impl SamplerModel {
@@ -377,9 +379,15 @@ impl SamplerModel {
         }
     }
 
-    /// Spec: remember the offer (retention is derived, not tracked).
+    /// Spec: remember an offer outside any batch (retention is
+    /// derived, not tracked).
     pub fn offer(&mut self, e2e_ns: u64, error: bool) {
-        self.offered.push((e2e_ns, error));
+        self.offer_in(e2e_ns, error, None);
+    }
+
+    /// Spec: remember an offer of micro-batch `batch`.
+    pub fn offer_in(&mut self, e2e_ns: u64, error: bool, batch: Option<u64>) {
+        self.offered.push((e2e_ns, error, batch));
     }
 
     /// The offer sequence numbers of one window's expected slow set:
@@ -387,12 +395,24 @@ impl SamplerModel {
     fn slow_of_window(&self, window_id: u64) -> Vec<u64> {
         let lo = window_id * self.window;
         let hi = lo + self.window;
-        let mut in_window: Vec<(u64, u64)> = self
+        let in_window: Vec<(u64, u64, Option<u64>)> = self
             .offered
             .iter()
             .enumerate()
-            .map(|(i, &(e2e, _))| (i as u64, e2e))
-            .filter(|&(seq, _)| seq >= lo && seq < hi)
+            .map(|(i, &(e2e, _, batch))| (i as u64, e2e, batch))
+            .filter(|&(seq, _, _)| seq >= lo && seq < hi)
+            .collect();
+        let rank = |seq: u64, e2e: u64| (std::cmp::Reverse(e2e), seq);
+        // Each batch's largest offer of the window, earliest on ties.
+        let mut in_window: Vec<(u64, u64)> = in_window
+            .iter()
+            .filter(|&&(seq, e2e, batch)| {
+                batch.is_none()
+                    || !in_window
+                        .iter()
+                        .any(|&(s, e, b)| b == batch && rank(s, e) < rank(seq, e2e))
+            })
+            .map(|&(seq, e2e, _)| (seq, e2e))
             .collect();
         in_window.sort_by_key(|&(seq, e2e)| (std::cmp::Reverse(e2e), seq));
         let mut kept: Vec<u64> = in_window
@@ -412,7 +432,7 @@ impl SamplerModel {
             .offered
             .iter()
             .enumerate()
-            .filter(|(_, &(_, error))| error)
+            .filter(|(_, &(_, error, _))| error)
             .map(|(i, _)| i as u64)
             .collect();
         if errors.len() > self.error_cap {
@@ -572,6 +592,17 @@ mod tests {
             m.offer(e2e, false);
         }
         assert_eq!(m.expected(), vec![0, 2]);
+    }
+
+    #[test]
+    fn sampler_model_keeps_one_offer_per_batch() {
+        let mut m = SamplerModel::new(3, 1, 100);
+        for e2e in [190, 193, 191, 193] {
+            m.offer_in(e2e, false, Some(7));
+        }
+        m.offer(40, false);
+        m.offer(50, false);
+        assert_eq!(m.expected(), vec![1, 4, 5], "batch 7's earliest 193");
     }
 
     #[test]

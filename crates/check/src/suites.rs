@@ -893,18 +893,32 @@ fn sampler(slow_cap: usize, error_cap: usize, window: u64) -> Sampler {
 }
 
 /// One scripted sampler operation: offer a finished trace with this
-/// end-to-end latency and error flag.
+/// end-to-end latency, error flag and batch key.
 #[derive(Debug, Clone, Copy)]
 pub struct Offer {
     /// End-to-end latency of the offered trace.
     pub e2e_ns: u64,
     /// Whether the offered trace errored.
     pub error: bool,
+    /// The micro-batch of the offered trace, if any.
+    pub batch: Option<u64>,
 }
 
-/// An offer as a script op.
+/// An offer outside any batch as a script op.
 fn offer(e2e_ns: u64, error: bool) -> Offer {
-    Offer { e2e_ns, error }
+    Offer {
+        e2e_ns,
+        error,
+        batch: None,
+    }
+}
+
+/// An offer of micro-batch `batch` as a script op.
+fn batched(e2e_ns: u64, error: bool, batch: u64) -> Offer {
+    Offer {
+        batch: Some(batch),
+        ..offer(e2e_ns, error)
+    }
 }
 
 /// Real sampler + shadow history for one interleaving.
@@ -929,13 +943,14 @@ impl Subject for Sampler {
         let seq = state.model.offers();
         let retained = state.real.offer(FinishedTrace {
             trace_id: seq + 1,
+            batch: op.batch,
             started_unix_us: 0,
             e2e_ns: op.e2e_ns,
             error: op.error,
             dropped_spans: 0,
             spans: Vec::new(),
         });
-        state.model.offer(op.e2e_ns, op.error);
+        state.model.offer_in(op.e2e_ns, op.error, op.batch);
         let expected = state.model.expected();
         agree(
             format_args!("offer {seq} {op:?} retained"),
@@ -957,8 +972,10 @@ pub fn sampler_rows() -> Vec<Row<Sampler>> {
         // Three requesters finishing four traces each into one sampler
         // of two slow slots per four-offer window: every window rolls
         // with a shelf behind it, equal latencies across threads tie
-        // (the earliest offer must keep its slot), and five errors
-        // overrun a two-entry ring (34650 interleavings for (4,4,4)).
+        // (the earliest offer must keep its slot), the requests of one
+        // batch share a slot whichever thread finishes them, and five
+        // errors overrun a two-entry ring (34650 interleavings for
+        // (4,4,4)).
         row(
             sampler(2, 2, 4),
             EXH,
@@ -967,19 +984,19 @@ pub fn sampler_rows() -> Vec<Row<Sampler>> {
                 vec![
                     offer(30, false),
                     offer(10, true),
-                    offer(50, false),
+                    batched(50, false, 1),
                     offer(20, false),
                 ],
                 vec![
-                    offer(30, false),
-                    offer(40, false),
+                    batched(30, false, 2),
+                    batched(40, false, 1),
                     offer(10, true),
                     offer(50, true),
                 ],
                 vec![
                     offer(20, true),
-                    offer(50, false),
-                    offer(30, false),
+                    batched(50, false, 1),
+                    batched(30, false, 2),
                     offer(10, true),
                 ],
             ],

@@ -36,6 +36,7 @@ pub const SPAN_SITES: &[&str] = &[
 /// admin endpoint and `serve stats` print them as they are written here.
 pub const COUNTERS: &[&str] = &[
     "admin_requests_total",
+    "cfd_barrier_parks_total",
     "core_decode_patches_total",
     "core_decode_tasks_total",
     "loadgen_transport_errors_total",

@@ -17,8 +17,8 @@
 //!    committed spans out and closes the buffer, so a late commit, or a
 //!    second finish, finds it closed and drops.
 //! 2. [`TailSampler`] — keeps only the interesting finished traces:
-//!    the N slowest per window of offers plus every errored/rejected
-//!    trace in a newest-wins ring.
+//!    the N slowest per window of offers, at most one per batch, plus
+//!    every errored/rejected trace in a newest-wins ring.
 //! 3. [`dump`] — the forensics file: the sampler's retained traces and
 //!    a metrics snapshot (the admin endpoint's `/traces` and `/metrics`
 //!    documents) written to disk on panic, load shed and hot swap.
@@ -107,6 +107,8 @@ struct OpenTrace {
     /// Uncommitted records never leave the buffer.
     spans: Vec<(SpanRec, bool)>,
     dropped: u64,
+    /// See [`FinishedTrace::batch`].
+    batch: Option<u64>,
 }
 
 /// The span buffer every clone of one [`TraceCtx`] shares: `None` once
@@ -159,6 +161,7 @@ impl TraceCtx {
                     .unwrap_or(0),
                 spans: Vec::new(),
                 dropped: 0,
+                batch: None,
             })))),
         })
     }
@@ -260,6 +263,14 @@ impl TraceCtx {
         self.push(name, dur_ns, field, value, true)
     }
 
+    /// Tag the trace with the micro-batch its request is inferred in
+    /// (see [`FinishedTrace::batch`]). A no-op once finished.
+    pub fn set_batch(&self, batch: u64) {
+        if let Some(t) = self.lock().as_mut() {
+            t.batch = Some(batch);
+        }
+    }
+
     /// Close the trace: take the committed spans out of the buffer.
     /// `None` when the trace was already finished.
     pub fn finish(&self, e2e_ns: u64, error: bool) -> Option<FinishedTrace> {
@@ -267,6 +278,7 @@ impl TraceCtx {
         IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
         Some(FinishedTrace {
             trace_id: self.trace_id,
+            batch: t.batch,
             started_unix_us: t.started_unix_us,
             e2e_ns,
             error,
@@ -286,6 +298,10 @@ impl TraceCtx {
 pub struct FinishedTrace {
     /// Trace identity (matches the wire field).
     pub trace_id: u64,
+    /// The micro-batch the request was inferred in, `None` outside a
+    /// batch. The sampler keeps at most one slow trace per batch key;
+    /// a trace with `None` is a batch of its own.
+    pub batch: Option<u64>,
     /// Wall-clock start (microseconds since the Unix epoch).
     pub started_unix_us: u64,
     /// End-to-end latency as recorded by the closer.
@@ -397,10 +413,13 @@ impl TailSampler {
     /// Offer a finished trace; returns whether it was retained.
     ///
     /// Retention: errored traces always land in the error ring (oldest
-    /// evicted — newest wins); any trace strictly slower than the
-    /// current window's fastest retained slow-trace displaces it. A
-    /// full window rolls the slow set into the "previous window" shelf
-    /// so a scrape right after a roll still sees the tail.
+    /// evicted — newest wins). The current window keeps at most one slow
+    /// trace per batch key: a trace of a batch already held replaces it
+    /// only if strictly slower, and any other trace strictly slower than
+    /// the window's fastest retained slow-trace displaces it, so eight
+    /// requests of one slow batch hold one slot, not eight. A full
+    /// window rolls the slow set into the "previous window" shelf so a
+    /// scrape right after a roll still sees the tail.
     pub fn offer(&self, t: FinishedTrace) -> bool {
         let mut s = self.locked();
         let seq = s.offers;
@@ -427,27 +446,36 @@ impl TailSampler {
             });
             retained = true;
         }
-        if s.slow.len() < self.slow_cap {
-            s.slow.push(RetainedTrace {
-                window: window_id,
-                offer_seq: seq,
-                trace: t,
-            });
-            retained = true;
-        } else if let Some(min_idx) = (0..s.slow.len()).min_by_key(|&i| {
-            (
-                s.slow[i].trace.e2e_ns,
-                std::cmp::Reverse(s.slow[i].offer_seq),
-            )
-        }) {
-            if t.e2e_ns > s.slow[min_idx].trace.e2e_ns {
-                s.slow[min_idx] = RetainedTrace {
-                    window: window_id,
-                    offer_seq: seq,
-                    trace: t,
-                };
+        // The slot the trace competes for, `None` for a free one. A batch
+        // that holds a slot already competes only with itself.
+        let held = t
+            .batch
+            .and_then(|key| s.slow.iter().position(|r| r.trace.batch == Some(key)));
+        let slot = match held {
+            Some(i) => Some(i),
+            None if s.slow.len() < self.slow_cap => None,
+            None => (0..s.slow.len()).min_by_key(|&i| {
+                (
+                    s.slow[i].trace.e2e_ns,
+                    std::cmp::Reverse(s.slow[i].offer_seq),
+                )
+            }),
+        };
+        let admitted = RetainedTrace {
+            window: window_id,
+            offer_seq: seq,
+            trace: t,
+        };
+        match slot {
+            None => {
+                s.slow.push(admitted);
                 retained = true;
             }
+            Some(i) if admitted.trace.e2e_ns > s.slow[i].trace.e2e_ns => {
+                s.slow[i] = admitted;
+                retained = true;
+            }
+            Some(_) => {}
         }
         if retained {
             drop(s);
@@ -598,6 +626,7 @@ mod tests {
     fn trace(e2e: u64, error: bool) -> FinishedTrace {
         FinishedTrace {
             trace_id: e2e.max(1),
+            batch: None,
             started_unix_us: 0,
             e2e_ns: e2e,
             error,
@@ -749,6 +778,38 @@ mod tests {
             .collect();
         assert_eq!(errs, vec![2, 3], "newest-wins error ring");
         assert_eq!(s.offers(), 8);
+    }
+
+    #[test]
+    fn sampler_keeps_one_slow_trace_per_batch() {
+        let s = TailSampler::new(SLOW_RETAIN, 2, 100);
+        let batched = |e2e: u64| FinishedTrace {
+            batch: Some(7),
+            ..trace(e2e, false)
+        };
+        // Eight requests of one slow batch, then two faster lone ones.
+        for e2e in [190, 192, 191, 193, 192, 190, 191, 192] {
+            s.offer(batched(e2e));
+        }
+        s.offer(trace(40, false));
+        s.offer(trace(50, false));
+        let kept: Vec<(Option<u64>, u64)> = s
+            .snapshot()
+            .iter()
+            .map(|r| (r.trace.batch, r.trace.e2e_ns))
+            .collect();
+        assert_eq!(kept, vec![(Some(7), 193), (None, 40), (None, 50)]);
+        // A faster request of the held batch is not retained; a slower
+        // one replaces the batch's trace in its slot.
+        assert!(!s.offer(batched(100)));
+        assert!(s.offer(batched(200)));
+        assert_eq!(s.snapshot().len(), 3);
+        // The tag travels from the handle to the finished trace.
+        let _g = crate::testutil::shared();
+        let ctx = mint();
+        ctx.set_batch(7);
+        assert_eq!(ctx.finish(1, false).unwrap().batch, Some(7));
+        assert_eq!(mint().finish(1, false).unwrap().batch, None);
     }
 
     #[test]

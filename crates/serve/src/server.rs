@@ -691,6 +691,12 @@ fn worker_loop(
             continue;
         }
         let batch = live;
+        // One key per inferred batch: the tail sampler keeps at most one
+        // slow trace of it, not one per request.
+        let batch_key = trace::mint_id();
+        for ctx in batch.iter().filter_map(|j| j.trace.as_ref()) {
+            ctx.set_batch(batch_key);
+        }
 
         // Hot swap: re-fetch the shared engine when the registry moved
         // on. The old Arc drops here (or when the last in-flight batch

@@ -36,6 +36,12 @@ if [ "${SKIP_SLOW:-0}" != "1" ]; then
   # are checked in that profile too.
   cargo test --release -q -p adarnet-nn --test golden_grad
 
+  echo "==> solver golden hashes in release"
+  # The same for the solver: release codegen decides the sweep's row
+  # passes' instructions and how `powi` lowers, and the ledger's solves
+  # run release.
+  cargo test --release -q -p adarnet-cfd --test golden_solver --test golden_paths
+
   echo "==> frozen-stack lane tests in release"
   # The same holds for inference: a split's bits are checked against
   # one lane on both backends, and in release the SIMD tiles are the
